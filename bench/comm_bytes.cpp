@@ -196,22 +196,24 @@ int Main(int argc, char** argv) {
   const double predicted_ratio =
       plan.share_bytes / (static_cast<double>(n) * per_host);
 
-  std::printf("\n%-34s %14s\n", "metric", "value");
-  std::printf("%-34s %8zu / %zu\n", "fleet n / need", n, need);
-  std::printf("%-34s %14zu\n", "file bytes", opt.file_bytes);
-  std::printf("%-34s %14" PRIu64 "\n", "classic ShareResponse B", classic_resp);
-  std::printf("%-34s %14" PRIu64 "\n", "staircase ShareResponse B",
-              striped_resp);
-  std::printf("%-34s %14.3f\n", "download share ratio", share_ratio);
-  std::printf("%-34s %14.3f\n", "download total ratio", total_ratio);
-  std::printf("%-34s %14" PRIu64 "\n", "full MaskedShare B", full_masked);
-  std::printf("%-34s %14" PRIu64 "\n", "reduced MaskedShare B", reduced_masked);
-  std::printf("%-34s %14.3f\n", "repair masked ratio", masked_ratio);
-  std::printf("%-34s %14" PRIu64 "\n", "staircase fallbacks", fallbacks);
-  std::printf("%-34s %14.3f\n", "planner predicted share ratio",
-              predicted_ratio);
-  std::printf("%-34s %14.6f\n", "planner $/read (egress)",
-              plan.dollars_per_read);
+  Recorder rec({"metric", "value"});
+  auto put = [&](const char* metric, auto value) {
+    rec.NewRow().Set("metric", metric).Set("value", value).Commit();
+  };
+  put("n", n);
+  put("need", need);
+  put("file_bytes", opt.file_bytes);
+  put("classic_share_response_bytes", classic_resp);
+  put("staircase_share_response_bytes", striped_resp);
+  put("download_share_ratio", share_ratio);
+  put("download_total_ratio", total_ratio);
+  put("full_masked_share_bytes", full_masked);
+  put("reduced_masked_share_bytes", reduced_masked);
+  put("repair_masked_ratio", masked_ratio);
+  put("staircase_fallbacks", fallbacks);
+  put("planner_predicted_share_ratio", predicted_ratio);
+  put("planner_dollars_per_read", plan.dollars_per_read);
+  bench::Finish(rec, shared);
 
   const bool download_gate = share_ratio <= 0.70;
   const bool repair_gate = masked_ratio <= 0.85;

@@ -232,19 +232,23 @@ int Main(int argc, char** argv) {
   const double p50 = PercentileMs(latencies_ns, 0.50);
   const double p99 = PercentileMs(latencies_ns, 0.99);
 
-  std::printf("\n%-22s %12s\n", "metric", "value");
-  std::printf("%-22s %12u\n", "shards", cfg.shards);
-  std::printf("%-22s %12.0f\n", "offered rate (ops/s)", opt.rate);
-  std::printf("%-22s %12zu\n", "preload uploads", opt.preload);
-  std::printf("%-22s %12" PRIu64 "\n", "offered ops", offered);
-  std::printf("%-22s %12" PRIu64 "\n", "accepted", win_accepted);
-  std::printf("%-22s %12" PRIu64 "\n", "completed", win_completed);
-  std::printf("%-22s %12" PRIu64 "\n", "rejected", win_rejected);
-  std::printf("%-22s %12" PRIu64 "\n", "refused", win_refused);
-  std::printf("%-22s %12" PRIu64 "\n", "queue peak", st.queue_peak);
-  std::printf("%-22s %12.1f\n", "achieved ops/sec", ops_per_sec);
-  std::printf("%-22s %12.3f\n", "p50 latency (ms)", p50);
-  std::printf("%-22s %12.3f\n", "p99 latency (ms)", p99);
+  Recorder rec({"metric", "value"});
+  auto put = [&](const char* metric, auto value) {
+    rec.NewRow().Set("metric", metric).Set("value", value).Commit();
+  };
+  put("shards", cfg.shards);
+  put("offered_rate_per_sec", opt.rate);
+  put("preload_files", opt.preload);
+  put("offered_ops", offered);
+  put("accepted", win_accepted);
+  put("completed", win_completed);
+  put("rejected", win_rejected);
+  put("refused", win_refused);
+  put("queue_peak", st.queue_peak);
+  put("ops_per_sec", ops_per_sec);
+  put("p50_ms", p50);
+  put("p99_ms", p99);
+  bench::Finish(rec, shared);
 
   // Accounting sanity is part of the gate: the measured window can never
   // admit more than the open loop offered.

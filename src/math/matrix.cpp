@@ -1,11 +1,19 @@
 #include "math/matrix.h"
 
-#include <map>
-#include <mutex>
-
+#include "math/domain_cache.h"
 #include "math/poly.h"
 
 namespace pisces::math {
+
+namespace {
+
+obs::Counter& g_hi_hits = obs::RegisterCounter(
+    "math.hi_hits", "hyperinvertible-matrix cache hits");
+obs::Counter& g_hi_misses = obs::RegisterCounter(
+    "math.hi_misses", "hyperinvertible-matrix cache misses");
+DomainCache<Matrix> g_hyperinvertible(g_hi_hits, g_hi_misses);
+
+}  // namespace
 
 Matrix Matrix::Identity(const FpCtx& ctx, std::size_t n) {
   Matrix m(n, n);
@@ -173,23 +181,9 @@ Matrix HyperInvertible(const FpCtx& ctx, std::size_t n_out, std::size_t n_in) {
 std::shared_ptr<const Matrix> CachedHyperInvertible(const FpCtx& ctx,
                                                     std::size_t n_out,
                                                     std::size_t n_in) {
-  // The matrix is a pure function of (modulus, shape), so key on the modulus
-  // bytes, not the context address: a freed context's address can be reused
-  // by a context over a DIFFERENT prime (same-size allocation), and an
-  // address-keyed entry would silently hand that context the wrong matrix.
-  using Key = std::tuple<Bytes, std::size_t, std::size_t>;
-  static std::mutex mutex;
-  static std::map<Key, std::shared_ptr<const Matrix>> cache;
-  Key key{ctx.ModulusBytes(), n_out, n_in};
-  std::lock_guard<std::mutex> lock(mutex);
-  auto it = cache.find(key);
-  if (it == cache.end()) {
-    it = cache
-             .emplace(key, std::make_shared<const Matrix>(
-                               HyperInvertible(ctx, n_out, n_in)))
-             .first;
-  }
-  return it->second;
+  return g_hyperinvertible.Get(DomainKey(ctx).Tag(n_out).Tag(n_in), [&] {
+    return HyperInvertible(ctx, n_out, n_in);
+  });
 }
 
 }  // namespace pisces::math

@@ -82,7 +82,8 @@ std::optional<std::vector<FpElem>> SolveLinearSystem(const FpCtx& ctx,
 // the field and the shape, and every VSS batch in a cluster rebuilds the same
 // one; in a real deployment each host computes it once per epoch and
 // amortizes it over all files and recovery targets, which is what the cache
-// models. Thread safe.
+// models. A math::DomainCache (math/domain_cache.h) keyed on the modulus and
+// shape, counted by `math.hi_hits` / `math.hi_misses`. Thread safe.
 std::shared_ptr<const Matrix> CachedHyperInvertible(const FpCtx& ctx,
                                                     std::size_t n_out,
                                                     std::size_t n_in);

@@ -118,7 +118,7 @@ Poly Poly::Mul(const FpCtx& ctx, const Poly& a, const Poly& b) {
 Poly Poly::Vanishing(const FpCtx& ctx, std::span<const FpElem> xs) {
   if (xs.size() >= PolyEngineCrossover()) {
     // The tree root IS the vanishing polynomial, and the domain cache makes
-    // repeated per-block calls (ConstrainedFrom in ShareBlocks) a lookup.
+    // repeated calls over one point set a lookup.
     return Poly(CachedSubproductTree(ctx, xs)->root());
   }
   std::vector<FpElem> c{ctx.One()};

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <map>
-#include <mutex>
 #include <utility>
 
 #include "common/error.h"
-#include "math/weight_cache.h"  // kWeightCacheMaxEntries: shared cap policy
+#include "math/domain_cache.h"
 #include "obs/registry.h"
 
 namespace pisces::math {
@@ -22,6 +20,8 @@ obs::Counter& g_tree_evals =
     obs::RegisterCounter("math.tree_evals", "multipoint evaluations on a subproduct tree");
 obs::Counter& g_tree_interps =
     obs::RegisterCounter("math.tree_interps", "interpolations on a subproduct tree");
+
+DomainCache<SubproductTree> g_domains(g_pd_hits, g_pd_misses);
 
 // Karatsuba recurses while both operands are larger than this; below it the
 // lazy-dot schoolbook convolution (one Montgomery reduction per output
@@ -171,7 +171,7 @@ std::vector<FpElem> MulPolys(const FpCtx& ctx, std::span<const FpElem> a,
 }
 
 SubproductTree::SubproductTree(const FpCtx& ctx, std::vector<FpElem> xs)
-    : ctx_(&ctx), xs_(std::move(xs)) {
+    : ctx_(ctx), xs_(std::move(xs)) {
   Require(!xs_.empty(), "SubproductTree: empty point set");
   const std::size_t m = xs_.size();
   nodes_.reserve(4 * (m / kTreeLeafSize + 1));
@@ -184,25 +184,25 @@ SubproductTree::SubproductTree(const FpCtx& ctx, std::vector<FpElem> xs)
     Node& l = nodes_[n.left];
     Node& r = nodes_[n.right];
     std::vector<FpElem> rev(l.poly.rbegin(), l.poly.rend());
-    l.inv_rev = InverseSeries(*ctx_, rev, r.count);
+    l.inv_rev = InverseSeries(ctx_, rev, r.count);
     rev.assign(r.poly.rbegin(), r.poly.rend());
-    r.inv_rev = InverseSeries(*ctx_, rev, l.count);
+    r.inv_rev = InverseSeries(ctx_, rev, l.count);
   }
   // Barycentric weights: P'(x_i) for all i by one multipoint evaluation of
   // the derivative, then a single batch inversion. A zero derivative value
   // is exactly a repeated point.
   const std::vector<FpElem>& pc = nodes_[root_].poly;
   std::vector<FpElem> dp(m);
-  FpElem idx = ctx_->Zero();
+  FpElem idx = ctx_.Zero();
   for (std::size_t i = 1; i <= m; ++i) {
-    idx = ctx_->Add(idx, ctx_->One());
-    dp[i - 1] = ctx_->Mul(pc[i], idx);
+    idx = ctx_.Add(idx, ctx_.One());
+    dp[i - 1] = ctx_.Mul(pc[i], idx);
   }
   inv_derivs_ = EvalAll(dp);
   for (const FpElem& d : inv_derivs_) {
-    Require(!ctx_->IsZero(d), "SubproductTree: duplicate point");
+    Require(!ctx_.IsZero(d), "SubproductTree: duplicate point");
   }
-  ctx_->BatchInv(inv_derivs_);
+  ctx_.BatchInv(inv_derivs_);
 }
 
 std::size_t SubproductTree::Build(std::size_t begin, std::size_t count) {
@@ -212,20 +212,20 @@ std::size_t SubproductTree::Build(std::size_t begin, std::size_t count) {
   if (count <= kTreeLeafSize) {
     n.left = n.right = npos;
     // Small monic vanishing polynomial, built root by root.
-    n.poly.assign(1, ctx_->One());
+    n.poly.assign(1, ctx_.One());
     for (std::size_t i = 0; i < count; ++i) {
       const FpElem& root = xs_[begin + i];
-      n.poly.push_back(ctx_->Zero());
+      n.poly.push_back(ctx_.Zero());
       for (std::size_t j = n.poly.size() - 1; j-- > 0;) {
-        n.poly[j + 1] = ctx_->Add(n.poly[j + 1], n.poly[j]);
-        n.poly[j] = ctx_->Neg(ctx_->Mul(n.poly[j], root));
+        n.poly[j + 1] = ctx_.Add(n.poly[j + 1], n.poly[j]);
+        n.poly[j] = ctx_.Neg(ctx_.Mul(n.poly[j], root));
       }
     }
   } else {
     const std::size_t half = count / 2;
     n.left = Build(begin, half);
     n.right = Build(begin + half, count - half);
-    n.poly = MulPolys(*ctx_, nodes_[n.left].poly, nodes_[n.right].poly);
+    n.poly = MulPolys(ctx_, nodes_[n.left].poly, nodes_[n.right].poly);
   }
   nodes_.push_back(std::move(n));
   return nodes_.size() - 1;
@@ -238,7 +238,7 @@ const std::vector<FpElem>& SubproductTree::root() const {
 std::vector<FpElem> SubproductTree::RemByNode(const Node& n,
                                               std::span<const FpElem> a) const {
   const std::size_t db = n.count;
-  std::vector<FpElem> r(db, ctx_->Zero());
+  std::vector<FpElem> r(db, ctx_.Zero());
   if (a.size() <= db) {
     std::copy(a.begin(), a.end(), r.begin());
     return r;
@@ -250,11 +250,11 @@ std::vector<FpElem> SubproductTree::RemByNode(const Node& n,
   Require(qn <= n.inv_rev.size(), "SubproductTree: inverse precision exceeded");
   std::vector<FpElem> arev(a.size());
   for (std::size_t i = 0; i < a.size(); ++i) arev[i] = a[a.size() - 1 - i];
-  const std::vector<FpElem> qrev = TruncMul(*ctx_, arev, n.inv_rev, qn);
+  const std::vector<FpElem> qrev = TruncMul(ctx_, arev, n.inv_rev, qn);
   std::vector<FpElem> q(qn);
   for (std::size_t i = 0; i < qn; ++i) q[i] = qrev[qn - 1 - i];
-  const std::vector<FpElem> qb = TruncMul(*ctx_, q, n.poly, db);
-  for (std::size_t i = 0; i < db; ++i) r[i] = ctx_->Sub(a[i], qb[i]);
+  const std::vector<FpElem> qb = TruncMul(ctx_, q, n.poly, db);
+  for (std::size_t i = 0; i < db; ++i) r[i] = ctx_.Sub(a[i], qb[i]);
   return r;
 }
 
@@ -264,9 +264,9 @@ void SubproductTree::DownEval(std::size_t node_idx, std::vector<FpElem> rem,
   if (n.left == npos) {
     for (std::size_t i = 0; i < n.count; ++i) {
       const FpElem& x = xs_[n.begin + i];
-      FpElem acc = ctx_->Zero();
+      FpElem acc = ctx_.Zero();
       for (std::size_t j = rem.size(); j-- > 0;) {
-        acc = ctx_->Add(ctx_->Mul(acc, x), rem[j]);
+        acc = ctx_.Add(ctx_.Mul(acc, x), rem[j]);
       }
       out[n.begin + i] = acc;
     }
@@ -278,11 +278,11 @@ void SubproductTree::DownEval(std::size_t node_idx, std::vector<FpElem> rem,
 
 std::vector<FpElem> SubproductTree::EvalAll(std::span<const FpElem> f) const {
   const std::size_t m = xs_.size();
-  std::vector<FpElem> out(m, ctx_->Zero());
+  std::vector<FpElem> out(m, ctx_.Zero());
   if (f.empty()) return out;
   std::vector<FpElem> rem(f.begin(), f.end());
-  if (rem.size() > m) rem = ReduceByMonic(*ctx_, std::move(rem), root());
-  rem.resize(m, ctx_->Zero());
+  if (rem.size() > m) rem = ReduceByMonic(ctx_, std::move(rem), root());
+  rem.resize(m, ctx_.Zero());
   g_tree_evals.Add();
   DownEval(root_, std::move(rem), out);
   return out;
@@ -294,28 +294,28 @@ std::vector<FpElem> SubproductTree::UpCombine(
   if (n.left == npos) {
     // sum_i scaled[i] * poly/(x - x_i); each quotient by synthetic division
     // (the node polynomial is monic), O(count^2) at leaf sizes.
-    std::vector<FpElem> out(n.count, ctx_->Zero());
+    std::vector<FpElem> out(n.count, ctx_.Zero());
     std::vector<FpElem> qi(n.count);
     for (std::size_t i = 0; i < n.count; ++i) {
       const FpElem& x = xs_[n.begin + i];
       FpElem carry = n.poly[n.count];  // leading coefficient (== 1)
       for (std::size_t j = n.count; j-- > 0;) {
         qi[j] = carry;
-        carry = ctx_->Add(n.poly[j], ctx_->Mul(carry, x));
+        carry = ctx_.Add(n.poly[j], ctx_.Mul(carry, x));
       }
       const FpElem& s = scaled[n.begin + i];
-      if (ctx_->IsZero(s)) continue;
+      if (ctx_.IsZero(s)) continue;
       for (std::size_t j = 0; j < n.count; ++j) {
-        out[j] = ctx_->Add(out[j], ctx_->Mul(s, qi[j]));
+        out[j] = ctx_.Add(out[j], ctx_.Mul(s, qi[j]));
       }
     }
     return out;
   }
   const std::vector<FpElem> fl = UpCombine(n.left, scaled);
   const std::vector<FpElem> fr = UpCombine(n.right, scaled);
-  std::vector<FpElem> a = MulPolys(*ctx_, fl, nodes_[n.right].poly);
-  const std::vector<FpElem> b = MulPolys(*ctx_, fr, nodes_[n.left].poly);
-  for (std::size_t i = 0; i < a.size(); ++i) a[i] = ctx_->Add(a[i], b[i]);
+  std::vector<FpElem> a = MulPolys(ctx_, fl, nodes_[n.right].poly);
+  const std::vector<FpElem> b = MulPolys(ctx_, fr, nodes_[n.left].poly);
+  for (std::size_t i = 0; i < a.size(); ++i) a[i] = ctx_.Add(a[i], b[i]);
   return a;  // n.count coefficients
 }
 
@@ -324,7 +324,7 @@ std::vector<FpElem> SubproductTree::Interpolate(
   Require(ys.size() == xs_.size(), "SubproductTree: ys size mismatch");
   std::vector<FpElem> scaled(ys.size());
   for (std::size_t i = 0; i < ys.size(); ++i) {
-    scaled[i] = ctx_->Mul(ys[i], inv_derivs_[i]);
+    scaled[i] = ctx_.Mul(ys[i], inv_derivs_[i]);
   }
   g_tree_interps.Add();
   return UpCombine(root_, scaled);
@@ -348,71 +348,16 @@ std::vector<FpElem> EvalMany(const FpCtx& ctx, std::span<const FpElem> f,
   return out;
 }
 
-namespace {
-
-// Domain cache, following math/weight_cache.cpp to the letter: context
-// address + little-endian coordinate dump as the key, immutable shared_ptr
-// values, compute-outside-lock (racing misses insert identical trees; first
-// wins), wholesale clear past the cap so eviction never depends on timing.
-struct DomainKey {
-  const FpCtx* ctx;
-  std::vector<std::uint64_t> blob;
-
-  bool operator<(const DomainKey& o) const {
-    if (ctx != o.ctx) return ctx < o.ctx;
-    return blob < o.blob;
-  }
-};
-
-struct DomainCache {
-  std::mutex mu;
-  std::map<DomainKey, std::shared_ptr<const SubproductTree>> trees;
-};
-
-DomainCache& Domains() {
-  static DomainCache cache;
-  return cache;
-}
-
-}  // namespace
-
 std::shared_ptr<const SubproductTree> CachedSubproductTree(
     const FpCtx& ctx, std::span<const FpElem> xs) {
-  DomainKey key{&ctx, {}};
-  key.blob.reserve(1 + xs.size() * field::kMaxLimbs);
-  key.blob.push_back(xs.size());
-  for (const FpElem& e : xs) {
-    key.blob.insert(key.blob.end(), e.v.begin(), e.v.end());
-  }
-
-  DomainCache& c = Domains();
-  {
-    std::lock_guard<std::mutex> lock(c.mu);
-    auto it = c.trees.find(key);
-    if (it != c.trees.end()) {
-      g_pd_hits.Add();
-      return it->second;
-    }
-  }
-  g_pd_misses.Add();
-  auto value = std::make_shared<const SubproductTree>(
-      ctx, std::vector<FpElem>(xs.begin(), xs.end()));
-  std::lock_guard<std::mutex> lock(c.mu);
-  if (c.trees.size() >= kWeightCacheMaxEntries) c.trees.clear();
-  return c.trees.emplace(std::move(key), std::move(value)).first->second;
+  return g_domains.Get(DomainKey(ctx).Points(xs), [&] {
+    return SubproductTree(ctx, std::vector<FpElem>(xs.begin(), xs.end()));
+  });
 }
 
-void ClearPolyDomainCache() {
-  DomainCache& c = Domains();
-  std::lock_guard<std::mutex> lock(c.mu);
-  c.trees.clear();
-}
+void ClearPolyDomainCache() { g_domains.Clear(); }
 
-std::size_t PolyDomainCacheSize() {
-  DomainCache& c = Domains();
-  std::lock_guard<std::mutex> lock(c.mu);
-  return c.trees.size();
-}
+std::size_t PolyDomainCacheSize() { return g_domains.Size(); }
 
 PolyEngineStats GetPolyEngineStats() {
   return {g_pd_hits.Load(), g_pd_misses.Load(), g_tree_evals.Load(),

@@ -20,10 +20,10 @@
 //   * Interpolate       -- barycentric interpolation: cached 1/P'(x_i)
 //                          weights (one batch inversion at tree build) plus
 //                          the linear-combination up-tree, O(M(m) log m);
-//   * CachedSubproductTree -- process-wide per-point-set domain memo layered
-//                          on the math/weight_cache discipline (immutable
-//                          shared_ptr values, context + coordinate keying,
-//                          wholesale clear at the size cap), so every (n, t)
+//   * CachedSubproductTree -- process-wide per-point-set domain memo on
+//                          math::DomainCache (immutable shared_ptr values,
+//                          modulus + coordinate keying, wholesale clear at
+//                          the size cap), so every (n, t)
 //                          share domain -- holder alphas, secret betas,
 //                          responder subsets -- pays tree construction once.
 //
@@ -38,8 +38,8 @@
 //
 // Determinism: everything here is pure serial compute over its inputs; no
 // randomness, no timing dependence, no pool fan-out inside the engine. Tree
-// construction racing between pool workers is resolved by the cache exactly
-// like math/weight_cache (identical values, first insert wins), so results
+// construction racing between pool workers is resolved by the cache
+// (identical values, first insert wins), so results
 // never depend on the task-pool size.
 #pragma once
 
@@ -98,7 +98,7 @@ class SubproductTree {
 
   std::size_t size() const { return xs_.size(); }
   std::span<const FpElem> points() const { return xs_; }
-  const FpCtx& ctx() const { return *ctx_; }
+  const FpCtx& ctx() const { return ctx_; }
 
   // Monic vanishing polynomial prod_i (x - x_i): size() + 1 coefficients.
   const std::vector<FpElem>& root() const;
@@ -137,15 +137,17 @@ class SubproductTree {
   std::vector<FpElem> UpCombine(std::size_t node_idx,
                                 std::span<const FpElem> scaled) const;
 
-  const FpCtx* ctx_;
+  // An own copy: a cached tree is shared by every context over its prime
+  // and must not dangle when the context that built it goes away.
+  FpCtx ctx_;
   std::vector<FpElem> xs_;
   std::vector<Node> nodes_;  // post-order; root is nodes_.back()
   std::size_t root_ = 0;
   std::vector<FpElem> inv_derivs_;
 };
 
-// Process-wide subproduct-tree domain cache, keyed like math/weight_cache
-// (context address + little-endian coordinate dump, wholesale clear past the
+// Process-wide subproduct-tree domain cache: a math::DomainCache
+// (math/domain_cache.h, modulus + coordinate keying, wholesale clear past the
 // cap). Values are immutable; lookups from pool workers are safe.
 std::shared_ptr<const SubproductTree> CachedSubproductTree(
     const FpCtx& ctx, std::span<const FpElem> xs);

@@ -103,7 +103,7 @@ struct SubstrateMetrics {
   std::uint64_t dot_calls = 0;       // lazy dot outputs produced
   std::uint64_t dot_products = 0;    // products accumulated unreduced
   std::uint64_t dot_reductions = 0;  // wide reductions (== dot outputs)
-  std::uint64_t wc_hits = 0;         // weight/Vandermonde cache hits
+  std::uint64_t wc_hits = 0;         // math.wc_hits (weights, rows, generator)
   std::uint64_t wc_misses = 0;
 };
 

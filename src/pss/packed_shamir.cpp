@@ -16,61 +16,58 @@ PackedShamir::PackedShamir(std::shared_ptr<const FpCtx> ctx, Params params)
 
 std::vector<FpElem> PackedShamir::ShareBlock(std::span<const FpElem> secrets,
                                              Rng& rng) const {
-  Require(secrets.size() == params_.l, "ShareBlock: need exactly l secrets");
-  math::Poly f = math::Poly::RandomWithConstraints(
-      *ctx_, rng, params_.degree(), points_.betas(), secrets);
-  std::vector<FpElem> shares;
-  shares.reserve(params_.n);
-  for (std::size_t i = 0; i < params_.n; ++i) {
-    shares.push_back(f.Eval(*ctx_, points_.alpha(i)));
-  }
-  return shares;
+  const std::vector<FpElem> block(secrets.begin(), secrets.end());
+  return ShareBlocks({&block, 1}, rng).front();
 }
 
 std::vector<std::vector<FpElem>> PackedShamir::ShareBlocks(
     std::span<const std::vector<FpElem>> blocks, Rng& rng,
     std::uint64_t* extra_cpu_ns) const {
+  const std::size_t l = params_.l;
   const std::size_t d = params_.degree();
   for (const auto& block : blocks) {
-    Require(block.size() == params_.l, "ShareBlocks: need exactly l secrets");
+    Require(block.size() == l, "ShareBlocks: need exactly l secrets");
   }
-  // Serial randomness draw in block order: consuming the rng exactly as the
-  // per-block ShareBlock loop would is what keeps multi-threaded runs
-  // bit-identical to serial ones.
-  std::vector<math::Poly> us;
-  us.reserve(blocks.size());
+  // su[b] = [s_b ; u_b]: the block's secrets, then its d - l + 1 mask
+  // coefficients. The masks are drawn serially in block order, exactly as
+  // Poly::Random(d - l) per block would, which is what keeps multi-threaded
+  // runs bit-identical to serial ones.
+  std::vector<std::vector<FpElem>> su(blocks.size());
   for (std::size_t b = 0; b < blocks.size(); ++b) {
-    us.push_back(math::Poly::Random(*ctx_, rng, d - params_.l));
+    su[b].reserve(d + 1);
+    su[b].assign(blocks[b].begin(), blocks[b].end());
+    for (std::size_t k = l; k <= d; ++k) su[b].push_back(ctx_->Random(rng));
   }
   std::vector<std::vector<FpElem>> out(
       blocks.size(), std::vector<FpElem>(params_.n, ctx_->Zero()));
   if (params_.n >= math::PolyEvalCrossover()) {
     // Very large n: one remainder-tree multipoint evaluation per block over
-    // the cached alpha domain, O(M(n) log n) instead of the O(n*d)
-    // Vandermonde dots. Same elements either way (exact arithmetic,
-    // canonical form); the high default crossover reflects that the dots
-    // measure faster through n = 1024 (see math/poly_engine.h).
+    // the cached alpha domain, O(M(n) log n) instead of the O(n*d) generator
+    // dots. Same elements either way (exact arithmetic, canonical form); the
+    // high default crossover reflects that the dots measure faster through
+    // n = 1024 (see math/poly_engine.h).
     auto domain = math::CachedSubproductTree(*ctx_, points_.alphas());
     GlobalPool().ParallelFor(
         0, blocks.size(),
         [&](std::size_t b) {
-          math::Poly f = math::Poly::ConstrainedFrom(
-              *ctx_, us[b], d, points_.betas(), blocks[b]);
+          math::Poly u(std::vector<FpElem>(su[b].begin() + l, su[b].end()));
+          math::Poly f = math::Poly::ConstrainedFrom(*ctx_, u, d,
+                                                     points_.betas(), blocks[b]);
           out[b] = domain->EvalAll(f.coeffs());
         },
         extra_cpu_ns);
     return out;
   }
-  auto eval_rows =
-      math::CachedVandermondeRows(*ctx_, points_.alphas(), d + 1);
+  // Party i's share is row i of the cached generator dotted with [s ; u]:
+  // one lazy-reduction Dot per share, no per-block interpolation or
+  // inversion.
+  auto gen = math::CachedSharingGenerator(*ctx_, points_.alphas(),
+                                          points_.betas(), d);
   GlobalPool().ParallelFor(
       0, blocks.size(),
       [&](std::size_t b) {
-        math::Poly f = math::Poly::ConstrainedFrom(*ctx_, us[b], d,
-                                                   points_.betas(), blocks[b]);
-        const std::vector<FpElem>& c = f.coeffs();
         for (std::size_t i = 0; i < params_.n; ++i) {
-          out[b][i] = ctx_->Dot(eval_rows->Row(i).first(c.size()), c);
+          out[b][i] = ctx_->Dot(gen->Row(i), su[b]);
         }
       },
       extra_cpu_ns);

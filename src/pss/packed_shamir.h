@@ -26,16 +26,18 @@ class PackedShamir {
   const EvalPoints& points() const { return points_; }
 
   // Shares one block; secrets.size() must be exactly l. Returns n shares,
-  // indexed by party. Equivalent to ShareBlocks on a single block (same RNG
-  // consumption), kept for the scalar call sites.
+  // indexed by party: ShareBlocks on a single block, kept for the scalar
+  // call sites.
   std::vector<FpElem> ShareBlock(std::span<const FpElem> secrets,
                                  Rng& rng) const;
 
   // Shares many blocks at once: out[b][i] is party i's share of block b.
   // Randomness is drawn serially in block order (so the result is
   // bit-identical to calling ShareBlock per block with the same rng), then
-  // the constraint solve and share evaluation fan out over the global task
-  // pool. extra_cpu_ns accumulates pool-worker CPU (see common/task_pool.h).
+  // the share evaluation -- one Dot per share against the process-wide
+  // cached generator matrix (math::CachedSharingGenerator) -- fans out over
+  // the global task pool. extra_cpu_ns accumulates pool-worker CPU (see
+  // common/task_pool.h).
   std::vector<std::vector<FpElem>> ShareBlocks(
       std::span<const std::vector<FpElem>> blocks, Rng& rng,
       std::uint64_t* extra_cpu_ns = nullptr) const;

@@ -4,6 +4,9 @@
 #include "field/primes.h"
 #include "math/matrix.h"
 #include "math/poly.h"
+#include "math/poly_engine.h"
+#include "math/weight_cache.h"
+#include "obs/registry.h"
 
 namespace pisces::math {
 namespace {
@@ -215,10 +218,74 @@ TEST_F(MathTest, HyperInvertibleActsAsInterpolationMap) {
 }
 
 TEST_F(MathTest, CachedHyperInvertibleIsStable) {
+  const obs::Snapshot before = obs::TakeSnapshot();
   auto a = CachedHyperInvertible(ctx_, 4, 4);
   auto b = CachedHyperInvertible(ctx_, 4, 4);
+  const obs::Snapshot delta = obs::Delta(before, obs::TakeSnapshot());
   EXPECT_EQ(a.get(), b.get());
   EXPECT_TRUE(a->Eq(ctx_, HyperInvertible(ctx_, 4, 4)));
+  // The second lookup is a hit; the first is a miss unless an earlier test
+  // already cached this (prime, shape).
+  EXPECT_GE(obs::Value(delta, "math.hi_hits"), 1u);
+  EXPECT_EQ(obs::Value(delta, "math.hi_hits") +
+                obs::Value(delta, "math.hi_misses"),
+            2u);
+}
+
+// Every DomainCache keys on the modulus, never the FpCtx address: two live
+// contexts over one prime share each entry, a cached subproduct tree outlives
+// the context that built it, and two primes never share an entry even when
+// the point limbs are identical.
+TEST(DomainCacheKey, SamePrimeSharesEntriesDifferentPrimesNever) {
+  const Bytes prime = field::StandardPrimeBe(256);
+  field::FpCtx a(prime);
+  field::FpCtx b(prime);
+  std::vector<FpElem> xs, ev;
+  for (std::uint64_t i = 1; i <= 20; ++i) xs.push_back(a.FromUint64(i));
+  for (std::uint64_t i = 21; i <= 24; ++i) ev.push_back(a.FromUint64(i));
+  std::span<const FpElem> betas(xs.data(), 3);
+
+  EXPECT_EQ(CachedLagrangeWeights(a, xs, ev).get(),
+            CachedLagrangeWeights(b, xs, ev).get());
+  EXPECT_EQ(CachedVandermondeRows(a, xs, 5).get(),
+            CachedVandermondeRows(b, xs, 5).get());
+  EXPECT_EQ(CachedSharingGenerator(a, ev, betas, 5).get(),
+            CachedSharingGenerator(b, ev, betas, 5).get());
+  EXPECT_EQ(CachedHyperInvertible(a, 4, 3).get(),
+            CachedHyperInvertible(b, 4, 3).get());
+  std::shared_ptr<const SubproductTree> tree;
+  {
+    field::FpCtx gone(prime);
+    tree = CachedSubproductTree(gone, xs);
+  }
+  EXPECT_EQ(tree.get(), CachedSubproductTree(b, xs).get());
+  const std::vector<FpElem> f(xs.begin(), xs.begin() + 7);
+  EXPECT_EQ(tree->EvalAll(f), EvalMany(b, f, xs));
+
+  // Two primes of the same byte length, 2^61 - 1 and 2^63 - 25, and points
+  // whose raw limbs are the same small values in both fields: only the
+  // modulus bytes tell the keys apart.
+  const Bytes m61{0x1F, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF};
+  const Bytes m63{0x7F, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xE7};
+  Rng mr_rng(5);
+  ASSERT_TRUE(field::MillerRabinIsPrime(m61, 20, mr_rng));
+  ASSERT_TRUE(field::MillerRabinIsPrime(m63, 20, mr_rng));
+  field::FpCtx p61(m61);
+  field::FpCtx p63(m63);
+  std::vector<FpElem> raw(5);
+  for (std::size_t i = 0; i < raw.size(); ++i) raw[i].v[0] = i + 1;
+  auto v61 = CachedVandermondeRows(p61, raw, 3);
+  auto v63 = CachedVandermondeRows(p63, raw, 3);
+  EXPECT_NE(v61.get(), v63.get());
+  EXPECT_TRUE(v61->Eq(p61, Vandermonde(p61, raw, 3)));
+  EXPECT_TRUE(v63->Eq(p63, Vandermonde(p63, raw, 3)));
+  auto h61 = CachedHyperInvertible(p61, 3, 3);
+  auto h63 = CachedHyperInvertible(p63, 3, 3);
+  EXPECT_NE(h61.get(), h63.get());
+  EXPECT_TRUE(h61->Eq(p61, HyperInvertible(p61, 3, 3)));
+  EXPECT_TRUE(h63->Eq(p63, HyperInvertible(p63, 3, 3)));
+  EXPECT_NE(CachedSubproductTree(p61, raw).get(),
+            CachedSubproductTree(p63, raw).get());
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "common/clock.h"
+#include "common/task_pool.h"
 #include "field/primes.h"
 #include "pss/recovery.h"
 #include "pss/refresh.h"
@@ -249,6 +250,63 @@ TEST(EvalPoints, DisjointAndNonZero) {
       EXPECT_FALSE(ctx.Eq(all[i], all[j]));
     }
   }
+}
+
+// The generator-matrix encoder against the polynomial it replaced: every
+// share ShareBlocks produces must equal ConstrainedFrom(u_b, d, betas, s_b)
+// evaluated at the party's alpha, with the masks u_b drawn by Poly::Random
+// from an rng with the same seed. Bit-identical, across all four prime
+// sizes, pool sizes 1/2/8, and shapes up to the paper-best point.
+TEST(PackedShamirGenerator, SharesMatchConstrainedFromReference) {
+  const GridPoint shapes[] = {{8, 1, 2, 1}, {13, 2, 3, 1}, {21, 4, 6, 3}};
+  for (std::size_t bits : {256u, 512u, 1024u, 2048u}) {
+    auto ctx = std::make_shared<const FpCtx>(field::StandardPrimeBe(bits));
+    for (const GridPoint& g : shapes) {
+      Params p;
+      p.n = g.n;
+      p.t = g.t;
+      p.l = g.l;
+      p.r = g.r;
+      p.field_bits = bits;
+      PackedShamir shamir(ctx, p);
+      const EvalPoints& pts = shamir.points();
+      const std::size_t d = p.degree();
+      // The generator's mask columns are w(alpha_i) * alpha_i^k: a zero
+      // w(alpha_i) would make party i's share independent of the mask.
+      const math::Poly w = math::Poly::Vanishing(*ctx, pts.betas());
+      for (std::size_t i = 0; i < g.n; ++i) {
+        EXPECT_FALSE(ctx->IsZero(w.Eval(*ctx, pts.alpha(i)))) << g << " " << i;
+      }
+
+      Rng data(bits + g.n);
+      std::vector<std::vector<FpElem>> blocks(5);
+      for (auto& block : blocks) {
+        for (std::size_t j = 0; j < g.l; ++j) block.push_back(ctx->Random(data));
+      }
+      Rng ref_rng(99);
+      std::vector<std::vector<FpElem>> expected;
+      for (const auto& block : blocks) {
+        const math::Poly u = math::Poly::Random(*ctx, ref_rng, d - g.l);
+        const math::Poly f =
+            math::Poly::ConstrainedFrom(*ctx, u, d, pts.betas(), block);
+        std::vector<FpElem> shares;
+        for (std::size_t i = 0; i < g.n; ++i) {
+          shares.push_back(f.Eval(*ctx, pts.alpha(i)));
+        }
+        expected.push_back(std::move(shares));
+      }
+      for (std::size_t pool : {1u, 2u, 8u}) {
+        SetGlobalPoolThreads(pool);
+        Rng rng(99);
+        EXPECT_EQ(shamir.ShareBlocks(blocks, rng), expected)
+            << bits << "-bit " << g << " pool " << pool;
+      }
+      // ShareBlock is the one-block case of the same encoder.
+      Rng one(99);
+      EXPECT_EQ(shamir.ShareBlock(blocks[0], one), expected[0]);
+    }
+  }
+  SetGlobalPoolThreads(1);
 }
 
 class VssBatchTest : public ::testing::Test {
