@@ -1,139 +1,142 @@
-// Distributed harness: the same Host state machines running over REAL TCP
-// sockets on loopback, one thread per host, with a driver playing the
-// hypervisor and the stock Client doing upload/download.
+// PiSCES over real TCP in one process, on the deployment code path
+// (docs/deployment.md) with threads standing in for host processes.
 //
-// Demonstrates that the protocol layer is transport-agnostic: everything the
-// simulator runs (share upload, rerandomization, reboot + recovery,
-// reconstruction) also runs over an actual network stack.
+// Each of the n hosts is a HostProcess -- the Host + AsyncTcpEndpoint wrapper
+// that pisces_hostd runs -- serving on its own thread. An MpCoordinator plays
+// the hypervisor and the stock Client uploads and downloads, each over its
+// own async endpoint on loopback.
+//
+// The run boots the fleet, uploads a file, and runs one proactive window.
+// Then host 0 "crashes": its thread stops and a fresh HostProcess, holding no
+// key material, takes over the same port and announces itself. The next
+// window puts it through secure reboot (fresh CA-signed keys for a new
+// epoch) and share recovery, and the file downloads bit-exactly.
 //
 //   $ ./tcp_cluster [base_port]
-#include <atomic>
+//
+// With no argument the base port is derived from the pid, so parallel runs
+// do not collide. Hosts listen on base_port + i, the coordinator on
+// base_port + n, the client on base_port + n + 1.
+#include <unistd.h>
+
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <thread>
+#include <vector>
 
+#include "common/error.h"
 #include "common/log.h"
-#include "net/tcp_transport.h"
-#include "pisces/pisces.h"
+#include "field/primes.h"
+#include "net/async_tcp.h"
+#include "pisces/client.h"
+#include "pisces/host_process.h"
+#include "pisces/mp_coordinator.h"
 
 namespace {
 
 using namespace pisces;
 
-constexpr std::size_t kN = 7;
-
-struct HostRunner {
-  std::unique_ptr<net::TcpEndpoint> endpoint;
-  std::unique_ptr<Host> host;
-  std::thread thread;
-  std::atomic<bool> running{false};
-
-  void Start() {
-    running.store(true);
-    thread = std::thread([this] {
-      while (running.load()) {
-        auto msg = endpoint->ReceiveWait(50);
-        if (msg) host->HandleMessage(*msg);
-      }
-    });
+// One host "process": a HostProcess serving on its own thread. A fatal
+// error ends only that host, as it would end only that pisces_hostd; the
+// coordinator then sees a dead host.
+class HostThread {
+ public:
+  HostThread(const MpConfig& cfg, std::uint32_t id)
+      : process_(std::make_unique<HostProcess>(cfg, id)),
+        thread_([p = process_.get(), id] {
+          try {
+            p->Serve();
+          } catch (const Error& e) {
+            LogError() << "host " << id << ": fatal: " << e.what();
+          }
+        }) {}
+  ~HostThread() {
+    process_->Stop();
+    thread_.join();
   }
-  void Stop() {
-    running.store(false);
-    if (thread.joinable()) thread.join();
-  }
+  HostThread(const HostThread&) = delete;
+  HostThread& operator=(const HostThread&) = delete;
+
+ private:
+  std::unique_ptr<HostProcess> process_;
+  std::thread thread_;
 };
+
+net::AsyncTcpEndpoint MakeEndpoint(const MpConfig& cfg, std::uint32_t id,
+                                   std::uint16_t port) {
+  net::AsyncTcpOptions o;
+  o.id = id;
+  o.listen_port = port;
+  o.seed = cfg.seed ^ id;
+  o.heartbeat_interval_ms = cfg.heartbeat_ms;
+  return net::AsyncTcpEndpoint(o);
+}
+
+int Fail(const char* what) {
+  std::printf("FAILED: %s\n", what);
+  return 1;
+}
 
 }  // namespace
 
 int main(int argc, char** argv) {
   SetLogLevel(LogLevel::kWarn);
-  const std::uint16_t base =
-      argc > 1 ? static_cast<std::uint16_t>(std::atoi(argv[1])) : 47100;
 
-  pss::Params params;
-  params.n = kN;
-  params.t = 1;
-  params.l = 2;  // d = 3
-  params.r = 1;
-  params.field_bits = 256;
-  params.Validate();
-  auto ctx = std::make_shared<const field::FpCtx>(
-      field::StandardPrimeBe(params.field_bits));
+  MpConfig cfg;
+  cfg.n = 7;
+  cfg.t = 1;
+  cfg.l = 2;  // d = 3
+  cfg.r = 1;
+  cfg.field_bits = 256;
+  // Above the default Linux ephemeral range (32768..60999), so listeners
+  // never race outgoing connections for a port; 9 ports per pid slot.
+  cfg.base_port =
+      argc > 1 ? static_cast<std::uint16_t>(std::atoi(argv[1]))
+               : static_cast<std::uint16_t>(61000 + (::getpid() % 500) * 9);
+  cfg.seed = 1234;
+  cfg.Validate();
 
-  const auto& group = crypto::SchnorrGroup::Default();
-  Rng rng(1234);
-  crypto::CertAuthority ca(group, rng);
+  std::printf("PiSCES over TCP: %u hosts on 127.0.0.1:%u..%u\n", cfg.n,
+              cfg.base_port, cfg.ClientPort());
 
-  const std::uint16_t client_port = base + kN;
-  const std::uint16_t hyper_port = base + kN + 1;
-
-  std::printf("PiSCES over TCP: %zu hosts on 127.0.0.1:%u..%u\n", kN, base,
-              base + kN + 1);
-
-  // Bring up endpoints and the full peer mesh.
-  std::vector<HostRunner> runners(kN);
-  for (std::uint32_t i = 0; i < kN; ++i) {
-    runners[i].endpoint = std::make_unique<net::TcpEndpoint>(
-        i, static_cast<std::uint16_t>(base + i));
+  std::vector<std::unique_ptr<HostThread>> hosts;
+  for (std::uint32_t i = 0; i < cfg.n; ++i) {
+    hosts.push_back(std::make_unique<HostThread>(cfg, i));
   }
-  net::TcpEndpoint client_ep(net::kClientId, client_port);
-  net::TcpEndpoint hyper_ep(net::kHypervisorId, hyper_port);
-  auto add_all_peers = [&](net::TcpEndpoint& ep) {
-    for (std::uint32_t j = 0; j < kN; ++j) {
-      if (ep.id() != j) ep.AddPeer(j, static_cast<std::uint16_t>(base + j));
-    }
-    if (ep.id() != net::kClientId) ep.AddPeer(net::kClientId, client_port);
-    if (ep.id() != net::kHypervisorId) {
-      ep.AddPeer(net::kHypervisorId, hyper_port);
-    }
-  };
-  for (auto& r : runners) add_all_peers(*r.endpoint);
-  add_all_peers(client_ep);
-  add_all_peers(hyper_ep);
 
-  // Create hosts and boot them with CA-signed keys (the driver is the
-  // hypervisor: it holds the CA and the cert directory).
-  std::vector<std::uint32_t> peers;
-  for (std::uint32_t i = 0; i < kN; ++i) peers.push_back(i);
-  peers.push_back(net::kClientId);
-  std::map<std::uint32_t, crypto::HostCert> directory;
-  for (std::uint32_t i = 0; i < kN; ++i) {
-    HostConfig hc;
-    hc.id = i;
-    hc.params = params;
-    hc.ctx = ctx;
-    hc.rng_seed = 7 + i;
-    runners[i].host = std::make_unique<Host>(hc, *runners[i].endpoint, group,
-                                             ca.public_key());
-    auto [cert, sk] = ca.IssueHostKey(i, 1, rng);
-    directory[i] = cert;
-    runners[i].host->Boot(1, cert, std::move(sk), peers);
+  net::AsyncTcpEndpoint hyper_ep =
+      MakeEndpoint(cfg, net::kHypervisorId, cfg.HypervisorPort());
+  net::AsyncTcpEndpoint client_ep =
+      MakeEndpoint(cfg, net::kClientId, cfg.ClientPort());
+  for (std::uint32_t i = 0; i < cfg.n; ++i) {
+    hyper_ep.AddPeer(i, cfg.HostPort(i));
+    client_ep.AddPeer(i, cfg.HostPort(i));
   }
-  // Provision every host with the full directory (certs also flow over TCP
-  // via the boot broadcasts; direct install avoids startup races).
-  auto [client_cert, client_sk] = ca.IssueHostKey(net::kClientId, 0, rng);
-  directory[net::kClientId] = client_cert;
-  for (auto& r : runners) {
-    for (const auto& [id, cert] : directory) {
-      if (id != r.host->id()) r.host->InstallPeerCert(cert);
-    }
-  }
-  for (auto& r : runners) r.Start();
+  hyper_ep.AddPeer(net::kClientId, cfg.ClientPort());
+  client_ep.AddPeer(net::kHypervisorId, cfg.HypervisorPort());
 
-  // The stock Client over the TCP endpoint.
+  MpCoordinator coord(cfg, hyper_ep);
+  auto [client_cert, client_sk] = coord.IssueClient();
+  if (!coord.BootAll()) return Fail("cluster bring-up");
+  std::printf("booted %u hosts with CA-signed keys\n", cfg.n);
+
   ClientConfig cc;
-  cc.params = params;
-  cc.ctx = ctx;
-  Client client(cc, client_ep, group, ca.public_key(), client_cert,
-                client_sk);
-  for (const auto& [id, cert] : directory) {
+  cc.params = cfg.ToParams();
+  cc.ctx = std::make_shared<const field::FpCtx>(
+      field::StandardPrimeBe(cfg.field_bits));
+  cc.encrypt_links = cfg.encrypt;
+  Client client(cc, client_ep, crypto::SchnorrGroup::Default(), coord.ca_pk(),
+                client_cert, client_sk);
+  for (const auto& [id, cert] : coord.directory()) {
     if (id != net::kClientId) client.InstallPeerCert(cert);
   }
   // done() may consume state on success (TryAssemble erases the pending
   // download), so remember the first true rather than re-evaluating.
   auto pump_client = [&](auto done, int timeout_ms) {
-    auto deadline = std::chrono::steady_clock::now() +
-                    std::chrono::milliseconds(timeout_ms);
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::milliseconds(timeout_ms);
     bool ok = done();
     while (!ok && std::chrono::steady_clock::now() < deadline) {
       auto msg = client_ep.ReceiveWait(50);
@@ -143,98 +146,48 @@ int main(int argc, char** argv) {
     return ok;
   };
 
-  // 1. Upload.
+  // 1. Upload, and register the file so windows cover it.
   Rng file_rng(5);
-  Bytes file = file_rng.RandomBytes(6 * 1024);
-  client.BeginUpload(1, file);
-  if (!pump_client([&] { return client.UploadAcks(1) == kN; }, 10000)) {
-    std::printf("FAILED: upload not acknowledged by all hosts\n");
-    return 1;
+  const Bytes file = file_rng.RandomBytes(6 * 1024);
+  const FileMeta meta = client.BeginUpload(1, file);
+  if (!pump_client([&] { return client.UploadAcks(1) == cfg.n; }, 10'000)) {
+    return Fail("upload not acknowledged by all hosts");
   }
-  std::printf("uploaded %zu bytes to %zu hosts over TCP\n", file.size(), kN);
+  client.FinishUpload(1);
+  coord.RegisterUpload(meta);
+  std::printf("uploaded %zu bytes to %u hosts over TCP\n", file.size(), cfg.n);
 
-  // 2. Rerandomize (driver acts as hypervisor).
-  for (std::uint32_t i = 0; i < kN; ++i) {
-    net::Message m;
-    m.from = net::kHypervisorId;
-    m.to = i;
-    m.type = net::MsgType::kStartRefresh;
-    m.file_id = 1;
-    m.epoch = 100;
-    hyper_ep.Send(std::move(m));
-  }
-  std::size_t done_count = 0;
-  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
-  while (done_count < kN && std::chrono::steady_clock::now() < deadline) {
-    auto msg = hyper_ep.ReceiveWait(100);
-    if (msg && msg->type == net::MsgType::kPhaseDone && msg->row == 0) {
-      if (msg->payload.empty() || msg->payload[0] != 1) {
-        std::printf("FAILED: host %u reported refresh failure\n", msg->from);
-        for (auto& r : runners) r.Stop();
-        return 1;
-      }
-      ++done_count;
-    }
-  }
-  std::printf("rerandomization complete on %zu/%zu hosts\n", done_count, kN);
+  // 2. One proactive window: rerandomize every share.
+  const MpWindowReport first = coord.RunWindow();
+  if (!first.refresh_ok) return Fail("rerandomization window");
+  std::printf("rerandomization complete on all %u hosts\n", cfg.n);
 
-  // 3. Reboot host 0 and recover its shares.
-  FileMeta meta = runners[1].host->store().MetaOf(1);
-  runners[0].Stop();
-  runners[0].host->Shutdown();
-  {
-    auto [cert, sk] = ca.IssueHostKey(0, 2, rng);
-    directory[0] = cert;
-    runners[0].host->Boot(2, cert, std::move(sk), peers);
-    for (const auto& [id, cert2] : directory) {
-      if (id != 0) runners[0].host->InstallPeerCert(cert2);
-    }
-  }
-  runners[0].Start();
-  // Give the cert broadcast a moment to propagate before recovery traffic.
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  for (std::uint32_t i = 0; i < kN; ++i) {
-    net::Message m;
-    m.from = net::kHypervisorId;
-    m.to = i;
-    m.type = net::MsgType::kStartRecovery;
-    m.file_id = 1;
-    m.epoch = 101;
-    ByteWriter w;
-    w.Blob(meta.Serialize());
-    w.U32(1);
-    w.U32(0);  // target host 0
-    m.payload = w.Take();
-    hyper_ep.Send(std::move(m));
-  }
-  bool recovered = false;
-  deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
-  while (!recovered && std::chrono::steady_clock::now() < deadline) {
-    auto msg = hyper_ep.ReceiveWait(100);
-    if (msg && msg->type == net::MsgType::kPhaseDone && msg->row == 1 &&
-        msg->from == 0) {
-      recovered = !msg->payload.empty() && msg->payload[0] == 1;
-      break;
-    }
-  }
+  // 3. Crash host 0; a fresh, keyless process takes over its port.
+  hosts[0].reset();
+  hosts[0] = std::make_unique<HostThread>(cfg, 0);
+  const MpWindowReport second = coord.RunWindow();
+  const auto status = coord.QueryStatus(0);
+  const bool recovered = second.refresh_ok && second.hosts_rebooted == 1 &&
+                         status && status->online &&
+                         status->files == std::vector<std::uint64_t>{1};
   std::printf("host 0 rebooted and recovered its shares: %s\n",
               recovered ? "yes" : "NO");
 
-  // 4. Download and verify.
-  client.BeginDownload(pisces::ReadSpec::Classic(1));
+  // 4. Download and verify. Draining the client's queue first installs host
+  // 0's new cert from its reboot broadcast.
+  while (auto msg = client_ep.Receive()) client.HandleMessage(*msg);
+  client.BeginDownload(ReadSpec::Classic(1));
   Bytes back;
-  bool got = pump_client(
+  const bool got = pump_client(
       [&] {
-        if (client.ResponsesFor(1) < params.degree() + 1) return false;
+        if (client.ResponsesFor(1) < cc.params.degree() + 1) return false;
         auto data = client.TryAssemble(1);
         if (!data) return false;
         back = *data;
         return true;
       },
-      10000);
-  std::printf("download over TCP: %s\n",
-              (got && back == file) ? "bit-exact" : "FAILED");
-
-  for (auto& r : runners) r.Stop();
-  return (recovered && got && back == file) ? 0 : 1;
+      10'000);
+  const bool exact = got && back == file;
+  std::printf("download over TCP: %s\n", exact ? "bit-exact" : "FAILED");
+  return recovered && exact ? 0 : 1;
 }

@@ -117,7 +117,7 @@ for g in sizes:
 # Polynomial engine (256-bit field, domain size n): subproduct-tree
 # eval/interp vs the generic oracles, plus domain build and batch inversion.
 # eval_speedup < 1 through n=1024 is EXPECTED and recorded honestly -- it is
-# the measurement behind the high PolyEvalCrossover default (see
+# the measurement behind keeping multipoint evaluation off the tree (see
 # docs/polynomial_engine.md).
 for n in sorted(ns.get("BM_PolyInterpTree", {})):
     result["poly"][str(n)] = {

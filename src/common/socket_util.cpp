@@ -67,26 +67,6 @@ void CloseQuiet(int fd) {
   if (fd >= 0) ::close(fd);
 }
 
-bool ReadFull(int fd, std::uint8_t* data, std::size_t n) {
-  std::size_t off = 0;
-  while (off < n) {
-    ssize_t r = RecvRetry(fd, data + off, n - off, 0);
-    if (r <= 0) return false;
-    off += static_cast<std::size_t>(r);
-  }
-  return true;
-}
-
-bool WriteFull(int fd, const std::uint8_t* data, std::size_t n) {
-  std::size_t off = 0;
-  while (off < n) {
-    ssize_t w = SendRetry(fd, data + off, n - off, 0);
-    if (w <= 0) return false;
-    off += static_cast<std::size_t>(w);
-  }
-  return true;
-}
-
 bool SetNonBlocking(int fd, bool nonblocking) {
   int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags < 0) return false;

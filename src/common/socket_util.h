@@ -33,11 +33,6 @@ int ConnectRetry(int fd, const struct sockaddr* addr, unsigned addrlen);
 // Linux always releases it); this wrapper just swallows the error.
 void CloseQuiet(int fd);
 
-// Reads/writes exactly n bytes, retrying short transfers and EINTR. Returns
-// false on EOF or any hard error (errno preserved from the failing call).
-bool ReadFull(int fd, std::uint8_t* data, std::size_t n);
-bool WriteFull(int fd, const std::uint8_t* data, std::size_t n);
-
 // Sets O_NONBLOCK (true) or clears it (false). Returns false on fcntl error.
 bool SetNonBlocking(int fd, bool nonblocking);
 // Disables Nagle; best-effort.

@@ -261,16 +261,6 @@ bool PointsOnLowDegree(const FpCtx& ctx, std::span<const FpElem> xs,
   Require(xs.size() == ys.size(), "PointsOnLowDegree: xs/ys mismatch");
   if (xs.size() <= deg + 1) return true;  // always interpolatable
   Poly f = Poly::Interpolate(ctx, xs.subspan(0, deg + 1), ys.subspan(0, deg + 1));
-  std::span<const FpElem> extras = xs.subspan(deg + 1);
-  if (extras.size() >= PolyEvalCrossover()) {
-    // Many check points: one multipoint evaluation instead of per-point
-    // Horner (the early-exit below is worthless once evaluation is batched).
-    std::vector<FpElem> vals = EvalMany(ctx, f.coeffs(), extras);
-    for (std::size_t i = 0; i < extras.size(); ++i) {
-      if (!ctx.Eq(vals[i], ys[deg + 1 + i])) return false;
-    }
-    return true;
-  }
   for (std::size_t i = deg + 1; i < xs.size(); ++i) {
     if (!ctx.Eq(f.Eval(ctx, xs[i]), ys[i])) return false;
   }

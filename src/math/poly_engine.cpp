@@ -1,7 +1,6 @@
 #include "math/poly_engine.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <utility>
 
 #include "common/error.h"
@@ -32,23 +31,6 @@ constexpr std::size_t kKaratsubaBase = 24;
 // evaluation, synthetic-division combination) is O(leaf^2) with tiny
 // constants, so small leaves just add node overhead.
 constexpr std::size_t kTreeLeafSize = 8;
-
-// Compiled defaults for the two crossovers; see the header comments and
-// scripts/bench_micro.sh for the measured trajectories they were picked
-// from. 17 keeps every n <= 16 configuration on the legacy interpolation
-// path; 4096 reflects that tree evaluation measured slower than the cached
-// Vandermonde/Horner paths at every benched size up to 1024.
-constexpr std::size_t kDefaultCrossover = 17;
-constexpr std::size_t kDefaultEvalCrossover = 4096;
-
-std::size_t EnvOverride(const char* name, std::size_t fallback) {
-  if (const char* env = std::getenv(name)) {
-    char* end = nullptr;
-    const unsigned long long x = std::strtoull(env, &end, 10);
-    if (end != env && x > 0) return static_cast<std::size_t>(x);
-  }
-  return fallback;
-}
 
 // out[k] = sum_{i+j=k} a[i]*b[j], one wide reduction per coefficient.
 std::vector<FpElem> SchoolbookMul(const FpCtx& ctx, std::span<const FpElem> a,
@@ -151,18 +133,6 @@ std::vector<FpElem> ReduceByMonic(const FpCtx& ctx, std::vector<FpElem> a,
 }
 
 }  // namespace
-
-std::size_t PolyEngineCrossover() {
-  static const std::size_t v =
-      EnvOverride("PISCES_POLY_CROSSOVER", kDefaultCrossover);
-  return v;
-}
-
-std::size_t PolyEvalCrossover() {
-  static const std::size_t v =
-      EnvOverride("PISCES_POLY_EVAL_CROSSOVER", kDefaultEvalCrossover);
-  return v;
-}
 
 std::vector<FpElem> MulPolys(const FpCtx& ctx, std::span<const FpElem> a,
                              std::span<const FpElem> b) {
@@ -332,11 +302,6 @@ std::vector<FpElem> SubproductTree::Interpolate(
 
 std::vector<FpElem> EvalMany(const FpCtx& ctx, std::span<const FpElem> f,
                              std::span<const FpElem> xs) {
-  // The tree pays off when there are very many points AND the polynomial is
-  // dense enough that per-point Horner is not already linear-time.
-  if (xs.size() >= PolyEvalCrossover() && f.size() >= 2 * kTreeLeafSize) {
-    return CachedSubproductTree(ctx, xs)->EvalAll(f);
-  }
   std::vector<FpElem> out(xs.size(), ctx.Zero());
   for (std::size_t i = 0; i < xs.size(); ++i) {
     FpElem acc = ctx.Zero();

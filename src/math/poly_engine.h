@@ -27,7 +27,7 @@
 //                          share domain -- holder alphas, secret betas,
 //                          responder subsets -- pays tree construction once.
 //
-// Dispatch policy: the entry points in math/poly.h consult
+// Dispatch policy: the interpolation entry points in math/poly.h consult
 // PolyEngineCrossover() and keep the generic path below it, so small-n
 // behavior (and its cost profile) is byte-for-byte the pre-engine code.
 // Above the crossover the engine computes the same exact field elements --
@@ -55,25 +55,21 @@ using field::FpCtx;
 using field::FpElem;
 
 // Point-count threshold above which the subproduct-tree paths replace the
-// generic O(m^2) algebra for INTERPOLATION, Lagrange weights, and vanishing
-// polynomials. The compiled default is measured on the release build
-// (scripts/bench_micro.sh records the trajectory in BENCH_field.json): the
-// up-tree interpolation beats the Lagrange oracle from a few dozen points
-// (~3.6x at n=16 already), so the default sits just above the paper-scale
-// sizes to keep small-n runs on the legacy path byte-for-byte.
-// PISCES_POLY_CROSSOVER overrides it (read once per process).
-std::size_t PolyEngineCrossover();
-
-// Separate, much higher threshold for multipoint EVALUATION. Measured on
-// this substrate the remainder tree loses to per-point Horner / cached
-// Vandermonde dot products through n = 1024 -- FpElem is a fixed
-// kMaxLimbs-wide array, so Karatsuba's extra adds/copies move 256 bytes per
-// coefficient regardless of field width while a lazy dot does one wide
-// reduction per output -- and only wins asymptotically beyond that. The
-// eval sections of BENCH_field.json record exactly this (speedup < 1 at the
-// benched sizes), which is why the default keeps production shapes on the
-// Vandermonde path. PISCES_POLY_EVAL_CROSSOVER overrides it.
-std::size_t PolyEvalCrossover();
+// generic O(m^2) algebra for interpolation, Lagrange weights, and vanishing
+// polynomials. Measured on the release build (scripts/bench_micro.sh records
+// the trajectory in BENCH_field.json): the up-tree interpolation beats the
+// Lagrange oracle from a few dozen points (~3.6x at n=16 already), so the
+// threshold sits just above the paper-scale sizes to keep small-n runs on the
+// legacy path byte-for-byte.
+//
+// Multipoint EVALUATION never dispatches to the tree: measured on this
+// substrate the remainder tree loses to per-point Horner / cached Vandermonde
+// dot products through n = 1024 -- FpElem is a fixed kMaxLimbs-wide array, so
+// Karatsuba's extra adds/copies move 256 bytes per coefficient regardless of
+// field width while a lazy dot does one wide reduction per output. The eval
+// sections of BENCH_field.json record this (speedup < 1 at every benched
+// size); SubproductTree::EvalAll stays available for that measurement.
+constexpr std::size_t PolyEngineCrossover() { return 17; }
 
 // Exact polynomial product, same value as the schoolbook convolution of
 // math/poly.h (F_p is exact; Montgomery form is canonical). Karatsuba above
@@ -82,9 +78,7 @@ std::size_t PolyEvalCrossover();
 std::vector<FpElem> MulPolys(const FpCtx& ctx, std::span<const FpElem> a,
                              std::span<const FpElem> b);
 
-// f(x) at every point of xs. Dispatches: remainder tree over the (cached)
-// subproduct tree when xs is large and f is dense enough to amortize it,
-// Horner per point otherwise. Exact either way.
+// f(x) at every point of xs, by Horner per point.
 std::vector<FpElem> EvalMany(const FpCtx& ctx, std::span<const FpElem> f,
                              std::span<const FpElem> xs);
 

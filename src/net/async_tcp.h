@@ -2,11 +2,11 @@
 // endpoint, non-blocking length-framed I/O, bounded queues with end-to-end
 // backpressure, and per-peer connection supervision.
 //
-// This is the deployment-plane counterpart of the synchronous loopback
-// TcpEndpoint (kept for the legacy example) and of the deterministic
-// SimEndpoint (kept as the testing substrate). All three pass the same
-// transport-conformance suite; the async endpoint is what pisces_hostd and
-// the multiprocess coordinator run on (docs/deployment.md).
+// This is the only real-network transport, the deployment-plane counterpart
+// of the deterministic SimEndpoint (the testing substrate). Both pass the
+// same transport-conformance suite; the async endpoint is what pisces_hostd,
+// the multiprocess coordinator, and the tcp_cluster example run on
+// (docs/deployment.md).
 //
 // Wire format: every frame is a 4-byte little-endian length prefix followed
 // by `length` bytes. length >= kWireHeaderSize frames a serialized Message;

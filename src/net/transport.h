@@ -1,10 +1,10 @@
 // Transport abstraction: a reliable point-to-point channel fabric, the
 // paper's SectionIV-B network stack. Two implementations exist:
 //
-//  * SimTransport -- deterministic in-process fabric used by tests and by the
+//  * SimEndpoint -- deterministic in-process fabric used by tests and by the
 //    experiment harness (it meters every byte);
-//  * TcpTransport -- real loopback TCP sockets, used by the distributed
-//    example to show the same host code running over an actual network.
+//  * AsyncTcpEndpoint -- supervised real TCP (net/async_tcp.h), used by the
+//    process-per-host deployment and the tcp_cluster example.
 #pragma once
 
 #include <optional>

@@ -43,6 +43,11 @@ class Client : public net::MessageHandler {
 
   // Accept a host's cert (via broadcast message or direct install).
   void InstallPeerCert(const crypto::HostCert& cert);
+  // The installed cert of `peer`, or nullptr.
+  const crypto::HostCert* PeerCert(std::uint32_t peer) const {
+    auto it = peer_certs_.find(peer);
+    return it == peer_certs_.end() ? nullptr : &it->second;
+  }
 
   // Splits `data` into packed shares and sends one kSetShares to each host.
   // Caller pumps the network, then checks UploadAcks == n.

@@ -232,12 +232,7 @@ void Host::OnHostCert(const Message& msg) {
     LogWarn() << "host " << cfg_.id << ": cert/id mismatch from " << msg.from;
     return;
   }
-  if (!crypto::CertAuthority::VerifyCert(group_, ca_pk_, cert)) {
-    LogWarn() << "host " << cfg_.id << ": rejecting unsigned cert from "
-              << msg.from;
-    return;
-  }
-  InstallPeerCert(cert);
+  InstallPeerCert(cert);  // verifies the CA signature; throws if forged
 }
 
 // ---------------------------------------------------------------------------
@@ -358,23 +353,18 @@ void Host::OnStartRefresh(const Message& msg) {
   // CSP this arrives over the privileged management channel).
   Require(msg.from == net::kHypervisorId,
           "StartRefresh: not from the hypervisor");
+  // The hypervisor names the agreed participant set (every live holder, or
+  // fewer in a dealer-exclusion round).
+  ByteReader r(msg.payload);
+  const std::uint32_t count = r.U32();
+  std::vector<std::uint32_t> participants;
+  participants.reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) participants.push_back(r.U32());
+
   const RefreshKey key{msg.file_id, msg.epoch};
   // Start-once: a duplicated (fault-injected) control message must not
   // resurrect a session that already ran and completed under this key.
   if (!refresh_started_.insert(key).second) return;
-
-  // Empty payload means "all n hosts" (the original protocol); otherwise the
-  // hypervisor names the agreed participant set for a dealer-exclusion round.
-  std::vector<std::uint32_t> participants;
-  if (msg.payload.empty()) {
-    participants.resize(cfg_.params.n);
-    for (std::uint32_t i = 0; i < cfg_.params.n; ++i) participants[i] = i;
-  } else {
-    ByteReader r(msg.payload);
-    const std::uint32_t count = r.U32();
-    participants.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) participants.push_back(r.U32());
-  }
   const bool i_participate =
       std::find(participants.begin(), participants.end(), cfg_.id) !=
       participants.end();
@@ -675,32 +665,26 @@ void Host::OnStartRecovery(const Message& msg) {
   std::vector<std::uint32_t> targets;
   targets.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) targets.push_back(r.U32());
+  // Survivor list: the hypervisor restricts dealing to hosts that are
+  // reachable and hold consistent shares.
+  const std::uint32_t scount = r.U32();
+  std::vector<std::uint32_t> available;
+  available.reserve(scount + targets.size());
+  for (std::uint32_t i = 0; i < scount; ++i) available.push_back(r.U32());
 
   // Start-once per (file, seq): duplicated control messages are ignored.
   if (!recovery_started_.insert({meta.file_id, msg.epoch}).second) return;
 
-  // Optional trailing survivor list: the hypervisor restricts dealing to
-  // hosts that are reachable and hold consistent shares. Absent (legacy
-  // format) means every non-target host.
-  pss::RecoveryPlan plan;
-  if (r.Remaining() >= 4) {
-    std::uint32_t scount = r.U32();
-    std::vector<std::uint32_t> available;
-    available.reserve(scount + targets.size());
-    for (std::uint32_t i = 0; i < scount; ++i) available.push_back(r.U32());
-    // Targets are implicitly "available" for plan construction (they are
-    // filtered out of the survivor set again inside For).
-    available.insert(available.end(), targets.begin(), targets.end());
-    plan = pss::RecoveryPlan::For(meta.num_blocks, cfg_.params, targets,
-                                  available);
-  } else {
-    plan = pss::RecoveryPlan::For(meta.num_blocks, cfg_.params, targets);
-  }
+  // Targets are implicitly "available" for plan construction (they are
+  // filtered out of the survivor set again inside For).
+  available.insert(available.end(), targets.begin(), targets.end());
+  const pss::RecoveryPlan plan = pss::RecoveryPlan::For(
+      meta.num_blocks, cfg_.params, targets, available);
 
   // Optional trailing repair-mode section (after the survivor list): mode
   // byte 1 = reduced masking with a per-block point budget, so survivors
   // stripe their masked vectors instead of each shipping all blocks.
-  // Absent (legacy / retry format) means full masked vectors.
+  // Absent means full masked vectors.
   std::size_t mask_budget = 0;
   if (r.Remaining() >= 5) {
     const std::uint8_t mode = r.U8();

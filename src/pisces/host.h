@@ -71,6 +71,11 @@ class Host : public net::MessageHandler {
   // Registers a peer cert without the network (used for initial bring-up of
   // the client, whose cert hosts must know before the first upload).
   void InstallPeerCert(const crypto::HostCert& cert);
+  // The installed cert of `peer`, or nullptr.
+  const crypto::HostCert* PeerCert(std::uint32_t peer) const {
+    auto it = peer_certs_.find(peer);
+    return it == peer_certs_.end() ? nullptr : &it->second;
+  }
 
   // Aborts sessions that cannot complete (bounded-delay timeout fired by the
   // synchrony layer). Returns human-readable descriptions of what was stuck.

@@ -18,6 +18,7 @@
 // host and put it through the secure-reboot + recovery path.
 #pragma once
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <vector>
@@ -57,8 +58,9 @@ class HostProcess {
  public:
   HostProcess(MpConfig cfg, std::uint32_t id);
 
-  // Serves until Stop() (tests) or process death (deployment). Announces
-  // "needs boot" every announce interval while not booted.
+  // Serves until Stop() (callable from any thread) or process death
+  // (deployment). Announces "needs boot" every announce interval while not
+  // booted.
   void Serve();
   void Stop() { running_ = false; }
 
@@ -79,7 +81,7 @@ class HostProcess {
   std::unique_ptr<net::AsyncTcpEndpoint> endpoint_;
   std::unique_ptr<Host> host_;
   Bytes ca_pk_;  // learned at first boot
-  bool running_ = true;
+  std::atomic<bool> running_{true};
 };
 
 // Entry point for the pisces_hostd binary.

@@ -2,7 +2,6 @@
 
 #include "common/task_pool.h"
 #include "math/berlekamp_welch.h"
-#include "math/poly_engine.h"
 #include "math/weight_cache.h"
 
 namespace pisces::pss {
@@ -40,24 +39,6 @@ std::vector<std::vector<FpElem>> PackedShamir::ShareBlocks(
   }
   std::vector<std::vector<FpElem>> out(
       blocks.size(), std::vector<FpElem>(params_.n, ctx_->Zero()));
-  if (params_.n >= math::PolyEvalCrossover()) {
-    // Very large n: one remainder-tree multipoint evaluation per block over
-    // the cached alpha domain, O(M(n) log n) instead of the O(n*d) generator
-    // dots. Same elements either way (exact arithmetic, canonical form); the
-    // high default crossover reflects that the dots measure faster through
-    // n = 1024 (see math/poly_engine.h).
-    auto domain = math::CachedSubproductTree(*ctx_, points_.alphas());
-    GlobalPool().ParallelFor(
-        0, blocks.size(),
-        [&](std::size_t b) {
-          math::Poly u(std::vector<FpElem>(su[b].begin() + l, su[b].end()));
-          math::Poly f = math::Poly::ConstrainedFrom(*ctx_, u, d,
-                                                     points_.betas(), blocks[b]);
-          out[b] = domain->EvalAll(f.coeffs());
-        },
-        extra_cpu_ns);
-    return out;
-  }
   // Party i's share is row i of the cached generator dotted with [s ; u]:
   // one lazy-reduction Dot per share, no per-block interpolation or
   // inversion.

@@ -33,12 +33,7 @@ VssBatch::VssBatch(const FpCtx& ctx, const EvalPoints& points,
   for (std::uint32_t h : holders_) holder_alphas_.push_back(points.alpha(h));
   m_ = math::CachedHyperInvertible(*ctx_, holders_.size(), holders_.size());
   vanishing_poly_ = math::Poly::Vanishing(*ctx_, vanish_);
-  if (holder_alphas_.size() >= math::PolyEvalCrossover()) {
-    deal_domain_ = math::CachedSubproductTree(*ctx_, holder_alphas_);
-  } else {
-    eval_rows_ =
-        math::CachedVandermondeRows(*ctx_, holder_alphas_, degree_ + 1);
-  }
+  eval_rows_ = math::CachedVandermondeRows(*ctx_, holder_alphas_, degree_ + 1);
   Require(holders_.size() >= degree_ + 1,
           "VssBatch: verification needs degree+1 holders");
   // One weight vector per extra holder point (degree check) and per vanish
@@ -85,13 +80,8 @@ std::vector<std::vector<FpElem>> VssBatch::DealFrom(
         math::Poly z = math::Poly::Mul(*ctx_, vanishing_poly_, us[g]);
         const std::vector<FpElem>& c = z.coeffs();
         Invariant(c.size() <= degree_ + 1, "DealFrom: dealing degree too high");
-        if (deal_domain_ != nullptr) {
-          const std::vector<FpElem> vals = deal_domain_->EvalAll(c);
-          for (std::size_t k = 0; k < nh; ++k) out[k][g] = vals[k];
-        } else {
-          for (std::size_t k = 0; k < nh; ++k) {
-            out[k][g] = ctx_->Dot(eval_rows_->Row(k).first(c.size()), c);
-          }
+        for (std::size_t k = 0; k < nh; ++k) {
+          out[k][g] = ctx_->Dot(eval_rows_->Row(k).first(c.size()), c);
         }
       },
       extra_cpu_ns);

@@ -25,7 +25,6 @@
 #include "common/rng.h"
 #include "math/matrix.h"
 #include "math/poly.h"
-#include "math/poly_engine.h"
 #include "pss/params.h"
 #include "pss/tamper.h"
 
@@ -122,10 +121,6 @@ class VssBatch {
   // with a dealing's coefficients evaluates it at holder k. Cached across
   // batches with the same holder set (every window rebuilds this batch).
   std::shared_ptr<const math::Matrix> eval_rows_;
-  // Above PolyEvalCrossover() holders the dealing evaluation runs one
-  // remainder-tree multipoint evaluation per group over this cached domain
-  // instead of the per-holder Vandermonde dots; null below the crossover.
-  std::shared_ptr<const math::SubproductTree> deal_domain_;
   // Verification weights over the first degree+1 holder points: one weight
   // vector per extra holder point (degree check) followed by one per
   // vanishing point (zero check). All from a single batch inversion, cached

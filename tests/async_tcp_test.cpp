@@ -17,7 +17,8 @@ namespace pisces::net {
 namespace {
 
 std::uint16_t BasePort() {
-  // Offset +100 keeps clear of tcp_test.cpp's range in the same binary.
+  // Offset +100 keeps clear of transport_conformance_test.cpp's range (+200)
+  // in the same binary.
   return static_cast<std::uint16_t>(40100 + (::getpid() % 2000) * 10);
 }
 

@@ -187,6 +187,52 @@ TEST(Fault, ForgedCertRejected) {
   EXPECT_EQ(cluster.Download(pisces::ReadSpec::Classic(4)), file);
 }
 
+TEST(Fault, ForgedCertOnRebootBroadcastRejected) {
+  // ForgedCertRejected above sends from a stranger id, so the id check drops
+  // it before any signature is checked. Here the forgery rides a genuine
+  // reboot broadcast: each booting host first sends its cert toward its
+  // still-offline batch partner (lost anyway), and the mutator re-aims that
+  // message at a live peer with a same-id cert signed by a foreign CA. Its
+  // later epoch would shadow the genuine cert, which arrives too, so a peer
+  // that installs the forgery ends up with the wrong key.
+  Cluster cluster(Config());
+  const Bytes file = Rng(9).RandomBytes(300);
+  cluster.Upload(5, file);
+
+  Rng rng(10);
+  crypto::CertAuthority evil_ca(crypto::SchnorrGroup::Default(), rng);
+  // The client first, then host 0: it reboots in the first batch and not
+  // again this window, so nothing reprovisions it after the forgery lands.
+  const std::vector<std::uint32_t> victims = {net::kClientId, 0};
+  std::vector<std::uint32_t> forged_ids;
+  cluster.net().SetMutator([&](net::Message& m) {
+    if (m.type != net::MsgType::kHostCert || !cluster.net().IsOffline(m.to) ||
+        forged_ids.size() == victims.size()) {
+      return true;
+    }
+    auto [forged, sk] = evil_ca.IssueHostKey(m.from, m.epoch + 100, rng);
+    m.to = victims[forged_ids.size()];
+    m.payload = forged.Serialize();
+    forged_ids.push_back(m.from);
+    return true;
+  });
+  const WindowReport report = cluster.RunUpdateWindow();
+  cluster.net().SetMutator(nullptr);
+  ASSERT_EQ(forged_ids.size(), victims.size());
+  EXPECT_TRUE(report.ok);
+
+  const auto& directory = cluster.hypervisor().directory();
+  const crypto::HostCert* at_client =
+      cluster.client().PeerCert(forged_ids[0]);
+  ASSERT_NE(at_client, nullptr);
+  EXPECT_TRUE(at_client->Serialize() ==
+              directory.at(forged_ids[0]).Serialize());
+  const crypto::HostCert* at_host = cluster.host(0).PeerCert(forged_ids[1]);
+  ASSERT_NE(at_host, nullptr);
+  EXPECT_TRUE(at_host->Serialize() == directory.at(forged_ids[1]).Serialize());
+  EXPECT_EQ(cluster.Download(pisces::ReadSpec::Classic(5)), file);
+}
+
 TEST(Fault, AbortStuckSessionsReportsDescriptions) {
   Cluster cluster(Config());
   Rng rng(8);

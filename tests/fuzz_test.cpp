@@ -169,9 +169,9 @@ TEST(Fuzz, MessagePayloadCapRejectedWithoutAllocation) {
 }
 
 TEST(Fuzz, FrameLengthPrefixCapFiresBeforeAllocation) {
-  // Transport framing (tcp_transport, async_tcp): the 4-byte frame length
-  // prefix must be bounds-checked against kMaxFrameBytes before any buffer
-  // for the claimed frame is allocated. FrameLengthAcceptable is that check;
+  // Transport framing (async_tcp): the 4-byte frame length prefix must be
+  // bounds-checked against kMaxFrameBytes before any buffer for the claimed
+  // frame is allocated. FrameLengthAcceptable is that check;
   // an absurd prefix (a ~4 GiB claim from one malicious/corrupt peer) must
   // be rejected while every length an honest sender can produce passes.
   EXPECT_TRUE(net::FrameLengthAcceptable(0));  // keepalive frame

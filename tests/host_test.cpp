@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 
 #include "field/primes.h"
 #include "pisces/host.h"
@@ -79,7 +80,16 @@ class HostHarness {
     }
   }
 
-  void StartRefresh(std::uint64_t file_id, std::uint32_t epoch) {
+  // Sends kStartRefresh to every host, naming all of them as participants
+  // (the payload the hypervisor sends). An explicit `payload` overrides it.
+  void StartRefresh(std::uint64_t file_id, std::uint32_t epoch,
+                    std::optional<Bytes> payload = std::nullopt) {
+    if (!payload) {
+      ByteWriter w;
+      w.U32(params_.n);
+      for (std::uint32_t i = 0; i < params_.n; ++i) w.U32(i);
+      payload = w.Take();
+    }
     for (std::uint32_t i = 0; i < params_.n; ++i) {
       net::Message m;
       m.from = net::kHypervisorId;
@@ -87,6 +97,7 @@ class HostHarness {
       m.type = net::MsgType::kStartRefresh;
       m.file_id = file_id;
       m.epoch = epoch;
+      m.payload = *payload;
       hyper_ep_->Send(std::move(m));
     }
   }
@@ -125,6 +136,23 @@ TEST(HostDirect, RefreshCompletesAndReports) {
   h.sync_.RunToQuiescence();
   EXPECT_EQ(h.DonesAtHypervisor(), h.params_.n);
   for (auto& host : h.hosts_) EXPECT_FALSE(host->HasActiveSessions());
+}
+
+TEST(HostDirect, EmptyStartRefreshIsDropped) {
+  // The participant list is mandatory: an empty payload is malformed, starts
+  // no session, and reports nothing. It does not burn the start-once key
+  // either, so the well-formed command that follows still runs.
+  HostHarness h;
+  h.InstallFile(1, 3);
+  h.StartRefresh(1, 50, Bytes{});
+  h.sync_.RunToQuiescence();
+  for (const auto& m : h.collector_.messages) {
+    EXPECT_NE(m.type, net::MsgType::kPhaseDone) << m.Describe();
+  }
+  for (auto& host : h.hosts_) EXPECT_FALSE(host->HasActiveSessions());
+  h.StartRefresh(1, 50);
+  h.sync_.RunToQuiescence();
+  EXPECT_EQ(h.DonesAtHypervisor(), h.params_.n);
 }
 
 TEST(HostDirect, OfflineHostIgnoresMessages) {

@@ -119,7 +119,7 @@ TEST(PolyEngine, InterpolateMatchesLagrangeOracleAcrossPrimes) {
 TEST(PolyEngine, DispatcherBitIdenticalAroundCrossover) {
   // Poly::Interpolate / Vanishing / LagrangeCoeffs switch implementation at
   // PolyEngineCrossover(); the switch must be invisible on bytes. Random
-  // (n, t)-style share shapes spanning both sides of the default boundary.
+  // (n, t)-style share shapes spanning both sides of the boundary.
   FpCtx ctx(field::StandardPrimeBe(256));
   Rng rng(404);
   const std::size_t cross = PolyEngineCrossover();

@@ -2,11 +2,11 @@
 // every substrate the protocol stack can run on.
 //
 //  * SimEndpoint/SimNet -- the deterministic testing substrate;
-//  * TcpEndpoint        -- the synchronous loopback transport;
 //  * AsyncTcpEndpoint   -- the supervised deployment transport.
 //
 // The contract the host/client/coordinator layers actually rely on:
-//  1. per-link FIFO: messages between a live pair arrive in send order;
+//  1. per-link FIFO: messages between a live pair arrive in send order, on a
+//     pair and across an all-to-all mesh, for one-byte and 1 MiB payloads;
 //  2. timeout semantics: a bounded receive on a silent link returns empty
 //     (it never blocks forever and never fabricates a message);
 //  3. reconnect-after-restart: after an endpoint crashes and a replacement
@@ -18,25 +18,25 @@
 //     (counted) instead of buffering unboundedly, and drains completely once
 //     the receiver resumes. Only the async transport implements explicit
 //     backpressure (SimNet mailboxes are unbounded by design -- determinism
-//     outranks memory bounds in tests; sync TCP delegates to kernel socket
-//     buffers), so fabrics advertise the capability.
+//     outranks memory bounds in tests), so fabrics advertise the capability.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <chrono>
+#include <map>
 #include <memory>
+#include <string>
 #include <thread>
 
 #include "net/async_tcp.h"
 #include "net/sim_transport.h"
-#include "net/tcp_transport.h"
 
 namespace pisces::net {
 namespace {
 
 std::uint16_t BasePort() {
-  // Offset +200 keeps clear of tcp_test.cpp and async_tcp_test.cpp ranges.
+  // Offset +200 keeps clear of async_tcp_test.cpp's range in the same binary.
   return static_cast<std::uint16_t>(40200 + (::getpid() % 2000) * 10);
 }
 
@@ -49,7 +49,8 @@ Message Make(std::uint32_t from, std::uint32_t to, Bytes payload) {
   return m;
 }
 
-// One fabric = two endpoints (ids 1 and 2) over one substrate.
+// One fabric = `size` endpoints (ids 1..size) over one substrate; endpoint
+// `id` listens on base + id where the substrate has addresses.
 class Fabric {
  public:
   virtual ~Fabric() = default;
@@ -63,9 +64,10 @@ class Fabric {
 
 class SimFabric : public Fabric {
  public:
-  SimFabric() {
-    eps_[0] = net_.AddEndpoint(1);
-    eps_[1] = net_.AddEndpoint(2);
+  explicit SimFabric(std::uint32_t size) {
+    for (std::uint32_t id = 1; id <= size; ++id) {
+      eps_.push_back(net_.AddEndpoint(id));
+    }
   }
   const char* name() const override { return "sim"; }
   void Send(std::uint32_t from, std::uint32_t to, Bytes payload) override {
@@ -83,45 +85,18 @@ class SimFabric : public Fabric {
 
  private:
   SimNet net_;
-  SimEndpoint* eps_[2];
-};
-
-class SyncTcpFabric : public Fabric {
- public:
-  explicit SyncTcpFabric(std::uint16_t base) : base_(base) {
-    for (std::uint32_t id : {1u, 2u}) Boot(id);
-  }
-  const char* name() const override { return "sync-tcp"; }
-  void Send(std::uint32_t from, std::uint32_t to, Bytes payload) override {
-    eps_[from - 1]->Send(Make(from, to, std::move(payload)));
-  }
-  std::optional<Message> Recv(std::uint32_t at, int timeout_ms) override {
-    return eps_[at - 1]->ReceiveWait(timeout_ms);
-  }
-  void Restart(std::uint32_t at) override {
-    eps_[at - 1].reset();
-    Boot(at);
-  }
-
- private:
-  void Boot(std::uint32_t id) {
-    eps_[id - 1] = std::make_unique<TcpEndpoint>(
-        id, static_cast<std::uint16_t>(base_ + id));
-    const std::uint32_t other = 3 - id;
-    eps_[id - 1]->AddPeer(other, static_cast<std::uint16_t>(base_ + other));
-  }
-  std::uint16_t base_;
-  std::unique_ptr<TcpEndpoint> eps_[2];
+  std::vector<SimEndpoint*> eps_;
 };
 
 class AsyncTcpFabric : public Fabric {
  public:
-  explicit AsyncTcpFabric(std::uint16_t base, std::size_t send_cap = 32u << 20,
-                          std::size_t recv_cap = 64u << 20,
-                          std::uint64_t stall_ms = 10'000)
-      : base_(base), send_cap_(send_cap), recv_cap_(recv_cap),
+  AsyncTcpFabric(std::uint16_t base, std::uint32_t size,
+                 std::size_t send_cap = 32u << 20,
+                 std::size_t recv_cap = 64u << 20,
+                 std::uint64_t stall_ms = 10'000)
+      : base_(base), eps_(size), send_cap_(send_cap), recv_cap_(recv_cap),
         stall_ms_(stall_ms) {
-    for (std::uint32_t id : {1u, 2u}) Boot(id);
+    for (std::uint32_t id = 1; id <= size; ++id) Boot(id);
   }
   const char* name() const override { return "async-tcp"; }
   void Send(std::uint32_t from, std::uint32_t to, Bytes payload) override {
@@ -149,50 +124,80 @@ class AsyncTcpFabric : public Fabric {
     o.recv_queue_cap_bytes = recv_cap_;
     o.backpressure_stall_ms = stall_ms_;
     eps_[id - 1] = std::make_unique<AsyncTcpEndpoint>(o);
-    const std::uint32_t other = 3 - id;
-    eps_[id - 1]->AddPeer(other, static_cast<std::uint16_t>(base_ + other));
+    for (std::uint32_t other = 1; other <= eps_.size(); ++other) {
+      if (other != id) {
+        eps_[id - 1]->AddPeer(other,
+                              static_cast<std::uint16_t>(base_ + other));
+      }
+    }
   }
   std::uint16_t base_;
+  std::vector<std::unique_ptr<AsyncTcpEndpoint>> eps_;
   std::size_t send_cap_, recv_cap_;
   std::uint64_t stall_ms_;
-  std::unique_ptr<AsyncTcpEndpoint> eps_[2];
 };
 
 // Fabric factories, so each check gets a fresh substrate on fresh ports.
-using Factory = std::function<std::unique_ptr<Fabric>(std::uint16_t base)>;
+using Factory =
+    std::function<std::unique_ptr<Fabric>(std::uint16_t base,
+                                          std::uint32_t size)>;
 std::vector<Factory> AllFabrics() {
   return {
-      [](std::uint16_t) { return std::make_unique<SimFabric>(); },
-      [](std::uint16_t base) { return std::make_unique<SyncTcpFabric>(base); },
-      [](std::uint16_t base) { return std::make_unique<AsyncTcpFabric>(base); },
+      [](std::uint16_t, std::uint32_t size) {
+        return std::make_unique<SimFabric>(size);
+      },
+      [](std::uint16_t base, std::uint32_t size) {
+        return std::make_unique<AsyncTcpFabric>(base, size);
+      },
   };
 }
 
 TEST(TransportConformance, PerLinkOrdering) {
+  // Inputs: a pair and a 4-endpoint all-to-all mesh. Every directed link
+  // carries 30 one-byte frames and then one 1 MiB frame, all sent before
+  // anything is received, so links interleave at every receiver.
+  constexpr std::uint8_t kSmall = 30;
+  Bytes big(1 << 20);
+  for (std::size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<std::uint8_t>(i * 7);
+  }
   std::uint16_t base = BasePort();
-  for (const auto& make : AllFabrics()) {
-    auto f = make(base);
-    base = static_cast<std::uint16_t>(base + 3);
-    SCOPED_TRACE(f->name());
-    for (std::uint8_t i = 0; i < 30; ++i) f->Send(1, 2, Bytes{i});
-    for (std::uint8_t i = 0; i < 30; ++i) {
-      auto m = f->Recv(2, 3000);
-      ASSERT_TRUE(m.has_value());
-      EXPECT_EQ(m->from, 1u);
-      EXPECT_EQ(m->payload[0], i);
+  for (std::uint32_t size : {2u, 4u}) {
+    for (const auto& make : AllFabrics()) {
+      auto f = make(base, size);
+      base = static_cast<std::uint16_t>(base + size + 1);
+      SCOPED_TRACE(std::string(f->name()) + " x" + std::to_string(size));
+      for (std::uint32_t from = 1; from <= size; ++from) {
+        for (std::uint32_t to = 1; to <= size; ++to) {
+          if (from == to) continue;
+          for (std::uint8_t i = 0; i < kSmall; ++i) f->Send(from, to, Bytes{i});
+          f->Send(from, to, big);
+        }
+      }
+      for (std::uint32_t to = 1; to <= size; ++to) {
+        std::map<std::uint32_t, std::size_t> next;  // per-sender position
+        for (std::size_t k = 0; k < (kSmall + 1u) * (size - 1); ++k) {
+          auto m = f->Recv(to, 5000);
+          ASSERT_TRUE(m.has_value()) << "receiver " << to << " frame " << k;
+          std::size_t& pos = next[m->from];
+          if (pos < kSmall) {
+            EXPECT_EQ(m->payload, Bytes{static_cast<std::uint8_t>(pos)});
+          } else {
+            EXPECT_TRUE(m->payload == big) << "1 MiB frame from " << m->from;
+          }
+          ++pos;
+        }
+        EXPECT_EQ(next.size(), size - 1u);  // heard from every peer
+        EXPECT_FALSE(f->Recv(to, 50).has_value());  // and nothing more
+      }
     }
-    // And the reverse direction is independent.
-    f->Send(2, 1, Bytes{0xEE});
-    auto back = f->Recv(1, 3000);
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(back->payload[0], 0xEE);
   }
 }
 
 TEST(TransportConformance, TimeoutOnSilentLink) {
-  std::uint16_t base = static_cast<std::uint16_t>(BasePort() + 20);
+  std::uint16_t base = static_cast<std::uint16_t>(BasePort() + 30);
   for (const auto& make : AllFabrics()) {
-    auto f = make(base);
+    auto f = make(base, 2);
     base = static_cast<std::uint16_t>(base + 3);
     SCOPED_TRACE(f->name());
     EXPECT_FALSE(f->Recv(1, 50).has_value());
@@ -203,7 +208,7 @@ TEST(TransportConformance, TimeoutOnSilentLink) {
 TEST(TransportConformance, ReconnectAfterRestart) {
   std::uint16_t base = static_cast<std::uint16_t>(BasePort() + 40);
   for (const auto& make : AllFabrics()) {
-    auto f = make(base);
+    auto f = make(base, 2);
     base = static_cast<std::uint16_t>(base + 3);
     SCOPED_TRACE(f->name());
 
@@ -240,7 +245,7 @@ TEST(TransportConformance, BackpressureStallsAndResumes) {
   // few hundred KiB (autotuning only grows them for a *reading* app), so the
   // sender must hit its queue cap and stall. The 30 s stall budget is never
   // reached -- the drainer resumes long before.
-  auto f = std::make_unique<AsyncTcpFabric>(base, 256 * 1024, 64 * 1024,
+  auto f = std::make_unique<AsyncTcpFabric>(base, 2, 256 * 1024, 64 * 1024,
                                             30'000);
   ASSERT_TRUE(f->HasBackpressure());
 
