@@ -108,4 +108,12 @@ std::span<const std::uint8_t> ByteReader::Blob() {
   return Raw(n);
 }
 
+std::uint32_t ByteReader::Count(std::size_t min_elem_bytes) {
+  const std::uint32_t n = U32();
+  if (std::uint64_t{n} * min_elem_bytes > Remaining()) {
+    throw ParseError("ByteReader: element count exceeds the input");
+  }
+  return n;
+}
+
 }  // namespace pisces

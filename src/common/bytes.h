@@ -54,6 +54,10 @@ class ByteReader {
   std::span<const std::uint8_t> Raw(std::size_t n);
   // Reads a u32 length-prefixed byte string.
   std::span<const std::uint8_t> Blob();
+  // Reads a u32 element count, rejecting it with ParseError when that many
+  // elements of at least `min_elem_bytes` each cannot fit in the remaining
+  // input -- so a lying count never drives an allocation.
+  std::uint32_t Count(std::size_t min_elem_bytes);
 
   bool AtEnd() const { return pos_ == data_.size(); }
   std::size_t Remaining() const { return data_.size() - pos_; }

@@ -1,7 +1,7 @@
 // One status vocabulary for every reply surface in the system.
 //
 // Before this header existed the serving frame, the serving plane's client
-// API, and the coordinator's RPC helpers each spoke their own dialect: a
+// API, and the multiprocess RPC helpers each spoke their own dialect: a
 // wire status byte, ad-hoc bools, and log strings. StatusCode unifies them.
 //
 // Wire compatibility contract: the first seven values are the serving-frame

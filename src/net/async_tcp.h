@@ -5,7 +5,7 @@
 // This is the only real-network transport, the deployment-plane counterpart
 // of the deterministic SimEndpoint (the testing substrate). Both pass the
 // same transport-conformance suite; the async endpoint is what pisces_hostd,
-// the multiprocess coordinator, and the tcp_cluster example run on
+// the hypervisor's WireFleet, and the tcp_cluster example run on
 // (docs/deployment.md).
 //
 // Wire format: every frame is a 4-byte little-endian length prefix followed

@@ -1,7 +1,5 @@
 #include "net/sync_network.h"
 
-#include <algorithm>
-
 namespace pisces::net {
 
 void SyncNetwork::Register(std::uint32_t id, Transport* transport,
@@ -12,11 +10,6 @@ void SyncNetwork::Register(std::uint32_t id, Transport* transport,
           "SyncNetwork::Register: duplicate id");
   entries_[id] = Entry{transport, handler};
   order_.push_back(id);
-}
-
-void SyncNetwork::Unregister(std::uint32_t id) {
-  entries_.erase(id);
-  order_.erase(std::remove(order_.begin(), order_.end(), id), order_.end());
 }
 
 SyncNetwork::PumpResult SyncNetwork::RunToQuiescence(std::uint64_t max_sweeps) {
@@ -48,7 +41,6 @@ SyncNetwork::PumpResult SyncNetwork::RunToQuiescence(std::uint64_t max_sweeps) {
       }
     }
   }
-  total_sweeps_ += result.sweeps;
   return result;
 }
 

@@ -31,7 +31,6 @@ class SyncNetwork {
 
   void Register(std::uint32_t id, Transport* transport,
                 MessageHandler* handler);
-  void Unregister(std::uint32_t id);
 
   struct PumpResult {
     std::uint64_t deliveries = 0;
@@ -44,8 +43,6 @@ class SyncNetwork {
   // a bug, not a condition to limp through).
   PumpResult RunToQuiescence(std::uint64_t max_sweeps = 1'000'000);
 
-  std::uint64_t total_sweeps() const { return total_sweeps_; }
-
  private:
   struct Entry {
     Transport* transport = nullptr;
@@ -55,7 +52,6 @@ class SyncNetwork {
   SimNet& net_;
   std::vector<std::uint32_t> order_;  // registration order, deterministic
   std::unordered_map<std::uint32_t, Entry> entries_;
-  std::uint64_t total_sweeps_ = 0;
 };
 
 }  // namespace pisces::net

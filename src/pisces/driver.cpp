@@ -66,7 +66,7 @@ ExperimentResult RunRefreshExperiment(const ExperimentConfig& cfg) {
   r.byz_survivors_suspected = obs::Value(delta, "byz.survivors_suspected");
 
   // Deployment-plane counters: zero on SimNet, live when the window shares
-  // the process with async-TCP endpoints (the multiprocess coordinator).
+  // the process with async-TCP endpoints (a WireFleet hypervisor).
   r.net_reconnects = obs::Value(delta, "net.reconnects");
   r.net_heartbeat_misses = obs::Value(delta, "net.heartbeat_misses");
   r.net_deadline_expiries = obs::Value(delta, "net.deadline_expiries");

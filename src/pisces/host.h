@@ -116,10 +116,10 @@ class Host : public net::MessageHandler {
 
   // Raw dealing columns of a refresh session that failed hyperinvertible
   // verification, archived so the hypervisor can attribute the corrupt
-  // dealer: deals_by_dealer[i][g] is the value this host received from
-  // participants[i] for group g. Consumed (erased) by the call.
+  // dealer: deals_by_dealer[i][g] is the value this host received from the
+  // i-th participant named in the round's kStartRefresh, for group g.
+  // Consumed (erased) by the call.
   struct FailedRefresh {
-    std::vector<std::uint32_t> participants;
     std::vector<std::vector<field::FpElem>> deals_by_dealer;
     std::vector<bool> deal_seen;
   };

@@ -10,7 +10,7 @@
 // knob must fail loudly, not silently default).
 //
 // Port map (all loopback): host i listens on base_port + i, the
-// hypervisor/coordinator on base_port + n, the client on base_port + n + 1.
+// hypervisor on base_port + n, the client on base_port + n + 1.
 #pragma once
 
 #include <cstdint>

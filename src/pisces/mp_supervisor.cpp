@@ -131,11 +131,6 @@ bool MpSupervisor::Signal(std::uint32_t id, int sig) {
   return ::kill(c.pid, sig) == 0;
 }
 
-void MpSupervisor::Disown(std::uint32_t id) {
-  Require(id < cfg_.n, "MpSupervisor: host id out of range");
-  children_[id].want = false;
-}
-
 void MpSupervisor::StopAll() {
   for (auto& c : children_) {
     c.want = false;

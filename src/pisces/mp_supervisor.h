@@ -2,11 +2,11 @@
 //
 // The launcher (pisces_mp) and the crash-restart drill both use this class to
 // spawn one pisces_hostd per host, detect child death (waitpid WNOHANG --
-// polled from the coordinator's tick, so restarts happen while RPCs wait),
+// polled from the WireFleet's tick, so restarts happen while RPCs wait),
 // and restart crashed hosts after a short backoff. A restarted process comes
-// up with no key material; it announces itself to the coordinator, which
-// drives it through the secure-reboot + recovery path -- the supervisor only
-// manages processes, never protocol state.
+// up with no key material; it announces itself to the hypervisor, whose
+// restart schedule puts it through secure reboot + recovery -- the
+// supervisor only manages processes, never protocol state.
 //
 // Runtime artifacts: each child's pid lands in run_dir/host<i>.pid and its
 // stdout/stderr in run_dir/host<i>.log (append across restarts, so a crash
@@ -37,21 +37,16 @@ class MpSupervisor {
   void Start(std::uint32_t id);
 
   // Reaps exited children and restarts the ones past the restart backoff.
-  // Cheap when nothing happened; safe to call from a coordinator tick.
+  // Cheap when nothing happened; safe to call from a WireFleet tick.
   // Returns the number of restarts performed by this call.
   std::uint32_t Poll();
 
   // Sends `sig` to a child (the drill's SIGKILL). False if not running.
   bool Signal(std::uint32_t id, int sig);
 
-  // Stops restarting `id` (used before deliberate teardown).
-  void Disown(std::uint32_t id);
-
   // SIGTERM all children, then reap them (SIGKILL stragglers).
   void StopAll();
 
-  pid_t PidOf(std::uint32_t id) const;
-  bool Running(std::uint32_t id) const;
   std::uint64_t restarts() const { return restarts_; }
 
  private:

@@ -4,7 +4,7 @@
 //  * SimEndpoint/SimNet -- the deterministic testing substrate;
 //  * AsyncTcpEndpoint   -- the supervised deployment transport.
 //
-// The contract the host/client/coordinator layers actually rely on:
+// The contract the host/client/hypervisor layers actually rely on:
 //  1. per-link FIFO: messages between a live pair arrive in send order, on a
 //     pair and across an all-to-all mesh, for one-byte and 1 MiB payloads;
 //  2. timeout semantics: a bounded receive on a silent link returns empty

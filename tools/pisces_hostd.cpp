@@ -3,10 +3,10 @@
 //   $ pisces_hostd --config <deployment.conf> --id <host id>
 //
 // Listens on its configured loopback port, announces itself to the
-// coordinator, and serves forever: boot material arrives over the wire
+// hypervisor, and serves forever: boot material arrives over the wire
 // (kBootHost), protocol traffic goes to the Host state machine, and the
 // process dies only by signal -- a SIGKILL here is the crash the
-// supervisor's restart path and the coordinator's secure-reboot path exist
+// supervisor's restart path and the hypervisor's secure-reboot path exist
 // for (tests/mp_drill.cpp).
 #include <cstdio>
 #include <cstdlib>
