@@ -2,9 +2,10 @@
 // (docs/deployment.md) with threads standing in for host processes.
 //
 // Each of the n hosts is a HostProcess -- the Host + AsyncTcpEndpoint wrapper
-// that pisces_hostd runs -- serving on its own thread. The Hypervisor drives
-// them through a WireFleet, and the stock Client uploads and downloads, each
-// over its own async endpoint on loopback.
+// that pisces_hostd runs -- serving on its own thread. A wire Cluster drives
+// them: its Hypervisor over a WireFleet and its stock Client each talk over
+// their own async endpoint on loopback, through the same Upload, Download
+// and RunUpdateWindow an in-process Cluster runs.
 //
 // The run boots the fleet, uploads a file, and runs one proactive window
 // (refresh, then the restart schedule reboots every host). Then host 0
@@ -21,7 +22,6 @@
 // base_port + n, the client on base_port + n + 1.
 #include <unistd.h>
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -30,12 +30,8 @@
 
 #include "common/error.h"
 #include "common/log.h"
-#include "field/primes.h"
-#include "net/async_tcp.h"
-#include "pisces/client.h"
+#include "pisces/cluster.h"
 #include "pisces/host_process.h"
-#include "pisces/hypervisor.h"
-#include "pisces/wire_fleet.h"
 
 namespace {
 
@@ -66,16 +62,6 @@ class HostThread {
   std::unique_ptr<HostProcess> process_;
   std::thread thread_;
 };
-
-net::AsyncTcpEndpoint MakeEndpoint(const MpConfig& cfg, std::uint32_t id,
-                                   std::uint16_t port) {
-  net::AsyncTcpOptions o;
-  o.id = id;
-  o.listen_port = port;
-  o.seed = cfg.seed ^ id;
-  o.heartbeat_interval_ms = cfg.heartbeat_ms;
-  return net::AsyncTcpEndpoint(o);
-}
 
 int Fail(const char* what) {
   std::printf("FAILED: %s\n", what);
@@ -109,94 +95,46 @@ int main(int argc, char** argv) {
     hosts.push_back(std::make_unique<HostThread>(cfg, i));
   }
 
-  net::AsyncTcpEndpoint hyper_ep =
-      MakeEndpoint(cfg, net::kHypervisorId, cfg.HypervisorPort());
-  net::AsyncTcpEndpoint client_ep =
-      MakeEndpoint(cfg, net::kClientId, cfg.ClientPort());
-  for (std::uint32_t i = 0; i < cfg.n; ++i) {
-    hyper_ep.AddPeer(i, cfg.HostPort(i));
-    client_ep.AddPeer(i, cfg.HostPort(i));
-  }
-  hyper_ep.AddPeer(net::kClientId, cfg.ClientPort());
-  client_ep.AddPeer(net::kHypervisorId, cfg.HypervisorPort());
-
-  const auto ctx = std::make_shared<const field::FpCtx>(
-      field::StandardPrimeBe(cfg.field_bits));
-  HypervisorConfig hc;
-  hc.params = cfg.ToParams();
-  hc.ctx = ctx;
-  hc.seed = cfg.seed;
-  Hypervisor hv(hc, std::make_unique<WireFleet>(cfg, hyper_ep),
-                crypto::SchnorrGroup::Default());
-  auto [client_cert, client_sk] = hv.EnrollExternal(net::kClientId);
-  if (hv.Survey().size() != cfg.n) return Fail("cluster bring-up");
-  std::printf("booted %u hosts with CA-signed keys\n", cfg.n);
-
-  ClientConfig cc;
-  cc.params = hv.params();
-  cc.ctx = ctx;
-  cc.encrypt_links = cfg.encrypt;
-  Client client(cc, client_ep, crypto::SchnorrGroup::Default(),
-                hv.ca_public_key(), client_cert, client_sk);
-  for (const auto& [id, cert] : hv.directory()) {
-    if (id != net::kClientId) client.InstallPeerCert(cert);
-  }
-  // done() may consume state on success (TryAssemble erases the pending
-  // download), so remember the first true rather than re-evaluating.
-  auto pump_client = [&](auto done, int timeout_ms) {
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(timeout_ms);
-    bool ok = done();
-    while (!ok && std::chrono::steady_clock::now() < deadline) {
-      auto msg = client_ep.ReceiveWait(50);
-      if (msg) client.HandleMessage(*msg);
-      ok = done();
+  try {
+    Cluster cluster(cfg);
+    if (cluster.hypervisor().Survey().size() != cfg.n) {
+      return Fail("cluster bring-up");
     }
-    return ok;
-  };
+    std::printf("booted %u hosts with CA-signed keys\n", cfg.n);
 
-  // 1. Upload. Windows learn the file from the hosts' own reports.
-  Rng file_rng(5);
-  const Bytes file = file_rng.RandomBytes(6 * 1024);
-  client.BeginUpload(1, file);
-  if (!pump_client([&] { return client.UploadAcks(1) == cfg.n; }, 10'000)) {
-    return Fail("upload not acknowledged by all hosts");
+    // 1. Upload. Windows learn the file from the hosts' own reports.
+    Rng file_rng(5);
+    const Bytes file = file_rng.RandomBytes(6 * 1024);
+    cluster.Upload(1, file);
+    if (cluster.client().UploadAcks(1) != cfg.n) {
+      return Fail("upload not acknowledged by all hosts");
+    }
+    std::printf("uploaded %zu bytes to %u hosts over TCP\n", file.size(),
+                cfg.n);
+
+    // 2. One proactive window: rerandomize every share, reboot every host.
+    const WindowReport first = cluster.RunUpdateWindow();
+    if (!first.ok) return Fail("proactive window");
+    std::printf("rerandomization and %zu secure reboots complete\n",
+                first.reboots);
+
+    // 3. Crash host 0; a fresh, keyless process takes over its port.
+    hosts[0].reset();
+    hosts[0] = std::make_unique<HostThread>(cfg, 0);
+    const WindowReport second = cluster.RunUpdateWindow();
+    const auto view = cluster.hypervisor().Survey();
+    const bool recovered = second.ok && second.reboots == cfg.n &&
+                           view.count(0) != 0 &&
+                           view.at(0) == std::vector<std::uint64_t>{1};
+    std::printf("host 0 rebooted and recovered its shares: %s\n",
+                recovered ? "yes" : "NO");
+
+    // 4. Download and verify; the client installs host 0's new cert from
+    // its reboot broadcast before sealing the requests.
+    const bool exact = cluster.Download(ReadSpec::Classic(1)) == file;
+    std::printf("download over TCP: %s\n", exact ? "bit-exact" : "FAILED");
+    return recovered && exact ? 0 : 1;
+  } catch (const Error& e) {
+    return Fail(e.what());
   }
-  client.FinishUpload(1);
-  std::printf("uploaded %zu bytes to %u hosts over TCP\n", file.size(), cfg.n);
-
-  // 2. One proactive window: rerandomize every share, reboot every host.
-  const WindowReport first = hv.RunUpdateWindow();
-  if (!first.ok) return Fail("proactive window");
-  std::printf("rerandomization and %zu secure reboots complete\n",
-              first.reboots);
-
-  // 3. Crash host 0; a fresh, keyless process takes over its port.
-  hosts[0].reset();
-  hosts[0] = std::make_unique<HostThread>(cfg, 0);
-  const WindowReport second = hv.RunUpdateWindow();
-  const auto view = hv.Survey();
-  const bool recovered = second.ok && second.reboots == cfg.n &&
-                         view.count(0) != 0 &&
-                         view.at(0) == std::vector<std::uint64_t>{1};
-  std::printf("host 0 rebooted and recovered its shares: %s\n",
-              recovered ? "yes" : "NO");
-
-  // 4. Download and verify. Draining the client's queue first installs host
-  // 0's new cert from its reboot broadcast.
-  while (auto msg = client_ep.Receive()) client.HandleMessage(*msg);
-  client.BeginDownload(ReadSpec::Classic(1));
-  Bytes back;
-  const bool got = pump_client(
-      [&] {
-        if (client.ResponsesFor(1) < cc.params.degree() + 1) return false;
-        auto data = client.TryAssemble(1);
-        if (!data) return false;
-        back = *data;
-        return true;
-      },
-      10'000);
-  const bool exact = got && back == file;
-  std::printf("download over TCP: %s\n", exact ? "bit-exact" : "FAILED");
-  return recovered && exact ? 0 : 1;
 }

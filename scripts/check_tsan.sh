@@ -21,7 +21,8 @@ BUILD_DIR="${1:-build-tsan}"
 cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DPISCES_TSAN=ON
-cmake --build "$BUILD_DIR" -j "$(nproc)" --target pisces_tests serving_drill reshare_drill
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target pisces_tests serving_drill reshare_drill \
+  tcp_cluster
 
 export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 # Run the pool-heavy suites with a wide pool (PISCES_THREADS is honored by the
@@ -40,3 +41,9 @@ export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 # locking discipline the Reshare*/Elastic* unit filters above can't reach
 # at drill concurrency.
 "$BUILD_DIR/tests/reshare_drill"
+
+# The deployment path in one process: HostProcess threads serving over
+# AsyncTcpEndpoints, the hypervisor's WireFleet waits and the wire Cluster's
+# client pump -- the one lane where host threads, reactor threads and the
+# driving thread all share memory.
+"$BUILD_DIR/examples/tcp_cluster"

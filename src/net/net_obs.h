@@ -3,7 +3,7 @@
 // net.bytes_sent / net.bytes_received used to exist only as span instant
 // events (obs::NetEvent), so reconciling bytes-on-the-wire required tracing
 // to be enabled. These counters make wire bytes a first-class, always-on
-// metric: every transport (SimNet, TcpEndpoint, AsyncTcpEndpoint) accounts
+// metric: every transport (SimNet, AsyncTcpEndpoint) accounts
 // each message under both the aggregate counter and a per-MsgType counter
 // ("net.bytes_sent.ShareResponse", ...), so BENCH_comm.json and the CSV can
 // attribute traffic to protocol phases from a plain snapshot delta.

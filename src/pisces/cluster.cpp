@@ -1,5 +1,6 @@
 #include "pisces/cluster.h"
 
+#include "common/clock.h"
 #include "common/log.h"
 #include "common/task_pool.h"
 #include "obs/registry.h"
@@ -7,6 +8,10 @@
 namespace pisces {
 
 namespace {
+
+constexpr int kDeliverSliceMs = 10;
+
+std::uint64_t NowMs() { return MonotonicNanos() / 1'000'000; }
 
 obs::Counter& StaircaseFallbacks() {
   static obs::Counter& c = obs::RegisterCounter(
@@ -31,21 +36,47 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(std::move(cfg)) {
 
   net_ = std::make_unique<net::SimNet>();
   sync_ = std::make_unique<net::SyncNetwork>(*net_);
+  net::SimEndpoint* endpoint = net_->AddEndpoint(net::kClientId);
+  auto fleet = std::make_unique<SimFleet>(cfg_.params, ctx_, cfg_.encrypt_links,
+                                         cfg_.seed, *net_, *sync_,
+                                         crypto::SchnorrGroup::Default());
+  sim_ = fleet.get();
+  Start(std::move(fleet), *endpoint);
+  sync_->Register(net::kClientId, endpoint, client_.get());
+  ResetMetrics();
+}
 
+Cluster::Cluster(MpConfig cfg, std::function<void()> tick)
+    : deadline_ms_(cfg.deadline_ms), tick_(std::move(tick)) {
+  cfg.Validate();
+  cfg_.params = cfg.ToParams();
+  cfg_.seed = cfg.seed;
+  cfg_.encrypt_links = cfg.encrypt;
+  EnsureGlobalPoolThreads(cfg_.params.b);
+  ctx_ = std::make_shared<const field::FpCtx>(
+      field::StandardPrimeBe(cfg_.params.field_bits));
+  deployment_ = Deployment::SingleCloud(cfg_.params.n);
+
+  client_ep_ = cfg.MakeEndpoint(net::kClientId);
+  auto fleet = std::make_unique<WireFleet>(std::move(cfg));
+  wire_ = fleet.get();
+  wire_->SetTick(tick_);
+  Start(std::move(fleet), *client_ep_);
+}
+
+Cluster::~Cluster() = default;
+
+void Cluster::Start(std::unique_ptr<FleetControl> fleet,
+                    net::Transport& client_transport) {
   HypervisorConfig hc;
   hc.params = cfg_.params;
   hc.ctx = ctx_;
   hc.schedule = cfg_.schedule;
   hc.seed = cfg_.seed;
   hc.repair = cfg_.repair;
-  auto fleet = std::make_unique<SimFleet>(cfg_.params, ctx_, cfg_.encrypt_links,
-                                         cfg_.seed, *net_, *sync_,
-                                         crypto::SchnorrGroup::Default());
-  fleet_ = fleet.get();
   hypervisor_ = std::make_unique<Hypervisor>(hc, std::move(fleet),
                                              crypto::SchnorrGroup::Default());
 
-  client_endpoint_ = net_->AddEndpoint(net::kClientId);
   auto [cert, sk] = hypervisor_->EnrollExternal(net::kClientId);
   ClientConfig cc;
   cc.id = net::kClientId;
@@ -53,60 +84,90 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(std::move(cfg)) {
   cc.ctx = ctx_;
   cc.encrypt_links = cfg_.encrypt_links;
   cc.rng_seed = cfg_.seed ^ 0xC11E;
-  client_ = std::make_unique<Client>(cc, *client_endpoint_,
+  client_ = std::make_unique<Client>(cc, client_transport,
                                      crypto::SchnorrGroup::Default(),
                                      hypervisor_->ca_public_key(),
                                      std::move(cert), std::move(sk));
-  sync_->Register(net::kClientId, client_endpoint_, client_.get());
   // Hosts announced their certs during hypervisor construction, before the
-  // client endpoint existed; provision the client from the hypervisor's cert
+  // client was enrolled; provision the client from the hypervisor's cert
   // directory (certs are public, hypervisor-signed objects). Later reboots
   // reach the client through the normal kHostCert broadcast.
   for (const auto& [id, cert] : hypervisor_->directory()) {
     if (id != net::kClientId) client_->InstallPeerCert(cert);
   }
-  ResetMetrics();
 }
 
-Cluster::~Cluster() = default;
+SimFleet& Cluster::Sim() const {
+  if (sim_ == nullptr) {
+    throw Error("Cluster: in-process fleets only (this one runs on the wire)");
+  }
+  return *sim_;
+}
+
+WireFleet& Cluster::wire_fleet() {
+  Require(wire_ != nullptr, "Cluster::wire_fleet: not a wire fleet");
+  return *wire_;
+}
+
+void Cluster::Deliver(const std::function<bool()>& done) {
+  if (sync_) {
+    sync_->RunToQuiescence();
+    return;
+  }
+  const std::uint64_t deadline = NowMs() + deadline_ms_;
+  while (!done() && NowMs() < deadline) {
+    if (tick_) tick_();
+    if (auto msg = client_ep_->ReceiveWait(kDeliverSliceMs)) {
+      client_->HandleMessage(*msg);
+    }
+  }
+}
+
+void Cluster::DeliverQueued() {
+  if (!client_ep_) return;
+  while (auto msg = client_ep_->Receive()) client_->HandleMessage(*msg);
+}
 
 FileMeta Cluster::Upload(std::uint64_t file_id,
                          std::span<const std::uint8_t> data) {
+  DeliverQueued();
   FileMeta meta = client_->BeginUpload(file_id, data);
-  sync_->RunToQuiescence();
-  // Retry with backoff: the sweep-synchronous fabric models backoff as one
-  // full pump per attempt, and each attempt re-sends the cached payloads to
-  // unacked hosts only (storing shares twice is idempotent).
   const std::size_t n = cfg_.params.n;
+  auto all_acked = [&] { return client_->UploadAcks(file_id) == n; };
+  Deliver(all_acked);
+  // Retry with backoff: one delivery per attempt (a full pump on the
+  // sweep-synchronous fabric, up to a deadline on the wire), and each
+  // attempt re-sends the cached payloads to unacked hosts only (storing
+  // shares twice is idempotent).
   const std::size_t max_attempts = cfg_.params.t + 2;
-  for (std::size_t a = 0;
-       a < max_attempts && client_->UploadAcks(file_id) < n; ++a) {
+  for (std::size_t a = 0; a < max_attempts && !all_acked(); ++a) {
     if (client_->RetryUpload(file_id) == 0) break;
-    sync_->RunToQuiescence();
+    Deliver(all_acked);
   }
   client_->FinishUpload(file_id);
   // Crashed hosts cannot ack; they receive the file through recovery at
   // their next reboot. The upload stands as long as every reachable host
   // stored it and the missing set stays within the corruption bound.
-  std::size_t reachable = 0;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    if (fleet_->Reachable(i)) ++reachable;
-  }
   const std::size_t acks = client_->UploadAcks(file_id);
-  Require(acks >= reachable && acks + cfg_.params.t >= n,
+  Require(acks == n || (acks + cfg_.params.t >= n &&
+                        acks >= hypervisor_->Survey().size()),
           "Cluster::Upload: not every reachable host acknowledged");
   return meta;
 }
 
 std::optional<Bytes> Cluster::DownloadAttempt(const ReadSpec& spec) {
+  DeliverQueued();
   client_->BeginDownload(spec);
-  sync_->RunToQuiescence();
-  auto data = client_->TryAssemble(spec.file_id);
+  std::optional<Bytes> data;
+  auto assembled = [&] {
+    if (!data) data = client_->TryAssemble(spec.file_id);
+    return data.has_value();
+  };
+  Deliver(assembled);
   const std::size_t max_attempts = cfg_.params.t + 2;
-  for (std::size_t a = 0; a < max_attempts && !data.has_value(); ++a) {
+  for (std::size_t a = 0; !assembled() && a < max_attempts; ++a) {
     client_->RetryDownload(spec);
-    sync_->RunToQuiescence();
-    data = client_->TryAssemble(spec.file_id);
+    Deliver(assembled);
   }
   return data;
 }
@@ -136,6 +197,7 @@ Bytes Cluster::Download(const ReadSpec& spec) {
 }
 
 void Cluster::Delete(std::uint64_t file_id) {
+  Sim();
   client_->RequestDelete(file_id);
   sync_->RunToQuiescence();
   hypervisor_->ForgetFile(file_id);
@@ -168,14 +230,15 @@ void Cluster::ArmByzantine(const ByzantinePlan& plan) {
   // Cover every physical slot, not just the current n: after a shrink the
   // parked hosts outlive the group shape, and a later grow revives them --
   // they must never come back holding an actor from a destroyed engine.
-  for (std::uint32_t i = 0; i < fleet_->slots(); ++i) {
-    fleet_->host(i).ArmByzantine(byzantine_->ActorFor(i));
+  for (std::uint32_t i = 0; i < sim_->slots(); ++i) {
+    sim_->host(i).ArmByzantine(byzantine_->ActorFor(i));
   }
 }
 
 void Cluster::DisarmByzantine() {
-  for (std::uint32_t i = 0; i < fleet_->slots(); ++i) {
-    fleet_->host(i).ArmByzantine(nullptr);
+  SimFleet& fleet = Sim();
+  for (std::uint32_t i = 0; i < fleet.slots(); ++i) {
+    fleet.host(i).ArmByzantine(nullptr);
   }
   byzantine_.reset();
 }
@@ -188,20 +251,13 @@ CostModel Cluster::cost_model() const {
 }
 
 HostMetrics Cluster::TotalMetrics() const {
-  HostMetrics total;
-  for (std::size_t i = 0; i < cfg_.params.n; ++i) {
-    const HostMetrics& m = fleet_->host(i).metrics();
-    total.rerandomize.Add(m.rerandomize);
-    total.recover.Add(m.recover);
-    total.serve.Add(m.serve);
-    total.faults.Add(m.faults);
-  }
-  return total;
+  return sim_ ? sim_->Metrics() : HostMetrics{};
 }
 
 void Cluster::ResetMetrics() {
-  for (std::size_t i = 0; i < cfg_.params.n; ++i) {
-    fleet_->host(i).metrics().Reset();
+  if (!sim_) return;
+  for (std::uint32_t i = 0; i < sim_->slots(); ++i) {
+    sim_->host(i).metrics().Reset();
   }
 }
 

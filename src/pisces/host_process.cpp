@@ -144,17 +144,7 @@ HostProcess::HostProcess(MpConfig cfg, std::uint32_t id)
   ctx_ = std::make_shared<const field::FpCtx>(
       field::StandardPrimeBe(cfg_.field_bits));
 
-  net::AsyncTcpOptions topts;
-  topts.id = id_;
-  topts.listen_port = cfg_.HostPort(id_);
-  topts.seed = cfg_.seed ^ (0xA5A5u + id_);
-  topts.heartbeat_interval_ms = cfg_.heartbeat_ms;
-  endpoint_ = std::make_unique<net::AsyncTcpEndpoint>(topts);
-  for (std::uint32_t j = 0; j < cfg_.n; ++j) {
-    if (j != id_) endpoint_->AddPeer(j, cfg_.HostPort(j));
-  }
-  endpoint_->AddPeer(net::kHypervisorId, cfg_.HypervisorPort());
-  endpoint_->AddPeer(net::kClientId, cfg_.ClientPort());
+  endpoint_ = cfg_.MakeEndpoint(id_);
 }
 
 void HostProcess::Serve() {

@@ -149,6 +149,26 @@ std::uint16_t MpConfig::ClientPort() const {
   return static_cast<std::uint16_t>(base_port + n + 1);
 }
 
+std::unique_ptr<net::AsyncTcpEndpoint> MpConfig::MakeEndpoint(
+    std::uint32_t id) const {
+  net::AsyncTcpOptions o;
+  o.id = id;
+  o.listen_port = id == net::kHypervisorId ? HypervisorPort()
+                  : id == net::kClientId   ? ClientPort()
+                                           : HostPort(id);
+  o.seed = seed ^ (0xA5A5u + id);
+  o.heartbeat_interval_ms = heartbeat_ms;
+  auto ep = std::make_unique<net::AsyncTcpEndpoint>(o);
+  for (std::uint32_t j = 0; j < n; ++j) {
+    if (j != id) ep->AddPeer(j, HostPort(j));
+  }
+  if (id != net::kHypervisorId) {
+    ep->AddPeer(net::kHypervisorId, HypervisorPort());
+  }
+  if (id != net::kClientId) ep->AddPeer(net::kClientId, ClientPort());
+  return ep;
+}
+
 std::string MpConfig::PidPath(std::uint32_t host_id) const {
   return run_dir + "/host" + std::to_string(host_id) + ".pid";
 }

@@ -14,8 +14,10 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
+#include "net/async_tcp.h"
 #include "pss/params.h"
 
 namespace pisces {
@@ -49,6 +51,9 @@ struct MpConfig {
   std::uint16_t HostPort(std::uint32_t host_id) const;
   std::uint16_t HypervisorPort() const;
   std::uint16_t ClientPort() const;
+  // The loopback endpoint of participant `id` (a host, net::kHypervisorId or
+  // net::kClientId): listening on its port, peered with every other one.
+  std::unique_ptr<net::AsyncTcpEndpoint> MakeEndpoint(std::uint32_t id) const;
 
   // Runtime artifact locations under run_dir.
   std::string PidPath(std::uint32_t host_id) const;

@@ -28,15 +28,15 @@ std::uint64_t NowMs() { return MonotonicNanos() / 1'000'000; }
 
 }  // namespace
 
-WireFleet::WireFleet(MpConfig cfg, net::AsyncTcpEndpoint& endpoint)
+WireFleet::WireFleet(MpConfig cfg)
     : cfg_(std::move(cfg)),
       ctx_(std::make_shared<const field::FpCtx>(
           field::StandardPrimeBe(cfg_.field_bits))),
-      ep_(endpoint),
       all_(cfg_.n),
       view_(cfg_.n),
       answered_(cfg_.n, false) {
   cfg_.Validate();
+  ep_ = cfg_.MakeEndpoint(net::kHypervisorId);
   std::iota(all_.begin(), all_.end(), 0u);
   DeadlineExpiries();  // register before the first snapshot
 }
@@ -48,7 +48,7 @@ std::optional<net::Message> WireFleet::ReceiveBy(std::uint64_t deadline_ms) {
     if (tick_) tick_();
     const std::uint64_t now = NowMs();
     if (now >= deadline_ms) return std::nullopt;
-    auto msg = ep_.ReceiveWait(static_cast<int>(
+    auto msg = ep_->ReceiveWait(static_cast<int>(
         std::min<std::uint64_t>(kTickSliceMs, deadline_ms - now)));
     if (msg) return msg;
   }
@@ -78,7 +78,7 @@ std::map<std::uint32_t, net::Message> WireFleet::Call(
     m.row = next_token_++;
     token_of[id] = m.row;
     if (silent_.count(id) == 0) waiting.insert(id);
-    ep_.Send(std::move(m));
+    ep_->Send(std::move(m));
   }
   std::map<std::uint32_t, net::Message> replies;
   const std::uint64_t deadline = NowMs() + cfg_.deadline_ms;
@@ -147,7 +147,7 @@ void WireFleet::InstallPeerCert(const crypto::HostCert& cert) {
 
 void WireFleet::Send(net::Message msg) {
   if (msg.type == net::MsgType::kStartRefresh) refresh_launched_ = true;
-  ep_.Send(std::move(msg));
+  ep_->Send(std::move(msg));
 }
 
 std::uint64_t WireFleet::Settle(std::uint32_t seq, const Completions& expect) {

@@ -25,7 +25,8 @@ namespace pisces {
 
 class WireFleet final : public FleetControl {
  public:
-  WireFleet(MpConfig cfg, net::AsyncTcpEndpoint& endpoint);
+  // Listens on the config's hypervisor port.
+  explicit WireFleet(MpConfig cfg);
 
   // Runs inside every wait: the launcher polls its supervisor here so
   // restarts happen while the hypervisor blocks; tests pump their hosts.
@@ -87,7 +88,7 @@ class WireFleet final : public FleetControl {
 
   MpConfig cfg_;
   std::shared_ptr<const field::FpCtx> ctx_;
-  net::AsyncTcpEndpoint& ep_;
+  std::unique_ptr<net::AsyncTcpEndpoint> ep_;
   Bytes ca_pk_;
   net::MessageHandler* sink_ = nullptr;
   std::function<void()> tick_;

@@ -1,7 +1,8 @@
 // The Hypervisor's robustness policy over real sockets: n=7 HostProcesses on
-// loopback AsyncTcpEndpoints, driven through a WireFleet. Every host is
-// pumped on the test thread from the fleet's tick, so arming a Host with a
-// ByzantineActor is race-free -- the reactor threads only move bytes.
+// loopback AsyncTcpEndpoints, driven by a wire Cluster (a Hypervisor over a
+// WireFleet, and the stock client). Every host is pumped on the test thread
+// from the Cluster's tick, so arming a Host with a ByzantineActor is
+// race-free -- the reactor threads only move bytes.
 //
 // Dealer exclusion lasts until the host's next secure reboot, and a window
 // reboots every host on the schedule; the exclusion checks therefore sample
@@ -10,73 +11,35 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
 #include <set>
 
-#include "field/primes.h"
 #include "obs/registry.h"
 #include "pisces/byzantine.h"
-#include "pisces/client.h"
-#include "pisces/hypervisor.h"
-#include "pisces/wire_fleet.h"
+#include "pisces/cluster.h"
+#include "pisces/host_process.h"
 
 namespace pisces {
 namespace {
 
 std::uint16_t BasePort() {
-  // Offset +300 keeps clear of async_tcp_test.cpp (+100) and
-  // transport_conformance_test.cpp (+200) in the same binary; each case
-  // takes a block of 10 (n + 2 = 9 ports).
-  return static_cast<std::uint16_t>(40300 + (::getpid() % 1900) * 10);
+  // Below the Linux ephemeral range (32768..60999), where the TIME_WAIT of
+  // an earlier outgoing connection can hold a listener port and fail the
+  // bind. Each case takes a block of 10 (n + 2 = 9 ports).
+  return static_cast<std::uint16_t>(20000 + (::getpid() % 1200) * 10);
 }
 
 class WireHarness {
  public:
-  explicit WireHarness(std::uint16_t base_port) {
-    cfg_.n = 7;
-    cfg_.t = 1;
-    cfg_.l = 2;  // d = 3, recovery quorum 4
-    cfg_.r = 1;
-    cfg_.base_port = base_port;
-    cfg_.seed = 0x3F1E;
-    cfg_.heartbeat_ms = 50;
-    cfg_.deadline_ms = 1000;
-    for (std::uint32_t i = 0; i < cfg_.n; ++i) {
-      hosts_.push_back(std::make_unique<HostProcess>(cfg_, i));
-    }
-    hyper_ep_ = MakeEndpoint(net::kHypervisorId, cfg_.HypervisorPort());
-    client_ep_ = MakeEndpoint(net::kClientId, cfg_.ClientPort());
-    for (std::uint32_t i = 0; i < cfg_.n; ++i) {
-      hyper_ep_->AddPeer(i, cfg_.HostPort(i));
-      client_ep_->AddPeer(i, cfg_.HostPort(i));
-    }
-    auto fleet = std::make_unique<WireFleet>(cfg_, *hyper_ep_);
-    fleet_ = fleet.get();
-    fleet_->SetTick([this] { Tick(); });
-    const auto ctx = std::make_shared<const field::FpCtx>(
-        field::StandardPrimeBe(cfg_.field_bits));
-    HypervisorConfig hc;
-    hc.params = cfg_.ToParams();
-    hc.ctx = ctx;
-    hc.seed = cfg_.seed;
-    hv_ = std::make_unique<Hypervisor>(hc, std::move(fleet),
-                                       crypto::SchnorrGroup::Default());
-    auto [cert, sk] = hv_->EnrollExternal(net::kClientId);
-    ClientConfig cc;
-    cc.params = hv_->params();
-    cc.ctx = ctx;
-    client_ = std::make_unique<Client>(cc, *client_ep_,
-                                       crypto::SchnorrGroup::Default(),
-                                       hv_->ca_public_key(), cert, sk);
-    for (const auto& [id, c] : hv_->directory()) {
-      if (id != net::kClientId) client_->InstallPeerCert(c);
-    }
-  }
+  explicit WireHarness(std::uint16_t base_port)
+      : cfg_(Config(base_port)),
+        hosts_(Hosts(cfg_)),
+        cluster_(cfg_, [this] { Tick(); }) {}
 
-  Hypervisor& hv() { return *hv_; }
+  Cluster& cluster() { return cluster_; }
+  Hypervisor& hv() { return cluster_.hypervisor(); }
   Host& host(std::uint32_t i) { return *hosts_[i]->host(); }
   // A halted host is no longer pumped: a hung process, as the fleet sees it.
   void HaltProcess(std::uint32_t i) { halted_.insert(i); }
@@ -86,37 +49,33 @@ class WireHarness {
   void OnTick(std::function<void()> f) { on_tick_ = std::move(f); }
 
   bool Upload(std::uint64_t id, const Bytes& data) {
-    client_->BeginUpload(id, data);
-    const bool ok =
-        PumpUntil([&] { return client_->UploadAcks(id) == cfg_.n; });
-    client_->FinishUpload(id);
-    return ok;
+    cluster_.Upload(id, data);
+    return cluster_.client().UploadAcks(id) == cfg_.n;
   }
 
-  std::optional<Bytes> Download(std::uint64_t id) {
-    // Reboot cert broadcasts queued while the window ran must be installed
-    // before the request is sealed.
-    while (auto msg = client_ep_->Receive()) client_->HandleMessage(*msg);
-    std::optional<Bytes> out;
-    client_->BeginDownload(ReadSpec::Classic(id));
-    PumpUntil([&] {
-      if (client_->ResponsesFor(id) >= hv_->params().degree() + 1) {
-        out = client_->TryAssemble(id);
-      }
-      return out.has_value();
-    });
-    return out;
+  Bytes Download(std::uint64_t id) {
+    return cluster_.Download(ReadSpec::Classic(id));
   }
 
  private:
-  std::unique_ptr<net::AsyncTcpEndpoint> MakeEndpoint(std::uint32_t id,
-                                                      std::uint16_t port) {
-    net::AsyncTcpOptions o;
-    o.id = id;
-    o.listen_port = port;
-    o.seed = cfg_.seed ^ id;
-    o.heartbeat_interval_ms = cfg_.heartbeat_ms;
-    return std::make_unique<net::AsyncTcpEndpoint>(o);
+  static MpConfig Config(std::uint16_t base_port) {
+    MpConfig cfg;
+    cfg.n = 7;
+    cfg.t = 1;
+    cfg.l = 2;  // d = 3, recovery quorum 4
+    cfg.r = 1;
+    cfg.base_port = base_port;
+    cfg.seed = 0x3F1E;
+    cfg.heartbeat_ms = 50;
+    cfg.deadline_ms = 1000;
+    return cfg;
+  }
+  static std::vector<std::unique_ptr<HostProcess>> Hosts(const MpConfig& cfg) {
+    std::vector<std::unique_ptr<HostProcess>> hosts;
+    for (std::uint32_t i = 0; i < cfg.n; ++i) {
+      hosts.push_back(std::make_unique<HostProcess>(cfg, i));
+    }
+    return hosts;
   }
 
   // Drains every live host until a full pass finds nothing to do.
@@ -139,28 +98,14 @@ class WireHarness {
     if (on_tick_) on_tick_();
   }
 
-  template <typename Done>
-  bool PumpUntil(Done done) {
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(20);
-    while (!done()) {
-      if (std::chrono::steady_clock::now() > deadline) return false;
-      Tick();
-      if (auto msg = client_ep_->ReceiveWait(5)) client_->HandleMessage(*msg);
-    }
-    return true;
-  }
-
+  // Construction order: the hosts listen before the Cluster boots them, and
+  // everything its tick reads outlives it.
   MpConfig cfg_;
   std::vector<std::unique_ptr<HostProcess>> hosts_;
-  std::unique_ptr<net::AsyncTcpEndpoint> hyper_ep_;
-  std::unique_ptr<net::AsyncTcpEndpoint> client_ep_;
-  WireFleet* fleet_ = nullptr;  // owned by hv_
-  std::unique_ptr<Hypervisor> hv_;
-  std::unique_ptr<Client> client_;
   std::set<std::uint32_t> halted_;
   std::set<std::uint32_t> ignores_reboots_;
   std::function<void()> on_tick_;
+  Cluster cluster_;
 };
 
 TEST(WireFleet, CorruptDealerAttributedAndExcluded) {
@@ -186,6 +131,10 @@ TEST(WireFleet, CorruptDealerAttributedAndExcluded) {
   EXPECT_GE(report.refresh_retries, 1u);
   EXPECT_EQ(report.reboots, 7u);
   EXPECT_EQ(h.Download(1), file);
+  // The striped path on its own (no classic fallback), 5 of 7 contacted.
+  EXPECT_EQ(h.cluster().Download(
+                ReadSpec::Staircase(1, 5, ReadFallback::kFail)),
+            file);
 }
 
 TEST(WireFleet, WithholdingDealerStruckOut) {
@@ -261,6 +210,8 @@ TEST(WireFleet, ReshareRefusedAndFleetUntouched) {
   std::vector<std::uint32_t> epochs;
   for (std::uint32_t i = 0; i < 7; ++i) epochs.push_back(h.host(i).epoch());
 
+  // No delete ack exists on the wire: a wire Cluster refuses to delete.
+  EXPECT_THROW(h.cluster().Delete(1), Error);
   pss::Params to = h.hv().params();
   to.n = 8;
   ReshareReport rep;

@@ -3,12 +3,14 @@
 //   $ pisces_mp --config <deployment.conf> [--windows N]
 //
 // Reads the deployment config, spawns one pisces_hostd per host (restarting
-// any that crash), and embeds the hypervisor over a WireFleet: it boots the
-// cluster, uploads a demo file through the stock client, runs N proactive
-// update windows (refresh, then the restart schedule's secure reboots with
-// share recovery, r hosts per batch -- a crash-restarted host is healed at
-// its scheduled reboot), and verifies a bit-exact download before shutting
-// the fleet down. Exit status 0 means every step held.
+// any that crash), and drives the fleet through a wire Cluster -- the same
+// Upload, RunUpdateWindow and Download an in-process Cluster runs, with the
+// supervisor polled inside every wait. It boots the cluster, uploads a demo
+// file, runs N proactive update windows (refresh, then the restart
+// schedule's secure reboots with share recovery, r hosts per batch -- a
+// crash-restarted host is healed at its scheduled reboot), and verifies a
+// bit-exact download before shutting the fleet down. Exit status 0 means
+// every step held.
 //
 // The hostd binary is named by the config's `hostd` key; when absent the
 // launcher assumes it sits next to this binary.
@@ -20,13 +22,8 @@
 
 #include "common/log.h"
 #include "common/rng.h"
-#include "field/primes.h"
-#include "net/async_tcp.h"
-#include "pisces/client.h"
-#include "pisces/hypervisor.h"
-#include "pisces/mp_config.h"
+#include "pisces/cluster.h"
 #include "pisces/mp_supervisor.h"
-#include "pisces/wire_fleet.h"
 
 namespace {
 
@@ -71,111 +68,44 @@ int main(int argc, char** argv) {
   std::printf("pisces_mp: %u hosts on 127.0.0.1:%u..%u, run dir %s\n", cfg.n,
               cfg.base_port, cfg.base_port + cfg.n + 1, cfg.run_dir.c_str());
 
-  net::AsyncTcpOptions hopts;
-  hopts.id = net::kHypervisorId;
-  hopts.listen_port = cfg.HypervisorPort();
-  hopts.seed = cfg.seed ^ 0x51;
-  hopts.heartbeat_interval_ms = cfg.heartbeat_ms;
-  net::AsyncTcpEndpoint hyper_ep(hopts);
-  for (std::uint32_t i = 0; i < cfg.n; ++i) {
-    hyper_ep.AddPeer(i, cfg.HostPort(i));
-  }
-  hyper_ep.AddPeer(net::kClientId, cfg.ClientPort());
+  try {
+    Cluster cluster(cfg, [&supervisor] { supervisor.Poll(); });
+    if (cluster.hypervisor().Survey().size() != cfg.n) {
+      std::printf("FAILED: cluster bring-up\n");
+      return 1;
+    }
+    std::printf("cluster booted (%u hosts)\n", cfg.n);
 
-  auto owned_fleet = std::make_unique<WireFleet>(cfg, hyper_ep);
-  WireFleet& fleet = *owned_fleet;
-  fleet.SetTick([&supervisor] { supervisor.Poll(); });
-  const auto ctx = std::make_shared<const field::FpCtx>(
-      field::StandardPrimeBe(cfg.field_bits));
-  HypervisorConfig hc;
-  hc.params = cfg.ToParams();
-  hc.ctx = ctx;
-  hc.seed = cfg.seed;
-  Hypervisor hv(hc, std::move(owned_fleet), crypto::SchnorrGroup::Default());
+    Rng file_rng(cfg.seed + 55);
+    const Bytes file = file_rng.RandomBytes(8 * 1024);
+    cluster.Upload(1, file);
+    if (cluster.client().UploadAcks(1) != cfg.n) {
+      std::printf("FAILED: upload not acknowledged by all hosts\n");
+      return 1;
+    }
+    std::printf("uploaded %zu bytes to %u hosts\n", file.size(), cfg.n);
 
-  auto [client_cert, client_sk] = hv.EnrollExternal(net::kClientId);
-  if (hv.Survey().size() != cfg.n) {
-    std::printf("FAILED: cluster bring-up\n");
+    for (int w = 0; w < windows; ++w) {
+      const WindowReport report = cluster.RunUpdateWindow();
+      std::printf("window %d: %s (%llu refresh retries), %zu reboots, "
+                  "%zu deferred, %llu deadline expiries\n",
+                  w, report.ok ? "ok" : "FAILED",
+                  static_cast<unsigned long long>(report.refresh_retries),
+                  report.reboots, report.reboots_deferred,
+                  static_cast<unsigned long long>(
+                      cluster.wire_fleet().deadline_expiries()));
+      for (const std::string& f : report.failures) {
+        std::printf("  %s\n", f.c_str());
+      }
+      if (!report.ok) return 1;
+    }
+
+    const bool exact = cluster.Download(ReadSpec::Classic(1)) == file;
+    std::printf("download: %s\n", exact ? "bit-exact" : "FAILED");
+    supervisor.StopAll();
+    return exact ? 0 : 1;
+  } catch (const Error& e) {
+    std::printf("FAILED: %s\n", e.what());
     return 1;
   }
-  std::printf("cluster booted (%u hosts)\n", cfg.n);
-
-  // Stock client over its own endpoint.
-  net::AsyncTcpOptions copts;
-  copts.id = net::kClientId;
-  copts.listen_port = cfg.ClientPort();
-  copts.seed = cfg.seed ^ 0x52;
-  copts.heartbeat_interval_ms = cfg.heartbeat_ms;
-  net::AsyncTcpEndpoint client_ep(copts);
-  for (std::uint32_t i = 0; i < cfg.n; ++i) {
-    client_ep.AddPeer(i, cfg.HostPort(i));
-  }
-  client_ep.AddPeer(net::kHypervisorId, cfg.HypervisorPort());
-
-  ClientConfig cc;
-  cc.params = hv.params();
-  cc.ctx = ctx;
-  cc.encrypt_links = cfg.encrypt;
-  Client client(cc, client_ep, crypto::SchnorrGroup::Default(),
-                hv.ca_public_key(), client_cert, client_sk);
-  for (const auto& [id, cert] : hv.directory()) {
-    if (id != net::kClientId) client.InstallPeerCert(cert);
-  }
-
-  auto pump_client = [&](auto done, int timeout_ms) {
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(timeout_ms);
-    bool ok = done();
-    while (!ok && std::chrono::steady_clock::now() < deadline) {
-      auto msg = client_ep.ReceiveWait(50);
-      if (msg) client.HandleMessage(*msg);
-      supervisor.Poll();
-      ok = done();
-    }
-    return ok;
-  };
-
-  Rng file_rng(cfg.seed + 55);
-  const Bytes file = file_rng.RandomBytes(8 * 1024);
-  client.BeginUpload(1, file);
-  if (!pump_client([&] { return client.UploadAcks(1) == cfg.n; }, 15000)) {
-    std::printf("FAILED: upload not acknowledged by all hosts\n");
-    return 1;
-  }
-  client.FinishUpload(1);
-  std::printf("uploaded %zu bytes to %u hosts\n", file.size(), cfg.n);
-
-  for (int w = 0; w < windows; ++w) {
-    const WindowReport report = hv.RunUpdateWindow();
-    std::printf("window %d: %s (%llu refresh retries), %zu reboots, "
-                "%zu deferred, %llu deadline expiries\n",
-                w, report.ok ? "ok" : "FAILED",
-                static_cast<unsigned long long>(report.refresh_retries),
-                report.reboots, report.reboots_deferred,
-                static_cast<unsigned long long>(fleet.deadline_expiries()));
-    for (const std::string& f : report.failures) {
-      std::printf("  %s\n", f.c_str());
-    }
-    if (!report.ok) return 1;
-  }
-
-  client.BeginDownload(pisces::ReadSpec::Classic(1));
-  Bytes back;
-  const bool got = pump_client(
-      [&] {
-        if (client.ResponsesFor(1) < cc.params.degree() + 1) {
-          client.RetryDownload(pisces::ReadSpec::Classic(1));
-          return false;
-        }
-        auto data = client.TryAssemble(1);
-        if (!data) return false;
-        back = *data;
-        return true;
-      },
-      15000);
-  std::printf("download: %s\n",
-              (got && back == file) ? "bit-exact" : "FAILED");
-
-  supervisor.StopAll();
-  return (got && back == file) ? 0 : 1;
 }
