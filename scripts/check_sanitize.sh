@@ -3,9 +3,11 @@
 # and runs the full test suite under both sanitizers -- including the chaos
 # drill, the multiprocess crash-restart drill (ctest -L mp_drill), whose
 # pisces_hostd children are themselves sanitized binaries, the serving
-# lane (ctest -L serving: the open-loop load drill plus the wall-clock bench
-# smoke), and the combined resharding drill (ctest -L reshare_drill: live
-# migrations + churn + Byzantine contributor under open-loop load), so
+# lane (ctest -L serving: tests/scenario --profile serving, the open-loop
+# load drill, plus the wall-clock bench smoke), the combined resharding
+# drill (ctest -L reshare_drill: tests/scenario --profile reshare, live
+# migrations + churn + Byzantine contributor under open-loop load) and the
+# Byzantine seed sweep (ctest -L byz_sweep: tests/scenario --profile byz), so
 # host-process, serving-plane, and shape-change code paths get the same
 # memory-safety scrutiny as in-process ones. Any report is fatal
 # (-fno-sanitize-recover=all + halt_on_error).

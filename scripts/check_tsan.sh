@@ -21,7 +21,7 @@ BUILD_DIR="${1:-build-tsan}"
 cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DPISCES_TSAN=ON
-cmake --build "$BUILD_DIR" -j "$(nproc)" --target pisces_tests serving_drill reshare_drill \
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target pisces_tests scenario \
   tcp_cluster
 
 export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
@@ -30,17 +30,17 @@ export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 # params.b, so the filters below are what matters).
 "$BUILD_DIR/tests/pisces_tests" --gtest_filter='Determinism.*:*VssBatchTest*:*PssGridTest*:RobustShamir.*:*FieldPropertyTest*:*FieldKernelTest*:FieldKernelFallback.*:DifferentialTest.*:PolyEngine.*:BatchInv.*:Chaos.*:Cluster.*:LongHorizon.*:Registry.*:Trace.*:Byzantine*:Fuzz.*:EventLoop.*:AsyncTcp.*:TransportConformance.*:Serving.*:ServingDifferential.*:CommStripe.*:CommReadSpec.*:CommDifferential.*:CommBytes.*:CommRecovery.*:CommServing.*:CommStatus.*:Reshare*:Elastic*:PackedShamirGenerator.*:DomainCacheKey.*:WireFleet.*'
 
-# The open-loop serving drill: many protocol sessions pumped through the
-# task pool per tick while admission queues churn -- the serving lane's
-# pool-contention shape, distinct from the unit suites above.
-"$BUILD_DIR/tests/serving_drill"
+# The scenario engine's open-loop serving profile: many protocol sessions
+# pumped through the task pool per tick while admission queues churn -- the
+# serving lane's pool-contention shape, distinct from the unit suites above.
+"$BUILD_DIR/tests/scenario" --profile serving
 
-# The combined resharding drill: live migrations (Reshard drains + reshapes
+# Its combined resharding profile: live migrations (Reshard drains + reshapes
 # one shard on the pool while the others keep serving) interleaved with the
 # open-loop generator, churn, and a batched refresh -- the shape-change
 # locking discipline the Reshare*/Elastic* unit filters above can't reach
 # at drill concurrency.
-"$BUILD_DIR/tests/reshare_drill"
+"$BUILD_DIR/tests/scenario" --profile reshare
 
 # The deployment path in one process: HostProcess threads serving over
 # AsyncTcpEndpoints, the hypervisor's WireFleet waits and the wire Cluster's

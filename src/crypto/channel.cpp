@@ -109,4 +109,62 @@ SecureChannel MakeChannel(const SchnorrGroup& group,
   return SecureChannel(std::move(hi_to_lo), std::move(lo_to_hi));
 }
 
+void PeerKeyring::SetIdentity(std::uint32_t epoch, Bytes sk) {
+  epoch_ = epoch;
+  sk_ = std::move(sk);
+  channels_.clear();
+}
+
+void PeerKeyring::Clear() {
+  epoch_ = 0;
+  sk_.clear();
+  certs_.clear();
+  channels_.clear();
+}
+
+void PeerKeyring::Install(const HostCert& cert) {
+  Require(Verifies(cert), "PeerKeyring::Install: bad cert");
+  auto it = certs_.find(cert.host_id);
+  if (it != certs_.end() && it->second.epoch >= cert.epoch) return;
+  certs_[cert.host_id] = cert;
+}
+
+const HostCert* PeerKeyring::Cert(std::uint32_t peer) const {
+  auto it = certs_.find(peer);
+  return it == certs_.end() ? nullptr : &it->second;
+}
+
+SecureChannel& PeerKeyring::ChannelTo(std::uint32_t peer) {
+  const HostCert* pc = Cert(peer);
+  Require(pc != nullptr,
+          "PeerKeyring: no cert for peer (reboot announcement lost?)");
+  const bool i_am_lo = my_id_ < peer;
+  const std::uint32_t lo_epoch = i_am_lo ? epoch_ : pc->epoch;
+  const std::uint32_t hi_epoch = i_am_lo ? pc->epoch : epoch_;
+  const std::uint64_t pair =
+      (static_cast<std::uint64_t>(lo_epoch) << 32) | hi_epoch;
+  auto it = channels_.find(peer);
+  if (it == channels_.end() || it->second.first != pair) {
+    SecureChannel ch = MakeChannel(group_, sk_, pc->host_pk,
+                                   (lo_epoch << 16) ^ hi_epoch, my_id_, peer);
+    it = channels_.insert_or_assign(peer, std::pair{pair, std::move(ch)})
+             .first;
+  }
+  return it->second.second;
+}
+
+Bytes PeerKeyring::Seal(std::uint32_t peer,
+                        std::span<const std::uint8_t> plaintext) {
+  if (!encrypt_) return Bytes(plaintext.begin(), plaintext.end());
+  return ChannelTo(peer).Seal(plaintext);
+}
+
+Bytes PeerKeyring::Open(std::uint32_t peer,
+                        std::span<const std::uint8_t> frame) {
+  if (!encrypt_) return Bytes(frame.begin(), frame.end());
+  auto pt = ChannelTo(peer).Open(frame);
+  if (!pt) throw ParseError("channel authentication failed");
+  return std::move(*pt);
+}
+
 }  // namespace pisces::crypto

@@ -10,9 +10,11 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
 
 #include "common/bytes.h"
+#include "crypto/ca.h"
 #include "crypto/schnorr.h"
 
 namespace pisces::crypto {
@@ -60,5 +62,45 @@ SecureChannel MakeChannel(const SchnorrGroup& group,
                           std::span<const std::uint8_t> peer_pk,
                           std::uint32_t epoch, std::uint32_t my_id,
                           std::uint32_t peer_id);
+
+// The channel state of one endpoint (a host or the client): each peer's
+// CA-verified cert and the channel derived for the current epoch pair. With
+// `encrypt` off, Seal and Open pass payloads through.
+class PeerKeyring {
+ public:
+  PeerKeyring(const SchnorrGroup& group, Bytes ca_pk, std::uint32_t my_id,
+              bool encrypt)
+      : group_(group), ca_pk_(std::move(ca_pk)), my_id_(my_id),
+        encrypt_(encrypt) {}
+
+  bool Verifies(const HostCert& cert) const {
+    return CertAuthority::VerifyCert(group_, ca_pk_, cert);
+  }
+  // Takes on this endpoint's key for `epoch`; every channel is re-derived.
+  void SetIdentity(std::uint32_t epoch, Bytes sk);
+  // Forgets the key, every cert and every channel (secure disassociation).
+  void Clear();
+  // Throws unless `cert` verifies. A cert no newer than the held one is
+  // ignored: re-deriving the channel would restart its nonce counter.
+  void Install(const HostCert& cert);
+  const HostCert* Cert(std::uint32_t peer) const;
+
+  Bytes Seal(std::uint32_t peer, std::span<const std::uint8_t> plaintext);
+  // Throws ParseError when the frame fails authentication.
+  Bytes Open(std::uint32_t peer, std::span<const std::uint8_t> frame);
+
+ private:
+  SecureChannel& ChannelTo(std::uint32_t peer);
+
+  const SchnorrGroup& group_;
+  Bytes ca_pk_;
+  std::uint32_t my_id_;
+  bool encrypt_;
+  std::uint32_t epoch_ = 0;
+  Bytes sk_;
+  std::map<std::uint32_t, HostCert> certs_;
+  // peer -> (epoch pair the channel was derived for, channel)
+  std::map<std::uint32_t, std::pair<std::uint64_t, SecureChannel>> channels_;
+};
 
 }  // namespace pisces::crypto

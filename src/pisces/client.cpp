@@ -44,52 +44,11 @@ Client::Client(ClientConfig cfg, net::Transport& transport,
                crypto::HostCert cert, Bytes sk)
     : cfg_(std::move(cfg)),
       transport_(transport),
-      group_(group),
-      ca_pk_(std::move(ca_pk)),
-      my_cert_(std::move(cert)),
-      sk_(std::move(sk)),
+      keyring_(group, std::move(ca_pk), cfg_.id, cfg_.encrypt_links),
       rng_(cfg_.rng_seed ^ 0xC11E47ULL),
       shamir_(std::make_shared<pss::PackedShamir>(cfg_.ctx, cfg_.params)),
-      codec_(*cfg_.ctx, cfg_.params.l) {}
-
-void Client::InstallPeerCert(const crypto::HostCert& cert) {
-  Require(crypto::CertAuthority::VerifyCert(group_, ca_pk_, cert),
-          "Client::InstallPeerCert: bad cert");
-  auto it = peer_certs_.find(cert.host_id);
-  if (it != peer_certs_.end() && it->second.epoch > cert.epoch) return;
-  peer_certs_[cert.host_id] = cert;
-  channels_.erase(cert.host_id);
-}
-
-crypto::SecureChannel& Client::ChannelTo(std::uint32_t peer) {
-  auto cert_it = peer_certs_.find(peer);
-  Require(cert_it != peer_certs_.end(), "Client: no cert for host");
-  const crypto::HostCert& pc = cert_it->second;
-  // The client id is numerically the largest, so the client is always "hi".
-  const std::uint32_t lo_epoch = pc.epoch;
-  const std::uint32_t hi_epoch = my_cert_.epoch;
-  const std::uint64_t pair =
-      (static_cast<std::uint64_t>(lo_epoch) << 32) | hi_epoch;
-  auto it = channels_.find(peer);
-  if (it == channels_.end() || it->second.epoch_pair != pair) {
-    crypto::SecureChannel ch = crypto::MakeChannel(
-        group_, sk_, pc.host_pk, (lo_epoch << 16) ^ hi_epoch, cfg_.id, peer);
-    it = channels_.insert_or_assign(peer, CachedChannel{pair, std::move(ch)})
-             .first;
-  }
-  return it->second.channel;
-}
-
-Bytes Client::SealFor(std::uint32_t peer, std::span<const std::uint8_t> pt) {
-  if (!cfg_.encrypt_links) return Bytes(pt.begin(), pt.end());
-  return ChannelTo(peer).Seal(pt);
-}
-
-Bytes Client::OpenFrom(std::uint32_t peer, std::span<const std::uint8_t> ct) {
-  if (!cfg_.encrypt_links) return Bytes(ct.begin(), ct.end());
-  auto pt = ChannelTo(peer).Open(ct);
-  if (!pt) throw ParseError("Client: channel authentication failed");
-  return std::move(*pt);
+      codec_(*cfg_.ctx, cfg_.params.l) {
+  keyring_.SetIdentity(cert.epoch, std::move(sk));
 }
 
 FileMeta Client::BeginUpload(std::uint64_t file_id,
@@ -137,7 +96,8 @@ FileMeta Client::BeginUpload(std::uint64_t file_id,
     m.to = static_cast<std::uint32_t>(i);
     m.type = MsgType::kSetShares;
     m.file_id = file_id;
-    m.payload = SealFor(static_cast<std::uint32_t>(i), up.payloads.back());
+    m.payload =
+        keyring_.Seal(static_cast<std::uint32_t>(i), up.payloads.back());
     metrics_.msgs_sent += 1;
     metrics_.bytes_sent += m.WireSize();
     transport_.Send(std::move(m));
@@ -164,7 +124,7 @@ std::size_t Client::RetryUpload(std::uint64_t file_id) {
     m.to = host;
     m.type = MsgType::kSetShares;
     m.file_id = file_id;
-    m.payload = SealFor(host, it->second.payloads[i]);
+    m.payload = keyring_.Seal(host, it->second.payloads[i]);
     metrics_.msgs_sent += 1;
     metrics_.bytes_sent += m.WireSize();
     transport_.Send(std::move(m));
@@ -470,7 +430,7 @@ void Client::RequestDelete(std::uint64_t file_id) {
     // client's channel so strangers cannot destroy shares.
     ByteWriter w;
     w.U64(file_id);
-    m.payload = SealFor(static_cast<std::uint32_t>(i), w.bytes());
+    m.payload = keyring_.Seal(static_cast<std::uint32_t>(i), w.bytes());
     metrics_.msgs_sent += 1;
     metrics_.bytes_sent += m.WireSize();
     transport_.Send(std::move(m));
@@ -495,7 +455,7 @@ void Client::HandleMessage(const Message& msg) {
       case MsgType::kShareResponse: {
         auto it = downloads_.find(msg.file_id);
         if (it == downloads_.end()) return;  // stale response
-        Bytes pt = OpenFrom(msg.from, msg.payload);
+        Bytes pt = keyring_.Open(msg.from, msg.payload);
         ByteReader r(pt);
         ShareResponse resp;
         resp.meta = FileMeta::Deserialize(r.Blob());

@@ -42,11 +42,12 @@ class Client : public net::MessageHandler {
   std::uint32_t id() const { return cfg_.id; }
 
   // Accept a host's cert (via broadcast message or direct install).
-  void InstallPeerCert(const crypto::HostCert& cert);
+  void InstallPeerCert(const crypto::HostCert& cert) {
+    keyring_.Install(cert);
+  }
   // The installed cert of `peer`, or nullptr.
   const crypto::HostCert* PeerCert(std::uint32_t peer) const {
-    auto it = peer_certs_.find(peer);
-    return it == peer_certs_.end() ? nullptr : &it->second;
+    return keyring_.Cert(peer);
   }
 
   // Splits `data` into packed shares and sends one kSetShares to each host.
@@ -96,9 +97,6 @@ class Client : public net::MessageHandler {
   std::uint64_t retries() const { return retries_; }
 
  private:
-  Bytes SealFor(std::uint32_t peer, std::span<const std::uint8_t> pt);
-  Bytes OpenFrom(std::uint32_t peer, std::span<const std::uint8_t> ct);
-  crypto::SecureChannel& ChannelTo(std::uint32_t peer);
   // Berlekamp-Welch fallback over all responses when the fast path fails its
   // integrity check (a minority of hosts returned corrupted shares).
   Bytes AssembleRobust(const FileMeta& meta,
@@ -106,21 +104,11 @@ class Client : public net::MessageHandler {
 
   ClientConfig cfg_;
   net::Transport& transport_;
-  const crypto::SchnorrGroup& group_;
-  Bytes ca_pk_;
-  crypto::HostCert my_cert_;
-  Bytes sk_;
+  crypto::PeerKeyring keyring_;
   Rng rng_;
 
   std::shared_ptr<pss::PackedShamir> shamir_;
   FileCodec codec_;
-
-  std::map<std::uint32_t, crypto::HostCert> peer_certs_;
-  struct CachedChannel {
-    std::uint64_t epoch_pair;
-    crypto::SecureChannel channel;
-  };
-  std::map<std::uint32_t, CachedChannel> channels_;
 
   // Hosts that acked the upload, plus the per-host plaintext payloads kept
   // for retries (sealed fresh on each send; the share material is fixed).

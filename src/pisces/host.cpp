@@ -45,8 +45,7 @@ Host::Host(HostConfig cfg, net::Transport& transport,
            const crypto::SchnorrGroup& group, Bytes ca_pk)
     : cfg_(std::move(cfg)),
       transport_(transport),
-      group_(group),
-      ca_pk_(std::move(ca_pk)),
+      keyring_(group, std::move(ca_pk), cfg_.id, cfg_.encrypt_links),
       rng_(cfg_.rng_seed ^ (std::uint64_t{cfg_.id} << 32)),
       shamir_(std::make_shared<pss::PackedShamir>(cfg_.ctx, cfg_.params)),
       store_(*cfg_.ctx) {}
@@ -54,17 +53,16 @@ Host::Host(HostConfig cfg, net::Transport& transport,
 void Host::Boot(std::uint32_t epoch, crypto::HostCert cert, Bytes sk,
                 std::span<const std::uint32_t> peers) {
   Require(cert.host_id == cfg_.id, "Host::Boot: cert for a different host");
-  Require(crypto::CertAuthority::VerifyCert(group_, ca_pk_, cert),
+  Require(keyring_.Verifies(cert),
           "Host::Boot: cert does not verify against the CA");
   online_ = true;
   epoch_ = epoch;
   my_cert_ = std::move(cert);
-  sk_ = std::move(sk);
+  keyring_.SetIdentity(epoch, std::move(sk));
   refresh_.clear();
   survivor_.clear();
   target_.clear();
   pending_.clear();
-  channels_.clear();
   failed_refresh_.clear();
   refresh_started_.clear();
   recovery_started_.clear();
@@ -86,10 +84,8 @@ void Host::Shutdown() {
   online_ = false;
   // Secure disassociation: nothing from this incarnation survives.
   store_.WipeAll();
-  sk_.clear();
   my_cert_ = crypto::HostCert{};
-  peer_certs_.clear();
-  channels_.clear();
+  keyring_.Clear();
   refresh_.clear();
   survivor_.clear();
   target_.clear();
@@ -97,47 +93,6 @@ void Host::Shutdown() {
   failed_refresh_.clear();
   refresh_started_.clear();
   recovery_started_.clear();
-}
-
-void Host::InstallPeerCert(const crypto::HostCert& cert) {
-  Require(crypto::CertAuthority::VerifyCert(group_, ca_pk_, cert),
-          "Host::InstallPeerCert: bad cert");
-  auto it = peer_certs_.find(cert.host_id);
-  if (it != peer_certs_.end() && it->second.epoch > cert.epoch) return;
-  peer_certs_[cert.host_id] = cert;
-  channels_.erase(cert.host_id);  // rebuild with the new epoch keys
-}
-
-crypto::SecureChannel& Host::ChannelTo(std::uint32_t peer) {
-  auto cert_it = peer_certs_.find(peer);
-  Require(cert_it != peer_certs_.end(),
-          "Host: no cert for peer (reboot announcement lost?)");
-  const crypto::HostCert& pc = cert_it->second;
-  const bool i_am_lo = cfg_.id < peer;
-  const std::uint32_t lo_epoch = i_am_lo ? epoch_ : pc.epoch;
-  const std::uint32_t hi_epoch = i_am_lo ? pc.epoch : epoch_;
-  const std::uint64_t pair =
-      (static_cast<std::uint64_t>(lo_epoch) << 32) | hi_epoch;
-  auto it = channels_.find(peer);
-  if (it == channels_.end() || it->second.epoch_pair != pair) {
-    crypto::SecureChannel ch = crypto::MakeChannel(
-        group_, sk_, pc.host_pk, (lo_epoch << 16) ^ hi_epoch, cfg_.id, peer);
-    it = channels_.insert_or_assign(peer, CachedChannel{pair, std::move(ch)})
-             .first;
-  }
-  return it->second.channel;
-}
-
-Bytes Host::SealFor(std::uint32_t peer, std::span<const std::uint8_t> pt) {
-  if (!cfg_.encrypt_links) return Bytes(pt.begin(), pt.end());
-  return ChannelTo(peer).Seal(pt);
-}
-
-Bytes Host::OpenFrom(std::uint32_t peer, std::span<const std::uint8_t> ct) {
-  if (!cfg_.encrypt_links) return Bytes(ct.begin(), ct.end());
-  auto pt = ChannelTo(peer).Open(ct);
-  if (!pt) throw ParseError("Host: channel authentication failed");
-  return std::move(*pt);
 }
 
 void Host::SendMetered(Message msg, PhaseMetrics& bucket) {
@@ -188,7 +143,7 @@ void Host::HandleMessage(const Message& msg) {
         // deferring decryption of buffered messages would break replay
         // protection. Everything downstream sees plaintext payloads.
         Message plain = msg;
-        plain.payload = OpenFrom(msg.from, msg.payload);
+        plain.payload = keyring_.Open(msg.from, msg.payload);
         if (msg.type == MsgType::kDeal) {
           OnDealPlain(plain);
         } else if (msg.type == MsgType::kCheckShare) {
@@ -244,7 +199,7 @@ void Host::OnSetShares(const Message& msg) {
   {
     ComputeSection section(metrics_.serve, obs::SpanKind::kServe, cfg_.id,
                            msg.file_id);
-    Bytes pt = OpenFrom(msg.from, msg.payload);
+    Bytes pt = keyring_.Open(msg.from, msg.payload);
     ByteReader r(pt);
     meta = FileMeta::Deserialize(r.Blob());
     std::vector<FpElem> shares =
@@ -318,7 +273,7 @@ void Host::OnReconstructRequest(const Message& msg) {
       byz_->TamperShares(served);
     }
     w.Raw(field::SerializeElems(*cfg_.ctx, served));
-    sealed = SealFor(msg.from, w.bytes());
+    sealed = keyring_.Seal(msg.from, w.bytes());
     store_.Stash(msg.file_id);
   }
 
@@ -337,7 +292,7 @@ void Host::OnDeleteFile(const Message& msg) {
   // Destructive request: must open on an authenticated channel and the inner
   // file id must match the header (prevents splicing a sealed delete onto a
   // different file). Unknown senders throw and are dropped upstream.
-  Bytes pt = OpenFrom(msg.from, msg.payload);
+  Bytes pt = keyring_.Open(msg.from, msg.payload);
   ByteReader r(pt);
   std::uint64_t confirmed = r.U64();
   Require(confirmed == msg.file_id, "DeleteFile: id mismatch");
@@ -409,7 +364,8 @@ void Host::OnStartRefresh(const Message& msg) {
     m.file_id = msg.file_id;
     m.epoch = msg.epoch;
     m.row = kRefreshMarker;
-    m.payload = SealFor(holder, field::SerializeElems(*cfg_.ctx, deal[k]));
+    m.payload =
+        keyring_.Seal(holder, field::SerializeElems(*cfg_.ctx, deal[k]));
     SendMetered(std::move(m), metrics_.rerandomize);
   }
   // Self-deal, delivered locally.
@@ -491,8 +447,8 @@ void Host::RefreshTransformAndCheck(RefreshKey key, RefreshSession& s) {
       // The local hand-off may have completed (and erased) this session.
       if (refresh_.find(key) == refresh_.end()) return;
     } else {
-      m.payload =
-          SealFor(verifier, field::SerializeElems(*cfg_.ctx, s.outputs[a]));
+      m.payload = keyring_.Seal(
+          verifier, field::SerializeElems(*cfg_.ctx, s.outputs[a]));
       SendMetered(std::move(m), metrics_.rerandomize);
     }
   }
@@ -749,7 +705,8 @@ void Host::OnStartRecovery(const Message& msg) {
       m.file_id = meta.file_id;
       m.epoch = msg.epoch;
       m.row = target;
-      m.payload = SealFor(holder, field::SerializeElems(*cfg_.ctx, deal[k]));
+      m.payload =
+        keyring_.Seal(holder, field::SerializeElems(*cfg_.ctx, deal[k]));
       SendMetered(std::move(m), metrics_.recover);
     }
     session.deals_by_dealer[my_idx] = std::move(deal[my_idx]);
@@ -789,8 +746,8 @@ void Host::SurvivorTransformAndCheck(SurvivorKey key, SurvivorSession& s) {
       // The local hand-off may have completed (and erased) this session.
       if (survivor_.find(key) == survivor_.end()) return;
     } else {
-      m.payload =
-          SealFor(verifier, field::SerializeElems(*cfg_.ctx, s.outputs[a]));
+      m.payload = keyring_.Seal(
+          verifier, field::SerializeElems(*cfg_.ctx, s.outputs[a]));
       SendMetered(std::move(m), metrics_.recover);
     }
   }
@@ -884,7 +841,7 @@ void Host::MaybeSendMaskedShares(SurvivorKey key, SurvivorSession& s) {
     // Wrong-share attack on recovery: the target's consistency check and
     // robust decode are responsible for catching this.
     if (byz_ != nullptr) byz_->TamperShares(masked);
-    sealed = SealFor(target, field::SerializeElems(*cfg_.ctx, masked));
+    sealed = keyring_.Seal(target, field::SerializeElems(*cfg_.ctx, masked));
   }
 
   if (byz_ != nullptr && byz_->WithholdSend()) {

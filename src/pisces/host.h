@@ -70,11 +70,12 @@ class Host : public net::MessageHandler {
 
   // Registers a peer cert without the network (used for initial bring-up of
   // the client, whose cert hosts must know before the first upload).
-  void InstallPeerCert(const crypto::HostCert& cert);
+  void InstallPeerCert(const crypto::HostCert& cert) {
+    keyring_.Install(cert);
+  }
   // The installed cert of `peer`, or nullptr.
   const crypto::HostCert* PeerCert(std::uint32_t peer) const {
-    auto it = peer_certs_.find(peer);
-    return it == peer_certs_.end() ? nullptr : &it->second;
+    return keyring_.Cert(peer);
   }
 
   // Aborts sessions that cannot complete (bounded-delay timeout fired by the
@@ -237,9 +238,6 @@ class Host : public net::MessageHandler {
 
   // --- plumbing ---
   void SendMetered(net::Message msg, PhaseMetrics& bucket);
-  Bytes SealFor(std::uint32_t peer, std::span<const std::uint8_t> plaintext);
-  Bytes OpenFrom(std::uint32_t peer, std::span<const std::uint8_t> payload);
-  crypto::SecureChannel& ChannelTo(std::uint32_t peer);
   // When `accused` is non-empty the report carries the accused host ids after
   // the ok byte (recovery dispute); an empty list keeps the legacy one-byte
   // payload, so honest-path bytes are unchanged.
@@ -250,8 +248,7 @@ class Host : public net::MessageHandler {
 
   HostConfig cfg_;
   net::Transport& transport_;
-  const crypto::SchnorrGroup& group_;
-  Bytes ca_pk_;
+  crypto::PeerKeyring keyring_;
   Rng rng_;
 
   std::shared_ptr<pss::PackedShamir> shamir_;
@@ -260,16 +257,7 @@ class Host : public net::MessageHandler {
 
   bool online_ = false;
   std::uint32_t epoch_ = 0;
-  Bytes sk_;
   crypto::HostCert my_cert_;
-  std::map<std::uint32_t, crypto::HostCert> peer_certs_;
-  // Channel cache keyed by peer; entry remembers the epoch pair it was
-  // derived for and is rebuilt when either side's cert changes.
-  struct CachedChannel {
-    std::uint64_t epoch_pair;
-    crypto::SecureChannel channel;
-  };
-  std::map<std::uint32_t, CachedChannel> channels_;
 
   std::map<RefreshKey, RefreshSession> refresh_;
   std::map<SurvivorKey, SurvivorSession> survivor_;

@@ -12,14 +12,13 @@
 #include "common/bytes.h"
 #include "net/async_tcp.h"
 #include "net/message.h"
+#include "test_ports.h"
 
 namespace pisces::net {
 namespace {
 
 std::uint16_t BasePort() {
-  // Offset +100 keeps clear of transport_conformance_test.cpp's range (+200)
-  // in the same binary.
-  return static_cast<std::uint16_t>(40100 + (::getpid() % 2000) * 10);
+  return test::BasePort(test::PortSuite::kAsyncTcp);
 }
 
 AsyncTcpOptions Opts(std::uint32_t id, std::uint16_t port) {

@@ -225,5 +225,32 @@ TEST(Cluster, HostCertsRotateOnReboot) {
   EXPECT_GT(cluster.host(0).epoch(), epoch_before);
 }
 
+// kHostCert is a public broadcast, so anyone can replay one. A cert the
+// endpoint already holds must leave the live channel alone: a re-derived
+// channel restarts its nonce counter, and the peer drops the next frame as
+// a replay (after the sender reused a ChaCha20 nonce).
+TEST(Cluster, ReplayedCertKeepsLiveChannels) {
+  Cluster cluster(SmallConfig());
+  Rng rng(13);
+  const Bytes f1 = rng.RandomBytes(500);
+  cluster.Upload(1, f1);
+  ASSERT_TRUE(cluster.RefreshAllFiles());
+  const std::uint64_t retries = cluster.client().retries();
+
+  const crypto::HostCert host0 = *cluster.client().PeerCert(0);
+  const crypto::HostCert host1 = *cluster.host(0).PeerCert(1);
+  cluster.client().InstallPeerCert(host0);
+  cluster.host(0).InstallPeerCert(host1);
+
+  const Bytes f2 = rng.RandomBytes(500);
+  cluster.Upload(2, f2);
+  EXPECT_EQ(cluster.client().retries(), retries);
+  const WindowReport report = cluster.RunUpdateWindow();
+  EXPECT_TRUE(report.ok);
+  EXPECT_EQ(report.refresh_retries, 0u);
+  EXPECT_EQ(report.deals_excluded, 0u);
+  EXPECT_EQ(cluster.Download(pisces::ReadSpec::Classic(2)), f2);
+}
+
 }  // namespace
 }  // namespace pisces

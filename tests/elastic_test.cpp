@@ -1,8 +1,8 @@
 // Elastic-fleet autoscaler tests (docs/resharding.md): the policy layer that
 // turns admission-queue pressure, dead slots, and the EC2 cost model into
 // grow/shrink/re-provision decisions, applied through live resharding. The
-// combined serving + churn + autoscaler drill lives in reshare_drill.cpp
-// (ctest -L reshare_drill).
+// combined serving + churn + autoscaler drill is scenario.cpp's reshare
+// profile (ctest -L reshare_drill).
 #include <gtest/gtest.h>
 
 #include <map>

@@ -21,6 +21,7 @@
 #include "common/rng.h"
 #include "pisces/cluster.h"
 #include "pisces/mp_supervisor.h"
+#include "test_ports.h"
 
 #ifndef PISCES_HOSTD_PATH
 #error "build must define PISCES_HOSTD_PATH"
@@ -42,9 +43,7 @@ int Drill() {
   cfg.l = 2;
   cfg.r = 1;
   cfg.field_bits = 256;
-  // Spread across runs to dodge TIME_WAIT collisions with other test
-  // binaries (tests use 40000..60000; keep the 12-port block inside it).
-  cfg.base_port = static_cast<std::uint16_t>(42000 + (::getpid() % 1500) * 12);
+  cfg.base_port = test::BasePort(test::PortSuite::kMpDrill);
   cfg.seed = 20'170'605;  // ICDCS'17
   cfg.heartbeat_ms = 100;
   cfg.deadline_ms = 8000;

@@ -1,7 +1,7 @@
 // Serving-plane unit tests: shard routing, session multiplexing, admission
 // control, the wire gateway, and the batched refresh scheduler
-// (docs/serving.md). The open-loop load drill lives in serving_drill.cpp
-// (ctest -L serving); determinism pins are in determinism_test.cpp and the
+// (docs/serving.md). The open-loop load drill is scenario.cpp's serving
+// profile (ctest -L serving); determinism pins are in determinism_test.cpp and the
 // batched-vs-sequential refresh differential in differential_test.cpp.
 #include <gtest/gtest.h>
 

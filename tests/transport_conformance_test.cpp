@@ -21,8 +21,6 @@
 //     outranks memory bounds in tests), so fabrics advertise the capability.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <chrono>
 #include <map>
 #include <memory>
@@ -31,13 +29,13 @@
 
 #include "net/async_tcp.h"
 #include "net/sim_transport.h"
+#include "test_ports.h"
 
 namespace pisces::net {
 namespace {
 
 std::uint16_t BasePort() {
-  // Offset +200 keeps clear of async_tcp_test.cpp's range in the same binary.
-  return static_cast<std::uint16_t>(40200 + (::getpid() % 2000) * 10);
+  return test::BasePort(test::PortSuite::kTransportConformance);
 }
 
 Message Make(std::uint32_t from, std::uint32_t to, Bytes payload) {

@@ -20,15 +20,14 @@
 #include "pisces/byzantine.h"
 #include "pisces/cluster.h"
 #include "pisces/host_process.h"
+#include "test_ports.h"
 
 namespace pisces {
 namespace {
 
+// Each case takes 10 ports (n + 2 = 9) of the suite's block.
 std::uint16_t BasePort() {
-  // Below the Linux ephemeral range (32768..60999), where the TIME_WAIT of
-  // an earlier outgoing connection can hold a listener port and fail the
-  // bind. Each case takes a block of 10 (n + 2 = 9 ports).
-  return static_cast<std::uint16_t>(20000 + (::getpid() % 1200) * 10);
+  return test::BasePort(test::PortSuite::kWireFleet);
 }
 
 class WireHarness {
