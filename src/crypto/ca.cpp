@@ -1,5 +1,7 @@
 #include "crypto/ca.h"
 
+#include "obs/trace.h"
+
 namespace pisces::crypto {
 
 Bytes HostCert::SignedPayload() const {
@@ -31,11 +33,14 @@ HostCert HostCert::Deserialize(std::span<const std::uint8_t> data) {
 }
 
 CertAuthority::CertAuthority(const SchnorrGroup& group, Rng& rng)
-    : group_(group), keys_(SchnorrKeygen(group, rng)) {}
+    : group_(group),
+      keys_(SchnorrKeygen(group, rng)),
+      key_table_(group.PinKeyTable(keys_.pk)) {}
 
 std::pair<HostCert, Bytes> CertAuthority::IssueHostKey(std::uint32_t host_id,
                                                        std::uint32_t epoch,
                                                        Rng& rng) const {
+  obs::Span span(obs::SpanKind::kSign, host_id, epoch);
   SchnorrKeyPair host_keys = SchnorrKeygen(group_, rng);
   HostCert cert;
   cert.host_id = host_id;
@@ -48,6 +53,7 @@ std::pair<HostCert, Bytes> CertAuthority::IssueHostKey(std::uint32_t host_id,
 bool CertAuthority::VerifyCert(const SchnorrGroup& group,
                                std::span<const std::uint8_t> ca_pk,
                                const HostCert& cert) {
+  obs::Span span(obs::SpanKind::kCertVerify, cert.host_id, cert.epoch);
   return SchnorrVerify(group, ca_pk, cert.SignedPayload(), cert.sig);
 }
 

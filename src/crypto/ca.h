@@ -38,6 +38,8 @@ class CertAuthority {
   std::pair<HostCert, Bytes> IssueHostKey(std::uint32_t host_id,
                                           std::uint32_t epoch, Rng& rng) const;
 
+  // Uses the CA key's comb table while any holder pins it (this authority
+  // does, as does every PeerKeyring trusting it).
   static bool VerifyCert(const SchnorrGroup& group,
                          std::span<const std::uint8_t> ca_pk,
                          const HostCert& cert);
@@ -45,6 +47,7 @@ class CertAuthority {
  private:
   const SchnorrGroup& group_;
   SchnorrKeyPair keys_;
+  std::shared_ptr<const FixedBaseTable> key_table_;  // keeps keys_.pk's alive
 };
 
 }  // namespace pisces::crypto

@@ -123,9 +123,9 @@ void PeerKeyring::Clear() {
 }
 
 void PeerKeyring::Install(const HostCert& cert) {
-  Require(Verifies(cert), "PeerKeyring::Install: bad cert");
   auto it = certs_.find(cert.host_id);
   if (it != certs_.end() && it->second.epoch >= cert.epoch) return;
+  Require(Verifies(cert), "PeerKeyring::Install: bad cert");
   certs_[cert.host_id] = cert;
 }
 

@@ -68,9 +68,11 @@ SecureChannel MakeChannel(const SchnorrGroup& group,
 // `encrypt` off, Seal and Open pass payloads through.
 class PeerKeyring {
  public:
+  // Pins the CA key's comb table for as long as the keyring lives.
   PeerKeyring(const SchnorrGroup& group, Bytes ca_pk, std::uint32_t my_id,
               bool encrypt)
-      : group_(group), ca_pk_(std::move(ca_pk)), my_id_(my_id),
+      : group_(group), ca_pk_(std::move(ca_pk)),
+        ca_table_(group.PinKeyTable(ca_pk_)), my_id_(my_id),
         encrypt_(encrypt) {}
 
   bool Verifies(const HostCert& cert) const {
@@ -80,8 +82,10 @@ class PeerKeyring {
   void SetIdentity(std::uint32_t epoch, Bytes sk);
   // Forgets the key, every cert and every channel (secure disassociation).
   void Clear();
-  // Throws unless `cert` verifies. A cert no newer than the held one is
-  // ignored: re-deriving the channel would restart its nonce counter.
+  // Ignores a cert no newer than the held one, before any signature check:
+  // re-deriving the channel would restart its nonce counter, and a stale
+  // forgery is dropped rather than thrown on. Otherwise throws unless `cert`
+  // verifies; only CA-verified certs are ever stored.
   void Install(const HostCert& cert);
   const HostCert* Cert(std::uint32_t peer) const;
 
@@ -94,6 +98,7 @@ class PeerKeyring {
 
   const SchnorrGroup& group_;
   Bytes ca_pk_;
+  std::shared_ptr<const FixedBaseTable> ca_table_;
   std::uint32_t my_id_;
   bool encrypt_;
   std::uint32_t epoch_ = 0;

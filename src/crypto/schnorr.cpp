@@ -1,6 +1,8 @@
 #include "crypto/schnorr.h"
 
+#include <algorithm>
 #include <mutex>
+#include <unordered_map>
 
 #include "crypto/sha256.h"
 #include "field/limbs.h"
@@ -47,7 +49,125 @@ field::Limbs LimbsFromBeBytes(std::span<const std::uint8_t> be) {
   return out;
 }
 
+// The process-wide key tables. Weak references only: a table lives exactly
+// as long as a holder (a CertAuthority, a PeerKeyring) trusts its key.
+struct KeyTables {
+  std::mutex mu;
+  std::unordered_map<std::string, std::weak_ptr<const FixedBaseTable>> by_key;
+};
+
+KeyTables& Tables() {
+  static KeyTables tables;
+  return tables;
+}
+
 }  // namespace
+
+FixedBaseTable::FixedBaseTable(std::shared_ptr<const FpCtx> ctx,
+                               const FpElem& base, std::size_t exp_bits)
+    : ctx_(std::move(ctx)),
+      k_(ctx_->limbs()),
+      cols_((exp_bits + kTeeth - 1) / kTeeth),
+      entries_((std::size_t{1} << kTeeth) * k_) {
+  Require(cols_ > 0 && kTeeth * cols_ <= 64 * field::kMaxLimbs,
+          "FixedBaseTable: exponent width out of range");
+  const FpCtx& p = *ctx_;
+  auto put = [&](std::size_t i, const FpElem& v) {
+    std::copy_n(v.v.data(), k_, entries_.data() + i * k_);
+  };
+  put(0, p.One());
+  FpElem tooth = base;
+  for (std::size_t j = 0; j < kTeeth; ++j) {
+    if (j > 0) {
+      for (std::size_t c = 0; c < cols_; ++c) tooth = p.Sqr(tooth);
+    }
+    put(std::size_t{1} << j, tooth);
+  }
+  for (std::size_t i = 3; i < (std::size_t{1} << kTeeth); ++i) {
+    const std::size_t low = i & (~i + 1);
+    if (low != i) put(i, p.Mul(Entry(i - low), Entry(low)));
+  }
+}
+
+FpElem FixedBaseTable::Entry(std::size_t i) const {
+  FpElem e;
+  std::copy_n(entries_.data() + i * k_, k_, e.v.data());
+  return e;
+}
+
+FpElem FixedBaseTable::Pow(std::span<const std::uint8_t> e_be) const {
+  while (!e_be.empty() && e_be.front() == 0) e_be = e_be.subspan(1);
+  if (e_be.size() > kTeeth * cols_ / 8) return ctx_->PowBytes(Entry(1), e_be);
+  const field::Limbs e = LimbsFromBeBytes(e_be);
+  FpElem acc = ctx_->One();
+  FpElem entry;  // limbs past k_ stay zero
+  bool started = false;
+  for (std::size_t col = cols_; col-- > 0;) {
+    if (started) acc = ctx_->Sqr(acc);
+    std::size_t idx = 0;
+    for (std::size_t j = 0; j < kTeeth; ++j) {
+      idx |= std::size_t{field::GetBit(e.data(), j * cols_ + col)} << j;
+    }
+    if (idx == 0) continue;
+    const std::uint64_t* src = entries_.data() + idx * k_;
+    if (started) {
+      std::copy_n(src, k_, entry.v.data());
+      acc = ctx_->Mul(acc, entry);
+    } else {
+      std::copy_n(src, k_, acc.v.data());
+      started = true;
+    }
+  }
+  return acc;
+}
+
+SchnorrGroup::SchnorrGroup(std::shared_ptr<FpCtx> p_ctx,
+                           std::shared_ptr<FpCtx> q_ctx, FpElem g)
+    : p_ctx_(std::move(p_ctx)),
+      q_ctx_(std::move(q_ctx)),
+      g_(g),
+      g_table_(std::make_shared<const FixedBaseTable>(p_ctx_, g_,
+                                                      q_ctx_->bits())) {}
+
+std::string SchnorrGroup::TableKey(std::span<const std::uint8_t> pk) const {
+  const Bytes modulus = p_ctx_->ModulusBytes();
+  std::string key(modulus.begin(), modulus.end());
+  key.append(pk.begin(), pk.end());
+  return key;
+}
+
+std::shared_ptr<const FixedBaseTable> SchnorrGroup::FindKeyTable(
+    std::span<const std::uint8_t> pk) const {
+  const std::string key = TableKey(pk);
+  KeyTables& t = Tables();
+  std::lock_guard<std::mutex> lock(t.mu);
+  auto it = t.by_key.find(key);
+  return it == t.by_key.end() ? nullptr : it->second.lock();
+}
+
+std::shared_ptr<const FixedBaseTable> SchnorrGroup::PinKeyTable(
+    std::span<const std::uint8_t> pk) const {
+  if (auto held = FindKeyTable(pk)) return held;
+  FpElem y;
+  try {
+    y = p_ctx_->FromBytes(pk);
+  } catch (const Error&) {
+    return nullptr;
+  }
+  // Built outside the lock; a racing pin of the same key may win, and then
+  // this copy is dropped.
+  auto built = std::make_shared<const FixedBaseTable>(p_ctx_, y, q_ctx_->bits());
+  const std::string key = TableKey(pk);
+  KeyTables& t = Tables();
+  std::lock_guard<std::mutex> lock(t.mu);
+  auto it = t.by_key.find(key);
+  if (it != t.by_key.end()) {
+    if (auto held = it->second.lock()) return held;
+  }
+  std::erase_if(t.by_key, [](const auto& kv) { return kv.second.expired(); });
+  t.by_key.emplace(key, built);
+  return built;
+}
 
 SchnorrGroup SchnorrGroup::Generate(Rng& rng, std::size_t p_bits,
                                     std::size_t q_bits) {
@@ -149,7 +269,7 @@ SchnorrKeyPair SchnorrKeygen(const SchnorrGroup& group, Rng& rng) {
   const FpCtx& p = group.p_ctx();
   FpElem x = q.RandomNonZero(rng);
   Bytes x_be = group.ScalarToBe(x);
-  FpElem y = p.PowBytes(group.g(), x_be);
+  FpElem y = group.g_table().Pow(x_be);
   return SchnorrKeyPair{x_be, p.ToBytes(y)};
 }
 
@@ -172,12 +292,12 @@ SchnorrSignature SchnorrSign(const SchnorrGroup& group,
   const FpCtx& p = group.p_ctx();
   const FpCtx& q = group.q_ctx();
   FpElem x = group.ScalarFromBe(sk);
-  FpElem y = p.PowBytes(group.g(), sk);
+  FpElem y = group.g_table().Pow(sk);
   Bytes pk = p.ToBytes(y);
 
   FpElem k = q.RandomNonZero(rng);
   Bytes k_be = group.ScalarToBe(k);
-  FpElem r = p.PowBytes(group.g(), k_be);
+  FpElem r = group.g_table().Pow(k_be);
   Bytes r_bytes = p.ToBytes(r);
 
   FpElem e = Challenge(group, r_bytes, pk, msg);
@@ -203,9 +323,10 @@ bool SchnorrVerify(const SchnorrGroup& group, std::span<const std::uint8_t> pk,
   }
   FpElem e = group.ScalarFromBe(sig.e);
   // r' = g^s * y^{-e} = g^s * y^{q-e} mod p
-  FpElem neg_e = q.Neg(e);
-  FpElem gs = p.PowBytes(group.g(), sig.s);
-  FpElem ye = p.PowBytes(y, group.ScalarToBe(neg_e));
+  const Bytes neg_e = group.ScalarToBe(q.Neg(e));
+  FpElem gs = group.g_table().Pow(sig.s);
+  const auto y_table = group.FindKeyTable(pk);
+  FpElem ye = y_table ? y_table->Pow(neg_e) : p.PowBytes(y, neg_e);
   FpElem r = p.Mul(gs, ye);
   FpElem e2 = Challenge(group, p.ToBytes(r), Bytes(pk.begin(), pk.end()), msg);
   return q.Eq(e, e2);

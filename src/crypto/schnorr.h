@@ -10,14 +10,48 @@
 // Group parameters are DSA-style: q a 256-bit prime, p = q*m + 1 a 512-bit
 // prime, g of order q. Parameters are generated deterministically from a
 // fixed seed (they are public), so every process agrees on the group.
+//
+// Both verification exponentiations have a fixed base -- the generator g and
+// the CA key -- so they run over precomputed FixedBaseTables (Lim-Lee comb).
+// The group owns g's table; a CA key's table is shared process-wide and lives
+// exactly as long as something pins it (see PinKeyTable).
 #pragma once
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "field/fp.h"
 
 namespace pisces::crypto {
+
+// Lim-Lee fixed-base comb with kTeeth teeth: entry i (0 <= i < 2^kTeeth) is
+// prod_{bit j of i} base^(2^(j*cols)), stored at the modulus width. For an
+// exponent of at most kTeeth*cols bits, base^e costs cols-1 squarings plus
+// at most cols multiplies. Read-only after construction, so one table may be
+// shared across threads.
+class FixedBaseTable {
+ public:
+  static constexpr std::size_t kTeeth = 8;
+
+  // Covers exponents of up to `exp_bits` bits, rounded up to a multiple of
+  // kTeeth.
+  FixedBaseTable(std::shared_ptr<const field::FpCtx> ctx,
+                 const field::FpElem& base, std::size_t exp_bits);
+
+  // base^e for big-endian e: identical to ctx.PowBytes(base, e_be). An
+  // exponent wider than the table falls back to PowBytes.
+  field::FpElem Pow(std::span<const std::uint8_t> e_be) const;
+
+ private:
+  field::FpElem Entry(std::size_t i) const;
+
+  std::shared_ptr<const field::FpCtx> ctx_;
+  std::size_t k_;     // limbs per entry
+  std::size_t cols_;  // comb columns: exponent bits per tooth
+  std::vector<std::uint64_t> entries_;  // 2^kTeeth entries of k_ limbs
+};
 
 class SchnorrGroup {
  public:
@@ -32,6 +66,17 @@ class SchnorrGroup {
   const field::FpCtx& p_ctx() const { return *p_ctx_; }
   const field::FpCtx& q_ctx() const { return *q_ctx_; }
   const field::FpElem& g() const { return g_; }
+  // The comb table for g, built with the group.
+  const FixedBaseTable& g_table() const { return *g_table_; }
+
+  // The process-wide comb table for public key `pk` (keyed on modulus plus
+  // key bytes), built on first pin. Holders keep it alive; once the last one
+  // lets go it is freed. nullptr when `pk` is not a group element encoding.
+  std::shared_ptr<const FixedBaseTable> PinKeyTable(
+      std::span<const std::uint8_t> pk) const;
+  // The table some holder currently pins for `pk`, or nullptr. Never builds.
+  std::shared_ptr<const FixedBaseTable> FindKeyTable(
+      std::span<const std::uint8_t> pk) const;
 
   // Scalar (mod q) <-> big-endian bytes of fixed q-width.
   Bytes ScalarToBe(const field::FpElem& s) const;
@@ -42,12 +87,14 @@ class SchnorrGroup {
 
  private:
   SchnorrGroup(std::shared_ptr<field::FpCtx> p_ctx,
-               std::shared_ptr<field::FpCtx> q_ctx, field::FpElem g)
-      : p_ctx_(std::move(p_ctx)), q_ctx_(std::move(q_ctx)), g_(g) {}
+               std::shared_ptr<field::FpCtx> q_ctx, field::FpElem g);
+
+  std::string TableKey(std::span<const std::uint8_t> pk) const;
 
   std::shared_ptr<field::FpCtx> p_ctx_;
   std::shared_ptr<field::FpCtx> q_ctx_;
   field::FpElem g_;
+  std::shared_ptr<const FixedBaseTable> g_table_;
 };
 
 struct SchnorrKeyPair {
@@ -69,6 +116,8 @@ SchnorrSignature SchnorrSign(const SchnorrGroup& group,
                              std::span<const std::uint8_t> sk,
                              std::span<const std::uint8_t> msg, Rng& rng);
 
+// Uses pk's comb table when some holder pins one (group.FindKeyTable),
+// square-and-multiply otherwise; the verdict is the same either way.
 bool SchnorrVerify(const SchnorrGroup& group, std::span<const std::uint8_t> pk,
                    std::span<const std::uint8_t> msg,
                    const SchnorrSignature& sig);

@@ -1,6 +1,7 @@
 #include "field/fp.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "field/fp_kernels.h"
 #include "obs/registry.h"
@@ -136,7 +137,7 @@ FpCtx::FpCtx(std::span<const std::uint8_t> modulus_be,
   Require(!modulus_be.empty(), "FpCtx: empty modulus");
   p_ = LimbsFromBe(modulus_be);
   bits_ = BitLengthN(p_.data(), kMaxLimbs);
-  Require(bits_ > 8, "FpCtx: modulus too small");
+  Require(bits_ > 1, "FpCtx: modulus too small");
   k_ = (bits_ + 63) / 64;
   Require((p_[0] & 1) != 0, "FpCtx: modulus must be odd");
   // Montgomery reduction with a single trailing conditional subtraction needs
@@ -389,25 +390,61 @@ FpElem FpCtx::PowUint64(const FpElem& a, u64 e) const {
 
 FpElem FpCtx::Inv(const FpElem& a) const {
   Require(!IsZero(a), "Inv: zero has no inverse");
-  // exponent = p - 2, big-endian.
-  Limbs e = p_;
-  Limbs two{};
-  two[0] = 2;
-  SubN(e.data(), e.data(), two.data(), k_);
-  Bytes be(k_ * 8);
-  for (std::size_t i = 0; i < k_; ++i) {
-    for (std::size_t b = 0; b < 8; ++b) {
-      be[k_ * 8 - 1 - (8 * i + b)] = static_cast<std::uint8_t>(e[i] >> (8 * b));
+  // Binary extended Euclid on the plain residue, keeping x1*a == u and
+  // x2*a == v (mod p). Needs only an odd modulus: u reaches zero exactly
+  // when gcd(a, p) > 1, and otherwise u or v reaches one.
+  const std::size_t k = k_;
+  Limbs u = FromMont(a), v = p_, x1{}, x2{};
+  x1[0] = 1;
+  // Strips the trailing zero bits of y (y even, nonzero) and divides x by
+  // the same power of two mod p: adding m*p with m = x*(-1/p) mod 2^s
+  // clears the low s bits of x, and (x + m*p) / 2^s < p.
+  auto strip = [&](Limbs& y, Limbs& x) {
+    while ((y[0] & 1) == 0) {
+      const unsigned s = y[0] != 0 ? std::countr_zero(y[0]) : 63;
+      const u64 m = (x[0] * n0inv_) & ((u64{1} << s) - 1);
+      u64 carry = 0;
+      for (std::size_t i = 0; i < k; ++i) {
+        const u128 cur = static_cast<u128>(m) * p_[i] + x[i] + carry;
+        x[i] = static_cast<u64>(cur);
+        carry = static_cast<u64>(cur >> 64);
+      }
+      for (std::size_t i = 0; i + 1 < k; ++i) {
+        x[i] = (x[i] >> s) | (x[i + 1] << (64 - s));
+        y[i] = (y[i] >> s) | (y[i + 1] << (64 - s));
+      }
+      x[k - 1] = (x[k - 1] >> s) | (carry << (64 - s));
+      y[k - 1] >>= s;
+    }
+  };
+  auto is_one = [k](const Limbs& y) {
+    return y[0] == 1 && IsZeroN(y.data() + 1, k - 1);
+  };
+  auto sub_mod = [&](Limbs& x, const Limbs& y) {
+    if (SubN(x.data(), x.data(), y.data(), k)) {
+      AddN(x.data(), x.data(), p_.data(), k);
+    }
+  };
+  while (!is_one(u) && !is_one(v)) {
+    strip(u, x1);
+    strip(v, x2);
+    if (CmpN(u.data(), v.data(), k) >= 0) {
+      SubN(u.data(), u.data(), v.data(), k);
+      sub_mod(x1, x2);
+      Require(!IsZeroN(u.data(), k), "Inv: element is not invertible");
+    } else {
+      SubN(v.data(), v.data(), u.data(), k);
+      sub_mod(x2, x1);
     }
   }
-  return PowBytes(a, be);
+  return ToMont(is_one(u) ? x1 : x2);
 }
 
 void FpCtx::BatchInv(std::span<FpElem> elems) const {
   if (elems.empty()) return;
-  // A zero element would silently poison every prefix product from its
-  // position on (Inv of the zero total is 0^{p-2} = 0, so the unwind would
-  // hand back garbage for ALL entries, not just the zero one). Scan first --
+  // A zero element would poison every prefix product from its position on
+  // (the zero total has no inverse, so no entry could be inverted, not just
+  // the zero one). Scan first --
   // one cheap limb compare per element -- and take the compacting path only
   // when a zero is actually present, so the common all-nonzero case runs the
   // straight-line trick unchanged.

@@ -9,7 +9,8 @@
 //
 // The context also works for any odd modulus (Montgomery requires only
 // oddness); modular exponentiation with non-prime-field use is what the
-// Schnorr signature substrate builds on. Inv() requires a prime modulus.
+// Schnorr signature substrate builds on. Inv() is exact for any odd modulus
+// and throws when the element has no inverse.
 #pragma once
 
 #include <cstdint>
@@ -98,15 +99,16 @@ class FpCtx {
   FpElem PowBytes(const FpElem& a, std::span<const std::uint8_t> e_be) const;
   // a^e for small exponents.
   FpElem PowUint64(const FpElem& a, std::uint64_t e) const;
-  // a^{p-2}; requires prime modulus and a != 0.
+  // a^{-1} by binary extended Euclid (docs/field_kernels.md). Throws
+  // InvalidArgument when a is zero or shares a factor with the modulus.
   FpElem Inv(const FpElem& a) const;
   // Inverts every element in place with Montgomery's batch-inversion trick:
   // one Inv plus 3(m-1) multiplications. Zero elements are left at zero (0
   // has no inverse): the all-nonzero fast path is guarded by a cheap scan,
   // and a batch containing zeros is inverted through a compacted view rather
   // than letting a zero prefix product poison every later entry.
-  // Interpolation over many points lives on this (a plain Inv is a full
-  // modular exponentiation -- prohibitive at g = 1024/2048).
+  // Interpolation over many points lives on this (one Inv costs over a
+  // hundred multiplications at g = 1024/2048).
   void BatchInv(std::span<FpElem> elems) const;
 
   bool IsZero(const FpElem& a) const;

@@ -53,6 +53,8 @@ constexpr KindInfo kKinds[static_cast<std::size_t>(SpanKind::kCount)] = {
     {"reshare.session", "proto", nullptr},
     {"reshare.file", "proto", nullptr},
     {"serving.reshard", "serving", nullptr},
+    {"crypto.verify_cert", "crypto", nullptr},
+    {"crypto.sign", "crypto", nullptr},
 };
 
 const KindInfo& Info(SpanKind k) {

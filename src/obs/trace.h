@@ -60,6 +60,8 @@ enum class SpanKind : std::uint32_t {
   kReshare,            // one fleet migration to (n', t'); a = #files, b = n'
   kReshareFile,        // one file's reshare round; a = file, b = attempt
   kReshardShard,       // one serving-plane shard reshard; a = shard, b = epoch
+  kCertVerify,         // CA signature check of a host cert; a = host, b = epoch
+  kSign,               // CA issues a signed host keypair; a = host, b = epoch
   kCount
 };
 

@@ -443,7 +443,7 @@ void Client::HandleMessage(const Message& msg) {
       case MsgType::kHostCert: {
         crypto::HostCert cert = crypto::HostCert::Deserialize(msg.payload);
         if (cert.host_id != msg.from) return;
-        InstallPeerCert(cert);  // verifies the CA signature; throws if forged
+        InstallPeerCert(cert);  // throws if a newer cert is forged
         return;
       }
       case MsgType::kPhaseDone: {

@@ -35,7 +35,9 @@ struct FileMeta {
 class FileCodec {
  public:
   FileCodec(const field::FpCtx& ctx, std::size_t packing)
-      : ctx_(&ctx), l_(packing) {}
+      : ctx_(&ctx), l_(packing) {
+    Require(ctx.payload_bytes() > 0, "FileCodec: field too small");
+  }
 
   // Number of elements/blocks a file of `size` bytes occupies.
   std::uint64_t ElemsFor(std::uint64_t size) const;

@@ -187,7 +187,7 @@ void Host::OnHostCert(const Message& msg) {
     LogWarn() << "host " << cfg_.id << ": cert/id mismatch from " << msg.from;
     return;
   }
-  InstallPeerCert(cert);  // verifies the CA signature; throws if forged
+  InstallPeerCert(cert);  // throws if a newer cert is forged
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 // Crypto substrate tests against published vectors (FIPS 180-4, RFC 4231,
-// RFC 5869, RFC 8439) plus behavioural tests for Schnorr, the CA, and the
-// secure channel.
+// RFC 5869, RFC 8439) plus behavioural tests for Schnorr, the CA, the
+// fixed-base comb tables, and the secure channel.
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <thread>
 
 #include "crypto/ca.h"
 #include "crypto/chacha20.h"
@@ -12,6 +15,9 @@
 
 namespace pisces::crypto {
 namespace {
+
+using field::FpCtx;
+using field::FpElem;
 
 Bytes Ascii(std::string_view s) {
   return Bytes(s.begin(), s.end());
@@ -307,6 +313,172 @@ TEST_F(ChannelTest, EpochSeparation) {
   auto b2 = MakeChannel(group_, b_keys_.sk, a_keys_.pk, 2, 20, 10);
   Bytes frame = a1.Seal(Ascii("cross-epoch"));
   EXPECT_FALSE(b2.Open(frame).has_value());
+}
+
+// --- fixed-base comb tables ------------------------------------------------
+
+// Edge exponents 0, 1, q-1, 2^256-1 plus `randoms` seeded q-width draws and
+// as many full 256-bit draws (wider than a small group's table: the
+// square-and-multiply fallback).
+std::vector<Bytes> CombExponents(const SchnorrGroup& group, Rng& rng,
+                                 int randoms) {
+  const FpCtx& q = group.q_ctx();
+  std::vector<Bytes> out;
+  out.push_back(Bytes(q.elem_bytes(), 0));
+  out.push_back(group.ScalarToBe(q.One()));
+  out.push_back(group.ScalarToBe(q.Neg(q.One())));
+  out.push_back(Bytes(32, 0xff));
+  for (int i = 0; i < randoms; ++i) {
+    out.push_back(group.ScalarToBe(q.Random(rng)));
+    out.push_back(rng.RandomBytes(32));
+  }
+  return out;
+}
+
+void ExpectCombMatchesPowBytes(const SchnorrGroup& group, Rng& rng) {
+  const FpCtx& p = group.p_ctx();
+  const SchnorrKeyPair ca = SchnorrKeygen(group, rng);
+  const auto ca_table = group.PinKeyTable(ca.pk);
+  ASSERT_NE(ca_table, nullptr);
+  const FpElem y = p.FromBytes(ca.pk);
+  for (const Bytes& e : CombExponents(group, rng, 100)) {
+    EXPECT_EQ(group.g_table().Pow(e), p.PowBytes(group.g(), e)) << ToHex(e);
+    EXPECT_EQ(ca_table->Pow(e), p.PowBytes(y, e)) << ToHex(e);
+  }
+}
+
+TEST(CryptoComb, MatchesPowBytesOnDefaultGroup) {
+  Rng rng(71);
+  ExpectCombMatchesPowBytes(SchnorrGroup::Default(), rng);
+}
+
+TEST(CryptoComb, MatchesPowBytesOnSmallGroup) {
+  Rng gen(72);
+  const SchnorrGroup small = SchnorrGroup::Generate(gen, 128, 64);
+  Rng rng(73);
+  ExpectCombMatchesPowBytes(small, rng);
+}
+
+TEST(CryptoComb, KeyTableLivesExactlyAsLongAsItsHolders) {
+  const SchnorrGroup& group = SchnorrGroup::Default();
+  Rng rng(74);
+  Bytes ca_pk;
+  {
+    CertAuthority ca(group, rng);
+    ca_pk = ca.public_key();
+    // The authority pins its own key's table.
+    const auto held = group.FindKeyTable(ca_pk);
+    ASSERT_NE(held, nullptr);
+    EXPECT_EQ(group.PinKeyTable(ca_pk), held) << "one table per key";
+    PeerKeyring keyring(group, ca_pk, 1, true);
+    EXPECT_EQ(group.FindKeyTable(ca_pk), held);
+  }
+  EXPECT_EQ(group.FindKeyTable(ca_pk), nullptr) << "freed with its holders";
+  {
+    PeerKeyring keyring(group, ca_pk, 1, true);
+    EXPECT_NE(group.FindKeyTable(ca_pk), nullptr) << "a keyring pins it too";
+  }
+  EXPECT_EQ(group.FindKeyTable(ca_pk), nullptr);
+}
+
+TEST(CryptoComb, UnparseableCaKeyGetsNoTableAndFailsVerification) {
+  const SchnorrGroup& group = SchnorrGroup::Default();
+  Rng rng(75);
+  CertAuthority ca(group, rng);
+  const auto [cert, sk] = ca.IssueHostKey(3, 1, rng);
+  // Little-endian all-ones is >= p: not a group element encoding.
+  const Bytes bad(group.p_ctx().elem_bytes(), 0xff);
+  EXPECT_EQ(group.PinKeyTable(bad), nullptr);
+  EXPECT_FALSE(CertAuthority::VerifyCert(group, bad, cert));
+  PeerKeyring keyring(group, bad, 1, true);
+  EXPECT_FALSE(keyring.Verifies(cert));
+  EXPECT_THROW(keyring.Install(cert), InvalidArgument);
+}
+
+TEST(CryptoComb, VerifyWithoutAnyHolderStillChecksTheSignature) {
+  const SchnorrGroup& group = SchnorrGroup::Default();
+  Rng rng(76);
+  HostCert cert;
+  Bytes ca_pk;
+  {
+    CertAuthority ca(group, rng);
+    cert = ca.IssueHostKey(2, 4, rng).first;
+    ca_pk = ca.public_key();
+  }
+  ASSERT_EQ(group.FindKeyTable(ca_pk), nullptr);
+  EXPECT_TRUE(CertAuthority::VerifyCert(group, ca_pk, cert));
+  cert.epoch += 1;
+  EXPECT_FALSE(CertAuthority::VerifyCert(group, ca_pk, cert));
+}
+
+TEST(CryptoComb, ConcurrentVerifyWhileKeyringsComeAndGo) {
+  const SchnorrGroup& group = SchnorrGroup::Default();
+  Rng rng(77);
+  // The authorities go away after issuing, so only the churning keyrings
+  // pin their tables: tables are built, shared and freed under the verifiers.
+  std::vector<Bytes> ca_pks;
+  std::vector<HostCert> certs;
+  for (int c = 0; c < 2; ++c) {
+    CertAuthority ca(group, rng);
+    ca_pks.push_back(ca.public_key());
+    certs.push_back(ca.IssueHostKey(static_cast<std::uint32_t>(c), 1, rng).first);
+  }
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < 12; ++i) {
+        const std::size_t ca = static_cast<std::size_t>((t + i) % 2);
+        if (t % 2 == 0) {
+          PeerKeyring keyring(group, ca_pks[ca], 100 + t, true);
+          if (!keyring.Verifies(certs[ca])) ++wrong;
+          if (keyring.Verifies(certs[1 - ca])) ++wrong;
+        } else {
+          if (!CertAuthority::VerifyCert(group, ca_pks[ca], certs[ca])) ++wrong;
+          if (CertAuthority::VerifyCert(group, ca_pks[ca], certs[1 - ca])) {
+            ++wrong;
+          }
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(group.FindKeyTable(ca_pks[0]), nullptr);
+  EXPECT_EQ(group.FindKeyTable(ca_pks[1]), nullptr);
+}
+
+// --- keyring install ------------------------------------------------------
+
+TEST(CryptoKeyring, StaleForgedCertIsIgnoredNewerForgedCertThrows) {
+  const SchnorrGroup& group = SchnorrGroup::Default();
+  Rng rng(78);
+  CertAuthority ca(group, rng);
+  CertAuthority evil(group, rng);
+  auto [cert1, sk1] = ca.IssueHostKey(1, 5, rng);
+  auto [cert2, sk2] = ca.IssueHostKey(2, 5, rng);
+  PeerKeyring a(group, ca.public_key(), 1, true);
+  PeerKeyring b(group, ca.public_key(), 2, true);
+  a.SetIdentity(5, sk1);
+  b.SetIdentity(5, sk2);
+  a.Install(cert2);
+  b.Install(cert1);
+  ASSERT_EQ(b.Open(1, a.Seal(2, Ascii("before"))), Ascii("before"));
+
+  // Same-epoch and older forgeries are dropped before any signature check.
+  for (std::uint32_t epoch : {5u, 3u}) {
+    const HostCert forged = evil.IssueHostKey(2, epoch, rng).first;
+    EXPECT_NO_THROW(a.Install(forged));
+    ASSERT_NE(a.Cert(2), nullptr);
+    EXPECT_EQ(a.Cert(2)->Serialize(), cert2.Serialize());
+  }
+  // The channel was not re-derived: its nonce counter ran on, so the peer
+  // (which would reject a restarted counter as a replay) opens the frame.
+  EXPECT_EQ(b.Open(1, a.Seal(2, Ascii("after"))), Ascii("after"));
+
+  const HostCert newer = evil.IssueHostKey(2, 6, rng).first;
+  EXPECT_THROW(a.Install(newer), InvalidArgument);
+  EXPECT_EQ(a.Cert(2)->Serialize(), cert2.Serialize());
 }
 
 }  // namespace

@@ -207,6 +207,62 @@ TEST(FpCtx, PayloadBytesLeaveHeadroom) {
   EXPECT_EQ(ctx.elem_bytes(), 32u);
 }
 
+// Binary-Euclid Inv against the Fermat exponentiation a^(p-2) at every
+// standard width, on both kernel dispatch modes.
+class FieldInvTest
+    : public ::testing::TestWithParam<std::tuple<std::size_t, KernelDispatch>> {
+};
+
+TEST_P(FieldInvTest, MatchesFermat) {
+  const auto [bits, dispatch] = GetParam();
+  const FpCtx ctx(StandardPrimeBe(bits), dispatch);
+  const std::size_t k = ctx.limbs();
+  Rng rng(0x1A7 ^ bits);
+  const Bytes p_be = ctx.ModulusBytes();
+  Limbs p{};
+  for (std::size_t i = 0; i < p_be.size(); ++i) {
+    const std::size_t lo = p_be.size() - 1 - i;  // byte index from the LSB
+    p[lo / 8] |= std::uint64_t{p_be[i]} << (8 * (lo % 8));
+  }
+  Limbs e = p, half = p, two{}, one{};
+  two[0] = 2;
+  one[0] = 1;
+  SubN(e.data(), e.data(), two.data(), k);  // p - 2
+  AddN(half.data(), half.data(), one.data(), k);
+  ShiftRight1(half.data(), k);  // (p + 1) / 2
+  Bytes e_be(ctx.elem_bytes()), half_le(ctx.elem_bytes());
+  for (std::size_t i = 0; i < ctx.elem_bytes(); ++i) {
+    const unsigned shift = 8 * (i % 8);
+    e_be[ctx.elem_bytes() - 1 - i] = static_cast<std::uint8_t>(e[i / 8] >> shift);
+    half_le[i] = static_cast<std::uint8_t>(half[i / 8] >> shift);
+  }
+  std::vector<FpElem> as = {ctx.One(), ctx.FromUint64(2), ctx.Neg(ctx.One()),
+                            ctx.FromBytes(half_le)};
+  for (int i = 0; i < 300; ++i) as.push_back(ctx.RandomNonZero(rng));
+  for (const FpElem& a : as) {
+    const FpElem inv = ctx.Inv(a);
+    EXPECT_EQ(inv, ctx.PowBytes(a, e_be));
+    EXPECT_EQ(ctx.Mul(a, inv), ctx.One());
+  }
+  EXPECT_EQ(ctx.Inv(ctx.FromUint64(2)), ctx.FromBytes(half_le));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllFieldSizes, FieldInvTest,
+    ::testing::Combine(::testing::Values(256, 512, 1024, 2048),
+                       ::testing::Values(KernelDispatch::kAuto,
+                                         KernelDispatch::kGeneric)));
+
+TEST(FieldInv, CompositeModulus) {
+  // Fermat's a^(p-2) is not an inverse mod 15 (2^13 mod 15 = 2); Euclid is.
+  const FpCtx ctx(Bytes{15});
+  EXPECT_EQ(ctx.ToUint64(ctx.Inv(ctx.FromUint64(2))), 8u);
+  EXPECT_EQ(ctx.ToUint64(ctx.Inv(ctx.FromUint64(7))), 13u);
+  EXPECT_THROW(ctx.Inv(ctx.FromUint64(3)), InvalidArgument);
+  EXPECT_THROW(ctx.Inv(ctx.FromUint64(10)), InvalidArgument);
+  EXPECT_THROW(ctx.Inv(ctx.Zero()), InvalidArgument);
+}
+
 TEST(Rng, DeterministicAndForkIndependent) {
   Rng a(42), b(42);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.Next(), b.Next());
