@@ -168,6 +168,12 @@ FpCtx::FpCtx(std::span<const std::uint8_t> modulus_be,
   for (std::size_t i = 0; i < 64 * k_; ++i) double_mod(x);
   r2_.v = x;  // R^2 mod p
 
+  lz_ = static_cast<unsigned>(64 * k_ - bits_);
+  top_norm_ = p_[k_ - 1] << lz_;
+  if (lz_ != 0 && k_ > 1) top_norm_ |= p_[k_ - 2] >> (64 - lz_);
+  // floor((2^128 - 1) / top_norm_) lies in [2^64, 2^65): the cast drops 2^64.
+  top_recip_ = static_cast<u64>(~u128{0} / top_norm_);
+
   if (dispatch == KernelDispatch::kAuto) {
     kernels_ = kernels::KernelsForWidth(k_);
     if (kernels_ != nullptr) kernel_width_ = k_;
@@ -362,6 +368,57 @@ FpElem FpCtx::Dot(std::span<const FpElem> a, std::span<const FpElem> b) const {
   }
   FpElem r;
   MulInto(u.v.data(), two64m_.v.data(), r.v.data());
+  return r;
+}
+
+FpElem FpCtx::MulU64Add(const FpElem& a, u64 s, const FpElem& b) const {
+  // t = a*s + b <= (p-1)*2^64 < p*2^64 in k+1 limbs: the quotient
+  // q = floor(t/p) is one word.
+  const std::size_t k = k_;
+  u64 t[kMaxLimbs + 1];
+  u64 carry = 0;
+  for (std::size_t j = 0; j < k; ++j) {
+    const u128 cur = static_cast<u128>(a.v[j]) * s + b.v[j] + carry;
+    t[j] = static_cast<u64>(cur);
+    carry = static_cast<u64>(cur >> 64);
+  }
+  t[k] = carry;
+  // (u1, u0) are the top two words of t << lz_, and top_norm_ is the top
+  // word of p << lz_. Knuth's estimate
+  // qh = min(floor((u1*2^64 + u0) / top_norm_), 2^64 - 1) satisfies
+  // q <= qh <= q + 2. Below u1 == top_norm_ the 2/1 division is exact via
+  // the reciprocal: two word multiplies and at most two adjustments.
+  u64 u1 = t[k], u0 = t[k - 1];
+  if (lz_ != 0) {
+    u1 = (u1 << lz_) | (u0 >> (64 - lz_));
+    u0 = (u0 << lz_) | (k > 1 ? t[k - 2] >> (64 - lz_) : 0);
+  }
+  u64 qh = ~u64{0};
+  if (u1 < top_norm_) {
+    const u128 est = static_cast<u128>(top_recip_) * u1 +
+                     ((static_cast<u128>(u1) << 64) | u0);
+    qh = static_cast<u64>(est >> 64) + 1;
+    u64 rem = u0 - qh * top_norm_;
+    if (rem > static_cast<u64>(est)) {
+      --qh;
+      rem += top_norm_;
+    }
+    if (rem >= top_norm_) ++qh;
+  }
+  // t - qh*p lies in [-2p, p): its top limb is zero exactly when it is
+  // nonnegative. Otherwise add p back, at most twice.
+  u64 mul_carry = 0, borrow = 0;
+  for (std::size_t j = 0; j < k; ++j) {
+    const u128 prod = static_cast<u128>(qh) * p_[j] + mul_carry;
+    mul_carry = static_cast<u64>(prod >> 64);
+    const u128 d = static_cast<u128>(t[j]) - static_cast<u64>(prod) - borrow;
+    t[j] = static_cast<u64>(d);
+    borrow = static_cast<u64>((d >> 64) & 1);
+  }
+  t[k] -= mul_carry + borrow;  // mul_carry <= 2^64 - 2: no wrap
+  while (t[k] != 0) t[k] += AddN(t, t, p_.data(), k);
+  FpElem r;
+  std::copy(t, t + k, r.v.data());
   return r;
 }
 

@@ -91,8 +91,13 @@ class FpCtx {
   // Lazy-reduction dot product: sum_i a[i]*b[i] with ONE Montgomery reduction
   // for the whole sum instead of one per product. Bit-identical to the naive
   // Add(Mul(...)) loop; a.size() must equal b.size(). The inner loops of
-  // MulVec, Lagrange weight application, and VSS deal/transform live on this.
+  // MulVec, Lagrange weight application and share generation live on this.
   FpElem Dot(std::span<const FpElem> a, std::span<const FpElem> b) const;
+  // a*s + b for a plain integer s (not a field element): a k x 1 product
+  // and one quotient-digit reduction, no Montgomery multiply. Form-agnostic
+  // (aR*s + bR = (as+b)R), so it equals Add(Mul(a, FromUint64(s)), b) for
+  // s < p. VSS dealing evaluates at the integer holder nodes with it.
+  FpElem MulU64Add(const FpElem& a, std::uint64_t s, const FpElem& b) const;
   // a^e where e is given as big-endian bytes. Not constant-time (see rng.h
   // note: the simulator models crypto, the PSS privacy is information
   // theoretic).
@@ -148,12 +153,20 @@ class FpCtx {
   FpElem r2_;      // R^2 mod p (Montgomery form of R)
   FpElem one_;     // Montgomery form of 1 (= R mod p)
   FpElem two64m_;  // Montgomery form of 2^64: fixes up the wide reduction
+  // MulU64Add's quotient digit: the modulus shifted left by lz_ bits has top
+  // word top_norm_ (high bit set), and top_recip_ = floor((2^128 - 1) /
+  // top_norm_) - 2^64 is its 2/1 division reciprocal (Moller-Granlund), so
+  // the kernel never divides.
+  unsigned lz_ = 0;
+  std::uint64_t top_norm_ = 0;
+  std::uint64_t top_recip_ = 0;
   const kernels::KernelVTable* kernels_ = nullptr;  // null => generic path
   std::size_t kernel_width_ = 0;
 };
 
 // Streaming lazy-reduction accumulator for dot products whose terms are not
-// contiguous in memory (e.g. the VSS transform accumulating over dealers).
+// contiguous in memory (e.g. schoolbook polynomial products, or recovery
+// accumulating masked shares over survivors).
 // MulAdd accumulates double-width products with no reduction; Reduce performs
 // the single Montgomery reduction and returns the canonical sum, bit-identical
 // to folding Add(Mul(...)) term by term. At most 2^64 - 1 products may be

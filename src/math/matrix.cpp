@@ -1,19 +1,9 @@
 #include "math/matrix.h"
 
-#include "math/domain_cache.h"
+#include "common/error.h"
 #include "math/poly.h"
 
 namespace pisces::math {
-
-namespace {
-
-obs::Counter& g_hi_hits = obs::RegisterCounter(
-    "math.hi_hits", "hyperinvertible-matrix cache hits");
-obs::Counter& g_hi_misses = obs::RegisterCounter(
-    "math.hi_misses", "hyperinvertible-matrix cache misses");
-DomainCache<Matrix> g_hyperinvertible(g_hi_hits, g_hi_misses);
-
-}  // namespace
 
 Matrix Matrix::Identity(const FpCtx& ctx, std::size_t n) {
   Matrix m(n, n);
@@ -176,14 +166,6 @@ Matrix HyperInvertible(const FpCtx& ctx, std::size_t n_out, std::size_t n_in) {
     for (std::size_t i = 0; i < n_in; ++i) m.At(a, i) = rows[a][i];
   }
   return m;
-}
-
-std::shared_ptr<const Matrix> CachedHyperInvertible(const FpCtx& ctx,
-                                                    std::size_t n_out,
-                                                    std::size_t n_in) {
-  return g_hyperinvertible.Get(DomainKey(ctx).Tag(n_out).Tag(n_in), [&] {
-    return HyperInvertible(ctx, n_out, n_in);
-  });
 }
 
 }  // namespace pisces::math

@@ -9,7 +9,6 @@
 // complexity per secret.
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -68,7 +67,9 @@ Matrix Vandermonde(const FpCtx& ctx, std::span<const FpElem> xs,
 
 // The DIK hyperinvertible matrix mapping values at input nodes 1..n_in to
 // values at output nodes n_in+1..n_in+n_out of the unique degree n_in-1
-// interpolant: M[a][i] = L_i(n_in + 1 + a) over nodes {1..n_in}.
+// interpolant: M[a][i] = L_i(n_in + 1 + a) over nodes {1..n_in}. The
+// definition of the VSS transform and its test oracle; pss::VssBatch
+// applies it by finite differences without forming it.
 Matrix HyperInvertible(const FpCtx& ctx, std::size_t n_out, std::size_t n_in);
 
 // Any solution of A x = b (free variables set to zero), or nullopt when the
@@ -77,15 +78,5 @@ Matrix HyperInvertible(const FpCtx& ctx, std::size_t n_out, std::size_t n_in);
 std::optional<std::vector<FpElem>> SolveLinearSystem(const FpCtx& ctx,
                                                      Matrix a,
                                                      std::vector<FpElem> b);
-
-// Process-wide memo of HyperInvertible results. The matrix depends only on
-// the field and the shape, and every VSS batch in a cluster rebuilds the same
-// one; in a real deployment each host computes it once per epoch and
-// amortizes it over all files and recovery targets, which is what the cache
-// models. A math::DomainCache (math/domain_cache.h) keyed on the modulus and
-// shape, counted by `math.hi_hits` / `math.hi_misses`. Thread safe.
-std::shared_ptr<const Matrix> CachedHyperInvertible(const FpCtx& ctx,
-                                                    std::size_t n_out,
-                                                    std::size_t n_in);
 
 }  // namespace pisces::math

@@ -8,13 +8,12 @@ namespace pisces::math {
 namespace {
 
 obs::Counter& g_wc_hits = obs::RegisterCounter(
-    "math.wc_hits", "weight/Vandermonde/generator cache hits");
+    "math.wc_hits", "weight/generator cache hits");
 obs::Counter& g_wc_misses = obs::RegisterCounter(
-    "math.wc_misses", "weight/Vandermonde/generator cache misses");
+    "math.wc_misses", "weight/generator cache misses");
 
 DomainCache<std::vector<std::vector<FpElem>>> g_weights(g_wc_hits,
                                                         g_wc_misses);
-DomainCache<Matrix> g_vandermonde(g_wc_hits, g_wc_misses);
 DomainCache<Matrix> g_generators(g_wc_hits, g_wc_misses);
 
 }  // namespace
@@ -25,13 +24,6 @@ std::shared_ptr<const std::vector<std::vector<FpElem>>> CachedLagrangeWeights(
   return g_weights.Get(DomainKey(ctx).Points(xs).Points(eval_points), [&] {
     return LagrangeCoeffsMulti(ctx, xs, eval_points);
   });
-}
-
-std::shared_ptr<const Matrix> CachedVandermondeRows(const FpCtx& ctx,
-                                                    std::span<const FpElem> xs,
-                                                    std::size_t cols) {
-  return g_vandermonde.Get(DomainKey(ctx).Points(xs).Tag(cols),
-                           [&] { return Vandermonde(ctx, xs, cols); });
 }
 
 std::shared_ptr<const Matrix> CachedSharingGenerator(

@@ -1,10 +1,9 @@
 // Memoized point-set precomputations the protocol re-derives every window and
-// every upload: Lagrange weight sets (reconstruction, VSS check rows),
-// Vandermonde evaluation rows (deal evaluation) and the packed-sharing
-// generator matrix (share generation). All three live in math::DomainCache
-// instances (math/domain_cache.h), which state the keying, immutability and
-// eviction rules, and count into the `math.wc_hits` / `math.wc_misses`
-// registry pair.
+// every upload: Lagrange weight sets (reconstruction, VSS check rows) and the
+// packed-sharing generator matrix (share generation). Both live in
+// math::DomainCache instances (math/domain_cache.h), which state the keying,
+// immutability and eviction rules, and count into the `math.wc_hits` /
+// `math.wc_misses` registry pair.
 #pragma once
 
 #include <memory>
@@ -21,13 +20,6 @@ namespace pisces::math {
 std::shared_ptr<const std::vector<std::vector<FpElem>>> CachedLagrangeWeights(
     const FpCtx& ctx, std::span<const FpElem> xs,
     std::span<const FpElem> eval_points);
-
-// Memoized Vandermonde rows: row r holds xs[r]^0 .. xs[r]^{cols-1}. Dotting a
-// row with a coefficient vector evaluates a degree <= cols-1 polynomial at
-// xs[r]; cached so per-block evaluation stops re-deriving the powers.
-std::shared_ptr<const Matrix> CachedVandermondeRows(const FpCtx& ctx,
-                                                    std::span<const FpElem> xs,
-                                                    std::size_t cols);
 
 // Memoized generator matrix of packed Shamir sharing of degree `deg` with
 // secrets at `betas` and shares at `alphas` (the systematic generator view

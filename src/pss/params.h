@@ -14,8 +14,10 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
+#include "common/error.h"
 #include "field/fp.h"
 
 namespace pisces::pss {
@@ -54,6 +56,17 @@ class EvalPoints {
 
   const field::FpElem& alpha(std::size_t party) const { return alphas_.at(party); }
   const field::FpElem& beta(std::size_t j) const { return betas_.at(j); }
+  // The integers behind alpha(party) and beta(j), for kernels that multiply
+  // by a node as a plain integer (FpCtx::MulU64Add) instead of converting the
+  // Montgomery element back.
+  std::uint64_t alpha_node(std::size_t party) const {
+    Require(party < alphas_.size(), "EvalPoints: party out of range");
+    return betas_.size() + 1 + party;
+  }
+  std::uint64_t beta_node(std::size_t j) const {
+    Require(j < betas_.size(), "EvalPoints: beta out of range");
+    return j + 1;
+  }
   std::span<const field::FpElem> alphas() const { return alphas_; }
   std::span<const field::FpElem> betas() const { return betas_; }
 

@@ -43,7 +43,7 @@ RecoveryPlan RecoveryPlan::For(std::size_t blocks, const Params& p,
 VssBatch MakeRecoveryBatch(const PackedShamir& shamir,
                            const RecoveryPlan& plan, std::uint32_t target) {
   const Params& p = shamir.params();
-  std::vector<FpElem> vanish{shamir.points().alpha(target)};
+  std::vector<std::uint64_t> vanish{shamir.points().alpha_node(target)};
   return VssBatch(shamir.ctx(), shamir.points(), plan.survivors,
                   std::move(vanish), p.degree(), p.check_rows(), plan.groups,
                   /*recovery=*/true);

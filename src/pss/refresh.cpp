@@ -36,8 +36,10 @@ VssBatch MakeRefreshBatch(const PackedShamir& shamir, std::size_t blocks,
   }
   RefreshPlan plan = RefreshPlan::For(blocks, p, participants.size());
   std::vector<std::uint32_t> holders(participants.begin(), participants.end());
-  std::vector<FpElem> vanish(shamir.points().betas().begin(),
-                             shamir.points().betas().end());
+  std::vector<std::uint64_t> vanish(p.l);
+  for (std::size_t j = 0; j < p.l; ++j) {
+    vanish[j] = shamir.points().beta_node(j);
+  }
   return VssBatch(shamir.ctx(), shamir.points(), std::move(holders),
                   std::move(vanish), p.degree(), p.check_rows(), plan.groups);
 }

@@ -15,11 +15,11 @@ std::size_t GroupsFor(std::size_t wanted, std::size_t usable_rows) {
 
 VssBatch::VssBatch(const FpCtx& ctx, const EvalPoints& points,
                    std::vector<std::uint32_t> holders,
-                   std::vector<FpElem> vanish, std::size_t degree,
+                   std::vector<std::uint64_t> vanish, std::size_t degree,
                    std::size_t check_rows, std::size_t groups, bool recovery)
     : ctx_(&ctx),
       holders_(std::move(holders)),
-      vanish_(std::move(vanish)),
+      vanish_nodes_(std::move(vanish)),
       degree_(degree),
       check_rows_(check_rows),
       groups_(groups),
@@ -27,24 +27,33 @@ VssBatch::VssBatch(const FpCtx& ctx, const EvalPoints& points,
   Require(!holders_.empty(), "VssBatch: no holders");
   Require(check_rows_ < holders_.size(),
           "VssBatch: need at least one usable row");
-  Require(vanish_.size() <= degree_, "VssBatch: too many vanishing points");
+  Require(vanish_nodes_.size() <= degree_,
+          "VssBatch: too many vanishing points");
   Require(groups_ >= 1, "VssBatch: need at least one group");
-  holder_alphas_.reserve(holders_.size());
-  for (std::uint32_t h : holders_) holder_alphas_.push_back(points.alpha(h));
-  m_ = math::CachedHyperInvertible(*ctx_, holders_.size(), holders_.size());
-  vanishing_poly_ = math::Poly::Vanishing(*ctx_, vanish_);
-  eval_rows_ = math::CachedVandermondeRows(*ctx_, holder_alphas_, degree_ + 1);
+  // M maps nodes 1..dealers to dealers+1..2*dealers; it is hyperinvertible
+  // only while those 2*dealers nodes are distinct mod p. Transform inverts
+  // nothing, so nothing else would notice a collision.
+  std::uint64_t word_p = 0;  // the modulus, when it fits in one word
+  const Bytes modulus = ctx_->ModulusBytes();
+  for (std::uint8_t byte : modulus) word_p = (word_p << 8) | byte;
+  Require(modulus.size() > 8 || 2 * holders_.size() < word_p,
+          "VssBatch: need 2 * dealers < p");
+  for (std::uint32_t h : holders_) {
+    holder_nodes_.push_back(points.alpha_node(h));
+  }
   Require(holders_.size() >= degree_ + 1,
           "VssBatch: verification needs degree+1 holders");
   // One weight vector per extra holder point (degree check) and per vanish
   // point (zero check), sharing one batch inversion. Every refresh window
   // rebuilds a batch with the same point sets, so the weights are memoized.
-  std::vector<FpElem> eval_points(holder_alphas_.begin() + degree_ + 1,
-                                  holder_alphas_.end());
+  const std::vector<FpElem> alphas = points.AlphasOf(holders_);
+  std::vector<FpElem> eval_points(alphas.begin() + degree_ + 1, alphas.end());
   n_extra_ = eval_points.size();
-  eval_points.insert(eval_points.end(), vanish_.begin(), vanish_.end());
+  for (std::uint64_t v : vanish_nodes_) {
+    eval_points.push_back(ctx_->FromUint64(v));
+  }
   check_weights_ = math::CachedLagrangeWeights(
-      *ctx_, std::span<const FpElem>(holder_alphas_.data(), degree_ + 1),
+      *ctx_, std::span<const FpElem>(alphas.data(), degree_ + 1),
       eval_points);
 }
 
@@ -58,7 +67,8 @@ std::vector<math::Poly> VssBatch::DrawDealRandomness(Rng& rng) const {
   std::vector<math::Poly> us;
   us.reserve(groups_);
   for (std::size_t g = 0; g < groups_; ++g) {
-    us.push_back(math::Poly::Random(*ctx_, rng, degree_ - vanish_.size()));
+    us.push_back(
+        math::Poly::Random(*ctx_, rng, degree_ - vanish_nodes_.size()));
   }
   return us;
 }
@@ -71,17 +81,29 @@ std::vector<std::vector<FpElem>> VssBatch::DealFrom(
   obs::Span span(obs::SpanKind::kVssDeal, groups_, nh);
   std::vector<std::vector<FpElem>> out(
       nh, std::vector<FpElem>(groups_, ctx_->Zero()));
-  // Each group is independent pure compute: z_g = W * u_g evaluated at every
-  // holder point via the cached Vandermonde rows. out[k][g] slots are owned
-  // by (k, g), so the per-group fan-out is deterministic for any pool size.
+  // Each group is independent pure compute; out[k][g] slots are owned by
+  // (k, g), so the per-group fan-out is deterministic for any pool size.
   GlobalPool().ParallelFor(
       0, groups_,
       [&](std::size_t g) {
-        math::Poly z = math::Poly::Mul(*ctx_, vanishing_poly_, us[g]);
-        const std::vector<FpElem>& c = z.coeffs();
+        // z_g = u_g * prod (x - v): multiplying by (x - v) maps coefficient
+        // i to c[i-1] - v*c[i], updated top-down in place.
+        std::vector<FpElem> c = us[g].coeffs();
+        for (std::uint64_t v : vanish_nodes_) {
+          c.push_back(ctx_->Zero());
+          for (std::size_t i = c.size(); i-- > 0;) {
+            c[i] = ctx_->MulU64Add(ctx_->Neg(c[i]), v,
+                                   i > 0 ? c[i - 1] : ctx_->Zero());
+          }
+        }
         Invariant(c.size() <= degree_ + 1, "DealFrom: dealing degree too high");
+        if (c.empty()) return;
         for (std::size_t k = 0; k < nh; ++k) {
-          out[k][g] = ctx_->Dot(eval_rows_->Row(k).first(c.size()), c);
+          FpElem acc = c.back();
+          for (std::size_t i = c.size() - 1; i-- > 0;) {
+            acc = ctx_->MulU64Add(acc, holder_nodes_[k], c[i]);
+          }
+          out[k][g] = acc;
         }
       },
       extra_cpu_ns);
@@ -116,24 +138,28 @@ std::vector<std::vector<FpElem>> VssBatch::Transform(
   std::vector<std::vector<FpElem>> out(
       nh, std::vector<FpElem>(groups_, ctx_->Zero()));
 
-  // Static partition over output rows: each row a is owned by exactly one
-  // chunk, so results are deterministic regardless of scheduling.
+  // Per group, x holds f(1..nh) for the group's degree < nh polynomial f.
+  // Differencing in place leaves x[nh-1-j] = (backward difference)^j f(nh);
+  // the top one is constant, so each pass of prefix sums moves the whole
+  // table one node right and leaves f(nh + 1 + a) in x[nh-1] on pass a.
+  // Static partition over groups: each chunk owns out[.][g] for its groups,
+  // so results are deterministic regardless of scheduling.
   GlobalPool().ParallelChunks(
-      0, nh,
-      [&](std::size_t a_begin, std::size_t a_end) {
-        // Lazy accumulation: one DotAcc per (row, group), fed across dealers
-        // in the same cache-friendly i-outer order, reduced once per output.
-        std::vector<field::DotAcc> accs(groups_, field::DotAcc(*ctx_));
-        for (std::size_t a = a_begin; a < a_end; ++a) {
-          for (auto& acc : accs) acc.Reset();
-          for (std::size_t i = 0; i < nh; ++i) {
-            const FpElem& m_ai = m_->At(a, i);
-            for (std::size_t g = 0; g < groups_; ++g) {
-              accs[g].MulAdd(m_ai, deals_by_dealer[i][g]);
+      0, groups_,
+      [&](std::size_t g_begin, std::size_t g_end) {
+        std::vector<FpElem> x(nh);
+        for (std::size_t g = g_begin; g < g_end; ++g) {
+          for (std::size_t i = 0; i < nh; ++i) x[i] = deals_by_dealer[i][g];
+          for (std::size_t j = 1; j < nh; ++j) {
+            for (std::size_t i = 0; i + j < nh; ++i) {
+              x[i] = ctx_->Sub(x[i + 1], x[i]);
             }
           }
-          for (std::size_t g = 0; g < groups_; ++g) {
-            out[a][g] = accs[g].Reduce();
+          for (std::size_t a = 0; a < nh; ++a) {
+            for (std::size_t m = 1; m < nh; ++m) {
+              x[m] = ctx_->Add(x[m], x[m - 1]);
+            }
+            out[a][g] = x[nh - 1];
           }
         }
       },

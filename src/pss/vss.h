@@ -6,7 +6,8 @@
 //   1. every dealer samples G random degree-<=d polynomials that vanish on a
 //      designated point set V and sends each holder its evaluations (Deal);
 //   2. every holder applies a hyperinvertible matrix M across the dealer
-//      dimension, producing `dealers` output sharings per group;
+//      dimension, producing `dealers` output sharings per group (M is the
+//      Lagrange map between integer nodes, applied by finite differences);
 //   3. the first 2t output rows are opened toward verifier parties, who check
 //      degree <= d and vanishing on V (Check/Verdict);
 //   4. the remaining dealers-2t rows are guaranteed uniformly random
@@ -23,7 +24,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "math/matrix.h"
 #include "math/poly.h"
 #include "pss/params.h"
 #include "pss/tamper.h"
@@ -37,14 +37,16 @@ using field::FpElem;
 class VssBatch {
  public:
   // `holders` are the live parties (dealer set == holder set), in a globally
-  // agreed order. `vanish` is V. `degree` is d. `ctx` must outlive the batch.
+  // agreed order. `vanish` is V, given by its integer nodes (EvalPoints'
+  // alpha_node/beta_node). `degree` is d. `ctx` must outlive the batch.
   // `recovery` marks recovery-mask batches (set by MakeRecoveryBatch); it
   // cannot be inferred from the vanishing set -- a refresh batch at packing
-  // l = 1 also vanishes on a single point.
+  // l = 1 also vanishes on a single point. Requires 2 * dealers < p, so that
+  // the 2 * dealers nodes of M are distinct field elements.
   VssBatch(const FpCtx& ctx, const EvalPoints& points,
-           std::vector<std::uint32_t> holders, std::vector<FpElem> vanish,
-           std::size_t degree, std::size_t check_rows, std::size_t groups,
-           bool recovery = false);
+           std::vector<std::uint32_t> holders,
+           std::vector<std::uint64_t> vanish, std::size_t degree,
+           std::size_t check_rows, std::size_t groups, bool recovery = false);
 
   const FpCtx& ctx() const { return *ctx_; }
   std::size_t dealers() const { return holders_.size(); }
@@ -73,6 +75,9 @@ class VssBatch {
   // per live party) can draw every dealer's randomness serially and then
   // evaluate all dealings in parallel. us[g] is the uniform mask polynomial
   // of group g; DealFrom is pure compute (apart from the optional tamper).
+  // It forms z_g = u_g * prod_{v in V} (x - v) one linear factor at a time
+  // and evaluates z_g at each holder by Horner, multiplying only by integer
+  // nodes (FpCtx::MulU64Add); no full field multiplication.
   std::vector<math::Poly> DrawDealRandomness(Rng& rng) const;
   std::vector<std::vector<FpElem>> DealFrom(
       std::span<const math::Poly> us, std::uint64_t* extra_cpu_ns = nullptr,
@@ -85,11 +90,13 @@ class VssBatch {
 
   // --- holder side ---
   // deals_by_dealer[i][g]: the evaluation received from dealer i (order of
-  // holders()). Returns out[a][g] for output rows a < dealers().
-  // `workers` caps the output-row fan-out (the paper's b); the chunks run on
-  // the global task pool. When extra_cpu_ns is non-null it accumulates the
-  // CPU time consumed on pool worker threads -- the caller's own chunk is
-  // visible to the caller's thread-CPU clock and is not included.
+  // holders()). Returns out[a][g] = sum_i M[a][i] * deals_by_dealer[i][g]
+  // for a < dealers(), M = math::HyperInvertible(dealers, dealers), computed
+  // by finite differences (Add/Sub only). `workers` caps the group fan-out
+  // (the paper's b); the chunks run on the global task pool. When
+  // extra_cpu_ns is non-null it accumulates the CPU time consumed on pool
+  // worker threads -- the caller's own chunk is visible to the caller's
+  // thread-CPU clock and is not included.
   std::vector<std::vector<FpElem>> Transform(
       const std::vector<std::vector<FpElem>>& deals_by_dealer,
       std::size_t workers = 1, std::uint64_t* extra_cpu_ns = nullptr) const;
@@ -109,18 +116,12 @@ class VssBatch {
  private:
   const FpCtx* ctx_;
   std::vector<std::uint32_t> holders_;
-  std::vector<FpElem> holder_alphas_;
-  std::vector<FpElem> vanish_;
+  std::vector<std::uint64_t> holder_nodes_;  // integer alphas, for Horner
+  std::vector<std::uint64_t> vanish_nodes_;  // V as integer nodes
   std::size_t degree_;
   std::size_t check_rows_;
   std::size_t groups_;
   bool recovery_ = false;
-  std::shared_ptr<const math::Matrix> m_;  // hyperinvertible, dealers^2
-  math::Poly vanishing_poly_;  // prod over V of (x - v), reused per dealing
-  // Vandermonde rows over the holder alphas (degree+1 columns): dotting row k
-  // with a dealing's coefficients evaluates it at holder k. Cached across
-  // batches with the same holder set (every window rebuilds this batch).
-  std::shared_ptr<const math::Matrix> eval_rows_;
   // Verification weights over the first degree+1 holder points: one weight
   // vector per extra holder point (degree check) followed by one per
   // vanishing point (zero check). All from a single batch inversion, cached

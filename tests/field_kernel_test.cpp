@@ -1,5 +1,6 @@
 // Differential suite for the width-specialized Montgomery kernels and the
-// lazy-reduction dot product (field/fp_kernels.h, docs/field_kernels.md).
+// lazy-reduction dot product (field/fp_kernels.h, docs/field_kernels.md),
+// and of the single-limb scalar kernel FpCtx::MulU64Add.
 //
 // The contract under test: for every standard prime size, the specialized
 // kernels (Mul, Sqr) and the lazy Dot/DotAcc produce limb-for-limb identical
@@ -187,6 +188,53 @@ TEST_P(FieldKernelTest, DotPerformsExactlyOneReductionPerOutput) {
 #endif
 }
 
+// Oracle for MulU64Add: s enters as a field element built from two 32-bit
+// halves (each below any modulus over 2^32), then one Mul and one Add.
+FpElem MulAddOracle(const FpCtx& ctx, const FpElem& a, std::uint64_t s,
+                    const FpElem& b) {
+  const FpElem s_elem = ctx.Add(
+      ctx.Mul(ctx.FromUint64(s >> 32), ctx.FromUint64(std::uint64_t{1} << 32)),
+      ctx.FromUint64(s & 0xFFFFFFFFu));
+  return ctx.Add(ctx.Mul(a, s_elem), b);
+}
+
+// The scalars where the quotient digit is extreme, then 300 random
+// (a, s, b); a and b also run over the edge operands.
+void CheckMulU64Add(const FpCtx& ctx, const std::vector<FpElem>& edges,
+                    Rng& rng) {
+  const std::uint64_t kScalars[] = {0,
+                                    1,
+                                    2,
+                                    0xFFFFFFFFu,
+                                    std::uint64_t{1} << 63,
+                                    ~std::uint64_t{0} - 1,
+                                    ~std::uint64_t{0}};
+  for (std::uint64_t s : kScalars) {
+    for (const FpElem& a : edges) {
+      for (const FpElem& b : edges) {
+        ASSERT_EQ(ctx.MulU64Add(a, s, b), MulAddOracle(ctx, a, s, b))
+            << ctx.bits() << "-bit s=" << s;
+      }
+    }
+  }
+  for (int i = 0; i < 300; ++i) {
+    const FpElem a = ctx.Random(rng), b = ctx.Random(rng);
+    const std::uint64_t s = rng.Next();
+    ASSERT_EQ(ctx.MulU64Add(a, s, b), MulAddOracle(ctx, a, s, b))
+        << ctx.bits() << "-bit s=" << s;
+  }
+}
+
+TEST_P(FieldKernelTest, MulU64AddMatchesMulThenAdd) {
+  const std::vector<FpElem> edges = Operands(0);
+  CheckMulU64Add(fast_, edges, rng_);
+  CheckMulU64Add(oracle_, edges, rng_);
+  // Montgomery form carries through: s < p as an integer gives a*s + b.
+  const FpElem a = fast_.Random(rng_), b = fast_.Random(rng_);
+  EXPECT_EQ(fast_.MulU64Add(a, 12345, b),
+            fast_.Add(fast_.Mul(a, fast_.FromUint64(12345)), b));
+}
+
 INSTANTIATE_TEST_SUITE_P(AllPrimeSizes, FieldKernelTest,
                          ::testing::Values(256, 512, 1024, 2048));
 
@@ -211,6 +259,38 @@ TEST(FieldKernelFallback, OddWidthUsesGenericAndDotStaysExact) {
   }
   EXPECT_EQ(ctx.Dot(a, b), naive);
   for (const FpElem& x : a) EXPECT_EQ(ctx.Sqr(x), ctx.Mul(x, x));
+}
+
+// MulU64Add at moduli whose top limb is not normalised (the quotient digit
+// is estimated from shifted words): 2^61 - 1 in one limb, 2^127 - 1 in two.
+// And at the odd 2^127 + 2^64 - 1, whose top word 2^63 underestimates it the
+// most: (p - 1) * (2^64 - 2) + 0 overestimates the quotient digit by two,
+// so the result needs both corrections.
+TEST(FieldKernelFallback, MulU64AddAtNonWordAlignedModuli) {
+  const Bytes m61{0x1F, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF};
+  Bytes m127(16, 0xFF);
+  m127[0] = 0x7F;
+  Bytes m127_64(16, 0);
+  m127_64[0] = 0x80;
+  for (std::size_t i = 8; i < 16; ++i) m127_64[i] = 0xFF;
+  Rng rng(0x61127);
+  for (const Bytes& m : {m61, m127, m127_64}) {
+    FpCtx ctx(m);
+    Bytes le(m.rbegin(), m.rend());
+    le[0] -= 1;  // p - 1
+    const std::vector<FpElem> edges = {ctx.Zero(), ctx.One(),
+                                       ctx.FromUint64(2), ctx.FromBytes(le)};
+    CheckMulU64Add(ctx, edges, rng);
+  }
+  // One word, p = 0x80000002dfdc1c35 (odd): for this a*s + b the reciprocal
+  // division's last adjustment (remainder still >= divisor) fires, about
+  // once in 70000 random tries; the values were found by search.
+  const FpCtx ctx(Bytes{0x80, 0x00, 0x00, 0x02, 0xDF, 0xDC, 0x1C, 0x35});
+  FpElem a, b;
+  a.v[0] = 0x80000002DFDC1C34;  // p - 1
+  b.v[0] = 0x08689D77B02C8337;
+  const std::uint64_t s = 0x86B76334B07C71D8;
+  EXPECT_EQ(ctx.MulU64Add(a, s, b), MulAddOracle(ctx, a, s, b));
 }
 
 }  // namespace

@@ -217,21 +217,6 @@ TEST_F(MathTest, HyperInvertibleActsAsInterpolationMap) {
   }
 }
 
-TEST_F(MathTest, CachedHyperInvertibleIsStable) {
-  const obs::Snapshot before = obs::TakeSnapshot();
-  auto a = CachedHyperInvertible(ctx_, 4, 4);
-  auto b = CachedHyperInvertible(ctx_, 4, 4);
-  const obs::Snapshot delta = obs::Delta(before, obs::TakeSnapshot());
-  EXPECT_EQ(a.get(), b.get());
-  EXPECT_TRUE(a->Eq(ctx_, HyperInvertible(ctx_, 4, 4)));
-  // The second lookup is a hit; the first is a miss unless an earlier test
-  // already cached this (prime, shape).
-  EXPECT_GE(obs::Value(delta, "math.hi_hits"), 1u);
-  EXPECT_EQ(obs::Value(delta, "math.hi_hits") +
-                obs::Value(delta, "math.hi_misses"),
-            2u);
-}
-
 // Every DomainCache keys on the modulus, never the FpCtx address: two live
 // contexts over one prime share each entry, a cached subproduct tree outlives
 // the context that built it, and two primes never share an entry even when
@@ -247,12 +232,10 @@ TEST(DomainCacheKey, SamePrimeSharesEntriesDifferentPrimesNever) {
 
   EXPECT_EQ(CachedLagrangeWeights(a, xs, ev).get(),
             CachedLagrangeWeights(b, xs, ev).get());
-  EXPECT_EQ(CachedVandermondeRows(a, xs, 5).get(),
-            CachedVandermondeRows(b, xs, 5).get());
+  EXPECT_EQ(CachedLagrangeWeights(a, betas, ev).get(),
+            CachedLagrangeWeights(b, betas, ev).get());
   EXPECT_EQ(CachedSharingGenerator(a, ev, betas, 5).get(),
             CachedSharingGenerator(b, ev, betas, 5).get());
-  EXPECT_EQ(CachedHyperInvertible(a, 4, 3).get(),
-            CachedHyperInvertible(b, 4, 3).get());
   std::shared_ptr<const SubproductTree> tree;
   {
     field::FpCtx gone(prime);
@@ -274,16 +257,12 @@ TEST(DomainCacheKey, SamePrimeSharesEntriesDifferentPrimesNever) {
   field::FpCtx p63(m63);
   std::vector<FpElem> raw(5);
   for (std::size_t i = 0; i < raw.size(); ++i) raw[i].v[0] = i + 1;
-  auto v61 = CachedVandermondeRows(p61, raw, 3);
-  auto v63 = CachedVandermondeRows(p63, raw, 3);
-  EXPECT_NE(v61.get(), v63.get());
-  EXPECT_TRUE(v61->Eq(p61, Vandermonde(p61, raw, 3)));
-  EXPECT_TRUE(v63->Eq(p63, Vandermonde(p63, raw, 3)));
-  auto h61 = CachedHyperInvertible(p61, 3, 3);
-  auto h63 = CachedHyperInvertible(p63, 3, 3);
-  EXPECT_NE(h61.get(), h63.get());
-  EXPECT_TRUE(h61->Eq(p61, HyperInvertible(p61, 3, 3)));
-  EXPECT_TRUE(h63->Eq(p63, HyperInvertible(p63, 3, 3)));
+  const std::span<const FpElem> base(raw.data(), 3), at(raw.data() + 3, 2);
+  auto w61 = CachedLagrangeWeights(p61, base, at);
+  auto w63 = CachedLagrangeWeights(p63, base, at);
+  EXPECT_NE(w61.get(), w63.get());
+  EXPECT_EQ(*w61, LagrangeCoeffsMulti(p61, base, at));
+  EXPECT_EQ(*w63, LagrangeCoeffsMulti(p63, base, at));
   EXPECT_NE(CachedSubproductTree(p61, raw).get(),
             CachedSubproductTree(p63, raw).get());
 }

@@ -8,6 +8,7 @@
 #include "common/clock.h"
 #include "common/task_pool.h"
 #include "field/primes.h"
+#include "math/matrix.h"
 #include "pss/recovery.h"
 #include "pss/refresh.h"
 
@@ -447,6 +448,122 @@ TEST_F(VssBatchTest, RecoveryMaskVanishesAtTargetOnly) {
   }
   EXPECT_FALSE(all_zero);
 }
+
+// M is hyperinvertible only while its 2 * dealers nodes are distinct mod p.
+// At p = 19 the 11 dealers' output nodes 12..22 wrap onto input nodes; at
+// p = 23, 2 * 11 = p - 1 and every node is distinct.
+TEST_F(VssBatchTest, RequiresTwiceDealersBelowModulus) {
+  std::vector<std::uint32_t> holders(11);
+  for (std::uint32_t i = 0; i < holders.size(); ++i) holders[i] = i;
+  for (std::uint8_t p : {19, 23}) {
+    const FpCtx small(Bytes{p});
+    const EvalPoints points(small, holders.size(), 1);
+    auto make = [&] {
+      return VssBatch(small, points, holders, {points.beta_node(0)},
+                      /*degree=*/3, /*check_rows=*/2, /*groups=*/1);
+    };
+    if (p == 19) {
+      EXPECT_THROW(make(), InvalidArgument);
+    } else {
+      EXPECT_NO_THROW(make());
+    }
+  }
+}
+
+// The integer-node VSS kernels against the matrix forms they replace, at
+// every standard width under both kernel dispatches and at 2^127 - 1 (top
+// limb not normalised).
+class IntegerNodeVssBatchTest : public ::testing::TestWithParam<int> {
+ protected:
+  // Params 0..7: widths 256..2048 x {kAuto, kGeneric}; 8: 2^127 - 1.
+  IntegerNodeVssBatchTest() : ctx_(Modulus(), Dispatch()), rng_(GetParam()) {}
+
+  static Bytes Modulus() {
+    if (GetParam() == 8) {
+      Bytes m(16, 0xFF);
+      m[0] = 0x7F;
+      return m;
+    }
+    return field::StandardPrimeBe(256u << (GetParam() / 2));
+  }
+  static field::KernelDispatch Dispatch() {
+    return GetParam() % 2 == 0 ? field::KernelDispatch::kAuto
+                               : field::KernelDispatch::kGeneric;
+  }
+
+  FpCtx ctx_;
+  Rng rng_;
+};
+
+TEST_P(IntegerNodeVssBatchTest, TransformMatchesHyperInvertibleProduct) {
+  const std::size_t groups = 3;
+  for (std::size_t nh : {1, 2, 3, 8, 18, 21, 40}) {
+    const EvalPoints points(ctx_, nh, 1);
+    std::vector<std::uint32_t> holders(nh);
+    for (std::uint32_t i = 0; i < nh; ++i) holders[i] = i;
+    const VssBatch batch(ctx_, points, holders, {}, /*degree=*/0,
+                         /*check_rows=*/0, groups);
+    std::vector<std::vector<FpElem>> deals(nh);
+    for (auto& row : deals) {
+      for (std::size_t g = 0; g < groups; ++g) row.push_back(ctx_.Random(rng_));
+    }
+    const math::Matrix m = math::HyperInvertible(ctx_, nh, nh);
+    std::vector<std::vector<FpElem>> expected(nh, std::vector<FpElem>(groups));
+    for (std::size_t g = 0; g < groups; ++g) {
+      std::vector<FpElem> column;
+      for (const auto& row : deals) column.push_back(row[g]);
+      const std::vector<FpElem> mx = m.MulVec(ctx_, column);
+      for (std::size_t a = 0; a < nh; ++a) expected[a][g] = mx[a];
+    }
+    EXPECT_EQ(batch.Transform(deals), expected) << "nh " << nh;
+    SetGlobalPoolThreads(4);
+    EXPECT_EQ(batch.Transform(deals, 4), expected) << "nh " << nh;
+    SetGlobalPoolThreads(1);
+  }
+}
+
+TEST_P(IntegerNodeVssBatchTest, DealFromMatchesVandermondeOfVanishingProduct) {
+  // The paper-best shape n = 21, t = 4, l = 6: a refresh batch over every
+  // party (V = the betas) and a recovery batch without party 5 (V = its
+  // alpha).
+  const std::size_t n = 21, t = 4, l = 6, groups = 3;
+  const EvalPoints points(ctx_, n, l);
+  std::vector<std::uint32_t> all(n), survivors;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    all[i] = i;
+    if (i != 5) survivors.push_back(i);
+  }
+  std::vector<std::uint64_t> betas;
+  for (std::size_t j = 0; j < l; ++j) betas.push_back(points.beta_node(j));
+  const VssBatch refresh(ctx_, points, all, betas, t + l, 2 * t, groups);
+  const VssBatch recovery(ctx_, points, survivors, {points.alpha_node(5)},
+                          t + l, 2 * t, groups, /*recovery=*/true);
+  for (const VssBatch* batch : {&refresh, &recovery}) {
+    std::vector<FpElem> vanish;
+    if (batch->recovery_shape()) {
+      vanish.push_back(points.alpha(5));
+    } else {
+      vanish.assign(points.betas().begin(), points.betas().end());
+    }
+    const std::vector<FpElem> alphas = points.AlphasOf(batch->holders());
+    const math::Poly w = math::Poly::Vanishing(ctx_, vanish);
+    const std::vector<math::Poly> us = batch->DrawDealRandomness(rng_);
+    const auto deal = batch->DealFrom(us);
+    ASSERT_EQ(deal.size(), alphas.size());
+    for (std::size_t g = 0; g < groups; ++g) {
+      const math::Poly z = math::Poly::Mul(ctx_, w, us[g]);
+      const math::Matrix rows = math::Vandermonde(ctx_, alphas, z.size());
+      for (std::size_t k = 0; k < alphas.size(); ++k) {
+        EXPECT_EQ(deal[k][g], ctx_.Dot(rows.Row(k), z.coeffs()))
+            << (batch->recovery_shape() ? "recovery" : "refresh") << " k "
+            << k << " g " << g;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(FieldsAndDispatch, IntegerNodeVssBatchTest,
+                         ::testing::Range(0, 9));
 
 TEST(RecoveryPlan, SurvivorsExcludeTargetsAndValidate) {
   Params p;

@@ -5,6 +5,7 @@
 
 #include "field/primes.h"
 #include "math/berlekamp_welch.h"
+#include "math/matrix.h"
 #include "pisces/pisces.h"
 #include "pss/packed_shamir.h"
 
