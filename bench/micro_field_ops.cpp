@@ -5,12 +5,10 @@
 
 #include <map>
 #include <memory>
-#include <string>
 
 #include "bench_common.h"
 #include "field/primes.h"
 #include "math/poly.h"
-#include "math/poly_engine.h"
 
 namespace {
 
@@ -146,8 +144,8 @@ void BM_FieldInv(benchmark::State& state) {
 }
 BENCHMARK(BM_FieldInv)->Arg(256)->Arg(1024);
 
-// Batch inversion over the poly-engine point counts (256-bit field): one Inv
-// plus 3(m-1) muls, vs m full Inv exponentiations without the trick.
+// Batch inversion (256-bit field): one Inv plus 3(m-1) muls, vs m full Inv
+// exponentiations without the trick.
 void BM_BatchInv(benchmark::State& state) {
   const FpCtx& ctx = CtxFor(256);
   Rng rng(4);
@@ -202,88 +200,6 @@ void BM_LagrangeCoeffs(benchmark::State& state) {
 }
 BENCHMARK(BM_LagrangeCoeffs)->Arg(19)->Arg(37);
 
-// --- Poly-engine suite (docs/polynomial_engine.md) ------------------------
-// Engine-vs-oracle pairs at n in {16, 64, 256, 1024} on the 256-bit field
-// (the serving hot path); scripts/bench_micro.sh turns these into the
-// eval/interp sections of BENCH_field.json and the measured crossover.
-
-// Share-generation shape: a degree n/2 polynomial evaluated at n points.
-std::vector<FpElem> BenchPoints(const FpCtx& ctx, std::size_t n) {
-  std::vector<FpElem> xs;
-  for (std::size_t i = 0; i < n; ++i) xs.push_back(ctx.FromUint64(i + 1));
-  return xs;
-}
-
-void BM_PolyEvalTree(benchmark::State& state) {
-  const FpCtx& ctx = CtxFor(256);
-  Rng rng(10);
-  const std::size_t n = state.range(0);
-  const std::vector<FpElem> xs = BenchPoints(ctx, n);
-  // Domain built once outside the loop: the cache amortizes it in the
-  // protocol exactly the same way (BM_PolyDomainBuild prices the build).
-  pisces::math::SubproductTree tree(ctx, xs);
-  auto f = pisces::math::Poly::Random(ctx, rng, n / 2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tree.EvalAll(f.coeffs()));
-  }
-}
-BENCHMARK(BM_PolyEvalTree)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
-
-void BM_PolyEvalHorner(benchmark::State& state) {
-  const FpCtx& ctx = CtxFor(256);
-  Rng rng(10);
-  const std::size_t n = state.range(0);
-  const std::vector<FpElem> xs = BenchPoints(ctx, n);
-  auto f = pisces::math::Poly::Random(ctx, rng, n / 2);
-  for (auto _ : state) {
-    std::vector<FpElem> out(n);
-    for (std::size_t i = 0; i < n; ++i) out[i] = f.Eval(ctx, xs[i]);
-    benchmark::DoNotOptimize(out);
-  }
-}
-BENCHMARK(BM_PolyEvalHorner)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
-
-void BM_PolyInterpTree(benchmark::State& state) {
-  const FpCtx& ctx = CtxFor(256);
-  Rng rng(11);
-  const std::size_t n = state.range(0);
-  const std::vector<FpElem> xs = BenchPoints(ctx, n);
-  pisces::math::SubproductTree tree(ctx, xs);
-  std::vector<FpElem> ys;
-  for (std::size_t i = 0; i < n; ++i) ys.push_back(ctx.Random(rng));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tree.Interpolate(ys));
-  }
-}
-BENCHMARK(BM_PolyInterpTree)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
-
-void BM_PolyInterpLagrange(benchmark::State& state) {
-  const FpCtx& ctx = CtxFor(256);
-  Rng rng(11);
-  const std::size_t n = state.range(0);
-  const std::vector<FpElem> xs = BenchPoints(ctx, n);
-  std::vector<FpElem> ys;
-  for (std::size_t i = 0; i < n; ++i) ys.push_back(ctx.Random(rng));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        pisces::math::Poly::InterpolateLagrange(ctx, xs, ys));
-  }
-}
-BENCHMARK(BM_PolyInterpLagrange)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
-
-// One-time domain cost: tree + per-node inverse series + barycentric
-// weights. Amortized across every block/window that reuses the point set.
-void BM_PolyDomainBuild(benchmark::State& state) {
-  const FpCtx& ctx = CtxFor(256);
-  const std::size_t n = state.range(0);
-  const std::vector<FpElem> xs = BenchPoints(ctx, n);
-  for (auto _ : state) {
-    pisces::math::SubproductTree tree(ctx, xs);
-    benchmark::DoNotOptimize(tree);
-  }
-}
-BENCHMARK(BM_PolyDomainBuild)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
-
 }  // namespace
 
 // Custom main instead of BENCHMARK_MAIN(): the shared flags (--threads,
@@ -301,9 +217,6 @@ int main(int argc, char** argv) {
 #else
   benchmark::AddCustomContext("pisces_build_type", "debug");
 #endif
-  benchmark::AddCustomContext(
-      "pisces_poly_crossover",
-      std::to_string(pisces::math::PolyEngineCrossover()));
   int rest_argc = static_cast<int>(opts.rest.size());
   benchmark::Initialize(&rest_argc, opts.rest.data());
   if (benchmark::ReportUnrecognizedArguments(rest_argc, opts.rest.data())) {

@@ -1,7 +1,6 @@
 #include "math/berlekamp_welch.h"
 
 #include "math/matrix.h"
-#include "math/poly_engine.h"
 
 namespace pisces::math {
 
@@ -52,12 +51,9 @@ std::optional<Poly> TryDecode(const FpCtx& ctx, std::span<const FpElem> xs,
 std::vector<std::size_t> Mismatches(const FpCtx& ctx, const Poly& f,
                                     std::span<const FpElem> xs,
                                     std::span<const FpElem> ys) {
-  // Every decode attempt audits f against ALL points: per-point Horner, which
-  // measures faster than the remainder tree at every benched size.
-  const std::vector<FpElem> vals = EvalMany(ctx, f.coeffs(), xs);
   std::vector<std::size_t> out;
   for (std::size_t i = 0; i < xs.size(); ++i) {
-    if (!ctx.Eq(vals[i], ys[i])) out.push_back(i);
+    if (!ctx.Eq(f.Eval(ctx, xs[i]), ys[i])) out.push_back(i);
   }
   return out;
 }
@@ -70,11 +66,14 @@ std::optional<Poly> RobustInterpolate(const FpCtx& ctx,
   Require(xs.size() == ys.size(), "RobustInterpolate: xs/ys mismatch");
   Require(xs.size() >= deg + 1, "RobustInterpolate: too few points");
 
-  // e = 0 fast path: plain interpolation of the first deg+1 points.
-  if (PointsOnLowDegree(ctx, xs, ys, deg)) {
-    return Poly::Interpolate(
-        ctx, xs.subspan(0, deg + 1), ys.subspan(0, deg + 1));
+  // e = 0 fast path: the interpolant of the first deg+1 points, when every
+  // other point lies on it too.
+  Poly f0 = Poly::Interpolate(ctx, xs.first(deg + 1), ys.first(deg + 1));
+  bool fits = true;
+  for (std::size_t i = deg + 1; fits && i < xs.size(); ++i) {
+    fits = ctx.Eq(f0.Eval(ctx, xs[i]), ys[i]);
   }
+  if (fits) return f0;
 
   for (std::size_t e = 1; e <= max_errors; ++e) {
     if (xs.size() < deg + 2 * e + 1) break;  // outside the decoding radius

@@ -1,9 +1,9 @@
-// The one process-wide memo for point-set-dependent precomputations: Lagrange
-// weight sets, Vandermonde rows and the packed-sharing generator
-// (math/weight_cache.h), hyperinvertible matrices (math/matrix.h) and
-// subproduct trees (math/poly_engine.h). Every refresh window, download and
-// upload re-derives the same objects over the same holder, responder and
-// secret point sets; each instance of DomainCache<T> memoizes one kind.
+// The one process-wide memo for point-set-dependent precomputations. Three
+// instances use it: Lagrange weight sets and the packed-sharing generator
+// (math/weight_cache.h), and the inverted Lagrange denominators of each point
+// set (math/poly.cpp). Every refresh window, download and upload re-derives
+// the same objects over the same holder, responder and secret point sets;
+// each instance of DomainCache<T> memoizes one kind.
 //
 // Rules (see docs/parallelism.md):
 //   * values are immutable shared_ptr<const T> -- a cached value can never

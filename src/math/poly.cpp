@@ -2,9 +2,64 @@
 
 #include <algorithm>
 
-#include "math/poly_engine.h"
+#include "math/domain_cache.h"
+#include "obs/registry.h"
 
 namespace pisces::math {
+
+namespace {
+
+obs::Counter& g_pd_hits = obs::RegisterCounter(
+    "math.pd_hits", "Lagrange denominator cache hits");
+obs::Counter& g_pd_misses = obs::RegisterCounter(
+    "math.pd_misses", "Lagrange denominator cache misses");
+
+DomainCache<std::vector<FpElem>> g_inv_dens(g_pd_hits, g_pd_misses);
+
+// 1 / prod_{j != i} (xs[i] - xs[j]) for every i: the point-set half of every
+// Lagrange weight, memoized per point set. This is the only place src/math
+// forms Lagrange denominators; a zero difference is a repeated point.
+std::shared_ptr<const std::vector<FpElem>> InvDenominators(
+    const FpCtx& ctx, std::span<const FpElem> xs) {
+  return g_inv_dens.Get(DomainKey(ctx).Points(xs), [&] {
+    const std::size_t m = xs.size();
+    std::vector<FpElem> dens(m, ctx.One());
+    for (std::size_t i = 0; i < m; ++i) {
+      for (std::size_t j = 0; j < m; ++j) {
+        if (j == i) continue;
+        FpElem d = ctx.Sub(xs[i], xs[j]);
+        Require(!ctx.IsZero(d), "Lagrange: duplicate x");
+        dens[i] = ctx.Mul(dens[i], d);
+      }
+    }
+    ctx.BatchInv(dens);
+    return dens;
+  });
+}
+
+// w_i = inv_dens[i] * prod_{j != i} (x - xs[j]); the numerators are the O(m)
+// prefix/suffix products of (x - xs[j]).
+std::vector<FpElem> BarycentricWeights(const FpCtx& ctx,
+                                       std::span<const FpElem> xs,
+                                       std::span<const FpElem> inv_dens,
+                                       const FpElem& x) {
+  const std::size_t m = xs.size();
+  std::vector<FpElem> prefix(m + 1, ctx.One());
+  std::vector<FpElem> suffix(m + 1, ctx.One());
+  for (std::size_t j = 0; j < m; ++j) {
+    prefix[j + 1] = ctx.Mul(prefix[j], ctx.Sub(x, xs[j]));
+  }
+  for (std::size_t j = m; j-- > 0;) {
+    suffix[j] = ctx.Mul(suffix[j + 1], ctx.Sub(x, xs[j]));
+  }
+  std::vector<FpElem> w(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    w[i] = ctx.Mul(ctx.Mul(prefix[i], suffix[i + 1]), inv_dens[i]);
+  }
+  return w;
+}
+
+}  // namespace
 
 bool Poly::IsZero(const FpCtx& ctx) const {
   return std::all_of(c_.begin(), c_.end(),
@@ -52,51 +107,28 @@ Poly Poly::ConstrainedFrom(const FpCtx& ctx, const Poly& u, std::size_t deg,
 Poly Poly::Interpolate(const FpCtx& ctx, std::span<const FpElem> xs,
                        std::span<const FpElem> ys) {
   Require(xs.size() == ys.size() && !xs.empty(), "Interpolate: bad input");
-  if (xs.size() >= PolyEngineCrossover()) {
-    return Poly(CachedSubproductTree(ctx, xs)->Interpolate(ys));
-  }
-  return InterpolateLagrange(ctx, xs, ys);
-}
-
-Poly Poly::InterpolateLagrange(const FpCtx& ctx, std::span<const FpElem> xs,
-                               std::span<const FpElem> ys) {
-  Require(xs.size() == ys.size() && !xs.empty(), "Interpolate: bad input");
   const std::size_t m = xs.size();
   if (m == 1) return Poly(std::vector<FpElem>{ys[0]});
 
-  // Lagrange form with one batch inversion:
+  // Lagrange form:
   //   P(x)  = prod_i (x - x_i)
   //   Q_i   = P / (x - x_i)         (synthetic division, O(m) each)
-  //   den_i = Q_i(x_i) = P'(x_i)
-  //   f     = sum_i y_i * den_i^{-1} * Q_i
-  Poly p = Vanishing(ctx, xs);
+  //   f     = sum_i y_i * Q_i / prod_{j != i} (x_i - x_j)
+  const Poly p = Vanishing(ctx, xs);
   const std::vector<FpElem>& pc = p.coeffs();  // degree m
-
-  std::vector<std::vector<FpElem>> q(m, std::vector<FpElem>(m, ctx.Zero()));
-  std::vector<FpElem> dens(m, ctx.Zero());
+  const auto inv_dens = InvDenominators(ctx, xs);
+  std::vector<FpElem> c(m, ctx.Zero());
+  std::vector<FpElem> q(m);
   for (std::size_t i = 0; i < m; ++i) {
-    // Synthetic division of P by (x - x_i): q[m-1] down to q[0].
+    FpElem scale = ctx.Mul(ys[i], (*inv_dens)[i]);
+    if (ctx.IsZero(scale)) continue;
     FpElem carry = pc[m];  // leading coefficient (== 1)
     for (std::size_t j = m; j-- > 0;) {
-      q[i][j] = carry;
+      q[j] = carry;
       carry = ctx.Add(pc[j], ctx.Mul(carry, xs[i]));
     }
-    // carry is now P(x_i) == 0; den_i = Q_i(x_i) via Horner.
-    FpElem den = ctx.Zero();
-    for (std::size_t j = m; j-- > 0;) {
-      den = ctx.Add(ctx.Mul(den, xs[i]), q[i][j]);
-    }
-    Require(!ctx.IsZero(den), "Interpolate: duplicate x");
-    dens[i] = den;
-  }
-  ctx.BatchInv(dens);
-
-  std::vector<FpElem> c(m, ctx.Zero());
-  for (std::size_t i = 0; i < m; ++i) {
-    FpElem scale = ctx.Mul(ys[i], dens[i]);
-    if (ctx.IsZero(scale)) continue;
     for (std::size_t j = 0; j < m; ++j) {
-      c[j] = ctx.Add(c[j], ctx.Mul(scale, q[i][j]));
+      c[j] = ctx.Add(c[j], ctx.Mul(scale, q[j]));
     }
   }
   return Poly(std::move(c));
@@ -110,25 +142,29 @@ Poly Poly::Add(const FpCtx& ctx, const Poly& a, const Poly& b) {
 }
 
 Poly Poly::Mul(const FpCtx& ctx, const Poly& a, const Poly& b) {
-  // MulPolys is the engine product: Karatsuba above its base size, lazy-dot
-  // schoolbook below it -- the same exact convolution either way.
-  return Poly(MulPolys(ctx, a.c_, b.c_));
+  if (a.c_.empty() || b.c_.empty()) return Poly();
+  // out[k] = sum_{i+j=k} a[i]*b[j], one wide reduction per coefficient.
+  std::vector<FpElem> out(a.c_.size() + b.c_.size() - 1);
+  field::DotAcc acc(ctx);
+  for (std::size_t k = 0; k < out.size(); ++k) {
+    const std::size_t lo = k >= b.c_.size() ? k - b.c_.size() + 1 : 0;
+    const std::size_t hi = std::min(a.c_.size() - 1, k);
+    acc.Reset();
+    for (std::size_t i = lo; i <= hi; ++i) acc.MulAdd(a.c_[i], b.c_[k - i]);
+    out[k] = acc.Reduce();
+  }
+  return Poly(std::move(out));
 }
 
 Poly Poly::Vanishing(const FpCtx& ctx, std::span<const FpElem> xs) {
-  if (xs.size() >= PolyEngineCrossover()) {
-    // The tree root IS the vanishing polynomial, and the domain cache makes
-    // repeated calls over one point set a lookup.
-    return Poly(CachedSubproductTree(ctx, xs)->root());
-  }
   std::vector<FpElem> c{ctx.One()};
   for (const FpElem& root : xs) {
+    // c <- c * (x - root), in place from the top coefficient down.
     c.push_back(ctx.Zero());
     for (std::size_t j = c.size() - 1; j-- > 0;) {
       c[j + 1] = ctx.Add(c[j + 1], c[j]);
       c[j] = ctx.Neg(ctx.Mul(c[j], root));
     }
-    // Rebuild: the loop above shifted in place; c now holds prod*(x-root).
   }
   return Poly(std::move(c));
 }
@@ -163,88 +199,20 @@ std::pair<Poly, Poly> Poly::DivMod(const FpCtx& ctx, const Poly& a,
 
 std::vector<FpElem> LagrangeCoeffs(const FpCtx& ctx,
                                    std::span<const FpElem> xs,
-                                   const FpElem& x) {
-  const std::size_t m = xs.size();
-  Require(m >= 1, "LagrangeCoeffs: empty points");
-  if (m >= PolyEngineCrossover()) {
-    // Barycentric form: den_i = prod_{j!=i}(x_i - x_j) = P'(x_i), which the
-    // cached subproduct tree already holds inverted; the numerators are the
-    // O(m) prefix/suffix products of (x - x_j).
-    auto tree = CachedSubproductTree(ctx, xs);
-    std::span<const FpElem> inv_dens = tree->inv_derivs();
-    std::vector<FpElem> prefix(m + 1, ctx.One());
-    std::vector<FpElem> suffix(m + 1, ctx.One());
-    for (std::size_t j = 0; j < m; ++j) {
-      prefix[j + 1] = ctx.Mul(prefix[j], ctx.Sub(x, xs[j]));
-    }
-    for (std::size_t j = m; j-- > 0;) {
-      suffix[j] = ctx.Mul(suffix[j + 1], ctx.Sub(x, xs[j]));
-    }
-    std::vector<FpElem> w(m);
-    for (std::size_t i = 0; i < m; ++i) {
-      w[i] = ctx.Mul(ctx.Mul(prefix[i], suffix[i + 1]), inv_dens[i]);
-    }
-    return w;
-  }
-  std::vector<FpElem> nums(m, ctx.One());
-  std::vector<FpElem> dens(m, ctx.One());
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < m; ++j) {
-      if (j == i) continue;
-      nums[i] = ctx.Mul(nums[i], ctx.Sub(x, xs[j]));
-      FpElem d = ctx.Sub(xs[i], xs[j]);
-      Require(!ctx.IsZero(d), "LagrangeCoeffs: duplicate x");
-      dens[i] = ctx.Mul(dens[i], d);
-    }
-  }
-  ctx.BatchInv(dens);
-  std::vector<FpElem> w(m);
-  for (std::size_t i = 0; i < m; ++i) w[i] = ctx.Mul(nums[i], dens[i]);
-  return w;
+                                            const FpElem& x) {
+  Require(!xs.empty(), "LagrangeCoeffs: empty points");
+  return BarycentricWeights(ctx, xs, *InvDenominators(ctx, xs), x);
 }
 
 std::vector<std::vector<FpElem>> LagrangeCoeffsMulti(
     const FpCtx& ctx, std::span<const FpElem> xs,
     std::span<const FpElem> eval_points) {
-  const std::size_t m = xs.size();
-  Require(m >= 1, "LagrangeCoeffsMulti: empty points");
-  // Denominators do not depend on the evaluation point: invert them once.
-  // Above the crossover the cached tree supplies them (den_i = P'(x_i))
-  // without the O(m^2) difference products.
-  std::vector<FpElem> inv_dens;
-  if (m >= PolyEngineCrossover()) {
-    auto tree = CachedSubproductTree(ctx, xs);
-    inv_dens.assign(tree->inv_derivs().begin(), tree->inv_derivs().end());
-  } else {
-    inv_dens.assign(m, ctx.One());
-    for (std::size_t i = 0; i < m; ++i) {
-      for (std::size_t j = 0; j < m; ++j) {
-        if (j == i) continue;
-        FpElem d = ctx.Sub(xs[i], xs[j]);
-        Require(!ctx.IsZero(d), "LagrangeCoeffsMulti: duplicate x");
-        inv_dens[i] = ctx.Mul(inv_dens[i], d);
-      }
-    }
-    ctx.BatchInv(inv_dens);
-  }
-
+  Require(!xs.empty(), "LagrangeCoeffsMulti: empty points");
+  const auto inv_dens = InvDenominators(ctx, xs);
   std::vector<std::vector<FpElem>> out;
   out.reserve(eval_points.size());
   for (const FpElem& x : eval_points) {
-    // prefix/suffix products of (x - xs[j]) give all numerators in O(m).
-    std::vector<FpElem> prefix(m + 1, ctx.One());
-    std::vector<FpElem> suffix(m + 1, ctx.One());
-    for (std::size_t j = 0; j < m; ++j) {
-      prefix[j + 1] = ctx.Mul(prefix[j], ctx.Sub(x, xs[j]));
-    }
-    for (std::size_t j = m; j-- > 0;) {
-      suffix[j] = ctx.Mul(suffix[j + 1], ctx.Sub(x, xs[j]));
-    }
-    std::vector<FpElem> w(m);
-    for (std::size_t i = 0; i < m; ++i) {
-      w[i] = ctx.Mul(ctx.Mul(prefix[i], suffix[i + 1]), inv_dens[i]);
-    }
-    out.push_back(std::move(w));
+    out.push_back(BarycentricWeights(ctx, xs, *inv_dens, x));
   }
   return out;
 }

@@ -2,12 +2,12 @@
 //
 // Shares are evaluations of degree-<=d polynomials; secrets sit at the packed
 // evaluation points beta_1..beta_l; refresh deals polynomials constrained to
-// vanish on a point set. Everything here is coefficient-form. The generic
-// algorithms are O(m^2), ample for the paper's degrees (d = t + l <= ~40);
-// above PolyEngineCrossover() points the entry points dispatch to the
-// quasi-linear subproduct-tree engine (math/poly_engine.h), which computes
-// bit-identical elements (F_p arithmetic is exact, Montgomery form is
-// canonical), so callers never see which path ran.
+// vanish on a point set. Everything here is coefficient-form and O(m^2),
+// which is the cheap regime at the paper's degrees (d + 1 = t + l + 1 <= ~40
+// points). Every Lagrange weight and interpolant shares one memo: the
+// inverted denominators 1 / prod_{j != i} (x_i - x_j) of each point set,
+// held in a math::DomainCache (math/domain_cache.h) and counted by
+// math.pd_hits / math.pd_misses.
 #pragma once
 
 #include <span>
@@ -59,18 +59,14 @@ class Poly {
                               std::span<const FpElem> ys);
 
   // Unique interpolating polynomial of degree <= xs.size()-1 in coefficient
-  // form. xs must be distinct. Dispatches to the subproduct-tree engine
-  // (math/poly_engine.h) above PolyEngineCrossover() points and to the
-  // generic Lagrange path below it; both compute the exact same elements.
+  // form, by the Lagrange form over the cached denominators. xs must be
+  // distinct.
   static Poly Interpolate(const FpCtx& ctx, std::span<const FpElem> xs,
                           std::span<const FpElem> ys);
 
-  // The generic O(m^2) Lagrange interpolation, always taken regardless of
-  // size: the differential oracle for the engine and the bench baseline.
-  static Poly InterpolateLagrange(const FpCtx& ctx, std::span<const FpElem> xs,
-                                  std::span<const FpElem> ys);
-
   static Poly Add(const FpCtx& ctx, const Poly& a, const Poly& b);
+  // Schoolbook product, one lazy reduction per coefficient (field::DotAcc).
+  // Empty if either factor is empty.
   static Poly Mul(const FpCtx& ctx, const Poly& a, const Poly& b);
 
   // Vanishing polynomial prod_i (x - xs[i]).
@@ -88,7 +84,8 @@ class Poly {
 };
 
 // f(x) for the interpolant of (xs, ys), evaluated directly (no coefficient
-// form). O(m^2); the workhorse of reconstruction.
+// form). O(m) once the point set's denominators are cached; the workhorse of
+// reconstruction.
 FpElem LagrangeEval(const FpCtx& ctx, std::span<const FpElem> xs,
                     std::span<const FpElem> ys, const FpElem& x);
 
@@ -98,9 +95,9 @@ std::vector<FpElem> LagrangeCoeffs(const FpCtx& ctx,
                                    std::span<const FpElem> xs,
                                    const FpElem& x);
 
-// Weight vectors for many evaluation points over one base set, sharing a
-// single batch inversion of the (point-independent) denominators. This is
-// the cheap path for hyperinvertible-matrix and checker construction.
+// Weight vectors for many evaluation points over one base set: one lookup of
+// the (point-independent) denominators, then O(m) per point. This is the
+// cheap path for checker and generator construction.
 std::vector<std::vector<FpElem>> LagrangeCoeffsMulti(
     const FpCtx& ctx, std::span<const FpElem> xs,
     std::span<const FpElem> eval_points);
@@ -112,10 +109,10 @@ bool PointsOnLowDegree(const FpCtx& ctx, std::span<const FpElem> xs,
 
 // Precomputed consistency/evaluation machinery for a fixed point set.
 //
-// Construction does all the Lagrange work (one batch inversion per weight
-// vector); Consistent() and EvalAt() are then multiplication-only, which
-// matters when the same point set is checked for hundreds of blocks (VSS
-// check rows, recovery of a whole file).
+// Construction does all the Lagrange work (the extra points' weight vectors
+// over the first deg+1); Consistent() and EvalAt() are then
+// multiplication-only, which matters when the same point set is checked for
+// hundreds of blocks (VSS check rows, recovery of a whole file).
 class PointChecker {
  public:
   // xs must have at least deg+1 distinct entries.

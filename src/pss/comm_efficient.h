@@ -19,7 +19,7 @@
 // the slack buying error detection) instead of their full masked vectors.
 //
 // Everything here is pure layout math plus reconstruction helpers over the
-// PR 8 poly engine caches; no transport or session state.
+// math/ domain caches; no transport or session state.
 #pragma once
 
 #include "pss/packed_shamir.h"

@@ -1,6 +1,8 @@
 // Unit and property tests for the multiprecision prime-field substrate.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "field/fp.h"
 #include "field/limbs.h"
 #include "field/primes.h"
@@ -261,6 +263,59 @@ TEST(FieldInv, CompositeModulus) {
   EXPECT_THROW(ctx.Inv(ctx.FromUint64(3)), InvalidArgument);
   EXPECT_THROW(ctx.Inv(ctx.FromUint64(10)), InvalidArgument);
   EXPECT_THROW(ctx.Inv(ctx.Zero()), InvalidArgument);
+}
+
+constexpr std::size_t kPrimeBits[] = {256, 512, 1024, 2048};
+
+std::vector<FpElem> RandomElems(const FpCtx& ctx, Rng& rng, std::size_t n) {
+  std::vector<FpElem> out;
+  out.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) out.push_back(ctx.Random(rng));
+  return out;
+}
+
+TEST(BatchInv, MatchesScalarInverseAcrossPrimes) {
+  for (std::size_t bits : kPrimeBits) {
+    FpCtx ctx(field::StandardPrimeBe(bits));
+    Rng rng(bits + 3);
+    std::vector<FpElem> v = RandomElems(ctx, rng, 17);
+    std::vector<FpElem> expect;
+    for (const FpElem& e : v) expect.push_back(ctx.Inv(e));
+    ctx.BatchInv(v);
+    EXPECT_EQ(v, expect) << bits << "-bit";
+  }
+}
+
+TEST(BatchInv, ZeroElementsStayZeroWithoutPoisoningNeighbors) {
+  // A zero anywhere in the batch used to be undefined behavior of the
+  // prefix-product trick (0 poisons every prefix); now zeros are skipped via
+  // a compacted view and every nonzero entry still gets its exact inverse.
+  FpCtx ctx(field::StandardPrimeBe(256));
+  Rng rng(31337);
+  auto check = [&](std::vector<std::size_t> zero_at, std::size_t n) {
+    std::vector<FpElem> v = RandomElems(ctx, rng, n);
+    for (std::size_t i : zero_at) v[i] = ctx.Zero();
+    std::vector<FpElem> expect;
+    for (const FpElem& e : v) {
+      expect.push_back(ctx.IsZero(e) ? ctx.Zero() : ctx.Inv(e));
+    }
+    ctx.BatchInv(v);
+    EXPECT_EQ(v, expect);
+  };
+  check({0}, 8);             // first
+  check({7}, 8);             // last
+  check({3}, 8);             // middle
+  check({0, 2, 4, 6}, 8);    // sprinkled
+  check({0, 1, 2, 3}, 4);    // all zero
+  check({0}, 1);             // single zero element
+  check({}, 6);              // control: no zeros, fast path
+}
+
+TEST(BatchInv, EmptySpanIsANoOp) {
+  FpCtx ctx(field::StandardPrimeBe(256));
+  std::vector<FpElem> v;
+  ctx.BatchInv(v);  // must not crash
+  EXPECT_TRUE(v.empty());
 }
 
 TEST(Rng, DeterministicAndForkIndependent) {

@@ -1,15 +1,35 @@
 // Polynomial, interpolation, matrix and hyperinvertibility tests.
 #include <gtest/gtest.h>
 
+#include "common/task_pool.h"
 #include "field/primes.h"
 #include "math/matrix.h"
 #include "math/poly.h"
-#include "math/poly_engine.h"
 #include "math/weight_cache.h"
 #include "obs/registry.h"
 
 namespace pisces::math {
 namespace {
+
+// Point counts d + 1 that the figure shapes reach (n = 21..37 hosts); the
+// generic algebra must be exact there as well as at the small sizes.
+constexpr std::size_t kFigurePointCounts[] = {17, 23, 31, 37};
+
+// Random points from one process-wide stream: no earlier call handed them out
+// (with overwhelming probability), so a test meets a cold denominator-cache
+// entry without clearing the cache, also under --gtest_repeat. Random rather
+// than consecutive: the denominators of consecutive integers do not depend on
+// where the run starts, so a cache keyed on the wrong thing would go unseen.
+std::vector<FpElem> FreshPoints(const field::FpCtx& ctx, std::size_t n) {
+  static Rng rng(2024);
+  std::vector<FpElem> xs;
+  for (std::size_t i = 0; i < n; ++i) xs.push_back(ctx.Random(rng));
+  return xs;
+}
+
+std::uint64_t DenominatorMisses() {
+  return obs::Value(obs::TakeSnapshot(), "math.pd_misses");
+}
 
 class MathTest : public ::testing::Test {
  protected:
@@ -29,7 +49,9 @@ TEST_F(MathTest, EvalHorner) {
 }
 
 TEST_F(MathTest, InterpolateRecoversPolynomial) {
-  for (std::size_t deg : {0u, 1u, 3u, 7u, 15u}) {
+  std::vector<std::size_t> degs{0, 1, 3, 7, 15};
+  for (std::size_t m : kFigurePointCounts) degs.push_back(m - 1);
+  for (std::size_t deg : degs) {
     Poly f = Poly::Random(ctx_, rng_, deg);
     std::vector<FpElem> xs, ys;
     for (std::size_t i = 0; i <= deg; ++i) {
@@ -78,6 +100,16 @@ TEST_F(MathTest, VanishingPolyVanishes) {
   EXPECT_EQ(w.degree(), 3u);
   for (const auto& r : roots) EXPECT_TRUE(ctx_.IsZero(w.Eval(ctx_, r)));
   EXPECT_FALSE(ctx_.IsZero(w.Eval(ctx_, E(4))));
+
+  for (std::size_t m : kFigurePointCounts) {
+    roots.clear();
+    for (std::size_t i = 0; i < m; ++i) roots.push_back(E(2 * i + 3));
+    w = Poly::Vanishing(ctx_, roots);
+    EXPECT_EQ(w.degree(), m);
+    EXPECT_TRUE(ctx_.Eq(w.coeffs().back(), ctx_.One())) << m;  // monic
+    for (const auto& r : roots) EXPECT_TRUE(ctx_.IsZero(w.Eval(ctx_, r))) << m;
+    EXPECT_FALSE(ctx_.IsZero(w.Eval(ctx_, E(4)))) << m;
+  }
 }
 
 TEST_F(MathTest, AddMulDegreeAndValues) {
@@ -93,6 +125,46 @@ TEST_F(MathTest, AddMulDegreeAndValues) {
   EXPECT_EQ(prod.degree(), 8u);
 }
 
+// The O(a*b) convolution Poly::Mul's lazy-dot schoolbook must reproduce
+// exactly.
+std::vector<FpElem> NaiveConvolution(const field::FpCtx& ctx,
+                                     std::span<const FpElem> a,
+                                     std::span<const FpElem> b) {
+  if (a.empty() || b.empty()) return {};
+  std::vector<FpElem> out(a.size() + b.size() - 1, ctx.Zero());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    for (std::size_t j = 0; j < b.size(); ++j) {
+      out[i + j] = ctx.Add(out[i + j], ctx.Mul(a[i], b[j]));
+    }
+  }
+  return out;
+}
+
+TEST(Poly, MulMatchesNaiveConvolutionAcrossPrimes) {
+  // Square, unbalanced and single-coefficient shapes, up to well past the
+  // largest product the protocol forms (vanishing polynomial times mask).
+  const std::size_t shapes[][2] = {{1, 1},  {2, 3},   {23, 23}, {24, 24},
+                                   {25, 25}, {40, 7},  {7, 40},  {64, 33},
+                                   {100, 100}, {129, 64}};
+  for (std::size_t bits : {256, 512, 1024, 2048}) {
+    field::FpCtx ctx(field::StandardPrimeBe(bits));
+    Rng rng(bits);
+    for (const auto& s : shapes) {
+      Poly a = Poly::Random(ctx, rng, s[0] - 1);
+      Poly b = Poly::Random(ctx, rng, s[1] - 1);
+      EXPECT_EQ(Poly::Mul(ctx, a, b).coeffs(),
+                NaiveConvolution(ctx, a.coeffs(), b.coeffs()))
+          << bits << "-bit, " << s[0] << "x" << s[1];
+    }
+  }
+  // Empty operands: empty product.
+  field::FpCtx ctx(field::StandardPrimeBe(256));
+  Rng rng(9);
+  Poly a = Poly::Random(ctx, rng, 4);
+  EXPECT_EQ(Poly::Mul(ctx, a, Poly()).size(), 0u);
+  EXPECT_EQ(Poly::Mul(ctx, Poly(), a).size(), 0u);
+}
+
 TEST_F(MathTest, LagrangeEvalMatchesInterpolation) {
   Poly f = Poly::Random(ctx_, rng_, 6);
   std::vector<FpElem> xs, ys;
@@ -105,16 +177,28 @@ TEST_F(MathTest, LagrangeEvalMatchesInterpolation) {
 }
 
 TEST_F(MathTest, LagrangeCoeffsMultiMatchesSingle) {
-  std::vector<FpElem> xs;
-  for (std::size_t i = 0; i < 9; ++i) xs.push_back(E(i + 1));
-  std::vector<FpElem> points{E(20), E(31), E(42)};
-  auto multi = LagrangeCoeffsMulti(ctx_, xs, points);
-  ASSERT_EQ(multi.size(), points.size());
-  for (std::size_t p = 0; p < points.size(); ++p) {
-    auto single = LagrangeCoeffs(ctx_, xs, points[p]);
-    ASSERT_EQ(multi[p].size(), single.size());
-    for (std::size_t i = 0; i < single.size(); ++i) {
-      EXPECT_TRUE(ctx_.Eq(multi[p][i], single[i]));
+  std::vector<std::size_t> counts{9};
+  counts.insert(counts.end(), std::begin(kFigurePointCounts),
+                std::end(kFigurePointCounts));
+  for (std::size_t m : counts) {
+    std::vector<FpElem> xs, ys;
+    Poly f = Poly::Random(ctx_, rng_, m - 1);
+    for (std::size_t i = 0; i < m; ++i) {
+      xs.push_back(E(i + 1));
+      ys.push_back(f.Eval(ctx_, xs.back()));
+    }
+    std::vector<FpElem> points{E(50), E(61), E(72)};
+    auto multi = LagrangeCoeffsMulti(ctx_, xs, points);
+    ASSERT_EQ(multi.size(), points.size());
+    for (std::size_t p = 0; p < points.size(); ++p) {
+      auto single = LagrangeCoeffs(ctx_, xs, points[p]);
+      ASSERT_EQ(multi[p].size(), single.size());
+      for (std::size_t i = 0; i < single.size(); ++i) {
+        EXPECT_TRUE(ctx_.Eq(multi[p][i], single[i])) << m;
+      }
+      // The weights reproduce the polynomial off the base set.
+      EXPECT_TRUE(ctx_.Eq(ctx_.Dot(single, ys), f.Eval(ctx_, points[p])))
+          << m;
     }
   }
 }
@@ -218,9 +302,9 @@ TEST_F(MathTest, HyperInvertibleActsAsInterpolationMap) {
 }
 
 // Every DomainCache keys on the modulus, never the FpCtx address: two live
-// contexts over one prime share each entry, a cached subproduct tree outlives
-// the context that built it, and two primes never share an entry even when
-// the point limbs are identical.
+// contexts over one prime share each entry, a cached entry outlives the
+// context that built it, and two primes never share an entry even when the
+// point limbs are identical.
 TEST(DomainCacheKey, SamePrimeSharesEntriesDifferentPrimesNever) {
   const Bytes prime = field::StandardPrimeBe(256);
   field::FpCtx a(prime);
@@ -236,14 +320,20 @@ TEST(DomainCacheKey, SamePrimeSharesEntriesDifferentPrimesNever) {
             CachedLagrangeWeights(b, betas, ev).get());
   EXPECT_EQ(CachedSharingGenerator(a, ev, betas, 5).get(),
             CachedSharingGenerator(b, ev, betas, 5).get());
-  std::shared_ptr<const SubproductTree> tree;
+
+  // The denominator cache: a context that is gone fills a cold entry (one
+  // miss), and both live contexts over the same prime then reuse it.
+  const std::vector<FpElem> fresh = FreshPoints(a, 20);
+  const std::uint64_t misses = DenominatorMisses();
+  std::vector<FpElem> w;
   {
     field::FpCtx gone(prime);
-    tree = CachedSubproductTree(gone, xs);
+    w = LagrangeCoeffs(gone, fresh, ev[0]);
   }
-  EXPECT_EQ(tree.get(), CachedSubproductTree(b, xs).get());
-  const std::vector<FpElem> f(xs.begin(), xs.begin() + 7);
-  EXPECT_EQ(tree->EvalAll(f), EvalMany(b, f, xs));
+  EXPECT_EQ(DenominatorMisses(), misses + 1);
+  EXPECT_EQ(LagrangeCoeffs(a, fresh, ev[0]), w);
+  EXPECT_EQ(LagrangeCoeffs(b, fresh, ev[0]), w);
+  EXPECT_EQ(DenominatorMisses(), misses + 1);
 
   // Two primes of the same byte length, 2^61 - 1 and 2^63 - 25, and points
   // whose raw limbs are the same small values in both fields: only the
@@ -263,8 +353,49 @@ TEST(DomainCacheKey, SamePrimeSharesEntriesDifferentPrimesNever) {
   EXPECT_NE(w61.get(), w63.get());
   EXPECT_EQ(*w61, LagrangeCoeffsMulti(p61, base, at));
   EXPECT_EQ(*w63, LagrangeCoeffsMulti(p63, base, at));
-  EXPECT_NE(CachedSubproductTree(p61, raw).get(),
-            CachedSubproductTree(p63, raw).get());
+  // Limbs fresh to p61, and valid (and so far unused) in p63 as well.
+  const std::vector<FpElem> cold = FreshPoints(p61, 4);
+  const std::uint64_t before = DenominatorMisses();
+  LagrangeCoeffs(p61, cold, raw[0]);
+  LagrangeCoeffs(p63, cold, raw[0]);
+  EXPECT_EQ(DenominatorMisses(), before + 2);
+}
+
+// Pool workers race to fill one cold denominator entry while interpolating
+// and forming weights over it. Every pool size gets its own fresh point set,
+// but the values are those of fixed polynomials g_k, so the interpolants are
+// g_k's coefficients and the weights give g_k(at): the serial and pooled
+// runs must agree bit for bit.
+TEST(DomainCacheKey, DenominatorFillRaceBitIdenticalAcrossPoolSizes) {
+  field::FpCtx ctx(field::StandardPrimeBe(256));
+  const std::size_t n = 33;
+  Rng rng(555);
+  std::vector<Poly> gs;
+  for (int k = 0; k < 8; ++k) gs.push_back(Poly::Random(ctx, rng, n - 1));
+  const FpElem at = ctx.FromUint64(7);
+  auto run = [&](std::size_t pool_threads) {
+    SetGlobalPoolThreads(pool_threads);
+    const std::vector<FpElem> xs = FreshPoints(ctx, n);
+    std::vector<std::vector<FpElem>> coeffs(gs.size());
+    std::vector<FpElem> at_values(gs.size());
+    GlobalPool().ParallelFor(0, gs.size(), [&](std::size_t k) {
+      std::vector<FpElem> ys;
+      for (const FpElem& x : xs) ys.push_back(gs[k].Eval(ctx, x));
+      coeffs[k] = Poly::Interpolate(ctx, xs, ys).coeffs();
+      at_values[k] = ctx.Dot(LagrangeCoeffsMulti(ctx, xs, {&at, 1})[0], ys);
+    });
+    return std::pair{coeffs, at_values};
+  };
+  auto base = run(1);
+  auto pool2 = run(2);
+  auto pool8 = run(8);
+  SetGlobalPoolThreads(1);
+  EXPECT_EQ(base, pool2);
+  EXPECT_EQ(base, pool8);
+  for (std::size_t k = 0; k < gs.size(); ++k) {
+    EXPECT_EQ(base.first[k], gs[k].coeffs()) << k;
+    EXPECT_EQ(base.second[k], gs[k].Eval(ctx, at)) << k;
+  }
 }
 
 }  // namespace
