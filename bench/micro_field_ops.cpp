@@ -15,6 +15,7 @@ namespace {
 using pisces::Rng;
 using pisces::field::FpCtx;
 using pisces::field::FpElem;
+using pisces::field::FpMont;
 using pisces::field::StandardPrimeBe;
 
 const FpCtx& CtxFor(std::size_t bits) {
@@ -27,7 +28,7 @@ const FpCtx& CtxFor(std::size_t bits) {
   return *it->second;
 }
 
-// Generic runtime-width CIOS path (the pre-specialization baseline): the
+// Generic runtime-width path (the unspecialized baseline): the
 // Generic-suffixed benchmarks below measure the same op on this context, so
 // specialized/generic ratios come straight out of one run.
 const FpCtx& GenericCtxFor(std::size_t bits) {
@@ -44,49 +45,88 @@ const FpCtx& GenericCtxFor(std::size_t bits) {
 
 constexpr std::size_t kDotLen = 32;
 
-void BM_FieldMul(benchmark::State& state) {
-  const FpCtx& ctx = CtxFor(state.range(0));
+// One Montgomery multiply kernel: FpMont x FpMont, the form exponentiation
+// and product chains run in.
+void MontMul(benchmark::State& state, const FpCtx& ctx) {
   Rng rng(1);
-  FpElem a = ctx.Random(rng), b = ctx.Random(rng);
+  FpMont a = ctx.ToMont(ctx.Random(rng)), b = ctx.ToMont(ctx.Random(rng));
   for (auto _ : state) {
     a = ctx.Mul(a, b);
     benchmark::DoNotOptimize(a);
   }
 }
+void BM_FieldMul(benchmark::State& state) {
+  MontMul(state, CtxFor(state.range(0)));
+}
 BENCHMARK(BM_FieldMul)->Arg(256)->Arg(512)->Arg(1024)->Arg(2048);
-
 void BM_FieldMulGeneric(benchmark::State& state) {
-  const FpCtx& ctx = GenericCtxFor(state.range(0));
-  Rng rng(1);
-  FpElem a = ctx.Random(rng), b = ctx.Random(rng);
-  for (auto _ : state) {
-    a = ctx.Mul(a, b);
-    benchmark::DoNotOptimize(a);
-  }
+  MontMul(state, GenericCtxFor(state.range(0)));
 }
 BENCHMARK(BM_FieldMulGeneric)->Arg(256)->Arg(512)->Arg(1024)->Arg(2048);
 
-void BM_FieldSqr(benchmark::State& state) {
-  const FpCtx& ctx = CtxFor(state.range(0));
+void MontSqr(benchmark::State& state, const FpCtx& ctx) {
   Rng rng(8);
-  FpElem a = ctx.Random(rng);
+  FpMont a = ctx.ToMont(ctx.Random(rng));
   for (auto _ : state) {
     a = ctx.Sqr(a);
     benchmark::DoNotOptimize(a);
   }
+}
+void BM_FieldSqr(benchmark::State& state) {
+  MontSqr(state, CtxFor(state.range(0)));
 }
 BENCHMARK(BM_FieldSqr)->Arg(256)->Arg(512)->Arg(1024)->Arg(2048);
-
 void BM_FieldSqrGeneric(benchmark::State& state) {
-  const FpCtx& ctx = GenericCtxFor(state.range(0));
-  Rng rng(8);
-  FpElem a = ctx.Random(rng);
+  MontSqr(state, GenericCtxFor(state.range(0)));
+}
+BENCHMARK(BM_FieldSqrGeneric)->Arg(256)->Arg(512)->Arg(1024)->Arg(2048);
+
+// Product of two plain elements: the kernel, then x R^2 (two kernels).
+void BM_FieldMulPlain(benchmark::State& state) {
+  const FpCtx& ctx = CtxFor(state.range(0));
+  Rng rng(1);
+  FpElem a = ctx.Random(rng), b = ctx.Random(rng);
   for (auto _ : state) {
-    a = ctx.Sqr(a);
+    a = ctx.Mul(a, b);
     benchmark::DoNotOptimize(a);
   }
 }
-BENCHMARK(BM_FieldSqrGeneric)->Arg(256)->Arg(512)->Arg(1024)->Arg(2048);
+BENCHMARK(BM_FieldMulPlain)->Arg(256)->Arg(512)->Arg(1024)->Arg(2048);
+
+// Out of Montgomery form: the bare reduction behind FromMont and Random.
+void BM_FieldRedc(benchmark::State& state) {
+  const FpCtx& ctx = CtxFor(state.range(0));
+  Rng rng(10);
+  const FpMont a = ctx.ToMont(ctx.Random(rng));
+  for (auto _ : state) benchmark::DoNotOptimize(ctx.FromMont(a));
+}
+BENCHMARK(BM_FieldRedc)->Arg(256)->Arg(512)->Arg(1024)->Arg(2048);
+
+// Wire crossings of kDotLen elements: limb copies (plus the < p check on
+// the way in).
+std::vector<FpElem> RandomElems(const FpCtx& ctx, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<FpElem> v;
+  for (std::size_t i = 0; i < kDotLen; ++i) v.push_back(ctx.Random(rng));
+  return v;
+}
+void BM_FieldSerialize(benchmark::State& state) {
+  const FpCtx& ctx = CtxFor(state.range(0));
+  const std::vector<FpElem> elems = RandomElems(ctx, 11);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pisces::field::SerializeElems(ctx, elems));
+  }
+}
+BENCHMARK(BM_FieldSerialize)->Arg(256)->Arg(512)->Arg(1024)->Arg(2048);
+void BM_FieldDeserialize(benchmark::State& state) {
+  const FpCtx& ctx = CtxFor(state.range(0));
+  const pisces::Bytes wire =
+      pisces::field::SerializeElems(ctx, RandomElems(ctx, 11));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pisces::field::DeserializeElems(ctx, wire));
+  }
+}
+BENCHMARK(BM_FieldDeserialize)->Arg(256)->Arg(512)->Arg(1024)->Arg(2048);
 
 // Lazy-reduction dot product (one wide reduction per output) vs the naive
 // Add(Mul(...)) fold it replaced in MulVec / Lagrange / VSS hot loops.

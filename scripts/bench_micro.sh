@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Field-kernel microbenchmark harness: configures and builds a Release tree,
-# runs the mul/sqr/dot kernels at every standard prime size plus batch
-# inversion at n in {16, 64, 256, 1024}, and distills the google-benchmark
+# runs the mul/sqr/dot kernels (mul/sqr on FpMont: one kernel call), the
+# plain-element product, the bare reduction and element (de)serialization at
+# every standard prime size plus batch inversion at n in {16, 64, 256, 1024}, and distills the google-benchmark
 # JSON into BENCH_field.json at the repo root -- machine-readable
 # specialized-vs-generic numbers plus speedup ratios, with the acceptance gate
 # (>= 1.5x Montgomery multiply at g=256) spelled out as fields.
@@ -34,7 +35,7 @@ fi
 # is one-sided (it only ever slows a rep down), so the minimum across reps is
 # the faithful estimate of the kernel's cost.
 "$BUILD_DIR/bench/micro_field_ops" \
-  --benchmark_filter='BM_Field(Mul|Sqr|Dot)|BM_BatchInv' \
+  --benchmark_filter='BM_Field(Mul|Sqr|Dot|Redc|Serialize|Deserialize)|BM_BatchInv' \
   --benchmark_out="$RAW_FIELD_JSON" \
   --benchmark_out_format=json \
   --benchmark_repetitions=5
@@ -86,6 +87,7 @@ for g in sizes:
     sqr_gen = ns["BM_FieldSqrGeneric"][g]
     dot = ns["BM_FieldDot"][g]
     dot_naive = ns["BM_FieldDotNaive"][g]
+    mul_plain = ns["BM_FieldMulPlain"][g]
     result["sizes"][str(g)] = {
         "mul_ns": mul,
         "mul_generic_ns": mul_gen,
@@ -97,6 +99,11 @@ for g in sizes:
         "dot32_ns": dot,
         "dot32_naive_ns": dot_naive,
         "dot_speedup": ratio(dot_naive, dot),
+        "mul_plain_ns": mul_plain,
+        "mul_plain_vs_mul": ratio(mul_plain, mul),
+        "redc_ns": ns["BM_FieldRedc"][g],
+        "serialize32_ns": ns["BM_FieldSerialize"][g],
+        "deserialize32_ns": ns["BM_FieldDeserialize"][g],
     }
 
 mul256 = result["sizes"].get("256", {}).get("mul_speedup")

@@ -33,7 +33,7 @@ export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 # Run the pool-heavy suites with a wide pool (PISCES_THREADS is honored by the
 # benches; the tests size the pool themselves via SetGlobalPoolThreads /
 # params.b, so the filters below are what matters).
-"$BUILD_DIR/tests/pisces_tests" --gtest_filter='Determinism.*:*VssBatchTest*:*PssGridTest*:RobustShamir.*:*FieldPropertyTest*:*FieldKernelTest*:FieldKernelFallback.*:DifferentialTest.*:BatchInv.*:Chaos.*:Cluster.*:LongHorizon.*:Registry.*:Trace.*:Byzantine*:Fuzz.*:EventLoop.*:AsyncTcp.*:TransportConformance.*:Serving.*:ServingDifferential.*:CommStripe.*:CommReadSpec.*:CommDifferential.*:CommBytes.*:CommRecovery.*:CommServing.*:CommStatus.*:Reshare*:Elastic*:PackedShamirGenerator.*:DomainCacheKey.*:WireFleet.*:Crypto*:SchnorrTest.*:*FieldInv*'
+"$BUILD_DIR/tests/pisces_tests" --gtest_filter='Determinism.*:*VssBatchTest*:*PssGridTest*:RobustShamir.*:*FieldPropertyTest*:*FieldKernelTest*:FieldKernelFallback.*:DifferentialTest.*:BatchInv.*:Chaos.*:Cluster.*:LongHorizon.*:Registry.*:Trace.*:Byzantine*:Fuzz.*:EventLoop.*:AsyncTcp.*:TransportConformance.*:Serving.*:ServingDifferential.*:PlainMulGuard.*:CommStripe.*:CommReadSpec.*:CommDifferential.*:CommBytes.*:CommRecovery.*:CommServing.*:CommStatus.*:Reshare*:Elastic*:PackedShamirGenerator.*:DomainCacheKey.*:WireFleet.*:Crypto*:SchnorrTest.*:*FieldInv*'
 
 # The scenario engine's open-loop serving profile: many protocol sessions
 # pumped through the task pool per tick while admission queues churn -- the

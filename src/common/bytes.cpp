@@ -36,26 +36,6 @@ Bytes FromHex(std::string_view hex) {
   return out;
 }
 
-void StoreLe32(std::uint32_t v, std::uint8_t* out) {
-  for (int i = 0; i < 4; ++i) out[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
-void StoreLe64(std::uint64_t v, std::uint8_t* out) {
-  for (int i = 0; i < 8; ++i) out[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
-std::uint32_t LoadLe32(const std::uint8_t* in) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(in[i]) << (8 * i);
-  return v;
-}
-
-std::uint64_t LoadLe64(const std::uint8_t* in) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(in[i]) << (8 * i);
-  return v;
-}
-
 void ByteWriter::U32(std::uint32_t v) {
   std::uint8_t tmp[4];
   StoreLe32(v, tmp);

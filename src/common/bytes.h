@@ -18,11 +18,24 @@ using Bytes = std::vector<std::uint8_t>;
 std::string ToHex(std::span<const std::uint8_t> data);
 Bytes FromHex(std::string_view hex);
 
-// Little-endian fixed-width stores/loads.
-void StoreLe32(std::uint32_t v, std::uint8_t* out);
-void StoreLe64(std::uint64_t v, std::uint8_t* out);
-std::uint32_t LoadLe32(const std::uint8_t* in);
-std::uint64_t LoadLe64(const std::uint8_t* in);
+// Little-endian fixed-width stores/loads. Inline: element serialization
+// runs one per limb, and the compiler folds each into a single move.
+inline void StoreLe32(std::uint32_t v, std::uint8_t* out) {
+  for (int i = 0; i < 4; ++i) out[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+inline void StoreLe64(std::uint64_t v, std::uint8_t* out) {
+  for (int i = 0; i < 8; ++i) out[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+inline std::uint32_t LoadLe32(const std::uint8_t* in) {
+  std::uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(in[i]) << (8 * i);
+  return v;
+}
+inline std::uint64_t LoadLe64(const std::uint8_t* in) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(in[i]) << (8 * i);
+  return v;
+}
 
 // Append-only byte writer used to build wire messages.
 class ByteWriter {

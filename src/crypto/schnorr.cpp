@@ -12,6 +12,7 @@ namespace pisces::crypto {
 
 using field::FpCtx;
 using field::FpElem;
+using field::FpMont;
 
 namespace {
 
@@ -72,11 +73,11 @@ FixedBaseTable::FixedBaseTable(std::shared_ptr<const FpCtx> ctx,
   Require(cols_ > 0 && kTeeth * cols_ <= 64 * field::kMaxLimbs,
           "FixedBaseTable: exponent width out of range");
   const FpCtx& p = *ctx_;
-  auto put = [&](std::size_t i, const FpElem& v) {
+  auto put = [&](std::size_t i, const FpMont& v) {
     std::copy_n(v.v.data(), k_, entries_.data() + i * k_);
   };
-  put(0, p.One());
-  FpElem tooth = base;
+  put(0, p.MontOne());
+  FpMont tooth = p.ToMont(base);
   for (std::size_t j = 0; j < kTeeth; ++j) {
     if (j > 0) {
       for (std::size_t c = 0; c < cols_; ++c) tooth = p.Sqr(tooth);
@@ -89,18 +90,20 @@ FixedBaseTable::FixedBaseTable(std::shared_ptr<const FpCtx> ctx,
   }
 }
 
-FpElem FixedBaseTable::Entry(std::size_t i) const {
-  FpElem e;
+FpMont FixedBaseTable::Entry(std::size_t i) const {
+  FpMont e;
   std::copy_n(entries_.data() + i * k_, k_, e.v.data());
   return e;
 }
 
-FpElem FixedBaseTable::Pow(std::span<const std::uint8_t> e_be) const {
+FpMont FixedBaseTable::PowMont(std::span<const std::uint8_t> e_be) const {
   while (!e_be.empty() && e_be.front() == 0) e_be = e_be.subspan(1);
-  if (e_be.size() > kTeeth * cols_ / 8) return ctx_->PowBytes(Entry(1), e_be);
+  if (e_be.size() > kTeeth * cols_ / 8) {
+    return ctx_->ToMont(ctx_->PowBytes(ctx_->FromMont(Entry(1)), e_be));
+  }
   const field::Limbs e = LimbsFromBeBytes(e_be);
-  FpElem acc = ctx_->One();
-  FpElem entry;  // limbs past k_ stay zero
+  FpMont acc = ctx_->MontOne();
+  FpMont entry;  // limbs past k_ stay zero
   bool started = false;
   for (std::size_t col = cols_; col-- > 0;) {
     if (started) acc = ctx_->Sqr(acc);
@@ -324,7 +327,7 @@ bool SchnorrVerify(const SchnorrGroup& group, std::span<const std::uint8_t> pk,
   FpElem e = group.ScalarFromBe(sig.e);
   // r' = g^s * y^{-e} = g^s * y^{q-e} mod p
   const Bytes neg_e = group.ScalarToBe(q.Neg(e));
-  FpElem gs = group.g_table().Pow(sig.s);
+  const FpMont gs = group.g_table().PowMont(sig.s);
   const auto y_table = group.FindKeyTable(pk);
   FpElem ye = y_table ? y_table->Pow(neg_e) : p.PowBytes(y, neg_e);
   FpElem r = p.Mul(gs, ye);

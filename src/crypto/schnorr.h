@@ -27,9 +27,9 @@
 namespace pisces::crypto {
 
 // Lim-Lee fixed-base comb with kTeeth teeth: entry i (0 <= i < 2^kTeeth) is
-// prod_{bit j of i} base^(2^(j*cols)), stored at the modulus width. For an
-// exponent of at most kTeeth*cols bits, base^e costs cols-1 squarings plus
-// at most cols multiplies. Read-only after construction, so one table may be
+// prod_{bit j of i} base^(2^(j*cols)), stored in Montgomery form at the
+// modulus width. For an exponent of at most kTeeth*cols bits, base^e costs
+// cols-1 squarings plus at most cols multiplies. Read-only after construction, so one table may be
 // shared across threads.
 class FixedBaseTable {
  public:
@@ -42,10 +42,14 @@ class FixedBaseTable {
 
   // base^e for big-endian e: identical to ctx.PowBytes(base, e_be). An
   // exponent wider than the table falls back to PowBytes.
-  field::FpElem Pow(std::span<const std::uint8_t> e_be) const;
+  field::FpElem Pow(std::span<const std::uint8_t> e_be) const {
+    return ctx_->FromMont(PowMont(e_be));
+  }
+  // The same power left in Montgomery form, for a product that follows.
+  field::FpMont PowMont(std::span<const std::uint8_t> e_be) const;
 
  private:
-  field::FpElem Entry(std::size_t i) const;
+  field::FpMont Entry(std::size_t i) const;
 
   std::shared_ptr<const field::FpCtx> ctx_;
   std::size_t k_;     // limbs per entry

@@ -22,6 +22,8 @@ struct KernelCounters {
       "field.mont_muls", "Montgomery multiplications (debug builds only)");
   obs::Counter& mont_sqrs = obs::RegisterCounter(
       "field.mont_sqrs", "Montgomery squarings (debug builds only)");
+  obs::Counter& plain_muls = obs::RegisterCounter(
+      "field.plain_muls", "Mul/Sqr of two plain elements (two kernels each)");
   obs::Counter& dot_calls =
       obs::RegisterCounter("field.dot_calls", "lazy dot outputs produced");
   obs::Counter& dot_products = obs::RegisterCounter(
@@ -116,6 +118,7 @@ KernelStatsSnapshot GetKernelStats() {
   KernelStatsSnapshot s;
   s.mont_muls = g_kernel_stats.mont_muls.Load();
   s.mont_sqrs = g_kernel_stats.mont_sqrs.Load();
+  s.plain_muls = g_kernel_stats.plain_muls.Load();
   s.dot_calls = g_kernel_stats.dot_calls.Load();
   s.dot_products = g_kernel_stats.dot_products.Load();
   s.dot_reductions = g_kernel_stats.dot_reductions.Load();
@@ -125,6 +128,7 @@ KernelStatsSnapshot GetKernelStats() {
 void ResetKernelStats() {
   g_kernel_stats.mont_muls.Reset();
   g_kernel_stats.mont_sqrs.Reset();
+  g_kernel_stats.plain_muls.Reset();
   g_kernel_stats.dot_calls.Reset();
   g_kernel_stats.dot_products.Reset();
   g_kernel_stats.dot_reductions.Reset();
@@ -159,14 +163,13 @@ FpCtx::FpCtx(std::span<const std::uint8_t> modulus_be,
     }
   };
   for (std::size_t i = 0; i < 64 * k_; ++i) double_mod(x);
-  one_.v = x;  // R mod p == Montgomery form of 1
-  // 64 more doublings of R mod p give 2^64 * R mod p, the fixup constant for
-  // the lazy dot-product reduction (which divides by an extra 2^64).
-  Limbs y = x;
-  for (std::size_t i = 0; i < 64; ++i) double_mod(y);
-  two64m_.v = y;
+  mont_one_.v = x;  // R mod p == Montgomery form of 1
   for (std::size_t i = 0; i < 64 * k_; ++i) double_mod(x);
-  r2_.v = x;  // R^2 mod p
+  r2_ = x;  // R^2 mod p
+  // 64 more doublings give 2^64 * R^2 mod p, the fixup constant for the lazy
+  // dot-product reduction (which divides by R * 2^64).
+  for (std::size_t i = 0; i < 64; ++i) double_mod(x);
+  two64r2_ = x;
 
   lz_ = static_cast<unsigned>(64 * k_ - bits_);
   top_norm_ = p_[k_ - 1] << lz_;
@@ -185,91 +188,64 @@ void FpCtx::MulInto(const u64* a, const u64* b, u64* r) const {
   if (kernels_ != nullptr) {
     kernels_->mul(p_.data(), n0inv_, a, b, r);
   } else {
-    MontMul(a, b, r);
+    u64 t[2 * kMaxLimbs];
+    MulN(t, a, b, k_);
+    MontRedcN(p_.data(), n0inv_, k_, t, r);
   }
 }
 
-void FpCtx::MontMul(const u64* a, const u64* b, u64* r) const {
-  // CIOS Montgomery multiplication: r = a*b*R^{-1} mod p.
-  u64 t[kMaxLimbs + 2] = {0};
-  const std::size_t k = k_;
-  for (std::size_t i = 0; i < k; ++i) {
-    // t += a[i] * b
-    u64 carry = 0;
-    for (std::size_t j = 0; j < k; ++j) {
-      u128 cur = static_cast<u128>(a[i]) * b[j] + t[j] + carry;
-      t[j] = static_cast<u64>(cur);
-      carry = static_cast<u64>(cur >> 64);
-    }
-    u128 s = static_cast<u128>(t[k]) + carry;
-    t[k] = static_cast<u64>(s);
-    t[k + 1] = static_cast<u64>(s >> 64);
-
-    // m = t[0] * n0inv mod 2^64; t += m * p; t >>= 64.
-    u64 m = t[0] * n0inv_;
-    u128 cur = static_cast<u128>(m) * p_[0] + t[0];
-    carry = static_cast<u64>(cur >> 64);
-    for (std::size_t j = 1; j < k; ++j) {
-      cur = static_cast<u128>(m) * p_[j] + t[j] + carry;
-      t[j - 1] = static_cast<u64>(cur);
-      carry = static_cast<u64>(cur >> 64);
-    }
-    s = static_cast<u128>(t[k]) + carry;
-    t[k - 1] = static_cast<u64>(s);
-    t[k] = t[k + 1] + static_cast<u64>(s >> 64);
+void FpCtx::SqrInto(const u64* a, u64* r) const {
+  CountSqr();
+  if (kernels_ != nullptr) {
+    kernels_->sqr(p_.data(), n0inv_, a, r);
+  } else {
+    u64 t[2 * kMaxLimbs];
+    SqrN(t, a, k_);
+    MontRedcN(p_.data(), n0inv_, k_, t, r);
   }
-  // t < 2p here (given top-limb-occupied modulus); one conditional subtract.
-  if (t[k] != 0 || CmpN(t, p_.data(), k) >= 0) {
-    SubN(t, t, p_.data(), k);
-  }
-  std::copy(t, t + k, r);
-  for (std::size_t j = k; j < kMaxLimbs; ++j) r[j] = 0;
 }
 
-FpElem FpCtx::ToMont(const Limbs& raw) const {
-  FpElem out;
-  MulInto(raw.data(), r2_.v.data(), out.v.data());
-  return out;
-}
-
-Limbs FpCtx::FromMont(const FpElem& a) const {
-  Limbs one{};
-  one[0] = 1;
-  Limbs out{};
-  MulInto(a.v.data(), one.data(), out.data());
-  return out;
+void FpCtx::RedcInto(const u64* a, u64* r) const {
+  u64 t[2 * kMaxLimbs];  // a, zero-extended to 2k limbs
+  std::copy(a, a + k_, t);
+  std::fill(t + k_, t + 2 * k_, 0);
+  if (kernels_ != nullptr) {
+    kernels_->redc(p_.data(), n0inv_, t, r);
+  } else {
+    MontRedcN(p_.data(), n0inv_, k_, t, r);
+  }
 }
 
 FpElem FpCtx::FromUint64(u64 x) const {
-  Limbs raw{};
-  raw[0] = x;
-  Require(k_ > 1 || CmpN(raw.data(), p_.data(), k_) < 0,
+  FpElem out;
+  out.v[0] = x;
+  Require(k_ > 1 || CmpN(out.v.data(), p_.data(), k_) < 0,
           "FromUint64: value >= modulus");
-  return ToMont(raw);
+  return out;
 }
 
 FpElem FpCtx::FromBytes(std::span<const std::uint8_t> le) const {
   Require(le.size() <= elem_bytes(), "FromBytes: too many bytes");
-  Limbs raw{};
-  for (std::size_t i = 0; i < le.size(); ++i) {
-    raw[i / 8] |= static_cast<u64>(le[i]) << (8 * (i % 8));
+  FpElem out;
+  const std::size_t full = le.size() / 8;
+  for (std::size_t i = 0; i < full; ++i) out.v[i] = LoadLe64(le.data() + 8 * i);
+  for (std::size_t i = 8 * full; i < le.size(); ++i) {
+    out.v[full] |= static_cast<u64>(le[i]) << (8 * (i % 8));
   }
-  Require(CmpN(raw.data(), p_.data(), k_) < 0, "FromBytes: value >= modulus");
-  return ToMont(raw);
+  Require(CmpN(out.v.data(), p_.data(), k_) < 0, "FromBytes: value >= modulus");
+  return out;
 }
 
 Bytes FpCtx::ToBytes(const FpElem& a) const {
-  Limbs raw = FromMont(a);
   Bytes out(elem_bytes());
-  for (std::size_t i = 0; i < k_; ++i) StoreLe64(raw[i], out.data() + 8 * i);
+  for (std::size_t i = 0; i < k_; ++i) StoreLe64(a.v[i], out.data() + 8 * i);
   return out;
 }
 
 u64 FpCtx::ToUint64(const FpElem& a) const {
-  Limbs raw = FromMont(a);
   for (std::size_t i = 1; i < k_; ++i)
-    Require(raw[i] == 0, "ToUint64: value does not fit");
-  return raw[0];
+    Require(a.v[i] == 0, "ToUint64: value does not fit");
+  return a.v[0];
 }
 
 FpElem FpCtx::Add(const FpElem& a, const FpElem& b) const {
@@ -293,21 +269,48 @@ FpElem FpCtx::Sub(const FpElem& a, const FpElem& b) const {
 FpElem FpCtx::Neg(const FpElem& a) const { return Sub(Zero(), a); }
 
 FpElem FpCtx::Mul(const FpElem& a, const FpElem& b) const {
-  FpElem r;
-  MulInto(a.v.data(), b.v.data(), r.v.data());
+  g_kernel_stats.plain_muls.Add();
+  FpElem ab_over_r, r;
+  MulInto(a.v.data(), b.v.data(), ab_over_r.v.data());
+  MulInto(ab_over_r.v.data(), r2_.data(), r.v.data());
   return r;
 }
 
 FpElem FpCtx::Sqr(const FpElem& a) const {
-  CountSqr();
+  g_kernel_stats.plain_muls.Add();
+  FpElem aa_over_r, r;
+  SqrInto(a.v.data(), aa_over_r.v.data());
+  MulInto(aa_over_r.v.data(), r2_.data(), r.v.data());
+  return r;
+}
+
+FpMont FpCtx::ToMont(const FpElem& a) const {
+  FpMont r;
+  MulInto(a.v.data(), r2_.data(), r.v.data());
+  return r;
+}
+
+FpElem FpCtx::FromMont(const FpMont& a) const {
   FpElem r;
-  if (kernels_ != nullptr) {
-    kernels_->sqr(p_.data(), n0inv_, a.v.data(), r.v.data());
-  } else {
-    u64 t[2 * kMaxLimbs];
-    SqrN(t, a.v.data(), k_);
-    MontRedcN(p_.data(), n0inv_, k_, t, r.v.data());
-  }
+  RedcInto(a.v.data(), r.v.data());
+  return r;
+}
+
+FpMont FpCtx::Mul(const FpMont& a, const FpMont& b) const {
+  FpMont r;
+  MulInto(a.v.data(), b.v.data(), r.v.data());
+  return r;
+}
+
+FpMont FpCtx::Sqr(const FpMont& a) const {
+  FpMont r;
+  SqrInto(a.v.data(), r.v.data());
+  return r;
+}
+
+FpElem FpCtx::Mul(const FpMont& a, const FpElem& b) const {
+  FpElem r;
+  MulInto(a.v.data(), b.v.data(), r.v.data());
   return r;
 }
 
@@ -334,10 +337,10 @@ FpElem FpCtx::AccReduce(const u64* t, std::uint64_t n_products) const {
   } else {
     MontRedcWideN(p_.data(), n0inv_, k_, w, u.v.data());
   }
-  // The wide reduction divided by R*2^64; one multiply by 2^64*R mod p
-  // restores the plain Montgomery factor: result = (sum a_i*b_i)*R^{-1} mod p.
+  // The wide reduction divided by R*2^64; one Montgomery multiply by
+  // 2^64*R^2 mod p undoes that: result = sum a_i*b_i mod p.
   FpElem r;
-  MulInto(u.v.data(), two64m_.v.data(), r.v.data());
+  MulInto(u.v.data(), two64r2_.data(), r.v.data());
   return r;
 }
 
@@ -367,7 +370,7 @@ FpElem FpCtx::Dot(std::span<const FpElem> a, std::span<const FpElem> b) const {
     MontRedcWideN(p_.data(), n0inv_, k_, t, u.v.data());
   }
   FpElem r;
-  MulInto(u.v.data(), two64m_.v.data(), r.v.data());
+  MulInto(u.v.data(), two64r2_.data(), r.v.data());
   return r;
 }
 
@@ -423,20 +426,19 @@ FpElem FpCtx::MulU64Add(const FpElem& a, u64 s, const FpElem& b) const {
 }
 
 FpElem FpCtx::PowBytes(const FpElem& a, std::span<const std::uint8_t> e_be) const {
-  FpElem acc = One();
-  bool started = false;
+  const FpMont base = ToMont(a);
+  FpMont acc = MontOne();
+  bool started = false;  // leading zero bits cost nothing
   for (std::uint8_t byte : e_be) {
     for (int bit = 7; bit >= 0; --bit) {
       if (started) acc = Sqr(acc);
       if ((byte >> bit) & 1) {
-        acc = Mul(acc, a);
+        acc = Mul(acc, base);
         started = true;
-      } else if (!started) {
-        // skip leading zeros
       }
     }
   }
-  return acc;
+  return FromMont(acc);
 }
 
 FpElem FpCtx::PowUint64(const FpElem& a, u64 e) const {
@@ -451,7 +453,7 @@ FpElem FpCtx::Inv(const FpElem& a) const {
   // x2*a == v (mod p). Needs only an odd modulus: u reaches zero exactly
   // when gcd(a, p) > 1, and otherwise u or v reaches one.
   const std::size_t k = k_;
-  Limbs u = FromMont(a), v = p_, x1{}, x2{};
+  Limbs u = a.v, v = p_, x1{}, x2{};
   x1[0] = 1;
   // Strips the trailing zero bits of y (y even, nonzero) and divides x by
   // the same power of two mod p: adding m*p with m = x*(-1/p) mod 2^s
@@ -494,7 +496,7 @@ FpElem FpCtx::Inv(const FpElem& a) const {
       sub_mod(x2, x1);
     }
   }
-  return ToMont(is_one(u) ? x1 : x2);
+  return FpElem{is_one(u) ? x1 : x2};
 }
 
 void FpCtx::BatchInv(std::span<FpElem> elems) const {
@@ -529,16 +531,21 @@ void FpCtx::BatchInv(std::span<FpElem> elems) const {
     }
     return;
   }
-  // prefix[i] = e_0 * ... * e_i
-  std::vector<FpElem> prefix(elems.size());
-  prefix[0] = elems[0];
+  // One Montgomery multiply per product, with the R powers tracked instead
+  // of converted away: prefix[i] = e_0 * ... * e_i * R^{-i}, so inv_all
+  // below starts as (e_0 ... e_{m-1})^{-1} R^{m-1} and stays
+  // (e_0 ... e_i)^{-1} R^i, and each product of the two has R^0: plain.
+  std::vector<Limbs> prefix(elems.size());
+  prefix[0] = elems[0].v;
   for (std::size_t i = 1; i < elems.size(); ++i) {
-    prefix[i] = Mul(prefix[i - 1], elems[i]);
+    MulInto(prefix[i - 1].data(), elems[i].v.data(), prefix[i].data());
   }
-  FpElem inv_all = Inv(prefix.back());
+  FpElem inv_all = Inv(FpElem{prefix.back()});
   for (std::size_t i = elems.size(); i-- > 1;) {
-    FpElem inv_i = Mul(inv_all, prefix[i - 1]);
-    inv_all = Mul(inv_all, elems[i]);
+    FpElem inv_i, next;
+    MulInto(inv_all.v.data(), prefix[i - 1].data(), inv_i.v.data());
+    MulInto(inv_all.v.data(), elems[i].v.data(), next.v.data());
+    inv_all = next;
     elems[i] = inv_i;
   }
   elems[0] = inv_all;
@@ -557,9 +564,10 @@ FpElem FpCtx::Random(Rng& rng) const {
     raw[k_ - 1] &= top_mask;
     if (CmpN(raw.data(), p_.data(), k_) < 0) break;
   }
-  // Montgomery form of a uniform raw value is uniform.
+  // The residue this draw has always denoted (raw read as a Montgomery form),
+  // so seeded runs keep their values; uniform either way.
   FpElem out;
-  out.v = raw;
+  RedcInto(raw.data(), out.v.data());
   return out;
 }
 
@@ -584,11 +592,11 @@ Bytes FpCtx::ModulusBytes() const {
 }
 
 Bytes SerializeElems(const FpCtx& ctx, std::span<const FpElem> elems) {
-  Bytes out;
-  out.reserve(elems.size() * ctx.elem_bytes());
+  const std::size_t k = ctx.limbs();
+  Bytes out(elems.size() * ctx.elem_bytes());
+  std::uint8_t* dst = out.data();
   for (const FpElem& e : elems) {
-    Bytes one = ctx.ToBytes(e);
-    out.insert(out.end(), one.begin(), one.end());
+    for (std::size_t i = 0; i < k; ++i, dst += 8) StoreLe64(e.v[i], dst);
   }
   return out;
 }

@@ -1,11 +1,14 @@
-// Prime-field arithmetic F_p with Montgomery representation.
+// Prime-field arithmetic F_p over Montgomery kernels.
 //
 // An FpCtx is constructed from an odd modulus (the standard g-bit primes live
-// in field/primes.h) and owns all arithmetic. FpElem values are opaque
-// fixed-capacity limb arrays kept internally in Montgomery form; they are only
-// meaningful relative to the context that produced them. This mirrors the
-// paper's parameter g (the size of the underlying prime field), which is swept
-// from 256 to 2048 bits in the evaluation.
+// in field/primes.h) and owns all arithmetic. This mirrors the paper's
+// parameter g (the size of the underlying prime field), which is swept from
+// 256 to 2048 bits in the evaluation.
+//
+// An FpElem holds the plain residue a (0 <= a < p), so its limbs are the wire
+// and storage encoding and (de)serialization is a copy. Montgomery form (aR
+// mod p) stays inside the kernels, except in FpMont, a distinct type for a
+// value multiplied many times (see docs/field_kernels.md, "Representation").
 //
 // The context also works for any odd modulus (Montgomery requires only
 // oddness); modular exponentiation with non-prime-field use is what the
@@ -27,21 +30,30 @@ namespace kernels {
 struct KernelVTable;  // width-specialized fast path (field/fp_kernels.h)
 }  // namespace kernels
 
-// A field element in Montgomery form. Unused high limbs are always zero, so
-// default equality over the whole array is exact.
+// A field element: the plain residue, canonical (< p). Unused high limbs are
+// always zero, so default equality over the whole array is exact.
 struct FpElem {
   Limbs v{};
 
   bool operator==(const FpElem&) const = default;
 };
 
+// The Montgomery form aR mod p of an element, for repeated multiplication.
+// A distinct type, so mixing forms without a conversion does not compile.
+struct FpMont {
+  Limbs v{};
+
+  bool operator==(const FpMont&) const = default;
+};
+
 // Process-wide instrumentation for the kernel layer (docs/field_kernels.md).
 // The dot counters are always live (one relaxed atomic bump per Dot call,
-// amortized over n products); the per-multiply counters are debug-only so the
-// release hot path stays untouched.
+// amortized over n products), as is plain_muls; the per-kernel counters are
+// debug-only so the release hot path stays untouched.
 struct KernelStatsSnapshot {
   std::uint64_t mont_muls = 0;       // debug builds only (0 under NDEBUG)
   std::uint64_t mont_sqrs = 0;       // debug builds only (0 under NDEBUG)
+  std::uint64_t plain_muls = 0;      // Mul/Sqr of FpElems (two kernels each)
   std::uint64_t dot_calls = 0;       // Dot() calls + DotAcc::Reduce() calls
   std::uint64_t dot_products = 0;    // products accumulated without reduction
   std::uint64_t dot_reductions = 0;  // wide reductions: exactly 1 per output
@@ -72,8 +84,9 @@ class FpCtx {
   std::size_t payload_bytes() const { return (bits_ - 1) / 8; }
 
   FpElem Zero() const { return FpElem{}; }
-  FpElem One() const { return one_; }
+  FpElem One() const { return FpElem{Limbs{1}}; }
 
+  // Limb copies: the element's limbs are its value.
   FpElem FromUint64(std::uint64_t x) const;
   // Little-endian bytes, at most elem_bytes(), value must be < p.
   FpElem FromBytes(std::span<const std::uint8_t> le) const;
@@ -84,10 +97,23 @@ class FpCtx {
   FpElem Add(const FpElem& a, const FpElem& b) const;
   FpElem Sub(const FpElem& a, const FpElem& b) const;
   FpElem Neg(const FpElem& a) const;
+  // Two kernel calls each (the product, then x R^2), counted in
+  // field.plain_muls: out of loops, hoist a factor to FpMont or use Dot.
   FpElem Mul(const FpElem& a, const FpElem& b) const;
   // Dedicated squaring kernel (cross products computed once and doubled);
-  // bit-identical to Mul(a, a). Pow's square step rides on this.
+  // bit-identical to Mul(a, a).
   FpElem Sqr(const FpElem& a) const;
+
+  // Montgomery form. ToMont is one kernel call, FromMont a bare reduction
+  // (about half of one); every product below is one kernel call.
+  FpMont ToMont(const FpElem& a) const;
+  FpElem FromMont(const FpMont& a) const;
+  FpMont MontOne() const { return mont_one_; }
+  FpMont Mul(const FpMont& a, const FpMont& b) const;
+  FpMont Sqr(const FpMont& a) const;
+  // aR * b / R = ab: a hoisted factor times plain data, plain out.
+  FpElem Mul(const FpMont& a, const FpElem& b) const;
+
   // Lazy-reduction dot product: sum_i a[i]*b[i] with ONE Montgomery reduction
   // for the whole sum instead of one per product. Bit-identical to the naive
   // Add(Mul(...)) loop; a.size() must equal b.size(). The inner loops of
@@ -95,12 +121,12 @@ class FpCtx {
   FpElem Dot(std::span<const FpElem> a, std::span<const FpElem> b) const;
   // a*s + b for a plain integer s (not a field element): a k x 1 product
   // and one quotient-digit reduction, no Montgomery multiply. Form-agnostic
-  // (aR*s + bR = (as+b)R), so it equals Add(Mul(a, FromUint64(s)), b) for
+  // (a*s + b is linear), so it equals Add(Mul(a, FromUint64(s)), b) for
   // s < p. VSS dealing evaluates at the integer holder nodes with it.
   FpElem MulU64Add(const FpElem& a, std::uint64_t s, const FpElem& b) const;
-  // a^e where e is given as big-endian bytes. Not constant-time (see rng.h
-  // note: the simulator models crypto, the PSS privacy is information
-  // theoretic).
+  // a^e where e is given as big-endian bytes, square-and-multiply on FpMont.
+  // Not constant-time (see rng.h note: the simulator models crypto, the PSS
+  // privacy is information theoretic).
   FpElem PowBytes(const FpElem& a, std::span<const std::uint8_t> e_be) const;
   // a^e for small exponents.
   FpElem PowUint64(const FpElem& a, std::uint64_t e) const;
@@ -108,7 +134,7 @@ class FpCtx {
   // InvalidArgument when a is zero or shares a factor with the modulus.
   FpElem Inv(const FpElem& a) const;
   // Inverts every element in place with Montgomery's batch-inversion trick:
-  // one Inv plus 3(m-1) multiplications. Zero elements are left at zero (0
+  // one Inv plus 3(m-1) kernel calls. Zero elements are left at zero (0
   // has no inverse): the all-nonzero fast path is guarded by a cheap scan,
   // and a batch containing zeros is inverted through a compacted view rather
   // than letting a zero prefix product poison every later entry.
@@ -119,7 +145,8 @@ class FpCtx {
   bool IsZero(const FpElem& a) const;
   bool Eq(const FpElem& a, const FpElem& b) const { return a == b; }
 
-  // Uniform random element via rejection sampling.
+  // Uniform random element: a rejection-sampled raw draw r < p, returned as
+  // r R^{-1} mod p, the residue it has always denoted (seeded values hold).
   FpElem Random(Rng& rng) const;
   // Uniform random nonzero element.
   FpElem RandomNonZero(Rng& rng) const;
@@ -130,29 +157,29 @@ class FpCtx {
  private:
   friend class DotAcc;
 
-  // Generic runtime-width CIOS multiply: the fallback for odd widths and the
-  // oracle the specialized kernels are differentially tested against.
-  void MontMul(const std::uint64_t* a, const std::uint64_t* b,
-               std::uint64_t* r) const;
-  // Dispatched multiply: specialized kernel when bound, generic otherwise.
-  // Writes k_ limbs; the caller's destination high limbs must already be 0.
+  // Dispatched Montgomery multiply r = a*b*R^{-1}: specialized kernel when
+  // bound, generic (the fallback for odd widths and the differential-test
+  // oracle) otherwise. Writes k_ limbs; the caller's destination high limbs
+  // must already be 0.
   void MulInto(const std::uint64_t* a, const std::uint64_t* b,
                std::uint64_t* r) const;
+  // Dispatched squaring r = a^2 R^{-1}, same contract.
+  void SqrInto(const std::uint64_t* a, std::uint64_t* r) const;
+  // Dispatched bare reduction r = a R^{-1} of a k-limb a.
+  void RedcInto(const std::uint64_t* a, std::uint64_t* r) const;
   // Lazy-accumulator primitives behind Dot/DotAcc (see docs/field_kernels.md).
   // AccReduce copies the accumulator before the (destructive) reduction, so a
   // DotAcc can keep accumulating after a Reduce.
   void AccMulAdd(std::uint64_t* t, const FpElem& a, const FpElem& b) const;
   FpElem AccReduce(const std::uint64_t* t, std::uint64_t n_products) const;
-  FpElem ToMont(const Limbs& raw) const;
-  Limbs FromMont(const FpElem& a) const;
 
   std::size_t k_ = 0;
   std::size_t bits_ = 0;
   Limbs p_{};
   std::uint64_t n0inv_ = 0;
-  FpElem r2_;      // R^2 mod p (Montgomery form of R)
-  FpElem one_;     // Montgomery form of 1 (= R mod p)
-  FpElem two64m_;  // Montgomery form of 2^64: fixes up the wide reduction
+  Limbs r2_{};        // R^2 mod p: a Montgomery multiply by it is ToMont
+  FpMont mont_one_;   // R mod p
+  Limbs two64r2_{};   // 2^64 R^2 mod p: fixes up the wide reduction
   // MulU64Add's quotient digit: the modulus shifted left by lz_ bits has top
   // word top_norm_ (high bit set), and top_recip_ = floor((2^128 - 1) /
   // top_norm_) - 2^64 is its 2/1 division reciprocal (Moller-Granlund), so
@@ -193,7 +220,8 @@ class DotAcc {
   std::uint64_t n_ = 0;
 };
 
-// Convenience: serialize a vector of elements (used by wire messages).
+// The little-endian limb dumps of the elements, back to back (wire messages
+// and the share store). Deserialization checks every value is < p.
 Bytes SerializeElems(const FpCtx& ctx, std::span<const FpElem> elems);
 std::vector<FpElem> DeserializeElems(const FpCtx& ctx,
                                      std::span<const std::uint8_t> data);

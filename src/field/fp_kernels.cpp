@@ -6,8 +6,8 @@ namespace {
 
 template <std::size_t K>
 constexpr KernelVTable MakeTable() {
-  return KernelVTable{K, &MontMulK<K>, &MontSqrK<K>, &MulAccK<K>,
-                      &MontRedcWideK<K>};
+  return KernelVTable{K, &MontMulK<K>, &MontSqrK<K>, &MontRedcK<K>,
+                      &MulAccK<K>, &MontRedcWideK<K>};
 }
 
 // One instantiation per standard field size g = 64*K in {256, 512, 1024,

@@ -1,12 +1,12 @@
 // Width-specialized Montgomery kernels.
 //
-// The generic CIOS multiply in fp.cpp carries a runtime loop bound k, which
-// blocks unrolling and keeps every product paying loop/branch overhead per
-// limb. The paper's standard field sizes g in {256, 512, 1024, 2048} map to
-// exactly k in {4, 8, 16, 32} limbs, so this header provides the same
-// algorithms as function templates on a compile-time limb count K: the
-// compiler sees constant trip counts, fully unrolls the small widths, and
-// keeps carries in registers. FpCtx selects a KernelVTable once at
+// The generic multiply in fp.cpp (schoolbook product, then REDC) carries a
+// runtime loop bound k, which blocks unrolling and keeps every product paying
+// loop/branch overhead per limb. The paper's standard field sizes g in {256,
+// 512, 1024, 2048} map to exactly k in {4, 8, 16, 32} limbs, so this header
+// provides the same algorithms as function templates on a compile-time limb
+// count K: the compiler sees constant trip counts, fully unrolls the small
+// widths, and keeps carries in registers. FpCtx selects a KernelVTable once at
 // construction (function pointers, no per-call branching on width); the
 // runtime-k path in fp.cpp remains both the fallback for odd widths and the
 // differential-test oracle (tests/field_kernel_test.cpp).
@@ -208,8 +208,9 @@ inline void MulAccK(std::uint64_t* t, const std::uint64_t* a,
 // Reduce a (2K+1)-limb lazy accumulator T < 2^64 * p^2 with K+1 REDC steps:
 // r = T * 2^{-64(K+1)} mod p, canonical. The extra 2^{-64} factor (relative
 // to a plain T*R^{-1}) is corrected by the caller with one Montgomery
-// multiplication by 2^64*R mod p (FpCtx::two64m_). t must have 2K+2 limbs
-// with t[2K+1] == 0 on entry; clobbered.
+// multiplication by 2^64*R^2 mod p (FpCtx::two64r2_), which also restores
+// the R^{-1} of the reduction itself: plain inputs give a plain sum. t must
+// have 2K+2 limbs with t[2K+1] == 0 on entry; clobbered.
 //
 // Bound: each step maps t -> (t + m*p)/2^64 <= t/2^64 + p, so after K+1
 // steps the result is < T/2^{64(K+1)} + p <= (n/2^64)*(p^2/R) + p < 2p for
@@ -295,6 +296,8 @@ struct KernelVTable {
               const std::uint64_t* a, const std::uint64_t* b, std::uint64_t* r);
   void (*sqr)(const std::uint64_t* p, std::uint64_t n0inv,
               const std::uint64_t* a, std::uint64_t* r);
+  void (*redc)(const std::uint64_t* p, std::uint64_t n0inv, std::uint64_t* t,
+               std::uint64_t* r);
   void (*mul_acc)(std::uint64_t* t, const std::uint64_t* a,
                   const std::uint64_t* b);
   void (*redc_wide)(const std::uint64_t* p, std::uint64_t n0inv,

@@ -90,6 +90,7 @@ bool MillerRabinIsPrime(std::span<const std::uint8_t> n_be, int rounds,
   }
 
   field::FpElem minus_one = ctx.Neg(ctx.One());
+  const FpMont minus_one_m = ctx.ToMont(minus_one);
   for (int round = 0; round < rounds; ++round) {
     // Random base in [2, n-2]; Random() then reject trivial values.
     FpElem a;
@@ -97,12 +98,13 @@ bool MillerRabinIsPrime(std::span<const std::uint8_t> n_be, int rounds,
       a = ctx.Random(rng);
     } while (ctx.IsZero(a) || ctx.Eq(a, ctx.One()) || ctx.Eq(a, minus_one));
 
-    FpElem x = ctx.PowBytes(a, d_be);
+    const FpElem x = ctx.PowBytes(a, d_be);
     if (ctx.Eq(x, ctx.One()) || ctx.Eq(x, minus_one)) continue;
     bool witness = true;
+    FpMont xm = ctx.ToMont(x);
     for (std::size_t i = 1; i < s; ++i) {
-      x = ctx.Sqr(x);
-      if (ctx.Eq(x, minus_one)) {
+      xm = ctx.Sqr(xm);
+      if (xm == minus_one_m) {
         witness = false;
         break;
       }

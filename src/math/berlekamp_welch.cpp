@@ -19,18 +19,19 @@ std::optional<Poly> TryDecode(const FpCtx& ctx, std::span<const FpElem> xs,
   Matrix a(n, unknowns);
   std::vector<FpElem> b(n, ctx.Zero());
   for (std::size_t i = 0; i < n; ++i) {
+    const field::FpMont x = ctx.ToMont(xs[i]), y = ctx.ToMont(ys[i]);
     FpElem pow = ctx.One();
     for (std::size_t j = 0; j < nq; ++j) {
       a.At(i, j) = pow;
-      pow = ctx.Mul(pow, xs[i]);
+      pow = ctx.Mul(x, pow);
     }
     pow = ctx.One();
     for (std::size_t k = 0; k < e; ++k) {
-      a.At(i, nq + k) = ctx.Neg(ctx.Mul(ys[i], pow));
-      pow = ctx.Mul(pow, xs[i]);
+      a.At(i, nq + k) = ctx.Neg(ctx.Mul(y, pow));
+      pow = ctx.Mul(x, pow);
     }
     // pow is now xs[i]^e.
-    b[i] = ctx.Mul(ys[i], pow);
+    b[i] = ctx.Mul(y, pow);
   }
   auto sol = SolveLinearSystem(ctx, std::move(a), std::move(b));
   if (!sol) return std::nullopt;

@@ -10,9 +10,9 @@
 //     change under a reader, so lookups from pool workers are safe;
 //   * the key is the modulus bytes plus size-tagged limb dumps of the point
 //     sets and shape tags, never the FpCtx address: a freed context's address
-//     can be reused by a context over a DIFFERENT prime. Points are in
-//     Montgomery form, which is canonical for a fixed modulus, so two live
-//     contexts over one prime share entries and two primes never alias;
+//     can be reused by a context over a DIFFERENT prime. Points are plain
+//     residues, canonical for a fixed modulus, so two live contexts over one
+//     prime share entries and two primes never alias;
 //   * a miss computes outside the lock; racing misses build identical values
 //     and the first insert wins;
 //   * at kWeightCacheMaxEntries entries the map is cleared wholesale, so

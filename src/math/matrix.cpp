@@ -5,6 +5,8 @@
 
 namespace pisces::math {
 
+using field::FpMont;
+
 Matrix Matrix::Identity(const FpCtx& ctx, std::size_t n) {
   Matrix m(n, n);
   for (std::size_t i = 0; i < n; ++i) m.At(i, i) = ctx.One();
@@ -16,8 +18,8 @@ Matrix Matrix::Mul(const FpCtx& ctx, const Matrix& other) const {
   Matrix out(rows_, other.cols_);
   for (std::size_t i = 0; i < rows_; ++i) {
     for (std::size_t k = 0; k < cols_; ++k) {
-      const FpElem& aik = At(i, k);
-      if (ctx.IsZero(aik)) continue;
+      if (ctx.IsZero(At(i, k))) continue;
+      const FpMont aik = ctx.ToMont(At(i, k));
       for (std::size_t j = 0; j < other.cols_; ++j) {
         out.At(i, j) = ctx.Add(out.At(i, j), ctx.Mul(aik, other.At(k, j)));
       }
@@ -52,14 +54,14 @@ std::optional<Matrix> Matrix::Inverse(const FpCtx& ctx) const {
         std::swap(inv.At(pivot, j), inv.At(col, j));
       }
     }
-    FpElem piv_inv = ctx.Inv(a.At(col, col));
+    const FpMont piv_inv = ctx.ToMont(ctx.Inv(a.At(col, col)));
     for (std::size_t j = 0; j < n; ++j) {
-      a.At(col, j) = ctx.Mul(a.At(col, j), piv_inv);
-      inv.At(col, j) = ctx.Mul(inv.At(col, j), piv_inv);
+      a.At(col, j) = ctx.Mul(piv_inv, a.At(col, j));
+      inv.At(col, j) = ctx.Mul(piv_inv, inv.At(col, j));
     }
     for (std::size_t r = 0; r < n; ++r) {
       if (r == col || ctx.IsZero(a.At(r, col))) continue;
-      FpElem factor = a.At(r, col);
+      const FpMont factor = ctx.ToMont(a.At(r, col));
       for (std::size_t j = 0; j < n; ++j) {
         a.At(r, j) = ctx.Sub(a.At(r, j), ctx.Mul(factor, a.At(col, j)));
         inv.At(r, j) = ctx.Sub(inv.At(r, j), ctx.Mul(factor, inv.At(col, j)));
@@ -110,14 +112,14 @@ std::optional<std::vector<FpElem>> SolveLinearSystem(const FpCtx& ctx,
       }
       std::swap(b[pivot], b[next_row]);
     }
-    FpElem inv = ctx.Inv(a.At(next_row, c));
+    const FpMont inv = ctx.ToMont(ctx.Inv(a.At(next_row, c)));
     for (std::size_t j = c; j < cols; ++j) {
-      a.At(next_row, j) = ctx.Mul(a.At(next_row, j), inv);
+      a.At(next_row, j) = ctx.Mul(inv, a.At(next_row, j));
     }
-    b[next_row] = ctx.Mul(b[next_row], inv);
+    b[next_row] = ctx.Mul(inv, b[next_row]);
     for (std::size_t r = 0; r < rows; ++r) {
       if (r == next_row || ctx.IsZero(a.At(r, c))) continue;
-      FpElem factor = a.At(r, c);
+      const FpMont factor = ctx.ToMont(a.At(r, c));
       for (std::size_t j = c; j < cols; ++j) {
         a.At(r, j) = ctx.Sub(a.At(r, j), ctx.Mul(factor, a.At(next_row, j)));
       }
@@ -143,10 +145,11 @@ Matrix Vandermonde(const FpCtx& ctx, std::span<const FpElem> xs,
                    std::size_t cols) {
   Matrix m(xs.size(), cols);
   for (std::size_t r = 0; r < xs.size(); ++r) {
+    const FpMont x = ctx.ToMont(xs[r]);
     FpElem acc = ctx.One();
     for (std::size_t c = 0; c < cols; ++c) {
       m.At(r, c) = acc;
-      acc = ctx.Mul(acc, xs[r]);
+      acc = ctx.Mul(x, acc);
     }
   }
   return m;

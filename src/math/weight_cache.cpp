@@ -40,9 +40,10 @@ std::shared_ptr<const Matrix> CachedSharingGenerator(
     for (std::size_t i = 0; i < alphas.size(); ++i) {
       for (std::size_t j = 0; j < l; ++j) g.At(i, j) = lagrange[i][j];
       FpElem mask = w.Eval(ctx, alphas[i]);  // w(a_i) * a_i^k, k = 0..deg-l
+      const field::FpMont alpha = ctx.ToMont(alphas[i]);
       for (std::size_t k = l; k <= deg; ++k) {
         g.At(i, k) = mask;
-        mask = ctx.Mul(mask, alphas[i]);
+        mask = ctx.Mul(alpha, mask);
       }
     }
     return g;

@@ -102,17 +102,7 @@ std::optional<Bytes> Adversary::AttemptReconstruction(
     parties.resize(p.degree() + 1);
     rows.resize(p.degree() + 1);
 
-    auto weights = shamir.ReconstructionWeights(parties);
-    std::vector<field::FpElem> elems(meta.num_blocks * p.l, ctx.Zero());
-    for (std::size_t blk = 0; blk < meta.num_blocks; ++blk) {
-      for (std::size_t j = 0; j < p.l; ++j) {
-        field::FpElem acc = ctx.Zero();
-        for (std::size_t k = 0; k < parties.size(); ++k) {
-          acc = ctx.Add(acc, ctx.Mul((*weights)[j][k], (*rows[k])[blk]));
-        }
-        elems[blk * p.l + j] = acc;
-      }
-    }
+    const auto elems = shamir.ReconstructRows(parties, rows, meta.num_blocks);
     try {
       return codec.Decode(meta, elems);
     } catch (const ParseError&) {
@@ -151,17 +141,7 @@ std::optional<Bytes> Adversary::AttemptMixedReconstruction(
     rows.push_back(shares);
     if (parties.size() == p.degree() + 1) break;
   }
-  auto weights = shamir.ReconstructionWeights(parties);
-  std::vector<field::FpElem> elems(meta.num_blocks * p.l, ctx.Zero());
-  for (std::size_t blk = 0; blk < meta.num_blocks; ++blk) {
-    for (std::size_t j = 0; j < p.l; ++j) {
-      field::FpElem acc = ctx.Zero();
-      for (std::size_t k = 0; k < parties.size(); ++k) {
-        acc = ctx.Add(acc, ctx.Mul((*weights)[j][k], (*rows[k])[blk]));
-      }
-      elems[blk * p.l + j] = acc;
-    }
-  }
+  const auto elems = shamir.ReconstructRows(parties, rows, meta.num_blocks);
   try {
     return codec.Decode(meta, elems);
   } catch (const ParseError&) {

@@ -278,23 +278,8 @@ std::optional<Bytes> Client::TryAssemble(std::uint64_t file_id) {
   }
   if (parties.size() < need) return std::nullopt;
 
-  auto weights = shamir_->ReconstructionWeights(parties);
-  std::vector<FpElem> elems(meta.num_blocks * cfg_.params.l, cfg_.ctx->Zero());
-  // Blocks are independent and each writes only its own elems slots, so the
-  // per-block weighted sums fan out over the task pool deterministically.
-  GlobalPool().ParallelFor(
-      0, meta.num_blocks,
-      [&](std::size_t blk) {
-        for (std::size_t j = 0; j < cfg_.params.l; ++j) {
-          FpElem acc = cfg_.ctx->Zero();
-          for (std::size_t k = 0; k < need; ++k) {
-            acc = cfg_.ctx->Add(
-                acc, cfg_.ctx->Mul((*weights)[j][k], (*rows[k])[blk]));
-          }
-          elems[blk * cfg_.params.l + j] = acc;
-        }
-      },
-      section.extra());
+  const std::vector<FpElem> elems = shamir_->ReconstructRows(
+      parties, rows, meta.num_blocks, section.extra());
   Bytes out;
   try {
     out = codec_.Decode(meta, elems, section.extra());

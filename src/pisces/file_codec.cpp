@@ -56,7 +56,7 @@ std::pair<FileMeta, std::vector<field::FpElem>> FileCodec::Encode(
   StoreLe64(data.size(), framed.data());
   std::copy(data.begin(), data.end(), framed.begin() + 8);
 
-  // One Montgomery conversion per element, each writing its own slot.
+  // Each element is its payload bytes read straight into the limbs.
   std::vector<field::FpElem> elems(meta.num_blocks * l_, ctx_->Zero());
   GlobalPool().ParallelFor(
       0, elems.size(),
@@ -77,18 +77,23 @@ Bytes FileCodec::Decode(const FileMeta& meta,
   }
   obs::Span span(obs::SpanKind::kCodecDecode, meta.num_blocks);
   Bytes framed(elems.size() * payload, 0);
+  // The payload is the low bytes of the limbs; every byte above it must be
+  // zero for a well-formed element.
+  const std::size_t whole = payload / 8;
   GlobalPool().ParallelFor(
       0, elems.size(),
       [&](std::size_t i) {
-        Bytes full = ctx_->ToBytes(elems[i]);  // elem_bytes(), little-endian
-        // High bytes beyond the payload must be zero for well-formed elements.
-        for (std::size_t j = payload; j < full.size(); ++j) {
-          if (full[j] != 0) {
-            throw ParseError("FileCodec::Decode: element overflow");
-          }
+        const field::Limbs& v = elems[i].v;
+        std::uint8_t* dst = framed.data() + i * payload;
+        for (std::size_t j = 0; j < whole; ++j) StoreLe64(v[j], dst + 8 * j);
+        std::uint64_t rest = v[whole];
+        for (std::size_t j = 8 * whole; j < payload; ++j, rest >>= 8) {
+          dst[j] = static_cast<std::uint8_t>(rest);
         }
-        std::copy(full.begin(), full.begin() + payload,
-                  framed.begin() + i * payload);
+        if (rest != 0 || !field::IsZeroN(v.data() + whole + 1,
+                                         ctx_->limbs() - whole - 1)) {
+          throw ParseError("FileCodec::Decode: element overflow");
+        }
       },
       extra_cpu_ns);
   if (framed.size() < 8) throw ParseError("FileCodec::Decode: truncated");

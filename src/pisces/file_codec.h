@@ -46,7 +46,8 @@ class FileCodec {
   std::uint64_t PaddingFor(std::uint64_t size) const;
 
   // Encodes a file into blocks of exactly l elements each (zero padded).
-  // The per-element Montgomery conversions fan out over the global task pool;
+  // Each element is its payload bytes copied into the limbs (elements hold
+  // plain residues); the copies fan out over the global task pool, and
   // extra_cpu_ns accumulates pool-worker CPU (see common/task_pool.h).
   std::pair<FileMeta, std::vector<field::FpElem>> Encode(
       std::uint64_t file_id, std::span<const std::uint8_t> data,

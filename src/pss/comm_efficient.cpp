@@ -109,11 +109,7 @@ std::vector<FpElem> StripedReconstruct(
           ys.push_back(rows_by_contact[j][stripe_index(j, b)]);
         }
         for (std::size_t s = 0; s < p.l; ++s) {
-          FpElem acc = ctx.Zero();
-          for (std::size_t k = 0; k < layout.need; ++k) {
-            acc = ctx.Add(acc, ctx.Mul((*weights[r])[s][k], ys[k]));
-          }
-          secrets[b * p.l + s] = acc;
+          secrets[b * p.l + s] = ctx.Dot((*weights[r])[s], ys);
         }
       },
       extra_cpu_ns);

@@ -134,4 +134,30 @@ std::vector<std::vector<FpElem>> PackedShamir::ReconstructBlocks(
   return out;
 }
 
+std::vector<FpElem> PackedShamir::ReconstructRows(
+    std::span<const std::uint32_t> parties,
+    std::span<const std::vector<FpElem>* const> rows, std::size_t blocks,
+    std::uint64_t* extra_cpu_ns) const {
+  auto weights = ReconstructionWeights(parties);
+  const std::size_t m = params_.degree() + 1, l = params_.l;
+  Require(rows.size() >= m, "ReconstructRows: not enough rows");
+  for (std::size_t k = 0; k < m; ++k) {
+    Require(rows[k]->size() >= blocks, "ReconstructRows: short row");
+  }
+  std::vector<FpElem> out(blocks * l);
+  GlobalPool().ParallelChunks(
+      0, blocks,
+      [&](std::size_t lo, std::size_t hi) {
+        std::vector<FpElem> ys(m);
+        for (std::size_t b = lo; b < hi; ++b) {
+          for (std::size_t k = 0; k < m; ++k) ys[k] = (*rows[k])[b];
+          for (std::size_t j = 0; j < l; ++j) {
+            out[b * l + j] = ctx_->Dot((*weights)[j], ys);
+          }
+        }
+      },
+      extra_cpu_ns);
+  return out;
+}
+
 }  // namespace pisces::pss

@@ -57,6 +57,13 @@ class PackedShamir {
       std::span<const std::vector<FpElem>> shares_by_block,
       std::uint64_t* extra_cpu_ns = nullptr) const;
 
+  // The same over shares laid out by party (rows[k][b] is parties[k]'s share
+  // of block b); returns the l secrets of every block back to back.
+  std::vector<FpElem> ReconstructRows(
+      std::span<const std::uint32_t> parties,
+      std::span<const std::vector<FpElem>* const> rows, std::size_t blocks,
+      std::uint64_t* extra_cpu_ns = nullptr) const;
+
   // True iff the given (party, share) points lie on a degree <= d polynomial.
   bool ConsistentShares(std::span<const std::uint32_t> parties,
                         std::span<const FpElem> shares) const;

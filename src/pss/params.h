@@ -57,8 +57,7 @@ class EvalPoints {
   const field::FpElem& alpha(std::size_t party) const { return alphas_.at(party); }
   const field::FpElem& beta(std::size_t j) const { return betas_.at(j); }
   // The integers behind alpha(party) and beta(j), for kernels that multiply
-  // by a node as a plain integer (FpCtx::MulU64Add) instead of converting the
-  // Montgomery element back.
+  // by a node as a plain integer (FpCtx::MulU64Add).
   std::uint64_t alpha_node(std::size_t party) const {
     Require(party < alphas_.size(), "EvalPoints: party out of range");
     return betas_.size() + 1 + party;

@@ -44,13 +44,14 @@ ResharePublic MakeResharePublic(const PackedShamir& from, const PackedShamir& to
 
   // coeff[rho][i] = sum_j lb[rho][j] * w[j][i]. Block independent.
   pub.coeff.assign(n_new, std::vector<FpElem>(d_old + 1, ctx.Zero()));
+  field::DotAcc acc(ctx);
   for (std::size_t rho = 0; rho < n_new; ++rho) {
     for (std::size_t i = 0; i <= d_old; ++i) {
-      FpElem acc = ctx.Zero();
+      acc.Reset();
       for (std::size_t j = 0; j < l; ++j) {
-        acc = ctx.Add(acc, ctx.Mul(lb[rho][j], pub.weights[j][i]));
+        acc.MulAdd(lb[rho][j], pub.weights[j][i]);
       }
-      pub.coeff[rho][i] = acc;
+      pub.coeff[rho][i] = acc.Reduce();
     }
   }
 
@@ -73,6 +74,10 @@ std::vector<std::vector<FpElem>> ReshareContribution(
 
   std::vector<std::vector<FpElem>> out(n_new,
                                        std::vector<FpElem>(blocks, ctx.Zero()));
+  std::vector<field::FpMont> coeff(n_new);
+  for (std::size_t rho = 0; rho < n_new; ++rho) {
+    coeff[rho] = ctx.ToMont(pub.coeff[rho][ordinal]);
+  }
   for (std::size_t blk = 0; blk < blocks; ++blk) {
     // Fresh mask per block: random degree-<=d_new polynomial vanishing at
     // every beta, so each wire value is marginally uniform.
@@ -80,7 +85,7 @@ std::vector<std::vector<FpElem>> ReshareContribution(
     math::Poly m = math::Poly::Mul(ctx, pub.vanish, u);
     for (std::size_t rho = 0; rho < n_new; ++rho) {
       // v_i(alpha'_rho) = c_i(alpha'_rho) * f(alpha_i) + m_i(alpha'_rho).
-      out[rho][blk] = ctx.Add(ctx.Mul(pub.coeff[rho][ordinal], own_shares[blk]),
+      out[rho][blk] = ctx.Add(ctx.Mul(coeff[rho], own_shares[blk]),
                               m.Eval(ctx, pub.to->points().alpha(rho)));
     }
   }
@@ -113,6 +118,10 @@ bool VerifyReshareContribution(
   std::vector<FpElem> xs(pub.to->points().alphas().begin(),
                          pub.to->points().alphas().end());
   math::PointChecker checker(ctx, xs, d_new);
+  std::vector<field::FpMont> weight(l);
+  for (std::size_t j = 0; j < l; ++j) {
+    weight[j] = ctx.ToMont(pub.weights[j][ordinal]);
+  }
   std::vector<FpElem> col(n_new);
   for (std::size_t blk = 0; blk < blocks; ++blk) {
     for (std::size_t rho = 0; rho < n_new; ++rho) {
@@ -131,10 +140,8 @@ bool VerifyReshareContribution(
       at_beta[j] = checker.EvalAt(pub.to->points().beta(j), col);
     }
     for (std::size_t j = 1; j < l; ++j) {
-      const FpElem lhs =
-          ctx.Mul(at_beta[0], pub.weights[j][ordinal]);
-      const FpElem rhs =
-          ctx.Mul(at_beta[j], pub.weights[0][ordinal]);
+      const FpElem lhs = ctx.Mul(weight[j], at_beta[0]);
+      const FpElem rhs = ctx.Mul(weight[0], at_beta[j]);
       if (!ctx.Eq(lhs, rhs)) return false;
     }
   }

@@ -252,5 +252,36 @@ TEST(Cluster, ReplayedCertKeepsLiveChannels) {
   EXPECT_EQ(cluster.Download(pisces::ReadSpec::Classic(2)), f2);
 }
 
+// Hot paths never multiply two plain elements (each such product costs two
+// kernel calls; field.plain_muls counts them). On a warm cluster an upload
+// and both read paths make none, and a window makes exactly one per Schnorr
+// signature it issues: s = k + x*e in the certificate of each rebooted host.
+TEST(PlainMulGuard, WarmPathsMakeNoPlainProducts) {
+  Cluster cluster(SmallConfig());
+  Rng rng(22);
+  const Bytes f1 = rng.RandomBytes(3000), f2 = rng.RandomBytes(2500);
+  cluster.Upload(1, f1);
+  ASSERT_EQ(cluster.Download(ReadSpec::Classic(1)), f1);
+  ASSERT_EQ(cluster.Download(ReadSpec::Staircase(1)), f1);
+  ASSERT_TRUE(cluster.RunUpdateWindow().ok);
+
+  auto plain_muls = [] { return field::GetKernelStats().plain_muls; };
+  std::uint64_t before = plain_muls();
+  cluster.Upload(2, f2);
+  EXPECT_EQ(plain_muls() - before, 0u) << "upload";
+  before = plain_muls();
+  EXPECT_EQ(cluster.Download(ReadSpec::Classic(2)), f2);
+  EXPECT_EQ(plain_muls() - before, 0u) << "classic download";
+  before = plain_muls();
+  EXPECT_EQ(cluster.Download(ReadSpec::Staircase(2)), f2);
+  EXPECT_EQ(plain_muls() - before, 0u) << "staircase download";
+
+  before = plain_muls();
+  const WindowReport report = cluster.RunUpdateWindow();
+  ASSERT_TRUE(report.ok);
+  EXPECT_EQ(report.reboots, 8u);
+  EXPECT_EQ(plain_muls() - before, report.reboots) << "one per signature";
+}
+
 }  // namespace
 }  // namespace pisces

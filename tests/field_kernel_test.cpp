@@ -4,7 +4,7 @@
 //
 // The contract under test: for every standard prime size, the specialized
 // kernels (Mul, Sqr) and the lazy Dot/DotAcc produce limb-for-limb identical
-// results to the generic runtime-width CIOS oracle (an FpCtx constructed with
+// results to the generic runtime-width oracle (an FpCtx constructed with
 // KernelDispatch::kGeneric) and to the naive fold of Add(Mul(...)). Operands
 // cover the edges the reduction bounds care about: 0, 1, 2, p-1, p-2, and the
 // top-bit value 2^{g-1} (p is the largest prime below 2^g, so p-1 is the
@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.h"
@@ -22,6 +23,16 @@
 
 namespace pisces::field {
 namespace {
+
+// Plain elements and Montgomery forms never mix without a conversion.
+static_assert(!std::is_convertible_v<FpMont, FpElem>);
+static_assert(!std::is_convertible_v<FpElem, FpMont>);
+template <typename A, typename B>
+concept Multipliable = requires(const FpCtx& c, A a, B b) { c.Mul(a, b); };
+template <typename A, typename B>
+concept Addable = requires(const FpCtx& c, A a, B b) { c.Add(a, b); };
+static_assert(Multipliable<FpMont, FpElem> && !Multipliable<FpElem, FpMont>);
+static_assert(Addable<FpElem, FpElem> && !Addable<FpMont, FpMont>);
 
 class FieldKernelTest : public ::testing::TestWithParam<std::size_t> {
  protected:
@@ -82,7 +93,7 @@ TEST_P(FieldKernelTest, SqrMatchesMulAndOracle) {
     FpElem s = fast_.Sqr(a);
     EXPECT_EQ(s, fast_.Mul(a, a));       // specialized sqr vs specialized mul
     EXPECT_EQ(s, oracle_.Sqr(a));        // vs generic sqr kernel
-    EXPECT_EQ(s, oracle_.Mul(a, a));     // vs generic CIOS oracle
+    EXPECT_EQ(s, oracle_.Mul(a, a));     // vs generic multiply oracle
   }
 }
 
@@ -229,10 +240,85 @@ TEST_P(FieldKernelTest, MulU64AddMatchesMulThenAdd) {
   const std::vector<FpElem> edges = Operands(0);
   CheckMulU64Add(fast_, edges, rng_);
   CheckMulU64Add(oracle_, edges, rng_);
-  // Montgomery form carries through: s < p as an integer gives a*s + b.
+  // s < p as an integer gives a*s + b.
   const FpElem a = fast_.Random(rng_), b = fast_.Random(rng_);
   EXPECT_EQ(fast_.MulU64Add(a, 12345, b),
             fast_.Add(fast_.Mul(a, fast_.FromUint64(12345)), b));
+}
+
+// The bare-reduction kernel (FromMont, and Random's output step) against
+// the generic runtime-width reduction, on 0, 1, p-1 and 300 random limb
+// patterns below p.
+TEST_P(FieldKernelTest, RedcMatchesGenericOracle) {
+  std::vector<FpElem> raws = {fast_.Zero(), fast_.One(), Operands(0)[3]};
+  for (int i = 0; i < 300; ++i) raws.push_back(fast_.Random(rng_));
+  for (const FpElem& raw : raws) {
+    const FpMont m{raw.v};
+    const FpElem r = fast_.FromMont(m);
+    ASSERT_EQ(r, oracle_.FromMont(m));
+    EXPECT_EQ(fast_.ToMont(r), m) << "r R mod p gives back the limbs";
+  }
+}
+
+TEST_P(FieldKernelTest, MontgomeryFormRoundTripsAndMultiplies) {
+  auto ops = Operands(Randoms());
+  EXPECT_EQ(fast_.FromMont(fast_.MontOne()), fast_.One());
+  for (const FpElem& a : ops) {
+    const FpMont am = fast_.ToMont(a);
+    EXPECT_EQ(fast_.FromMont(am), a);
+    EXPECT_EQ(oracle_.ToMont(a), am);
+    EXPECT_EQ(fast_.FromMont(fast_.Sqr(am)), fast_.Sqr(a));
+    for (const FpElem& b : ops) {
+      EXPECT_EQ(fast_.Mul(am, b), fast_.Mul(a, b));
+      EXPECT_EQ(fast_.FromMont(fast_.Mul(am, fast_.ToMont(b))),
+                fast_.Mul(a, b));
+    }
+  }
+}
+
+TEST_P(FieldKernelTest, PowBytesMatchesMulChain) {
+  const FpElem a = fast_.Random(rng_);
+  FpElem chain = fast_.One();
+  for (std::uint64_t e = 0; e <= 300; ++e) {
+    if (e <= 20 || e == 300) {
+      const std::uint8_t be[2] = {static_cast<std::uint8_t>(e >> 8),
+                                  static_cast<std::uint8_t>(e)};
+      ASSERT_EQ(fast_.PowBytes(a, be), chain) << "e=" << e;
+      ASSERT_EQ(oracle_.PowBytes(a, be), chain) << "e=" << e;
+    }
+    chain = fast_.Mul(chain, a);
+  }
+}
+
+// An element's limbs are its wire encoding.
+TEST_P(FieldKernelTest, ToBytesIsTheLimbDump) {
+  for (const FpElem& a : Operands(Randoms())) {
+    const Bytes le = fast_.ToBytes(a);
+    ASSERT_EQ(le.size(), fast_.limbs() * 8);
+    for (std::size_t i = 0; i < le.size(); ++i) {
+      EXPECT_EQ(le[i], static_cast<std::uint8_t>(a.v[i / 8] >> (8 * (i % 8))));
+    }
+    EXPECT_EQ(fast_.FromBytes(le), a);
+  }
+}
+
+// Random reads its raw limb draw as a Montgomery form: the seeded values
+// every share, deal and golden vector was made from.
+TEST_P(FieldKernelTest, RandomIsFromMontOfTheRawDraw) {
+  const Bytes p_be = fast_.ModulusBytes();
+  const Bytes p_le(p_be.rbegin(), p_be.rend());
+  Limbs p{};
+  for (std::size_t i = 0; i < p_le.size(); ++i) {
+    p[i / 8] |= static_cast<std::uint64_t>(p_le[i]) << (8 * (i % 8));
+  }
+  Rng draws(0xD4A3), same(0xD4A3);
+  for (int i = 0; i < 50; ++i) {
+    FpMont raw;
+    do {
+      for (std::size_t j = 0; j < fast_.limbs(); ++j) raw.v[j] = same.Next();
+    } while (CmpN(raw.v.data(), p.data(), fast_.limbs()) >= 0);
+    ASSERT_EQ(fast_.Random(draws), fast_.FromMont(raw));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPrimeSizes, FieldKernelTest,
