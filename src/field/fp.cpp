@@ -15,8 +15,8 @@ namespace {
 
 // Process-wide kernel instrumentation, held in the obs telemetry registry
 // under "field.*" (relaxed counters only, never control flow, so they cannot
-// perturb results or determinism). GetKernelStats/ResetKernelStats below
-// stay as thin views over these registry entries.
+// perturb results or determinism). GetKernelStats below is a thin view over
+// these registry entries.
 struct KernelCounters {
   obs::Counter& mont_muls = obs::RegisterCounter(
       "field.mont_muls", "Montgomery multiplications (debug builds only)");
@@ -123,15 +123,6 @@ KernelStatsSnapshot GetKernelStats() {
   s.dot_products = g_kernel_stats.dot_products.Load();
   s.dot_reductions = g_kernel_stats.dot_reductions.Load();
   return s;
-}
-
-void ResetKernelStats() {
-  g_kernel_stats.mont_muls.Reset();
-  g_kernel_stats.mont_sqrs.Reset();
-  g_kernel_stats.plain_muls.Reset();
-  g_kernel_stats.dot_calls.Reset();
-  g_kernel_stats.dot_products.Reset();
-  g_kernel_stats.dot_reductions.Reset();
 }
 
 FpCtx::FpCtx(std::span<const std::uint8_t> modulus_be,

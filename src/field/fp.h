@@ -59,7 +59,6 @@ struct KernelStatsSnapshot {
   std::uint64_t dot_reductions = 0;  // wide reductions: exactly 1 per output
 };
 KernelStatsSnapshot GetKernelStats();
-void ResetKernelStats();
 
 // Kernel selection policy for FpCtx: kAuto binds the width-specialized
 // kernels when the modulus width is one of the standard sizes (k in

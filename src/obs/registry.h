@@ -23,13 +23,11 @@
 
 namespace obs {
 
-// Monotonic event count. Reset exists only so legacy Reset*Stats wrappers
-// (used by tests) keep working; production readers use snapshot deltas.
+// Monotonic event count; readers take snapshot deltas.
 class Counter {
  public:
   void Add(std::uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
   std::uint64_t Load() const { return v_.load(std::memory_order_relaxed); }
-  void Reset() { v_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::uint64_t> v_{0};

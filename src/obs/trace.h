@@ -38,8 +38,8 @@ enum class SpanKind : std::uint32_t {
   kRefreshTransform,   // share transform + check-vector work; a = host, b = file
   kRefreshVerify,      // row verification; a = host, b = row
   kRefreshApply,       // applying the refreshed shares; a = host, b = file
-  kRecoverDeal,        // survivor deals recovery masks; a = host, b = file
-  kRecoverTransform,   // survivor transform + check; a = host, b = file
+  kRecoverDeal,        // survivor deals recovery masks; a = host, b = target
+  kRecoverTransform,   // survivor transform + check; a = host, b = target
   kRecoverVerify,      // survivor row verification; a = host, b = row
   kRecoverMask,        // masked-share production / parse; a = host, b = target
   kRecoverFinish,      // target-side interpolation; a = host, b = file

@@ -39,6 +39,23 @@ obs::Counter& RecoverySharesCorrected() {
   return c;
 }
 
+// Runs `handle`, dropping `msg` with a warning if it turns out malformed or
+// unauthorized. InternalError is deliberately NOT caught -- invariant
+// violations are bugs and must surface.
+template <typename Handle>
+void DropIfMalformed(std::uint32_t self, const Message& msg, Handle&& handle) {
+  try {
+    handle();
+  } catch (const ParseError& e) {
+    LogWarn() << "host " << self << ": dropping message (" << e.what()
+              << "): " << msg.Describe();
+  } catch (const InvalidArgument& e) {
+    // Malformed or unauthorized input (unknown peer, bad sizes).
+    LogWarn() << "host " << self << ": rejecting message (" << e.what()
+              << "): " << msg.Describe();
+  }
+}
+
 }  // namespace
 
 Host::Host(HostConfig cfg, net::Transport& transport,
@@ -59,8 +76,7 @@ void Host::Boot(std::uint32_t epoch, crypto::HostCert cert, Bytes sk,
   epoch_ = epoch;
   my_cert_ = std::move(cert);
   keyring_.SetIdentity(epoch, std::move(sk));
-  refresh_.clear();
-  survivor_.clear();
+  vss_.clear();
   target_.clear();
   pending_.clear();
   failed_refresh_.clear();
@@ -86,8 +102,7 @@ void Host::Shutdown() {
   store_.WipeAll();
   my_cert_ = crypto::HostCert{};
   keyring_.Clear();
-  refresh_.clear();
-  survivor_.clear();
+  vss_.clear();
   target_.clear();
   pending_.clear();
   failed_refresh_.clear();
@@ -127,7 +142,7 @@ void Host::ReportPhaseDone(std::uint64_t file_id, std::uint32_t epoch,
 
 void Host::HandleMessage(const Message& msg) {
   if (!online_) return;
-  try {
+  DropIfMalformed(cfg_.id, msg, [&] {
     switch (msg.type) {
       case MsgType::kSetShares: OnSetShares(msg); break;
       case MsgType::kReconstructRequest: OnReconstructRequest(msg); break;
@@ -169,16 +184,7 @@ void Host::HandleMessage(const Message& msg) {
         LogWarn() << "host " << cfg_.id << ": unexpected " << msg.Describe();
         break;
     }
-  } catch (const ParseError& e) {
-    LogWarn() << "host " << cfg_.id << ": dropping message (" << e.what()
-              << "): " << msg.Describe();
-  } catch (const InvalidArgument& e) {
-    // Malformed or unauthorized input (unknown peer, bad sizes): drop it.
-    // InternalError is deliberately NOT caught -- invariant violations are
-    // bugs and must surface.
-    LogWarn() << "host " << cfg_.id << ": rejecting message (" << e.what()
-              << "): " << msg.Describe();
-  }
+  });
 }
 
 void Host::OnHostCert(const Message& msg) {
@@ -300,7 +306,7 @@ void Host::OnDeleteFile(const Message& msg) {
 }
 
 // ---------------------------------------------------------------------------
-// Refresh (rerandomization)
+// Refresh (rerandomization) and recovery: starting a VSS round
 // ---------------------------------------------------------------------------
 
 void Host::OnStartRefresh(const Message& msg) {
@@ -316,10 +322,9 @@ void Host::OnStartRefresh(const Message& msg) {
   participants.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) participants.push_back(r.U32());
 
-  const RefreshKey key{msg.file_id, msg.epoch};
   // Start-once: a duplicated (fault-injected) control message must not
   // resurrect a session that already ran and completed under this key.
-  if (!refresh_started_.insert(key).second) return;
+  if (!refresh_started_.insert({msg.file_id, msg.epoch}).second) return;
   const bool i_participate =
       std::find(participants.begin(), participants.end(), cfg_.id) !=
       participants.end();
@@ -329,19 +334,14 @@ void Host::OnStartRefresh(const Message& msg) {
     ReportPhaseDone(msg.file_id, msg.epoch, 0, true, metrics_.rerandomize);
     return;
   }
-  const FileMeta& meta = store_.MetaOf(msg.file_id);
 
-  RefreshSession s;
+  VssSession s;
   std::vector<std::vector<FpElem>> deal;
   {
     ComputeSection section(metrics_.rerandomize, obs::SpanKind::kRefreshDeal,
                            cfg_.id, msg.file_id);
-    s.plan = pss::RefreshPlan::For(meta.num_blocks, cfg_.params,
-                                   participants.size());
-    s.batch.emplace(pss::MakeRefreshBatch(*shamir_, meta.num_blocks,
-                                          participants));
-    s.deals_by_dealer.resize(participants.size());
-    s.deal_seen.assign(participants.size(), false);
+    s.blocks = store_.MetaOf(msg.file_id).num_blocks;
+    s.batch.emplace(pss::MakeRefreshBatch(*shamir_, s.blocks, participants));
     if (participants.size() < cfg_.params.n) {
       metrics_.faults.deals_excluded += cfg_.params.n - participants.size();
     }
@@ -349,267 +349,10 @@ void Host::OnStartRefresh(const Message& msg) {
     // corrupted zero-sharings); nullptr on honest hosts.
     deal = s.batch->Deal(rng_, section.extra(), byz_);
   }
-
-  auto [it, inserted] = refresh_.emplace(key, std::move(s));
-  RefreshSession& session = it->second;
-
-  for (std::size_t k = 0; k < participants.size(); ++k) {
-    const std::uint32_t holder = participants[k];
-    if (holder == cfg_.id) continue;
-    if (byz_ != nullptr && byz_->WithholdSend()) continue;
-    Message m;
-    m.from = cfg_.id;
-    m.to = holder;
-    m.type = MsgType::kDeal;
-    m.file_id = msg.file_id;
-    m.epoch = msg.epoch;
-    m.row = kRefreshMarker;
-    m.payload =
-        keyring_.Seal(holder, field::SerializeElems(*cfg_.ctx, deal[k]));
-    SendMetered(std::move(m), metrics_.rerandomize);
-  }
-  // Self-deal, delivered locally.
-  const std::size_t my_idx = session.batch->IndexOf(cfg_.id);
-  Invariant(my_idx != pss::VssBatch::npos, "participant not in own batch");
-  session.deals_by_dealer[my_idx] = std::move(deal[my_idx]);
-  session.deal_seen[my_idx] = true;
-  session.deals += 1;
-  if (session.deals == session.batch->dealers()) {
-    RefreshTransformAndCheck(key, session);
-  }
+  StartVss({msg.file_id, msg.epoch, kRefreshMarker}, std::move(s),
+           std::move(deal));
   ReplayPending();
 }
-
-void Host::OnDealPlain(const Message& msg) {
-  if (msg.row == kRefreshMarker) {
-    const RefreshKey key{msg.file_id, msg.epoch};
-    auto it = refresh_.find(key);
-    if (it == refresh_.end()) {
-      pending_.push_back(msg);
-      return;
-    }
-    RefreshSession& s = it->second;
-    std::vector<FpElem> elems = field::DeserializeElems(*cfg_.ctx, msg.payload);
-    const std::size_t idx = s.batch->IndexOf(msg.from);
-    Require(idx != pss::VssBatch::npos, "OnDeal: dealer not a participant");
-    Require(elems.size() == s.batch->groups(), "OnDeal: wrong group count");
-    if (s.deal_seen[idx]) return;  // duplicate
-    s.deals_by_dealer[idx] = std::move(elems);
-    s.deal_seen[idx] = true;
-    s.deals += 1;
-    if (s.deals == s.batch->dealers()) RefreshTransformAndCheck(key, s);
-    return;
-  }
-
-  // Recovery deal toward target msg.row.
-  const SurvivorKey key{msg.file_id, msg.epoch, msg.row};
-  auto it = survivor_.find(key);
-  if (it == survivor_.end()) {
-    pending_.push_back(msg);
-    return;
-  }
-  SurvivorSession& s = it->second;
-  std::vector<FpElem> elems = field::DeserializeElems(*cfg_.ctx, msg.payload);
-  std::size_t idx = s.batch->IndexOf(msg.from);
-  Require(idx != pss::VssBatch::npos, "OnDeal: dealer not a survivor");
-  Require(elems.size() == s.batch->groups(), "OnDeal: wrong group count");
-  if (s.deal_seen[idx]) return;
-  s.deals_by_dealer[idx] = std::move(elems);
-  s.deal_seen[idx] = true;
-  s.deals += 1;
-  if (s.deals == s.plan.survivors.size()) SurvivorTransformAndCheck(key, s);
-}
-
-void Host::RefreshTransformAndCheck(RefreshKey key, RefreshSession& s) {
-  {
-    ComputeSection section(metrics_.rerandomize,
-                           obs::SpanKind::kRefreshTransform, cfg_.id,
-                           key.first);
-    s.outputs =
-        s.batch->Transform(s.deals_by_dealer, cfg_.params.b, section.extra());
-  }
-  // deals_by_dealer is deliberately kept: if verification fails, the raw
-  // columns are archived so the hypervisor can attribute the corrupt dealer.
-
-  for (std::uint32_t a = 0; a < s.batch->check_rows(); ++a) {
-    std::uint32_t verifier = s.batch->VerifierOf(a);
-    Message m;
-    m.from = cfg_.id;
-    m.to = verifier;
-    m.type = MsgType::kCheckShare;
-    m.file_id = key.first;
-    m.epoch = key.second;
-    m.row = a;
-    m.batch = kRefreshMarker;
-    if (verifier == cfg_.id) {
-      m.payload = field::SerializeElems(*cfg_.ctx, s.outputs[a]);
-      OnCheckSharePlain(m);
-      // The local hand-off may have completed (and erased) this session.
-      if (refresh_.find(key) == refresh_.end()) return;
-    } else {
-      m.payload = keyring_.Seal(
-          verifier, field::SerializeElems(*cfg_.ctx, s.outputs[a]));
-      SendMetered(std::move(m), metrics_.rerandomize);
-    }
-  }
-}
-
-void Host::OnCheckSharePlain(const Message& msg) {
-  if (msg.batch == kRefreshMarker) {
-    const RefreshKey key{msg.file_id, msg.epoch};
-    auto it = refresh_.find(key);
-    if (it == refresh_.end()) {
-      pending_.push_back(msg);
-      return;
-    }
-    RefreshSession& s = it->second;
-    std::vector<FpElem> elems = field::DeserializeElems(*cfg_.ctx, msg.payload);
-    auto& mat = s.check_vals[msg.row];
-    if (mat.empty()) mat.resize(s.batch->dealers());
-    std::size_t idx = s.batch->IndexOf(msg.from);
-    Require(idx != pss::VssBatch::npos, "OnCheckShare: unknown holder");
-    if (!mat[idx].empty()) return;  // duplicate
-    Require(elems.size() == s.batch->groups(), "OnCheckShare: group mismatch");
-    mat[idx] = std::move(elems);
-    s.check_counts[msg.row] += 1;
-    if (s.check_counts[msg.row] == s.batch->dealers()) {
-      MaybeVerifyRefreshRow(key, s, msg.row);
-    }
-    return;
-  }
-
-  const SurvivorKey key{msg.file_id, msg.epoch, msg.batch};
-  auto it = survivor_.find(key);
-  if (it == survivor_.end()) {
-    pending_.push_back(msg);
-    return;
-  }
-  SurvivorSession& s = it->second;
-  std::vector<FpElem> elems = field::DeserializeElems(*cfg_.ctx, msg.payload);
-  auto& mat = s.check_vals[msg.row];
-  if (mat.empty()) mat.resize(s.plan.survivors.size());
-  std::size_t idx = s.batch->IndexOf(msg.from);
-  Require(idx != pss::VssBatch::npos, "OnCheckShare: unknown survivor");
-  if (!mat[idx].empty()) return;
-  Require(elems.size() == s.batch->groups(), "OnCheckShare: group mismatch");
-  mat[idx] = std::move(elems);
-  s.check_counts[msg.row] += 1;
-  if (s.check_counts[msg.row] == s.plan.survivors.size()) {
-    MaybeVerifySurvivorRow(key, s, msg.row);
-  }
-}
-
-namespace {
-// Shared verification: per-holder group vectors -> all groups well formed.
-bool VerifyRow(const pss::VssBatch& batch,
-               const std::vector<std::vector<FpElem>>& mat,
-               const field::FpCtx& ctx) {
-  obs::Span span(obs::SpanKind::kVssVerify, mat.size(), batch.groups());
-  for (std::size_t g = 0; g < batch.groups(); ++g) {
-    std::vector<FpElem> column(mat.size(), ctx.Zero());
-    for (std::size_t k = 0; k < mat.size(); ++k) column[k] = mat[k][g];
-    if (!batch.VerifyCheckVector(column)) return false;
-  }
-  return true;
-}
-}  // namespace
-
-void Host::MaybeVerifyRefreshRow(RefreshKey key, RefreshSession& s,
-                                 std::uint32_t row) {
-  bool ok;
-  {
-    ComputeSection section(metrics_.rerandomize, obs::SpanKind::kRefreshVerify,
-                           cfg_.id, row);
-    ok = VerifyRow(*s.batch, s.check_vals[row], *cfg_.ctx);
-  }
-  s.check_vals.erase(row);
-  if (!ok) {
-    verdicts_rejected_ += 1;
-    VssCheckFailures().Add(1);
-    obs::Span span(obs::SpanKind::kByzDetect, cfg_.id, row);
-  }
-
-  // Deliver to every other holder first: our own verdict may complete (and
-  // erase) the session, and peers still need this row's verdict.
-  for (std::uint32_t holder : s.batch->holders()) {
-    if (holder == cfg_.id) continue;
-    Message m;
-    m.from = cfg_.id;
-    m.to = holder;
-    m.type = MsgType::kVerdict;
-    m.file_id = key.first;
-    m.epoch = key.second;
-    m.row = row;
-    m.batch = kRefreshMarker;
-    m.payload = Bytes{static_cast<std::uint8_t>(ok ? 1 : 0)};
-    SendMetered(std::move(m), metrics_.rerandomize);
-  }
-  AcceptRefreshVerdict(key, s, row, ok);
-}
-
-void Host::OnVerdictPlain(const Message& msg) {
-  const bool ok = !msg.payload.empty() && msg.payload[0] == 1;
-  if (msg.batch == kRefreshMarker) {
-    const RefreshKey key{msg.file_id, msg.epoch};
-    auto it = refresh_.find(key);
-    if (it == refresh_.end()) {
-      pending_.push_back(msg);
-      return;
-    }
-    AcceptRefreshVerdict(key, it->second, msg.row, ok);
-    return;
-  }
-  const SurvivorKey key{msg.file_id, msg.epoch, msg.batch};
-  auto it = survivor_.find(key);
-  if (it == survivor_.end()) {
-    pending_.push_back(msg);
-    return;
-  }
-  AcceptSurvivorVerdict(key, it->second, msg.row, ok);
-}
-
-void Host::AcceptRefreshVerdict(RefreshKey key, RefreshSession& s,
-                                std::uint32_t row, bool ok) {
-  if (!ok) s.failed = true;
-  s.verdict_rows.insert(row);
-  if (s.verdict_rows.size() == s.batch->check_rows()) MaybeApplyRefresh(key, s);
-}
-
-void Host::MaybeApplyRefresh(RefreshKey key, RefreshSession& s) {
-  if (s.done) return;
-  s.done = true;
-  bool ok = !s.failed;
-  if (!ok) {
-    // Archive the raw dealing columns: the hypervisor cross-references them
-    // across hosts to attribute which dealer's polynomials were malformed.
-    FailedRefresh fr;
-    fr.deals_by_dealer = std::move(s.deals_by_dealer);
-    fr.deal_seen = std::move(s.deal_seen);
-    failed_refresh_[key] = std::move(fr);
-  }
-  if (ok) {
-    ComputeSection section(metrics_.rerandomize, obs::SpanKind::kRefreshApply,
-                           cfg_.id, key.first);
-    std::vector<FpElem>& shares = store_.Load(key.first);
-    const std::size_t base = s.batch->check_rows();
-    for (std::size_t g = 0; g < s.batch->groups(); ++g) {
-      for (std::size_t a_rel = 0; a_rel < s.batch->usable_rows(); ++a_rel) {
-        auto blk = s.plan.BlockFor(a_rel, g);
-        if (!blk) continue;
-        shares[*blk] = cfg_.ctx->Add(shares[*blk], s.outputs[base + a_rel][g]);
-      }
-    }
-    // Stash persists the new shares and destroys the old serialized copy:
-    // the proactive "delete old shares" step.
-    store_.Stash(key.first);
-  }
-  ReportPhaseDone(key.first, key.second, 0, ok, metrics_.rerandomize);
-  refresh_.erase(key);
-}
-
-// ---------------------------------------------------------------------------
-// Recovery
-// ---------------------------------------------------------------------------
 
 void Host::OnStartRecovery(const Message& msg) {
   Require(msg.from == net::kHypervisorId,
@@ -670,94 +413,192 @@ void Host::OnStartRecovery(const Message& msg) {
       plan.survivors.end();
   if (!i_survive) return;  // not in the dealing set this round
 
-  // Survivor: one sub-session per target, all sharing this plan.
+  // Survivor: one VSS round per target, all sharing this plan.
   for (std::uint32_t target : targets) {
-    const SurvivorKey key{meta.file_id, msg.epoch, target};
-    Require(survivor_.find(key) == survivor_.end(),
+    const VssKey key{meta.file_id, msg.epoch, target};
+    Require(vss_.find(key) == vss_.end(),
             "OnStartRecovery: duplicate session");
-    SurvivorSession s;
+    VssSession s;
     std::vector<std::vector<FpElem>> deal;
     {
       ComputeSection section(metrics_.recover, obs::SpanKind::kRecoverDeal,
                              cfg_.id, target);
-      s.plan = plan;
-      s.target = target;
+      s.blocks = plan.blocks;
       s.mask_budget = mask_budget;
       s.batch.emplace(pss::MakeRecoveryBatch(*shamir_, plan, target));
-      s.deals_by_dealer.resize(plan.survivors.size());
-      s.deal_seen.assign(plan.survivors.size(), false);
       deal = s.batch->Deal(rng_, section.extra());
     }
-
-    auto [it, inserted] = survivor_.emplace(key, std::move(s));
-    SurvivorSession& session = it->second;
-
-    const std::size_t my_idx = session.batch->IndexOf(cfg_.id);
-    Invariant(my_idx != pss::VssBatch::npos, "survivor not in own batch");
-    for (std::size_t k = 0; k < plan.survivors.size(); ++k) {
-      std::uint32_t holder = plan.survivors[k];
-      if (holder == cfg_.id) continue;
-      if (byz_ != nullptr && byz_->WithholdSend()) continue;
-      Message m;
-      m.from = cfg_.id;
-      m.to = holder;
-      m.type = MsgType::kDeal;
-      m.file_id = meta.file_id;
-      m.epoch = msg.epoch;
-      m.row = target;
-      m.payload =
-        keyring_.Seal(holder, field::SerializeElems(*cfg_.ctx, deal[k]));
-      SendMetered(std::move(m), metrics_.recover);
-    }
-    session.deals_by_dealer[my_idx] = std::move(deal[my_idx]);
-    session.deal_seen[my_idx] = true;
-    session.deals += 1;
-    if (session.deals == plan.survivors.size()) {
-      SurvivorTransformAndCheck(key, session);
-    }
+    StartVss(key, std::move(s), std::move(deal));
   }
   ReplayPending();
 }
 
-void Host::SurvivorTransformAndCheck(SurvivorKey key, SurvivorSession& s) {
+// ---------------------------------------------------------------------------
+// The VSS round: deal, transform, open check rows, verdicts
+// ---------------------------------------------------------------------------
+
+namespace {
+
+bool IsRefresh(std::uint32_t sub) { return sub == kRefreshMarker; }
+
+// Blocks each survivor masks and ships to a recovery target: a stripe of
+// `mask_budget` points per block (reduced repair), or with budget 0 (full
+// repair) every block from every survivor.
+pss::StripeLayout MaskLayout(std::size_t survivors, std::size_t mask_budget) {
+  return pss::StripeLayout(survivors,
+                           mask_budget > 0 ? mask_budget : survivors);
+}
+
+// Holders whose dealing of a round never arrived.
+std::vector<std::uint32_t> MissingDealers(const pss::VssBatch& batch,
+                                          const std::vector<bool>& deal_seen) {
+  std::vector<std::uint32_t> out;
+  for (std::size_t i = 0; i < deal_seen.size(); ++i) {
+    if (!deal_seen[i]) out.push_back(batch.holders()[i]);
+  }
+  return out;
+}
+
+// Per-holder group vectors -> all groups well formed.
+bool VerifyRow(const pss::VssBatch& batch,
+               const std::vector<std::vector<FpElem>>& mat,
+               const field::FpCtx& ctx) {
+  obs::Span span(obs::SpanKind::kVssVerify, mat.size(), batch.groups());
+  for (std::size_t g = 0; g < batch.groups(); ++g) {
+    std::vector<FpElem> column(mat.size(), ctx.Zero());
+    for (std::size_t k = 0; k < mat.size(); ++k) column[k] = mat[k][g];
+    if (!batch.VerifyCheckVector(column)) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+PhaseMetrics& Host::VssBucket(const VssKey& key) {
+  return IsRefresh(std::get<2>(key)) ? metrics_.rerandomize : metrics_.recover;
+}
+
+void Host::StartVss(VssKey key, VssSession s,
+                    std::vector<std::vector<FpElem>> deal) {
+  const auto [file_id, epoch, sub] = key;
+  const std::size_t dealers = s.batch->dealers();
+  s.deals_by_dealer.resize(dealers);
+  s.deal_seen.assign(dealers, false);
+  VssSession& session = vss_.emplace(key, std::move(s)).first->second;
+
+  const std::vector<std::uint32_t>& holders = session.batch->holders();
+  for (std::size_t k = 0; k < dealers; ++k) {
+    const std::uint32_t holder = holders[k];
+    if (holder == cfg_.id) continue;
+    if (byz_ != nullptr && byz_->WithholdSend()) continue;
+    Message m;
+    m.from = cfg_.id;
+    m.to = holder;
+    m.type = MsgType::kDeal;
+    m.file_id = file_id;
+    m.epoch = epoch;
+    m.row = sub;
+    m.payload =
+        keyring_.Seal(holder, field::SerializeElems(*cfg_.ctx, deal[k]));
+    SendMetered(std::move(m), VssBucket(key));
+  }
+  // Self-deal, delivered locally.
+  const std::size_t my_idx = session.batch->IndexOf(cfg_.id);
+  Invariant(my_idx != pss::VssBatch::npos, "holder not in own batch");
+  session.deals_by_dealer[my_idx] = std::move(deal[my_idx]);
+  session.deal_seen[my_idx] = true;
+  session.deals += 1;
+  if (session.deals == dealers) TransformAndCheck(key, session);
+}
+
+void Host::OnDealPlain(const Message& msg) {
+  const VssKey key{msg.file_id, msg.epoch, msg.row};
+  auto it = vss_.find(key);
+  if (it == vss_.end()) {
+    pending_.push_back(msg);
+    return;
+  }
+  VssSession& s = it->second;
+  std::vector<FpElem> elems = field::DeserializeElems(*cfg_.ctx, msg.payload);
+  const std::size_t idx = s.batch->IndexOf(msg.from);
+  Require(idx != pss::VssBatch::npos, "OnDeal: dealer not a holder");
+  Require(elems.size() == s.batch->groups(), "OnDeal: wrong group count");
+  if (s.deal_seen[idx]) return;  // duplicate
+  s.deals_by_dealer[idx] = std::move(elems);
+  s.deal_seen[idx] = true;
+  s.deals += 1;
+  if (s.deals == s.batch->dealers()) TransformAndCheck(key, s);
+}
+
+void Host::TransformAndCheck(VssKey key, VssSession& s) {
+  const auto [file_id, epoch, sub] = key;
   {
-    ComputeSection section(metrics_.recover,
-                           obs::SpanKind::kRecoverTransform, cfg_.id,
-                           std::get<2>(key));
+    ComputeSection section(VssBucket(key),
+                           IsRefresh(sub) ? obs::SpanKind::kRefreshTransform
+                                          : obs::SpanKind::kRecoverTransform,
+                           cfg_.id, IsRefresh(sub) ? file_id : sub);
     s.outputs =
         s.batch->Transform(s.deals_by_dealer, cfg_.params.b, section.extra());
   }
-  s.deals_by_dealer.clear();
-  s.deals_by_dealer.shrink_to_fit();
+  // A refresh keeps deals_by_dealer: if verification fails, the raw columns
+  // are archived so the hypervisor can attribute the corrupt dealer.
+  if (!IsRefresh(sub)) {
+    s.deals_by_dealer.clear();
+    s.deals_by_dealer.shrink_to_fit();
+  }
 
   for (std::uint32_t a = 0; a < s.batch->check_rows(); ++a) {
-    std::uint32_t verifier = s.batch->VerifierOf(a);
+    const std::uint32_t verifier = s.batch->VerifierOf(a);
     Message m;
     m.from = cfg_.id;
     m.to = verifier;
     m.type = MsgType::kCheckShare;
-    m.file_id = std::get<0>(key);
-    m.epoch = std::get<1>(key);
+    m.file_id = file_id;
+    m.epoch = epoch;
     m.row = a;
-    m.batch = std::get<2>(key);  // target id
+    m.batch = sub;
     if (verifier == cfg_.id) {
       m.payload = field::SerializeElems(*cfg_.ctx, s.outputs[a]);
       OnCheckSharePlain(m);
       // The local hand-off may have completed (and erased) this session.
-      if (survivor_.find(key) == survivor_.end()) return;
+      if (vss_.find(key) == vss_.end()) return;
     } else {
       m.payload = keyring_.Seal(
           verifier, field::SerializeElems(*cfg_.ctx, s.outputs[a]));
-      SendMetered(std::move(m), metrics_.recover);
+      SendMetered(std::move(m), VssBucket(key));
     }
   }
 }
 
-void Host::MaybeVerifySurvivorRow(SurvivorKey key, SurvivorSession& s,
-                                  std::uint32_t row) {
+void Host::OnCheckSharePlain(const Message& msg) {
+  const VssKey key{msg.file_id, msg.epoch, msg.batch};
+  auto it = vss_.find(key);
+  if (it == vss_.end()) {
+    pending_.push_back(msg);
+    return;
+  }
+  VssSession& s = it->second;
+  std::vector<FpElem> elems = field::DeserializeElems(*cfg_.ctx, msg.payload);
+  auto& mat = s.check_vals[msg.row];
+  if (mat.empty()) mat.resize(s.batch->dealers());
+  const std::size_t idx = s.batch->IndexOf(msg.from);
+  Require(idx != pss::VssBatch::npos, "OnCheckShare: unknown holder");
+  if (!mat[idx].empty()) return;  // duplicate
+  Require(elems.size() == s.batch->groups(), "OnCheckShare: group mismatch");
+  mat[idx] = std::move(elems);
+  s.check_counts[msg.row] += 1;
+  if (s.check_counts[msg.row] == s.batch->dealers()) {
+    MaybeVerifyRow(key, s, msg.row);
+  }
+}
+
+void Host::MaybeVerifyRow(VssKey key, VssSession& s, std::uint32_t row) {
+  const auto [file_id, epoch, sub] = key;
   bool ok;
   {
-    ComputeSection section(metrics_.recover, obs::SpanKind::kRecoverVerify,
+    ComputeSection section(VssBucket(key),
+                           IsRefresh(sub) ? obs::SpanKind::kRefreshVerify
+                                          : obs::SpanKind::kRecoverVerify,
                            cfg_.id, row);
     ok = VerifyRow(*s.batch, s.check_vals[row], *cfg_.ctx);
   }
@@ -768,42 +609,96 @@ void Host::MaybeVerifySurvivorRow(SurvivorKey key, SurvivorSession& s,
     obs::Span span(obs::SpanKind::kByzDetect, cfg_.id, row);
   }
 
-  // Deliver to every other survivor first: our own verdict may complete (and
+  // Deliver to every other holder first: our own verdict may complete (and
   // erase) the session, and peers still need this row's verdict.
-  for (std::uint32_t holder : s.plan.survivors) {
+  for (std::uint32_t holder : s.batch->holders()) {
     if (holder == cfg_.id) continue;
     Message m;
     m.from = cfg_.id;
     m.to = holder;
     m.type = MsgType::kVerdict;
-    m.file_id = std::get<0>(key);
-    m.epoch = std::get<1>(key);
+    m.file_id = file_id;
+    m.epoch = epoch;
     m.row = row;
-    m.batch = std::get<2>(key);
+    m.batch = sub;
     m.payload = Bytes{static_cast<std::uint8_t>(ok ? 1 : 0)};
-    SendMetered(std::move(m), metrics_.recover);
+    SendMetered(std::move(m), VssBucket(key));
   }
-  AcceptSurvivorVerdict(key, s, row, ok);
+  AcceptVerdict(key, s, row, ok);
 }
 
-void Host::AcceptSurvivorVerdict(SurvivorKey key, SurvivorSession& s,
-                                 std::uint32_t row, bool ok) {
+void Host::OnVerdictPlain(const Message& msg) {
+  const VssKey key{msg.file_id, msg.epoch, msg.batch};
+  auto it = vss_.find(key);
+  if (it == vss_.end()) {
+    pending_.push_back(msg);
+    return;
+  }
+  VssSession& s = it->second;
+  // Only a row's verifier may judge it: a verdict from anyone else could fill
+  // verdict_rows before this host has even transformed.
+  Require(msg.row < s.batch->check_rows() &&
+              msg.from == s.batch->VerifierOf(msg.row),
+          "OnVerdict: sender is not the row's verifier");
+  const bool ok = !msg.payload.empty() && msg.payload[0] == 1;
+  AcceptVerdict(key, s, msg.row, ok);
+}
+
+void Host::AcceptVerdict(VssKey key, VssSession& s, std::uint32_t row,
+                         bool ok) {
   if (!ok) s.failed = true;
   s.verdict_rows.insert(row);
-  if (s.verdict_rows.size() == s.batch->check_rows()) {
+  if (s.verdict_rows.size() < s.batch->check_rows()) return;
+  if (IsRefresh(std::get<2>(key))) {
+    MaybeApplyRefresh(key, s);
+  } else {
     MaybeSendMaskedShares(key, s);
   }
 }
 
-void Host::MaybeSendMaskedShares(SurvivorKey key, SurvivorSession& s) {
+void Host::MaybeApplyRefresh(VssKey key, VssSession& s) {
   if (s.done) return;
   s.done = true;
   const std::uint64_t file_id = std::get<0>(key);
   const std::uint32_t epoch = std::get<1>(key);
-  const std::uint32_t target = std::get<2>(key);
+  const bool ok = !s.failed;
+  if (!ok) {
+    // Archive the raw dealing columns: the hypervisor cross-references them
+    // across hosts to attribute which dealer's polynomials were malformed.
+    FailedRefresh fr;
+    fr.deals_by_dealer = std::move(s.deals_by_dealer);
+    fr.deal_seen = std::move(s.deal_seen);
+    failed_refresh_[{file_id, epoch}] = std::move(fr);
+  } else {
+    ComputeSection section(metrics_.rerandomize, obs::SpanKind::kRefreshApply,
+                           cfg_.id, file_id);
+    std::vector<FpElem>& shares = store_.Load(file_id);
+    // Usable row a_rel of group g refreshes block g * usable + a_rel.
+    const std::size_t base = s.batch->check_rows();
+    const std::size_t usable = s.batch->usable_rows();
+    for (std::size_t blk = 0; blk < s.blocks; ++blk) {
+      shares[blk] = cfg_.ctx->Add(shares[blk],
+                                  s.outputs[base + blk % usable][blk / usable]);
+    }
+    // Stash persists the new shares and destroys the old serialized copy:
+    // the proactive "delete old shares" step.
+    store_.Stash(file_id);
+  }
+  ReportPhaseDone(file_id, epoch, 0, ok, metrics_.rerandomize);
+  vss_.erase(key);
+}
+
+// ---------------------------------------------------------------------------
+// Recovery: masked shares to the target
+// ---------------------------------------------------------------------------
+
+void Host::MaybeSendMaskedShares(VssKey key, VssSession& s) {
+  if (s.done) return;
+  s.done = true;
+  const auto [file_id, epoch, target] = key;
   if (s.failed) {
     ReportPhaseDone(file_id, epoch, 1, false, metrics_.recover);
-    survivor_.erase(key);
+    vss_.erase(key);
     return;
   }
 
@@ -813,29 +708,16 @@ void Host::MaybeSendMaskedShares(SurvivorKey key, SurvivorSession& s) {
                            cfg_.id, target);
     std::vector<FpElem>& shares = store_.Load(file_id);
     const std::size_t base = s.batch->check_rows();
-    // Reduced mode: ship only the stripe this survivor's rank covers (the
-    // target needs just `budget` points per block); classic mode masks and
-    // ships every block.
-    std::vector<std::size_t> blocks_to_send;
-    if (s.mask_budget > 0) {
-      const std::size_t rank =
-          static_cast<std::size_t>(std::find(s.plan.survivors.begin(),
-                                             s.plan.survivors.end(), cfg_.id) -
-                                   s.plan.survivors.begin());
-      const pss::StripeLayout layout(s.plan.survivors.size(), s.mask_budget);
-      blocks_to_send = layout.BlocksFor(rank, s.plan.blocks);
-    } else {
-      blocks_to_send.resize(s.plan.blocks);
-      for (std::size_t blk = 0; blk < s.plan.blocks; ++blk) {
-        blocks_to_send[blk] = blk;
-      }
-    }
+    const std::size_t usable = s.batch->usable_rows();
+    // Ship only the stripe this survivor's rank covers.
+    const std::vector<std::size_t> blocks_to_send =
+        MaskLayout(s.batch->dealers(), s.mask_budget)
+            .BlocksFor(s.batch->IndexOf(cfg_.id), s.blocks);
     std::vector<FpElem> masked(blocks_to_send.size(), cfg_.ctx->Zero());
     for (std::size_t i = 0; i < blocks_to_send.size(); ++i) {
       const std::size_t blk = blocks_to_send[i];
-      std::size_t g = blk / s.plan.usable;
-      std::size_t a_rel = blk % s.plan.usable;
-      masked[i] = cfg_.ctx->Add(shares[blk], s.outputs[base + a_rel][g]);
+      masked[i] = cfg_.ctx->Add(shares[blk],
+                                s.outputs[base + blk % usable][blk / usable]);
     }
     store_.Stash(file_id);
     // Wrong-share attack on recovery: the target's consistency check and
@@ -845,7 +727,7 @@ void Host::MaybeSendMaskedShares(SurvivorKey key, SurvivorSession& s) {
   }
 
   if (byz_ != nullptr && byz_->WithholdSend()) {
-    survivor_.erase(key);
+    vss_.erase(key);
     return;
   }
   Message m;
@@ -857,7 +739,7 @@ void Host::MaybeSendMaskedShares(SurvivorKey key, SurvivorSession& s) {
   m.row = target;
   m.payload = std::move(sealed);
   SendMetered(std::move(m), metrics_.recover);
-  survivor_.erase(key);
+  vss_.erase(key);
 }
 
 void Host::OnMaskedSharePlain(const Message& msg) {
@@ -877,14 +759,11 @@ void Host::OnMaskedSharePlain(const Message& msg) {
       std::find(s.plan.survivors.begin(), s.plan.survivors.end(), msg.from);
   Require(sender_it != s.plan.survivors.end(),
           "MaskedShare: sender is not a survivor");
-  std::size_t expected = s.meta.num_blocks;
-  if (s.mask_budget > 0) {
-    const pss::StripeLayout layout(s.plan.survivors.size(), s.mask_budget);
-    expected = layout.CountFor(
-        static_cast<std::size_t>(sender_it - s.plan.survivors.begin()),
-        s.meta.num_blocks);
-  }
-  Require(elems.size() == expected, "MaskedShare: wrong block count");
+  const std::size_t rank =
+      static_cast<std::size_t>(sender_it - s.plan.survivors.begin());
+  Require(elems.size() == MaskLayout(s.plan.survivors.size(), s.mask_budget)
+                              .CountFor(rank, s.meta.num_blocks),
+          "MaskedShare: wrong block count");
   if (!s.masked_by_sender.emplace(msg.from, std::move(elems)).second) return;
   if (s.masked_by_sender.size() == s.plan.survivors.size()) {
     MaybeFinishTarget(msg.file_id, msg.epoch, s);
@@ -898,117 +777,72 @@ void Host::MaybeFinishTarget(std::uint64_t file_id, std::uint32_t seq,
                          cfg_.id, file_id);
   const std::size_t d = cfg_.params.degree();
   const FpElem alpha_me = shamir_->points().alpha(cfg_.id);
+  // Each survivor shipped its stripe, so each block interpolates from exactly
+  // `budget` points. Blocks with the same residue mod |survivors| share a
+  // sender set, hence one interpolation system (checker + weights + decode
+  // radius) per residue class. Full repair is one class over every survivor.
+  const std::size_t S = s.plan.survivors.size();
+  const pss::StripeLayout layout = MaskLayout(S, s.mask_budget);
+  const std::size_t budget = layout.need;
+  const std::size_t classes =
+      s.mask_budget > 0 ? std::min<std::size_t>(S, s.meta.num_blocks) : 1;
+  std::vector<const std::vector<FpElem>*> rows(S, nullptr);
+  for (std::size_t k = 0; k < S; ++k) {
+    auto rit = s.masked_by_sender.find(s.plan.survivors[k]);
+    Invariant(rit != s.masked_by_sender.end(),
+              "MaybeFinishTarget: missing masked row");
+    rows[k] = &rit->second;
+  }
+  struct ClassInterp {
+    std::vector<std::uint32_t> ranks;
+    std::vector<FpElem> xs;
+    std::optional<math::PointChecker> checker;
+    std::vector<FpElem> w;
+  };
+  std::vector<ClassInterp> cls(classes);
+  for (std::size_t rc = 0; rc < classes; ++rc) {
+    cls[rc].ranks = layout.SendersFor(rc);
+    for (std::uint32_t k : cls[rc].ranks) {
+      cls[rc].xs.push_back(shamir_->points().alpha(s.plan.survivors[k]));
+    }
+    cls[rc].checker.emplace(*cfg_.ctx, cls[rc].xs, d);
+    cls[rc].w = cls[rc].checker->WeightsAt(alpha_me);
+  }
+  // Unique-decoding radius of the masked-share code: the budget's slack over
+  // d+1 leaves room for e wrong values per block. A corruption beyond it
+  // fails the phase; the hypervisor retries (in full mode, or with a
+  // survivor set that excludes the accused/stuck hosts).
+  const std::size_t max_errors = budget > d + 1 ? (budget - d - 1) / 2 : 0;
+
   bool ok = true;
   std::set<std::uint32_t> accused_set;
   std::vector<FpElem> shares(s.meta.num_blocks, cfg_.ctx->Zero());
-
-  if (s.mask_budget > 0) {
-    // Reduced repair: each survivor shipped only its stripe, so each block
-    // interpolates from exactly `budget` points. Blocks with the same
-    // residue mod |survivors| share a sender set, hence one interpolation
-    // system (checker + weights + decode radius) per residue class.
-    const std::size_t S = s.plan.survivors.size();
-    const pss::StripeLayout layout(S, s.mask_budget);
-    std::vector<const std::vector<FpElem>*> rows(S, nullptr);
-    for (std::size_t k = 0; k < S; ++k) {
-      auto rit = s.masked_by_sender.find(s.plan.survivors[k]);
-      Invariant(rit != s.masked_by_sender.end(),
-                "MaybeFinishTarget: missing reduced row");
-      rows[k] = &rit->second;
-    }
-    struct ClassInterp {
-      std::vector<std::uint32_t> ranks;
-      std::vector<FpElem> xs;
-      std::optional<math::PointChecker> checker;
-      std::vector<FpElem> w;
-    };
-    const std::size_t classes = std::min<std::size_t>(S, s.meta.num_blocks);
-    std::vector<ClassInterp> cls(classes);
-    for (std::size_t rc = 0; rc < classes; ++rc) {
-      cls[rc].ranks = layout.SendersFor(rc);
-      for (std::uint32_t k : cls[rc].ranks) {
-        cls[rc].xs.push_back(shamir_->points().alpha(s.plan.survivors[k]));
-      }
-      cls[rc].checker.emplace(*cfg_.ctx, cls[rc].xs, d);
-      cls[rc].w = cls[rc].checker->WeightsAt(alpha_me);
-    }
-    // The budget's slack over d+1 buys a small decode radius; a corruption
-    // beyond it fails the phase and the hypervisor retries in full mode.
-    const std::size_t max_errors =
-        s.mask_budget > d + 1 ? (s.mask_budget - d - 1) / 2 : 0;
-    std::vector<std::size_t> cursor(S, 0);
-    std::vector<FpElem> ys(s.mask_budget, cfg_.ctx->Zero());
-    for (std::size_t blk = 0; blk < s.meta.num_blocks && ok; ++blk) {
-      const ClassInterp& c = cls[blk % S];
-      for (std::size_t i = 0; i < c.ranks.size(); ++i) {
-        ys[i] = (*rows[c.ranks[i]])[cursor[c.ranks[i]]++];
-      }
-      if (c.checker->Consistent(ys)) {
-        shares[blk] = math::PointChecker::Apply(*cfg_.ctx, c.w, ys);
-        continue;
-      }
-      RecoveryInconsistent().Add(1);
-      obs::Span span(obs::SpanKind::kByzDetect, cfg_.id, blk);
-      auto f = math::RobustInterpolate(*cfg_.ctx, c.xs, ys, d, max_errors);
-      if (!f.has_value()) {
-        ok = false;
-        break;
-      }
-      std::vector<std::size_t> bad = math::Mismatches(*cfg_.ctx, *f, c.xs, ys);
-      RecoverySharesCorrected().Add(bad.size());
-      for (std::size_t b : bad) {
-        accused_set.insert(s.plan.survivors[c.ranks[b]]);
-      }
-      shares[blk] = f->Eval(*cfg_.ctx, alpha_me);
-    }
-    if (ok) store_.Put(s.meta, std::move(shares));
-    std::vector<std::uint32_t> accused(accused_set.begin(), accused_set.end());
-    ReportPhaseDone(file_id, seq, 1, ok, metrics_.recover, accused);
-    return;
-  }
-
-  // Senders arrive keyed by id; the map iterates in ascending order, matching
-  // plan.survivors (also ascending).
-  std::vector<FpElem> xs;
-  std::vector<std::uint32_t> senders;
-  std::vector<const std::vector<FpElem>*> rows;
-  xs.reserve(s.masked_by_sender.size());
-  for (const auto& [sender, elems] : s.masked_by_sender) {
-    xs.push_back(shamir_->points().alpha(sender));
-    senders.push_back(sender);
-    rows.push_back(&elems);
-  }
-  math::PointChecker checker(*cfg_.ctx, xs, d);
-  std::vector<FpElem> w = checker.WeightsAt(alpha_me);
-  // Unique-decoding radius of the masked-share code: with all survivors
-  // responding and 3t + l < n there is slack for e wrong values per block.
-  const std::size_t max_errors = xs.size() > d + 1 ? (xs.size() - d - 1) / 2 : 0;
-
-  std::vector<FpElem> ys(xs.size(), cfg_.ctx->Zero());
+  std::vector<std::size_t> cursor(S, 0);
+  std::vector<FpElem> ys(budget, cfg_.ctx->Zero());
   for (std::size_t blk = 0; blk < s.meta.num_blocks; ++blk) {
-    for (std::size_t k = 0; k < rows.size(); ++k) ys[k] = (*rows[k])[blk];
+    const ClassInterp& c = cls[blk % classes];
+    for (std::size_t i = 0; i < c.ranks.size(); ++i) {
+      ys[i] = (*rows[c.ranks[i]])[cursor[c.ranks[i]]++];
+    }
     // The masked polynomial f + q has degree <= d; inconsistency means a
     // corrupted survivor (caught here even though verification passed for
     // the masks, since the share component is unverified).
-    if (checker.Consistent(ys)) {
-      shares[blk] = math::PointChecker::Apply(*cfg_.ctx, w, ys);
+    if (c.checker->Consistent(ys)) {
+      shares[blk] = math::PointChecker::Apply(*cfg_.ctx, c.w, ys);
       continue;
     }
     // Dispute path: decode through the wrong values with Berlekamp-Welch and
-    // accuse the senders whose points the decoded polynomial rejects. The
-    // fast path above is byte-identical to the pre-dispute behaviour.
+    // accuse the senders whose points the decoded polynomial rejects.
     RecoveryInconsistent().Add(1);
     obs::Span span(obs::SpanKind::kByzDetect, cfg_.id, blk);
-    auto f = math::RobustInterpolate(*cfg_.ctx, xs, ys, d, max_errors);
+    auto f = math::RobustInterpolate(*cfg_.ctx, c.xs, ys, d, max_errors);
     if (!f.has_value()) {
-      // Beyond the decoding radius: fail the phase; the hypervisor retries
-      // with a survivor set that excludes the accused/stuck hosts.
       ok = false;
       break;
     }
-    std::vector<std::size_t> bad = math::Mismatches(*cfg_.ctx, *f, xs, ys);
+    std::vector<std::size_t> bad = math::Mismatches(*cfg_.ctx, *f, c.xs, ys);
     RecoverySharesCorrected().Add(bad.size());
-    for (std::size_t b : bad) accused_set.insert(senders[b]);
+    for (std::size_t b : bad) accused_set.insert(s.plan.survivors[c.ranks[b]]);
     shares[blk] = f->Eval(*cfg_.ctx, alpha_me);
   }
   if (ok) store_.Put(s.meta, std::move(shares));
@@ -1024,32 +858,32 @@ void Host::ReplayPending() {
   if (pending_.empty()) return;
   std::vector<Message> queue;
   queue.swap(pending_);
-  for (Message& m : queue) {
-    // Buffered payloads are already plaintext.
-    switch (m.type) {
-      case MsgType::kDeal: OnDealPlain(m); break;
-      case MsgType::kCheckShare: OnCheckSharePlain(m); break;
-      case MsgType::kMaskedShare: OnMaskedSharePlain(m); break;
-      case MsgType::kVerdict: OnVerdictPlain(m); break;
-      default:
-        LogWarn() << "host " << cfg_.id << ": unexpected buffered "
-                  << m.Describe();
-    }
+  for (const Message& m : queue) {
+    // Buffered payloads are already plaintext. Each replayed message is
+    // judged on its own: a malformed one must not drop those behind it.
+    DropIfMalformed(cfg_.id, m, [&] {
+      switch (m.type) {
+        case MsgType::kDeal: OnDealPlain(m); break;
+        case MsgType::kCheckShare: OnCheckSharePlain(m); break;
+        case MsgType::kMaskedShare: OnMaskedSharePlain(m); break;
+        case MsgType::kVerdict: OnVerdictPlain(m); break;
+        default:
+          LogWarn() << "host " << cfg_.id << ": unexpected buffered "
+                    << m.Describe();
+      }
+    });
   }
 }
 
 std::vector<Host::StuckRefresh> Host::StuckRefreshSessions() const {
   std::vector<StuckRefresh> out;
-  for (const auto& [key, s] : refresh_) {
+  for (const auto& [key, s] : vss_) {
+    const auto [file_id, epoch, sub] = key;
+    if (!IsRefresh(sub)) continue;
     StuckRefresh info;
-    info.file_id = key.first;
-    info.epoch = key.second;
-    const auto& holders = s.batch->holders();
-    for (std::size_t i = 0; i < holders.size(); ++i) {
-      if (i < s.deal_seen.size() && !s.deal_seen[i]) {
-        info.missing_dealers.push_back(holders[i]);
-      }
-    }
+    info.file_id = file_id;
+    info.epoch = epoch;
+    info.missing_dealers = MissingDealers(*s.batch, s.deal_seen);
     info.waiting_verdicts = info.missing_dealers.empty();
     out.push_back(std::move(info));
   }
@@ -1058,19 +892,14 @@ std::vector<Host::StuckRefresh> Host::StuckRefreshSessions() const {
 
 std::vector<Host::StuckRecovery> Host::StuckRecoverySessions() const {
   std::vector<StuckRecovery> out;
-  for (const auto& [key, s] : survivor_) {
+  for (const auto& [key, s] : vss_) {
+    const auto [file_id, epoch, sub] = key;
+    if (IsRefresh(sub)) continue;
     StuckRecovery info;
-    info.file_id = std::get<0>(key);
-    info.epoch = std::get<1>(key);
-    info.target = std::get<2>(key);
-    if (s.batch.has_value()) {
-      const auto& holders = s.batch->holders();
-      for (std::size_t i = 0; i < holders.size(); ++i) {
-        if (i < s.deal_seen.size() && !s.deal_seen[i]) {
-          info.missing_dealers.push_back(holders[i]);
-        }
-      }
-    }
+    info.file_id = file_id;
+    info.epoch = epoch;
+    info.target = sub;
+    info.missing_dealers = MissingDealers(*s.batch, s.deal_seen);
     out.push_back(std::move(info));
   }
   for (const auto& [key, s] : target_) {
@@ -1106,12 +935,14 @@ std::vector<std::string> Host::AbortStuckSessions() {
        << " epoch=" << epoch << " aux=" << extra;
     out.push_back(os.str());
   };
-  for (const auto& [key, s] : refresh_) {
-    describe("refresh", key.first, key.second, 0);
+  // Every refresh round first, then every recovery round.
+  for (const auto& [key, s] : vss_) {
+    const auto [file_id, epoch, sub] = key;
+    if (IsRefresh(sub)) describe("refresh", file_id, epoch, 0);
   }
-  for (const auto& [key, s] : survivor_) {
-    describe("recovery-survivor", std::get<0>(key), std::get<1>(key),
-             std::get<2>(key));
+  for (const auto& [key, s] : vss_) {
+    const auto [file_id, epoch, sub] = key;
+    if (!IsRefresh(sub)) describe("recovery-survivor", file_id, epoch, sub);
   }
   for (const auto& [key, s] : target_) {
     describe("recovery-target", key.first, key.second, 0);
@@ -1119,17 +950,15 @@ std::vector<std::string> Host::AbortStuckSessions() {
   for (const auto& m : pending_) {
     describe("pending-msg", m.file_id, m.epoch, m.row);
   }
-  metrics_.faults.timeouts_fired +=
-      refresh_.size() + survivor_.size() + target_.size();
-  refresh_.clear();
-  survivor_.clear();
+  metrics_.faults.timeouts_fired += vss_.size() + target_.size();
+  vss_.clear();
   target_.clear();
   pending_.clear();
   return out;
 }
 
 bool Host::HasActiveSessions() const {
-  return !refresh_.empty() || !survivor_.empty() || !target_.empty();
+  return !vss_.empty() || !target_.empty();
 }
 
 std::optional<std::vector<std::vector<field::FpElem>>> Host::ComputeReshare(

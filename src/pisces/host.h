@@ -37,8 +37,8 @@ namespace pisces {
 
 class ByzantineActor;
 
-// `row` marker distinguishing refresh sub-sessions from per-target recovery
-// sub-sessions in kDeal/kCheckShare/kVerdict headers.
+// The `sub` of a refresh round's VssKey; a recovery round's sub is its target
+// id. On the wire it is kDeal's `row` and kCheckShare/kVerdict's `batch`.
 inline constexpr std::uint32_t kRefreshMarker = 0xFFFFFFFF;
 
 struct HostConfig {
@@ -160,32 +160,21 @@ class Host : public net::MessageHandler {
   std::uint64_t verdicts_rejected() const { return verdicts_rejected_; }
 
  private:
-  struct RefreshSession {
-    pss::RefreshPlan plan;
+  // One batched VSS round (paper SectionIII-B): n dealings, the
+  // hyperinvertible transform, 2t opened check rows, then verdicts. Refresh
+  // and recovery masking run the same round; only the vanishing set and the
+  // completion step differ (see kRefreshMarker).
+  struct VssSession {
     std::optional<pss::VssBatch> batch;
-    std::vector<std::vector<field::FpElem>> deals_by_dealer;  // [n][G]
-    std::vector<bool> deal_seen;
-    std::size_t deals = 0;
-    std::vector<std::vector<field::FpElem>> outputs;  // [n][G] after transform
-    // Verifier role: check_row -> per-holder values ([k][G]).
-    std::map<std::uint32_t, std::vector<std::vector<field::FpElem>>> check_vals;
-    std::map<std::uint32_t, std::size_t> check_counts;
-    std::set<std::uint32_t> verdict_rows;
-    bool failed = false;
-    bool done = false;
-  };
-
-  struct SurvivorSession {  // one per (file, target)
-    pss::RecoveryPlan plan;
-    std::uint32_t target = 0;
-    // Reduced-repair point budget per block (pss/comm_efficient.h); 0 means
-    // classic full masked vectors from every survivor.
+    std::size_t blocks = 0;
+    // Recovery only: reduced-repair point budget per block
+    // (pss/comm_efficient.h); 0 means full masked vectors from every survivor.
     std::size_t mask_budget = 0;
-    std::optional<pss::VssBatch> batch;
-    std::vector<std::vector<field::FpElem>> deals_by_dealer;
+    std::vector<std::vector<field::FpElem>> deals_by_dealer;  // [dealers][G]
     std::vector<bool> deal_seen;
     std::size_t deals = 0;
-    std::vector<std::vector<field::FpElem>> outputs;
+    std::vector<std::vector<field::FpElem>> outputs;  // [dealers][G]
+    // Verifier role: check_row -> per-holder values ([k][G]).
     std::map<std::uint32_t, std::vector<std::vector<field::FpElem>>> check_vals;
     std::map<std::uint32_t, std::size_t> check_counts;
     std::set<std::uint32_t> verdict_rows;
@@ -198,12 +187,12 @@ class Host : public net::MessageHandler {
     pss::RecoveryPlan plan;
     std::size_t mask_budget = 0;  // 0 = full masked vectors
     std::map<std::uint32_t, std::vector<field::FpElem>> masked_by_sender;
-    bool failed = false;
-    bool done = false;
   };
 
-  using RefreshKey = std::pair<std::uint64_t, std::uint32_t>;  // file, epoch
-  using SurvivorKey = std::tuple<std::uint64_t, std::uint32_t, std::uint32_t>;
+  // (file, epoch): epoch is the hypervisor op sequence.
+  using FileSeq = std::pair<std::uint64_t, std::uint32_t>;
+  // (file, epoch, sub): sub is kRefreshMarker or the recovery target's id.
+  using VssKey = std::tuple<std::uint64_t, std::uint32_t, std::uint32_t>;
 
   // --- message handlers (the *Plain variants take decrypted payloads and
   // are also the replay targets for buffered out-of-order messages) ---
@@ -218,21 +207,21 @@ class Host : public net::MessageHandler {
   void OnMaskedSharePlain(const net::Message& msg);
   void OnHostCert(const net::Message& msg);
 
-  // --- refresh steps ---
-  void RefreshTransformAndCheck(RefreshKey key, RefreshSession& s);
-  void MaybeVerifyRefreshRow(RefreshKey key, RefreshSession& s,
-                             std::uint32_t row);
-  void AcceptRefreshVerdict(RefreshKey key, RefreshSession& s,
-                            std::uint32_t row, bool ok);
-  void MaybeApplyRefresh(RefreshKey key, RefreshSession& s);
+  // --- VSS round steps (refresh and recovery masking alike) ---
+  // Sends this host's dealing `deal` of round `key` to every other holder and
+  // records its self-deal.
+  void StartVss(VssKey key, VssSession s,
+                std::vector<std::vector<field::FpElem>> deal);
+  void TransformAndCheck(VssKey key, VssSession& s);
+  void MaybeVerifyRow(VssKey key, VssSession& s, std::uint32_t row);
+  void AcceptVerdict(VssKey key, VssSession& s, std::uint32_t row, bool ok);
+  PhaseMetrics& VssBucket(const VssKey& key);
+  // Completion: a refresh applies its zero-sharing; a recovery round masks
+  // this survivor's shares and ships them to the target.
+  void MaybeApplyRefresh(VssKey key, VssSession& s);
+  void MaybeSendMaskedShares(VssKey key, VssSession& s);
 
-  // --- recovery steps ---
-  void SurvivorTransformAndCheck(SurvivorKey key, SurvivorSession& s);
-  void MaybeVerifySurvivorRow(SurvivorKey key, SurvivorSession& s,
-                              std::uint32_t row);
-  void AcceptSurvivorVerdict(SurvivorKey key, SurvivorSession& s,
-                             std::uint32_t row, bool ok);
-  void MaybeSendMaskedShares(SurvivorKey key, SurvivorSession& s);
+  // --- recovery target ---
   void MaybeFinishTarget(std::uint64_t file_id, std::uint32_t seq,
                          TargetSession& s);
 
@@ -259,17 +248,16 @@ class Host : public net::MessageHandler {
   std::uint32_t epoch_ = 0;
   crypto::HostCert my_cert_;
 
-  std::map<RefreshKey, RefreshSession> refresh_;
-  std::map<SurvivorKey, SurvivorSession> survivor_;
-  std::map<std::pair<std::uint64_t, std::uint32_t>, TargetSession> target_;
+  std::map<VssKey, VssSession> vss_;
+  std::map<FileSeq, TargetSession> target_;
   std::vector<net::Message> pending_;  // out-of-order protocol messages
   std::uint64_t verdicts_rejected_ = 0;
   // Failed-verification archives for hypervisor-side dealer attribution.
-  std::map<RefreshKey, FailedRefresh> failed_refresh_;
+  std::map<FileSeq, FailedRefresh> failed_refresh_;
   // Start-once guards: duplicated control messages (fault injection) must not
   // resurrect sessions that already ran under the same (file, seq) key.
-  std::set<RefreshKey> refresh_started_;
-  std::set<std::pair<std::uint64_t, std::uint32_t>> recovery_started_;
+  std::set<FileSeq> refresh_started_;
+  std::set<FileSeq> recovery_started_;
   // Active-adversary hooks; nullptr on honest hosts (pisces/byzantine.h).
   ByzantineActor* byz_ = nullptr;
 };

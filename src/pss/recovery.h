@@ -35,12 +35,6 @@ struct RecoveryPlan {
   static RecoveryPlan For(std::size_t blocks, const Params& p,
                           std::span<const std::uint32_t> rebooting,
                           std::span<const std::uint32_t> available);
-
-  std::optional<std::size_t> BlockFor(std::size_t a_rel, std::size_t g) const {
-    std::size_t idx = g * usable + a_rel;
-    if (idx >= blocks) return std::nullopt;
-    return idx;
-  }
 };
 
 // Builds the VssBatch for recovering shares of `target` among the plan's

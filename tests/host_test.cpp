@@ -84,13 +84,22 @@ class HostHarness {
   // (the payload the hypervisor sends). An explicit `payload` overrides it.
   void StartRefresh(std::uint64_t file_id, std::uint32_t epoch,
                     std::optional<Bytes> payload = std::nullopt) {
+    std::vector<std::uint32_t> all(params_.n);
+    for (std::uint32_t i = 0; i < params_.n; ++i) all[i] = i;
+    StartRefreshAt(all, file_id, epoch, payload);
+  }
+
+  // Same, but the command reaches only the hosts in `to`.
+  void StartRefreshAt(const std::vector<std::uint32_t>& to,
+                      std::uint64_t file_id, std::uint32_t epoch,
+                      std::optional<Bytes> payload = std::nullopt) {
     if (!payload) {
       ByteWriter w;
       w.U32(params_.n);
       for (std::uint32_t i = 0; i < params_.n; ++i) w.U32(i);
       payload = w.Take();
     }
-    for (std::uint32_t i = 0; i < params_.n; ++i) {
+    for (std::uint32_t i : to) {
       net::Message m;
       m.from = net::kHypervisorId;
       m.to = i;
@@ -220,6 +229,60 @@ TEST(HostDirect, DuplicateDealsAreIdempotent) {
   h.StartRefresh(1, 71);
   h.sync_.RunToQuiescence();
   EXPECT_EQ(h.DonesAtHypervisor(), h.params_.n);
+}
+
+TEST(HostDirect, ForgedVerdictsAreRejected) {
+  // Only a check row's verifier may send its verdict. With n = 5 and t = 1
+  // there are two check rows, verified by hosts 0 and 1. Host 4 holds only
+  // its self-deal when host 0 sends verdicts for rows it does not verify;
+  // accepting them would complete host 4's round before its transform.
+  HostHarness h;
+  h.InstallFile(1, 3);
+  h.StartRefreshAt({4}, 1, 50);
+  h.sync_.RunToQuiescence();
+  ASSERT_TRUE(h.hosts_[4]->HasActiveSessions());
+  for (std::uint32_t row : {7u, 8u, 1u}) {
+    net::Message forged;
+    forged.from = 0;
+    forged.to = 4;
+    forged.type = net::MsgType::kVerdict;
+    forged.file_id = 1;
+    forged.epoch = 50;
+    forged.row = row;
+    forged.batch = kRefreshMarker;
+    forged.payload = Bytes{1};
+    h.hosts_[4]->HandleMessage(forged);
+  }
+  EXPECT_TRUE(h.hosts_[4]->HasActiveSessions());
+  EXPECT_EQ(h.DonesAtHypervisor(), 0u);
+  // The honest round still completes everywhere (host 4 ignores the
+  // duplicate start).
+  h.StartRefresh(1, 50);
+  h.sync_.RunToQuiescence();
+  EXPECT_EQ(h.DonesAtHypervisor(), h.params_.n);
+  for (auto& host : h.hosts_) EXPECT_FALSE(host->HasActiveSessions());
+}
+
+TEST(HostDirect, MalformedBufferedDealDoesNotDropOthers) {
+  // A malformed deal (empty payload) reaches host 4 before its session
+  // exists and is buffered. Hosts 0-3 start first, so their genuine deals
+  // queue behind it. Replaying the queue must drop only the bad message.
+  HostHarness h;
+  h.InstallFile(1, 3);
+  net::Message bad;
+  bad.from = 0;
+  bad.to = 4;
+  bad.type = net::MsgType::kDeal;
+  bad.file_id = 1;
+  bad.epoch = 50;
+  bad.row = kRefreshMarker;
+  h.hosts_[4]->HandleMessage(bad);
+  h.StartRefreshAt({0, 1, 2, 3}, 1, 50);
+  h.sync_.RunToQuiescence();
+  h.StartRefreshAt({4}, 1, 50);
+  h.sync_.RunToQuiescence();
+  EXPECT_EQ(h.DonesAtHypervisor(), h.params_.n);
+  for (auto& host : h.hosts_) EXPECT_FALSE(host->HasActiveSessions());
 }
 
 TEST(HostDirect, RefreshForUnknownFileReportsDone) {
