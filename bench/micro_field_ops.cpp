@@ -144,6 +144,24 @@ void BM_FieldDot(benchmark::State& state) {
 }
 BENCHMARK(BM_FieldDot)->Arg(256)->Arg(512)->Arg(1024)->Arg(2048);
 
+// The word-coefficient dot of the integer rows: kDotLen k x 1 products,
+// coefficients of both signs (both accumulators reduce).
+void BM_FieldDotI64(benchmark::State& state) {
+  const FpCtx& ctx = CtxFor(state.range(0));
+  Rng rng(9);
+  std::vector<FpElem> a;
+  std::vector<std::int64_t> c;
+  for (std::size_t i = 0; i < kDotLen; ++i) {
+    a.push_back(ctx.Random(rng));
+    const auto mag = static_cast<std::int64_t>(rng.Next() >> 1);
+    c.push_back(i % 2 == 0 ? mag : -mag);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ctx.DotI64(a, c));
+  }
+}
+BENCHMARK(BM_FieldDotI64)->Arg(256)->Arg(512)->Arg(1024)->Arg(2048);
+
 void BM_FieldDotNaive(benchmark::State& state) {
   const FpCtx& ctx = CtxFor(state.range(0));
   Rng rng(9);

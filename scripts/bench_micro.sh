@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Field-kernel microbenchmark harness: configures and builds a Release tree,
-# runs the mul/sqr/dot kernels (mul/sqr on FpMont: one kernel call), the
+# runs the mul/sqr/dot kernels (mul/sqr on FpMont: one kernel call; the
+# dot against full elements and against word coefficients, DotI64), the
 # plain-element product, the bare reduction and element (de)serialization at
 # every standard prime size plus batch inversion at n in {16, 64, 256, 1024}, and distills the google-benchmark
 # JSON into BENCH_field.json at the repo root -- machine-readable
@@ -99,6 +100,8 @@ for g in sizes:
         "dot32_ns": dot,
         "dot32_naive_ns": dot_naive,
         "dot_speedup": ratio(dot_naive, dot),
+        "dot32_i64_ns": ns["BM_FieldDotI64"][g],
+        "dot_i64_vs_dot": ratio(dot, ns["BM_FieldDotI64"][g]),
         "mul_plain_ns": mul_plain,
         "mul_plain_vs_mul": ratio(mul_plain, mul),
         "redc_ns": ns["BM_FieldRedc"][g],

@@ -30,6 +30,10 @@ struct KernelCounters {
       "field.dot_products", "products accumulated unreduced");
   obs::Counter& dot_reductions = obs::RegisterCounter(
       "field.dot_reductions", "wide reductions (== nonzero dot outputs)");
+  obs::Counter& int_dot_calls = obs::RegisterCounter(
+      "field.int_dot_calls", "DotI64 outputs (word-coefficient rows)");
+  obs::Counter& int_dot_products = obs::RegisterCounter(
+      "field.int_dot_products", "k x 1 products DotI64 accumulated");
 };
 KernelCounters g_kernel_stats;
 
@@ -122,6 +126,8 @@ KernelStatsSnapshot GetKernelStats() {
   s.dot_calls = g_kernel_stats.dot_calls.Load();
   s.dot_products = g_kernel_stats.dot_products.Load();
   s.dot_reductions = g_kernel_stats.dot_reductions.Load();
+  s.int_dot_calls = g_kernel_stats.int_dot_calls.Load();
+  s.int_dot_products = g_kernel_stats.int_dot_products.Load();
   return s;
 }
 
@@ -366,8 +372,7 @@ FpElem FpCtx::Dot(std::span<const FpElem> a, std::span<const FpElem> b) const {
 }
 
 FpElem FpCtx::MulU64Add(const FpElem& a, u64 s, const FpElem& b) const {
-  // t = a*s + b <= (p-1)*2^64 < p*2^64 in k+1 limbs: the quotient
-  // q = floor(t/p) is one word.
+  // t = a*s + b <= (p-1)*2^64 < p*2^64 in k+1 limbs: one quotient digit.
   const std::size_t k = k_;
   u64 t[kMaxLimbs + 1];
   u64 carry = 0;
@@ -377,11 +382,19 @@ FpElem FpCtx::MulU64Add(const FpElem& a, u64 s, const FpElem& b) const {
     carry = static_cast<u64>(cur >> 64);
   }
   t[k] = carry;
-  // (u1, u0) are the top two words of t << lz_, and top_norm_ is the top
-  // word of p << lz_. Knuth's estimate
+  ReduceDigit(t);
+  FpElem r;
+  std::copy(t, t + k, r.v.data());
+  return r;
+}
+
+void FpCtx::ReduceDigit(u64* t) const {
+  // q = floor(t/p) is one word. (u1, u0) are the top two words of t << lz_,
+  // and top_norm_ is the top word of p << lz_. Knuth's estimate
   // qh = min(floor((u1*2^64 + u0) / top_norm_), 2^64 - 1) satisfies
   // q <= qh <= q + 2. Below u1 == top_norm_ the 2/1 division is exact via
   // the reciprocal: two word multiplies and at most two adjustments.
+  const std::size_t k = k_;
   u64 u1 = t[k], u0 = t[k - 1];
   if (lz_ != 0) {
     u1 = (u1 << lz_) | (u0 >> (64 - lz_));
@@ -411,9 +424,92 @@ FpElem FpCtx::MulU64Add(const FpElem& a, u64 s, const FpElem& b) const {
   }
   t[k] -= mul_carry + borrow;  // mul_carry <= 2^64 - 2: no wrap
   while (t[k] != 0) t[k] += AddN(t, t, p_.data(), k);
-  FpElem r;
-  std::copy(t, t + k, r.v.data());
-  return r;
+}
+
+FpElem FpCtx::DotI64(std::span<const FpElem> a,
+                     std::span<const std::int64_t> c) const {
+  Require(a.size() == c.size(), "DotI64: size mismatch");
+  g_kernel_stats.int_dot_calls.Add();
+  g_kernel_stats.int_dot_products.Add(a.size());
+  // acc[0] sums a_i*c_i over c_i > 0, acc[1] sums a_i*|c_i| over c_i < 0.
+  // Each term is below p*2^63, so fewer than 2^64 of them stay below
+  // p*2^127: k+2 limbs, and the high k+1 limbs are below p*2^64, which is
+  // what one quotient digit reduces (docs/field_kernels.md, section 6).
+  const std::size_t k = k_;
+  u64 acc[2][kMaxLimbs + 2] = {};
+  bool used[2] = {false, false};
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (c[i] == 0) continue;
+    const bool neg = c[i] < 0;
+    // |c_i| as a word; INT64_MIN's magnitude 2^63 is exact.
+    const u64 s =
+        neg ? u64{0} - static_cast<u64>(c[i]) : static_cast<u64>(c[i]);
+    u64* t = acc[neg];
+    used[neg] = true;
+    u64 carry = 0;
+    for (std::size_t j = 0; j < k; ++j) {
+      const u128 cur = static_cast<u128>(a[i].v[j]) * s + t[j] + carry;
+      t[j] = static_cast<u64>(cur);
+      carry = static_cast<u64>(cur >> 64);
+    }
+    const u128 top = static_cast<u128>(t[k]) + carry;
+    t[k] = static_cast<u64>(top);
+    t[k + 1] += static_cast<u64>(top >> 64);
+  }
+  FpElem sum[2];
+  for (int side = 0; side < 2; ++side) {
+    if (!used[side]) continue;
+    u64* t = acc[side];
+    ReduceDigit(t + 1);  // the high k+1 limbs mod p; clears t[k+1]
+    ReduceDigit(t);      // then the whole value, now below p*2^64
+    std::copy(t, t + k, sum[side].v.data());
+  }
+  return Sub(sum[0], sum[1]);
+}
+
+FpElem FpCtx::InvU64(u64 a) const {
+  Require(a != 0, "InvU64: zero has no inverse");
+  if (a == 1) return One();
+  // r = p mod a, then j = -(r^{-1}) mod a by word extended Euclid, so that
+  // a divides 1 + j*p; x = (1 + j*p) / a < p is the inverse.
+  u64 r = 0;
+  for (std::size_t i = k_; i-- > 0;) {
+    r = static_cast<u64>(((static_cast<u128>(r) << 64) | p_[i]) % a);
+  }
+  __int128 old_s = 1, s = 0;
+  u64 old_g = r, g = a;
+  while (g != 0) {
+    const u64 q = old_g / g;
+    const u64 next_g = old_g - q * g;
+    old_g = g;
+    g = next_g;
+    const __int128 next_s = old_s - static_cast<__int128>(q) * s;
+    old_s = s;
+    s = next_s;
+  }
+  Require(old_g == 1, "InvU64: word shares a factor with the modulus");
+  // old_s * r == 1 (mod a); j = a - (old_s mod a), taken mod a.
+  __int128 inv = old_s % static_cast<__int128>(a);
+  if (inv < 0) inv += a;
+  const u64 j = inv == 0 ? 0 : a - static_cast<u64>(inv);
+  u64 t[kMaxLimbs + 1];
+  u64 carry = 1;
+  for (std::size_t i = 0; i < k_; ++i) {
+    const u128 cur = static_cast<u128>(p_[i]) * j + carry;
+    t[i] = static_cast<u64>(cur);
+    carry = static_cast<u64>(cur >> 64);
+  }
+  t[k_] = carry;
+  FpElem x;
+  u64 rem = 0;
+  for (std::size_t i = k_ + 1; i-- > 0;) {
+    const u128 cur = (static_cast<u128>(rem) << 64) | t[i];
+    const u64 q = static_cast<u64>(cur / a);
+    rem = static_cast<u64>(cur % a);
+    if (i < k_) x.v[i] = q;
+  }
+  Invariant(rem == 0, "InvU64: inexact division");
+  return x;
 }
 
 FpElem FpCtx::PowBytes(const FpElem& a, std::span<const std::uint8_t> e_be) const {

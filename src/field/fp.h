@@ -47,9 +47,9 @@ struct FpMont {
 };
 
 // Process-wide instrumentation for the kernel layer (docs/field_kernels.md).
-// The dot counters are always live (one relaxed atomic bump per Dot call,
-// amortized over n products), as is plain_muls; the per-kernel counters are
-// debug-only so the release hot path stays untouched.
+// The dot counters (Dot and DotI64) are always live (one relaxed atomic bump
+// per call, amortized over n products), as is plain_muls; the per-kernel
+// counters are debug-only so the release hot path stays untouched.
 struct KernelStatsSnapshot {
   std::uint64_t mont_muls = 0;       // debug builds only (0 under NDEBUG)
   std::uint64_t mont_sqrs = 0;       // debug builds only (0 under NDEBUG)
@@ -57,6 +57,8 @@ struct KernelStatsSnapshot {
   std::uint64_t dot_calls = 0;       // Dot() calls + DotAcc::Reduce() calls
   std::uint64_t dot_products = 0;    // products accumulated without reduction
   std::uint64_t dot_reductions = 0;  // wide reductions: exactly 1 per output
+  std::uint64_t int_dot_calls = 0;     // DotI64() calls
+  std::uint64_t int_dot_products = 0;  // k x 1 products DotI64 accumulated
 };
 KernelStatsSnapshot GetKernelStats();
 
@@ -123,6 +125,18 @@ class FpCtx {
   // (a*s + b is linear), so it equals Add(Mul(a, FromUint64(s)), b) for
   // s < p. VSS dealing evaluates at the integer holder nodes with it.
   FpElem MulU64Add(const FpElem& a, std::uint64_t s, const FpElem& b) const;
+  // sum_i a[i]*c[i] for signed word coefficients c[i] (plain integers, not
+  // field elements): k x 1 products into a positive and a negative (k+2)-limb
+  // accumulator, each reduced by two quotient digits, then one Sub. Equals
+  // Dot(a, w) with w[i] = c[i] mod p, for fewer than 2^64 terms; a.size()
+  // must equal c.size(). Rows over the integer nodes live on this
+  // (math/weight_cache.h).
+  FpElem DotI64(std::span<const FpElem> a,
+                std::span<const std::int64_t> c) const;
+  // a^{-1} for a word a, in O(k) word operations: x = (1 + j*p) / a with j
+  // the word that makes the division exact. Throws InvalidArgument when a
+  // shares a factor with the modulus. Equals Inv(a mod p).
+  FpElem InvU64(std::uint64_t a) const;
   // a^e where e is given as big-endian bytes, square-and-multiply on FpMont.
   // Not constant-time (see rng.h note: the simulator models crypto, the PSS
   // privacy is information theoretic).
@@ -171,6 +185,9 @@ class FpCtx {
   // DotAcc can keep accumulating after a Reduce.
   void AccMulAdd(std::uint64_t* t, const FpElem& a, const FpElem& b) const;
   FpElem AccReduce(const std::uint64_t* t, std::uint64_t n_products) const;
+  // The quotient-digit reduction behind MulU64Add and DotI64: t[0..k] < p *
+  // 2^64 (so the quotient is one word) becomes t mod p in t[0..k), t[k] = 0.
+  void ReduceDigit(std::uint64_t* t) const;
 
   std::size_t k_ = 0;
   std::size_t bits_ = 0;
@@ -179,7 +196,7 @@ class FpCtx {
   Limbs r2_{};        // R^2 mod p: a Montgomery multiply by it is ToMont
   FpMont mont_one_;   // R mod p
   Limbs two64r2_{};   // 2^64 R^2 mod p: fixes up the wide reduction
-  // MulU64Add's quotient digit: the modulus shifted left by lz_ bits has top
+  // ReduceDigit's quotient digit: the modulus shifted left by lz_ bits has top
   // word top_norm_ (high bit set), and top_recip_ = floor((2^128 - 1) /
   // top_norm_) - 2^64 is its 2/1 division reciprocal (Moller-Granlund), so
   // the kernel never divides.

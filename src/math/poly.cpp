@@ -261,38 +261,4 @@ bool PointsOnLowDegree(const FpCtx& ctx, std::span<const FpElem> xs,
   return true;
 }
 
-PointChecker::PointChecker(const FpCtx& ctx, std::vector<FpElem> xs,
-                           std::size_t deg)
-    : ctx_(&ctx), xs_(std::move(xs)), deg_(deg) {
-  Require(xs_.size() >= deg_ + 1, "PointChecker: not enough points");
-  std::span<const FpElem> base(xs_.data(), deg_ + 1);
-  std::span<const FpElem> extras(xs_.data() + deg_ + 1,
-                                 xs_.size() - deg_ - 1);
-  extra_weights_ = LagrangeCoeffsMulti(*ctx_, base, extras);
-}
-
-bool PointChecker::Consistent(std::span<const FpElem> ys) const {
-  Require(ys.size() == xs_.size(), "PointChecker: ys size mismatch");
-  for (std::size_t e = 0; e < extra_weights_.size(); ++e) {
-    FpElem predicted = Apply(*ctx_, extra_weights_[e], ys);
-    if (!ctx_->Eq(predicted, ys[deg_ + 1 + e])) return false;
-  }
-  return true;
-}
-
-FpElem PointChecker::EvalAt(const FpElem& x, std::span<const FpElem> ys) const {
-  return Apply(*ctx_, WeightsAt(x), ys);
-}
-
-std::vector<FpElem> PointChecker::WeightsAt(const FpElem& x) const {
-  std::span<const FpElem> base(xs_.data(), deg_ + 1);
-  return LagrangeCoeffs(*ctx_, base, x);
-}
-
-FpElem PointChecker::Apply(const FpCtx& ctx, std::span<const FpElem> weights,
-                           std::span<const FpElem> ys) {
-  Require(ys.size() >= weights.size(), "PointChecker::Apply: ys too short");
-  return ctx.Dot(weights, ys.first(weights.size()));
-}
-
 }  // namespace pisces::math

@@ -96,8 +96,8 @@ std::vector<FpElem> LagrangeCoeffs(const FpCtx& ctx,
                                    const FpElem& x);
 
 // Weight vectors for many evaluation points over one base set: one lookup of
-// the (point-independent) denominators, then O(m) per point. This is the
-// cheap path for checker and generator construction.
+// the (point-independent) denominators, then O(m) per point. The field form
+// of math::WeightRows (math/weight_cache.h) is built with it.
 std::vector<std::vector<FpElem>> LagrangeCoeffsMulti(
     const FpCtx& ctx, std::span<const FpElem> xs,
     std::span<const FpElem> eval_points);
@@ -106,36 +106,5 @@ std::vector<std::vector<FpElem>> LagrangeCoeffsMulti(
 // This is the well-formedness check used by VSS verifiers.
 bool PointsOnLowDegree(const FpCtx& ctx, std::span<const FpElem> xs,
                        std::span<const FpElem> ys, std::size_t deg);
-
-// Precomputed consistency/evaluation machinery for a fixed point set.
-//
-// Construction does all the Lagrange work (the extra points' weight vectors
-// over the first deg+1); Consistent() and EvalAt() are then
-// multiplication-only, which matters when the same point set is checked for
-// hundreds of blocks (VSS check rows, recovery of a whole file).
-class PointChecker {
- public:
-  // xs must have at least deg+1 distinct entries.
-  PointChecker(const FpCtx& ctx, std::vector<FpElem> xs, std::size_t deg);
-
-  // ys (aligned with xs) lies on a polynomial of degree <= deg?
-  bool Consistent(std::span<const FpElem> ys) const;
-
-  // f(x) where f interpolates the first deg+1 points.
-  FpElem EvalAt(const FpElem& x, std::span<const FpElem> ys) const;
-  // Same, with the weight vector reused across calls.
-  std::vector<FpElem> WeightsAt(const FpElem& x) const;
-  static FpElem Apply(const FpCtx& ctx, std::span<const FpElem> weights,
-                      std::span<const FpElem> ys);
-
-  std::size_t deg() const { return deg_; }
-
- private:
-  const FpCtx* ctx_;
-  std::vector<FpElem> xs_;
-  std::size_t deg_;
-  // extra_weights_[e][k]: weight of ys[k] when predicting ys[deg+1+e].
-  std::vector<std::vector<FpElem>> extra_weights_;
-};
 
 }  // namespace pisces::math

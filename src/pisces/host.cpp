@@ -797,7 +797,7 @@ void Host::MaybeFinishTarget(std::uint64_t file_id, std::uint32_t seq,
     std::vector<std::uint32_t> ranks;
     std::vector<FpElem> xs;
     std::optional<math::PointChecker> checker;
-    std::vector<FpElem> w;
+    math::WeightRows at_me;  // one row: the interpolant at alpha_me
   };
   std::vector<ClassInterp> cls(classes);
   for (std::size_t rc = 0; rc < classes; ++rc) {
@@ -806,7 +806,7 @@ void Host::MaybeFinishTarget(std::uint64_t file_id, std::uint32_t seq,
       cls[rc].xs.push_back(shamir_->points().alpha(s.plan.survivors[k]));
     }
     cls[rc].checker.emplace(*cfg_.ctx, cls[rc].xs, d);
-    cls[rc].w = cls[rc].checker->WeightsAt(alpha_me);
+    cls[rc].at_me = cls[rc].checker->WeightsAt({&alpha_me, 1});
   }
   // Unique-decoding radius of the masked-share code: the budget's slack over
   // d+1 leaves room for e wrong values per block. A corruption beyond it
@@ -828,7 +828,7 @@ void Host::MaybeFinishTarget(std::uint64_t file_id, std::uint32_t seq,
     // corrupted survivor (caught here even though verification passed for
     // the masks, since the share component is unverified).
     if (c.checker->Consistent(ys)) {
-      shares[blk] = math::PointChecker::Apply(*cfg_.ctx, c.w, ys);
+      shares[blk] = c.at_me.Eval(*cfg_.ctx, 0, ys);
       continue;
     }
     // Dispute path: decode through the wrong values with Berlekamp-Welch and

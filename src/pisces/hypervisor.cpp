@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/log.h"
-#include "math/poly.h"
+#include "math/weight_cache.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
 #include "pss/comm_efficient.h"
@@ -174,11 +174,8 @@ std::set<std::uint32_t> Hypervisor::AttributeCorruptDealers(
       }
       if (xs.size() < d + 2) continue;  // not enough evidence to judge
       math::PointChecker checker(ctx, xs, d);
-      std::vector<std::vector<FpElem>> beta_w;
-      beta_w.reserve(cfg_.params.l);
-      for (std::size_t j = 0; j < cfg_.params.l; ++j) {
-        beta_w.push_back(checker.WeightsAt(shamir.points().beta(j)));
-      }
+      const math::WeightRows at_betas =
+          checker.WeightsAt(shamir.points().betas());
       const std::size_t groups = cols.front()->size();
       std::vector<FpElem> ys(xs.size(), ctx.Zero());
       bool bad = false;
@@ -192,11 +189,8 @@ std::set<std::uint32_t> Hypervisor::AttributeCorruptDealers(
           bad = true;
           break;
         }
-        for (const auto& w : beta_w) {
-          if (!ctx.IsZero(math::PointChecker::Apply(ctx, w, ys))) {
-            bad = true;
-            break;
-          }
+        for (std::size_t j = 0; j < at_betas.rows() && !bad; ++j) {
+          bad = !at_betas.Vanishes(ctx, j, ys);
         }
       }
       if (bad && corrupt.insert(dealers[i]).second) {

@@ -74,8 +74,7 @@ std::vector<FpElem> StripedReconstruct(
   // exist regardless of the block count.
   const std::size_t classes = std::min(layout.contacts, blocks);
   std::vector<std::vector<std::uint32_t>> parties_of(classes);
-  std::vector<std::shared_ptr<const std::vector<std::vector<FpElem>>>> weights(
-      classes);
+  std::vector<std::shared_ptr<const math::WeightRows>> weights(classes);
   for (std::size_t r = 0; r < classes; ++r) {
     for (std::uint32_t j : layout.SendersFor(r)) {
       parties_of[r].push_back(contacted[j]);
@@ -109,7 +108,7 @@ std::vector<FpElem> StripedReconstruct(
           ys.push_back(rows_by_contact[j][stripe_index(j, b)]);
         }
         for (std::size_t s = 0; s < p.l; ++s) {
-          secrets[b * p.l + s] = ctx.Dot((*weights[r])[s], ys);
+          secrets[b * p.l + s] = weights[r]->Eval(ctx, s, ys);
         }
       },
       extra_cpu_ns);

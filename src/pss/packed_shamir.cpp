@@ -39,16 +39,16 @@ std::vector<std::vector<FpElem>> PackedShamir::ShareBlocks(
   }
   std::vector<std::vector<FpElem>> out(
       blocks.size(), std::vector<FpElem>(params_.n, ctx_->Zero()));
-  // Party i's share is row i of the cached generator dotted with [s ; u]:
-  // one lazy-reduction Dot per share, no per-block interpolation or
-  // inversion.
+  // Party i's share is row i of the cached generator applied to [s ; u]:
+  // one DotI64 (or Dot, in the field form) per share, no per-block
+  // interpolation or inversion.
   auto gen = math::CachedSharingGenerator(*ctx_, points_.alphas(),
                                           points_.betas(), d);
   GlobalPool().ParallelFor(
       0, blocks.size(),
       [&](std::size_t b) {
         for (std::size_t i = 0; i < params_.n; ++i) {
-          out[b][i] = ctx_->Dot(gen->Row(i), su[b]);
+          out[b][i] = gen->Eval(*ctx_, i, su[b]);
         }
       },
       extra_cpu_ns);
@@ -58,20 +58,8 @@ std::vector<std::vector<FpElem>> PackedShamir::ShareBlocks(
 std::vector<FpElem> PackedShamir::ReconstructBlock(
     std::span<const std::uint32_t> parties,
     std::span<const FpElem> shares) const {
-  Require(parties.size() == shares.size(), "ReconstructBlock: size mismatch");
-  Require(parties.size() >= params_.degree() + 1,
-          "ReconstructBlock: not enough shares (need d+1)");
-  std::vector<FpElem> xs = points_.AlphasOf(parties);
-  std::vector<FpElem> secrets;
-  secrets.reserve(params_.l);
-  const std::size_t m = params_.degree() + 1;
-  std::span<const FpElem> xs_used(xs.data(), m);
-  std::span<const FpElem> ys_used(shares.data(), m);
-  for (std::size_t j = 0; j < params_.l; ++j) {
-    secrets.push_back(
-        math::LagrangeEval(*ctx_, xs_used, ys_used, points_.beta(j)));
-  }
-  return secrets;
+  const std::vector<FpElem> block(shares.begin(), shares.end());
+  return ReconstructBlocks(parties, {&block, 1}).front();
 }
 
 bool PackedShamir::ConsistentShares(std::span<const std::uint32_t> parties,
@@ -100,8 +88,7 @@ std::optional<std::vector<FpElem>> PackedShamir::RobustReconstructBlock(
   return secrets;
 }
 
-std::shared_ptr<const std::vector<std::vector<FpElem>>>
-PackedShamir::ReconstructionWeights(
+std::shared_ptr<const math::WeightRows> PackedShamir::ReconstructionWeights(
     std::span<const std::uint32_t> parties) const {
   Require(parties.size() >= params_.degree() + 1,
           "ReconstructionWeights: not enough parties");
@@ -115,7 +102,6 @@ std::vector<std::vector<FpElem>> PackedShamir::ReconstructBlocks(
     std::span<const std::vector<FpElem>> shares_by_block,
     std::uint64_t* extra_cpu_ns) const {
   auto weights = ReconstructionWeights(parties);
-  const std::size_t m = params_.degree() + 1;
   for (const auto& shares : shares_by_block) {
     Require(shares.size() == parties.size(),
             "ReconstructBlocks: size mismatch");
@@ -125,9 +111,8 @@ std::vector<std::vector<FpElem>> PackedShamir::ReconstructBlocks(
   GlobalPool().ParallelFor(
       0, shares_by_block.size(),
       [&](std::size_t b) {
-        std::span<const FpElem> ys(shares_by_block[b].data(), m);
         for (std::size_t j = 0; j < params_.l; ++j) {
-          out[b][j] = math::PointChecker::Apply(*ctx_, (*weights)[j], ys);
+          out[b][j] = weights->Eval(*ctx_, j, shares_by_block[b]);
         }
       },
       extra_cpu_ns);
@@ -152,7 +137,7 @@ std::vector<FpElem> PackedShamir::ReconstructRows(
         for (std::size_t b = lo; b < hi; ++b) {
           for (std::size_t k = 0; k < m; ++k) ys[k] = (*rows[k])[b];
           for (std::size_t j = 0; j < l; ++j) {
-            out[b * l + j] = ctx_->Dot((*weights)[j], ys);
+            out[b * l + j] = weights->Eval(*ctx_, j, ys);
           }
         }
       },

@@ -10,6 +10,7 @@
 
 #include "common/rng.h"
 #include "math/poly.h"
+#include "math/weight_cache.h"
 #include "pss/params.h"
 
 namespace pisces::pss {
@@ -34,8 +35,8 @@ class PackedShamir {
   // Shares many blocks at once: out[b][i] is party i's share of block b.
   // Randomness is drawn serially in block order (so the result is
   // bit-identical to calling ShareBlock per block with the same rng), then
-  // the share evaluation -- one Dot per share against the process-wide
-  // cached generator matrix (math::CachedSharingGenerator) -- fans out over
+  // the share evaluation -- one row of the process-wide cached generator
+  // (math::CachedSharingGenerator) per share -- fans out over
   // the global task pool. extra_cpu_ns accumulates pool-worker CPU (see
   // common/task_pool.h).
   std::vector<std::vector<FpElem>> ShareBlocks(
@@ -43,7 +44,8 @@ class PackedShamir {
       std::uint64_t* extra_cpu_ns = nullptr) const;
 
   // Reconstructs the l secrets of one block from shares held by `parties`
-  // (at least d+1 of them; extras are used for a consistency check).
+  // (at least d+1 of them; the first d+1 are used): ReconstructBlocks on a
+  // single block.
   std::vector<FpElem> ReconstructBlock(std::span<const std::uint32_t> parties,
                                        std::span<const FpElem> shares) const;
 
@@ -78,12 +80,12 @@ class PackedShamir {
       std::span<const std::uint32_t> parties, std::span<const FpElem> shares,
       std::vector<std::size_t>* corrupted = nullptr) const;
 
-  // Precomputed reconstruction weights: (*recon)[j][i] is the weight of
-  // parties[i]'s share in secret j. Memoized process-wide per responder set
+  // Precomputed reconstruction rows: row j maps the first d+1 parties'
+  // shares to secret j. Memoized process-wide per responder set
   // (math/weight_cache.h), so reconstructing many blocks -- or many files --
   // against the same responders pays the O(d^2) Lagrange work once.
-  std::shared_ptr<const std::vector<std::vector<FpElem>>>
-  ReconstructionWeights(std::span<const std::uint32_t> parties) const;
+  std::shared_ptr<const math::WeightRows> ReconstructionWeights(
+      std::span<const std::uint32_t> parties) const;
 
  private:
   std::shared_ptr<const FpCtx> ctx_;

@@ -96,10 +96,9 @@ void ReferenceRecover(const PackedShamir& shamir,
     for (std::uint32_t s : plan.survivors) xs.push_back(shamir.points().alpha(s));
     const std::size_t m = p.degree() + 1;
     const FpElem target_alpha = shamir.points().alpha(target);
-    auto w_cached = math::CachedLagrangeWeights(
+    auto w = math::CachedLagrangeWeights(
         ctx, std::span<const FpElem>(xs.data(), m),
         std::span<const FpElem>(&target_alpha, 1));
-    const std::vector<FpElem>& w = (*w_cached)[0];
 
     std::vector<FpElem>& target_shares = shares_by_party[target];
     target_shares.assign(blocks, ctx.Zero());
@@ -107,16 +106,14 @@ void ReferenceRecover(const PackedShamir& shamir,
     GlobalPool().ParallelFor(0, blocks, [&](std::size_t blk) {
       std::size_t g = blk / plan.usable;
       std::size_t a = batch.check_rows() + (blk % plan.usable);
-      // masked[k] = f_blk(alpha_k) + q_blk(alpha_k); lazy-accumulate the
-      // weighted sum and reduce once per block.
-      field::DotAcc acc(ctx);
+      // masked[k] = f_blk(alpha_k) + q_blk(alpha_k).
+      std::vector<FpElem> masked(m);
       for (std::size_t k = 0; k < m; ++k) {
-        FpElem masked = ctx.Add(shares_by_party[plan.survivors[k]][blk],
-                                outputs[k][a][g]);
-        acc.MulAdd(w[k], masked);
+        masked[k] = ctx.Add(shares_by_party[plan.survivors[k]][blk],
+                            outputs[k][a][g]);
       }
-      // q_blk(alpha_target) == 0, so the sum is f_blk(alpha_target).
-      target_shares[blk] = acc.Reduce();
+      // q_blk(alpha_target) == 0, so this is f_blk(alpha_target).
+      target_shares[blk] = w->Eval(ctx, 0, masked);
     });
   }
 }

@@ -32,9 +32,11 @@ ResharePublic MakeResharePublic(const PackedShamir& from, const PackedShamir& to
   pub.to = &to;
   pub.contributors = std::move(contributors);
 
-  // w[j][i]: weight of contributor i's share in the old secret s_j.
+  // weights[j][i]: weight of contributor i's share in the old secret s_j.
   auto w = from.ReconstructionWeights(pub.contributors);
-  pub.weights = *w;
+  for (std::size_t j = 0; j < l; ++j) {
+    pub.weights.push_back(w->FieldRow(ctx, j));
+  }
 
   // lb[rho][j]: Lagrange basis over the betas evaluated at the new party
   // points -- the degree-(l-1) interpolant of the secrets at alpha'_rho.
@@ -118,6 +120,8 @@ bool VerifyReshareContribution(
   std::vector<FpElem> xs(pub.to->points().alphas().begin(),
                          pub.to->points().alphas().end());
   math::PointChecker checker(ctx, xs, d_new);
+  const math::WeightRows at_betas =
+      checker.WeightsAt(pub.to->points().betas());
   std::vector<field::FpMont> weight(l);
   for (std::size_t j = 0; j < l; ++j) {
     weight[j] = ctx.ToMont(pub.weights[j][ordinal]);
@@ -137,7 +141,7 @@ bool VerifyReshareContribution(
     //   v(beta_j) * w[k][i] == v(beta_k) * w[j][i]  for all j, k.
     std::vector<FpElem> at_beta(l, ctx.Zero());
     for (std::size_t j = 0; j < l; ++j) {
-      at_beta[j] = checker.EvalAt(pub.to->points().beta(j), col);
+      at_beta[j] = at_betas.Eval(ctx, j, col);
     }
     for (std::size_t j = 1; j < l; ++j) {
       const FpElem lhs = ctx.Mul(weight[j], at_beta[0]);

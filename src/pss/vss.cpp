@@ -43,18 +43,16 @@ VssBatch::VssBatch(const FpCtx& ctx, const EvalPoints& points,
   }
   Require(holders_.size() >= degree_ + 1,
           "VssBatch: verification needs degree+1 holders");
-  // One weight vector per extra holder point (degree check) and per vanish
-  // point (zero check), sharing one batch inversion. Every refresh window
-  // rebuilds a batch with the same point sets, so the weights are memoized.
+  // One row per extra holder point (degree check) and per vanish point
+  // (zero check). Every refresh window rebuilds a batch with the same point
+  // sets, so the rows are memoized.
   const std::vector<FpElem> alphas = points.AlphasOf(holders_);
-  std::vector<FpElem> eval_points(alphas.begin() + degree_ + 1, alphas.end());
-  n_extra_ = eval_points.size();
-  for (std::uint64_t v : vanish_nodes_) {
-    eval_points.push_back(ctx_->FromUint64(v));
-  }
-  check_weights_ = math::CachedLagrangeWeights(
-      *ctx_, std::span<const FpElem>(alphas.data(), degree_ + 1),
-      eval_points);
+  const std::span<const FpElem> base(alphas.data(), degree_ + 1);
+  std::vector<FpElem> zeros;  // V as points
+  for (std::uint64_t v : vanish_nodes_) zeros.push_back(ctx_->FromUint64(v));
+  parity_rows_ = math::CachedLagrangeWeights(
+      *ctx_, base, std::span<const FpElem>(alphas).subspan(degree_ + 1));
+  vanish_rows_ = math::CachedLagrangeWeights(*ctx_, base, zeros);
 }
 
 std::size_t VssBatch::IndexOf(std::uint32_t party) const {
@@ -169,18 +167,16 @@ std::vector<std::vector<FpElem>> VssBatch::Transform(
 
 bool VssBatch::VerifyCheckVector(std::span<const FpElem> values) const {
   if (values.size() != holders_.size()) return false;
-  const auto& weights = *check_weights_;
   // Degree check: each point beyond the first degree+1 must match the
   // interpolant of those first points.
-  for (std::size_t e = 0; e < n_extra_; ++e) {
-    FpElem predicted = math::PointChecker::Apply(*ctx_, weights[e], values);
-    if (!ctx_->Eq(predicted, values[degree_ + 1 + e])) return false;
-  }
-  // Vanishing check: evaluate the interpolant on V (precomputed weights).
-  for (std::size_t v = n_extra_; v < weights.size(); ++v) {
-    if (!ctx_->IsZero(math::PointChecker::Apply(*ctx_, weights[v], values))) {
+  for (std::size_t e = 0; e < parity_rows_->rows(); ++e) {
+    if (!parity_rows_->Predicts(*ctx_, e, values, values[degree_ + 1 + e])) {
       return false;
     }
+  }
+  // Vanishing check: the interpolant is zero on V.
+  for (std::size_t v = 0; v < vanish_rows_->rows(); ++v) {
+    if (!vanish_rows_->Vanishes(*ctx_, v, values)) return false;
   }
   return true;
 }

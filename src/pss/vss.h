@@ -25,6 +25,7 @@
 
 #include "common/rng.h"
 #include "math/poly.h"
+#include "math/weight_cache.h"
 #include "pss/params.h"
 #include "pss/tamper.h"
 
@@ -122,12 +123,13 @@ class VssBatch {
   std::size_t check_rows_;
   std::size_t groups_;
   bool recovery_ = false;
-  // Verification weights over the first degree+1 holder points: one weight
-  // vector per extra holder point (degree check) followed by one per
-  // vanishing point (zero check). All from a single batch inversion, cached
-  // across batches keyed by the point sets (see math/weight_cache.h).
-  std::shared_ptr<const std::vector<std::vector<FpElem>>> check_weights_;
-  std::size_t n_extra_ = 0;  // first n_extra_ weight vectors are degree checks
+  // Verification rows over the first degree+1 holder points, cached across
+  // batches keyed by the point sets (see math/weight_cache.h): one per extra
+  // holder point (degree check) and one per vanishing point (zero check).
+  // Two sets, so the degree checks keep the integer form where the zero
+  // checks, which extrapolate to the betas, outgrow it.
+  std::shared_ptr<const math::WeightRows> parity_rows_;
+  std::shared_ptr<const math::WeightRows> vanish_rows_;
 };
 
 // Groups needed so that usable_rows * groups >= wanted sharings.

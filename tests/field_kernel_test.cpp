@@ -14,9 +14,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <type_traits>
 #include <vector>
 
+#include "common/error.h"
 #include "common/rng.h"
 #include "field/fp.h"
 #include "field/primes.h"
@@ -236,6 +238,50 @@ void CheckMulU64Add(const FpCtx& ctx, const std::vector<FpElem>& edges,
   }
 }
 
+// Oracle for DotI64: Dot against the coefficients as field elements, |c|
+// built from FromUint64 halves (MulAddOracle), negated for c < 0.
+FpElem DotI64Oracle(const FpCtx& ctx, const std::vector<FpElem>& a,
+                    const std::vector<std::int64_t>& c) {
+  std::vector<FpElem> w;
+  for (std::int64_t ci : c) {
+    const std::uint64_t mag = ci < 0 ? 0 - static_cast<std::uint64_t>(ci)
+                                     : static_cast<std::uint64_t>(ci);
+    const FpElem e = MulAddOracle(ctx, ctx.One(), mag, ctx.Zero());
+    w.push_back(ci < 0 ? ctx.Neg(e) : e);
+  }
+  return ctx.Dot(a, w);
+}
+
+// 1..64 terms mixing the edge operands (p-1 among them) with random ones,
+// and the edge coefficients 0, +-1, +-(2^63-1) and INT64_MIN with random
+// words; then the accumulator's worst case, 64 terms (p-1) * INT64_MIN and
+// 64 terms (p-1) * (2^63-1), and the empty sum.
+void CheckDotI64(const FpCtx& ctx, const std::vector<FpElem>& edges,
+                 Rng& rng) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  const std::int64_t kCoeffs[] = {0, 1, -1, kMax, -kMax, kMin, 0, 2};
+  for (std::size_t len = 1; len <= 64; ++len) {
+    std::vector<FpElem> a;
+    std::vector<std::int64_t> c;
+    for (std::size_t i = 0; i < len; ++i) {
+      a.push_back(i % 2 == 0 ? edges[(i / 2) % edges.size()]
+                             : ctx.Random(rng));
+      c.push_back(i % 3 == 0 ? static_cast<std::int64_t>(rng.Next())
+                             : kCoeffs[(i + len) % 8]);
+    }
+    ASSERT_EQ(ctx.DotI64(a, c), DotI64Oracle(ctx, a, c))
+        << ctx.bits() << "-bit len=" << len;
+  }
+  const FpElem p_minus_1 = edges[3];
+  for (std::int64_t extreme : {kMin, kMax}) {
+    const std::vector<FpElem> a(64, p_minus_1);
+    const std::vector<std::int64_t> c(64, extreme);
+    ASSERT_EQ(ctx.DotI64(a, c), DotI64Oracle(ctx, a, c)) << ctx.bits();
+  }
+  EXPECT_EQ(ctx.DotI64({}, {}), ctx.Zero());
+}
+
 TEST_P(FieldKernelTest, MulU64AddMatchesMulThenAdd) {
   const std::vector<FpElem> edges = Operands(0);
   CheckMulU64Add(fast_, edges, rng_);
@@ -244,6 +290,35 @@ TEST_P(FieldKernelTest, MulU64AddMatchesMulThenAdd) {
   const FpElem a = fast_.Random(rng_), b = fast_.Random(rng_);
   EXPECT_EQ(fast_.MulU64Add(a, 12345, b),
             fast_.Add(fast_.Mul(a, fast_.FromUint64(12345)), b));
+}
+
+TEST_P(FieldKernelTest, DotI64MatchesDot) {
+  const std::vector<FpElem> edges = Operands(0);
+  CheckDotI64(fast_, edges, rng_);
+  CheckDotI64(oracle_, edges, rng_);
+  // One counter bump per call, and the products it accumulated.
+  const std::vector<FpElem> a = {fast_.One(), fast_.FromUint64(2)};
+  const std::vector<std::int64_t> c = {3, -4};
+  const KernelStatsSnapshot before = GetKernelStats();
+  EXPECT_EQ(fast_.DotI64(a, c), fast_.Neg(fast_.FromUint64(5)));
+  const KernelStatsSnapshot after = GetKernelStats();
+  EXPECT_EQ(after.int_dot_calls - before.int_dot_calls, 1u);
+  EXPECT_EQ(after.int_dot_products - before.int_dot_products, 2u);
+}
+
+// The word inverse against Inv, over small words and the widest ones.
+TEST_P(FieldKernelTest, InvU64MatchesInv) {
+  std::vector<std::uint64_t> words = {1, 2, 3, 120, 27720,
+                                      (std::uint64_t{1} << 63) - 1,
+                                      ~std::uint64_t{0}};
+  for (int i = 0; i < 20; ++i) words.push_back(rng_.Next() | 1);
+  for (std::uint64_t a : words) {
+    const FpElem expected = fast_.Inv(MulAddOracle(fast_, fast_.One(), a,
+                                                   fast_.Zero()));
+    ASSERT_EQ(fast_.InvU64(a), expected) << a;
+    ASSERT_EQ(oracle_.InvU64(a), expected) << a;
+  }
+  EXPECT_THROW(fast_.InvU64(0), InvalidArgument);
 }
 
 // The bare-reduction kernel (FromMont, and Random's output step) against
@@ -377,6 +452,33 @@ TEST(FieldKernelFallback, MulU64AddAtNonWordAlignedModuli) {
   b.v[0] = 0x08689D77B02C8337;
   const std::uint64_t s = 0x86B76334B07C71D8;
   EXPECT_EQ(ctx.MulU64Add(a, s, b), MulAddOracle(ctx, a, s, b));
+}
+
+// DotI64 at the non-word-aligned moduli (the quotient digits come from
+// shifted words) and the odd 192-bit width; InvU64 there too, and its
+// refusal of a word sharing a factor with the modulus.
+TEST(FieldKernelFallback, DotI64AtNonWordAlignedModuli) {
+  const Bytes m61{0x1F, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF};
+  Bytes m127(16, 0xFF);
+  m127[0] = 0x7F;
+  Bytes m127_64(16, 0);
+  m127_64[0] = 0x80;
+  for (std::size_t i = 8; i < 16; ++i) m127_64[i] = 0xFF;
+  const Bytes m192(24, 0xFF);
+  Rng rng(0xD0761);
+  for (const Bytes& m : {m61, m127, m127_64, m192}) {
+    FpCtx ctx(m);
+    Bytes le(m.rbegin(), m.rend());
+    le[0] -= 1;  // p - 1
+    const std::vector<FpElem> edges = {ctx.Zero(), ctx.One(),
+                                       ctx.FromUint64(2), ctx.FromBytes(le)};
+    CheckDotI64(ctx, edges, rng);
+  }
+  const FpCtx p61(m61);
+  EXPECT_EQ(p61.InvU64(12345), p61.Inv(p61.FromUint64(12345)));
+  EXPECT_THROW(p61.InvU64((std::uint64_t{1} << 61) - 1), InvalidArgument);
+  const FpCtx p192(m192);  // 2^192 - 1 is divisible by 3
+  EXPECT_THROW(p192.InvU64(3), InvalidArgument);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // Polynomial, interpolation, matrix and hyperinvertibility tests.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "common/task_pool.h"
 #include "field/primes.h"
 #include "math/matrix.h"
@@ -29,6 +31,16 @@ std::vector<FpElem> FreshPoints(const field::FpCtx& ctx, std::size_t n) {
 
 std::uint64_t DenominatorMisses() {
   return obs::Value(obs::TakeSnapshot(), "math.pd_misses");
+}
+
+// Every row of a WeightRows as field weights.
+std::vector<std::vector<FpElem>> FieldRows(const field::FpCtx& ctx,
+                                           const WeightRows& rows) {
+  std::vector<std::vector<FpElem>> out;
+  for (std::size_t r = 0; r < rows.rows(); ++r) {
+    out.push_back(rows.FieldRow(ctx, r));
+  }
+  return out;
 }
 
 class MathTest : public ::testing::Test {
@@ -351,8 +363,8 @@ TEST(DomainCacheKey, SamePrimeSharesEntriesDifferentPrimesNever) {
   auto w61 = CachedLagrangeWeights(p61, base, at);
   auto w63 = CachedLagrangeWeights(p63, base, at);
   EXPECT_NE(w61.get(), w63.get());
-  EXPECT_EQ(*w61, LagrangeCoeffsMulti(p61, base, at));
-  EXPECT_EQ(*w63, LagrangeCoeffsMulti(p63, base, at));
+  EXPECT_EQ(FieldRows(p61, *w61), LagrangeCoeffsMulti(p61, base, at));
+  EXPECT_EQ(FieldRows(p63, *w63), LagrangeCoeffsMulti(p63, base, at));
   // Limbs fresh to p61, and valid (and so far unused) in p63 as well.
   const std::vector<FpElem> cold = FreshPoints(p61, 4);
   const std::uint64_t before = DenominatorMisses();
@@ -396,6 +408,220 @@ TEST(DomainCacheKey, DenominatorFillRaceBitIdenticalAcrossPoolSizes) {
     EXPECT_EQ(base.first[k], gs[k].coeffs()) << k;
     EXPECT_EQ(base.second[k], gs[k].Eval(ctx, at)) << k;
   }
+}
+
+// Integer rows against today's field weights (the oracle) at the protocol's
+// nodes: secrets at beta_j = j + 1, shares at alpha_i = l + 1 + i. Seeded
+// random responder and survivor subsets; each row must equal the
+// LagrangeCoeffsMulti weights (N_k * L^{-1}) and give the oracle's
+// parity/vanish verdict, on consistent values and with one value corrupted.
+struct RowShape {
+  std::size_t n, t, l;
+};
+
+// Which row sets of a shape took the integer form, over every trial.
+struct RowForms {
+  bool recon = true;   // responders' rows at the betas (downloads)
+  bool decode = true;  // survivors' parity rows and the row at a rebooted
+                       // host's alpha (recovery's masked-share decode)
+  bool parity = true;  // VSS degree checks over the holders
+  bool vanish = true;  // VSS zero checks at the betas
+  bool gen = true;     // the sharing generator (uploads)
+  bool any = false;
+
+  void Note(bool& all, const WeightRows& rows) {
+    all = all && rows.integer();
+    any = any || rows.integer();
+  }
+};
+
+std::vector<FpElem> Nodes(const field::FpCtx& ctx, std::uint64_t first,
+                          std::size_t count) {
+  std::vector<FpElem> out;
+  for (std::size_t i = 0; i < count; ++i) {
+    out.push_back(ctx.FromUint64(first + i));
+  }
+  return out;
+}
+
+// The parties 0..n-1 in random order.
+std::vector<std::size_t> Shuffled(Rng& rng, std::size_t n) {
+  std::vector<std::size_t> all(n);
+  for (std::size_t i = 0; i < n; ++i) all[i] = i;
+  for (std::size_t i = n; i-- > 1;) std::swap(all[i], all[rng.Below(i + 1)]);
+  return all;
+}
+
+// Rows over the first `width` of pts at `at`: equal to the oracle weights,
+// and with the oracle's verdicts and values on the values of f (degree <= d,
+// zero at the betas) at pts, clean and with one value corrupted. Rows below
+// `parity` predict the value at at[r] (which is pts[width + r]); the rest
+// evaluate, and must vanish when `vanish` is set.
+void CheckVerdicts(const field::FpCtx& ctx, const WeightRows& rows,
+                   std::span<const FpElem> pts, std::size_t width,
+                   std::span<const FpElem> at, std::size_t parity,
+                   bool vanish, const Poly& f, Rng& rng) {
+  const auto oracle = LagrangeCoeffsMulti(ctx, pts.first(width), at);
+  EXPECT_EQ(FieldRows(ctx, rows), oracle);
+  std::vector<FpElem> vals;
+  for (const FpElem& x : pts) vals.push_back(f.Eval(ctx, x));
+  for (int corrupt = 0; corrupt < 2; ++corrupt) {
+    if (corrupt == 1) {
+      const std::size_t c = rng.Below(vals.size());
+      vals[c] = ctx.Add(vals[c], ctx.RandomNonZero(rng));
+    }
+    for (std::size_t r = 0; r < at.size(); ++r) {
+      const FpElem predicted =
+          ctx.Dot(oracle[r], std::span(vals).first(width));
+      EXPECT_EQ(rows.Eval(ctx, r, vals), predicted);
+      if (r >= parity && !vanish) continue;
+      bool verdict = false;
+      if (r < parity) {
+        const FpElem& y = vals[width + r];
+        verdict = rows.Predicts(ctx, r, vals, y);
+        EXPECT_EQ(verdict, predicted == y);
+      } else {
+        verdict = rows.Vanishes(ctx, r, vals);
+        EXPECT_EQ(verdict, ctx.IsZero(predicted));
+      }
+      if (corrupt == 0) {
+        EXPECT_TRUE(verdict) << r;
+      }
+    }
+  }
+}
+
+RowForms RowsMatchOracle(const field::FpCtx& ctx, const RowShape& s,
+                         Rng& rng) {
+  const std::size_t d = s.t + s.l;
+  const std::vector<FpElem> betas = Nodes(ctx, 1, s.l);
+  const std::vector<FpElem> alphas = Nodes(ctx, s.l + 1, s.n);
+  const Poly f = Poly::Mul(ctx, Poly::Vanishing(ctx, betas),
+                           Poly::Random(ctx, rng, d - s.l));
+  RowForms forms;
+  for (int trial = 0; trial < 3; ++trial) {
+    // Reconstruction: d+1 responders in random order, one row per beta.
+    const std::vector<std::size_t> order = Shuffled(rng, s.n);
+    std::vector<FpElem> xs;
+    for (std::size_t k = 0; k <= d; ++k) xs.push_back(alphas[order[k]]);
+    const WeightRows recon = WeightRows::Lagrange(ctx, xs, betas);
+    forms.Note(forms.recon, recon);
+    const auto oracle = LagrangeCoeffsMulti(ctx, xs, betas);
+    EXPECT_EQ(FieldRows(ctx, recon), oracle);
+    std::vector<FpElem> ys;
+    for (std::size_t k = 0; k <= d; ++k) ys.push_back(ctx.Random(rng));
+    for (std::size_t r = 0; r < s.l; ++r) {
+      EXPECT_EQ(recon.Eval(ctx, r, ys), ctx.Dot(oracle[r], ys));
+    }
+
+    // Recovery: up to 3 rebooted hosts; a budget of d+3 survivors in random
+    // order decodes at the first rebooted host's alpha.
+    const std::size_t rebooted = std::min<std::size_t>(3, s.n - d - 2);
+    const std::size_t budget = std::min(s.n - rebooted, d + 3);
+    std::vector<FpElem> pts;
+    for (std::size_t k = 0; k < budget; ++k) {
+      pts.push_back(alphas[order[rebooted + k]]);
+    }
+    std::vector<FpElem> at(pts.begin() + d + 1, pts.end());
+    const std::size_t extras = at.size();
+    at.push_back(alphas[order[0]]);
+    const WeightRows decode =
+        WeightRows::Lagrange(ctx, std::span(pts).first(d + 1), at);
+    forms.Note(forms.decode, decode);
+    CheckVerdicts(ctx, decode, pts, d + 1, at, extras, false, f, rng);
+
+    // VSS checks: the surviving holders in party order; parity rows for the
+    // holders past d+1, zero rows at the betas.
+    std::vector<std::size_t> live(order.begin() + rebooted, order.end());
+    std::sort(live.begin(), live.end());
+    std::vector<FpElem> holders;
+    for (std::size_t i : live) holders.push_back(alphas[i]);
+    const std::span<const FpElem> extra(holders.begin() + d + 1,
+                                        holders.end());
+    const WeightRows parity = WeightRows::Lagrange(
+        ctx, std::span(holders).first(d + 1), extra);
+    const WeightRows vanish = WeightRows::Lagrange(
+        ctx, std::span(holders).first(d + 1), betas);
+    forms.Note(forms.parity, parity);
+    forms.Note(forms.vanish, vanish);
+    CheckVerdicts(ctx, parity, holders, d + 1, extra, extra.size(), false, f,
+                  rng);
+    CheckVerdicts(ctx, vanish, holders, d + 1, betas, 0, true, f, rng);
+  }
+
+  // The generator, against the construction it replaces.
+  const WeightRows gen = WeightRows::Generator(ctx, alphas, betas, d);
+  forms.Note(forms.gen, gen);
+  const auto lagrange = LagrangeCoeffsMulti(ctx, betas, alphas);
+  const Poly w = Poly::Vanishing(ctx, betas);
+  std::vector<FpElem> su;
+  for (std::size_t k = 0; k <= d; ++k) su.push_back(ctx.Random(rng));
+  for (std::size_t i = 0; i < s.n; ++i) {
+    std::vector<FpElem> row = lagrange[i];
+    FpElem mask = w.Eval(ctx, alphas[i]);
+    for (std::size_t k = s.l; k <= d; ++k) {
+      row.push_back(mask);
+      mask = ctx.Mul(mask, alphas[i]);
+    }
+    EXPECT_EQ(gen.FieldRow(ctx, i), row) << i;
+    EXPECT_EQ(gen.Eval(ctx, i, su), ctx.Dot(row, su)) << i;
+  }
+  return forms;
+}
+
+TEST(IntegerRows, FigureShapesMatchFieldWeights) {
+  const field::FpCtx ctx(field::StandardPrimeBe(256));
+  Rng rng(0x1D07);
+  // Every fig12 shape (maximal l at r = 3): the decode and parity rows fit
+  // in a word; downloads and zero checks extrapolate to the betas and fit
+  // only at the smaller l.
+  for (std::size_t n : {21, 29, 37}) {
+    for (std::size_t t = 2; t <= 6; ++t) {
+      const std::size_t r = std::min<std::size_t>(3, n - 3 * t - 1);
+      const RowForms forms = RowsMatchOracle(ctx, {n, t, n - 3 * t - r}, rng);
+      EXPECT_TRUE(forms.decode && forms.parity) << "n=" << n << " t=" << t;
+    }
+  }
+  // The paper-best point and the serving shape: every row set.
+  for (const RowShape& s : {RowShape{21, 4, 6}, RowShape{8, 1, 2}}) {
+    const RowForms forms = RowsMatchOracle(ctx, s, rng);
+    EXPECT_TRUE(forms.recon && forms.decode && forms.parity && forms.vanish &&
+                forms.gen)
+        << "n=" << s.n;
+  }
+  RowsMatchOracle(ctx, {41, 8, 12}, rng);
+}
+
+// Coefficients past 63 bits (n=64 t=10 l=20 reaches about 96) and moduli of
+// at most 63 bits take the field form, and still match.
+TEST(IntegerRows, WideCoefficientsAndSmallPrimesFallBack) {
+  Rng rng(0xFA11);
+  const field::FpCtx wide(field::StandardPrimeBe(256));
+  EXPECT_FALSE(RowsMatchOracle(wide, {64, 10, 20}, rng).any);
+  for (std::uint8_t p : {19, 23}) {
+    const field::FpCtx small(Bytes{p});
+    EXPECT_FALSE(RowsMatchOracle(small, {8, 1, 2}, rng).any) << int{p};
+  }
+}
+
+// A node of the base set gives the unit row; nodes from 2^12 up take the
+// field form; a repeated node falls back to the field form, which rejects
+// it.
+TEST(IntegerRows, NodeEvalPointIsUnitRowAndDuplicatesThrow) {
+  const field::FpCtx ctx(field::StandardPrimeBe(256));
+  const std::vector<FpElem> xs = Nodes(ctx, 3, 5);
+  const WeightRows rows = WeightRows::Lagrange(ctx, xs, {&xs[2], 1});
+  ASSERT_TRUE(rows.integer());
+  EXPECT_EQ(rows.FieldRow(ctx, 0),
+            LagrangeCoeffsMulti(ctx, xs, {&xs[2], 1})[0]);
+  const std::vector<FpElem> far = Nodes(ctx, 4095, 3);
+  const WeightRows wide = WeightRows::Lagrange(ctx, far, {&xs[0], 1});
+  EXPECT_FALSE(wide.integer());
+  EXPECT_EQ(wide.FieldRow(ctx, 0),
+            LagrangeCoeffsMulti(ctx, far, {&xs[0], 1})[0]);
+  std::vector<FpElem> dup = xs;
+  dup[4] = dup[1];
+  EXPECT_THROW(WeightRows::Lagrange(ctx, dup, {&xs[0], 1}), InvalidArgument);
 }
 
 }  // namespace

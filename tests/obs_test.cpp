@@ -80,6 +80,8 @@ TEST(Registry, SubstrateCountersAreRegistered) {
   EXPECT_TRUE(names.count("field.dot_calls"));
   EXPECT_TRUE(names.count("field.dot_products"));
   EXPECT_TRUE(names.count("field.dot_reductions"));
+  EXPECT_TRUE(names.count("field.int_dot_calls"));
+  EXPECT_TRUE(names.count("field.int_dot_products"));
   EXPECT_TRUE(names.count("math.wc_hits"));
   EXPECT_TRUE(names.count("math.wc_misses"));
 }
