@@ -7,8 +7,10 @@
 #include <memory>
 
 #include "bench_common.h"
+#include "crypto/schnorr.h"
 #include "field/primes.h"
 #include "math/poly.h"
+#include "pss/vss.h"
 
 namespace {
 
@@ -257,6 +259,59 @@ void BM_LagrangeCoeffs(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LagrangeCoeffs)->Arg(19)->Arg(37);
+
+// One VSS batch of one group over nh holders at t = (nh - 2) / 4,
+// l = t + 2 (nh = 18 is a paper-best recovery batch: n = 21 less r = 3
+// targets, t = 4, l = 6): the dealing vanishes on the first target's alpha.
+pisces::pss::VssBatch VssBench(const FpCtx& ctx, std::size_t nh) {
+  const std::size_t t = (nh - 2) / 4, l = t + 2;
+  const pisces::pss::EvalPoints points(ctx, nh + 1, l);
+  std::vector<std::uint32_t> holders(nh);
+  for (std::uint32_t i = 0; i < nh; ++i) holders[i] = i;
+  return pisces::pss::VssBatch(ctx, points, holders, {points.alpha_node(nh)},
+                               t + l, 2 * t, /*groups=*/1, /*recovery=*/true);
+}
+
+// Args: {nh, g}. Holder side: one group's dealings through M.
+void BM_VssTransform(benchmark::State& state) {
+  const FpCtx& ctx = CtxFor(state.range(1));
+  const auto batch = VssBench(ctx, state.range(0));
+  Rng rng(11);
+  std::vector<std::vector<FpElem>> deals(batch.dealers());
+  for (auto& row : deals) row.push_back(ctx.Random(rng));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(batch.Transform(deals));
+  }
+}
+BENCHMARK(BM_VssTransform)->Args({18, 1024})->Args({8, 256});
+
+// Args: {nh, g}. Dealer side: one group's polynomial at every holder.
+void BM_VssDeal(benchmark::State& state) {
+  const FpCtx& ctx = CtxFor(state.range(1));
+  const auto batch = VssBench(ctx, state.range(0));
+  Rng rng(12);
+  const std::vector<pisces::math::Poly> us = batch.DrawDealRandomness(rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(batch.DealFrom(us));
+  }
+}
+BENCHMARK(BM_VssDeal)->Args({18, 1024})->Args({8, 256});
+
+// A host-cert signature check on the default group; Arg 1 pins the CA
+// key's comb table (as every host and the hypervisor do), Arg 0 does not.
+void BM_SchnorrVerify(benchmark::State& state) {
+  using namespace pisces::crypto;
+  const SchnorrGroup& group = SchnorrGroup::Default();
+  Rng rng(13);
+  const SchnorrKeyPair ca = SchnorrKeygen(group, rng);
+  const auto table = state.range(0) ? group.PinKeyTable(ca.pk) : nullptr;
+  const pisces::Bytes msg = rng.RandomBytes(64);
+  const SchnorrSignature sig = SchnorrSign(group, ca.sk, msg, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(SchnorrVerify(group, ca.pk, msg, sig));
+  }
+}
+BENCHMARK(BM_SchnorrVerify)->Arg(0)->Arg(1);
 
 }  // namespace
 

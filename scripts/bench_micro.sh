@@ -3,7 +3,9 @@
 # runs the mul/sqr/dot kernels (mul/sqr on FpMont: one kernel call; the
 # dot against full elements and against word coefficients, DotI64), the
 # plain-element product, the bare reduction and element (de)serialization at
-# every standard prime size plus batch inversion at n in {16, 64, 256, 1024}, and distills the google-benchmark
+# every standard prime size plus batch inversion at n in {16, 64, 256, 1024},
+# one VSS group's transform and dealing at (nh, g) in {(18, 1024), (8, 256)}
+# and a Schnorr cert check with and without a pinned key table, and distills the google-benchmark
 # JSON into BENCH_field.json at the repo root -- machine-readable
 # specialized-vs-generic numbers plus speedup ratios, with the acceptance gate
 # (>= 1.5x Montgomery multiply at g=256) spelled out as fields.
@@ -36,7 +38,7 @@ fi
 # is one-sided (it only ever slows a rep down), so the minimum across reps is
 # the faithful estimate of the kernel's cost.
 "$BUILD_DIR/bench/micro_field_ops" \
-  --benchmark_filter='BM_Field(Mul|Sqr|Dot|Redc|Serialize|Deserialize)|BM_BatchInv' \
+  --benchmark_filter='BM_Field(Mul|Sqr|Dot|Redc|Serialize|Deserialize)|BM_BatchInv|BM_Vss(Transform|Deal)|BM_SchnorrVerify' \
   --benchmark_out="$RAW_FIELD_JSON" \
   --benchmark_out_format=json \
   --benchmark_repetitions=5
@@ -63,9 +65,9 @@ ns = {}
 for b in raw_field["benchmarks"]:
     if b.get("run_type") != "iteration":
         continue
-    name, arg = b["run_name"].split("/")
+    name, *args = b["run_name"].split("/")
     d = ns.setdefault(name, {})
-    g = int(arg)
+    g = int(args[0]) if len(args) == 1 else "/".join(args)
     d[g] = min(d.get(g, float("inf")), b["real_time"])
 
 def ratio(num, den):
@@ -80,6 +82,12 @@ result = {
     "sizes": {},
     "batchinv_ns": {str(n): t for n, t in
                     sorted(ns.get("BM_BatchInv", {}).items())},
+    # One VSS group, keyed "nh/g": the exact-integer transform and dealing.
+    "vss_transform_ns": dict(sorted(ns.get("BM_VssTransform", {}).items())),
+    "vss_deal_ns": dict(sorted(ns.get("BM_VssDeal", {}).items())),
+    # A cert signature check; "pinned" runs the joint comb over both tables.
+    "schnorr_verify_ns": {"unpinned": ns["BM_SchnorrVerify"][0],
+                          "pinned": ns["BM_SchnorrVerify"][1]},
 }
 for g in sizes:
     mul = ns["BM_FieldMul"][g]

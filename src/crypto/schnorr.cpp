@@ -96,29 +96,62 @@ FpMont FixedBaseTable::Entry(std::size_t i) const {
   return e;
 }
 
-FpMont FixedBaseTable::PowMont(std::span<const std::uint8_t> e_be) const {
+bool FixedBaseTable::Fits(std::span<const std::uint8_t> e_be) const {
   while (!e_be.empty() && e_be.front() == 0) e_be = e_be.subspan(1);
-  if (e_be.size() > kTeeth * cols_ / 8) {
+  return e_be.size() <= kTeeth * cols_ / 8;
+}
+
+FpMont FixedBaseTable::PowMont(std::span<const std::uint8_t> e_be) const {
+  if (!Fits(e_be)) {
     return ctx_->ToMont(ctx_->PowBytes(ctx_->FromMont(Entry(1)), e_be));
   }
-  const field::Limbs e = LimbsFromBeBytes(e_be);
-  FpMont acc = ctx_->MontOne();
-  FpMont entry;  // limbs past k_ stay zero
+  const FixedBaseTable* const tables[] = {this};
+  const std::span<const std::uint8_t> exps[] = {e_be};
+  return Comb(tables, exps);
+}
+
+FpMont FixedBaseTable::JointPowMont(const FixedBaseTable& a,
+                                    std::span<const std::uint8_t> ea,
+                                    const FixedBaseTable& b,
+                                    std::span<const std::uint8_t> eb) {
+  Require(a.ctx_ == b.ctx_, "JointPowMont: tables over different contexts");
+  if (a.cols_ != b.cols_ || !a.Fits(ea) || !b.Fits(eb)) {
+    return a.ctx_->Mul(a.PowMont(ea), b.PowMont(eb));
+  }
+  const FixedBaseTable* const tables[] = {&a, &b};
+  const std::span<const std::uint8_t> exps[] = {ea, eb};
+  return Comb(tables, exps);
+}
+
+FpMont FixedBaseTable::Comb(
+    std::span<const FixedBaseTable* const> tables,
+    std::span<const std::span<const std::uint8_t>> exps) {
+  const FpCtx& ctx = *tables[0]->ctx_;
+  const std::size_t k = tables[0]->k_, cols = tables[0]->cols_;
+  std::vector<field::Limbs> e;
+  for (std::span<const std::uint8_t> be : exps) {
+    while (!be.empty() && be.front() == 0) be = be.subspan(1);
+    e.push_back(LimbsFromBeBytes(be));
+  }
+  FpMont acc = ctx.MontOne();
+  FpMont entry;  // limbs past k stay zero
   bool started = false;
-  for (std::size_t col = cols_; col-- > 0;) {
-    if (started) acc = ctx_->Sqr(acc);
-    std::size_t idx = 0;
-    for (std::size_t j = 0; j < kTeeth; ++j) {
-      idx |= std::size_t{field::GetBit(e.data(), j * cols_ + col)} << j;
-    }
-    if (idx == 0) continue;
-    const std::uint64_t* src = entries_.data() + idx * k_;
-    if (started) {
-      std::copy_n(src, k_, entry.v.data());
-      acc = ctx_->Mul(acc, entry);
-    } else {
-      std::copy_n(src, k_, acc.v.data());
-      started = true;
+  for (std::size_t col = cols; col-- > 0;) {
+    if (started) acc = ctx.Sqr(acc);
+    for (std::size_t t = 0; t < tables.size(); ++t) {
+      std::size_t idx = 0;
+      for (std::size_t j = 0; j < kTeeth; ++j) {
+        idx |= std::size_t{field::GetBit(e[t].data(), j * cols + col)} << j;
+      }
+      if (idx == 0) continue;
+      const std::uint64_t* src = tables[t]->entries_.data() + idx * k;
+      if (started) {
+        std::copy_n(src, k, entry.v.data());
+        acc = ctx.Mul(acc, entry);
+      } else {
+        std::copy_n(src, k, acc.v.data());
+        started = true;
+      }
     }
   }
   return acc;
@@ -133,8 +166,13 @@ SchnorrGroup::SchnorrGroup(std::shared_ptr<FpCtx> p_ctx,
                                                       q_ctx_->bits())) {}
 
 std::string SchnorrGroup::TableKey(std::span<const std::uint8_t> pk) const {
-  const Bytes modulus = p_ctx_->ModulusBytes();
-  std::string key(modulus.begin(), modulus.end());
+  // The modulus big-endian without leading zeros (ModulusBytes), then pk.
+  const std::span<const std::uint64_t> p = p_ctx_->modulus();
+  std::string key;
+  key.reserve((p_ctx_->bits() + 7) / 8 + pk.size());
+  for (std::size_t i = (p_ctx_->bits() + 7) / 8; i-- > 0;) {
+    key.push_back(static_cast<char>(p[i / 8] >> (8 * (i % 8))));
+  }
   key.append(pk.begin(), pk.end());
   return key;
 }
@@ -239,14 +277,11 @@ FpElem SchnorrGroup::ScalarFromBe(std::span<const std::uint8_t> be) const {
 FpElem SchnorrGroup::HashToScalar(std::span<const std::uint8_t> digest) const {
   // Interpret the digest as a big-endian integer and reduce mod q. q has its
   // top bit set, so a 256-bit digest needs at most one subtraction.
-  field::Limbs v = LimbsFromBeBytes(digest);
-  const std::size_t qk = q_ctx_->limbs();
-  Require(digest.size() <= qk * 8, "HashToScalar: digest too wide");
-  field::Limbs q = LimbsFromBeBytes(q_ctx_->ModulusBytes());
-  field::CondSubN(v.data(), q.data(), qk);
-  Bytes le(qk * 8);
-  for (std::size_t i = 0; i < qk; ++i) StoreLe64(v[i], le.data() + 8 * i);
-  return q_ctx_->FromBytes(le);
+  // The residue is the element (plain limbs), so no byte round trip.
+  Require(digest.size() <= q_ctx_->elem_bytes(), "HashToScalar: digest too wide");
+  FpElem v{LimbsFromBeBytes(digest)};
+  field::CondSubN(v.v.data(), q_ctx_->modulus().data(), q_ctx_->limbs());
+  return v;
 }
 
 Bytes SchnorrSignature::Serialize() const {
@@ -327,10 +362,11 @@ bool SchnorrVerify(const SchnorrGroup& group, std::span<const std::uint8_t> pk,
   FpElem e = group.ScalarFromBe(sig.e);
   // r' = g^s * y^{-e} = g^s * y^{q-e} mod p
   const Bytes neg_e = group.ScalarToBe(q.Neg(e));
-  const FpMont gs = group.g_table().PowMont(sig.s);
   const auto y_table = group.FindKeyTable(pk);
-  FpElem ye = y_table ? y_table->Pow(neg_e) : p.PowBytes(y, neg_e);
-  FpElem r = p.Mul(gs, ye);
+  const FpElem r =
+      y_table ? p.FromMont(FixedBaseTable::JointPowMont(
+                    group.g_table(), sig.s, *y_table, neg_e))
+              : p.Mul(group.g_table().PowMont(sig.s), p.PowBytes(y, neg_e));
   FpElem e2 = Challenge(group, p.ToBytes(r), Bytes(pk.begin(), pk.end()), msg);
   return q.Eq(e, e2);
 }

@@ -47,9 +47,24 @@ class FixedBaseTable {
   }
   // The same power left in Montgomery form, for a product that follows.
   field::FpMont PowMont(std::span<const std::uint8_t> e_be) const;
+  // a^ea * b^eb in Montgomery form, equal to Mul(a.PowMont(ea),
+  // b.PowMont(eb)). When both tables have the same columns and both
+  // exponents fit, one comb pass over the two tables shares its cols-1
+  // squarings; otherwise it is that product. Both tables must be over the
+  // same context.
+  static field::FpMont JointPowMont(const FixedBaseTable& a,
+                                    std::span<const std::uint8_t> ea,
+                                    const FixedBaseTable& b,
+                                    std::span<const std::uint8_t> eb);
 
  private:
   field::FpMont Entry(std::size_t i) const;
+  // True when big-endian e (leading zeros stripped) fits the comb.
+  bool Fits(std::span<const std::uint8_t> e_be) const;
+  // prod_i tables[i]^exps[i] in one comb pass; all tables share cols_ and
+  // context, and every exponent fits.
+  static field::FpMont Comb(std::span<const FixedBaseTable* const> tables,
+                            std::span<const std::span<const std::uint8_t>> exps);
 
   std::shared_ptr<const field::FpCtx> ctx_;
   std::size_t k_;     // limbs per entry
@@ -120,8 +135,9 @@ SchnorrSignature SchnorrSign(const SchnorrGroup& group,
                              std::span<const std::uint8_t> sk,
                              std::span<const std::uint8_t> msg, Rng& rng);
 
-// Uses pk's comb table when some holder pins one (group.FindKeyTable),
-// square-and-multiply otherwise; the verdict is the same either way.
+// Uses pk's comb table when some holder pins one (group.FindKeyTable), in a
+// joint comb pass with g's table, and square-and-multiply otherwise; the
+// verdict is the same either way.
 bool SchnorrVerify(const SchnorrGroup& group, std::span<const std::uint8_t> pk,
                    std::span<const std::uint8_t> msg,
                    const SchnorrSignature& sig);

@@ -388,6 +388,17 @@ FpElem FpCtx::MulU64Add(const FpElem& a, u64 s, const FpElem& b) const {
   return r;
 }
 
+FpElem FpCtx::ReduceWide(std::span<u64> t) const {
+  Require(t.size() >= k_, "ReduceWide: fewer limbs than the modulus");
+  // Each step reduces the k+1 limbs at offset s, which lie below p * 2^64
+  // because everything above them was reduced below p by the step before
+  // (the first step by the precondition), and zeroes the top one.
+  for (std::size_t s = t.size() - k_; s-- > 0;) ReduceDigit(t.data() + s);
+  FpElem r;
+  std::copy_n(t.data(), k_, r.v.data());
+  return r;
+}
+
 void FpCtx::ReduceDigit(u64* t) const {
   // q = floor(t/p) is one word. (u1, u0) are the top two words of t << lz_,
   // and top_norm_ is the top word of p << lz_. Knuth's estimate

@@ -133,6 +133,13 @@ class FpCtx {
   // (math/weight_cache.h).
   FpElem DotI64(std::span<const FpElem> a,
                 std::span<const std::int64_t> c) const;
+  // t mod p for a nonnegative integer t of k+e limbs (k = limbs(), e =
+  // t.size() - k) below p * 2^(64e): e quotient-digit steps from the top,
+  // no Montgomery form. Clobbers t. Kernels that run an integer-linear map
+  // exactly over Z (VSS dealing and transform) reduce each output once with
+  // it; a negative value is negated by the caller and the residue negated
+  // back (docs/field_kernels.md, "Wide integer accumulators").
+  FpElem ReduceWide(std::span<std::uint64_t> t) const;
   // a^{-1} for a word a, in O(k) word operations: x = (1 + j*p) / a with j
   // the word that makes the division exact. Throws InvalidArgument when a
   // shares a factor with the modulus. Equals Inv(a mod p).
@@ -166,6 +173,8 @@ class FpCtx {
 
   // Modulus as big-endian bytes (as passed in, minus leading zeros).
   Bytes ModulusBytes() const;
+  // The modulus limbs, little-endian, limbs() of them: no allocation.
+  std::span<const std::uint64_t> modulus() const { return {p_.data(), k_}; }
 
  private:
   friend class DotAcc;
@@ -185,8 +194,9 @@ class FpCtx {
   // DotAcc can keep accumulating after a Reduce.
   void AccMulAdd(std::uint64_t* t, const FpElem& a, const FpElem& b) const;
   FpElem AccReduce(const std::uint64_t* t, std::uint64_t n_products) const;
-  // The quotient-digit reduction behind MulU64Add and DotI64: t[0..k] < p *
-  // 2^64 (so the quotient is one word) becomes t mod p in t[0..k), t[k] = 0.
+  // The quotient-digit reduction behind MulU64Add, DotI64 and ReduceWide:
+  // t[0..k] < p * 2^64 (so the quotient is one word) becomes t mod p in
+  // t[0..k), t[k] = 0.
   void ReduceDigit(std::uint64_t* t) const;
 
   std::size_t k_ = 0;

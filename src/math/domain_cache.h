@@ -43,16 +43,12 @@ inline constexpr std::size_t kWeightCacheMaxEntries = 256;
 
 class DomainKey {
  public:
+  // The modulus's byte length, then its limbs most significant first, so
+  // keys order as the big-endian modulus bytes would.
   explicit DomainKey(const FpCtx& ctx) : limbs_(ctx.limbs()) {
-    const Bytes m = ctx.ModulusBytes();
-    Tag(m.size());
-    for (std::size_t i = 0; i < m.size(); i += 8) {
-      std::uint64_t word = 0;
-      for (std::size_t j = i; j < m.size() && j < i + 8; ++j) {
-        word = (word << 8) | m[j];
-      }
-      blob_.push_back(word);
-    }
+    const std::span<const std::uint64_t> p = ctx.modulus();
+    Tag((ctx.bits() + 7) / 8);
+    blob_.insert(blob_.end(), p.rbegin(), p.rend());
   }
 
   DomainKey& Tag(std::uint64_t v) {

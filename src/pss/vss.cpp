@@ -1,8 +1,13 @@
 #include "pss/vss.h"
 
 #include <algorithm>
+#include <bit>
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 #include "common/task_pool.h"
+#include "field/limbs.h"
 #include "math/weight_cache.h"
 #include "obs/trace.h"
 
@@ -12,6 +17,68 @@ std::size_t GroupsFor(std::size_t wanted, std::size_t usable_rows) {
   Require(usable_rows >= 1, "GroupsFor: no usable rows");
   return (wanted + usable_rows - 1) / usable_rows;
 }
+
+namespace {
+
+// One limb of a carry (borrow) chain, a single adc (sbb) on x86-64.
+inline unsigned char AddLimb(unsigned char carry, std::uint64_t a,
+                             std::uint64_t b, std::uint64_t* r) {
+#if defined(__x86_64__)
+  unsigned long long s;
+  carry = _addcarry_u64(carry, a, b, &s);
+  *r = s;
+  return carry;
+#else
+  const unsigned __int128 s = static_cast<unsigned __int128>(a) + b + carry;
+  *r = static_cast<std::uint64_t>(s);
+  return static_cast<unsigned char>(s >> 64);
+#endif
+}
+inline unsigned char SubLimb(unsigned char borrow, std::uint64_t a,
+                             std::uint64_t b, std::uint64_t* r) {
+#if defined(__x86_64__)
+  unsigned long long d;
+  borrow = _subborrow_u64(borrow, a, b, &d);
+  *r = d;
+  return borrow;
+#else
+  const unsigned __int128 d = static_cast<unsigned __int128>(a) - b - borrow;
+  *r = static_cast<std::uint64_t>(d);
+  return static_cast<unsigned char>((d >> 64) & 1);
+#endif
+}
+
+// The transform's finite differences and prefix sums on nh two's-complement
+// integers of w limbs each, back to back in x; emit(a, x[nh-1]) sees output
+// a. W > 0 fixes w at compile time, so the carry chains unroll.
+template <std::size_t W, typename Emit>
+void Extrapolate(std::uint64_t* x, std::size_t nh, std::size_t w,
+                 Emit&& emit) {
+  const std::size_t width = W > 0 ? W : w;
+  for (std::size_t j = 1; j < nh; ++j) {
+    for (std::size_t i = 0; i + j < nh; ++i) {
+      std::uint64_t* xi = x + i * width;  // x[i] = x[i+1] - x[i]
+      unsigned char borrow = 0;
+#pragma GCC unroll 40
+      for (std::size_t l = 0; l < width; ++l) {
+        borrow = SubLimb(borrow, xi[width + l], xi[l], &xi[l]);
+      }
+    }
+  }
+  for (std::size_t a = 0; a < nh; ++a) {
+    for (std::size_t m = 1; m < nh; ++m) {
+      std::uint64_t* xm = x + m * width;  // x[m] += x[m-1]
+      unsigned char carry = 0;
+#pragma GCC unroll 40
+      for (std::size_t l = 0; l < width; ++l) {
+        carry = AddLimb(carry, xm[l], xm[l - width], &xm[l]);
+      }
+    }
+    emit(a, x + (nh - 1) * width);
+  }
+}
+
+}  // namespace
 
 VssBatch::VssBatch(const FpCtx& ctx, const EvalPoints& points,
                    std::vector<std::uint32_t> holders,
@@ -33,14 +100,22 @@ VssBatch::VssBatch(const FpCtx& ctx, const EvalPoints& points,
   // M maps nodes 1..dealers to dealers+1..2*dealers; it is hyperinvertible
   // only while those 2*dealers nodes are distinct mod p. Transform inverts
   // nothing, so nothing else would notice a collision.
-  std::uint64_t word_p = 0;  // the modulus, when it fits in one word
-  const Bytes modulus = ctx_->ModulusBytes();
-  for (std::uint8_t byte : modulus) word_p = (word_p << 8) | byte;
-  Require(modulus.size() > 8 || 2 * holders_.size() < word_p,
+  const std::span<const std::uint64_t> p = ctx_->modulus();
+  Require(p.size() > 1 || 2 * holders_.size() < p[0],
           "VssBatch: need 2 * dealers < p");
+  std::uint64_t x_max = 0;
   for (std::uint32_t h : holders_) {
     holder_nodes_.push_back(points.alpha_node(h));
+    x_max = std::max(x_max, holder_nodes_.back());
   }
+  // Extra limbs of the exact-integer kernels (docs/field_kernels.md, "Wide
+  // integer accumulators"): a dealing value sum_{i<=d} c_i x^i is below
+  // p * 2^(bit_width(x) * (d+1)); a transform intermediate, with its sign,
+  // needs at most 4 nh - 2 - log2(pi nh) / 2 bits beyond p.
+  const std::size_t deal_bits =
+      static_cast<std::size_t>(std::bit_width(x_max)) * (degree_ + 1);
+  deal_extra_ = (deal_bits + 63) / 64;
+  transform_extra_ = std::max<std::size_t>(1, (holders_.size() + 14) / 16);
   Require(holders_.size() >= degree_ + 1,
           "VssBatch: verification needs degree+1 holders");
   // One row per extra holder point (degree check) and per vanish point
@@ -79,8 +154,9 @@ std::vector<std::vector<FpElem>> VssBatch::DealFrom(
   obs::Span span(obs::SpanKind::kVssDeal, groups_, nh);
   std::vector<std::vector<FpElem>> out(
       nh, std::vector<FpElem>(groups_, ctx_->Zero()));
-  // Each group is independent pure compute; out[k][g] slots are owned by
-  // (k, g), so the per-group fan-out is deterministic for any pool size.
+  const std::size_t k = ctx_->limbs();
+  // Each group is independent pure compute; out[h][g] slots are owned by
+  // (h, g), so the per-group fan-out is deterministic for any pool size.
   GlobalPool().ParallelFor(
       0, groups_,
       [&](std::size_t g) {
@@ -96,12 +172,29 @@ std::vector<std::vector<FpElem>> VssBatch::DealFrom(
         }
         Invariant(c.size() <= degree_ + 1, "DealFrom: dealing degree too high");
         if (c.empty()) return;
-        for (std::size_t k = 0; k < nh; ++k) {
-          FpElem acc = c.back();
+        // Horner over Z: z_g(x) = sum c_i x^i < p * x^(degree+1) fits the
+        // k + deal_extra_ limbs (see the constructor), so the accumulator
+        // only grows and is reduced once per holder.
+        std::vector<std::uint64_t> acc(k + deal_extra_);
+        for (std::size_t h = 0; h < nh; ++h) {
+          const std::uint64_t x = holder_nodes_[h];
+          std::fill(acc.begin(), acc.end(), 0);
+          std::copy_n(c.back().v.data(), k, acc.data());
+          std::size_t len = k;  // limbs that may be nonzero
           for (std::size_t i = c.size() - 1; i-- > 0;) {
-            acc = ctx_->MulU64Add(acc, holder_nodes_[k], c[i]);
+            unsigned __int128 cur = 0;
+            for (std::size_t j = 0; j < len; ++j) {
+              cur += static_cast<unsigned __int128>(acc[j]) * x +
+                     (j < k ? c[i].v[j] : 0);
+              acc[j] = static_cast<std::uint64_t>(cur);
+              cur >>= 64;
+            }
+            if (cur != 0) {
+              Invariant(len < acc.size(), "DealFrom: accumulator overflow");
+              acc[len++] = static_cast<std::uint64_t>(cur);
+            }
           }
-          out[k][g] = acc;
+          out[h][g] = ctx_->ReduceWide(acc);
         }
       },
       extra_cpu_ns);
@@ -136,28 +229,52 @@ std::vector<std::vector<FpElem>> VssBatch::Transform(
   std::vector<std::vector<FpElem>> out(
       nh, std::vector<FpElem>(groups_, ctx_->Zero()));
 
-  // Per group, x holds f(1..nh) for the group's degree < nh polynomial f.
-  // Differencing in place leaves x[nh-1-j] = (backward difference)^j f(nh);
-  // the top one is constant, so each pass of prefix sums moves the whole
-  // table one node right and leaves f(nh + 1 + a) in x[nh-1] on pass a.
-  // Static partition over groups: each chunk owns out[.][g] for its groups,
-  // so results are deterministic regardless of scheduling.
+  // Per group, x holds f(1..nh) for the group's degree < nh polynomial f,
+  // as exact integers: the inputs are the residues themselves and every
+  // step is an integer add or subtract, so the outputs are the integer
+  // extrapolations, and their residues are the field outputs. Each value is
+  // a two's-complement integer of w = k + transform_extra_ limbs, wide
+  // enough for every intermediate (see the constructor). Differencing in
+  // place leaves x[nh-1-j] = (backward difference)^j f(nh); the top one is
+  // constant, so each pass of prefix sums moves the whole table one node
+  // right and leaves f(nh + 1 + a) in x[nh-1] on pass a, which is reduced.
+  // Static partition over groups: each chunk owns out[.][g] for its groups
+  // and its own scratch, so results are deterministic regardless of
+  // scheduling.
+  const std::size_t k = ctx_->limbs();
+  const std::size_t w = k + transform_extra_;
   GlobalPool().ParallelChunks(
       0, groups_,
       [&](std::size_t g_begin, std::size_t g_end) {
-        std::vector<FpElem> x(nh);
+        std::vector<std::uint64_t> x(nh * w);
+        std::vector<std::uint64_t> top(w);
         for (std::size_t g = g_begin; g < g_end; ++g) {
-          for (std::size_t i = 0; i < nh; ++i) x[i] = deals_by_dealer[i][g];
-          for (std::size_t j = 1; j < nh; ++j) {
-            for (std::size_t i = 0; i + j < nh; ++i) {
-              x[i] = ctx_->Sub(x[i + 1], x[i]);
-            }
+          for (std::size_t i = 0; i < nh; ++i) {
+            std::uint64_t* xi = x.data() + i * w;
+            std::copy_n(deals_by_dealer[i][g].v.data(), k, xi);
+            std::fill(xi + k, xi + w, 0);
           }
-          for (std::size_t a = 0; a < nh; ++a) {
-            for (std::size_t m = 1; m < nh; ++m) {
-              x[m] = ctx_->Add(x[m], x[m - 1]);
+          auto emit = [&](std::size_t a, const std::uint64_t* last) {
+            if (last[w - 1] >> 63) {
+              // -last, then the residue of that, negated back.
+              std::fill(top.begin(), top.end(), 0);
+              field::SubN(top.data(), top.data(), last, w);
+              out[a][g] = ctx_->Neg(ctx_->ReduceWide(top));
+            } else {
+              std::copy_n(last, w, top.data());
+              out[a][g] = ctx_->ReduceWide(top);
             }
-            out[a][g] = x[nh - 1];
+          };
+          switch (w) {
+            case 5: Extrapolate<5>(x.data(), nh, w, emit); break;
+            case 6: Extrapolate<6>(x.data(), nh, w, emit); break;
+            case 9: Extrapolate<9>(x.data(), nh, w, emit); break;
+            case 10: Extrapolate<10>(x.data(), nh, w, emit); break;
+            case 17: Extrapolate<17>(x.data(), nh, w, emit); break;
+            case 18: Extrapolate<18>(x.data(), nh, w, emit); break;
+            case 33: Extrapolate<33>(x.data(), nh, w, emit); break;
+            case 34: Extrapolate<34>(x.data(), nh, w, emit); break;
+            default: Extrapolate<0>(x.data(), nh, w, emit);
           }
         }
       },

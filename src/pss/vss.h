@@ -77,8 +77,9 @@ class VssBatch {
   // evaluate all dealings in parallel. us[g] is the uniform mask polynomial
   // of group g; DealFrom is pure compute (apart from the optional tamper).
   // It forms z_g = u_g * prod_{v in V} (x - v) one linear factor at a time
-  // and evaluates z_g at each holder by Horner, multiplying only by integer
-  // nodes (FpCtx::MulU64Add); no full field multiplication.
+  // (FpCtx::MulU64Add) and evaluates z_g at each holder by Horner over the
+  // integers: a wide accumulator times the integer node plus a coefficient,
+  // reduced once per holder (FpCtx::ReduceWide); no field multiplication.
   std::vector<math::Poly> DrawDealRandomness(Rng& rng) const;
   std::vector<std::vector<FpElem>> DealFrom(
       std::span<const math::Poly> us, std::uint64_t* extra_cpu_ns = nullptr,
@@ -93,7 +94,8 @@ class VssBatch {
   // deals_by_dealer[i][g]: the evaluation received from dealer i (order of
   // holders()). Returns out[a][g] = sum_i M[a][i] * deals_by_dealer[i][g]
   // for a < dealers(), M = math::HyperInvertible(dealers, dealers), computed
-  // by finite differences (Add/Sub only). `workers` caps the group fan-out
+  // by finite differences on exact wide integers (carry chains only, one
+  // FpCtx::ReduceWide per output). `workers` caps the group fan-out
   // (the paper's b); the chunks run on the global task pool. When
   // extra_cpu_ns is non-null it accumulates the CPU time consumed on pool
   // worker threads -- the caller's own chunk is visible to the caller's
@@ -119,6 +121,10 @@ class VssBatch {
   std::vector<std::uint32_t> holders_;
   std::vector<std::uint64_t> holder_nodes_;  // integer alphas, for Horner
   std::vector<std::uint64_t> vanish_nodes_;  // V as integer nodes
+  // Limbs beyond the modulus width that DealFrom's and Transform's exact
+  // integer accumulators need, derived from the shape (see the constructor).
+  std::size_t deal_extra_ = 1;
+  std::size_t transform_extra_ = 1;
   std::size_t degree_;
   std::size_t check_rows_;
   std::size_t groups_;

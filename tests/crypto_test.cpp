@@ -18,6 +18,7 @@ namespace {
 
 using field::FpCtx;
 using field::FpElem;
+using field::FpMont;
 
 Bytes Ascii(std::string_view s) {
   return Bytes(s.begin(), s.end());
@@ -357,6 +358,100 @@ TEST(CryptoComb, MatchesPowBytesOnSmallGroup) {
   const SchnorrGroup small = SchnorrGroup::Generate(gen, 128, 64);
   Rng rng(73);
   ExpectCombMatchesPowBytes(small, rng);
+}
+
+// The joint pass (one comb over both tables, squarings shared) against the
+// two single passes multiplied, on every pair of edge exponents: 0, 1, q-1,
+// all-ones, a leading-zero encoding, and one wider than the table (which
+// takes the two-pass fallback).
+TEST(CryptoComb, JointPassMatchesProductOfSinglePasses) {
+  const SchnorrGroup& group = SchnorrGroup::Default();
+  const FpCtx& p = group.p_ctx();
+  Rng rng(78);
+  const SchnorrKeyPair ca = SchnorrKeygen(group, rng);
+  const auto ca_table = group.PinKeyTable(ca.pk);
+  ASSERT_NE(ca_table, nullptr);
+  const FpCtx& q = group.q_ctx();
+  Bytes leading_zeros(40, 0);
+  leading_zeros.back() = 0x5a;
+  leading_zeros[20] = 0x81;
+  Bytes too_wide(33, 0xa5);
+  const std::vector<Bytes> exps = {
+      Bytes(q.elem_bytes(), 0),          group.ScalarToBe(q.One()),
+      group.ScalarToBe(q.Neg(q.One())), Bytes(32, 0xff),
+      leading_zeros,                     too_wide,
+      group.ScalarToBe(q.Random(rng))};
+  const FixedBaseTable& g_table = group.g_table();
+  for (const Bytes& ea : exps) {
+    for (const Bytes& eb : exps) {
+      const FpMont joint =
+          FixedBaseTable::JointPowMont(g_table, ea, *ca_table, eb);
+      EXPECT_EQ(joint, p.Mul(g_table.PowMont(ea), ca_table->PowMont(eb)))
+          << ToHex(ea) << " " << ToHex(eb);
+      EXPECT_EQ(p.FromMont(joint),
+                p.Mul(p.PowBytes(group.g(), ea),
+                      p.PowBytes(p.FromBytes(ca.pk), eb)));
+    }
+  }
+}
+
+// Tables of different column counts cannot share a pass: the product of the
+// single passes, still exact.
+TEST(CryptoComb, JointPassOverDifferentWidthsFallsBack) {
+  const SchnorrGroup& group = SchnorrGroup::Default();
+  auto ctx = std::make_shared<const FpCtx>(group.p_ctx().ModulusBytes());
+  const FixedBaseTable wide(ctx, group.g(), 256);
+  const FixedBaseTable narrow(ctx, ctx->Sqr(group.g()), 128);
+  Rng rng(79);
+  for (int i = 0; i < 4; ++i) {
+    const Bytes ea = rng.RandomBytes(32), eb = rng.RandomBytes(16);
+    EXPECT_EQ(FixedBaseTable::JointPowMont(wide, ea, narrow, eb),
+              ctx->Mul(wide.PowMont(ea), narrow.PowMont(eb)));
+    EXPECT_EQ(ctx->FromMont(FixedBaseTable::JointPowMont(wide, ea, narrow, eb)),
+              ctx->Mul(ctx->PowBytes(group.g(), ea),
+                       ctx->PowBytes(ctx->Sqr(group.g()), eb)));
+  }
+  const FixedBaseTable other_ctx(
+      std::make_shared<const FpCtx>(group.p_ctx().ModulusBytes()), group.g(),
+      256);
+  EXPECT_THROW(FixedBaseTable::JointPowMont(wide, Bytes{1}, other_ctx, Bytes{1}),
+               InvalidArgument);
+}
+
+// The verdict does not depend on whether the CA key's table is pinned (joint
+// comb pass) or not (comb for g, square-and-multiply for the key).
+TEST(CryptoComb, VerifyVerdictSameWithAndWithoutPinnedTable) {
+  const SchnorrGroup& group = SchnorrGroup::Default();
+  Rng rng(80);
+  const SchnorrKeyPair ca = SchnorrKeygen(group, rng);
+  const SchnorrKeyPair other = SchnorrKeygen(group, rng);
+  const Bytes msg = Ascii("host 4 epoch 9");
+  const SchnorrSignature good = SchnorrSign(group, ca.sk, msg, rng);
+  SchnorrSignature bad_e = good, bad_s = good;
+  bad_e.e.back() ^= 1;
+  bad_s.s.back() ^= 1;
+  struct Case {
+    const Bytes* pk;
+    const SchnorrSignature* sig;
+    bool want;
+  };
+  const std::vector<Case> cases = {{&ca.pk, &good, true},
+                                   {&ca.pk, &bad_e, false},
+                                   {&ca.pk, &bad_s, false},
+                                   {&other.pk, &good, false}};
+  for (int pinned = 0; pinned < 2; ++pinned) {
+    ASSERT_EQ(group.FindKeyTable(ca.pk), nullptr);
+    ASSERT_EQ(group.FindKeyTable(other.pk), nullptr);
+    std::vector<std::shared_ptr<const FixedBaseTable>> held;
+    if (pinned) {
+      held = {group.PinKeyTable(ca.pk), group.PinKeyTable(other.pk)};
+    }
+    for (std::size_t c = 0; c < cases.size(); ++c) {
+      EXPECT_EQ(SchnorrVerify(group, *cases[c].pk, msg, *cases[c].sig),
+                cases[c].want)
+          << "case " << c << " pinned " << pinned;
+    }
+  }
 }
 
 TEST(CryptoComb, KeyTableLivesExactlyAsLongAsItsHolders) {

@@ -211,6 +211,47 @@ FpElem MulAddOracle(const FpCtx& ctx, const FpElem& a, std::uint64_t s,
   return ctx.Add(ctx.Mul(a, s_elem), b);
 }
 
+// t mod p by Horner over t's limbs with Mul and Add: the oracle for
+// ReduceWide.
+FpElem WideOracle(const FpCtx& ctx, std::span<const std::uint64_t> t) {
+  const FpElem two32 = ctx.FromUint64(std::uint64_t{1} << 32);
+  const FpElem two64 = ctx.Mul(two32, two32);
+  FpElem r = ctx.Zero();
+  for (std::size_t i = t.size(); i-- > 0;) {
+    r = ctx.Add(ctx.Mul(r, two64), MulAddOracle(ctx, ctx.One(), t[i],
+                                                 ctx.Zero()));
+  }
+  return r;
+}
+
+// ReduceWide over k + e limbs for e = 0..4: zero, the largest allowed value
+// p * 2^(64e) - 1, (p - 1) * 2^(64e), and random values below the bound.
+void CheckReduceWide(const FpCtx& ctx, Rng& rng) {
+  const std::size_t k = ctx.limbs();
+  const std::span<const std::uint64_t> p = ctx.modulus();
+  for (std::size_t e = 0; e <= 4; ++e) {
+    std::vector<std::vector<std::uint64_t>> cases;
+    cases.emplace_back(k + e, 0);
+    std::vector<std::uint64_t> top(k + e, ~std::uint64_t{0});
+    std::copy(p.begin(), p.end(), top.begin() + e);
+    top[e] -= 1;  // p is odd: no borrow
+    cases.push_back(top);
+    std::fill(top.begin(), top.begin() + e, 0);
+    cases.push_back(top);
+    for (int i = 0; i < 20; ++i) {
+      std::vector<std::uint64_t> t(k + e);
+      for (std::size_t j = 0; j < e; ++j) t[j] = rng.Next();
+      const FpElem hi = ctx.Random(rng);
+      std::copy_n(hi.v.data(), k, t.begin() + e);
+      cases.push_back(t);
+    }
+    for (std::vector<std::uint64_t>& t : cases) {
+      const FpElem want = WideOracle(ctx, t);
+      ASSERT_EQ(ctx.ReduceWide(t), want) << ctx.bits() << "-bit e=" << e;
+    }
+  }
+}
+
 // The scalars where the quotient digit is extreme, then 300 random
 // (a, s, b); a and b also run over the edge operands.
 void CheckMulU64Add(const FpCtx& ctx, const std::vector<FpElem>& edges,
@@ -290,6 +331,11 @@ TEST_P(FieldKernelTest, MulU64AddMatchesMulThenAdd) {
   const FpElem a = fast_.Random(rng_), b = fast_.Random(rng_);
   EXPECT_EQ(fast_.MulU64Add(a, 12345, b),
             fast_.Add(fast_.Mul(a, fast_.FromUint64(12345)), b));
+}
+
+TEST_P(FieldKernelTest, ReduceWideMatchesLimbHorner) {
+  CheckReduceWide(fast_, rng_);
+  CheckReduceWide(oracle_, rng_);
 }
 
 TEST_P(FieldKernelTest, DotI64MatchesDot) {
@@ -452,6 +498,17 @@ TEST(FieldKernelFallback, MulU64AddAtNonWordAlignedModuli) {
   b.v[0] = 0x08689D77B02C8337;
   const std::uint64_t s = 0x86B76334B07C71D8;
   EXPECT_EQ(ctx.MulU64Add(a, s, b), MulAddOracle(ctx, a, s, b));
+}
+
+// ReduceWide where the quotient digits come from shifted words.
+TEST(FieldKernelFallback, ReduceWideAtNonWordAlignedModuli) {
+  Rng rng(0x61128);
+  for (const Bytes& m :
+       {Bytes{0x1F, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF},
+        Bytes{0x7F, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+              0xFF, 0xFF, 0xFF, 0xFF, 0xFF}}) {
+    CheckReduceWide(FpCtx(m), rng);
+  }
 }
 
 // DotI64 at the non-word-aligned moduli (the quotient digits come from

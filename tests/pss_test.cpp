@@ -471,17 +471,18 @@ TEST_F(VssBatchTest, RequiresTwiceDealersBelowModulus) {
 }
 
 // The integer-node VSS kernels against the matrix forms they replace, at
-// every standard width under both kernel dispatches and at 2^127 - 1 (top
-// limb not normalised).
+// every standard width under both kernel dispatches, at 2^127 - 1 (top limb
+// not normalised) and at 2^61 - 1 (one limb).
 class IntegerNodeVssBatchTest : public ::testing::TestWithParam<int> {
  protected:
-  // Params 0..7: widths 256..2048 x {kAuto, kGeneric}; 8: 2^127 - 1.
+  // Params 0..7: widths 256..2048 x {kAuto, kGeneric}; 8: 2^127 - 1;
+  // 9: 2^61 - 1.
   IntegerNodeVssBatchTest() : ctx_(Modulus(), Dispatch()), rng_(GetParam()) {}
 
   static Bytes Modulus() {
-    if (GetParam() == 8) {
-      Bytes m(16, 0xFF);
-      m[0] = 0x7F;
+    if (GetParam() >= 8) {
+      Bytes m(GetParam() == 8 ? 16 : 8, 0xFF);
+      m[0] = GetParam() == 8 ? 0x7F : 0x1F;
       return m;
     }
     return field::StandardPrimeBe(256u << (GetParam() / 2));
@@ -495,17 +496,23 @@ class IntegerNodeVssBatchTest : public ::testing::TestWithParam<int> {
   Rng rng_;
 };
 
+// Every extra-limb boundary of the exact-integer transform (nh = 17 | 18,
+// 33 | 34, 49 | 50), on all p - 1 (the largest inputs), alternating 0 and
+// p - 1 both ways round (the largest differences) and random inputs.
 TEST_P(IntegerNodeVssBatchTest, TransformMatchesHyperInvertibleProduct) {
-  const std::size_t groups = 3;
-  for (std::size_t nh : {1, 2, 3, 8, 18, 21, 40}) {
+  const FpElem top = ctx_.Neg(ctx_.One());
+  for (std::size_t nh : {1, 2, 3, 8, 17, 18, 21, 33, 34, 40, 49, 50, 64}) {
     const EvalPoints points(ctx_, nh, 1);
     std::vector<std::uint32_t> holders(nh);
     for (std::uint32_t i = 0; i < nh; ++i) holders[i] = i;
+    const std::size_t groups = 5;
     const VssBatch batch(ctx_, points, holders, {}, /*degree=*/0,
                          /*check_rows=*/0, groups);
     std::vector<std::vector<FpElem>> deals(nh);
-    for (auto& row : deals) {
-      for (std::size_t g = 0; g < groups; ++g) row.push_back(ctx_.Random(rng_));
+    for (std::size_t i = 0; i < nh; ++i) {
+      deals[i] = {top, i % 2 == 0 ? ctx_.Zero() : top,
+                  i % 2 == 0 ? top : ctx_.Zero(), ctx_.Random(rng_),
+                  ctx_.Random(rng_)};
     }
     const math::Matrix m = math::HyperInvertible(ctx_, nh, nh);
     std::vector<std::vector<FpElem>> expected(nh, std::vector<FpElem>(groups));
@@ -519,6 +526,46 @@ TEST_P(IntegerNodeVssBatchTest, TransformMatchesHyperInvertibleProduct) {
     SetGlobalPoolThreads(4);
     EXPECT_EQ(batch.Transform(deals, 4), expected) << "nh " << nh;
     SetGlobalPoolThreads(1);
+  }
+}
+
+// The dealing against a per-step reduced Horner (MulU64Add at every step) at
+// n = 64, t = 10, l = 20: the widest nodes and highest degree of the
+// figure shapes, so the largest accumulator. With V empty and every
+// coefficient p - 1 the accumulator reaches its bound.
+TEST_P(IntegerNodeVssBatchTest, DealFromMatchesPerStepHornerAtWidestShape) {
+  const std::size_t n = 64, t = 10, l = 20, degree = t + l;
+  const EvalPoints points(ctx_, n, l);
+  std::vector<std::uint32_t> all(n);
+  for (std::uint32_t i = 0; i < n; ++i) all[i] = i;
+  std::vector<std::uint64_t> betas;
+  for (std::size_t j = 0; j < l; ++j) betas.push_back(points.beta_node(j));
+  const VssBatch refresh(ctx_, points, all, betas, degree, 2 * t, 2);
+  const VssBatch plain(ctx_, points, all, {}, degree, 2 * t, 2);
+  const math::Poly all_top(
+      std::vector<FpElem>(degree + 1, ctx_.Neg(ctx_.One())));
+  const std::vector<std::pair<const VssBatch*, std::vector<math::Poly>>> cases =
+      {{&refresh, refresh.DrawDealRandomness(rng_)},
+       {&plain, {all_top, math::Poly::Random(ctx_, rng_, degree)}}};
+  for (const auto& [batch, us] : cases) {
+    const auto deal = batch->DealFrom(us);
+    std::vector<FpElem> vanish;
+    for (std::uint64_t b : batch == &refresh ? betas
+                                              : std::vector<std::uint64_t>{}) {
+      vanish.push_back(ctx_.FromUint64(b));
+    }
+    const math::Poly w = math::Poly::Vanishing(ctx_, vanish);
+    for (std::size_t g = 0; g < us.size(); ++g) {
+      const std::vector<FpElem> z = math::Poly::Mul(ctx_, w, us[g]).coeffs();
+      ASSERT_EQ(z.size(), degree + 1);
+      for (std::size_t k = 0; k < n; ++k) {
+        FpElem want = z.back();
+        for (std::size_t i = z.size() - 1; i-- > 0;) {
+          want = ctx_.MulU64Add(want, points.alpha_node(k), z[i]);
+        }
+        EXPECT_EQ(deal[k][g], want) << "k " << k << " g " << g;
+      }
+    }
   }
 }
 
@@ -563,7 +610,7 @@ TEST_P(IntegerNodeVssBatchTest, DealFromMatchesVandermondeOfVanishingProduct) {
 }
 
 INSTANTIATE_TEST_SUITE_P(FieldsAndDispatch, IntegerNodeVssBatchTest,
-                         ::testing::Range(0, 9));
+                         ::testing::Range(0, 10));
 
 TEST(RecoveryPlan, SurvivorsExcludeTargetsAndValidate) {
   Params p;
