@@ -268,7 +268,7 @@ pisces::pss::VssBatch VssBench(const FpCtx& ctx, std::size_t nh) {
   const pisces::pss::EvalPoints points(ctx, nh + 1, l);
   std::vector<std::uint32_t> holders(nh);
   for (std::uint32_t i = 0; i < nh; ++i) holders[i] = i;
-  return pisces::pss::VssBatch(ctx, points, holders, {points.alpha_node(nh)},
+  return pisces::pss::VssBatch(ctx, points, holders, {{points.alpha_node(nh)}},
                                t + l, 2 * t, /*groups=*/1, /*recovery=*/true);
 }
 

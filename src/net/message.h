@@ -97,7 +97,7 @@ struct Message {
   MsgType type = MsgType::kSetShares;
   std::uint64_t file_id = 0;
   std::uint32_t epoch = 0;  // proactive round number
-  std::uint32_t batch = 0;  // batch index within a phase
+  std::uint32_t batch = 0;  // unused by the current flows (0)
   std::uint32_t row = 0;    // check-row / target-host / misc discriminator
   Bytes payload;
 

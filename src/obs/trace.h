@@ -38,10 +38,11 @@ enum class SpanKind : std::uint32_t {
   kRefreshTransform,   // share transform + check-vector work; a = host, b = file
   kRefreshVerify,      // row verification; a = host, b = row
   kRefreshApply,       // applying the refreshed shares; a = host, b = file
-  kRecoverDeal,        // survivor deals recovery masks; a = host, b = target
-  kRecoverTransform,   // survivor transform + check; a = host, b = target
+  kRecoverDeal,        // survivor deals all targets' masks; a = host, b = file
+  kRecoverTransform,   // survivor transform + check; a = host, b = file
   kRecoverVerify,      // survivor row verification; a = host, b = row
-  kRecoverMask,        // masked-share production / parse; a = host, b = target
+  kRecoverMask,        // masked-share production (a = host, b = file) or
+                       // parse (a = host, b = sender)
   kRecoverFinish,      // target-side interpolation; a = host, b = file
   kServe,              // host set/reconstruct service work; a = host, b = file
   kVssDeal,            // VssBatch::DealFrom; a = dealer, b = #groups

@@ -11,10 +11,10 @@
 //                 on the required point set (a corrupted zero-sharing);
 //   kWrongShare   serve perturbed shares to client reconstruction and
 //                 perturbed masked shares to recovering targets;
-//   kWithhold     silently withhold refresh dealings and recovery masked
-//                 shares (verdicts and check shares still flow; withholding
-//                 those is indistinguishable from the message loss the fault
-//                 fabric already models, and is handled by timeouts).
+//   kWithhold     silently withhold VSS dealings (refresh and recovery
+//                 masks) and recovery masked shares (verdicts and check
+//                 shares still flow; withholding those is indistinguishable
+//                 from message loss, which timeouts already handle).
 //
 // Injection is the pss::DealTamper seam plus three Host call sites, all
 // behind a null-checked pointer: with no plan armed the protocol bytes are
@@ -104,7 +104,7 @@ class ByzantineActor final : public pss::DealTamper {
   bool TamperShares(std::vector<field::FpElem>& elems);
 
   // Withholding hook: true when this host silently skips the send it is
-  // about to perform (a refresh dealing or a recovery masked share). Each
+  // about to perform (a VSS dealing or a recovery masked share). Each
   // true return is one withheld message, counted in byz.messages_withheld.
   bool WithholdSend();
 

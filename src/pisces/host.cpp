@@ -80,8 +80,7 @@ void Host::Boot(std::uint32_t epoch, crypto::HostCert cert, Bytes sk,
   target_.clear();
   pending_.clear();
   failed_refresh_.clear();
-  refresh_started_.clear();
-  recovery_started_.clear();
+  started_.clear();
   // Broadcast the hypervisor-signed key so peers accept this host back into
   // the network (paper SectionIV-A "Secure Reboot").
   for (std::uint32_t peer : peers) {
@@ -106,8 +105,7 @@ void Host::Shutdown() {
   target_.clear();
   pending_.clear();
   failed_refresh_.clear();
-  refresh_started_.clear();
-  recovery_started_.clear();
+  started_.clear();
 }
 
 void Host::SendMetered(Message msg, PhaseMetrics& bucket) {
@@ -321,10 +319,11 @@ void Host::OnStartRefresh(const Message& msg) {
   std::vector<std::uint32_t> participants;
   participants.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) participants.push_back(r.U32());
+  Require(r.AtEnd(), "StartRefresh: trailing bytes");
 
   // Start-once: a duplicated (fault-injected) control message must not
   // resurrect a session that already ran and completed under this key.
-  if (!refresh_started_.insert({msg.file_id, msg.epoch}).second) return;
+  if (!started_.insert({msg.file_id, msg.epoch}).second) return;
   const bool i_participate =
       std::find(participants.begin(), participants.end(), cfg_.id) !=
       participants.end();
@@ -349,8 +348,7 @@ void Host::OnStartRefresh(const Message& msg) {
     // corrupted zero-sharings); nullptr on honest hosts.
     deal = s.batch->Deal(rng_, section.extra(), byz_);
   }
-  StartVss({msg.file_id, msg.epoch, kRefreshMarker}, std::move(s),
-           std::move(deal));
+  StartVss({msg.file_id, msg.epoch}, std::move(s), std::move(deal));
   ReplayPending();
 }
 
@@ -369,32 +367,31 @@ void Host::OnStartRecovery(const Message& msg) {
   std::vector<std::uint32_t> available;
   available.reserve(scount + targets.size());
   for (std::uint32_t i = 0; i < scount; ++i) available.push_back(r.U32());
-
-  // Start-once per (file, seq): duplicated control messages are ignored.
-  if (!recovery_started_.insert({meta.file_id, msg.epoch}).second) return;
+  // Optional trailing repair-mode section (after the survivor list): mode
+  // byte 1 = reduced masking with a per-block point budget, so survivors
+  // stripe their masked vectors instead of each shipping all blocks.
+  // Absent means full masked vectors.
+  const bool repair_section = !r.AtEnd();
+  const std::uint8_t mode = repair_section ? r.U8() : 0;
+  const std::uint32_t budget = repair_section ? r.U32() : 0;
+  Require(r.AtEnd(), "StartRecovery: trailing bytes");
+  Require(mode <= 1, "StartRecovery: unknown repair mode");
 
   // Targets are implicitly "available" for plan construction (they are
   // filtered out of the survivor set again inside For).
   available.insert(available.end(), targets.begin(), targets.end());
   const pss::RecoveryPlan plan = pss::RecoveryPlan::For(
       meta.num_blocks, cfg_.params, targets, available);
-
-  // Optional trailing repair-mode section (after the survivor list): mode
-  // byte 1 = reduced masking with a per-block point budget, so survivors
-  // stripe their masked vectors instead of each shipping all blocks.
-  // Absent means full masked vectors.
   std::size_t mask_budget = 0;
-  if (r.Remaining() >= 5) {
-    const std::uint8_t mode = r.U8();
-    const std::uint32_t budget = r.U32();
-    Require(mode <= 1, "StartRecovery: unknown repair mode");
-    if (mode == 1) {
-      Require(budget >= cfg_.params.degree() + 1 &&
-                  budget <= plan.survivors.size(),
-              "StartRecovery: repair budget out of range");
-      if (budget < plan.survivors.size()) mask_budget = budget;
-    }
+  if (mode == 1) {
+    Require(budget >= cfg_.params.degree() + 1 &&
+                budget <= plan.survivors.size(),
+            "StartRecovery: repair budget out of range");
+    if (budget < plan.survivors.size()) mask_budget = budget;
   }
+
+  // Start-once per (file, seq): duplicated control messages are ignored.
+  if (!started_.insert({meta.file_id, msg.epoch}).second) return;
 
   const bool i_am_target =
       std::find(targets.begin(), targets.end(), cfg_.id) != targets.end();
@@ -413,23 +410,19 @@ void Host::OnStartRecovery(const Message& msg) {
       plan.survivors.end();
   if (!i_survive) return;  // not in the dealing set this round
 
-  // Survivor: one VSS round per target, all sharing this plan.
-  for (std::uint32_t target : targets) {
-    const VssKey key{meta.file_id, msg.epoch, target};
-    Require(vss_.find(key) == vss_.end(),
-            "OnStartRecovery: duplicate session");
-    VssSession s;
-    std::vector<std::vector<FpElem>> deal;
-    {
-      ComputeSection section(metrics_.recover, obs::SpanKind::kRecoverDeal,
-                             cfg_.id, target);
-      s.blocks = plan.blocks;
-      s.mask_budget = mask_budget;
-      s.batch.emplace(pss::MakeRecoveryBatch(*shamir_, plan, target));
-      deal = s.batch->Deal(rng_, section.extra());
-    }
-    StartVss(key, std::move(s), std::move(deal));
+  // Survivor: one VSS round masks every target of the batch.
+  VssSession s;
+  std::vector<std::vector<FpElem>> deal;
+  {
+    ComputeSection section(metrics_.recover, obs::SpanKind::kRecoverDeal,
+                           cfg_.id, meta.file_id);
+    s.blocks = plan.blocks;
+    s.targets = plan.targets;
+    s.mask_budget = mask_budget;
+    s.batch.emplace(pss::MakeRecoveryBatch(*shamir_, plan));
+    deal = s.batch->Deal(rng_, section.extra());
   }
+  StartVss({meta.file_id, msg.epoch}, std::move(s), std::move(deal));
   ReplayPending();
 }
 
@@ -438,8 +431,6 @@ void Host::OnStartRecovery(const Message& msg) {
 // ---------------------------------------------------------------------------
 
 namespace {
-
-bool IsRefresh(std::uint32_t sub) { return sub == kRefreshMarker; }
 
 // Blocks each survivor masks and ships to a recovery target: a stripe of
 // `mask_budget` points per block (reduced repair), or with budget 0 (full
@@ -467,20 +458,20 @@ bool VerifyRow(const pss::VssBatch& batch,
   for (std::size_t g = 0; g < batch.groups(); ++g) {
     std::vector<FpElem> column(mat.size(), ctx.Zero());
     for (std::size_t k = 0; k < mat.size(); ++k) column[k] = mat[k][g];
-    if (!batch.VerifyCheckVector(column)) return false;
+    if (!batch.VerifyCheckVector(column, g)) return false;
   }
   return true;
 }
 
 }  // namespace
 
-PhaseMetrics& Host::VssBucket(const VssKey& key) {
-  return IsRefresh(std::get<2>(key)) ? metrics_.rerandomize : metrics_.recover;
+PhaseMetrics& Host::VssBucket(const VssSession& s) {
+  return s.batch->recovery_shape() ? metrics_.recover : metrics_.rerandomize;
 }
 
-void Host::StartVss(VssKey key, VssSession s,
+void Host::StartVss(FileSeq key, VssSession s,
                     std::vector<std::vector<FpElem>> deal) {
-  const auto [file_id, epoch, sub] = key;
+  const auto [file_id, epoch] = key;
   const std::size_t dealers = s.batch->dealers();
   s.deals_by_dealer.resize(dealers);
   s.deal_seen.assign(dealers, false);
@@ -497,10 +488,9 @@ void Host::StartVss(VssKey key, VssSession s,
     m.type = MsgType::kDeal;
     m.file_id = file_id;
     m.epoch = epoch;
-    m.row = sub;
     m.payload =
         keyring_.Seal(holder, field::SerializeElems(*cfg_.ctx, deal[k]));
-    SendMetered(std::move(m), VssBucket(key));
+    SendMetered(std::move(m), VssBucket(session));
   }
   // Self-deal, delivered locally.
   const std::size_t my_idx = session.batch->IndexOf(cfg_.id);
@@ -512,7 +502,7 @@ void Host::StartVss(VssKey key, VssSession s,
 }
 
 void Host::OnDealPlain(const Message& msg) {
-  const VssKey key{msg.file_id, msg.epoch, msg.row};
+  const FileSeq key{msg.file_id, msg.epoch};
   auto it = vss_.find(key);
   if (it == vss_.end()) {
     pending_.push_back(msg);
@@ -530,19 +520,20 @@ void Host::OnDealPlain(const Message& msg) {
   if (s.deals == s.batch->dealers()) TransformAndCheck(key, s);
 }
 
-void Host::TransformAndCheck(VssKey key, VssSession& s) {
-  const auto [file_id, epoch, sub] = key;
+void Host::TransformAndCheck(FileSeq key, VssSession& s) {
+  const auto [file_id, epoch] = key;
+  const bool recovery = s.batch->recovery_shape();
   {
-    ComputeSection section(VssBucket(key),
-                           IsRefresh(sub) ? obs::SpanKind::kRefreshTransform
-                                          : obs::SpanKind::kRecoverTransform,
-                           cfg_.id, IsRefresh(sub) ? file_id : sub);
+    ComputeSection section(VssBucket(s),
+                           recovery ? obs::SpanKind::kRecoverTransform
+                                    : obs::SpanKind::kRefreshTransform,
+                           cfg_.id, file_id);
     s.outputs =
         s.batch->Transform(s.deals_by_dealer, cfg_.params.b, section.extra());
   }
   // A refresh keeps deals_by_dealer: if verification fails, the raw columns
   // are archived so the hypervisor can attribute the corrupt dealer.
-  if (!IsRefresh(sub)) {
+  if (recovery) {
     s.deals_by_dealer.clear();
     s.deals_by_dealer.shrink_to_fit();
   }
@@ -556,7 +547,6 @@ void Host::TransformAndCheck(VssKey key, VssSession& s) {
     m.file_id = file_id;
     m.epoch = epoch;
     m.row = a;
-    m.batch = sub;
     if (verifier == cfg_.id) {
       m.payload = field::SerializeElems(*cfg_.ctx, s.outputs[a]);
       OnCheckSharePlain(m);
@@ -565,13 +555,13 @@ void Host::TransformAndCheck(VssKey key, VssSession& s) {
     } else {
       m.payload = keyring_.Seal(
           verifier, field::SerializeElems(*cfg_.ctx, s.outputs[a]));
-      SendMetered(std::move(m), VssBucket(key));
+      SendMetered(std::move(m), VssBucket(s));
     }
   }
 }
 
 void Host::OnCheckSharePlain(const Message& msg) {
-  const VssKey key{msg.file_id, msg.epoch, msg.batch};
+  const FileSeq key{msg.file_id, msg.epoch};
   auto it = vss_.find(key);
   if (it == vss_.end()) {
     pending_.push_back(msg);
@@ -592,13 +582,14 @@ void Host::OnCheckSharePlain(const Message& msg) {
   }
 }
 
-void Host::MaybeVerifyRow(VssKey key, VssSession& s, std::uint32_t row) {
-  const auto [file_id, epoch, sub] = key;
+void Host::MaybeVerifyRow(FileSeq key, VssSession& s, std::uint32_t row) {
+  const auto [file_id, epoch] = key;
   bool ok;
   {
-    ComputeSection section(VssBucket(key),
-                           IsRefresh(sub) ? obs::SpanKind::kRefreshVerify
-                                          : obs::SpanKind::kRecoverVerify,
+    ComputeSection section(VssBucket(s),
+                           s.batch->recovery_shape()
+                               ? obs::SpanKind::kRecoverVerify
+                               : obs::SpanKind::kRefreshVerify,
                            cfg_.id, row);
     ok = VerifyRow(*s.batch, s.check_vals[row], *cfg_.ctx);
   }
@@ -620,15 +611,14 @@ void Host::MaybeVerifyRow(VssKey key, VssSession& s, std::uint32_t row) {
     m.file_id = file_id;
     m.epoch = epoch;
     m.row = row;
-    m.batch = sub;
     m.payload = Bytes{static_cast<std::uint8_t>(ok ? 1 : 0)};
-    SendMetered(std::move(m), VssBucket(key));
+    SendMetered(std::move(m), VssBucket(s));
   }
   AcceptVerdict(key, s, row, ok);
 }
 
 void Host::OnVerdictPlain(const Message& msg) {
-  const VssKey key{msg.file_id, msg.epoch, msg.batch};
+  const FileSeq key{msg.file_id, msg.epoch};
   auto it = vss_.find(key);
   if (it == vss_.end()) {
     pending_.push_back(msg);
@@ -644,23 +634,22 @@ void Host::OnVerdictPlain(const Message& msg) {
   AcceptVerdict(key, s, msg.row, ok);
 }
 
-void Host::AcceptVerdict(VssKey key, VssSession& s, std::uint32_t row,
+void Host::AcceptVerdict(FileSeq key, VssSession& s, std::uint32_t row,
                          bool ok) {
   if (!ok) s.failed = true;
   s.verdict_rows.insert(row);
   if (s.verdict_rows.size() < s.batch->check_rows()) return;
-  if (IsRefresh(std::get<2>(key))) {
-    MaybeApplyRefresh(key, s);
-  } else {
+  if (s.batch->recovery_shape()) {
     MaybeSendMaskedShares(key, s);
+  } else {
+    MaybeApplyRefresh(key, s);
   }
 }
 
-void Host::MaybeApplyRefresh(VssKey key, VssSession& s) {
+void Host::MaybeApplyRefresh(FileSeq key, VssSession& s) {
   if (s.done) return;
   s.done = true;
-  const std::uint64_t file_id = std::get<0>(key);
-  const std::uint32_t epoch = std::get<1>(key);
+  const auto [file_id, epoch] = key;
   const bool ok = !s.failed;
   if (!ok) {
     // Archive the raw dealing columns: the hypervisor cross-references them
@@ -692,20 +681,22 @@ void Host::MaybeApplyRefresh(VssKey key, VssSession& s) {
 // Recovery: masked shares to the target
 // ---------------------------------------------------------------------------
 
-void Host::MaybeSendMaskedShares(VssKey key, VssSession& s) {
+void Host::MaybeSendMaskedShares(FileSeq key, VssSession& s) {
   if (s.done) return;
   s.done = true;
-  const auto [file_id, epoch, target] = key;
+  const auto [file_id, epoch] = key;
   if (s.failed) {
     ReportPhaseDone(file_id, epoch, 1, false, metrics_.recover);
     vss_.erase(key);
     return;
   }
 
-  Bytes sealed;
+  // One masked vector per target; target j's masks are the groups of batch
+  // segment j.
+  std::vector<Bytes> sealed(s.targets.size());
   {
     ComputeSection section(metrics_.recover, obs::SpanKind::kRecoverMask,
-                           cfg_.id, target);
+                           cfg_.id, file_id);
     std::vector<FpElem>& shares = store_.Load(file_id);
     const std::size_t base = s.batch->check_rows();
     const std::size_t usable = s.batch->usable_rows();
@@ -713,32 +704,36 @@ void Host::MaybeSendMaskedShares(VssKey key, VssSession& s) {
     const std::vector<std::size_t> blocks_to_send =
         MaskLayout(s.batch->dealers(), s.mask_budget)
             .BlocksFor(s.batch->IndexOf(cfg_.id), s.blocks);
-    std::vector<FpElem> masked(blocks_to_send.size(), cfg_.ctx->Zero());
-    for (std::size_t i = 0; i < blocks_to_send.size(); ++i) {
-      const std::size_t blk = blocks_to_send[i];
-      masked[i] = cfg_.ctx->Add(shares[blk],
-                                s.outputs[base + blk % usable][blk / usable]);
+    for (std::size_t j = 0; j < s.targets.size(); ++j) {
+      const std::size_t first_group = j * s.batch->segment_groups();
+      std::vector<FpElem> masked(blocks_to_send.size(), cfg_.ctx->Zero());
+      for (std::size_t i = 0; i < blocks_to_send.size(); ++i) {
+        const std::size_t blk = blocks_to_send[i];
+        masked[i] = cfg_.ctx->Add(
+            shares[blk],
+            s.outputs[base + blk % usable][first_group + blk / usable]);
+      }
+      // Wrong-share attack on recovery: the target's consistency check and
+      // robust decode are responsible for catching this.
+      if (byz_ != nullptr) byz_->TamperShares(masked);
+      sealed[j] = keyring_.Seal(s.targets[j],
+                                field::SerializeElems(*cfg_.ctx, masked));
     }
     store_.Stash(file_id);
-    // Wrong-share attack on recovery: the target's consistency check and
-    // robust decode are responsible for catching this.
-    if (byz_ != nullptr) byz_->TamperShares(masked);
-    sealed = keyring_.Seal(target, field::SerializeElems(*cfg_.ctx, masked));
   }
 
-  if (byz_ != nullptr && byz_->WithholdSend()) {
-    vss_.erase(key);
-    return;
+  for (std::size_t j = 0; j < s.targets.size(); ++j) {
+    if (byz_ != nullptr && byz_->WithholdSend()) continue;
+    Message m;
+    m.from = cfg_.id;
+    m.to = s.targets[j];
+    m.type = MsgType::kMaskedShare;
+    m.file_id = file_id;
+    m.epoch = epoch;
+    m.row = s.targets[j];
+    m.payload = std::move(sealed[j]);
+    SendMetered(std::move(m), metrics_.recover);
   }
-  Message m;
-  m.from = cfg_.id;
-  m.to = target;
-  m.type = MsgType::kMaskedShare;
-  m.file_id = file_id;
-  m.epoch = epoch;
-  m.row = target;
-  m.payload = std::move(sealed);
-  SendMetered(std::move(m), metrics_.recover);
   vss_.erase(key);
 }
 
@@ -878,11 +873,10 @@ void Host::ReplayPending() {
 std::vector<Host::StuckRefresh> Host::StuckRefreshSessions() const {
   std::vector<StuckRefresh> out;
   for (const auto& [key, s] : vss_) {
-    const auto [file_id, epoch, sub] = key;
-    if (!IsRefresh(sub)) continue;
+    if (s.batch->recovery_shape()) continue;
     StuckRefresh info;
-    info.file_id = file_id;
-    info.epoch = epoch;
+    info.file_id = key.first;
+    info.epoch = key.second;
     info.missing_dealers = MissingDealers(*s.batch, s.deal_seen);
     info.waiting_verdicts = info.missing_dealers.empty();
     out.push_back(std::move(info));
@@ -892,15 +886,17 @@ std::vector<Host::StuckRefresh> Host::StuckRefreshSessions() const {
 
 std::vector<Host::StuckRecovery> Host::StuckRecoverySessions() const {
   std::vector<StuckRecovery> out;
+  // A survivor's round serves every target of its batch; it is reported once
+  // per target, so the hypervisor's per-(file, target) strike rule sees it.
   for (const auto& [key, s] : vss_) {
-    const auto [file_id, epoch, sub] = key;
-    if (IsRefresh(sub)) continue;
-    StuckRecovery info;
-    info.file_id = file_id;
-    info.epoch = epoch;
-    info.target = sub;
-    info.missing_dealers = MissingDealers(*s.batch, s.deal_seen);
-    out.push_back(std::move(info));
+    for (std::uint32_t target : s.targets) {
+      StuckRecovery info;
+      info.file_id = key.first;
+      info.epoch = key.second;
+      info.target = target;
+      info.missing_dealers = MissingDealers(*s.batch, s.deal_seen);
+      out.push_back(std::move(info));
+    }
   }
   for (const auto& [key, s] : target_) {
     StuckRecovery info;
@@ -935,14 +931,14 @@ std::vector<std::string> Host::AbortStuckSessions() {
        << " epoch=" << epoch << " aux=" << extra;
     out.push_back(os.str());
   };
-  // Every refresh round first, then every recovery round.
+  // Every refresh round first, then every recovery round (once per target).
   for (const auto& [key, s] : vss_) {
-    const auto [file_id, epoch, sub] = key;
-    if (IsRefresh(sub)) describe("refresh", file_id, epoch, 0);
+    if (s.targets.empty()) describe("refresh", key.first, key.second, 0);
   }
   for (const auto& [key, s] : vss_) {
-    const auto [file_id, epoch, sub] = key;
-    if (!IsRefresh(sub)) describe("recovery-survivor", file_id, epoch, sub);
+    for (std::uint32_t target : s.targets) {
+      describe("recovery-survivor", key.first, key.second, target);
+    }
   }
   for (const auto& [key, s] : target_) {
     describe("recovery-target", key.first, key.second, 0);
@@ -987,8 +983,7 @@ void Host::AdoptParams(const pss::Params& params) {
   store_.WipeAll();
   pending_.clear();
   failed_refresh_.clear();
-  refresh_started_.clear();
-  recovery_started_.clear();
+  started_.clear();
 }
 
 void Host::InstallShares(const FileMeta& meta,

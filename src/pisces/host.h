@@ -37,10 +37,6 @@ namespace pisces {
 
 class ByzantineActor;
 
-// The `sub` of a refresh round's VssKey; a recovery round's sub is its target
-// id. On the wire it is kDeal's `row` and kCheckShare/kVerdict's `batch`.
-inline constexpr std::uint32_t kRefreshMarker = 0xFFFFFFFF;
-
 struct HostConfig {
   std::uint32_t id = 0;
   pss::Params params;
@@ -96,9 +92,10 @@ class Host : public net::MessageHandler {
   std::vector<StuckRefresh> StuckRefreshSessions() const;
 
   // Same idea for recovery sessions wedged at the bounded-delay timeout:
-  // which survivors' mask dealings never arrived (survivor side) and which
-  // survivors' masked shares never arrived (target side). The hypervisor
-  // applies the dealer-exclusion strike rule to both.
+  // which survivors' mask dealings never arrived (survivor side, one entry
+  // per target the wedged round serves) and which survivors' masked shares
+  // never arrived (target side). The hypervisor applies the dealer-exclusion
+  // strike rule to both, per (file, target).
   struct StuckRecovery {
     std::uint64_t file_id = 0;
     std::uint32_t epoch = 0;  // hypervisor op sequence
@@ -162,18 +159,21 @@ class Host : public net::MessageHandler {
  private:
   // One batched VSS round (paper SectionIII-B): n dealings, the
   // hyperinvertible transform, 2t opened check rows, then verdicts. Refresh
-  // and recovery masking run the same round; only the vanishing set and the
-  // completion step differ (see kRefreshMarker).
+  // and recovery masking run the same round; only the vanishing sets and the
+  // completion step differ (batch->recovery_shape() tells them apart). A
+  // recovery round masks every target of its reboot batch at once.
   struct VssSession {
     std::optional<pss::VssBatch> batch;
     std::size_t blocks = 0;
-    // Recovery only: reduced-repair point budget per block
-    // (pss/comm_efficient.h); 0 means full masked vectors from every survivor.
+    // Recovery only: the targets, one batch segment each, and the
+    // reduced-repair point budget per block (pss/comm_efficient.h); 0 means
+    // full masked vectors from every survivor.
+    std::vector<std::uint32_t> targets;
     std::size_t mask_budget = 0;
-    std::vector<std::vector<field::FpElem>> deals_by_dealer;  // [dealers][G]
+    std::vector<std::vector<field::FpElem>> deals_by_dealer;  // [dealers][g]
     std::vector<bool> deal_seen;
     std::size_t deals = 0;
-    std::vector<std::vector<field::FpElem>> outputs;  // [dealers][G]
+    std::vector<std::vector<field::FpElem>> outputs;  // [dealers][g]
     // Verifier role: check_row -> per-holder values ([k][G]).
     std::map<std::uint32_t, std::vector<std::vector<field::FpElem>>> check_vals;
     std::map<std::uint32_t, std::size_t> check_counts;
@@ -189,10 +189,9 @@ class Host : public net::MessageHandler {
     std::map<std::uint32_t, std::vector<field::FpElem>> masked_by_sender;
   };
 
-  // (file, epoch): epoch is the hypervisor op sequence.
+  // (file, epoch): epoch is the hypervisor op sequence, drawn afresh for
+  // every refresh and recovery attempt, so it names one VSS round.
   using FileSeq = std::pair<std::uint64_t, std::uint32_t>;
-  // (file, epoch, sub): sub is kRefreshMarker or the recovery target's id.
-  using VssKey = std::tuple<std::uint64_t, std::uint32_t, std::uint32_t>;
 
   // --- message handlers (the *Plain variants take decrypted payloads and
   // are also the replay targets for buffered out-of-order messages) ---
@@ -210,16 +209,16 @@ class Host : public net::MessageHandler {
   // --- VSS round steps (refresh and recovery masking alike) ---
   // Sends this host's dealing `deal` of round `key` to every other holder and
   // records its self-deal.
-  void StartVss(VssKey key, VssSession s,
+  void StartVss(FileSeq key, VssSession s,
                 std::vector<std::vector<field::FpElem>> deal);
-  void TransformAndCheck(VssKey key, VssSession& s);
-  void MaybeVerifyRow(VssKey key, VssSession& s, std::uint32_t row);
-  void AcceptVerdict(VssKey key, VssSession& s, std::uint32_t row, bool ok);
-  PhaseMetrics& VssBucket(const VssKey& key);
+  void TransformAndCheck(FileSeq key, VssSession& s);
+  void MaybeVerifyRow(FileSeq key, VssSession& s, std::uint32_t row);
+  void AcceptVerdict(FileSeq key, VssSession& s, std::uint32_t row, bool ok);
+  PhaseMetrics& VssBucket(const VssSession& s);
   // Completion: a refresh applies its zero-sharing; a recovery round masks
   // this survivor's shares and ships them to the target.
-  void MaybeApplyRefresh(VssKey key, VssSession& s);
-  void MaybeSendMaskedShares(VssKey key, VssSession& s);
+  void MaybeApplyRefresh(FileSeq key, VssSession& s);
+  void MaybeSendMaskedShares(FileSeq key, VssSession& s);
 
   // --- recovery target ---
   void MaybeFinishTarget(std::uint64_t file_id, std::uint32_t seq,
@@ -248,16 +247,15 @@ class Host : public net::MessageHandler {
   std::uint32_t epoch_ = 0;
   crypto::HostCert my_cert_;
 
-  std::map<VssKey, VssSession> vss_;
+  std::map<FileSeq, VssSession> vss_;
   std::map<FileSeq, TargetSession> target_;
   std::vector<net::Message> pending_;  // out-of-order protocol messages
   std::uint64_t verdicts_rejected_ = 0;
   // Failed-verification archives for hypervisor-side dealer attribution.
   std::map<FileSeq, FailedRefresh> failed_refresh_;
-  // Start-once guards: duplicated control messages (fault injection) must not
+  // Start-once guard: duplicated control messages (fault injection) must not
   // resurrect sessions that already ran under the same (file, seq) key.
-  std::set<FileSeq> refresh_started_;
-  std::set<FileSeq> recovery_started_;
+  std::set<FileSeq> started_;
   // Active-adversary hooks; nullptr on honest hosts (pisces/byzantine.h).
   ByzantineActor* byz_ = nullptr;
 };

@@ -886,32 +886,36 @@ void Hypervisor::HandleMessage(const Message& msg) {
     return;
   }
   const bool ok = !msg.payload.empty() && msg.payload[0] == 1;
-  phase_reports_.push_back({msg.from, msg.row, msg.file_id, msg.epoch, ok});
   // Recovery targets append the survivor ids their robust decode convicted
   // of serving wrong masked shares (Host::ReportPhaseDone); honest reports
-  // keep the legacy one-byte payload. An accusation comes from one (possibly
-  // lying) host, so its effect is bounded: the suspect only loses its
-  // survivor role until its next reboot re-establishes trust.
+  // keep the legacy one-byte payload.
+  std::vector<std::uint32_t> accused;
   if (msg.row == 1 && msg.payload.size() > 1) {
     try {
       ByteReader r(msg.payload);
-      r.U8();  // ok byte, already consumed above
-      const std::uint32_t count = r.U32();
-      for (std::uint32_t i = 0; i < count; ++i) {
-        const std::uint32_t id = r.U32();
-        if (id >= fleet_->slots() || id == msg.from) continue;
-        if (suspects_.insert(id).second) {
-          SurvivorsSuspected().Add(1);
-          obs::Span span(obs::SpanKind::kByzDetect, id, msg.from);
-          recent_failures_.push_back(
-              "host " + std::to_string(id) +
-              " suspected: wrong masked shares (accused by target " +
-              std::to_string(msg.from) + ")");
-        }
-      }
+      r.U8();  // ok byte, already read above
+      const std::uint32_t count = r.Count(4);
+      for (std::uint32_t i = 0; i < count; ++i) accused.push_back(r.U32());
+      if (!r.AtEnd()) throw ParseError("accusation list: trailing bytes");
     } catch (const ParseError&) {
-      LogWarn() << "hypervisor: malformed accusation list from host "
+      LogWarn() << "hypervisor: dropping malformed accusation list from host "
                 << msg.from;
+      return;
+    }
+  }
+  phase_reports_.push_back({msg.from, msg.row, msg.file_id, msg.epoch, ok});
+  // An accusation comes from one (possibly lying) host, so its effect is
+  // bounded: the suspect only loses its survivor role until its next reboot
+  // re-establishes trust.
+  for (std::uint32_t id : accused) {
+    if (id >= fleet_->slots() || id == msg.from) continue;
+    if (suspects_.insert(id).second) {
+      SurvivorsSuspected().Add(1);
+      obs::Span span(obs::SpanKind::kByzDetect, id, msg.from);
+      recent_failures_.push_back(
+          "host " + std::to_string(id) +
+          " suspected: wrong masked shares (accused by target " +
+          std::to_string(msg.from) + ")");
     }
   }
   if (!ok) {

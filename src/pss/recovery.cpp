@@ -24,6 +24,9 @@ RecoveryPlan RecoveryPlan::For(std::size_t blocks, const Params& p,
           "RecoveryPlan: reboot batch exceeds configured r");
   RecoveryPlan plan;
   plan.blocks = blocks;
+  plan.targets.assign(rebooting.begin(), rebooting.end());
+  Require(std::set(rebooting.begin(), rebooting.end()).size() ==
+              rebooting.size(), "RecoveryPlan: duplicate target");
   for (std::uint32_t i : available) {
     Require(i < p.n, "RecoveryPlan: available host out of range");
     if (std::find(rebooting.begin(), rebooting.end(), i) == rebooting.end()) {
@@ -41,13 +44,55 @@ RecoveryPlan RecoveryPlan::For(std::size_t blocks, const Params& p,
 }
 
 VssBatch MakeRecoveryBatch(const PackedShamir& shamir,
-                           const RecoveryPlan& plan, std::uint32_t target) {
+                           const RecoveryPlan& plan) {
   const Params& p = shamir.params();
-  std::vector<std::uint64_t> vanish{shamir.points().alpha_node(target)};
+  std::vector<std::vector<std::uint64_t>> segments;
+  for (std::uint32_t target : plan.targets) {
+    segments.push_back({shamir.points().alpha_node(target)});
+  }
   return VssBatch(shamir.ctx(), shamir.points(), plan.survivors,
-                  std::move(vanish), p.degree(), p.check_rows(), plan.groups,
+                  std::move(segments), p.degree(), p.check_rows(), plan.groups,
                   /*recovery=*/true);
 }
+
+namespace {
+
+// One recovery VSS run as the survivors run it: randomness first (serial,
+// RNG order fixed), then per-dealer and per-holder fan-out on the task pool,
+// then every check row of every group verified. Returns outputs[k][a][g],
+// survivor k's transform output row a of group g.
+std::vector<std::vector<std::vector<FpElem>>> RunMaskBatch(
+    const PackedShamir& shamir, const VssBatch& batch, Rng& rng) {
+  const FpCtx& ctx = shamir.ctx();
+  const std::size_t ns = batch.dealers();
+  std::vector<std::vector<math::Poly>> us_by_dealer;
+  us_by_dealer.reserve(ns);
+  for (std::size_t i = 0; i < ns; ++i) {
+    us_by_dealer.push_back(batch.DrawDealRandomness(rng));
+  }
+  std::vector<std::vector<std::vector<FpElem>>> deals(ns);
+  GlobalPool().ParallelFor(0, ns, [&](std::size_t i) {
+    deals[i] = batch.DealFrom(us_by_dealer[i]);
+  });
+  std::vector<std::vector<std::vector<FpElem>>> outputs(ns);
+  GlobalPool().ParallelFor(0, ns, [&](std::size_t k) {
+    std::vector<std::vector<FpElem>> col(ns);
+    for (std::size_t i = 0; i < ns; ++i) col[i] = deals[i][k];
+    outputs[k] = batch.Transform(col, shamir.params().b);
+  });
+  // Verify check rows (independent; failures rethrow on this thread).
+  GlobalPool().ParallelFor(0, batch.check_rows(), [&](std::size_t a) {
+    for (std::size_t g = 0; g < batch.groups(); ++g) {
+      std::vector<FpElem> values(ns, ctx.Zero());
+      for (std::size_t k = 0; k < ns; ++k) values[k] = outputs[k][a][g];
+      Invariant(batch.VerifyCheckVector(values, g),
+                "ReferenceRecover: check row failed");
+    }
+  });
+  return outputs;
+}
+
+}  // namespace
 
 void ReferenceRecover(const PackedShamir& shamir,
                       std::vector<std::vector<FpElem>>& shares_by_party,
@@ -56,56 +101,26 @@ void ReferenceRecover(const PackedShamir& shamir,
   const FpCtx& ctx = shamir.ctx();
   Require(shares_by_party.size() == p.n, "ReferenceRecover: wrong party count");
   const std::size_t blocks = shares_by_party[0].size();
-  RecoveryPlan plan = RecoveryPlan::For(blocks, p, rebooting);
-  const std::size_t ns = plan.survivors.size();
+  const RecoveryPlan plan = RecoveryPlan::For(blocks, p, rebooting);
+  const VssBatch batch = MakeRecoveryBatch(shamir, plan);
+  const auto outputs = RunMaskBatch(shamir, batch, rng);
 
-  for (std::uint32_t target : rebooting) {
-    VssBatch batch = MakeRecoveryBatch(shamir, plan, target);
-
-    // Survivors deal masks and transform: randomness first (serial, RNG
-    // order fixed), then per-dealer and per-holder fan-out on the task pool.
-    std::vector<std::vector<math::Poly>> us_by_dealer;
-    us_by_dealer.reserve(ns);
-    for (std::size_t i = 0; i < ns; ++i) {
-      us_by_dealer.push_back(batch.DrawDealRandomness(rng));
-    }
-    std::vector<std::vector<std::vector<FpElem>>> deals(ns);
-    GlobalPool().ParallelFor(0, ns, [&](std::size_t i) {
-      deals[i] = batch.DealFrom(us_by_dealer[i]);
-    });
-    std::vector<std::vector<std::vector<FpElem>>> outputs(ns);
-    GlobalPool().ParallelFor(0, ns, [&](std::size_t k) {
-      std::vector<std::vector<FpElem>> col(ns);
-      for (std::size_t i = 0; i < ns; ++i) col[i] = deals[i][k];
-      outputs[k] = batch.Transform(col, p.b);
-    });
-
-    // Verify check rows (independent; failures rethrow on this thread).
-    GlobalPool().ParallelFor(0, batch.check_rows(), [&](std::size_t a) {
-      for (std::size_t g = 0; g < batch.groups(); ++g) {
-        std::vector<FpElem> values(ns, ctx.Zero());
-        for (std::size_t k = 0; k < ns; ++k) values[k] = outputs[k][a][g];
-        Invariant(batch.VerifyCheckVector(values),
-                  "ReferenceRecover: check row failed");
-      }
-    });
-
-    // Survivors send masked shares; target interpolates at alpha_target.
-    std::vector<FpElem> xs;
-    xs.reserve(ns);
-    for (std::uint32_t s : plan.survivors) xs.push_back(shamir.points().alpha(s));
-    const std::size_t m = p.degree() + 1;
-    const FpElem target_alpha = shamir.points().alpha(target);
+  // Survivors send masked shares; each target interpolates at its alpha.
+  std::vector<FpElem> xs;
+  xs.reserve(plan.survivors.size());
+  for (std::uint32_t s : plan.survivors) xs.push_back(shamir.points().alpha(s));
+  const std::size_t m = p.degree() + 1;
+  for (std::size_t j = 0; j < plan.targets.size(); ++j) {
+    const FpElem target_alpha = shamir.points().alpha(plan.targets[j]);
     auto w = math::CachedLagrangeWeights(
         ctx, std::span<const FpElem>(xs.data(), m),
         std::span<const FpElem>(&target_alpha, 1));
-
-    std::vector<FpElem>& target_shares = shares_by_party[target];
+    std::vector<FpElem>& target_shares = shares_by_party[plan.targets[j]];
     target_shares.assign(blocks, ctx.Zero());
     // Each block interpolates independently and writes only its own slot.
     GlobalPool().ParallelFor(0, blocks, [&](std::size_t blk) {
-      std::size_t g = blk / plan.usable;
-      std::size_t a = batch.check_rows() + (blk % plan.usable);
+      const std::size_t g = j * plan.groups + blk / plan.usable;
+      const std::size_t a = batch.check_rows() + blk % plan.usable;
       // masked[k] = f_blk(alpha_k) + q_blk(alpha_k).
       std::vector<FpElem> masked(m);
       for (std::size_t k = 0; k < m; ++k) {
@@ -128,83 +143,47 @@ std::vector<std::uint32_t> ReferenceRecoverRobust(
   Require(shares_by_party.size() == p.n,
           "ReferenceRecoverRobust: wrong party count");
   const std::size_t blocks = shares_by_party[0].size();
-  RecoveryPlan plan = RecoveryPlan::For(blocks, p, rebooting);
+  const RecoveryPlan plan = RecoveryPlan::For(blocks, p, rebooting);
   const std::size_t ns = plan.survivors.size();
+  const std::size_t max_errors =
+      ns > p.degree() + 1 ? (ns - p.degree() - 1) / 2 : 0;
+  Require(liars.size() <= max_errors,
+          "ReferenceRecoverRobust: liars exceed the decoding radius");
+  // Mask generation is honest here (dealer-side attacks are refresh.h's
+  // ReferenceRefreshDetect); the attack is wrong MASKED shares in flight.
+  const VssBatch batch = MakeRecoveryBatch(shamir, plan);
+  const auto outputs = RunMaskBatch(shamir, batch, rng);
 
-  std::vector<std::uint32_t> accused;
-  for (std::uint32_t target : rebooting) {
-    VssBatch batch = MakeRecoveryBatch(shamir, plan, target);
-
-    // Mask generation is honest here (dealer-side attacks are refresh.h's
-    // ReferenceRefreshDetect); the attack is wrong MASKED shares in flight.
-    std::vector<std::vector<math::Poly>> us_by_dealer;
-    us_by_dealer.reserve(ns);
-    for (std::size_t i = 0; i < ns; ++i) {
-      us_by_dealer.push_back(batch.DrawDealRandomness(rng));
-    }
-    std::vector<std::vector<std::vector<FpElem>>> deals(ns);
-    GlobalPool().ParallelFor(0, ns, [&](std::size_t i) {
-      deals[i] = batch.DealFrom(us_by_dealer[i]);
-    });
-    std::vector<std::vector<std::vector<FpElem>>> outputs(ns);
-    GlobalPool().ParallelFor(0, ns, [&](std::size_t k) {
-      std::vector<std::vector<FpElem>> col(ns);
-      for (std::size_t i = 0; i < ns; ++i) col[i] = deals[i][k];
-      outputs[k] = batch.Transform(col, p.b);
-    });
-    GlobalPool().ParallelFor(0, batch.check_rows(), [&](std::size_t a) {
-      for (std::size_t g = 0; g < batch.groups(); ++g) {
-        std::vector<FpElem> values(ns, ctx.Zero());
-        for (std::size_t k = 0; k < ns; ++k) values[k] = outputs[k][a][g];
-        Invariant(batch.VerifyCheckVector(values),
-                  "ReferenceRecoverRobust: check row failed");
-      }
-    });
-
-    // Every survivor mails masked[k] = f_blk(alpha_k) + q_blk(alpha_k);
-    // liars add their own (nonzero) alpha as a deterministic offset.
-    std::vector<FpElem> xs;
-    xs.reserve(ns);
-    for (std::uint32_t s : plan.survivors) {
-      xs.push_back(shamir.points().alpha(s));
-    }
-    const FpElem target_alpha = shamir.points().alpha(target);
-    const std::size_t max_errors = ns > p.degree() + 1
-                                       ? (ns - p.degree() - 1) / 2
-                                       : 0;
-    Require(liars.size() <= max_errors,
-            "ReferenceRecoverRobust: liars exceed the decoding radius");
-
-    std::vector<FpElem>& target_shares = shares_by_party[target];
+  std::vector<FpElem> xs;
+  xs.reserve(ns);
+  for (std::uint32_t s : plan.survivors) xs.push_back(shamir.points().alpha(s));
+  std::set<std::uint32_t> accused;
+  for (std::size_t j = 0; j < plan.targets.size(); ++j) {
+    const FpElem target_alpha = shamir.points().alpha(plan.targets[j]);
+    std::vector<FpElem>& target_shares = shares_by_party[plan.targets[j]];
     target_shares.assign(blocks, ctx.Zero());
-    std::set<std::uint32_t> accused_here;
     for (std::size_t blk = 0; blk < blocks; ++blk) {
-      std::size_t g = blk / plan.usable;
-      std::size_t a = batch.check_rows() + (blk % plan.usable);
+      const std::size_t g = j * plan.groups + blk / plan.usable;
+      const std::size_t a = batch.check_rows() + blk % plan.usable;
+      // Every survivor mails masked[k] = f_blk(alpha_k) + q_blk(alpha_k);
+      // liars add their own (nonzero) alpha as a deterministic offset.
       std::vector<FpElem> ys(ns, ctx.Zero());
       for (std::size_t k = 0; k < ns; ++k) {
-        std::uint32_t s = plan.survivors[k];
-        FpElem masked = ctx.Add(shares_by_party[s][blk], outputs[k][a][g]);
+        const std::uint32_t s = plan.survivors[k];
+        ys[k] = ctx.Add(shares_by_party[s][blk], outputs[k][a][g]);
         if (std::find(liars.begin(), liars.end(), s) != liars.end()) {
-          masked = ctx.Add(masked, xs[k]);
+          ys[k] = ctx.Add(ys[k], xs[k]);
         }
-        ys[k] = masked;
       }
       auto f = math::RobustInterpolate(ctx, xs, ys, p.degree(), max_errors);
       Invariant(f.has_value(), "ReferenceRecoverRobust: decode failed");
       for (std::size_t bad : math::Mismatches(ctx, *f, xs, ys)) {
-        accused_here.insert(plan.survivors[bad]);
+        accused.insert(plan.survivors[bad]);
       }
       target_shares[blk] = f->Eval(ctx, target_alpha);
     }
-    for (std::uint32_t s : accused_here) {
-      if (std::find(accused.begin(), accused.end(), s) == accused.end()) {
-        accused.push_back(s);
-      }
-    }
   }
-  std::sort(accused.begin(), accused.end());
-  return accused;
+  return {accused.begin(), accused.end()};
 }
 
 }  // namespace pisces::pss

@@ -10,6 +10,12 @@
 // Privacy: q_b is uniformly random everywhere except alpha_rho, so rho (and
 // any t eavesdropped survivors) learn nothing beyond rho's own share.
 //
+// One VSS run serves a whole reboot batch, with one segment of masks per
+// target: target j's masks vanish at its own alpha ONLY. A mask vanishing at
+// every target would let each target evaluate the g_b it interpolates (then
+// equal to f_b at every target's alpha) at the others' alphas and read their
+// shares; per-target masks keep a target's repair traffic to its own data.
+//
 // This is the vanishing-mask formulation of the paper's batched share
 // reconstruction; it keeps the same O(1) amortized complexity (n dealings
 // yield dealers-2t verified masks) -- see DESIGN.md SectionIII for the
@@ -24,7 +30,8 @@ namespace pisces::pss {
 struct RecoveryPlan {
   std::size_t blocks = 0;
   std::size_t usable = 0;  // survivors - 2t
-  std::size_t groups = 0;
+  std::size_t groups = 0;  // per target
+  std::vector<std::uint32_t> targets;    // rebooted parties, in given order
   std::vector<std::uint32_t> survivors;  // live parties, ascending
 
   static RecoveryPlan For(std::size_t blocks, const Params& p,
@@ -37,10 +44,12 @@ struct RecoveryPlan {
                           std::span<const std::uint32_t> available);
 };
 
-// Builds the VssBatch for recovering shares of `target` among the plan's
-// survivors: vanishing set {alpha_target}, degree d, 2t check rows.
+// The VssBatch recovering every plan target among the plan's survivors:
+// segment j (plan.groups groups) vanishes at alpha of targets[j], degree d,
+// 2t check rows. Block blk of target j takes output row 2t + blk % usable of
+// group j * groups + blk / usable.
 VssBatch MakeRecoveryBatch(const PackedShamir& shamir,
-                           const RecoveryPlan& plan, std::uint32_t target);
+                           const RecoveryPlan& plan);
 
 // Runs a complete recovery locally for every host in `rebooting`:
 // shares_by_party[i][b] holds current shares; entries for rebooting parties

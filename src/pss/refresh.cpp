@@ -41,7 +41,7 @@ VssBatch MakeRefreshBatch(const PackedShamir& shamir, std::size_t blocks,
     vanish[j] = shamir.points().beta_node(j);
   }
   return VssBatch(shamir.ctx(), shamir.points(), std::move(holders),
-                  std::move(vanish), p.degree(), p.check_rows(), plan.groups);
+                  {std::move(vanish)}, p.degree(), p.check_rows(), plan.groups);
 }
 
 void ReferenceRefresh(const PackedShamir& shamir,

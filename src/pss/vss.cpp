@@ -82,21 +82,21 @@ void Extrapolate(std::uint64_t* x, std::size_t nh, std::size_t w,
 
 VssBatch::VssBatch(const FpCtx& ctx, const EvalPoints& points,
                    std::vector<std::uint32_t> holders,
-                   std::vector<std::uint64_t> vanish, std::size_t degree,
-                   std::size_t check_rows, std::size_t groups, bool recovery)
+                   std::vector<std::vector<std::uint64_t>> segments,
+                   std::size_t degree, std::size_t check_rows,
+                   std::size_t segment_groups, bool recovery)
     : ctx_(&ctx),
       holders_(std::move(holders)),
-      vanish_nodes_(std::move(vanish)),
+      segments_(std::move(segments)),
       degree_(degree),
       check_rows_(check_rows),
-      groups_(groups),
+      segment_groups_(segment_groups),
       recovery_(recovery) {
   Require(!holders_.empty(), "VssBatch: no holders");
   Require(check_rows_ < holders_.size(),
           "VssBatch: need at least one usable row");
-  Require(vanish_nodes_.size() <= degree_,
-          "VssBatch: too many vanishing points");
-  Require(groups_ >= 1, "VssBatch: need at least one group");
+  Require(!segments_.empty(), "VssBatch: need at least one segment");
+  Require(segment_groups_ >= 1, "VssBatch: need at least one group");
   // M maps nodes 1..dealers to dealers+1..2*dealers; it is hyperinvertible
   // only while those 2*dealers nodes are distinct mod p. Transform inverts
   // nothing, so nothing else would notice a collision.
@@ -118,16 +118,19 @@ VssBatch::VssBatch(const FpCtx& ctx, const EvalPoints& points,
   transform_extra_ = std::max<std::size_t>(1, (holders_.size() + 14) / 16);
   Require(holders_.size() >= degree_ + 1,
           "VssBatch: verification needs degree+1 holders");
-  // One row per extra holder point (degree check) and per vanish point
-  // (zero check). Every refresh window rebuilds a batch with the same point
-  // sets, so the rows are memoized.
+  // One row per extra holder point (degree check) and per vanish point of
+  // each segment (zero check). Every refresh window rebuilds a batch with
+  // the same point sets, so the rows are memoized.
   const std::vector<FpElem> alphas = points.AlphasOf(holders_);
   const std::span<const FpElem> base(alphas.data(), degree_ + 1);
-  std::vector<FpElem> zeros;  // V as points
-  for (std::uint64_t v : vanish_nodes_) zeros.push_back(ctx_->FromUint64(v));
   parity_rows_ = math::CachedLagrangeWeights(
       *ctx_, base, std::span<const FpElem>(alphas).subspan(degree_ + 1));
-  vanish_rows_ = math::CachedLagrangeWeights(*ctx_, base, zeros);
+  for (const auto& vanish : segments_) {
+    Require(vanish.size() <= degree_, "VssBatch: too many vanishing points");
+    std::vector<FpElem> zeros;  // V as points
+    for (std::uint64_t v : vanish) zeros.push_back(ctx_->FromUint64(v));
+    vanish_rows_.push_back(math::CachedLagrangeWeights(*ctx_, base, zeros));
+  }
 }
 
 std::size_t VssBatch::IndexOf(std::uint32_t party) const {
@@ -138,10 +141,10 @@ std::size_t VssBatch::IndexOf(std::uint32_t party) const {
 
 std::vector<math::Poly> VssBatch::DrawDealRandomness(Rng& rng) const {
   std::vector<math::Poly> us;
-  us.reserve(groups_);
-  for (std::size_t g = 0; g < groups_; ++g) {
-    us.push_back(
-        math::Poly::Random(*ctx_, rng, degree_ - vanish_nodes_.size()));
+  us.reserve(groups());
+  for (std::size_t g = 0; g < groups(); ++g) {
+    us.push_back(math::Poly::Random(
+        *ctx_, rng, degree_ - segments_[g / segment_groups_].size()));
   }
   return us;
 }
@@ -149,21 +152,21 @@ std::vector<math::Poly> VssBatch::DrawDealRandomness(Rng& rng) const {
 std::vector<std::vector<FpElem>> VssBatch::DealFrom(
     std::span<const math::Poly> us, std::uint64_t* extra_cpu_ns,
     DealTamper* tamper) const {
-  Require(us.size() == groups_, "DealFrom: wrong group count");
+  Require(us.size() == groups(), "DealFrom: wrong group count");
   const std::size_t nh = holders_.size();
-  obs::Span span(obs::SpanKind::kVssDeal, groups_, nh);
+  obs::Span span(obs::SpanKind::kVssDeal, groups(), nh);
   std::vector<std::vector<FpElem>> out(
-      nh, std::vector<FpElem>(groups_, ctx_->Zero()));
+      nh, std::vector<FpElem>(groups(), ctx_->Zero()));
   const std::size_t k = ctx_->limbs();
   // Each group is independent pure compute; out[h][g] slots are owned by
   // (h, g), so the per-group fan-out is deterministic for any pool size.
   GlobalPool().ParallelFor(
-      0, groups_,
+      0, groups(),
       [&](std::size_t g) {
         // z_g = u_g * prod (x - v): multiplying by (x - v) maps coefficient
         // i to c[i-1] - v*c[i], updated top-down in place.
         std::vector<FpElem> c = us[g].coeffs();
-        for (std::uint64_t v : vanish_nodes_) {
+        for (std::uint64_t v : segments_[g / segment_groups_]) {
           c.push_back(ctx_->Zero());
           for (std::size_t i = c.size(); i-- > 0;) {
             c[i] = ctx_->MulU64Add(ctx_->Neg(c[i]), v,
@@ -205,7 +208,7 @@ std::vector<std::vector<FpElem>> VssBatch::DealFrom(
     tamper->TamperDeal(holders_, recovery_shape(), out);
     Require(out.size() == nh, "DealFrom: tamper changed holder count");
     for (const auto& row : out) {
-      Require(row.size() == groups_, "DealFrom: tamper changed group count");
+      Require(row.size() == groups(), "DealFrom: tamper changed group count");
     }
   }
   return out;
@@ -223,11 +226,11 @@ std::vector<std::vector<FpElem>> VssBatch::Transform(
   const std::size_t nh = holders_.size();
   Require(deals_by_dealer.size() == nh, "Transform: wrong dealer count");
   for (const auto& row : deals_by_dealer) {
-    Require(row.size() == groups_, "Transform: wrong group count");
+    Require(row.size() == groups(), "Transform: wrong group count");
   }
-  obs::Span span(obs::SpanKind::kVssTransform, nh, groups_);
+  obs::Span span(obs::SpanKind::kVssTransform, nh, groups());
   std::vector<std::vector<FpElem>> out(
-      nh, std::vector<FpElem>(groups_, ctx_->Zero()));
+      nh, std::vector<FpElem>(groups(), ctx_->Zero()));
 
   // Per group, x holds f(1..nh) for the group's degree < nh polynomial f,
   // as exact integers: the inputs are the residues themselves and every
@@ -244,7 +247,7 @@ std::vector<std::vector<FpElem>> VssBatch::Transform(
   const std::size_t k = ctx_->limbs();
   const std::size_t w = k + transform_extra_;
   GlobalPool().ParallelChunks(
-      0, groups_,
+      0, groups(),
       [&](std::size_t g_begin, std::size_t g_end) {
         std::vector<std::uint64_t> x(nh * w);
         std::vector<std::uint64_t> top(w);
@@ -282,7 +285,8 @@ std::vector<std::vector<FpElem>> VssBatch::Transform(
   return out;
 }
 
-bool VssBatch::VerifyCheckVector(std::span<const FpElem> values) const {
+bool VssBatch::VerifyCheckVector(std::span<const FpElem> values,
+                                 std::size_t group) const {
   if (values.size() != holders_.size()) return false;
   // Degree check: each point beyond the first degree+1 must match the
   // interpolant of those first points.
@@ -291,9 +295,10 @@ bool VssBatch::VerifyCheckVector(std::span<const FpElem> values) const {
       return false;
     }
   }
-  // Vanishing check: the interpolant is zero on V.
-  for (std::size_t v = 0; v < vanish_rows_->rows(); ++v) {
-    if (!vanish_rows_->Vanishes(*ctx_, v, values)) return false;
+  // Vanishing check: the interpolant is zero on the segment's V.
+  const math::WeightRows& zero = *vanish_rows_.at(group / segment_groups_);
+  for (std::size_t v = 0; v < zero.rows(); ++v) {
+    if (!zero.Vanishes(*ctx_, v, values)) return false;
   }
   return true;
 }

@@ -14,8 +14,9 @@
 //      vanishing sharings even against t corrupt dealers.
 //
 // With V = {beta_1..beta_l} the usable outputs are zero-sharings for refresh;
-// with V = {alpha_rho} they are recovery masks for rebooted host rho. The
-// functions here are pure compute; pisces::Host wires them to messages.
+// with V = {alpha_rho} they are recovery masks for rebooted host rho; one
+// recovery batch holds a segment of groups per target, each with its own V.
+// The functions here are pure compute; pisces::Host wires them to messages.
 #pragma once
 
 #include <cstdint>
@@ -38,20 +39,23 @@ using field::FpElem;
 class VssBatch {
  public:
   // `holders` are the live parties (dealer set == holder set), in a globally
-  // agreed order. `vanish` is V, given by its integer nodes (EvalPoints'
-  // alpha_node/beta_node). `degree` is d. `ctx` must outlive the batch.
+  // agreed order. `segments[s]` is the V of segment s, by its integer nodes
+  // (EvalPoints' alpha_node/beta_node); group g belongs to segment
+  // g / segment_groups. `degree` is d. `ctx` must outlive the batch.
   // `recovery` marks recovery-mask batches (set by MakeRecoveryBatch); it
-  // cannot be inferred from the vanishing set -- a refresh batch at packing
+  // cannot be inferred from the vanishing sets -- a refresh batch at packing
   // l = 1 also vanishes on a single point. Requires 2 * dealers < p, so that
   // the 2 * dealers nodes of M are distinct field elements.
   VssBatch(const FpCtx& ctx, const EvalPoints& points,
            std::vector<std::uint32_t> holders,
-           std::vector<std::uint64_t> vanish, std::size_t degree,
-           std::size_t check_rows, std::size_t groups, bool recovery = false);
+           std::vector<std::vector<std::uint64_t>> segments,
+           std::size_t degree, std::size_t check_rows,
+           std::size_t segment_groups, bool recovery = false);
 
   const FpCtx& ctx() const { return *ctx_; }
   std::size_t dealers() const { return holders_.size(); }
-  std::size_t groups() const { return groups_; }
+  std::size_t groups() const { return segments_.size() * segment_groups_; }
+  std::size_t segment_groups() const { return segment_groups_; }
   std::size_t check_rows() const { return check_rows_; }
   std::size_t usable_rows() const { return holders_.size() - check_rows_; }
   std::size_t degree() const { return degree_; }
@@ -60,10 +64,10 @@ class VssBatch {
   std::size_t IndexOf(std::uint32_t party) const;
 
   // --- dealer side ---
-  // Samples G vanishing polynomials and evaluates them for every holder.
-  // Result: deal[k][g] = z_g(alpha of holders()[k]). Row k is the payload of
-  // the Deal message to holder k. Randomness is drawn serially (RNG order is
-  // part of the determinism contract); the evaluations fan out across the
+  // Samples a vanishing polynomial per group, evaluated for every holder:
+  // deal[k][g] = z_g(alpha of holders()[k]). Row k is the payload of the Deal
+  // message to holder k. Randomness is drawn serially (RNG order is part of
+  // the determinism contract); the evaluations fan out across the
   // global task pool. extra_cpu_ns accumulates pool-worker CPU time (the
   // caller's ambient CpuTimer cannot see it). `tamper`, when non-null, is
   // applied to the finished dealing matrix on the caller's thread (after the
@@ -75,11 +79,13 @@ class VssBatch {
   // The two halves of Deal, separated so batch callers (refresh: one dealing
   // per live party) can draw every dealer's randomness serially and then
   // evaluate all dealings in parallel. us[g] is the uniform mask polynomial
-  // of group g; DealFrom is pure compute (apart from the optional tamper).
-  // It forms z_g = u_g * prod_{v in V} (x - v) one linear factor at a time
-  // (FpCtx::MulU64Add) and evaluates z_g at each holder by Horner over the
-  // integers: a wide accumulator times the integer node plus a coefficient,
-  // reduced once per holder (FpCtx::ReduceWide); no field multiplication.
+  // of group g (segment-major: r one-segment batches draw the same back to
+  // back); DealFrom is pure compute (apart from the optional tamper). It
+  // forms z_g = u_g * prod_{v in V of g's segment} (x - v), one factor at a
+  // time (FpCtx::MulU64Add), and evaluates z_g at each holder by Horner over
+  // the integers: a wide accumulator times the integer node plus a
+  // coefficient, reduced once per holder (FpCtx::ReduceWide); no field
+  // multiplication.
   std::vector<math::Poly> DrawDealRandomness(Rng& rng) const;
   std::vector<std::vector<FpElem>> DealFrom(
       std::span<const math::Poly> us, std::uint64_t* extra_cpu_ns = nullptr,
@@ -105,9 +111,10 @@ class VssBatch {
       std::size_t workers = 1, std::uint64_t* extra_cpu_ns = nullptr) const;
 
   // --- verifier side ---
-  // values[k]: holder k's evaluation of one check-row sharing (one group).
-  // Checks degree <= d and vanishing on V.
-  bool VerifyCheckVector(std::span<const FpElem> values) const;
+  // values[k]: holder k's evaluation of one check-row sharing of `group`.
+  // Checks degree <= d and vanishing on the V of the group's segment.
+  bool VerifyCheckVector(std::span<const FpElem> values,
+                         std::size_t group = 0) const;
 
   // Verifier responsible for check row a (round-robin over holders).
   std::uint32_t VerifierOf(std::size_t check_row) const {
@@ -120,22 +127,22 @@ class VssBatch {
   const FpCtx* ctx_;
   std::vector<std::uint32_t> holders_;
   std::vector<std::uint64_t> holder_nodes_;  // integer alphas, for Horner
-  std::vector<std::uint64_t> vanish_nodes_;  // V as integer nodes
+  std::vector<std::vector<std::uint64_t>> segments_;  // each V, as nodes
   // Limbs beyond the modulus width that DealFrom's and Transform's exact
   // integer accumulators need, derived from the shape (see the constructor).
   std::size_t deal_extra_ = 1;
   std::size_t transform_extra_ = 1;
   std::size_t degree_;
   std::size_t check_rows_;
-  std::size_t groups_;
+  std::size_t segment_groups_;
   bool recovery_ = false;
   // Verification rows over the first degree+1 holder points, cached across
   // batches keyed by the point sets (see math/weight_cache.h): one per extra
-  // holder point (degree check) and one per vanishing point (zero check).
-  // Two sets, so the degree checks keep the integer form where the zero
-  // checks, which extrapolate to the betas, outgrow it.
+  // holder point (degree check) and, per segment, one per vanishing point
+  // (zero check). Separate sets, so the degree checks keep the integer form
+  // where the zero checks, which extrapolate to the betas, outgrow it.
   std::shared_ptr<const math::WeightRows> parity_rows_;
-  std::shared_ptr<const math::WeightRows> vanish_rows_;
+  std::vector<std::shared_ptr<const math::WeightRows>> vanish_rows_;
 };
 
 // Groups needed so that usable_rows * groups >= wanted sharings.

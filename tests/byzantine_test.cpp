@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 
 #include "field/primes.h"
 #include "obs/registry.h"
@@ -384,6 +385,32 @@ TEST(ByzantineCluster, WithholdingSurvivorSuspectedAndRecoveryCompletes) {
       << "a silent survivor must be struck out of the survivor role";
   EXPECT_GE(obs::Value(delta, "byz.survivors_suspected"), 1u);
   EXPECT_EQ(cluster.Download(pisces::ReadSpec::Classic(1)), file);
+}
+
+TEST(ByzantineCluster, WithholdingSurvivorOfThreeTargetChunkSuspectedAlone) {
+  // n = 10, t = 2, l = 1 with a reboot batch of r = 3: one recovery round
+  // masks all three targets. Host 4 withholds its mask dealing and its
+  // masked shares, so each attempt wedges on it; the per-(file, target)
+  // strike rule marks it after two attempts and no honest survivor.
+  ClusterConfig cfg = ByzConfig(109);
+  cfg.params.r = 3;
+  Cluster cluster(cfg);
+  Rng rng(9);
+  const Bytes file = rng.RandomBytes(700);
+  cluster.Upload(1, file);
+
+  cluster.ArmByzantine(OnePlan(0x4A, {{4, ByzantineStrategy::kWithhold}}));
+  std::uint32_t batch[] = {0, 1, 2};
+  WindowReport report;
+  const bool ok = cluster.hypervisor().RebootAndRecover(batch, &report);
+  cluster.DisarmByzantine();
+
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(report.recovery_retries, 2u);
+  EXPECT_EQ(cluster.hypervisor().suspected_hosts(),
+            (std::set<std::uint32_t>{4}));
+  EXPECT_EQ(cluster.Download(pisces::ReadSpec::Classic(1)), file);
+  for (std::uint32_t id : batch) EXPECT_TRUE(cluster.host(id).store().Has(1));
 }
 
 TEST(ByzantineCluster, SuspectsClearedByReboot) {

@@ -18,6 +18,7 @@
 #include "net/message.h"
 #include "net/serving_frame.h"
 #include "net/sim_transport.h"
+#include "pisces/cluster.h"
 #include "pisces/file_codec.h"
 #include "pisces/host_process.h"
 #include "pisces/serving_client.h"
@@ -749,6 +750,125 @@ TEST(Fuzz, ControlPayloadCountLiesRejectedBeforeAllocation) {
     EXPECT_NO_THROW(host.HandleMessage(m)) << "payload " << i;
   }
   EXPECT_FALSE(host.HasActiveSessions());
+}
+
+// One booted host (n = 5, t = 1, l = 1) holding file 1, driven with
+// hypervisor control messages.
+class LoneHost {
+ public:
+  LoneHost() : rng_(0xF403), ca_(crypto::SchnorrGroup::Default(), rng_) {
+    params_.n = 5;
+    params_.t = 1;
+    params_.l = 1;
+    params_.r = 1;
+    params_.field_bits = 256;
+    HostConfig hc;
+    hc.params = params_;
+    hc.ctx = std::make_shared<const field::FpCtx>(field::StandardPrimeBe(256));
+    hc.encrypt_links = false;  // the peers are bare mailboxes
+    host_ = std::make_unique<Host>(hc, *simnet_.AddEndpoint(0),
+                                   crypto::SchnorrGroup::Default(),
+                                   ca_.public_key());
+    for (std::uint32_t i = 1; i < params_.n; ++i) simnet_.AddEndpoint(i);
+    simnet_.AddEndpoint(net::kHypervisorId);
+    auto [cert, sk] = ca_.IssueHostKey(0, 1, rng_);
+    const std::uint32_t peers[] = {0};
+    host_->Boot(1, cert, std::move(sk), peers);
+    meta_.file_id = 1;
+    meta_.num_blocks = 1;
+    host_->store().Put(meta_, {hc.ctx->One()});
+  }
+
+  // Delivers a control message; true if it left a session running.
+  bool Starts(net::MsgType type, std::uint32_t epoch, const Bytes& payload) {
+    net::Message m;
+    m.from = net::kHypervisorId;
+    m.to = 0;
+    m.type = type;
+    m.file_id = 1;
+    m.epoch = epoch;
+    m.payload = payload;
+    host_->HandleMessage(m);
+    return host_->HasActiveSessions();
+  }
+
+  // kStartRecovery toward host 4 with survivors 0..3, up to the survivor
+  // list.
+  Bytes RecoveryPayload() const {
+    ByteWriter w;
+    w.Blob(meta_.Serialize());
+    w.U32(1);
+    w.U32(4);
+    w.U32(4);
+    for (std::uint32_t i = 0; i < 4; ++i) w.U32(i);
+    return w.Take();
+  }
+
+ private:
+  pss::Params params_;
+  net::SimNet simnet_;
+  Rng rng_;
+  crypto::CertAuthority ca_;
+  std::unique_ptr<Host> host_;
+  FileMeta meta_;
+};
+
+TEST(Fuzz, StartRefreshTrailingBytesRejected) {
+  LoneHost host;
+  ByteWriter w;
+  w.U32(5);
+  for (std::uint32_t i = 0; i < 5; ++i) w.U32(i);
+  const Bytes valid = w.Take();
+  Bytes tail = valid;
+  tail.push_back(0);
+  EXPECT_FALSE(host.Starts(net::MsgType::kStartRefresh, 100, tail));
+  // The dropped command did not burn its start-once key.
+  EXPECT_TRUE(host.Starts(net::MsgType::kStartRefresh, 100, valid));
+}
+
+TEST(Fuzz, StartRecoveryTrailingBytesRejected) {
+  LoneHost host;
+  const Bytes valid = host.RecoveryPayload();
+  for (std::size_t extra = 1; extra <= 4; ++extra) {
+    Bytes tail = valid;
+    tail.resize(valid.size() + extra, 1);  // a cut repair-mode section
+    EXPECT_FALSE(host.Starts(net::MsgType::kStartRecovery, 100, tail))
+        << extra << " trailing bytes";
+  }
+  ByteWriter w;  // a whole repair-mode section, then one more byte
+  w.Raw(valid);
+  w.U8(1);
+  w.U32(3);
+  w.U8(0);
+  EXPECT_FALSE(host.Starts(net::MsgType::kStartRecovery, 100, w.bytes()));
+  EXPECT_TRUE(host.Starts(net::MsgType::kStartRecovery, 100, valid));
+}
+
+TEST(Fuzz, AccusationListTrailingBytesRejected) {
+  ClusterConfig cfg;
+  cfg.params.n = 5;
+  cfg.params.t = 1;
+  cfg.params.l = 1;
+  cfg.params.r = 1;
+  cfg.params.field_bits = 256;
+  Cluster cluster(cfg);
+  net::Message m;
+  m.from = 3;
+  m.to = net::kHypervisorId;
+  m.type = net::MsgType::kPhaseDone;
+  m.file_id = 1;
+  m.row = 1;  // recovery report
+  ByteWriter w;
+  w.U8(1);
+  w.U32(1);  // one accused survivor: host 2
+  w.U32(2);
+  m.payload = w.bytes();
+  m.payload.push_back(0);
+  cluster.hypervisor().HandleMessage(m);
+  EXPECT_TRUE(cluster.hypervisor().suspected_hosts().empty());
+  m.payload = w.bytes();
+  cluster.hypervisor().HandleMessage(m);
+  EXPECT_EQ(cluster.hypervisor().suspected_hosts().count(2), 1u);
 }
 
 TEST(Fuzz, BootMaterialLayoutFrozen) {

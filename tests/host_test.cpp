@@ -3,6 +3,8 @@
 // through a hand-built SimNet without the full Cluster facade.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <optional>
 
@@ -21,14 +23,20 @@ class Collector : public net::MessageHandler {
   std::vector<net::Message> messages;
 };
 
+pss::Params SmallParams() {
+  pss::Params p;
+  p.n = 5;
+  p.t = 1;
+  p.l = 1;
+  p.r = 1;
+  p.field_bits = 256;
+  return p;
+}
+
 class HostHarness {
  public:
-  HostHarness() : rng_(71), ca_(crypto::SchnorrGroup::Default(), rng_) {
-    params_.n = 5;
-    params_.t = 1;
-    params_.l = 1;
-    params_.r = 1;
-    params_.field_bits = 256;
+  explicit HostHarness(pss::Params params = SmallParams())
+      : params_(params), rng_(71), ca_(crypto::SchnorrGroup::Default(), rng_) {
     ctx_ = std::make_shared<const field::FpCtx>(field::StandardPrimeBe(256));
     for (std::uint32_t i = 0; i < params_.n; ++i) {
       endpoints_.push_back(net_.AddEndpoint(i));
@@ -68,10 +76,14 @@ class HostHarness {
     meta.raw_size = blocks;
     meta.num_elems = blocks;
     meta.num_blocks = blocks;
+    metas_[file_id] = meta;
     std::vector<std::vector<field::FpElem>> per_host(
         params_.n, std::vector<field::FpElem>(blocks));
     for (std::size_t b = 0; b < blocks; ++b) {
-      std::vector<field::FpElem> secrets{ctx_->Random(rng)};
+      std::vector<field::FpElem> secrets;
+      for (std::size_t j = 0; j < params_.l; ++j) {
+        secrets.push_back(ctx_->Random(rng));
+      }
       auto shares = shamir.ShareBlock(secrets, rng);
       for (std::size_t i = 0; i < params_.n; ++i) per_host[i][b] = shares[i];
     }
@@ -111,6 +123,44 @@ class HostHarness {
     }
   }
 
+  // Secure reboot of `ids`: wiped, fresh keys, certs delivered.
+  void Reboot(const std::vector<std::uint32_t>& ids) {
+    for (std::uint32_t id : ids) {
+      hosts_[id]->Shutdown();
+      BootHost(id);
+    }
+    sync_.RunToQuiescence();
+  }
+
+  // Sends kStartRecovery of `file_id` toward `targets` to every host, naming
+  // all other hosts as survivors (the payload the hypervisor sends).
+  void StartRecovery(std::uint64_t file_id, std::uint32_t epoch,
+                     const std::vector<std::uint32_t>& targets) {
+    std::vector<std::uint32_t> survivors;
+    for (std::uint32_t i = 0; i < params_.n; ++i) {
+      if (std::find(targets.begin(), targets.end(), i) == targets.end()) {
+        survivors.push_back(i);
+      }
+    }
+    ByteWriter w;
+    w.Blob(metas_.at(file_id).Serialize());
+    w.U32(static_cast<std::uint32_t>(targets.size()));
+    for (std::uint32_t id : targets) w.U32(id);
+    w.U32(static_cast<std::uint32_t>(survivors.size()));
+    for (std::uint32_t id : survivors) w.U32(id);
+    const Bytes payload = w.Take();
+    for (std::uint32_t i = 0; i < params_.n; ++i) {
+      net::Message m;
+      m.from = net::kHypervisorId;
+      m.to = i;
+      m.type = net::MsgType::kStartRecovery;
+      m.file_id = file_id;
+      m.epoch = epoch;
+      m.payload = payload;
+      hyper_ep_->Send(std::move(m));
+    }
+  }
+
   std::size_t DonesAtHypervisor() {
     std::size_t count = 0;
     for (const auto& m : collector_.messages) {
@@ -135,6 +185,7 @@ class HostHarness {
   net::SimEndpoint* hyper_ep_ = nullptr;
   Collector collector_;
   std::map<std::uint32_t, crypto::HostCert> certs_;
+  std::map<std::uint64_t, FileMeta> metas_;
   std::uint32_t epoch_ = 0;
 };
 
@@ -249,7 +300,6 @@ TEST(HostDirect, ForgedVerdictsAreRejected) {
     forged.file_id = 1;
     forged.epoch = 50;
     forged.row = row;
-    forged.batch = kRefreshMarker;
     forged.payload = Bytes{1};
     h.hosts_[4]->HandleMessage(forged);
   }
@@ -275,13 +325,85 @@ TEST(HostDirect, MalformedBufferedDealDoesNotDropOthers) {
   bad.type = net::MsgType::kDeal;
   bad.file_id = 1;
   bad.epoch = 50;
-  bad.row = kRefreshMarker;
   h.hosts_[4]->HandleMessage(bad);
   h.StartRefreshAt({0, 1, 2, 3}, 1, 50);
   h.sync_.RunToQuiescence();
   h.StartRefreshAt({4}, 1, 50);
   h.sync_.RunToQuiescence();
   EXPECT_EQ(h.DonesAtHypervisor(), h.params_.n);
+  for (auto& host : h.hosts_) EXPECT_FALSE(host->HasActiveSessions());
+}
+
+// The serving shape n = 8, t = 1, l = 2 with a reboot batch of r = 2.
+pss::Params TwoTargetParams() {
+  pss::Params p;
+  p.n = 8;
+  p.t = 1;
+  p.l = 2;
+  p.r = 2;
+  p.field_bits = 256;
+  return p;
+}
+
+TEST(HostDirect, RecoveryChunkRunsOneVssRound) {
+  // One VSS round masks both targets: S survivors exchange S(S-1) deals,
+  // 2t(S-1) check shares and 2t(S-1) verdicts, then each ships one masked
+  // share per target.
+  HostHarness h(TwoTargetParams());
+  h.InstallFile(1, 5);
+  const std::vector<std::uint32_t> targets = {5, 2};
+  std::map<std::uint32_t, std::vector<field::FpElem>> truth;
+  for (std::uint32_t id : targets) truth[id] = h.hosts_[id]->store().Load(1);
+  h.Reboot(targets);
+  std::map<net::MsgType, std::size_t> counts;
+  h.net_.SetTap([&](const net::Message& m) { counts[m.type] += 1; });
+  h.StartRecovery(1, 60, targets);
+  h.sync_.RunToQuiescence();
+  h.net_.SetTap(nullptr);
+
+  const std::size_t S = h.params_.n - targets.size();
+  const std::size_t rows = h.params_.check_rows();
+  EXPECT_EQ(counts[net::MsgType::kDeal], S * (S - 1));
+  EXPECT_EQ(counts[net::MsgType::kCheckShare], rows * (S - 1));
+  EXPECT_EQ(counts[net::MsgType::kVerdict], rows * (S - 1));
+  EXPECT_EQ(counts[net::MsgType::kMaskedShare], targets.size() * S);
+  EXPECT_EQ(h.DonesAtHypervisor(), targets.size());
+  for (std::uint32_t id : targets) {
+    EXPECT_EQ(h.hosts_[id]->store().Load(1), truth[id]) << "target " << id;
+  }
+  for (auto& host : h.hosts_) EXPECT_FALSE(host->HasActiveSessions());
+}
+
+TEST(HostDirect, RecoveryMessagesOfOneTargetLayoutAreDropped) {
+  // A kDeal or kCheckShare sized for one target's groups (G elements, not
+  // r * G) fails the group-count check and is dropped; the genuine messages
+  // behind it complete the round.
+  HostHarness h(TwoTargetParams());
+  h.InstallFile(1, 5);
+  const std::vector<std::uint32_t> targets = {2, 5};
+  const std::vector<field::FpElem> truth = h.hosts_[2]->store().Load(1);
+  h.Reboot(targets);
+  const std::size_t groups =
+      pss::RecoveryPlan::For(5, h.params_, targets).groups;
+  net::Message deal;
+  deal.from = 0;
+  deal.to = 3;
+  deal.type = net::MsgType::kDeal;
+  deal.file_id = 1;
+  deal.epoch = 61;
+  deal.payload = field::SerializeElems(
+      *h.ctx_, std::vector<field::FpElem>(groups, h.ctx_->Zero()));
+  h.hosts_[3]->HandleMessage(deal);
+  net::Message check = deal;  // row 0 is verified by survivor 0
+  check.from = 3;
+  check.to = 0;
+  check.type = net::MsgType::kCheckShare;
+  check.row = 0;
+  h.hosts_[0]->HandleMessage(check);
+  h.StartRecovery(1, 61, targets);
+  h.sync_.RunToQuiescence();
+  EXPECT_EQ(h.DonesAtHypervisor(), targets.size());
+  EXPECT_EQ(h.hosts_[2]->store().Load(1), truth);
   for (auto& host : h.hosts_) EXPECT_FALSE(host->HasActiveSessions());
 }
 

@@ -425,7 +425,7 @@ TEST_F(VssBatchTest, GroupsFor) {
 
 TEST_F(VssBatchTest, RecoveryMaskVanishesAtTargetOnly) {
   RecoveryPlan plan = RecoveryPlan::For(4, params_, std::vector<std::uint32_t>{3});
-  VssBatch batch = MakeRecoveryBatch(*shamir_, plan, 3);
+  VssBatch batch = MakeRecoveryBatch(*shamir_, plan);
   auto deal = batch.Deal(rng_);
   std::vector<FpElem> xs;
   for (std::uint32_t s : plan.survivors) {
@@ -459,7 +459,7 @@ TEST_F(VssBatchTest, RequiresTwiceDealersBelowModulus) {
     const FpCtx small(Bytes{p});
     const EvalPoints points(small, holders.size(), 1);
     auto make = [&] {
-      return VssBatch(small, points, holders, {points.beta_node(0)},
+      return VssBatch(small, points, holders, {{points.beta_node(0)}},
                       /*degree=*/3, /*check_rows=*/2, /*groups=*/1);
     };
     if (p == 19) {
@@ -506,7 +506,7 @@ TEST_P(IntegerNodeVssBatchTest, TransformMatchesHyperInvertibleProduct) {
     std::vector<std::uint32_t> holders(nh);
     for (std::uint32_t i = 0; i < nh; ++i) holders[i] = i;
     const std::size_t groups = 5;
-    const VssBatch batch(ctx_, points, holders, {}, /*degree=*/0,
+    const VssBatch batch(ctx_, points, holders, {{}}, /*degree=*/0,
                          /*check_rows=*/0, groups);
     std::vector<std::vector<FpElem>> deals(nh);
     for (std::size_t i = 0; i < nh; ++i) {
@@ -540,8 +540,8 @@ TEST_P(IntegerNodeVssBatchTest, DealFromMatchesPerStepHornerAtWidestShape) {
   for (std::uint32_t i = 0; i < n; ++i) all[i] = i;
   std::vector<std::uint64_t> betas;
   for (std::size_t j = 0; j < l; ++j) betas.push_back(points.beta_node(j));
-  const VssBatch refresh(ctx_, points, all, betas, degree, 2 * t, 2);
-  const VssBatch plain(ctx_, points, all, {}, degree, 2 * t, 2);
+  const VssBatch refresh(ctx_, points, all, {betas}, degree, 2 * t, 2);
+  const VssBatch plain(ctx_, points, all, {{}}, degree, 2 * t, 2);
   const math::Poly all_top(
       std::vector<FpElem>(degree + 1, ctx_.Neg(ctx_.One())));
   const std::vector<std::pair<const VssBatch*, std::vector<math::Poly>>> cases =
@@ -582,8 +582,8 @@ TEST_P(IntegerNodeVssBatchTest, DealFromMatchesVandermondeOfVanishingProduct) {
   }
   std::vector<std::uint64_t> betas;
   for (std::size_t j = 0; j < l; ++j) betas.push_back(points.beta_node(j));
-  const VssBatch refresh(ctx_, points, all, betas, t + l, 2 * t, groups);
-  const VssBatch recovery(ctx_, points, survivors, {points.alpha_node(5)},
+  const VssBatch refresh(ctx_, points, all, {betas}, t + l, 2 * t, groups);
+  const VssBatch recovery(ctx_, points, survivors, {{points.alpha_node(5)}},
                           t + l, 2 * t, groups, /*recovery=*/true);
   for (const VssBatch* batch : {&refresh, &recovery}) {
     std::vector<FpElem> vanish;
@@ -611,6 +611,177 @@ TEST_P(IntegerNodeVssBatchTest, DealFromMatchesVandermondeOfVanishingProduct) {
 
 INSTANTIATE_TEST_SUITE_P(FieldsAndDispatch, IntegerNodeVssBatchTest,
                          ::testing::Range(0, 10));
+
+// A recovery batch with one segment per target against one-segment batches
+// over the same survivors, at the paper-best and serving shapes, 256- and
+// 1024-bit fields. Params: (grid point, field bits).
+class MultiSegmentVssBatchTest
+    : public ::testing::TestWithParam<std::tuple<GridPoint, std::size_t>> {
+ protected:
+  MultiSegmentVssBatchTest()
+      : ctx_(std::make_shared<const FpCtx>(
+            field::StandardPrimeBe(std::get<1>(GetParam())))) {
+    const GridPoint& g = std::get<0>(GetParam());
+    params_.n = g.n;
+    params_.t = g.t;
+    params_.l = g.l;
+    params_.r = g.r;
+    params_.field_bits = std::get<1>(GetParam());
+    params_.Validate();
+    shamir_ = std::make_unique<PackedShamir>(ctx_, params_);
+    // Targets spread over the parties, in an order that is not sorted.
+    for (std::size_t j = 0; j < g.r; ++j) {
+      targets_.push_back(
+          static_cast<std::uint32_t>((g.n - 1 - 3 * j) % g.n));
+    }
+    // Enough blocks for two groups per target.
+    plan_ = RecoveryPlan::For(
+        params_.n - params_.r - params_.check_rows() + 1, params_, targets_);
+  }
+
+  // The one-segment batch of target j: same survivors and groups.
+  VssBatch Single(std::size_t j) const {
+    RecoveryPlan one = plan_;
+    one.targets = {targets_[j]};
+    return MakeRecoveryBatch(*shamir_, one);
+  }
+
+  // Deals of every survivor, then each holder's transform outputs:
+  // outputs[k][a][g].
+  static std::vector<std::vector<std::vector<FpElem>>> Outputs(
+      const VssBatch& batch,
+      const std::vector<std::vector<std::vector<FpElem>>>& deals) {
+    const std::size_t ns = batch.dealers();
+    std::vector<std::vector<std::vector<FpElem>>> outputs(ns);
+    for (std::size_t k = 0; k < ns; ++k) {
+      std::vector<std::vector<FpElem>> col(ns);
+      for (std::size_t i = 0; i < ns; ++i) col[i] = deals[i][k];
+      outputs[k] = batch.Transform(col);
+    }
+    return outputs;
+  }
+
+  static std::vector<FpElem> Column(
+      const std::vector<std::vector<std::vector<FpElem>>>& outputs,
+      std::size_t a, std::size_t g) {
+    std::vector<FpElem> column;
+    for (const auto& out : outputs) column.push_back(out[a][g]);
+    return column;
+  }
+
+  std::shared_ptr<const FpCtx> ctx_;
+  Params params_;
+  std::unique_ptr<PackedShamir> shamir_;
+  std::vector<std::uint32_t> targets_;
+  RecoveryPlan plan_;
+};
+
+TEST_P(MultiSegmentVssBatchTest, MatchesOneSegmentBatchesRunBackToBack) {
+  const VssBatch batch = MakeRecoveryBatch(*shamir_, plan_);
+  const std::size_t r = targets_.size(), G = plan_.groups;
+  const std::size_t ns = plan_.survivors.size();
+  ASSERT_EQ(G, 2u);
+  ASSERT_EQ(batch.groups(), r * G);
+
+  // Each survivor deals from its own RNG: once for the whole batch, and
+  // once per target for the one-segment batches, back to back.
+  std::vector<std::vector<std::vector<FpElem>>> deals;
+  std::vector<std::vector<std::vector<std::vector<FpElem>>>> single_deals(r);
+  for (std::size_t i = 0; i < ns; ++i) {
+    Rng whole(1000 + i), apart(1000 + i);
+    deals.push_back(batch.Deal(whole));
+    for (std::size_t j = 0; j < r; ++j) {
+      single_deals[j].push_back(Single(j).Deal(apart));
+    }
+    EXPECT_EQ(whole.Next(), apart.Next()) << "dealer " << i;
+  }
+  const auto outputs = Outputs(batch, deals);
+  for (std::size_t j = 0; j < r; ++j) {
+    const VssBatch single = Single(j);
+    const auto single_outputs = Outputs(single, single_deals[j]);
+    for (std::size_t g = 0; g < G; ++g) {
+      for (std::size_t i = 0; i < ns; ++i) {
+        for (std::size_t k = 0; k < ns; ++k) {
+          EXPECT_EQ(deals[i][k][j * G + g], single_deals[j][i][k][g])
+              << "deal " << i << " -> " << k << " target " << j;
+        }
+      }
+      for (std::size_t a = 0; a < ns; ++a) {
+        const std::vector<FpElem> column = Column(outputs, a, j * G + g);
+        EXPECT_EQ(column, Column(single_outputs, a, g))
+            << "row " << a << " target " << j << " group " << g;
+        if (a < batch.check_rows()) {
+          EXPECT_TRUE(batch.VerifyCheckVector(column, j * G + g));
+          EXPECT_TRUE(single.VerifyCheckVector(column, g));
+        }
+      }
+    }
+  }
+}
+
+TEST_P(MultiSegmentVssBatchTest, CorruptGroupFailsOnlyItsOwnSegmentCheck) {
+  const VssBatch batch = MakeRecoveryBatch(*shamir_, plan_);
+  const std::size_t G = plan_.groups;
+  Rng rng(5);
+  std::vector<std::vector<std::vector<FpElem>>> deals;
+  for (std::size_t i = 0; i < batch.dealers(); ++i) {
+    deals.push_back(batch.Deal(rng));
+  }
+  // Dealer 0 shifts the second group of the last segment by a constant:
+  // still degree <= d, but no longer zero at that target's alpha.
+  const std::size_t bad = (targets_.size() - 1) * G + 1;
+  for (auto& row : deals[0]) row[bad] = ctx_->Add(row[bad], ctx_->One());
+  const auto outputs = Outputs(batch, deals);
+  for (std::size_t a = 0; a < batch.check_rows(); ++a) {
+    for (std::size_t g = 0; g < batch.groups(); ++g) {
+      EXPECT_EQ(batch.VerifyCheckVector(Column(outputs, a, g), g), g != bad)
+          << "row " << a << " group " << g;
+    }
+    // Each group is checked against its own segment's zero: an honest
+    // column of segment 0 fails as a group of segment 1.
+    EXPECT_FALSE(batch.VerifyCheckVector(Column(outputs, a, 0), G));
+  }
+}
+
+TEST_P(MultiSegmentVssBatchTest, EachMaskVanishesAtItsOwnTargetOnly) {
+  const VssBatch batch = MakeRecoveryBatch(*shamir_, plan_);
+  Rng rng(6);
+  std::vector<std::vector<std::vector<FpElem>>> deals;
+  for (std::size_t i = 0; i < batch.dealers(); ++i) {
+    deals.push_back(batch.Deal(rng));
+  }
+  const auto outputs = Outputs(batch, deals);
+  std::vector<FpElem> xs;
+  for (std::uint32_t s : plan_.survivors) {
+    xs.push_back(shamir_->points().alpha(s));
+  }
+  const std::span<const FpElem> base(xs.data(), params_.degree() + 1);
+  for (std::size_t a = batch.check_rows(); a < batch.dealers(); ++a) {
+    for (std::size_t g = 0; g < batch.groups(); ++g) {
+      const std::vector<FpElem> column = Column(outputs, a, g);
+      const math::Poly mask = math::Poly::Interpolate(
+          *ctx_, base,
+          std::span<const FpElem>(column.data(), params_.degree() + 1));
+      for (std::size_t j = 0; j < targets_.size(); ++j) {
+        const FpElem alpha = shamir_->points().alpha(targets_[j]);
+        const bool zero = ctx_->IsZero(mask.Eval(*ctx_, alpha));
+        EXPECT_EQ(zero, j == g / plan_.groups)
+            << "row " << a << " group " << g << " target " << j;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, MultiSegmentVssBatchTest,
+    ::testing::Combine(::testing::Values(GridPoint{21, 4, 6, 3},
+                                         GridPoint{8, 1, 2, 2}),
+                       ::testing::Values(std::size_t{256}, std::size_t{1024})),
+    [](const auto& info) {
+      std::ostringstream os;
+      os << std::get<0>(info.param) << "_g" << std::get<1>(info.param);
+      return os.str();
+    });
 
 TEST(RecoveryPlan, SurvivorsExcludeTargetsAndValidate) {
   Params p;
