@@ -130,7 +130,7 @@ int main(int argc, char** argv) {
                 recovered ? "yes" : "NO");
 
     // 4. Download and verify; the client installs host 0's new cert from
-    // its reboot broadcast before sealing the requests.
+    // its reboot batch's cert snapshot before sealing the requests.
     const bool exact = cluster.Download(ReadSpec::Classic(1)) == file;
     std::printf("download over TCP: %s\n", exact ? "bit-exact" : "FAILED");
     return recovered && exact ? 0 : 1;

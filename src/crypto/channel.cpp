@@ -109,24 +109,44 @@ SecureChannel MakeChannel(const SchnorrGroup& group,
   return SecureChannel(std::move(hi_to_lo), std::move(lo_to_hi));
 }
 
-void PeerKeyring::SetIdentity(std::uint32_t epoch, Bytes sk) {
-  epoch_ = epoch;
+std::uint32_t PeerKeyring::Boot(Bytes sk, const CertDirectory& directory,
+                                const CertSnapshot& snap) {
+  const HostCert* mine = snap.Find(my_id_);
+  Require(mine != nullptr, "PeerKeyring::Boot: snapshot lists no cert for me");
+  Require(snap.root == DirectoryRoot(directory),
+          "PeerKeyring::Boot: snapshot root is not the directory's");
+  Require(CertAuthority::VerifySnapshot(group_, ca_pk_, snap),
+          "PeerKeyring::Boot: bad snapshot signature");
+  Clear();
+  epoch_ = mine->epoch;
   sk_ = std::move(sk);
-  channels_.clear();
+  seq_ = snap.seq;
+  for (const auto& [id, cert] : directory) {
+    if (id != my_id_) certs_.emplace(id, cert);
+  }
+  return epoch_;
+}
+
+bool PeerKeyring::Accept(const CertSnapshot& snap) {
+  if (snap.seq <= seq_) return false;
+  Require(CertAuthority::VerifySnapshot(group_, ca_pk_, snap),
+          "PeerKeyring::Accept: bad snapshot signature");
+  seq_ = snap.seq;
+  for (const HostCert& cert : snap.certs) {
+    if (cert.host_id == my_id_) continue;
+    auto it = certs_.find(cert.host_id);
+    if (it != certs_.end() && it->second.epoch >= cert.epoch) continue;
+    certs_.insert_or_assign(cert.host_id, cert);
+  }
+  return true;
 }
 
 void PeerKeyring::Clear() {
   epoch_ = 0;
   sk_.clear();
+  seq_ = 0;
   certs_.clear();
   channels_.clear();
-}
-
-void PeerKeyring::Install(const HostCert& cert) {
-  auto it = certs_.find(cert.host_id);
-  if (it != certs_.end() && it->second.epoch >= cert.epoch) return;
-  Require(Verifies(cert), "PeerKeyring::Install: bad cert");
-  certs_[cert.host_id] = cert;
 }
 
 const HostCert* PeerKeyring::Cert(std::uint32_t peer) const {

@@ -64,8 +64,9 @@ SecureChannel MakeChannel(const SchnorrGroup& group,
                           std::uint32_t peer_id);
 
 // The channel state of one endpoint (a host or the client): each peer's
-// CA-verified cert and the channel derived for the current epoch pair. With
-// `encrypt` off, Seal and Open pass payloads through.
+// CA-signed cert and the channel derived for the current epoch pair. Certs
+// arrive only in CA-signed snapshots (crypto/ca.h), one signature check per
+// snapshot. With `encrypt` off, Seal and Open pass payloads through.
 class PeerKeyring {
  public:
   // Pins the CA key's comb table for as long as the keyring lives.
@@ -75,18 +76,24 @@ class PeerKeyring {
         ca_table_(group.PinKeyTable(ca_pk_)), my_id_(my_id),
         encrypt_(encrypt) {}
 
-  bool Verifies(const HostCert& cert) const {
-    return CertAuthority::VerifyCert(group_, ca_pk_, cert);
-  }
-  // Takes on this endpoint's key for `epoch`; every channel is re-derived.
-  void SetIdentity(std::uint32_t epoch, Bytes sk);
+  // Takes on a fresh identity from the snapshot of this endpoint's boot (or
+  // enrollment) batch. First checks that `snap` lists this endpoint's cert,
+  // that its root is `directory`'s and that its one CA signature verifies,
+  // and throws InvalidArgument, changing nothing, when any check fails. Then
+  // forgets every cert and channel, takes on `sk` for the listed cert's
+  // epoch, installs every other directory cert and holds `snap`'s seq.
+  // Returns that epoch.
+  std::uint32_t Boot(Bytes sk, const CertDirectory& directory,
+                     const CertSnapshot& snap);
+  // A snapshot published after boot. One no newer than the held seq is
+  // dropped before any signature check (returns false): a replay, or a
+  // stale forgery. Otherwise throws InvalidArgument, installing nothing,
+  // unless the signature verifies; then installs each listed peer cert
+  // except where the held cert is no older -- re-deriving that channel
+  // would restart its nonce counter.
+  bool Accept(const CertSnapshot& snap);
   // Forgets the key, every cert and every channel (secure disassociation).
   void Clear();
-  // Ignores a cert no newer than the held one, before any signature check:
-  // re-deriving the channel would restart its nonce counter, and a stale
-  // forgery is dropped rather than thrown on. Otherwise throws unless `cert`
-  // verifies; only CA-verified certs are ever stored.
-  void Install(const HostCert& cert);
   const HostCert* Cert(std::uint32_t peer) const;
 
   Bytes Seal(std::uint32_t peer, std::span<const std::uint8_t> plaintext);
@@ -103,7 +110,8 @@ class PeerKeyring {
   bool encrypt_;
   std::uint32_t epoch_ = 0;
   Bytes sk_;
-  std::map<std::uint32_t, HostCert> certs_;
+  std::uint64_t seq_ = 0;  // newest snapshot taken; 0 before boot
+  CertDirectory certs_;
   // peer -> (epoch pair the channel was derived for, channel)
   std::map<std::uint32_t, std::pair<std::uint64_t, SecureChannel>> channels_;
 };

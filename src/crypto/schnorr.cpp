@@ -299,6 +299,7 @@ SchnorrSignature SchnorrSignature::Deserialize(
   auto s = r.Blob();
   sig.e.assign(e.begin(), e.end());
   sig.s.assign(s.begin(), s.end());
+  if (!r.AtEnd()) throw ParseError("SchnorrSignature: trailing bytes");
   return sig;
 }
 

@@ -2,10 +2,10 @@
 //
 // Role in PiSCES (paper SectionIV-A "Public Key Installation" / "Secure
 // Reboot"): the hypervisor holds a CA keypair; after every reboot it
-// generates and signs a fresh host keypair, and the rebooted host broadcasts
-// the signed key to rejoin the network. Peers verify the signature before
-// accepting traffic, which is what prevents an adversary from racing a fresh
-// host for network acceptance.
+// generates and signs a fresh host keypair, and publishes the reboot batch's
+// signed keys in one signed snapshot (crypto/ca.h). Peers verify the
+// signature before accepting traffic, which is what prevents an adversary
+// from racing a fresh host for network acceptance.
 //
 // Group parameters are DSA-style: q a 256-bit prime, p = q*m + 1 a 512-bit
 // prime, g of order q. Parameters are generated deterministically from a
@@ -126,6 +126,7 @@ struct SchnorrSignature {
   Bytes s;  // response scalar, big-endian q-width
 
   Bytes Serialize() const;
+  // Throws ParseError on a truncated image or a trailing tail.
   static SchnorrSignature Deserialize(std::span<const std::uint8_t> data);
 };
 

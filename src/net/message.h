@@ -27,8 +27,8 @@ enum class MsgType : std::uint8_t {
   kShareResponse,       // host -> client share material
   kStartRefresh,        // hypervisor starts a rerandomization phase
   kStartRecovery,       // hypervisor starts recovery toward rebooted hosts
-  kHostCert,            // freshly rebooted host broadcasts its signed key
-                        //   (from the hypervisor: a directory push, acked)
+  kHostCert,            // hypervisor -> every endpoint: a reboot batch's
+                        //   signed crypto::CertSnapshot (acked by a hostd)
   kDeleteFile,          // client asks hosts to drop a file
 
   // PSS data plane.
@@ -45,7 +45,8 @@ enum class MsgType : std::uint8_t {
   // privileged calls. Over a WireFleet (pisces/wire_fleet.h) the same
   // lifecycle operations and host inspections travel the wire between the
   // hypervisor and each pisces_hostd process; acks echo the request's row.
-  kBootHost,       // hypervisor -> hostd: boot material (cert, sk, directory)
+  kBootHost,       // hypervisor -> hostd: boot material (sk, directory,
+                   //   snapshot)
   kHaltHost,       // hypervisor -> hostd: secure disassociation (wipe state)
   kStatusRequest,  // hypervisor -> hostd: end-of-round survey; epoch = the
                    //   round's seq, whose archived dealings are handed over

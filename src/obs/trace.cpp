@@ -55,6 +55,8 @@ constexpr KindInfo kKinds[static_cast<std::size_t>(SpanKind::kCount)] = {
     {"serving.reshard", "serving", nullptr},
     {"crypto.verify_cert", "crypto", nullptr},
     {"crypto.sign", "crypto", nullptr},
+    {"crypto.sign_snapshot", "crypto", nullptr},
+    {"crypto.verify_snapshot", "crypto", nullptr},
 };
 
 const KindInfo& Info(SpanKind k) {

@@ -63,6 +63,10 @@ enum class SpanKind : std::uint32_t {
   kReshardShard,       // one serving-plane shard reshard; a = shard, b = epoch
   kCertVerify,         // CA signature check of a host cert; a = host, b = epoch
   kSign,               // CA issues a signed host keypair; a = host, b = epoch
+  kSignSnapshot,       // CA signs a reboot batch's cert snapshot; a = seq,
+                       // b = #certs
+  kVerifySnapshot,     // CA signature check of a cert snapshot; a = seq,
+                       // b = #certs
   kCount
 };
 

@@ -40,15 +40,16 @@ obs::Counter& StaircaseInfeasible() {
 }  // namespace
 
 Client::Client(ClientConfig cfg, net::Transport& transport,
-               const crypto::SchnorrGroup& group, Bytes ca_pk,
-               crypto::HostCert cert, Bytes sk)
+               const crypto::SchnorrGroup& group, Bytes ca_pk, Bytes sk,
+               const crypto::CertDirectory& directory,
+               const crypto::CertSnapshot& snap)
     : cfg_(std::move(cfg)),
       transport_(transport),
       keyring_(group, std::move(ca_pk), cfg_.id, cfg_.encrypt_links),
       rng_(cfg_.rng_seed ^ 0xC11E47ULL),
       shamir_(std::make_shared<pss::PackedShamir>(cfg_.ctx, cfg_.params)),
       codec_(*cfg_.ctx, cfg_.params.l) {
-  keyring_.SetIdentity(cert.epoch, std::move(sk));
+  keyring_.Boot(std::move(sk), directory, snap);
 }
 
 FileMeta Client::BeginUpload(std::uint64_t file_id,
@@ -425,12 +426,11 @@ void Client::RequestDelete(std::uint64_t file_id) {
 void Client::HandleMessage(const Message& msg) {
   try {
     switch (msg.type) {
-      case MsgType::kHostCert: {
-        crypto::HostCert cert = crypto::HostCert::Deserialize(msg.payload);
-        if (cert.host_id != msg.from) return;
-        InstallPeerCert(cert);  // throws if a newer cert is forged
+      case MsgType::kHostCert:
+        // A reboot batch's cert snapshot: only the hypervisor publishes one.
+        if (msg.from != net::kHypervisorId) return;
+        keyring_.Accept(crypto::CertSnapshot::Deserialize(msg.payload));
         return;
-      }
       case MsgType::kPhaseDone: {
         if (msg.row == 2 && !msg.payload.empty() && msg.payload[0] == 1) {
           uploads_[msg.file_id].acked.insert(msg.from);

@@ -35,16 +35,16 @@ struct ClientConfig {
 
 class Client : public net::MessageHandler {
  public:
+  // Enrolls under `sk` and the certs of `directory`, checked once against
+  // `snap`, the signed snapshot of the enrollment (PeerKeyring::Boot).
+  // Later certs arrive as the hypervisor's kHostCert snapshots.
   Client(ClientConfig cfg, net::Transport& transport,
-         const crypto::SchnorrGroup& group, Bytes ca_pk,
-         crypto::HostCert cert, Bytes sk);
+         const crypto::SchnorrGroup& group, Bytes ca_pk, Bytes sk,
+         const crypto::CertDirectory& directory,
+         const crypto::CertSnapshot& snap);
 
   std::uint32_t id() const { return cfg_.id; }
 
-  // Accept a host's cert (via broadcast message or direct install).
-  void InstallPeerCert(const crypto::HostCert& cert) {
-    keyring_.Install(cert);
-  }
   // The installed cert of `peer`, or nullptr.
   const crypto::HostCert* PeerCert(std::uint32_t peer) const {
     return keyring_.Cert(peer);

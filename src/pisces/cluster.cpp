@@ -77,24 +77,20 @@ void Cluster::Start(std::unique_ptr<FleetControl> fleet,
   hypervisor_ = std::make_unique<Hypervisor>(hc, std::move(fleet),
                                              crypto::SchnorrGroup::Default());
 
-  auto [cert, sk] = hypervisor_->EnrollExternal(net::kClientId);
+  auto [sk, snap] = hypervisor_->EnrollExternal(net::kClientId);
   ClientConfig cc;
   cc.id = net::kClientId;
   cc.params = cfg_.params;
   cc.ctx = ctx_;
   cc.encrypt_links = cfg_.encrypt_links;
   cc.rng_seed = cfg_.seed ^ 0xC11E;
-  client_ = std::make_unique<Client>(cc, client_transport,
-                                     crypto::SchnorrGroup::Default(),
-                                     hypervisor_->ca_public_key(),
-                                     std::move(cert), std::move(sk));
-  // Hosts announced their certs during hypervisor construction, before the
-  // client was enrolled; provision the client from the hypervisor's cert
-  // directory (certs are public, hypervisor-signed objects). Later reboots
-  // reach the client through the normal kHostCert broadcast.
-  for (const auto& [id, cert] : hypervisor_->directory()) {
-    if (id != net::kClientId) client_->InstallPeerCert(cert);
-  }
+  // The client boots like a host: from the hypervisor's cert directory,
+  // checked once against the enrollment snapshot. Later reboots reach it as
+  // the hypervisor's kHostCert snapshots.
+  client_ = std::make_unique<Client>(
+      cc, client_transport, crypto::SchnorrGroup::Default(),
+      hypervisor_->ca_public_key(), std::move(sk), hypervisor_->directory(),
+      snap);
 }
 
 SimFleet& Cluster::Sim() const {

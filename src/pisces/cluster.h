@@ -129,8 +129,9 @@ class Cluster {
   // Wire: pumps the client endpoint and the tick until `done` holds or the
   // deadline passes.
   void Deliver(const std::function<bool()>& done);
-  // Wire: handles the client's queued messages -- chiefly reboot kHostCert
-  // broadcasts, so new requests are sealed to the current certs.
+  // Wire: handles the client's queued messages -- chiefly the reboot
+  // batches' kHostCert snapshots, so new requests are sealed to the current
+  // certs.
   void DeliverQueued();
   // One begin-pump-retry cycle under `spec`'s path; nullopt when responses
   // never sufficed, ParseError when reconstruction failed integrity.

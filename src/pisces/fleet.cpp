@@ -30,17 +30,10 @@ void SimFleet::AddSlots(const pss::Params& params) {
   }
 }
 
-bool SimFleet::Boot(std::uint32_t id, std::uint32_t epoch,
-                    crypto::HostCert cert, Bytes sk,
-                    std::span<const std::uint32_t> peers,
-                    const CertDirectory& directory) {
+bool SimFleet::Boot(std::uint32_t id, Bytes sk, const CertDirectory& directory,
+                    const crypto::CertSnapshot& snap) {
   net_.SetOffline(id, false);
-  hosts_[id]->Boot(epoch, std::move(cert), std::move(sk), peers);
-  // Provision the current public-key directory onto the fresh image (the
-  // hypervisor acts as the cert directory; a rebooted host lost everything).
-  for (const auto& [peer, peer_cert] : directory) {
-    if (peer != id) hosts_[id]->InstallPeerCert(peer_cert);
-  }
+  hosts_[id]->Boot(std::move(sk), directory, snap);
   return true;
 }
 
@@ -49,8 +42,16 @@ void SimFleet::Halt(std::uint32_t id) {
   net_.SetOffline(id, true);
 }
 
-void SimFleet::InstallPeerCert(const crypto::HostCert& cert) {
-  for (auto& host : hosts_) host->InstallPeerCert(cert);
+void SimFleet::Publish(const crypto::CertSnapshot& snap,
+                       std::span<const std::uint32_t> to) {
+  net::Message m;
+  m.from = net::kHypervisorId;
+  m.type = net::MsgType::kHostCert;
+  m.payload = snap.Serialize();
+  for (std::uint32_t id : to) {
+    m.to = id;
+    endpoint_->Send(m);
+  }
 }
 
 std::uint64_t SimFleet::Settle(std::uint32_t, const Completions&) {

@@ -20,8 +20,7 @@ namespace pisces {
 
 // (host, file) pairs whose kPhaseDone ends a round.
 using Completions = std::set<std::pair<std::uint32_t, std::uint64_t>>;
-// Hypervisor-signed certs by endpoint id.
-using CertDirectory = std::map<std::uint32_t, crypto::HostCert>;
+using crypto::CertDirectory;
 
 class FleetControl {
  public:
@@ -34,17 +33,18 @@ class FleetControl {
   virtual std::size_t slots() const = 0;
 
   // --- privileged lifecycle ---
-  // Installs a fresh signed keypair on `id`, brings it onto the network and
-  // provisions `directory` (its own entry skipped). False when the host
-  // never acknowledged.
-  virtual bool Boot(std::uint32_t id, std::uint32_t epoch,
-                    crypto::HostCert cert, Bytes sk,
-                    std::span<const std::uint32_t> peers,
-                    const CertDirectory& directory) = 0;
+  // Installs the fresh secret key `sk` on `id`, brings it onto the network
+  // and provisions `directory` under `snap`, the signed snapshot of its boot
+  // batch (which lists its cert). False when the host never acknowledged.
+  virtual bool Boot(std::uint32_t id, Bytes sk, const CertDirectory& directory,
+                    const crypto::CertSnapshot& snap) = 0;
   // Secure disassociation: wipes `id` and takes it off the network.
   virtual void Halt(std::uint32_t id) = 0;
-  // Registers an external participant's cert on every host slot.
-  virtual void InstallPeerCert(const crypto::HostCert& cert) = 0;
+  // Sends `snap` as kHostCert to the endpoints `to` (hosts and enrolled
+  // externals) as network traffic: a host holds it once the next settle
+  // returns.
+  virtual void Publish(const crypto::CertSnapshot& snap,
+                       std::span<const std::uint32_t> to) = 0;
 
   // --- protocol rounds ---
   virtual void Send(net::Message msg) = 0;
@@ -88,11 +88,11 @@ class SimFleet final : public FleetControl {
 
   void Attach(const Bytes& ca_pk, net::MessageHandler* sink) override;
   std::size_t slots() const override { return hosts_.size(); }
-  bool Boot(std::uint32_t id, std::uint32_t epoch, crypto::HostCert cert,
-            Bytes sk, std::span<const std::uint32_t> peers,
-            const CertDirectory& directory) override;
+  bool Boot(std::uint32_t id, Bytes sk, const CertDirectory& directory,
+            const crypto::CertSnapshot& snap) override;
   void Halt(std::uint32_t id) override;
-  void InstallPeerCert(const crypto::HostCert& cert) override;
+  void Publish(const crypto::CertSnapshot& snap,
+               std::span<const std::uint32_t> to) override;
   void Send(net::Message msg) override { endpoint_->Send(std::move(msg)); }
   std::uint64_t Settle(std::uint32_t seq, const Completions& expect) override;
   void AbortStuck(std::vector<std::string>& aborted) override;

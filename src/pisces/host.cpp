@@ -67,39 +67,21 @@ Host::Host(HostConfig cfg, net::Transport& transport,
       shamir_(std::make_shared<pss::PackedShamir>(cfg_.ctx, cfg_.params)),
       store_(*cfg_.ctx) {}
 
-void Host::Boot(std::uint32_t epoch, crypto::HostCert cert, Bytes sk,
-                std::span<const std::uint32_t> peers) {
-  Require(cert.host_id == cfg_.id, "Host::Boot: cert for a different host");
-  Require(keyring_.Verifies(cert),
-          "Host::Boot: cert does not verify against the CA");
+void Host::Boot(Bytes sk, const crypto::CertDirectory& directory,
+                const crypto::CertSnapshot& snap) {
+  epoch_ = keyring_.Boot(std::move(sk), directory, snap);
   online_ = true;
-  epoch_ = epoch;
-  my_cert_ = std::move(cert);
-  keyring_.SetIdentity(epoch, std::move(sk));
   vss_.clear();
   target_.clear();
   pending_.clear();
   failed_refresh_.clear();
   started_.clear();
-  // Broadcast the hypervisor-signed key so peers accept this host back into
-  // the network (paper SectionIV-A "Secure Reboot").
-  for (std::uint32_t peer : peers) {
-    if (peer == cfg_.id) continue;
-    Message m;
-    m.from = cfg_.id;
-    m.to = peer;
-    m.type = MsgType::kHostCert;
-    m.epoch = epoch_;
-    m.payload = my_cert_.Serialize();
-    SendMetered(std::move(m), metrics_.recover);
-  }
 }
 
 void Host::Shutdown() {
   online_ = false;
   // Secure disassociation: nothing from this incarnation survives.
   store_.WipeAll();
-  my_cert_ = crypto::HostCert{};
   keyring_.Clear();
   vss_.clear();
   target_.clear();
@@ -147,7 +129,15 @@ void Host::HandleMessage(const Message& msg) {
       case MsgType::kDeleteFile: OnDeleteFile(msg); break;
       case MsgType::kStartRefresh: OnStartRefresh(msg); break;
       case MsgType::kStartRecovery: OnStartRecovery(msg); break;
-      case MsgType::kHostCert: OnHostCert(msg); break;
+      case MsgType::kHostCert:
+        // A reboot batch's cert snapshot: only the hypervisor publishes one.
+        if (msg.from != net::kHypervisorId) {
+          LogWarn() << "host " << cfg_.id << ": dropping a cert snapshot from "
+                    << msg.from;
+          break;
+        }
+        keyring_.Accept(crypto::CertSnapshot::Deserialize(msg.payload));
+        break;
       case MsgType::kVerdict: OnVerdictPlain(msg); break;
       case MsgType::kDeal:
       case MsgType::kCheckShare:
@@ -183,15 +173,6 @@ void Host::HandleMessage(const Message& msg) {
         break;
     }
   });
-}
-
-void Host::OnHostCert(const Message& msg) {
-  crypto::HostCert cert = crypto::HostCert::Deserialize(msg.payload);
-  if (cert.host_id != msg.from) {
-    LogWarn() << "host " << cfg_.id << ": cert/id mismatch from " << msg.from;
-    return;
-  }
-  InstallPeerCert(cert);  // throws if a newer cert is forged
 }
 
 // ---------------------------------------------------------------------------

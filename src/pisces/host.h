@@ -10,7 +10,9 @@
 // The hypervisor drives the host lifecycle through direct Boot/Shutdown calls
 // (modeling the CSP's privileged control channel, Fig 4): Shutdown wipes all
 // state -- secure disassociation -- and Boot installs a fresh hypervisor-
-// signed keypair which the host broadcasts to rejoin the network.
+// signed keypair. The hypervisor then publishes the boot batch's signed cert
+// snapshot (crypto/ca.h) to every other endpoint, which is how the host
+// rejoins the network.
 //
 // All data-plane payloads are encrypted and authenticated with per-peer,
 // per-epoch channel keys derived from the hypervisor-signed host keys
@@ -55,20 +57,17 @@ class Host : public net::MessageHandler {
   std::uint32_t epoch() const { return epoch_; }
 
   // --- hypervisor control plane (direct privileged calls, Fig 4) ---
-  // Installs a fresh signed keypair, clears session state, and broadcasts the
-  // cert to `peers` (all other endpoints that need to talk to this host).
-  void Boot(std::uint32_t epoch, crypto::HostCert cert, Bytes sk,
-            std::span<const std::uint32_t> peers);
+  // Takes on the fresh secret key `sk` and the certs of `directory` under
+  // `snap`, the signed snapshot of its boot batch (PeerKeyring::Boot checks
+  // it once and throws InvalidArgument, changing nothing, on a forged,
+  // foreign or mismatched one), and clears session state.
+  void Boot(Bytes sk, const crypto::CertDirectory& directory,
+            const crypto::CertSnapshot& snap);
   // Secure disassociation: wipes shares, keys, channels, and sessions.
   void Shutdown();
 
   void HandleMessage(const net::Message& msg) override;
 
-  // Registers a peer cert without the network (used for initial bring-up of
-  // the client, whose cert hosts must know before the first upload).
-  void InstallPeerCert(const crypto::HostCert& cert) {
-    keyring_.Install(cert);
-  }
   // The installed cert of `peer`, or nullptr.
   const crypto::HostCert* PeerCert(std::uint32_t peer) const {
     return keyring_.Cert(peer);
@@ -204,7 +203,6 @@ class Host : public net::MessageHandler {
   void OnCheckSharePlain(const net::Message& msg);
   void OnVerdictPlain(const net::Message& msg);
   void OnMaskedSharePlain(const net::Message& msg);
-  void OnHostCert(const net::Message& msg);
 
   // --- VSS round steps (refresh and recovery masking alike) ---
   // Sends this host's dealing `deal` of round `key` to every other holder and
@@ -245,7 +243,6 @@ class Host : public net::MessageHandler {
 
   bool online_ = false;
   std::uint32_t epoch_ = 0;
-  crypto::HostCert my_cert_;
 
   std::map<FileSeq, VssSession> vss_;
   std::map<FileSeq, TargetSession> target_;

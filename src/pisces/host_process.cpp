@@ -16,13 +16,10 @@ constexpr std::uint64_t kAnnounceIntervalMs = 200;
 Bytes BootMaterial::Serialize() const {
   ByteWriter w;
   w.Blob(ca_pk);
-  w.U32(epoch);
-  w.Blob(cert.Serialize());
   w.Blob(sk);
-  w.U32(static_cast<std::uint32_t>(peers.size()));
-  for (std::uint32_t p : peers) w.U32(p);
   w.U32(static_cast<std::uint32_t>(directory.size()));
-  for (const auto& c : directory) w.Blob(c.Serialize());
+  for (const auto& [id, c] : directory) w.Blob(c.Serialize());
+  w.Blob(snapshot.Serialize());
   return w.Take();
 }
 
@@ -31,18 +28,17 @@ BootMaterial BootMaterial::Deserialize(std::span<const std::uint8_t> data) {
   BootMaterial b;
   const auto ca_pk = r.Blob();
   b.ca_pk.assign(ca_pk.begin(), ca_pk.end());
-  b.epoch = r.U32();
-  b.cert = crypto::HostCert::Deserialize(r.Blob());
   const auto sk = r.Blob();
   b.sk.assign(sk.begin(), sk.end());
-  const std::uint32_t np = r.Count(4);
-  b.peers.reserve(np);
-  for (std::uint32_t i = 0; i < np; ++i) b.peers.push_back(r.U32());
   const std::uint32_t nc = r.Count(4);
-  b.directory.reserve(nc);
   for (std::uint32_t i = 0; i < nc; ++i) {
-    b.directory.push_back(crypto::HostCert::Deserialize(r.Blob()));
+    crypto::HostCert cert = crypto::HostCert::Deserialize(r.Blob());
+    const std::uint32_t id = cert.host_id;
+    if (!b.directory.emplace(id, std::move(cert)).second) {
+      throw ParseError("BootMaterial: duplicate directory entry");
+    }
   }
+  b.snapshot = crypto::CertSnapshot::Deserialize(r.Blob());
   if (!r.AtEnd()) throw ParseError("BootMaterial: trailing bytes");
   return b;
 }
@@ -173,11 +169,9 @@ void HostProcess::HandleMessage(const net::Message& msg) {
           SendStatus(msg.row, msg.epoch);
           return;
         case net::MsgType::kHostCert:
-          // Directory push of an enrolled external's cert, acked so the
-          // hypervisor knows the host can talk to it.
-          if (host_ != nullptr) {
-            host_->InstallPeerCert(crypto::HostCert::Deserialize(msg.payload));
-          }
+          // A cert snapshot push, acked so the hypervisor knows the host
+          // holds the certs before the next round starts.
+          if (host_ != nullptr) host_->HandleMessage(msg);
           SendStatus(msg.row);
           return;
         case net::MsgType::kAbortStuck:
@@ -205,7 +199,8 @@ void HostProcess::HandleMessage(const net::Message& msg) {
 
 void HostProcess::OnBootHost(const net::Message& msg) {
   BootMaterial boot = BootMaterial::Deserialize(msg.payload);
-  Require(boot.cert.host_id == id_, "BootHost: cert is for another host");
+  Require(boot.snapshot.Find(id_) != nullptr,
+          "BootHost: snapshot lists no cert for this host");
   if (ca_pk_.empty()) {
     // Trust-on-first-boot: the CA key rides the privileged management link.
     ca_pk_ = boot.ca_pk;
@@ -223,10 +218,7 @@ void HostProcess::OnBootHost(const net::Message& msg) {
                                    crypto::SchnorrGroup::Default(), ca_pk_);
   }
   if (host_->online()) host_->Shutdown();  // re-boot = disassociate first
-  host_->Boot(boot.epoch, boot.cert, std::move(boot.sk), boot.peers);
-  for (const auto& cert : boot.directory) {
-    if (cert.host_id != id_) host_->InstallPeerCert(cert);
-  }
+  host_->Boot(std::move(boot.sk), boot.directory, boot.snapshot);
   SendStatus(msg.row);  // boot ack
 }
 

@@ -30,11 +30,9 @@ namespace pisces {
 // kBootHost payload: everything a fresh host needs to rejoin the network.
 struct BootMaterial {
   Bytes ca_pk;
-  std::uint32_t epoch = 0;
-  crypto::HostCert cert;
   Bytes sk;
-  std::vector<std::uint32_t> peers;
-  std::vector<crypto::HostCert> directory;  // peer certs (client included)
+  crypto::CertDirectory directory;  // every cert, this host's and the client's
+  crypto::CertSnapshot snapshot;    // the boot batch's, listing this host
 
   Bytes Serialize() const;
   static BootMaterial Deserialize(std::span<const std::uint8_t> data);

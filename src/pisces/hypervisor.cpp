@@ -76,25 +76,48 @@ Hypervisor::Hypervisor(HypervisorConfig cfg,
   for (std::uint32_t i = 0; i < n; ++i) peer_ids_.push_back(i);
   schedule_ = MakeSchedule(cfg_.schedule, n, cfg_.params.r, cfg_.seed ^ 0x5C4ED);
 
-  for (std::uint32_t i = 0; i < n; ++i) BootHost(i);
+  BootBatch(peer_ids_);
   fleet_->Settle(0, {});
 }
 
 Hypervisor::~Hypervisor() = default;
 
-bool Hypervisor::BootHost(std::uint32_t id) {
-  ++boot_epoch_;
-  auto [cert, sk] = ca_.IssueHostKey(id, boot_epoch_, rng_);
-  directory_[id] = cert;
-  const bool booted = fleet_->Boot(id, boot_epoch_, cert, std::move(sk),
-                                   peer_ids_, directory_);
-  if (!booted) return false;  // still the old image: its record stands
-  // The fresh image is trusted again: wipe its exclusion record.
-  excluded_.erase(id);
-  dealer_strikes_.erase(id);
-  suspects_.erase(id);
-  suspect_strikes_.erase(id);
-  return true;
+std::vector<std::uint32_t> Hypervisor::BootBatch(
+    std::span<const std::uint32_t> ids) {
+  if (ids.empty()) return {};
+  std::vector<crypto::HostCert> certs;
+  std::vector<Bytes> sks;
+  for (std::uint32_t id : ids) {
+    auto [cert, sk] = ca_.IssueHostKey(id, ++boot_epoch_, rng_);
+    directory_[id] = cert;
+    certs.push_back(std::move(cert));
+    sks.push_back(std::move(sk));
+  }
+  const crypto::CertSnapshot snap =
+      ca_.IssueSnapshot(directory_, std::move(certs), rng_);
+  std::vector<std::uint32_t> booted;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const std::uint32_t id = ids[i];
+    // A host that never acked is still the old image: its record stands.
+    if (!fleet_->Boot(id, std::move(sks[i]), directory_, snap)) continue;
+    // The fresh image is trusted again: wipe its exclusion record.
+    excluded_.erase(id);
+    dealer_strikes_.erase(id);
+    suspects_.erase(id);
+    suspect_strikes_.erase(id);
+    booted.push_back(id);
+  }
+  Publish(snap, ids);
+  return booted;
+}
+
+void Hypervisor::Publish(const crypto::CertSnapshot& snap,
+                         std::span<const std::uint32_t> skip) {
+  std::vector<std::uint32_t> to;
+  for (std::uint32_t id : peer_ids_) {
+    if (std::find(skip.begin(), skip.end(), id) == skip.end()) to.push_back(id);
+  }
+  if (!to.empty()) fleet_->Publish(snap, to);
 }
 
 std::map<std::uint32_t, std::vector<std::uint64_t>> Hypervisor::Survey() {
@@ -106,15 +129,18 @@ std::map<std::uint32_t, std::vector<std::uint64_t>> Hypervisor::Survey() {
   return view;
 }
 
-std::pair<crypto::HostCert, Bytes> Hypervisor::EnrollExternal(
+std::pair<Bytes, crypto::CertSnapshot> Hypervisor::EnrollExternal(
     std::uint32_t id) {
   auto [cert, sk] = ca_.IssueHostKey(id, 0, rng_);
   directory_[id] = cert;
+  crypto::CertSnapshot snap = ca_.IssueSnapshot(directory_, {cert}, rng_);
+  const std::uint32_t self[] = {id};
+  Publish(snap, self);
   if (std::find(peer_ids_.begin(), peer_ids_.end(), id) == peer_ids_.end()) {
     peer_ids_.push_back(id);
   }
-  fleet_->InstallPeerCert(cert);
-  return {cert, std::move(sk)};
+  fleet_->Settle(0, {});  // every host holds the cert before it is used
+  return {std::move(sk), std::move(snap)};
 }
 
 std::vector<std::uint64_t> Hypervisor::AllFileIds() const {
@@ -671,11 +697,15 @@ bool Hypervisor::RebootAndRecover(std::span<const std::uint32_t> batch,
     fleet_->Halt(id);
     stale_.insert(id);
   }
-  // Fresh keys + reintegration broadcast. A host that never acknowledges
-  // its boot (a dead process) stays stale until a later reboot succeeds.
-  std::vector<std::uint32_t> booted, unbooted;
+  // Fresh keys + the batch's signed snapshot to every other endpoint. A host
+  // that never acknowledges its boot (a dead process) stays stale until a
+  // later reboot succeeds.
+  const std::vector<std::uint32_t> booted = BootBatch(batch);
+  std::vector<std::uint32_t> unbooted;
   for (std::uint32_t id : batch) {
-    (BootHost(id) ? booted : unbooted).push_back(id);
+    if (std::find(booted.begin(), booted.end(), id) == booted.end()) {
+      unbooted.push_back(id);
+    }
   }
   const std::uint64_t boot_sweeps = fleet_->Settle(0, {});
 
@@ -848,14 +878,14 @@ bool Hypervisor::Reshare(const pss::Params& to, ReshareReport* report) {
   cfg_.params = to;
   for (std::uint32_t i = fleet_->slots(); i < to.n; ++i) peer_ids_.push_back(i);
   sim->AddSlots(to);
+  std::vector<std::uint32_t> revived;
   for (std::uint32_t i = 0; i < to.n; ++i) {
     sim->host(i).AdoptParams(to);
-    if (!fleet_->Reachable(i)) {
-      BootHost(i);
-      rep.hosts_added += 1;
-      ReshareObs().hosts_added.Add(1);
-    }
+    if (!fleet_->Reachable(i)) revived.push_back(i);
   }
+  BootBatch(revived);
+  rep.hosts_added += revived.size();
+  ReshareObs().hosts_added.Add(revived.size());
   for (std::uint32_t i = to.n; i < n_old && i < fleet_->slots(); ++i) {
     if (!fleet_->Online(i)) continue;
     fleet_->Halt(i);
@@ -865,10 +895,10 @@ bool Hypervisor::Reshare(const pss::Params& to, ReshareReport* report) {
   schedule_ = MakeSchedule(cfg_.schedule, to.n, to.r, cfg_.seed ^ 0x5C4ED);
   // Every slot is about to receive the fresh sharing: nobody is stale.
   stale_.clear();
-  fleet_->Settle(0, {});  // deliver the boot cert broadcasts
+  fleet_->Settle(0, {});  // deliver the boot batch's cert snapshot
 
   // Phase 3: install the new sharings (privileged re-provisioning, the same
-  // control channel BootHost uses).
+  // control channel BootBatch uses).
   for (const auto& [file, shares] : new_shares) {
     for (std::uint32_t rho = 0; rho < to.n; ++rho) {
       sim->host(rho).InstallShares(metas.at(file), shares[rho]);

@@ -5,9 +5,10 @@
 // hypervisor functionality:
 //   * Public Key Installation -- owns the CA; generates, signs and installs a
 //     fresh host keypair at every (re)boot;
-//   * Secure Reboot -- shuts a host down (secure disassociation wipes all
-//     state), brings it back with fresh keys, re-provisions the public cert
-//     directory, and triggers share recovery;
+//   * Secure Reboot -- shuts a batch of hosts down (secure disassociation
+//     wipes all state), brings them back with fresh keys, re-provisions the
+//     public cert directory, publishes the batch's certs to every other
+//     endpoint in one signed snapshot, and triggers share recovery;
 //   * Restart Schedule -- executes a complete (round-robin) or randomized
 //     schedule in batches of r hosts per recovery phase;
 //   * Update orchestration -- one update window = rerandomize every stored
@@ -121,8 +122,10 @@ class Hypervisor : public net::MessageHandler {
   const CertDirectory& directory() const { return directory_; }
 
   // Issues a signed keypair for an external participant (the client) and
-  // registers its cert in the directory of every host.
-  std::pair<crypto::HostCert, Bytes> EnrollExternal(std::uint32_t id);
+  // publishes its cert to every host in a signed snapshot. Returns the
+  // participant's secret key and that snapshot: with directory() it is what
+  // the participant boots its keyring from.
+  std::pair<Bytes, crypto::CertSnapshot> EnrollExternal(std::uint32_t id);
 
   // --- update orchestration (paper SectionVI-E) ---
   // Rerandomizes every stored file, retrying with failed dealers excluded
@@ -194,8 +197,13 @@ class Hypervisor : public net::MessageHandler {
     bool ok = false;
   };
 
-  // Issues fresh keys for `id` and boots it; false when it never acked.
-  bool BootHost(std::uint32_t id);
+  // Issues fresh keys for every host of `ids` under one signed snapshot,
+  // boots each with it and publishes it to every other endpoint. Returns
+  // the hosts that acked their boot.
+  std::vector<std::uint32_t> BootBatch(std::span<const std::uint32_t> ids);
+  // Publishes `snap` to every peer but those in `skip`.
+  void Publish(const crypto::CertSnapshot& snap,
+               std::span<const std::uint32_t> skip);
   // Shared body of RefreshAllFiles / RefreshFiles; `audit_catalog` enables
   // the fleet-wide lost-file check (full-namespace refresh only).
   bool RefreshFilesInternal(std::vector<std::uint64_t> files,

@@ -13,7 +13,7 @@ namespace pisces {
 namespace {
 
 // With nothing to wait for (after a boot), a settle lets in-flight traffic
-// -- the rebooted host's cert broadcast -- land before the next round.
+// -- the cert snapshot pushed to the client -- land before the next round.
 constexpr std::uint64_t kSettleGraceMs = 200;
 constexpr int kTickSliceMs = 10;
 
@@ -104,17 +104,13 @@ std::map<std::uint32_t, net::Message> WireFleet::Call(
 
 // ---- lifecycle -------------------------------------------------------------
 
-bool WireFleet::Boot(std::uint32_t id, std::uint32_t epoch,
-                     crypto::HostCert cert, Bytes sk,
-                     std::span<const std::uint32_t> peers,
-                     const CertDirectory& directory) {
+bool WireFleet::Boot(std::uint32_t id, Bytes sk, const CertDirectory& directory,
+                     const crypto::CertSnapshot& snap) {
   BootMaterial boot;
   boot.ca_pk = ca_pk_;
-  boot.epoch = epoch;
-  boot.cert = std::move(cert);
   boot.sk = std::move(sk);
-  boot.peers.assign(peers.begin(), peers.end());
-  for (const auto& [peer, c] : directory) boot.directory.push_back(c);
+  boot.directory = directory;
+  boot.snapshot = snap;
   net::Message m;
   m.type = net::MsgType::kBootHost;
   m.payload = boot.Serialize();
@@ -136,11 +132,23 @@ void WireFleet::Halt(std::uint32_t id) {
   surveyed_ = false;
 }
 
-void WireFleet::InstallPeerCert(const crypto::HostCert& cert) {
+void WireFleet::Publish(const crypto::CertSnapshot& snap,
+                        std::span<const std::uint32_t> to) {
   net::Message m;
+  m.from = net::kHypervisorId;
   m.type = net::MsgType::kHostCert;
-  m.payload = cert.Serialize();
-  Call(all_, std::move(m), net::MsgType::kStatusReport);
+  m.payload = snap.Serialize();
+  std::vector<std::uint32_t> hosts;
+  for (std::uint32_t id : to) {
+    if (id < cfg_.n) {
+      hosts.push_back(id);
+      continue;
+    }
+    m.to = id;
+    ep_->Send(m);
+    pushed_external_ = true;
+  }
+  if (!hosts.empty()) Call(hosts, std::move(m), net::MsgType::kStatusReport);
 }
 
 // ---- rounds ----------------------------------------------------------------
@@ -159,6 +167,8 @@ std::uint64_t WireFleet::Settle(std::uint32_t seq, const Completions& expect) {
   refresh_launched_ = false;
   round_seq_ = seq;
   surveyed_ = false;
+  if (expect.empty() && !pushed_external_) return 0;  // nothing in flight
+  pushed_external_ = false;
   Completions pending = expect;
   std::uint64_t deadline =
       NowMs() + (expect.empty() ? kSettleGraceMs : cfg_.deadline_ms);

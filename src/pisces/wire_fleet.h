@@ -46,11 +46,13 @@ class WireFleet final : public FleetControl {
   }
   std::size_t slots() const override { return cfg_.n; }
   void BeginOperation() override { surveyed_ = false; }
-  bool Boot(std::uint32_t id, std::uint32_t epoch, crypto::HostCert cert,
-            Bytes sk, std::span<const std::uint32_t> peers,
-            const CertDirectory& directory) override;
+  bool Boot(std::uint32_t id, Bytes sk, const CertDirectory& directory,
+            const crypto::CertSnapshot& snap) override;
   void Halt(std::uint32_t id) override;
-  void InstallPeerCert(const crypto::HostCert& cert) override;
+  // Hosts get an acked push; an external (the client) a plain send, which
+  // the next settle gives time to land.
+  void Publish(const crypto::CertSnapshot& snap,
+               std::span<const std::uint32_t> to) override;
   void Send(net::Message msg) override;
   std::uint64_t Settle(std::uint32_t seq, const Completions& expect) override;
   void AbortStuck(std::vector<std::string>& aborted) override;
@@ -100,6 +102,7 @@ class WireFleet final : public FleetControl {
   std::set<std::uint32_t> silent_;
   std::uint32_t round_seq_ = 0;           // seq of the last settled round
   bool refresh_launched_ = false;         // kStartRefresh sent, not settled
+  bool pushed_external_ = false;          // unacked snapshot sent, not settled
   std::uint32_t next_token_ = 1;
   std::uint64_t deadline_expiries_ = 0;
 };

@@ -3,7 +3,11 @@
 // schedules, metrics.
 #include <gtest/gtest.h>
 
+#include <map>
+
+#include "obs/trace.h"
 #include "pisces/pisces.h"
+#include "trace_util.h"
 
 namespace pisces {
 namespace {
@@ -225,8 +229,8 @@ TEST(Cluster, HostCertsRotateOnReboot) {
   EXPECT_GT(cluster.host(0).epoch(), epoch_before);
 }
 
-// kHostCert is a public broadcast, so anyone can replay one. A cert the
-// endpoint already holds must leave the live channel alone: a re-derived
+// A kHostCert snapshot is public traffic, so anyone can replay one. One the
+// endpoint already holds must leave the live channels alone: a re-derived
 // channel restarts its nonce counter, and the peer drops the next frame as
 // a replay (after the sender reused a ChaCha20 nonce).
 TEST(Cluster, ReplayedCertKeepsLiveChannels) {
@@ -234,13 +238,22 @@ TEST(Cluster, ReplayedCertKeepsLiveChannels) {
   Rng rng(13);
   const Bytes f1 = rng.RandomBytes(500);
   cluster.Upload(1, f1);
-  ASSERT_TRUE(cluster.RefreshAllFiles());
+  std::vector<net::Message> seen;
+  cluster.net().SetMutator([&](net::Message& m) {
+    if (m.type == net::MsgType::kHostCert) seen.push_back(m);
+    return true;
+  });
+  ASSERT_TRUE(cluster.RunUpdateWindow().ok);
+  cluster.net().SetMutator(nullptr);
+  ASSERT_FALSE(seen.empty());
   const std::uint64_t retries = cluster.client().retries();
 
-  const crypto::HostCert host0 = *cluster.client().PeerCert(0);
-  const crypto::HostCert host1 = *cluster.host(0).PeerCert(1);
-  cluster.client().InstallPeerCert(host0);
-  cluster.host(0).InstallPeerCert(host1);
+  for (net::Message m : seen) {  // every snapshot of the window, replayed
+    m.to = net::kClientId;
+    cluster.client().HandleMessage(m);
+    m.to = 0;
+    cluster.host(0).HandleMessage(m);
+  }
 
   const Bytes f2 = rng.RandomBytes(500);
   cluster.Upload(2, f2);
@@ -252,10 +265,79 @@ TEST(Cluster, ReplayedCertKeepsLiveChannels) {
   EXPECT_EQ(cluster.Download(pisces::ReadSpec::Classic(2)), f2);
 }
 
+// One signed snapshot per reboot batch: each booted host, each survivor and
+// the client check one CA signature per batch, and nobody checks a cert on
+// its own.
+TEST(Cluster, WindowChecksOneSnapshotSignaturePerEndpointPerBatch) {
+  Cluster cluster(SmallConfig());
+  cluster.Upload(1, Rng(14).RandomBytes(300));
+  obs::ResetTrace();
+  obs::EnableTracing("");
+  const WindowReport report = cluster.RunUpdateWindow();
+  obs::DisableTracing();
+  ASSERT_TRUE(report.ok);
+  std::map<std::string, std::size_t> spans;
+  for (const auto& e : test::ParseTraceEvents(obs::TraceToJson())) {
+    if (e.cat == "crypto") ++spans[e.name];
+  }
+  obs::ResetTrace();
+  const std::size_t n = 8, r = 2, batches = n / r;
+  EXPECT_EQ(spans["crypto.verify_cert"], 0u);
+  // Per batch: r booted hosts, n - r survivors and the client.
+  EXPECT_EQ(spans["crypto.verify_snapshot"], batches * (r + (n - r) + 1));
+  EXPECT_EQ(spans["crypto.verify_snapshot"], 36u);
+  EXPECT_EQ(spans["crypto.sign_snapshot"], batches);
+  EXPECT_EQ(spans["crypto.sign"], n);
+}
+
+// Only the hypervisor publishes snapshots: genuine ones relayed by anyone
+// else are dropped unread, and the same bytes from the hypervisor land.
+TEST(Cluster, SnapshotFromNonHypervisorIsDropped) {
+  Cluster cluster(SmallConfig());
+  const Bytes file = Rng(15).RandomBytes(400);
+  cluster.Upload(1, file);
+  // Withhold every snapshot of this window from the client.
+  std::vector<net::Message> withheld;
+  cluster.net().SetMutator([&](net::Message& m) {
+    if (m.type != net::MsgType::kHostCert || m.to != net::kClientId) {
+      return true;
+    }
+    withheld.push_back(m);
+    return false;
+  });
+  ASSERT_TRUE(cluster.RunUpdateWindow().ok);
+  cluster.net().SetMutator(nullptr);
+  ASSERT_EQ(withheld.size(), 4u);  // one per batch
+  const auto& directory = cluster.hypervisor().directory();
+  auto client_current = [&] {
+    for (std::uint32_t id = 0; id < 8; ++id) {
+      const crypto::HostCert* held = cluster.client().PeerCert(id);
+      if (held == nullptr ||
+          held->Serialize() != directory.at(id).Serialize()) {
+        return false;
+      }
+    }
+    return true;
+  };
+  ASSERT_FALSE(client_current());
+
+  for (net::Message relayed : withheld) {
+    relayed.from = 0;
+    cluster.client().HandleMessage(relayed);
+    cluster.host(1).HandleMessage(relayed);  // a host drops it as well
+  }
+  EXPECT_FALSE(client_current());
+
+  for (const net::Message& m : withheld) cluster.client().HandleMessage(m);
+  EXPECT_TRUE(client_current());
+  EXPECT_EQ(cluster.Download(pisces::ReadSpec::Classic(1)), file);
+}
+
 // Hot paths never multiply two plain elements (each such product costs two
 // kernel calls; field.plain_muls counts them). On a warm cluster an upload
 // and both read paths make none, and a window makes exactly one per Schnorr
-// signature it issues: s = k + x*e in the certificate of each rebooted host.
+// signature it issues: s = k + x*e in the certificate of each rebooted host
+// and in the snapshot of each reboot batch.
 TEST(PlainMulGuard, WarmPathsMakeNoPlainProducts) {
   Cluster cluster(SmallConfig());
   Rng rng(22);
@@ -280,7 +362,9 @@ TEST(PlainMulGuard, WarmPathsMakeNoPlainProducts) {
   const WindowReport report = cluster.RunUpdateWindow();
   ASSERT_TRUE(report.ok);
   EXPECT_EQ(report.reboots, 8u);
-  EXPECT_EQ(plain_muls() - before, report.reboots) << "one per signature";
+  const std::size_t batches = report.reboots / cluster.config().params.r;
+  EXPECT_EQ(plain_muls() - before, report.reboots + batches)
+      << "one per signature: a cert per reboot, a snapshot per batch";
 }
 
 }  // namespace

@@ -12,6 +12,8 @@
 #include "crypto/hkdf.h"
 #include "crypto/hmac.h"
 #include "crypto/sha256.h"
+#include "obs/trace.h"
+#include "trace_util.h"
 
 namespace pisces::crypto {
 namespace {
@@ -485,9 +487,10 @@ TEST(CryptoComb, UnparseableCaKeyGetsNoTableAndFailsVerification) {
   const Bytes bad(group.p_ctx().elem_bytes(), 0xff);
   EXPECT_EQ(group.PinKeyTable(bad), nullptr);
   EXPECT_FALSE(CertAuthority::VerifyCert(group, bad, cert));
+  const CertSnapshot snap = ca.IssueSnapshot({{3, cert}}, {cert}, rng);
+  EXPECT_FALSE(CertAuthority::VerifySnapshot(group, bad, snap));
   PeerKeyring keyring(group, bad, 1, true);
-  EXPECT_FALSE(keyring.Verifies(cert));
-  EXPECT_THROW(keyring.Install(cert), InvalidArgument);
+  EXPECT_THROW(keyring.Accept(snap), InvalidArgument);
 }
 
 TEST(CryptoComb, VerifyWithoutAnyHolderStillChecksTheSignature) {
@@ -526,8 +529,10 @@ TEST(CryptoComb, ConcurrentVerifyWhileKeyringsComeAndGo) {
         const std::size_t ca = static_cast<std::size_t>((t + i) % 2);
         if (t % 2 == 0) {
           PeerKeyring keyring(group, ca_pks[ca], 100 + t, true);
-          if (!keyring.Verifies(certs[ca])) ++wrong;
-          if (keyring.Verifies(certs[1 - ca])) ++wrong;
+          if (!CertAuthority::VerifyCert(group, ca_pks[ca], certs[ca])) ++wrong;
+          if (CertAuthority::VerifyCert(group, ca_pks[ca], certs[1 - ca])) {
+            ++wrong;
+          }
         } else {
           if (!CertAuthority::VerifyCert(group, ca_pks[ca], certs[ca])) ++wrong;
           if (CertAuthority::VerifyCert(group, ca_pks[ca], certs[1 - ca])) {
@@ -545,35 +550,168 @@ TEST(CryptoComb, ConcurrentVerifyWhileKeyringsComeAndGo) {
 
 // --- keyring install ------------------------------------------------------
 
-TEST(CryptoKeyring, StaleForgedCertIsIgnoredNewerForgedCertThrows) {
-  const SchnorrGroup& group = SchnorrGroup::Default();
-  Rng rng(78);
-  CertAuthority ca(group, rng);
-  CertAuthority evil(group, rng);
-  auto [cert1, sk1] = ca.IssueHostKey(1, 5, rng);
-  auto [cert2, sk2] = ca.IssueHostKey(2, 5, rng);
-  PeerKeyring a(group, ca.public_key(), 1, true);
-  PeerKeyring b(group, ca.public_key(), 2, true);
-  a.SetIdentity(5, sk1);
-  b.SetIdentity(5, sk2);
-  a.Install(cert2);
-  b.Install(cert1);
-  ASSERT_EQ(b.Open(1, a.Seal(2, Ascii("before"))), Ascii("before"));
+// Two keyrings (hosts 1 and 2) booted from one genuine snapshot whose seq is
+// 2: the CA issued one snapshot before it.
+struct BootedPair {
+  explicit BootedPair(Rng& rng)
+      : group(SchnorrGroup::Default()), ca(group, rng),
+        a(group, ca.public_key(), 1, true), b(group, ca.public_key(), 2, true) {
+    auto [c1, sk1] = ca.IssueHostKey(1, 5, rng);
+    auto [c2, sk2] = ca.IssueHostKey(2, 5, rng);
+    cert1 = c1;
+    cert2 = c2;
+    dir = {{1, cert1}, {2, cert2}};
+    older = ca.IssueSnapshot(dir, {cert1}, rng);
+    boot = ca.IssueSnapshot(dir, {cert1, cert2}, rng);
+    a.Boot(sk1, dir, boot);
+    b.Boot(sk2, dir, boot);
+  }
+  bool ChannelWorks(std::string_view text) {
+    return b.Open(1, a.Seal(2, Ascii(text))) == Ascii(text);
+  }
 
-  // Same-epoch and older forgeries are dropped before any signature check.
-  for (std::uint32_t epoch : {5u, 3u}) {
-    const HostCert forged = evil.IssueHostKey(2, epoch, rng).first;
-    EXPECT_NO_THROW(a.Install(forged));
-    ASSERT_NE(a.Cert(2), nullptr);
-    EXPECT_EQ(a.Cert(2)->Serialize(), cert2.Serialize());
+  const SchnorrGroup& group;
+  CertAuthority ca;
+  PeerKeyring a, b;
+  HostCert cert1, cert2;
+  CertDirectory dir;
+  CertSnapshot older, boot;
+};
+
+// Counts the CA signature checks of snapshots `fn` makes.
+template <typename Fn>
+std::size_t SnapshotVerifies(Fn&& fn) {
+  obs::ResetTrace();
+  obs::EnableTracing("");
+  fn();
+  obs::DisableTracing();
+  std::size_t count = 0;
+  for (const auto& e : test::ParseTraceEvents(obs::TraceToJson())) {
+    if (e.name == "crypto.verify_snapshot") ++count;
+  }
+  obs::ResetTrace();
+  return count;
+}
+
+TEST(CryptoKeyring, StaleForgedCertIsIgnoredNewerForgedCertThrows) {
+  Rng rng(78);
+  BootedPair p(rng);
+  ASSERT_TRUE(p.ChannelWorks("before"));
+  CertAuthority evil(p.group, rng);
+
+  // Same-seq and older forgeries are dropped before any signature check,
+  // though they carry a newer cert for host 2.
+  for (std::uint64_t seq : {1u, 2u}) {
+    const CertSnapshot forged =
+        evil.IssueSnapshot(p.dir, {evil.IssueHostKey(2, 6, rng).first}, rng);
+    ASSERT_EQ(forged.seq, seq);
+    EXPECT_FALSE(p.a.Accept(forged));
+    ASSERT_NE(p.a.Cert(2), nullptr);
+    EXPECT_EQ(p.a.Cert(2)->Serialize(), p.cert2.Serialize());
   }
   // The channel was not re-derived: its nonce counter ran on, so the peer
   // (which would reject a restarted counter as a replay) opens the frame.
-  EXPECT_EQ(b.Open(1, a.Seal(2, Ascii("after"))), Ascii("after"));
+  EXPECT_TRUE(p.ChannelWorks("after"));
 
-  const HostCert newer = evil.IssueHostKey(2, 6, rng).first;
-  EXPECT_THROW(a.Install(newer), InvalidArgument);
-  EXPECT_EQ(a.Cert(2)->Serialize(), cert2.Serialize());
+  const CertSnapshot newer =
+      evil.IssueSnapshot(p.dir, {evil.IssueHostKey(2, 6, rng).first}, rng);
+  ASSERT_GT(newer.seq, p.boot.seq);
+  EXPECT_THROW(p.a.Accept(newer), InvalidArgument);
+  EXPECT_EQ(p.a.Cert(2)->Serialize(), p.cert2.Serialize());
+}
+
+// --- cert snapshots --------------------------------------------------------
+
+TEST(CryptoSnapshot, SignVerifyRoundTripAndForeignCaRejected) {
+  Rng rng(79);
+  BootedPair p(rng);
+  EXPECT_TRUE(CertAuthority::VerifySnapshot(p.group, p.ca.public_key(),
+                                            p.boot));
+  const CertSnapshot back = CertSnapshot::Deserialize(p.boot.Serialize());
+  EXPECT_EQ(back.Serialize(), p.boot.Serialize());
+  EXPECT_TRUE(CertAuthority::VerifySnapshot(p.group, p.ca.public_key(), back));
+  EXPECT_EQ(p.boot.root, DirectoryRoot(p.dir));
+  EXPECT_GT(p.boot.seq, p.older.seq);
+  ASSERT_NE(p.boot.Find(2), nullptr);
+  EXPECT_EQ(p.boot.Find(2)->Serialize(), p.cert2.Serialize());
+  EXPECT_EQ(p.boot.Find(3), nullptr);
+  CertAuthority other(p.group, rng);
+  EXPECT_FALSE(CertAuthority::VerifySnapshot(p.group, other.public_key(),
+                                             p.boot));
+}
+
+TEST(CryptoSnapshot, StaleOrReplayedSeqDroppedWithoutSignatureCheck) {
+  Rng rng(80);
+  BootedPair p(rng);
+  const std::size_t checks = SnapshotVerifies([&] {
+    EXPECT_FALSE(p.a.Accept(p.boot));   // replay of the boot snapshot
+    EXPECT_FALSE(p.a.Accept(p.older));  // an older genuine one
+  });
+  EXPECT_EQ(checks, 0u);
+  EXPECT_TRUE(p.ChannelWorks("still live"));
+  // A newer one costs exactly one check, whatever it lists.
+  const CertSnapshot next = p.ca.IssueSnapshot(p.dir, {p.cert1, p.cert2}, rng);
+  EXPECT_EQ(SnapshotVerifies([&] { EXPECT_TRUE(p.a.Accept(next)); }), 1u);
+}
+
+TEST(CryptoSnapshot, NewerForeignSnapshotThrowsAndInstallsNothing) {
+  Rng rng(81);
+  BootedPair p(rng);
+  CertAuthority evil(p.group, rng);
+  CertSnapshot forged;
+  do {  // walk the foreign CA's counter past the genuine seq
+    forged = evil.IssueSnapshot(
+        p.dir, {evil.IssueHostKey(2, 9, rng).first,
+                evil.IssueHostKey(7, 9, rng).first}, rng);
+  } while (forged.seq <= p.boot.seq);
+  EXPECT_THROW(p.a.Accept(forged), InvalidArgument);
+  EXPECT_EQ(p.a.Cert(2)->Serialize(), p.cert2.Serialize());
+  EXPECT_EQ(p.a.Cert(7), nullptr);
+  // The refused seq is not held either: the next genuine snapshot lands.
+  const HostCert fresh = p.ca.IssueHostKey(2, 6, rng).first;
+  EXPECT_TRUE(p.a.Accept(p.ca.IssueSnapshot(p.dir, {fresh}, rng)));
+  EXPECT_EQ(p.a.Cert(2)->Serialize(), fresh.Serialize());
+}
+
+TEST(CryptoSnapshot, BootRefusesRootMismatchForeignOrUnlistedBeforeInstalling) {
+  Rng rng(82);
+  BootedPair p(rng);
+  const SchnorrGroup& group = p.group;
+  auto [cert3, sk3] = p.ca.IssueHostKey(3, 5, rng);
+  CertDirectory dir = p.dir;
+  dir[3] = cert3;
+  const CertSnapshot snap = p.ca.IssueSnapshot(dir, {cert3}, rng);
+  PeerKeyring fresh(group, p.ca.public_key(), 3, true);
+
+  // Root mismatch: the provisioned directory differs from the signed one.
+  CertDirectory tampered = dir;
+  tampered[1] = p.ca.IssueHostKey(1, 6, rng).first;
+  EXPECT_THROW(fresh.Boot(sk3, tampered, snap), InvalidArgument);
+  // A snapshot that does not list this endpoint's cert.
+  EXPECT_THROW(fresh.Boot(sk3, p.dir, p.boot), InvalidArgument);
+  // A foreign CA's snapshot of the same directory.
+  CertAuthority evil(group, rng);
+  EXPECT_THROW(fresh.Boot(sk3, dir, evil.IssueSnapshot(dir, {cert3}, rng)),
+               InvalidArgument);
+  for (std::uint32_t peer : {1u, 2u}) EXPECT_EQ(fresh.Cert(peer), nullptr);
+
+  EXPECT_EQ(fresh.Boot(sk3, dir, snap), 5u);
+  EXPECT_EQ(fresh.Cert(1)->Serialize(), p.cert1.Serialize());
+  EXPECT_EQ(fresh.Cert(3), nullptr) << "its own cert is not a peer's";
+}
+
+TEST(CryptoSnapshot, OlderEpochInNewerSnapshotKeepsLiveChannel) {
+  Rng rng(83);
+  BootedPair p(rng);
+  ASSERT_TRUE(p.ChannelWorks("before"));
+  // Genuine and newer, but it lists an older epoch for host 2 and the
+  // held one again for host 1: neither re-derives a channel.
+  const CertSnapshot next = p.ca.IssueSnapshot(
+      p.dir, {p.ca.IssueHostKey(2, 4, rng).first, p.cert1}, rng);
+  EXPECT_TRUE(p.a.Accept(next));
+  EXPECT_TRUE(p.b.Accept(next));
+  EXPECT_EQ(p.a.Cert(2)->Serialize(), p.cert2.Serialize());
+  EXPECT_TRUE(p.ChannelWorks("after"));
 }
 
 }  // namespace

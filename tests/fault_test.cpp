@@ -164,22 +164,53 @@ TEST(Fault, GarbageMessagesAreSurvived) {
   EXPECT_EQ(cluster.Download(pisces::ReadSpec::Classic(1)), file);
 }
 
+// A snapshot signed by a foreign CA, listing newer-epoch certs for the given
+// ids and a seq far past the genuine one -- it would shadow every genuine
+// snapshot after it if an endpoint accepted it.
+crypto::CertSnapshot ForeignSnapshot(crypto::CertAuthority& evil_ca, Rng& rng,
+                                     std::uint64_t min_seq,
+                                     const std::vector<std::uint32_t>& ids,
+                                     std::uint32_t epoch) {
+  std::vector<crypto::HostCert> certs;
+  for (std::uint32_t id : ids) {
+    certs.push_back(evil_ca.IssueHostKey(id, epoch, rng).first);
+  }
+  crypto::CertSnapshot snap;
+  do {  // walk the foreign CA's counter past min_seq
+    snap = evil_ca.IssueSnapshot({}, certs, rng);
+  } while (snap.seq <= min_seq);
+  return snap;
+}
+
+net::Message SnapshotMessage(std::uint32_t from, std::uint32_t to,
+                             const crypto::CertSnapshot& snap) {
+  net::Message m;
+  m.from = from;
+  m.to = to;
+  m.type = net::MsgType::kHostCert;
+  m.payload = snap.Serialize();
+  return m;
+}
+
 TEST(Fault, ForgedCertRejected) {
   Cluster cluster(Config());
-  // An adversary-made CA signs a cert for host 2; peers must reject it.
+  // An adversary-made CA signs a snapshot with a cert for host 2; peers
+  // must reject it, whoever claims to send it.
   Rng rng(6);
   crypto::CertAuthority evil_ca(crypto::SchnorrGroup::Default(), rng);
-  auto [evil_cert, evil_sk] = evil_ca.IssueHostKey(2, 99, rng);
-  EXPECT_THROW(cluster.host(3).InstallPeerCert(evil_cert), InvalidArgument);
+  const crypto::CertSnapshot evil =
+      ForeignSnapshot(evil_ca, rng, 10, {2}, 99);
+  const crypto::HostCert genuine = *cluster.host(3).PeerCert(2);
+  // Claiming the hypervisor's id gets it to the signature check, which
+  // refuses it (the host drops the message with a warning).
+  cluster.host(3).HandleMessage(
+      SnapshotMessage(net::kHypervisorId, 3, evil));
+  EXPECT_EQ(cluster.host(3).PeerCert(2)->Serialize(), genuine.Serialize());
 
   auto* ep = cluster.net().AddEndpoint(8888);
-  net::Message m;
-  m.from = 8888;
-  m.to = 3;
-  m.type = net::MsgType::kHostCert;
-  m.payload = evil_cert.Serialize();
-  ep->Send(std::move(m));
+  ep->Send(SnapshotMessage(8888, 3, evil));
   cluster.sync().RunToQuiescence();
+  EXPECT_EQ(cluster.host(3).PeerCert(2)->Serialize(), genuine.Serialize());
   // Host 3 still talks to the genuine host 2 (window succeeds end-to-end).
   Bytes file = Rng(7).RandomBytes(150);
   cluster.Upload(4, file);
@@ -188,13 +219,12 @@ TEST(Fault, ForgedCertRejected) {
 }
 
 TEST(Fault, ForgedCertOnRebootBroadcastRejected) {
-  // ForgedCertRejected above sends from a stranger id, so the id check drops
-  // it before any signature is checked. Here the forgery rides a genuine
-  // reboot broadcast: each booting host first sends its cert toward its
-  // still-offline batch partner (lost anyway), and the mutator re-aims that
-  // message at a live peer with a same-id cert signed by a foreign CA. Its
-  // later epoch would shadow the genuine cert, which arrives too, so a peer
-  // that installs the forgery ends up with the wrong key.
+  // ForgedCertRejected above forges outside any reboot. Here the forgery
+  // rides a genuine reboot: just before a batch's snapshot reaches a
+  // victim, a foreign-CA snapshot claiming the hypervisor's id lands there
+  // first, listing the batch's hosts at later epochs under a far later seq.
+  // An endpoint that installed it would hold the wrong keys and drop every
+  // genuine snapshot after it as stale.
   Cluster cluster(Config());
   const Bytes file = Rng(9).RandomBytes(300);
   cluster.Upload(5, file);
@@ -206,14 +236,25 @@ TEST(Fault, ForgedCertOnRebootBroadcastRejected) {
   const std::vector<std::uint32_t> victims = {net::kClientId, 0};
   std::vector<std::uint32_t> forged_ids;
   cluster.net().SetMutator([&](net::Message& m) {
-    if (m.type != net::MsgType::kHostCert || !cluster.net().IsOffline(m.to) ||
-        forged_ids.size() == victims.size()) {
+    if (m.type != net::MsgType::kHostCert ||
+        forged_ids.size() == victims.size() ||
+        m.to != victims[forged_ids.size()]) {
       return true;
     }
-    auto [forged, sk] = evil_ca.IssueHostKey(m.from, m.epoch + 100, rng);
-    m.to = victims[forged_ids.size()];
-    m.payload = forged.Serialize();
-    forged_ids.push_back(m.from);
+    const auto genuine = crypto::CertSnapshot::Deserialize(m.payload);
+    std::vector<std::uint32_t> ids;
+    for (const auto& cert : genuine.certs) ids.push_back(cert.host_id);
+    const crypto::CertSnapshot forged =
+        ForeignSnapshot(evil_ca, rng, genuine.seq + 100, ids,
+                        genuine.certs.front().epoch + 100);
+    const net::Message forgery = SnapshotMessage(net::kHypervisorId, m.to,
+                                                 forged);
+    if (m.to == net::kClientId) {
+      cluster.client().HandleMessage(forgery);
+    } else {
+      cluster.host(m.to).HandleMessage(forgery);
+    }
+    forged_ids.push_back(ids.front());
     return true;
   });
   const WindowReport report = cluster.RunUpdateWindow();

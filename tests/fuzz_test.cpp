@@ -30,6 +30,14 @@ Bytes RandomBlob(Rng& rng, std::size_t max_len) {
   return rng.RandomBytes(rng.Below(max_len + 1));
 }
 
+// Boots `host` (id 0) the way the hypervisor does: a fresh key for epoch 1
+// under a one-cert snapshot of a one-cert directory.
+void BootAlone(Host& host, crypto::CertAuthority& ca, Rng& rng) {
+  auto [cert, sk] = ca.IssueHostKey(0, 1, rng);
+  const crypto::CertDirectory dir = {{0, cert}};
+  host.Boot(std::move(sk), dir, ca.IssueSnapshot(dir, {cert}, rng));
+}
+
 std::size_t FuzzIters(std::size_t base) {
   if (const char* env = std::getenv("PISCES_FUZZ_ITERS")) {
     const long v = std::atol(env);
@@ -235,6 +243,59 @@ TEST(Fuzz, BitFlippedCertNeverVerifies) {
       // >= modulus with InvalidArgument before signature verification.)
     }
   }
+}
+
+TEST(Fuzz, CertAndSignatureRejectTrailingBytes) {
+  Rng rng(0xF126);
+  const auto& group = crypto::SchnorrGroup::Default();
+  crypto::CertAuthority ca(group, rng);
+  const crypto::HostCert cert = ca.IssueHostKey(3, 1, rng).first;
+  Bytes cert_wire = cert.Serialize();
+  ASSERT_EQ(crypto::HostCert::Deserialize(cert_wire).Serialize(), cert_wire);
+  cert_wire.push_back(0);
+  EXPECT_THROW(crypto::HostCert::Deserialize(cert_wire), ParseError);
+  Bytes sig_wire = cert.sig.Serialize();
+  sig_wire.push_back(0);
+  EXPECT_THROW(crypto::SchnorrSignature::Deserialize(sig_wire), ParseError);
+  // A tail inside the cert's signature blob is caught one level down.
+  ByteWriter w;
+  w.U32(cert.host_id);
+  w.U32(cert.epoch);
+  w.Blob(cert.host_pk);
+  w.Blob(sig_wire);
+  EXPECT_THROW(crypto::HostCert::Deserialize(w.bytes()), ParseError);
+}
+
+TEST(Fuzz, BitFlippedSnapshotNeverVerifies) {
+  Rng rng(0xF127);
+  const auto& group = crypto::SchnorrGroup::Default();
+  crypto::CertAuthority ca(group, rng);
+  crypto::CertDirectory dir;
+  std::vector<crypto::HostCert> certs;
+  for (std::uint32_t id : {4u, 5u}) {
+    dir[id] = ca.IssueHostKey(id, 2, rng).first;
+    certs.push_back(dir[id]);
+  }
+  const crypto::CertSnapshot snap = ca.IssueSnapshot(dir, certs, rng);
+  const Bytes wire = snap.Serialize();
+  ASSERT_TRUE(crypto::CertAuthority::VerifySnapshot(
+      group, ca.public_key(), crypto::CertSnapshot::Deserialize(wire)));
+  // Every single-bit flip anywhere in the image -- seq, root, the listed
+  // certs, the signature -- is refused: by the parser or by the signature.
+  std::size_t accepted = 0;
+  for (std::size_t bit = 0; bit < wire.size() * 8; ++bit) {
+    Bytes mutated = wire;
+    mutated[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    try {
+      if (crypto::CertAuthority::VerifySnapshot(
+              group, ca.public_key(),
+              crypto::CertSnapshot::Deserialize(mutated))) {
+        ++accepted;
+      }
+    } catch (const Error&) {
+    }
+  }
+  EXPECT_EQ(accepted, 0u);
 }
 
 // ---- multiplexed serving frames (net/serving_frame.h) ---------------------
@@ -574,14 +635,37 @@ Bytes CertImage() {
   };
 }
 
+// A CertSnapshot listing TinyCert() under a one-byte-field signature; its
+// 89-byte image is spelled out in SnapshotImage().
+crypto::CertSnapshot TinySnapshot() {
+  crypto::CertSnapshot snap;
+  snap.seq = 9;
+  snap.root.fill(0xAB);
+  snap.certs = {TinyCert()};
+  snap.sig.e = Bytes{0x02};
+  snap.sig.s = Bytes{0x03};
+  return snap;
+}
+
+Bytes SnapshotImage() {
+  return Cat({
+      {0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00},  // seq
+      Bytes(32, 0xAB),                                   // root
+      {0x01, 0x00, 0x00, 0x00,                           // cert count
+       0x1B, 0x00, 0x00, 0x00},                          //   cert blob (27)
+      CertImage(),
+      {0x0A, 0x00, 0x00, 0x00,        // signature blob length
+       0x01, 0x00, 0x00, 0x00, 0x02,  //   e blob
+       0x01, 0x00, 0x00, 0x00, 0x03}, //   s blob
+  });
+}
+
 BootMaterial SampleBoot() {
   BootMaterial b;
   b.ca_pk = Bytes{0xCA};
-  b.epoch = 7;
-  b.cert = TinyCert();
   b.sk = Bytes{0x5C};
-  b.peers = {0, 1};
-  b.directory = {TinyCert()};
+  b.directory = {{2, TinyCert()}};
+  b.snapshot = TinySnapshot();
   return b;
 }
 
@@ -669,21 +753,16 @@ TEST(Fuzz, ControlPayloadCountLiesRejectedBeforeAllocation) {
   // which no hostd handler catches.
   constexpr std::uint32_t kLie = 0xFFFFFFFF;
   {
-    ByteWriter w;  // BootMaterial: peers count lie
-    w.Blob(Bytes{0xCA});
-    w.U32(7);
-    w.Blob(TinyCert().Serialize());
-    w.Blob(Bytes{0x5C});
+    ByteWriter w;  // CertSnapshot (the BootMaterial blob): cert count lie
+    w.U64(9);
+    w.Raw(Bytes(32, 0xAB));
     w.U32(kLie);
-    EXPECT_THROW(BootMaterial::Deserialize(w.bytes()), ParseError);
+    EXPECT_THROW(crypto::CertSnapshot::Deserialize(w.bytes()), ParseError);
   }
   {
     ByteWriter w;  // BootMaterial: directory count lie
     w.Blob(Bytes{0xCA});
-    w.U32(7);
-    w.Blob(TinyCert().Serialize());
     w.Blob(Bytes{0x5C});
-    w.U32(0);
     w.U32(kLie);
     EXPECT_THROW(BootMaterial::Deserialize(w.bytes()), ParseError);
   }
@@ -711,9 +790,7 @@ TEST(Fuzz, ControlPayloadCountLiesRejectedBeforeAllocation) {
   hc.params = params;
   hc.ctx = std::make_shared<const field::FpCtx>(field::StandardPrimeBe(256));
   Host host(hc, *ep, crypto::SchnorrGroup::Default(), ca.public_key());
-  auto [cert, sk] = ca.IssueHostKey(0, 1, rng);
-  const std::uint32_t peers[] = {0};
-  host.Boot(1, cert, std::move(sk), peers);
+  BootAlone(host, ca, rng);
 
   FileMeta meta;
   meta.file_id = 1;
@@ -771,9 +848,7 @@ class LoneHost {
                                    ca_.public_key());
     for (std::uint32_t i = 1; i < params_.n; ++i) simnet_.AddEndpoint(i);
     simnet_.AddEndpoint(net::kHypervisorId);
-    auto [cert, sk] = ca_.IssueHostKey(0, 1, rng_);
-    const std::uint32_t peers[] = {0};
-    host_->Boot(1, cert, std::move(sk), peers);
+    BootAlone(*host_, ca_, rng_);
     meta_.file_id = 1;
     meta_.num_blocks = 1;
     host_->store().Put(meta_, {hc.ctx->One()});
@@ -872,21 +947,39 @@ TEST(Fuzz, AccusationListTrailingBytesRejected) {
 }
 
 TEST(Fuzz, BootMaterialLayoutFrozen) {
+  // The host's own cert and epoch ride in the boot batch's snapshot.
   const Bytes expected = Cat({
       {0x01, 0x00, 0x00, 0x00, 0xCA},  // ca_pk blob
-      {0x07, 0x00, 0x00, 0x00},        // epoch
-      {0x1B, 0x00, 0x00, 0x00},        // cert blob length (27)
-      CertImage(),
       {0x01, 0x00, 0x00, 0x00, 0x5C},  // sk blob
-      {0x02, 0x00, 0x00, 0x00,         // peer count
-       0x00, 0x00, 0x00, 0x00,         //   peer 0
-       0x01, 0x00, 0x00, 0x00},        //   peer 1
       {0x01, 0x00, 0x00, 0x00,         // directory count
-       0x1B, 0x00, 0x00, 0x00},        //   cert blob length
+       0x1B, 0x00, 0x00, 0x00},        //   cert blob length (27)
       CertImage(),
+      {0x59, 0x00, 0x00, 0x00},        // snapshot blob length (89)
+      SnapshotImage(),
   });
   EXPECT_EQ(SampleBoot().Serialize(), expected);
   EXPECT_EQ(BootMaterial::Deserialize(expected).Serialize(), expected);
+}
+
+TEST(Fuzz, CertSnapshotLayoutFrozen) {
+  const Bytes expected = SnapshotImage();
+  ASSERT_EQ(expected.size(), 89u);
+  EXPECT_EQ(TinySnapshot().Serialize(), expected);
+  EXPECT_EQ(crypto::CertSnapshot::Deserialize(expected).Serialize(), expected);
+  // The signed bytes: a domain tag, then the image minus its signature.
+  const std::string tag = "pisces.cert-snapshot.v1";
+  const Bytes body(expected.begin(), expected.end() - 14);  // minus sig blob
+  const Bytes signed_bytes = Cat({Bytes(tag.begin(), tag.end()), body});
+  EXPECT_EQ(TinySnapshot().SignedPayload(), signed_bytes);
+}
+
+TEST(Fuzz, CertSnapshotTruncationAndTailRejected) {
+  ExpectTruncationsRejected(SnapshotImage(), [](const Bytes& b) {
+    return crypto::CertSnapshot::Deserialize(b);
+  });
+  Bytes tail = SnapshotImage();
+  tail.push_back(0);
+  EXPECT_THROW(crypto::CertSnapshot::Deserialize(tail), ParseError);
 }
 
 TEST(Fuzz, HostStatusLayoutFrozen) {

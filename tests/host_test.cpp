@@ -53,18 +53,35 @@ class HostHarness {
     }
     hyper_ep_ = net_.AddEndpoint(net::kHypervisorId);
     sync_.Register(net::kHypervisorId, hyper_ep_, &collector_);
-    for (std::uint32_t i = 0; i < params_.n; ++i) BootHost(i);
+    BootBatch(peers_);
     sync_.RunToQuiescence();
   }
 
-  void BootHost(std::uint32_t id) {
-    ++epoch_;
-    auto [cert, sk] = ca_.IssueHostKey(id, epoch_, rng_);
-    certs_[id] = cert;
-    net_.SetOffline(id, false);
-    hosts_[id]->Boot(epoch_, cert, std::move(sk), peers_);
-    for (const auto& [peer, c] : certs_) {
-      if (peer != id) hosts_[id]->InstallPeerCert(c);
+  // Boots `ids` the way the hypervisor does: fresh keys under one signed
+  // snapshot, which every other host receives as kHostCert.
+  void BootBatch(const std::vector<std::uint32_t>& ids) {
+    std::vector<crypto::HostCert> batch;
+    std::vector<Bytes> sks;
+    for (std::uint32_t id : ids) {
+      auto [cert, sk] = ca_.IssueHostKey(id, ++epoch_, rng_);
+      certs_[id] = cert;
+      batch.push_back(std::move(cert));
+      sks.push_back(std::move(sk));
+    }
+    const crypto::CertSnapshot snap =
+        ca_.IssueSnapshot(certs_, std::move(batch), rng_);
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      net_.SetOffline(ids[i], false);
+      hosts_[ids[i]]->Boot(std::move(sks[i]), certs_, snap);
+    }
+    for (std::uint32_t peer : peers_) {
+      if (std::find(ids.begin(), ids.end(), peer) != ids.end()) continue;
+      net::Message m;
+      m.from = net::kHypervisorId;
+      m.to = peer;
+      m.type = net::MsgType::kHostCert;
+      m.payload = snap.Serialize();
+      hyper_ep_->Send(std::move(m));
     }
   }
 
@@ -125,10 +142,8 @@ class HostHarness {
 
   // Secure reboot of `ids`: wiped, fresh keys, certs delivered.
   void Reboot(const std::vector<std::uint32_t>& ids) {
-    for (std::uint32_t id : ids) {
-      hosts_[id]->Shutdown();
-      BootHost(id);
-    }
+    for (std::uint32_t id : ids) hosts_[id]->Shutdown();
+    BootBatch(ids);
     sync_.RunToQuiescence();
   }
 
@@ -184,7 +199,7 @@ class HostHarness {
   std::vector<std::uint32_t> peers_;
   net::SimEndpoint* hyper_ep_ = nullptr;
   Collector collector_;
-  std::map<std::uint32_t, crypto::HostCert> certs_;
+  crypto::CertDirectory certs_;
   std::map<std::uint64_t, FileMeta> metas_;
   std::uint32_t epoch_ = 0;
 };
@@ -243,20 +258,34 @@ TEST(HostDirect, BootRejectsForeignCert) {
   HostHarness h;
   Rng rng(5);
   auto [cert, sk] = h.ca_.IssueHostKey(/*host_id=*/3, 9, rng);
-  // Booting host 0 with host 3's cert must fail.
-  EXPECT_THROW(h.hosts_[0]->Boot(9, cert, sk, h.peers_), InvalidArgument);
+  crypto::CertDirectory dir = h.certs_;
+  dir[3] = cert;
+  const crypto::CertSnapshot snap = h.ca_.IssueSnapshot(dir, {cert}, rng);
+  // Booting host 0 from a snapshot that lists only host 3's cert must fail.
+  EXPECT_THROW(h.hosts_[0]->Boot(sk, dir, snap), InvalidArgument);
 }
 
 TEST(HostDirect, StaleCertDoesNotDowngrade) {
   HostHarness h;
   Rng rng(6);
   auto [old_cert, sk1] = h.ca_.IssueHostKey(1, 1, rng);
-  auto [new_cert, sk2] = h.ca_.IssueHostKey(1, 5, rng);
-  h.hosts_[0]->InstallPeerCert(new_cert);
-  h.hosts_[0]->InstallPeerCert(old_cert);  // ignored: older epoch
-  // No crash and the host still operates; full behaviour covered by cluster
-  // tests -- here we only pin the no-downgrade rule via no-throw.
-  SUCCEED();
+  auto [new_cert, sk2] = h.ca_.IssueHostKey(1, 50, rng);
+  const crypto::CertSnapshot older =
+      h.ca_.IssueSnapshot(h.certs_, {old_cert}, rng);
+  const crypto::CertSnapshot newer =
+      h.ca_.IssueSnapshot(h.certs_, {new_cert}, rng);
+  auto deliver = [&](const crypto::CertSnapshot& snap) {
+    net::Message m;
+    m.from = net::kHypervisorId;
+    m.to = 0;
+    m.type = net::MsgType::kHostCert;
+    m.payload = snap.Serialize();
+    h.hosts_[0]->HandleMessage(m);
+  };
+  deliver(newer);
+  deliver(older);  // ignored: older seq (and older epoch)
+  ASSERT_NE(h.hosts_[0]->PeerCert(1), nullptr);
+  EXPECT_EQ(h.hosts_[0]->PeerCert(1)->epoch, 50u);
 }
 
 TEST(HostDirect, DuplicateDealsAreIdempotent) {
