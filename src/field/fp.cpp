@@ -711,4 +711,13 @@ std::vector<FpElem> DeserializeElems(const FpCtx& ctx,
   return out;
 }
 
+std::size_t ValidateElems(const FpCtx& ctx, std::span<const std::uint8_t> data) {
+  const std::size_t sz = ctx.elem_bytes();
+  if (data.size() % sz != 0) throw ParseError("ValidateElems: ragged data");
+  for (std::size_t off = 0; off < data.size(); off += sz) {
+    ctx.FromBytes(data.subspan(off, sz));
+  }
+  return data.size() / sz;
+}
+
 }  // namespace pisces::field

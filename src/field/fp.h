@@ -251,5 +251,9 @@ class DotAcc {
 Bytes SerializeElems(const FpCtx& ctx, std::span<const FpElem> elems);
 std::vector<FpElem> DeserializeElems(const FpCtx& ctx,
                                      std::span<const std::uint8_t> data);
+// The checks of DeserializeElems without building the elements: throws
+// ParseError on ragged data, InvalidArgument on a value >= p; returns the
+// element count.
+std::size_t ValidateElems(const FpCtx& ctx, std::span<const std::uint8_t> data);
 
 }  // namespace pisces::field

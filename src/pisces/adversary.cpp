@@ -46,8 +46,7 @@ void Adversary::SnapshotHost(std::uint32_t host) {
   for (std::uint64_t file_id : h.store().FileIds()) {
     const FileMeta& meta = h.store().MetaOf(file_id);
     metas_[file_id] = meta;
-    std::vector<field::FpElem> shares = h.store().Load(file_id);
-    h.store().Stash(file_id);
+    std::vector<field::FpElem> shares = h.store().Decode(file_id);
     SharesCaptured().Add(shares.size());
     captures_[file_id][period_][host] = std::move(shares);
   }

@@ -187,10 +187,11 @@ void Host::OnSetShares(const Message& msg) {
     Bytes pt = keyring_.Open(msg.from, msg.payload);
     ByteReader r(pt);
     meta = FileMeta::Deserialize(r.Blob());
-    std::vector<FpElem> shares =
-        field::DeserializeElems(*cfg_.ctx, r.Raw(r.Remaining()));
-    Require(shares.size() == meta.num_blocks, "SetShares: wrong share count");
-    store_.Put(meta, std::move(shares));
+    // The upload is already in the at-rest encoding: check it, keep it.
+    std::span<const std::uint8_t> shares = r.Raw(r.Remaining());
+    Require(field::ValidateElems(*cfg_.ctx, shares) == meta.num_blocks,
+            "SetShares: wrong share count");
+    store_.PutEncoded(meta, Bytes(shares.begin(), shares.end()));
   }
 
   Message ack;
@@ -240,26 +241,31 @@ void Host::OnReconstructRequest(const Message& msg) {
   {
     ComputeSection section(metrics_.serve, obs::SpanKind::kServe, cfg_.id,
                            msg.file_id);
-    const FileMeta& meta = store_.MetaOf(msg.file_id);
-    std::vector<FpElem>& shares = store_.Load(msg.file_id);
+    // The at-rest bytes are the wire encoding: a read copies them (or the
+    // stripe's element slices) straight into the response, never loading.
+    // The client parses and range-checks every element it receives.
+    const std::span<const std::uint8_t> at_rest = store_.AtRest(msg.file_id);
+    const std::size_t eb = cfg_.ctx->elem_bytes();
     ByteWriter w;
-    w.Blob(meta.Serialize());
-    std::vector<FpElem> served;
+    w.Blob(store_.MetaOf(msg.file_id).Serialize());
+    const std::size_t head = w.bytes().size();
     if (striped) {
-      served.reserve(assigned.size());
-      for (std::size_t b : assigned) served.push_back(shares[b]);
+      for (std::size_t b : assigned) w.Raw(at_rest.subspan(b * eb, eb));
     } else {
-      served = shares;
+      w.Raw(at_rest);
     }
+    Bytes body = w.Take();
     if (byz_ != nullptr) {
       // Wrong-share attack on client reconstruction: lie on the wire while
       // the stored shares stay honest (the mobile adversary corrupts and
       // leaves; it does not get to rot the store beyond the decode radius).
+      std::vector<FpElem> served = field::DeserializeElems(
+          *cfg_.ctx, std::span<const std::uint8_t>(body).subspan(head));
       byz_->TamperShares(served);
+      const Bytes lie = field::SerializeElems(*cfg_.ctx, served);
+      std::copy(lie.begin(), lie.end(), body.begin() + head);
     }
-    w.Raw(field::SerializeElems(*cfg_.ctx, served));
-    sealed = keyring_.Seal(msg.from, w.bytes());
-    store_.Stash(msg.file_id);
+    sealed = keyring_.Seal(msg.from, body);
   }
 
   Message resp;
@@ -678,7 +684,7 @@ void Host::MaybeSendMaskedShares(FileSeq key, VssSession& s) {
   {
     ComputeSection section(metrics_.recover, obs::SpanKind::kRecoverMask,
                            cfg_.id, file_id);
-    std::vector<FpElem>& shares = store_.Load(file_id);
+    const std::vector<FpElem> shares = store_.Decode(file_id);
     const std::size_t base = s.batch->check_rows();
     const std::size_t usable = s.batch->usable_rows();
     // Ship only the stripe this survivor's rank covers.
@@ -700,7 +706,6 @@ void Host::MaybeSendMaskedShares(FileSeq key, VssSession& s) {
       sealed[j] = keyring_.Seal(s.targets[j],
                                 field::SerializeElems(*cfg_.ctx, masked));
     }
-    store_.Stash(file_id);
   }
 
   for (std::size_t j = 0; j < s.targets.size(); ++j) {
@@ -945,8 +950,8 @@ std::optional<std::vector<std::vector<field::FpElem>>> Host::ComputeReshare(
   if (byz_ != nullptr && byz_->WithholdSend()) return std::nullopt;
   ComputeSection section(metrics_.rerandomize, obs::SpanKind::kReshareFile,
                          cfg_.id, file_id);
-  const std::vector<field::FpElem>& shares = store_.Load(file_id);
-  return pss::ReshareContribution(pub, ordinal, shares, rng_, byz_);
+  return pss::ReshareContribution(pub, ordinal, store_.Decode(file_id), rng_,
+                                  byz_);
 }
 
 void Host::AdoptParams(const pss::Params& params) {

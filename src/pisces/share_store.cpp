@@ -1,14 +1,47 @@
 #include "pisces/share_store.h"
 
+#include <utility>
+
+#include "obs/registry.h"
+
 namespace pisces {
 
+namespace {
+
+obs::Counter& StoreLoads() {
+  static obs::Counter& c = obs::RegisterCounter(
+      "store.loads", "share vectors deserialized into the RAM tier");
+  return c;
+}
+obs::Counter& StoreStashes() {
+  static obs::Counter& c = obs::RegisterCounter(
+      "store.stashes", "RAM working copies serialized back to rest");
+  return c;
+}
+
+}  // namespace
+
 void ShareStore::Put(const FileMeta& meta, std::vector<field::FpElem> shares) {
-  Require(shares.size() == meta.num_blocks,
+  PutEncoded(meta, field::SerializeElems(*ctx_, shares));
+}
+
+void ShareStore::PutEncoded(const FileMeta& meta, Bytes at_rest) {
+  Require(at_rest.size() == meta.num_blocks * ctx_->elem_bytes(),
           "ShareStore::Put: one share per block expected");
   Entry e;
   e.meta = meta;
-  e.secondary = field::SerializeElems(*ctx_, shares);
+  e.secondary = std::move(at_rest);
   entries_[meta.file_id] = std::move(e);
+}
+
+const ShareStore::Entry& ShareStore::Find(std::uint64_t file_id) const {
+  auto it = entries_.find(file_id);
+  Require(it != entries_.end(), "ShareStore: unknown file");
+  return it->second;
+}
+
+ShareStore::Entry& ShareStore::Find(std::uint64_t file_id) {
+  return const_cast<Entry&>(std::as_const(*this).Find(file_id));
 }
 
 bool ShareStore::Has(std::uint64_t file_id) const {
@@ -23,29 +56,39 @@ std::vector<std::uint64_t> ShareStore::FileIds() const {
 }
 
 const FileMeta& ShareStore::MetaOf(std::uint64_t file_id) const {
-  auto it = entries_.find(file_id);
-  Require(it != entries_.end(), "ShareStore: unknown file");
-  return it->second.meta;
+  return Find(file_id).meta;
+}
+
+std::span<const std::uint8_t> ShareStore::AtRest(std::uint64_t file_id) const {
+  return Find(file_id).secondary;
+}
+
+std::vector<field::FpElem> ShareStore::Decode(std::uint64_t file_id) const {
+  return field::DeserializeElems(*ctx_, AtRest(file_id));
 }
 
 std::vector<field::FpElem>& ShareStore::Load(std::uint64_t file_id) {
-  auto it = entries_.find(file_id);
-  Require(it != entries_.end(), "ShareStore: unknown file");
-  Entry& e = it->second;
+  Entry& e = Find(file_id);
   if (!e.ram) {
+    StoreLoads().Add(1);
     e.ram = field::DeserializeElems(*ctx_, e.secondary);
   }
   return *e.ram;
 }
 
 void ShareStore::Stash(std::uint64_t file_id) {
-  auto it = entries_.find(file_id);
-  Require(it != entries_.end(), "ShareStore: unknown file");
-  Entry& e = it->second;
+  Entry& e = Find(file_id);
   if (e.ram) {
+    StoreStashes().Add(1);
     e.secondary = field::SerializeElems(*ctx_, *e.ram);
     e.ram.reset();
   }
+}
+
+std::size_t ShareStore::Loaded() const {
+  std::size_t n = 0;
+  for (const auto& [id, e] : entries_) n += e.ram.has_value() ? 1 : 0;
+  return n;
 }
 
 void ShareStore::Delete(std::uint64_t file_id) { entries_.erase(file_id); }

@@ -62,6 +62,72 @@ TEST(Sha256, IncrementalMatchesOneShot) {
   }
 }
 
+// Both compression kernels against FIPS 180-4 (the tests above run whichever
+// kernel this CPU dispatches to).
+std::string HashWith(sha256_internal::Kernel kernel,
+                     std::span<const std::uint8_t> data) {
+  Sha256 h(kernel);
+  h.Update(data);
+  return HexOf(h.Finish());
+}
+
+void ExpectFipsVectors(sha256_internal::Kernel kernel) {
+  EXPECT_EQ(HashWith(kernel, {}),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  EXPECT_EQ(HashWith(kernel, Ascii("abc")),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  EXPECT_EQ(HashWith(kernel, Ascii("abcdbcdecdefdefgefghfghighijhijkijkljklmk"
+                                   "lmnlmnomnopnopq")),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  EXPECT_EQ(HashWith(kernel, Ascii("abcdefghbcdefghicdefghijdefghijkefghijklfg"
+                                   "hijklmghijklmnhijklmnoijklmnopjklmnopqklmno"
+                                   "pqrlmnopqrsmnopqrstnopqrstu")),
+            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1");
+  EXPECT_EQ(HashWith(kernel, Bytes(1000000, 'a')),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+constexpr const char* kNoShaNi =
+    "this CPU (or build target) has no SHA-NI; only the portable kernel runs";
+
+TEST(Sha256Kernels, PortableFipsVectors) {
+  ExpectFipsVectors(sha256_internal::Portable());
+}
+
+TEST(Sha256Kernels, ShaNiFipsVectors) {
+  if (sha256_internal::ShaNi() == nullptr) GTEST_SKIP() << kNoShaNi;
+  ExpectFipsVectors(sha256_internal::ShaNi());
+}
+
+TEST(Sha256Kernels, KernelsAgreeOnEveryLength) {
+  if (sha256_internal::ShaNi() == nullptr) GTEST_SKIP() << kNoShaNi;
+  Rng rng(7);
+  const Bytes data = rng.RandomBytes(300);
+  for (std::size_t len = 0; len <= data.size(); ++len) {
+    std::span<const std::uint8_t> msg(data.data(), len);
+    EXPECT_EQ(HashWith(sha256_internal::ShaNi(), msg),
+              HashWith(sha256_internal::Portable(), msg))
+        << "length " << len;
+  }
+}
+
+TEST(Sha256Kernels, KernelsAgreeOnStreamedSplits) {
+  if (sha256_internal::ShaNi() == nullptr) GTEST_SKIP() << kNoShaNi;
+  Rng rng(8);
+  const Bytes data = rng.RandomBytes(517);
+  const std::span<const std::uint8_t> all(data);
+  const std::string want = HashWith(sha256_internal::Portable(), data);
+  for (std::size_t a = 0; a <= data.size(); a += 13) {
+    for (std::size_t b = a; b <= data.size(); b += 61) {
+      Sha256 h(sha256_internal::ShaNi());
+      h.Update(all.subspan(0, a));
+      h.Update(all.subspan(a, b - a));
+      h.Update(all.subspan(b));
+      EXPECT_EQ(HexOf(h.Finish()), want) << a << "/" << b;
+    }
+  }
+}
+
 TEST(Hmac, Rfc4231Case1) {
   Bytes key(20, 0x0b);
   EXPECT_EQ(HexOf(HmacSha256(key, Ascii("Hi There"))),

@@ -1,7 +1,12 @@
-// ShareStore: two-tier storage and secure disassociation.
+// ShareStore: two-tier storage and secure disassociation, and the hosts'
+// use of it: reads serve the at-rest bytes, only refresh and recovery load.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "field/primes.h"
+#include "obs/registry.h"
+#include "pisces/pisces.h"
 #include "pisces/share_store.h"
 
 namespace pisces {
@@ -74,6 +79,112 @@ TEST_F(StoreTest, PutValidatesBlockCount) {
   meta.num_blocks = 3;
   std::vector<field::FpElem> two(2, ctx_.Zero());
   EXPECT_THROW(store_.Put(meta, std::move(two)), InvalidArgument);
+}
+
+TEST_F(StoreTest, AtRestIsTheWireEncodingAndDecodeLeavesItAlone) {
+  const FileMeta meta = PutFile(1, 3);
+  const Bytes at_rest(store_.AtRest(1).begin(), store_.AtRest(1).end());
+  EXPECT_EQ(at_rest, field::SerializeElems(ctx_, store_.Decode(1)));
+  EXPECT_EQ(store_.Loaded(), 0u);
+  store_.Load(1);
+  EXPECT_EQ(store_.Loaded(), 1u);
+  store_.Stash(1);
+  EXPECT_EQ(store_.Loaded(), 0u);
+  EXPECT_TRUE(std::ranges::equal(store_.AtRest(1), at_rest));
+
+  FileMeta copy = meta;
+  copy.file_id = 2;
+  store_.PutEncoded(copy, at_rest);
+  EXPECT_TRUE(std::ranges::equal(store_.AtRest(2), at_rest));
+  copy.num_blocks = 4;
+  EXPECT_THROW(store_.PutEncoded(copy, at_rest), InvalidArgument);
+}
+
+// --- the hosts' use of the store --------------------------------------------
+
+ClusterConfig HostStoreConfig() {
+  ClusterConfig cfg;
+  cfg.params.n = 8;
+  cfg.params.t = 1;
+  cfg.params.l = 2;
+  cfg.params.r = 2;
+  cfg.params.field_bits = 256;
+  cfg.seed = 29;
+  return cfg;
+}
+
+std::size_t WorkingCopies(Cluster& cluster) {
+  std::size_t n = 0;
+  for (std::uint32_t h = 0; h < cluster.config().params.n; ++h) {
+    n += cluster.host(h).store().Loaded();
+  }
+  return n;
+}
+
+TEST(HostStore, DownloadsNeitherLoadNorStash) {
+  Cluster cluster(HostStoreConfig());
+  Rng rng(1);
+  const Bytes file = rng.RandomBytes(2500);
+  cluster.Upload(1, file);
+
+  const obs::Snapshot before = obs::TakeSnapshot();
+  EXPECT_EQ(cluster.Download(ReadSpec::Classic(1)), file);
+  EXPECT_EQ(cluster.Download(ReadSpec::Staircase(1)), file);
+  EXPECT_EQ(cluster.Download(ReadSpec::Staircase(1, 4)), file);
+  const obs::Snapshot delta = obs::Delta(before, obs::TakeSnapshot());
+  EXPECT_EQ(obs::Value(delta, "store.loads"), 0u);
+  EXPECT_EQ(obs::Value(delta, "store.stashes"), 0u);
+  EXPECT_EQ(WorkingCopies(cluster), 0u);
+}
+
+TEST(HostStore, RefreshStashesOncePerHostPerFile) {
+  Cluster cluster(HostStoreConfig());
+  Rng rng(2);
+  const Bytes a = rng.RandomBytes(900);
+  const Bytes b = rng.RandomBytes(1700);
+  cluster.Upload(1, a);
+  cluster.Upload(2, b);
+
+  const obs::Snapshot before = obs::TakeSnapshot();
+  WindowReport report;
+  ASSERT_TRUE(cluster.hypervisor().RefreshAllFiles(&report));
+  const obs::Snapshot delta = obs::Delta(before, obs::TakeSnapshot());
+  const std::uint64_t per_file = cluster.config().params.n;
+  EXPECT_EQ(obs::Value(delta, "store.stashes"), 2 * per_file);
+  EXPECT_EQ(obs::Value(delta, "store.loads"), 2 * per_file);
+  EXPECT_EQ(WorkingCopies(cluster), 0u);
+  EXPECT_EQ(cluster.Download(ReadSpec::Classic(1)), a);
+  EXPECT_EQ(cluster.Download(ReadSpec::Staircase(2)), b);
+}
+
+TEST(HostStore, UpdateWindowLeavesNoWorkingCopy) {
+  Cluster cluster(HostStoreConfig());
+  Rng rng(3);
+  const Bytes file = rng.RandomBytes(3000);
+  cluster.Upload(1, file);
+  ASSERT_TRUE(cluster.RunUpdateWindow().ok);
+  EXPECT_EQ(WorkingCopies(cluster), 0u);
+  EXPECT_EQ(cluster.Download(ReadSpec::Classic(1)), file);
+}
+
+TEST(HostStore, ReshareContributionLeavesNoWorkingCopy) {
+  Cluster cluster(HostStoreConfig());
+  Rng rng(4);
+  const Bytes file = rng.RandomBytes(1200);
+  cluster.Upload(1, file);
+
+  // A contribution whose reshare is abandoned: computed, then never used.
+  const pss::PackedShamir scheme(cluster.ctx_ptr(), cluster.config().params);
+  const pss::ResharePublic pub =
+      pss::MakeResharePublic(scheme, scheme, {0, 1, 2, 3});
+  ASSERT_TRUE(cluster.host(0).ComputeReshare(1, pub, 0).has_value());
+  EXPECT_EQ(WorkingCopies(cluster), 0u);
+  EXPECT_EQ(cluster.Download(ReadSpec::Classic(1)), file);
+
+  // And a completed one.
+  ASSERT_TRUE(cluster.Reshare(cluster.config().params).ok);
+  EXPECT_EQ(WorkingCopies(cluster), 0u);
+  EXPECT_EQ(cluster.Download(ReadSpec::Classic(1)), file);
 }
 
 }  // namespace
