@@ -11,6 +11,9 @@
 # CA key's table; every cert check looks it up).
 # DomainCacheKey.* includes pool workers racing to fill one cold Lagrange
 # denominator entry (math::DomainCache) at pool sizes 1, 2 and 8.
+# ClientUpload.* and ClientDownload.* run the client's upload and download
+# at pool size 3: ShareBlocks and ReconstructRows write from pool workers
+# into per-block slices of shared per-host (or per-file) byte buffers.
 # The FieldInv suites stay out: FpCtx::Inv touches no shared state and both
 # tests are single-threaded, yet their 2048- and 1024-bit cases took about
 # half of this lane under TSan. They run in tier-1 and in the ASan/UBSan
@@ -37,7 +40,7 @@ export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 # Run the pool-heavy suites with a wide pool (PISCES_THREADS is honored by the
 # benches; the tests size the pool themselves via SetGlobalPoolThreads /
 # params.b, so the filters below are what matters).
-"$BUILD_DIR/tests/pisces_tests" --gtest_filter='Determinism.*:*VssBatchTest*:*PssGridTest*:RobustShamir.*:*FieldPropertyTest*:*FieldKernelTest*:FieldKernelFallback.*:DifferentialTest.*:BatchInv.*:Chaos.*:Cluster.*:LongHorizon.*:Registry.*:Trace.*:Byzantine*:Fuzz.*:EventLoop.*:AsyncTcp.*:TransportConformance.*:Serving.*:ServingDifferential.*:PlainMulGuard.*:CommStripe.*:CommReadSpec.*:CommDifferential.*:CommBytes.*:CommRecovery.*:CommServing.*:CommStatus.*:Reshare*:Elastic*:PackedShamirGenerator.*:DomainCacheKey.*:WireFleet.*:Crypto*:SchnorrTest.*'
+"$BUILD_DIR/tests/pisces_tests" --gtest_filter='Determinism.*:*VssBatchTest*:*PssGridTest*:RobustShamir.*:*FieldPropertyTest*:*FieldKernelTest*:FieldKernelFallback.*:DifferentialTest.*:BatchInv.*:Chaos.*:Cluster.*:LongHorizon.*:Registry.*:Trace.*:Byzantine*:Fuzz.*:EventLoop.*:AsyncTcp.*:TransportConformance.*:Serving.*:ServingDifferential.*:PlainMulGuard.*:CommStripe.*:CommReadSpec.*:CommDifferential.*:CommBytes.*:CommRecovery.*:CommServing.*:CommStatus.*:Reshare*:Elastic*:PackedShamirGenerator.*:DomainCacheKey.*:WireFleet.*:Crypto*:SchnorrTest.*:ClientUpload.*:ClientDownload.*'
 
 # The scenario engine's open-loop serving profile: many protocol sessions
 # pumped through the task pool per tick while admission queues churn -- the

@@ -3,6 +3,7 @@
 // format and the file codec.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -18,13 +19,18 @@ using Bytes = std::vector<std::uint8_t>;
 std::string ToHex(std::span<const std::uint8_t> data);
 Bytes FromHex(std::string_view hex);
 
-// Little-endian fixed-width stores/loads. Inline: element serialization
-// runs one per limb, and the compiler folds each into a single move.
+// Little-endian fixed-width stores/loads. Inline: element serialization and
+// the signed-word dot kernel run one per limb. The 64-bit pair is a single
+// unaligned move (plus a byte swap on a big-endian host): inside fully
+// unrolled kernels the compiler does not always fold a byte loop into one.
 inline void StoreLe32(std::uint32_t v, std::uint8_t* out) {
   for (int i = 0; i < 4; ++i) out[i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 inline void StoreLe64(std::uint64_t v, std::uint8_t* out) {
-  for (int i = 0; i < 8; ++i) out[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap64(v);
+  }
+  std::memcpy(out, &v, 8);
 }
 inline std::uint32_t LoadLe32(const std::uint8_t* in) {
   std::uint32_t v = 0;
@@ -33,7 +39,10 @@ inline std::uint32_t LoadLe32(const std::uint8_t* in) {
 }
 inline std::uint64_t LoadLe64(const std::uint8_t* in) {
   std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(in[i]) << (8 * i);
+  std::memcpy(&v, in, 8);
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap64(v);
+  }
   return v;
 }
 

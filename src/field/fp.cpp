@@ -400,82 +400,60 @@ FpElem FpCtx::ReduceWide(std::span<u64> t) const {
 }
 
 void FpCtx::ReduceDigit(u64* t) const {
-  // q = floor(t/p) is one word. (u1, u0) are the top two words of t << lz_,
-  // and top_norm_ is the top word of p << lz_. Knuth's estimate
-  // qh = min(floor((u1*2^64 + u0) / top_norm_), 2^64 - 1) satisfies
-  // q <= qh <= q + 2. Below u1 == top_norm_ the 2/1 division is exact via
-  // the reciprocal: two word multiplies and at most two adjustments.
-  const std::size_t k = k_;
-  u64 u1 = t[k], u0 = t[k - 1];
-  if (lz_ != 0) {
-    u1 = (u1 << lz_) | (u0 >> (64 - lz_));
-    u0 = (u0 << lz_) | (k > 1 ? t[k - 2] >> (64 - lz_) : 0);
+  kernels::ReduceDigitK<0>(p_.data(), k_, {lz_, top_norm_, top_recip_}, t);
+}
+
+void FpCtx::DotI64Limbs(const std::uint8_t* const* a, const std::int64_t* c,
+                        std::size_t terms, u64* r) const {
+  g_kernel_stats.int_dot_calls.Add();
+  g_kernel_stats.int_dot_products.Add(terms);
+  const kernels::DigitReciprocal d{lz_, top_norm_, top_recip_};
+  if (kernels_ != nullptr) {
+    kernels_->dot_i64(p_.data(), k_, d, a, c, terms, r);
+  } else {
+    kernels::DotI64K<0>(p_.data(), k_, d, a, c, terms, r);
   }
-  u64 qh = ~u64{0};
-  if (u1 < top_norm_) {
-    const u128 est = static_cast<u128>(top_recip_) * u1 +
-                     ((static_cast<u128>(u1) << 64) | u0);
-    qh = static_cast<u64>(est >> 64) + 1;
-    u64 rem = u0 - qh * top_norm_;
-    if (rem > static_cast<u64>(est)) {
-      --qh;
-      rem += top_norm_;
-    }
-    if (rem >= top_norm_) ++qh;
+}
+
+void FpCtx::DotI64Into(std::span<const std::uint8_t* const> a,
+                       std::span<const std::int64_t> c, const FpMont* scale,
+                       std::uint8_t* out) const {
+  Require(a.size() == c.size(), "DotI64: size mismatch");
+  u64 sum[kMaxLimbs], scaled[kMaxLimbs];
+  DotI64Limbs(a.data(), c.data(), a.size(), sum);
+  const u64* r = sum;
+  if (scale != nullptr) {
+    MulInto(scale->v.data(), sum, scaled);
+    r = scaled;
   }
-  // t - qh*p lies in [-2p, p): its top limb is zero exactly when it is
-  // nonnegative. Otherwise add p back, at most twice.
-  u64 mul_carry = 0, borrow = 0;
-  for (std::size_t j = 0; j < k; ++j) {
-    const u128 prod = static_cast<u128>(qh) * p_[j] + mul_carry;
-    mul_carry = static_cast<u64>(prod >> 64);
-    const u128 d = static_cast<u128>(t[j]) - static_cast<u64>(prod) - borrow;
-    t[j] = static_cast<u64>(d);
-    borrow = static_cast<u64>((d >> 64) & 1);
-  }
-  t[k] -= mul_carry + borrow;  // mul_carry <= 2^64 - 2: no wrap
-  while (t[k] != 0) t[k] += AddN(t, t, p_.data(), k);
+  for (std::size_t j = 0; j < k_; ++j) StoreLe64(r[j], out + 8 * j);
 }
 
 FpElem FpCtx::DotI64(std::span<const FpElem> a,
                      std::span<const std::int64_t> c) const {
   Require(a.size() == c.size(), "DotI64: size mismatch");
-  g_kernel_stats.int_dot_calls.Add();
-  g_kernel_stats.int_dot_products.Add(a.size());
-  // acc[0] sums a_i*c_i over c_i > 0, acc[1] sums a_i*|c_i| over c_i < 0.
-  // Each term is below p*2^63, so fewer than 2^64 of them stay below
-  // p*2^127: k+2 limbs, and the high k+1 limbs are below p*2^64, which is
-  // what one quotient digit reduces (docs/field_kernels.md, section 6).
-  const std::size_t k = k_;
-  u64 acc[2][kMaxLimbs + 2] = {};
-  bool used[2] = {false, false};
+  // The kernel reads element encodings. On a little-endian host an
+  // element's limbs in memory are exactly that; elsewhere a copy is encoded.
+  Bytes encoded;
+  if constexpr (std::endian::native != std::endian::little) {
+    encoded = SerializeElems(*this, a);
+  }
+  constexpr std::size_t kStackTerms = 128;
+  const std::uint8_t* stack[kStackTerms];
+  std::vector<const std::uint8_t*> heap;
+  const std::uint8_t** ptrs = stack;
+  if (a.size() > kStackTerms) {
+    heap.resize(a.size());
+    ptrs = heap.data();
+  }
   for (std::size_t i = 0; i < a.size(); ++i) {
-    if (c[i] == 0) continue;
-    const bool neg = c[i] < 0;
-    // |c_i| as a word; INT64_MIN's magnitude 2^63 is exact.
-    const u64 s =
-        neg ? u64{0} - static_cast<u64>(c[i]) : static_cast<u64>(c[i]);
-    u64* t = acc[neg];
-    used[neg] = true;
-    u64 carry = 0;
-    for (std::size_t j = 0; j < k; ++j) {
-      const u128 cur = static_cast<u128>(a[i].v[j]) * s + t[j] + carry;
-      t[j] = static_cast<u64>(cur);
-      carry = static_cast<u64>(cur >> 64);
-    }
-    const u128 top = static_cast<u128>(t[k]) + carry;
-    t[k] = static_cast<u64>(top);
-    t[k + 1] += static_cast<u64>(top >> 64);
+    ptrs[i] = encoded.empty()
+                  ? reinterpret_cast<const std::uint8_t*>(a[i].v.data())
+                  : encoded.data() + i * elem_bytes();
   }
-  FpElem sum[2];
-  for (int side = 0; side < 2; ++side) {
-    if (!used[side]) continue;
-    u64* t = acc[side];
-    ReduceDigit(t + 1);  // the high k+1 limbs mod p; clears t[k+1]
-    ReduceDigit(t);      // then the whole value, now below p*2^64
-    std::copy(t, t + k, sum[side].v.data());
-  }
-  return Sub(sum[0], sum[1]);
+  FpElem r;
+  DotI64Limbs(ptrs, c.data(), a.size(), r.v.data());
+  return r;
 }
 
 FpElem FpCtx::InvU64(u64 a) const {
@@ -653,20 +631,30 @@ bool FpCtx::IsZero(const FpElem& a) const {
   return IsZeroN(a.v.data(), k_);
 }
 
-FpElem FpCtx::Random(Rng& rng) const {
-  Limbs raw{};
+void FpCtx::RandomLimbs(Rng& rng, u64* r) const {
+  u64 raw[kMaxLimbs];
   const u64 top_mask =
       (bits_ % 64 == 0) ? ~u64{0} : ((u64{1} << (bits_ % 64)) - 1);
   for (;;) {
     for (std::size_t i = 0; i < k_; ++i) raw[i] = rng.Next();
     raw[k_ - 1] &= top_mask;
-    if (CmpN(raw.data(), p_.data(), k_) < 0) break;
+    if (CmpN(raw, p_.data(), k_) < 0) break;
   }
   // The residue this draw has always denoted (raw read as a Montgomery form),
   // so seeded runs keep their values; uniform either way.
+  RedcInto(raw, r);
+}
+
+FpElem FpCtx::Random(Rng& rng) const {
   FpElem out;
-  RedcInto(raw.data(), out.v.data());
+  RandomLimbs(rng, out.v.data());
   return out;
+}
+
+void FpCtx::RandomInto(Rng& rng, std::uint8_t* out) const {
+  u64 r[kMaxLimbs];
+  RandomLimbs(rng, r);
+  for (std::size_t j = 0; j < k_; ++j) StoreLe64(r[j], out + 8 * j);
 }
 
 FpElem FpCtx::RandomNonZero(Rng& rng) const {
@@ -714,8 +702,14 @@ std::vector<FpElem> DeserializeElems(const FpCtx& ctx,
 std::size_t ValidateElems(const FpCtx& ctx, std::span<const std::uint8_t> data) {
   const std::size_t sz = ctx.elem_bytes();
   if (data.size() % sz != 0) throw ParseError("ValidateElems: ragged data");
+  const std::span<const u64> p = ctx.modulus();
   for (std::size_t off = 0; off < data.size(); off += sz) {
-    ctx.FromBytes(data.subspan(off, sz));
+    // value < p, decided by the highest limb that differs from p's.
+    const std::uint8_t* e = data.data() + off;
+    std::size_t j = p.size() - 1;
+    u64 limb = LoadLe64(e + 8 * j);
+    while (limb == p[j] && j > 0) limb = LoadLe64(e + 8 * --j);
+    Require(limb < p[j], "ValidateElems: value >= modulus");
   }
   return data.size() / sz;
 }

@@ -57,8 +57,8 @@ struct KernelStatsSnapshot {
   std::uint64_t dot_calls = 0;       // Dot() calls + DotAcc::Reduce() calls
   std::uint64_t dot_products = 0;    // products accumulated without reduction
   std::uint64_t dot_reductions = 0;  // wide reductions: exactly 1 per output
-  std::uint64_t int_dot_calls = 0;     // DotI64() calls
-  std::uint64_t int_dot_products = 0;  // k x 1 products DotI64 accumulated
+  std::uint64_t int_dot_calls = 0;     // DotI64()/DotI64Into() calls
+  std::uint64_t int_dot_products = 0;  // k x 1 products they accumulated
 };
 KernelStatsSnapshot GetKernelStats();
 
@@ -126,13 +126,22 @@ class FpCtx {
   // s < p. VSS dealing evaluates at the integer holder nodes with it.
   FpElem MulU64Add(const FpElem& a, std::uint64_t s, const FpElem& b) const;
   // sum_i a[i]*c[i] for signed word coefficients c[i] (plain integers, not
-  // field elements): k x 1 products into a positive and a negative (k+2)-limb
-  // accumulator, each reduced by two quotient digits, then one Sub. Equals
-  // Dot(a, w) with w[i] = c[i] mod p, for fewer than 2^64 terms; a.size()
-  // must equal c.size(). Rows over the integer nodes live on this
-  // (math/weight_cache.h).
+  // field elements): k x 1 products into a (k+2)-limb sum per sign, one
+  // subtraction, at most two quotient digits. Equals Dot(a, w) with
+  // w[i] = c[i] mod p, for fewer than 2^64 terms; a.size() must equal
+  // c.size(). Rows over the integer nodes live on this
+  // (math/weight_cache.h). An adapter over DotI64Into's kernel.
   FpElem DotI64(std::span<const FpElem> a,
                 std::span<const std::int64_t> c) const;
+  // The same over element encodings: a[i] points at the elem_bytes()
+  // little-endian bytes of an element (the wire and storage encoding; the
+  // value must be below p, which is not checked here). The sum, times
+  // `scale` when it is non-null (a Montgomery form: one multiply, plain
+  // out), is written to `out` in that encoding. The width-specialized
+  // kernel of kernel_width(), or its runtime-width instance.
+  void DotI64Into(std::span<const std::uint8_t* const> a,
+                  std::span<const std::int64_t> c, const FpMont* scale,
+                  std::uint8_t* out) const;
   // t mod p for a nonnegative integer t of k+e limbs (k = limbs(), e =
   // t.size() - k) below p * 2^(64e): e quotient-digit steps from the top,
   // no Montgomery form. Clobbers t. Kernels that run an integer-linear map
@@ -168,6 +177,8 @@ class FpCtx {
   // Uniform random element: a rejection-sampled raw draw r < p, returned as
   // r R^{-1} mod p, the residue it has always denoted (seeded values hold).
   FpElem Random(Rng& rng) const;
+  // The same draw, written to `out` in the elem_bytes() wire encoding.
+  void RandomInto(Rng& rng, std::uint8_t* out) const;
   // Uniform random nonzero element.
   FpElem RandomNonZero(Rng& rng) const;
 
@@ -194,10 +205,15 @@ class FpCtx {
   // DotAcc can keep accumulating after a Reduce.
   void AccMulAdd(std::uint64_t* t, const FpElem& a, const FpElem& b) const;
   FpElem AccReduce(const std::uint64_t* t, std::uint64_t n_products) const;
-  // The quotient-digit reduction behind MulU64Add, DotI64 and ReduceWide:
-  // t[0..k] < p * 2^64 (so the quotient is one word) becomes t mod p in
-  // t[0..k), t[k] = 0.
+  // The quotient-digit reduction behind MulU64Add and ReduceWide (the
+  // runtime-width kernels::ReduceDigitK): t[0..k] < p * 2^64 (so the
+  // quotient is one word) becomes t mod p in t[0..k), t[k] = 0.
   void ReduceDigit(std::uint64_t* t) const;
+  // Random's draw: k limbs of the residue into r.
+  void RandomLimbs(Rng& rng, std::uint64_t* r) const;
+  // DotI64's kernel, dispatched: k limbs of the plain sum into r.
+  void DotI64Limbs(const std::uint8_t* const* a, const std::int64_t* c,
+                   std::size_t terms, std::uint64_t* r) const;
 
   std::size_t k_ = 0;
   std::size_t bits_ = 0;
@@ -251,9 +267,9 @@ class DotAcc {
 Bytes SerializeElems(const FpCtx& ctx, std::span<const FpElem> elems);
 std::vector<FpElem> DeserializeElems(const FpCtx& ctx,
                                      std::span<const std::uint8_t> data);
-// The checks of DeserializeElems without building the elements: throws
-// ParseError on ragged data, InvalidArgument on a value >= p; returns the
-// element count.
+// The checks of DeserializeElems without building the elements (each
+// encoding is compared with p in place): throws ParseError on ragged data,
+// InvalidArgument on a value >= p; returns the element count.
 std::size_t ValidateElems(const FpCtx& ctx, std::span<const std::uint8_t> data);
 
 }  // namespace pisces::field

@@ -6,8 +6,9 @@ namespace {
 
 template <std::size_t K>
 constexpr KernelVTable MakeTable() {
-  return KernelVTable{K, &MontMulK<K>, &MontSqrK<K>, &MontRedcK<K>,
-                      &MulAccK<K>, &MontRedcWideK<K>};
+  return KernelVTable{K,          &MontMulK<K>,      &MontSqrK<K>,
+                      &MontRedcK<K>, &MulAccK<K>,      &MontRedcWideK<K>,
+                      &DotI64K<K>};
 }
 
 // One instantiation per standard field size g = 64*K in {256, 512, 1024,

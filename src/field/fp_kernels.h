@@ -9,7 +9,9 @@
 // widths, and keeps carries in registers. FpCtx selects a KernelVTable once at
 // construction (function pointers, no per-call branching on width); the
 // runtime-k path in fp.cpp remains both the fallback for odd widths and the
-// differential-test oracle (tests/field_kernel_test.cpp).
+// differential-test oracle (tests/field_kernel_test.cpp). The word-scalar
+// kernels at the end (ReduceDigitK, DotI64K) carry their runtime-width
+// instance themselves: K = 0 reads the width from an argument.
 //
 // Contract: every kernel produces the canonical (< p) representative, so
 // outputs are bit-identical to the generic path. See docs/field_kernels.md
@@ -18,6 +20,9 @@
 
 #include <cstddef>
 #include <cstdint>
+
+#include "common/bytes.h"
+#include "field/limbs.h"
 
 namespace pisces::field::kernels {
 
@@ -288,6 +293,150 @@ inline void MontRedcWideK(const std::uint64_t* p, std::uint64_t n0inv,
   }
 }
 
+// What a quotient-digit reduction needs beyond the modulus limbs: the
+// modulus shifted left by lz bits has top word top_norm (high bit set), and
+// top_recip = floor((2^128 - 1) / top_norm) - 2^64 is its 2/1 division
+// reciprocal (Moller-Granlund), so the kernel never divides.
+struct DigitReciprocal {
+  unsigned lz;
+  std::uint64_t top_norm;
+  std::uint64_t top_recip;
+};
+
+// The quotient-digit reduction: t[0..k] < p * 2^64 (so the quotient is one
+// word) becomes t mod p in t[0..k), t[k] = 0. K > 0 fixes the width k = K
+// at compile time; K = 0 is the runtime-width instance (k = k_rt), the
+// generic path and test oracle. Every kernel below that reduces a wide
+// integer (FpCtx::MulU64Add, DotI64, ReduceWide) ends in it.
+template <std::size_t K>
+inline void ReduceDigitK(const std::uint64_t* p, std::size_t k_rt,
+                         const DigitReciprocal& d, std::uint64_t* t) {
+  using u64 = std::uint64_t;
+  using u128 = unsigned __int128;
+  const std::size_t k = K != 0 ? K : k_rt;
+  // q = floor(t/p) is one word. (u1, u0) are the top two words of t << lz,
+  // and top_norm is the top word of p << lz. Knuth's estimate
+  // qh = min(floor((u1*2^64 + u0) / top_norm), 2^64 - 1) satisfies
+  // q <= qh <= q + 2. Below u1 == top_norm the 2/1 division is exact via
+  // the reciprocal: two word multiplies and at most two adjustments.
+  u64 u1 = t[k], u0 = t[k - 1];
+  if (d.lz != 0) {
+    u1 = (u1 << d.lz) | (u0 >> (64 - d.lz));
+    u0 = (u0 << d.lz) | (k > 1 ? t[k - 2] >> (64 - d.lz) : 0);
+  }
+  u64 qh = ~u64{0};
+  if (u1 < d.top_norm) {
+    const u128 est = static_cast<u128>(d.top_recip) * u1 +
+                     ((static_cast<u128>(u1) << 64) | u0);
+    qh = static_cast<u64>(est >> 64) + 1;
+    u64 rem = u0 - qh * d.top_norm;
+    if (rem > static_cast<u64>(est)) {
+      --qh;
+      rem += d.top_norm;
+    }
+    if (rem >= d.top_norm) ++qh;
+  }
+  // t - qh*p lies in [-2p, p): its top limb is zero exactly when it is
+  // nonnegative. Otherwise add p back, at most twice.
+  u64 mul_carry = 0, borrow = 0;
+  for (std::size_t j = 0; j < k; ++j) {
+    const u128 prod = static_cast<u128>(qh) * p[j] + mul_carry;
+    mul_carry = static_cast<u64>(prod >> 64);
+    const u128 diff = static_cast<u128>(t[j]) - static_cast<u64>(prod) - borrow;
+    t[j] = static_cast<u64>(diff);
+    borrow = static_cast<u64>((diff >> 64) & 1);
+  }
+  t[k] -= mul_carry + borrow;  // mul_carry <= 2^64 - 2: no wrap
+  while (t[k] != 0) {
+    u64 carry = 0;
+    for (std::size_t j = 0; j < k; ++j) {
+      const u128 sum = static_cast<u128>(t[j]) + p[j] + carry;
+      t[j] = static_cast<u64>(sum);
+      carry = static_cast<u64>(sum >> 64);
+    }
+    t[k] += carry;
+  }
+}
+
+// Signed-word dot product: r = sum_i c[i] * a_i mod p, where a_i is the
+// element whose k little-endian limbs start at the byte pointer a[i] (its
+// wire and storage encoding; a value below p) and c[i] is a signed word.
+// Each term is one k x 1 multiply-add carry chain into the (k+2)-limb sum of
+// its sign: P over c_i > 0, N over c_i < 0 (as a_i * |c_i|). A term is below
+// p * 2^63, so fewer than 2^64 of them keep P, N and |S| = |P - N| below
+// p * 2^127 < 2^(64(k+2)). One subtraction of the smaller sum from the
+// larger gives |S| and its sign; at most two quotient digits reduce |S| (its
+// high k+1 limbs are below p * 2^63), and the sign is applied to the residue
+// (docs/field_kernels.md section 6). Zero coefficients are skipped. Writes k
+// limbs of r. K as in ReduceDigitK.
+template <std::size_t K>
+inline void DotI64K(const std::uint64_t* p, std::size_t k_rt,
+                    const DigitReciprocal& d, const std::uint8_t* const* a,
+                    const std::int64_t* c, std::size_t terms,
+                    std::uint64_t* r) {
+  using u64 = std::uint64_t;
+  using u128 = unsigned __int128;
+  const std::size_t k = K != 0 ? K : k_rt;
+  // t += e * s over k+2 limbs, for the element encoding e.
+  auto mul_add = [k](u64* t, const std::uint8_t* e, u64 s) {
+    u64 carry = 0;
+    for (std::size_t j = 0; j < k; ++j) {
+      const u128 cur =
+          static_cast<u128>(LoadLe64(e + 8 * j)) * s + t[j] + carry;
+      t[j] = static_cast<u64>(cur);
+      carry = static_cast<u64>(cur >> 64);
+    }
+    const u128 top = static_cast<u128>(t[k]) + carry;
+    t[k] = static_cast<u64>(top);
+    t[k + 1] += static_cast<u64>(top >> 64);
+  };
+  // Two named sums and a branch per sign, not one array indexed by the
+  // sign: at the small widths both then stay in registers.
+  constexpr std::size_t kAcc = (K != 0 ? K : kMaxLimbs) + 2;
+  u64 plus[kAcc], minus[kAcc];
+  for (std::size_t j = 0; j < k + 2; ++j) plus[j] = minus[j] = 0;
+  for (std::size_t i = 0; i < terms; ++i) {
+    if (c[i] > 0) {
+      mul_add(plus, a[i], static_cast<u64>(c[i]));
+    } else if (c[i] < 0) {
+      // |c_i| as a word; INT64_MIN's magnitude 2^63 is exact.
+      mul_add(minus, a[i], u64{0} - static_cast<u64>(c[i]));
+    }
+  }
+  // |S| = the larger sum minus the smaller, into the larger.
+  bool negative = false;
+  for (std::size_t j = k + 2; j-- > 0;) {
+    if (plus[j] != minus[j]) {
+      negative = minus[j] > plus[j];
+      break;
+    }
+  }
+  u64* m = negative ? minus : plus;
+  const u64* sub = negative ? plus : minus;
+  u64 borrow = 0;
+  for (std::size_t j = 0; j < k + 2; ++j) {
+    const u128 diff = static_cast<u128>(m[j]) - sub[j] - borrow;
+    m[j] = static_cast<u64>(diff);
+    borrow = static_cast<u64>((diff >> 64) & 1);
+  }
+  // The high k+1 limbs mod p, unless |S| is already below p[k-1] * 2^(64k)
+  // <= p * 2^64 (small coefficients); then the whole value, < p * 2^64.
+  if (m[k + 1] != 0 || m[k] >= p[k - 1]) ReduceDigitK<K>(p, k, d, m + 1);
+  ReduceDigitK<K>(p, k, d, m);
+  bool zero = true;
+  for (std::size_t j = 0; j < k; ++j) zero = zero && m[j] == 0;
+  if (negative && !zero) {  // -|S| mod p = p - (|S| mod p)
+    borrow = 0;
+    for (std::size_t j = 0; j < k; ++j) {
+      const u128 diff = static_cast<u128>(p[j]) - m[j] - borrow;
+      r[j] = static_cast<u64>(diff);
+      borrow = static_cast<u64>((diff >> 64) & 1);
+    }
+  } else {
+    for (std::size_t j = 0; j < k; ++j) r[j] = m[j];
+  }
+}
+
 // Function-pointer bundle bound to one compile-time width. FpCtx resolves the
 // table once at construction; a null table means the generic runtime-k path.
 struct KernelVTable {
@@ -302,6 +451,9 @@ struct KernelVTable {
                   const std::uint64_t* b);
   void (*redc_wide)(const std::uint64_t* p, std::uint64_t n0inv,
                     std::uint64_t* t, std::uint64_t* r);
+  void (*dot_i64)(const std::uint64_t* p, std::size_t k_rt,
+                  const DigitReciprocal& d, const std::uint8_t* const* a,
+                  const std::int64_t* c, std::size_t terms, std::uint64_t* r);
 };
 
 // Table for a supported width (k in {4, 8, 16, 32}); nullptr otherwise.

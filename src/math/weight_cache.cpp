@@ -284,6 +284,23 @@ FpElem WeightRows::Eval(const FpCtx& ctx, std::size_t r,
   return integer_ && lcm_[r] != 1 ? ctx.Mul(lcm_inv_[r], sum) : sum;
 }
 
+void WeightRows::EvalInto(const FpCtx& ctx, std::size_t r,
+                          std::span<const std::uint8_t* const> ys,
+                          std::uint8_t* out) const {
+  Require(ys.size() >= width_, "WeightRows: ys too short");
+  ys = ys.first(width_);
+  if (integer_) {
+    ctx.DotI64Into(ys, Num(r), lcm_[r] != 1 ? &lcm_inv_[r] : nullptr, out);
+    return;
+  }
+  const std::size_t eb = ctx.elem_bytes();
+  std::vector<FpElem> vals;
+  vals.reserve(width_);
+  for (const std::uint8_t* y : ys) vals.push_back(ctx.FromBytes({y, eb}));
+  const Bytes enc = ctx.ToBytes(ctx.Dot(Weights(r), vals));
+  std::copy(enc.begin(), enc.end(), out);
+}
+
 bool WeightRows::Predicts(const FpCtx& ctx, std::size_t r,
                           std::span<const FpElem> ys, const FpElem& y) const {
   return Sum(ctx, r, ys) ==

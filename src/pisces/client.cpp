@@ -55,50 +55,40 @@ Client::Client(ClientConfig cfg, net::Transport& transport,
 FileMeta Client::BeginUpload(std::uint64_t file_id,
                              std::span<const std::uint8_t> data) {
   const std::size_t n = cfg_.params.n;
-  const std::size_t l = cfg_.params.l;
   FileMeta meta;
-  std::vector<std::vector<FpElem>> shares_for_host;
+  std::vector<Bytes> payloads(n);
   {
     ComputeSection section(metrics_, obs::SpanKind::kClientSet, file_id,
                            data.size());
-    std::vector<FpElem> elems;
-    std::tie(meta, elems) = codec_.Encode(file_id, data, section.extra());
-
-    std::vector<std::vector<FpElem>> blocks(
-        meta.num_blocks, std::vector<FpElem>(l, cfg_.ctx->Zero()));
-    for (std::size_t blk = 0; blk < meta.num_blocks; ++blk) {
-      for (std::size_t j = 0; j < l; ++j) blocks[blk][j] = elems[blk * l + j];
+    Bytes secrets;
+    std::tie(meta, secrets) = codec_.EncodeWire(file_id, data);
+    // Host i's payload is meta blob || its shares; ShareBlocks writes the
+    // shares into place. Per-block sharing fans out over the task pool; the
+    // rng is consumed serially inside ShareBlocks, so the shares match a
+    // serial run.
+    ByteWriter w;
+    w.Blob(meta.Serialize());
+    const Bytes& head = w.bytes();
+    const std::size_t share_bytes = meta.num_blocks * cfg_.ctx->elem_bytes();
+    std::vector<std::uint8_t*> shares(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      payloads[i].resize(head.size() + share_bytes);
+      std::copy(head.begin(), head.end(), payloads[i].begin());
+      shares[i] = payloads[i].data() + head.size();
     }
-    // Per-block sharing fans out over the task pool; the rng is consumed
-    // serially inside ShareBlocks, so the shares match a serial run.
-    auto shares_by_block = shamir_->ShareBlocks(blocks, rng_, section.extra());
-
-    // shares_for_host[i][blk]
-    shares_for_host.assign(n,
-                           std::vector<FpElem>(meta.num_blocks, cfg_.ctx->Zero()));
-    for (std::size_t blk = 0; blk < meta.num_blocks; ++blk) {
-      for (std::size_t i = 0; i < n; ++i) {
-        shares_for_host[i][blk] = shares_by_block[blk][i];
-      }
-    }
+    shamir_->ShareBlocks(secrets, rng_, shares, section.extra());
   }
 
   PendingUpload& up = uploads_[file_id];
   up.acked.clear();
-  up.payloads.clear();
-  up.payloads.reserve(n);
+  up.payloads = std::move(payloads);
   for (std::size_t i = 0; i < n; ++i) {
-    ByteWriter w;
-    w.Blob(meta.Serialize());
-    w.Raw(field::SerializeElems(*cfg_.ctx, shares_for_host[i]));
-    up.payloads.push_back(Bytes(w.bytes().begin(), w.bytes().end()));
     Message m;
     m.from = cfg_.id;
     m.to = static_cast<std::uint32_t>(i);
     m.type = MsgType::kSetShares;
     m.file_id = file_id;
-    m.payload =
-        keyring_.Seal(static_cast<std::uint32_t>(i), up.payloads.back());
+    m.payload = keyring_.Seal(static_cast<std::uint32_t>(i), up.payloads[i]);
     metrics_.msgs_sent += 1;
     metrics_.bytes_sent += m.WireSize();
     transport_.Send(std::move(m));
@@ -270,20 +260,22 @@ std::optional<Bytes> Client::TryAssemble(std::uint64_t file_id) {
   // same file id) are never full share vectors, so the length filter also
   // keeps them out of the oracle path.
   std::vector<std::uint32_t> parties;
-  std::vector<const std::vector<FpElem>*> rows;
+  std::vector<const std::uint8_t*> rows;
   for (const auto& [host, resp] : responses) {
-    if (resp.striped || resp.elems.size() != meta.num_blocks) continue;
+    if (resp.striped || resp.count != meta.num_blocks) continue;
     parties.push_back(host);
-    rows.push_back(&resp.elems);
+    rows.push_back(resp.elems().data());
     if (parties.size() == need) break;
   }
   if (parties.size() < need) return std::nullopt;
 
-  const std::vector<FpElem> elems = shamir_->ReconstructRows(
-      parties, rows, meta.num_blocks, section.extra());
+  // Reconstruct straight from the responses' element bytes.
+  Bytes secrets(meta.num_blocks * cfg_.params.l * cfg_.ctx->elem_bytes());
+  shamir_->ReconstructRows(parties, rows, meta.num_blocks, secrets.data(),
+                           section.extra());
   Bytes out;
   try {
-    out = codec_.Decode(meta, elems, section.extra());
+    out = codec_.DecodeWire(meta, secrets);
   } catch (const ParseError&) {
     // Fast path failed the integrity check: some host returned corrupted
     // shares. Fall back to Berlekamp-Welch decoding over ALL responses,
@@ -327,13 +319,13 @@ std::optional<Bytes> Client::AssembleStaircase(std::uint64_t file_id,
 
   std::vector<std::vector<FpElem>> rows(dl.contacted.size());
   for (std::size_t j = 0; j < dl.contacted.size(); ++j) {
-    if (by_contact[j]->elems.size() != layout.CountFor(j, meta.num_blocks)) {
+    if (by_contact[j]->count != layout.CountFor(j, meta.num_blocks)) {
       // Wrong stripe length (host disagreed about the file's block count or
       // sent garbage): drop the response so a retry re-asks that host.
       dl.responses.erase(dl.contacted[j]);
       return std::nullopt;
     }
-    rows[j] = by_contact[j]->elems;
+    rows[j] = field::DeserializeElems(*cfg_.ctx, by_contact[j]->elems());
   }
 
   std::vector<FpElem> elems = pss::StripedReconstruct(
@@ -341,7 +333,7 @@ std::optional<Bytes> Client::AssembleStaircase(std::uint64_t file_id,
   // No robust fallback on this path: a stripe carries exactly degree+1
   // points per block, so a corrupted contribution surfaces as a codec
   // integrity failure (ParseError) and the caller falls back per policy.
-  Bytes out = codec_.Decode(meta, elems, section.extra());
+  Bytes out = codec_.Decode(meta, elems);
   downloads_.erase(file_id);
   return out;
 }
@@ -351,11 +343,11 @@ Bytes Client::AssembleRobust(const FileMeta& meta, std::uint64_t* extra_cpu_ns) 
   Invariant(it != downloads_.end(), "AssembleRobust: no pending download");
   RobustFallbacks().Add(1);
   std::vector<std::uint32_t> parties;
-  std::vector<const std::vector<FpElem>*> rows;
+  std::vector<std::vector<FpElem>> rows;
   for (const auto& [host, resp] : it->second.responses) {
-    if (resp.striped || resp.elems.size() != meta.num_blocks) continue;
+    if (resp.striped || resp.count != meta.num_blocks) continue;
     parties.push_back(host);
-    rows.push_back(&resp.elems);
+    rows.push_back(field::DeserializeElems(*cfg_.ctx, resp.elems()));
   }
   std::vector<FpElem> elems(meta.num_blocks * cfg_.params.l, cfg_.ctx->Zero());
   // Berlekamp-Welch decoding is the expensive path; each block decodes
@@ -366,7 +358,7 @@ Bytes Client::AssembleRobust(const FileMeta& meta, std::uint64_t* extra_cpu_ns) 
       [&](std::size_t blk) {
         std::vector<FpElem> shares(parties.size(), cfg_.ctx->Zero());
         for (std::size_t k = 0; k < parties.size(); ++k) {
-          shares[k] = (*rows[k])[blk];
+          shares[k] = rows[k][blk];
         }
         std::vector<std::size_t> corrupted;
         auto secrets =
@@ -380,7 +372,7 @@ Bytes Client::AssembleRobust(const FileMeta& meta, std::uint64_t* extra_cpu_ns) 
         }
       },
       extra_cpu_ns);
-  return codec_.Decode(meta, elems, extra_cpu_ns);
+  return codec_.Decode(meta, elems);
 }
 
 void Client::AdoptParams(const pss::Params& params) {
@@ -440,11 +432,12 @@ void Client::HandleMessage(const Message& msg) {
       case MsgType::kShareResponse: {
         auto it = downloads_.find(msg.file_id);
         if (it == downloads_.end()) return;  // stale response
-        Bytes pt = keyring_.Open(msg.from, msg.payload);
-        ByteReader r(pt);
         ShareResponse resp;
+        resp.body = keyring_.Open(msg.from, msg.payload);
+        ByteReader r(resp.body);
         resp.meta = FileMeta::Deserialize(r.Blob());
-        resp.elems = field::DeserializeElems(*cfg_.ctx, r.Raw(r.Remaining()));
+        resp.offset = resp.body.size() - r.Remaining();
+        resp.count = field::ValidateElems(*cfg_.ctx, resp.elems());
         resp.striped = msg.row == 1;  // row 0 = full share vector
         it->second.responses.insert_or_assign(msg.from, std::move(resp));
         return;

@@ -117,10 +117,19 @@ class Client : public net::MessageHandler {
     std::vector<Bytes> payloads;  // [host] serialized meta + shares
   };
   std::map<std::uint64_t, PendingUpload> uploads_;
+  // A response kept as its opened payload, meta blob || elements; the
+  // elements were range-checked (field::ValidateElems) on arrival and stay
+  // in their wire encoding.
   struct ShareResponse {
     FileMeta meta;
-    std::vector<field::FpElem> elems;
-    bool striped = false;  // stripe (row=1) vs full share vector (row=0)
+    Bytes body;
+    std::size_t offset = 0;  // where the elements start in body
+    std::size_t count = 0;   // elements
+    bool striped = false;    // stripe (row=1) vs full share vector (row=0)
+
+    std::span<const std::uint8_t> elems() const {
+      return std::span<const std::uint8_t>(body).subspan(offset);
+    }
   };
   struct PendingDownload {
     ReadPolicy policy;  // resolved policy this download runs under

@@ -1,6 +1,7 @@
 #include "pisces/file_codec.h"
 
-#include "common/task_pool.h"
+#include <algorithm>
+
 #include "obs/trace.h"
 
 namespace pisces {
@@ -40,10 +41,10 @@ std::uint64_t FileCodec::PaddingFor(std::uint64_t size) const {
   return BlocksFor(size) * l_ * ctx_->payload_bytes() - size;
 }
 
-std::pair<FileMeta, std::vector<field::FpElem>> FileCodec::Encode(
-    std::uint64_t file_id, std::span<const std::uint8_t> data,
-    std::uint64_t* extra_cpu_ns) const {
+std::pair<FileMeta, Bytes> FileCodec::EncodeWire(
+    std::uint64_t file_id, std::span<const std::uint8_t> data) const {
   const std::size_t payload = ctx_->payload_bytes();
+  const std::size_t eb = ctx_->elem_bytes();
   FileMeta meta;
   meta.file_id = file_id;
   meta.raw_size = data.size();
@@ -52,50 +53,45 @@ std::pair<FileMeta, std::vector<field::FpElem>> FileCodec::Encode(
   meta.checksum = crypto::Sha256Hash(data);
 
   obs::Span span(obs::SpanKind::kCodecEncode, meta.num_blocks);
-  Bytes framed(meta.num_blocks * l_ * payload, 0);
+  const std::size_t count = meta.num_blocks * l_;
+  Bytes framed(count * payload, 0);
   StoreLe64(data.size(), framed.data());
   std::copy(data.begin(), data.end(), framed.begin() + 8);
-
-  // Each element is its payload bytes read straight into the limbs.
-  std::vector<field::FpElem> elems(meta.num_blocks * l_, ctx_->Zero());
-  GlobalPool().ParallelFor(
-      0, elems.size(),
-      [&](std::size_t i) {
-        elems[i] = ctx_->FromBytes(
-            std::span<const std::uint8_t>(framed).subspan(i * payload, payload));
-      },
-      extra_cpu_ns);
-  return {meta, std::move(elems)};
+  // Each element is its payload bytes, zero-extended to the element width.
+  Bytes out(count * eb, 0);
+  for (std::size_t i = 0; i < count; ++i) {
+    std::copy_n(framed.data() + i * payload, payload, out.data() + i * eb);
+  }
+  return {meta, std::move(out)};
 }
 
-Bytes FileCodec::Decode(const FileMeta& meta,
-                        std::span<const field::FpElem> elems,
-                        std::uint64_t* extra_cpu_ns) const {
+std::pair<FileMeta, std::vector<field::FpElem>> FileCodec::Encode(
+    std::uint64_t file_id, std::span<const std::uint8_t> data) const {
+  auto [meta, wire] = EncodeWire(file_id, data);
+  return {meta, field::DeserializeElems(*ctx_, wire)};
+}
+
+Bytes FileCodec::DecodeWire(const FileMeta& meta,
+                            std::span<const std::uint8_t> elems) const {
   const std::size_t payload = ctx_->payload_bytes();
-  if (elems.size() < meta.num_elems) {
+  const std::size_t eb = ctx_->elem_bytes();
+  if (elems.size() % eb != 0) throw ParseError("FileCodec::Decode: ragged");
+  const std::size_t count = elems.size() / eb;
+  if (count < meta.num_elems) {
     throw ParseError("FileCodec::Decode: missing elements");
   }
   obs::Span span(obs::SpanKind::kCodecDecode, meta.num_blocks);
-  Bytes framed(elems.size() * payload, 0);
-  // The payload is the low bytes of the limbs; every byte above it must be
-  // zero for a well-formed element.
-  const std::size_t whole = payload / 8;
-  GlobalPool().ParallelFor(
-      0, elems.size(),
-      [&](std::size_t i) {
-        const field::Limbs& v = elems[i].v;
-        std::uint8_t* dst = framed.data() + i * payload;
-        for (std::size_t j = 0; j < whole; ++j) StoreLe64(v[j], dst + 8 * j);
-        std::uint64_t rest = v[whole];
-        for (std::size_t j = 8 * whole; j < payload; ++j, rest >>= 8) {
-          dst[j] = static_cast<std::uint8_t>(rest);
-        }
-        if (rest != 0 || !field::IsZeroN(v.data() + whole + 1,
-                                         ctx_->limbs() - whole - 1)) {
-          throw ParseError("FileCodec::Decode: element overflow");
-        }
-      },
-      extra_cpu_ns);
+  Bytes framed(count * payload);
+  for (std::size_t i = 0; i < count; ++i) {
+    // The payload is the low bytes of the element; every byte above it must
+    // be zero for a well-formed element.
+    const std::uint8_t* src = elems.data() + i * eb;
+    std::copy_n(src, payload, framed.data() + i * payload);
+    if (std::any_of(src + payload, src + eb,
+                    [](std::uint8_t b) { return b != 0; })) {
+      throw ParseError("FileCodec::Decode: element overflow");
+    }
+  }
   if (framed.size() < 8) throw ParseError("FileCodec::Decode: truncated");
   std::uint64_t len = LoadLe64(framed.data());
   if (len != meta.raw_size || framed.size() < 8 + len) {
@@ -106,6 +102,11 @@ Bytes FileCodec::Decode(const FileMeta& meta,
     throw ParseError("FileCodec::Decode: checksum mismatch");
   }
   return out;
+}
+
+Bytes FileCodec::Decode(const FileMeta& meta,
+                        std::span<const field::FpElem> elems) const {
+  return DecodeWire(meta, field::SerializeElems(*ctx_, elems));
 }
 
 }  // namespace pisces

@@ -45,18 +45,24 @@ class FileCodec {
   // Padding overhead: total element payload bytes minus raw size.
   std::uint64_t PaddingFor(std::uint64_t size) const;
 
-  // Encodes a file into blocks of exactly l elements each (zero padded).
-  // Each element is its payload bytes copied into the limbs (elements hold
-  // plain residues); the copies fan out over the global task pool, and
-  // extra_cpu_ns accumulates pool-worker CPU (see common/task_pool.h).
+  // Encodes a file into blocks of exactly l elements each (zero padded),
+  // straight into element encodings (elem_bytes() little-endian bytes each,
+  // the wire encoding): element i is its payload bytes followed by zeros.
+  // Returns the meta and num_blocks * l * elem_bytes() bytes.
+  std::pair<FileMeta, Bytes> EncodeWire(
+      std::uint64_t file_id, std::span<const std::uint8_t> data) const;
+  // The same as elements: an adapter over EncodeWire.
   std::pair<FileMeta, std::vector<field::FpElem>> Encode(
-      std::uint64_t file_id, std::span<const std::uint8_t> data,
-      std::uint64_t* extra_cpu_ns = nullptr) const;
+      std::uint64_t file_id, std::span<const std::uint8_t> data) const;
 
-  // Inverse of Encode; validates the length header and checksum. Throws
-  // ParseError on corrupted input.
-  Bytes Decode(const FileMeta& meta, std::span<const field::FpElem> elems,
-               std::uint64_t* extra_cpu_ns = nullptr) const;
+  // Inverse of EncodeWire over at least meta.num_elems element encodings;
+  // validates every element's zero high bytes, the length header and the
+  // checksum. Throws ParseError on corrupted input.
+  Bytes DecodeWire(const FileMeta& meta,
+                   std::span<const std::uint8_t> elems) const;
+  // The same over elements: an adapter over DecodeWire.
+  Bytes Decode(const FileMeta& meta,
+               std::span<const field::FpElem> elems) const;
 
  private:
   const field::FpCtx* ctx_;

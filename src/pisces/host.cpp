@@ -187,11 +187,14 @@ void Host::OnSetShares(const Message& msg) {
     Bytes pt = keyring_.Open(msg.from, msg.payload);
     ByteReader r(pt);
     meta = FileMeta::Deserialize(r.Blob());
-    // The upload is already in the at-rest encoding: check it, keep it.
-    std::span<const std::uint8_t> shares = r.Raw(r.Remaining());
-    Require(field::ValidateElems(*cfg_.ctx, shares) == meta.num_blocks,
+    // The upload is already in the at-rest encoding: check it in place,
+    // then keep the payload minus its meta blob.
+    const std::size_t head = pt.size() - r.Remaining();
+    Require(field::ValidateElems(*cfg_.ctx, r.Raw(r.Remaining())) ==
+                meta.num_blocks,
             "SetShares: wrong share count");
-    store_.PutEncoded(meta, Bytes(shares.begin(), shares.end()));
+    pt.erase(pt.begin(), pt.begin() + static_cast<std::ptrdiff_t>(head));
+    store_.PutEncoded(meta, std::move(pt));
   }
 
   Message ack;
@@ -206,7 +209,8 @@ void Host::OnSetShares(const Message& msg) {
 }
 
 void Host::OnReconstructRequest(const Message& msg) {
-  if (!store_.Has(msg.file_id)) {
+  const ShareStore::Stored* stored = store_.Find(msg.file_id);
+  if (stored == nullptr) {
     Message nak;
     nak.from = cfg_.id;
     nak.to = msg.from;
@@ -233,7 +237,7 @@ void Host::OnReconstructRequest(const Message& msg) {
     Require(contacts <= cfg_.params.n && index < contacts,
             "ReconstructRequest: bad contact window");
     const pss::StripeLayout layout(contacts, need);
-    assigned = layout.BlocksFor(index, store_.MetaOf(msg.file_id).num_blocks);
+    assigned = layout.BlocksFor(index, stored->meta.num_blocks);
     striped = true;
   }
 
@@ -244,10 +248,10 @@ void Host::OnReconstructRequest(const Message& msg) {
     // The at-rest bytes are the wire encoding: a read copies them (or the
     // stripe's element slices) straight into the response, never loading.
     // The client parses and range-checks every element it receives.
-    const std::span<const std::uint8_t> at_rest = store_.AtRest(msg.file_id);
+    const std::span<const std::uint8_t> at_rest = stored->at_rest;
     const std::size_t eb = cfg_.ctx->elem_bytes();
     ByteWriter w;
-    w.Blob(store_.MetaOf(msg.file_id).Serialize());
+    w.Blob(stored->meta.Serialize());
     const std::size_t head = w.bytes().size();
     if (striped) {
       for (std::size_t b : assigned) w.Raw(at_rest.subspan(b * eb, eb));

@@ -30,18 +30,25 @@ void ShareStore::PutEncoded(const FileMeta& meta, Bytes at_rest) {
           "ShareStore::Put: one share per block expected");
   Entry e;
   e.meta = meta;
-  e.secondary = std::move(at_rest);
+  e.at_rest = std::move(at_rest);
   entries_[meta.file_id] = std::move(e);
 }
 
-const ShareStore::Entry& ShareStore::Find(std::uint64_t file_id) const {
+const ShareStore::Entry& ShareStore::Get(std::uint64_t file_id) const {
   auto it = entries_.find(file_id);
   Require(it != entries_.end(), "ShareStore: unknown file");
   return it->second;
 }
 
-ShareStore::Entry& ShareStore::Find(std::uint64_t file_id) {
-  return const_cast<Entry&>(std::as_const(*this).Find(file_id));
+ShareStore::Entry& ShareStore::Get(std::uint64_t file_id) {
+  return const_cast<Entry&>(std::as_const(*this).Get(file_id));
+}
+
+const ShareStore::Stored* ShareStore::Find(std::uint64_t file_id) const {
+  auto it = entries_.find(file_id);
+  if (it == entries_.end()) return nullptr;
+  Require(!it->second.ram, "ShareStore: working copy loaded");
+  return &it->second;
 }
 
 bool ShareStore::Has(std::uint64_t file_id) const {
@@ -56,11 +63,13 @@ std::vector<std::uint64_t> ShareStore::FileIds() const {
 }
 
 const FileMeta& ShareStore::MetaOf(std::uint64_t file_id) const {
-  return Find(file_id).meta;
+  return Get(file_id).meta;
 }
 
 std::span<const std::uint8_t> ShareStore::AtRest(std::uint64_t file_id) const {
-  return Find(file_id).secondary;
+  const Entry& e = Get(file_id);
+  Require(!e.ram, "ShareStore: working copy loaded");
+  return e.at_rest;
 }
 
 std::vector<field::FpElem> ShareStore::Decode(std::uint64_t file_id) const {
@@ -68,19 +77,19 @@ std::vector<field::FpElem> ShareStore::Decode(std::uint64_t file_id) const {
 }
 
 std::vector<field::FpElem>& ShareStore::Load(std::uint64_t file_id) {
-  Entry& e = Find(file_id);
+  Entry& e = Get(file_id);
   if (!e.ram) {
     StoreLoads().Add(1);
-    e.ram = field::DeserializeElems(*ctx_, e.secondary);
+    e.ram = field::DeserializeElems(*ctx_, e.at_rest);
   }
   return *e.ram;
 }
 
 void ShareStore::Stash(std::uint64_t file_id) {
-  Entry& e = Find(file_id);
+  Entry& e = Get(file_id);
   if (e.ram) {
     StoreStashes().Add(1);
-    e.secondary = field::SerializeElems(*ctx_, *e.ram);
+    e.at_rest = field::SerializeElems(*ctx_, *e.ram);
     e.ram.reset();
   }
 }
@@ -97,7 +106,7 @@ void ShareStore::WipeAll() { entries_.clear(); }
 
 std::uint64_t ShareStore::SecondaryBytes() const {
   std::uint64_t total = 0;
-  for (const auto& [id, e] : entries_) total += e.secondary.size();
+  for (const auto& [id, e] : entries_) total += e.at_rest.size();
   return total;
 }
 

@@ -4,10 +4,10 @@
 // Secure disassociation (reboot) wipes both tiers.
 //
 // The at-rest encoding is the wire encoding (field::SerializeElems: one
-// fixed-width canonical element per block), so a read serves AtRest() bytes
-// as they are and never loads. Only the two writers -- refresh apply and
-// recovery finish -- hold a RAM working copy, and neither lets it outlive the
-// handler that loaded it.
+// fixed-width canonical element per block), so a read serves the at-rest
+// bytes Find() returns as they are and never loads. Only the two writers --
+// refresh apply and recovery finish -- hold a RAM working copy, and neither
+// lets it outlive the handler that loaded it.
 #pragma once
 
 #include <map>
@@ -33,8 +33,20 @@ class ShareStore {
   std::vector<std::uint64_t> FileIds() const;
   const FileMeta& MetaOf(std::uint64_t file_id) const;
 
-  // Read-only view of a file's committed at-rest bytes (num_blocks elements
-  // of ctx.elem_bytes() each). Valid until the next write to that file.
+  // A file's meta and committed at-rest bytes (num_blocks elements of
+  // ctx.elem_bytes() each), as one read sees them.
+  struct Stored {
+    FileMeta meta;
+    Bytes at_rest;
+  };
+  // One lookup for a read: the file's entry, or nullptr when the store does
+  // not hold it. Refuses, as AtRest does, a file whose working copy is
+  // loaded. Valid until the next write to that file.
+  const Stored* Find(std::uint64_t file_id) const;
+
+  // Read-only view of a file's committed at-rest bytes. Valid until the next
+  // write to that file. Refuses a file whose RAM working copy is loaded:
+  // those bytes are about to be superseded by the Stash.
   std::span<const std::uint8_t> AtRest(std::uint64_t file_id) const;
   // Decodes a copy of a file's shares, for read-only users; the store is
   // left untouched.
@@ -61,14 +73,12 @@ class ShareStore {
   std::uint64_t SecondaryBytes() const;
 
  private:
-  struct Entry {
-    FileMeta meta;
-    Bytes secondary;                               // serialized, at rest
+  struct Entry : Stored {
     std::optional<std::vector<field::FpElem>> ram;  // loaded working copy
   };
 
-  const Entry& Find(std::uint64_t file_id) const;
-  Entry& Find(std::uint64_t file_id);
+  const Entry& Get(std::uint64_t file_id) const;
+  Entry& Get(std::uint64_t file_id);
 
   const field::FpCtx* ctx_;
   std::map<std::uint64_t, Entry> entries_;

@@ -1,5 +1,7 @@
 #include "pss/packed_shamir.h"
 
+#include <algorithm>
+
 #include "common/task_pool.h"
 #include "math/berlekamp_welch.h"
 #include "math/weight_cache.h"
@@ -19,40 +21,69 @@ std::vector<FpElem> PackedShamir::ShareBlock(std::span<const FpElem> secrets,
   return ShareBlocks({&block, 1}, rng).front();
 }
 
-std::vector<std::vector<FpElem>> PackedShamir::ShareBlocks(
-    std::span<const std::vector<FpElem>> blocks, Rng& rng,
-    std::uint64_t* extra_cpu_ns) const {
+void PackedShamir::ShareBlocks(std::span<const std::uint8_t> secrets, Rng& rng,
+                               std::span<std::uint8_t* const> out,
+                               std::uint64_t* extra_cpu_ns) const {
   const std::size_t l = params_.l;
   const std::size_t d = params_.degree();
-  for (const auto& block : blocks) {
-    Require(block.size() == l, "ShareBlocks: need exactly l secrets");
+  const std::size_t masks = d + 1 - l;
+  const std::size_t eb = ctx_->elem_bytes();
+  Require(secrets.size() % (l * eb) == 0,
+          "ShareBlocks: need exactly l secrets per block");
+  Require(out.size() == params_.n, "ShareBlocks: one output per party");
+  const std::size_t blocks = secrets.size() / (l * eb);
+  // Each block's d - l + 1 mask coefficients, drawn serially in block order
+  // exactly as Poly::Random(d - l) per block would, which is what keeps
+  // multi-threaded runs bit-identical to serial ones.
+  Bytes mask(blocks * masks * eb);
+  for (std::size_t e = 0; e < blocks * masks; ++e) {
+    ctx_->RandomInto(rng, mask.data() + e * eb);
   }
-  // su[b] = [s_b ; u_b]: the block's secrets, then its d - l + 1 mask
-  // coefficients. The masks are drawn serially in block order, exactly as
-  // Poly::Random(d - l) per block would, which is what keeps multi-threaded
-  // runs bit-identical to serial ones.
-  std::vector<std::vector<FpElem>> su(blocks.size());
-  for (std::size_t b = 0; b < blocks.size(); ++b) {
-    su[b].reserve(d + 1);
-    su[b].assign(blocks[b].begin(), blocks[b].end());
-    for (std::size_t k = l; k <= d; ++k) su[b].push_back(ctx_->Random(rng));
-  }
-  std::vector<std::vector<FpElem>> out(
-      blocks.size(), std::vector<FpElem>(params_.n, ctx_->Zero()));
   // Party i's share is row i of the cached generator applied to [s ; u]:
-  // one DotI64 (or Dot, in the field form) per share, no per-block
+  // one DotI64Into (or Dot, in the field form) per share, no per-block
   // interpolation or inversion.
   auto gen = math::CachedSharingGenerator(*ctx_, points_.alphas(),
                                           points_.betas(), d);
-  GlobalPool().ParallelFor(
-      0, blocks.size(),
-      [&](std::size_t b) {
-        for (std::size_t i = 0; i < params_.n; ++i) {
-          out[b][i] = gen->Eval(*ctx_, i, su[b]);
+  GlobalPool().ParallelChunks(
+      0, blocks,
+      [&](std::size_t lo, std::size_t hi) {
+        std::vector<const std::uint8_t*> su(d + 1);
+        for (std::size_t b = lo; b < hi; ++b) {
+          for (std::size_t j = 0; j < l; ++j) {
+            su[j] = secrets.data() + (b * l + j) * eb;
+          }
+          for (std::size_t u = 0; u < masks; ++u) {
+            su[l + u] = mask.data() + (b * masks + u) * eb;
+          }
+          for (std::size_t i = 0; i < params_.n; ++i) {
+            gen->EvalInto(*ctx_, i, su, out[i] + b * eb);
+          }
         }
       },
       extra_cpu_ns);
-  return out;
+}
+
+std::vector<std::vector<FpElem>> PackedShamir::ShareBlocks(
+    std::span<const std::vector<FpElem>> blocks, Rng& rng,
+    std::uint64_t* extra_cpu_ns) const {
+  const std::size_t n = params_.n;
+  Bytes secrets;
+  for (const auto& block : blocks) {
+    Require(block.size() == params_.l, "ShareBlocks: need exactly l secrets");
+    const Bytes enc = field::SerializeElems(*ctx_, block);
+    secrets.insert(secrets.end(), enc.begin(), enc.end());
+  }
+  std::vector<Bytes> rows(n, Bytes(blocks.size() * ctx_->elem_bytes()));
+  std::vector<std::uint8_t*> out;
+  for (Bytes& row : rows) out.push_back(row.data());
+  ShareBlocks(secrets, rng, out, extra_cpu_ns);
+  std::vector<std::vector<FpElem>> by_block(blocks.size(),
+                                            std::vector<FpElem>(n));
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::vector<FpElem> shares = field::DeserializeElems(*ctx_, rows[i]);
+    for (std::size_t b = 0; b < blocks.size(); ++b) by_block[b][i] = shares[b];
+  }
+  return by_block;
 }
 
 std::vector<FpElem> PackedShamir::ReconstructBlock(
@@ -101,48 +132,68 @@ std::vector<std::vector<FpElem>> PackedShamir::ReconstructBlocks(
     std::span<const std::uint32_t> parties,
     std::span<const std::vector<FpElem>> shares_by_block,
     std::uint64_t* extra_cpu_ns) const {
-  auto weights = ReconstructionWeights(parties);
   for (const auto& shares : shares_by_block) {
     Require(shares.size() == parties.size(),
             "ReconstructBlocks: size mismatch");
   }
-  std::vector<std::vector<FpElem>> out(
-      shares_by_block.size(), std::vector<FpElem>(params_.l, ctx_->Zero()));
-  GlobalPool().ParallelFor(
-      0, shares_by_block.size(),
-      [&](std::size_t b) {
-        for (std::size_t j = 0; j < params_.l; ++j) {
-          out[b][j] = weights->Eval(*ctx_, j, shares_by_block[b]);
+  // Lay the shares out by party: rows[k][b] is parties[k]'s share of block b.
+  const std::size_t m = std::min(parties.size(), params_.degree() + 1);
+  std::vector<std::vector<FpElem>> rows(m);
+  std::vector<const std::vector<FpElem>*> row_ptrs;
+  for (std::size_t k = 0; k < m; ++k) {
+    for (const auto& shares : shares_by_block) rows[k].push_back(shares[k]);
+    row_ptrs.push_back(&rows[k]);
+  }
+  const std::vector<FpElem> secrets = ReconstructRows(
+      parties, row_ptrs, shares_by_block.size(), extra_cpu_ns);
+  std::vector<std::vector<FpElem>> out;
+  out.reserve(shares_by_block.size());
+  for (std::size_t b = 0; b < shares_by_block.size(); ++b) {
+    out.emplace_back(secrets.begin() + b * params_.l,
+                     secrets.begin() + (b + 1) * params_.l);
+  }
+  return out;
+}
+
+void PackedShamir::ReconstructRows(std::span<const std::uint32_t> parties,
+                                   std::span<const std::uint8_t* const> rows,
+                                   std::size_t blocks, std::uint8_t* out,
+                                   std::uint64_t* extra_cpu_ns) const {
+  auto weights = ReconstructionWeights(parties);
+  const std::size_t m = params_.degree() + 1, l = params_.l;
+  const std::size_t eb = ctx_->elem_bytes();
+  Require(rows.size() >= m, "ReconstructRows: not enough rows");
+  GlobalPool().ParallelChunks(
+      0, blocks,
+      [&](std::size_t lo, std::size_t hi) {
+        std::vector<const std::uint8_t*> ys(m);
+        for (std::size_t b = lo; b < hi; ++b) {
+          for (std::size_t k = 0; k < m; ++k) ys[k] = rows[k] + b * eb;
+          for (std::size_t j = 0; j < l; ++j) {
+            weights->EvalInto(*ctx_, j, ys, out + (b * l + j) * eb);
+          }
         }
       },
       extra_cpu_ns);
-  return out;
 }
 
 std::vector<FpElem> PackedShamir::ReconstructRows(
     std::span<const std::uint32_t> parties,
     std::span<const std::vector<FpElem>* const> rows, std::size_t blocks,
     std::uint64_t* extra_cpu_ns) const {
-  auto weights = ReconstructionWeights(parties);
-  const std::size_t m = params_.degree() + 1, l = params_.l;
+  const std::size_t m = params_.degree() + 1;
   Require(rows.size() >= m, "ReconstructRows: not enough rows");
+  std::vector<Bytes> encoded(m);
+  std::vector<const std::uint8_t*> row_ptrs(m);
   for (std::size_t k = 0; k < m; ++k) {
     Require(rows[k]->size() >= blocks, "ReconstructRows: short row");
+    encoded[k] = field::SerializeElems(
+        *ctx_, std::span<const FpElem>(*rows[k]).first(blocks));
+    row_ptrs[k] = encoded[k].data();
   }
-  std::vector<FpElem> out(blocks * l);
-  GlobalPool().ParallelChunks(
-      0, blocks,
-      [&](std::size_t lo, std::size_t hi) {
-        std::vector<FpElem> ys(m);
-        for (std::size_t b = lo; b < hi; ++b) {
-          for (std::size_t k = 0; k < m; ++k) ys[k] = (*rows[k])[b];
-          for (std::size_t j = 0; j < l; ++j) {
-            out[b * l + j] = weights->Eval(*ctx_, j, ys);
-          }
-        }
-      },
-      extra_cpu_ns);
-  return out;
+  Bytes out(blocks * params_.l * ctx_->elem_bytes());
+  ReconstructRows(parties, row_ptrs, blocks, out.data(), extra_cpu_ns);
+  return field::DeserializeElems(*ctx_, out);
 }
 
 }  // namespace pisces::pss

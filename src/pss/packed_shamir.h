@@ -32,13 +32,20 @@ class PackedShamir {
   std::vector<FpElem> ShareBlock(std::span<const FpElem> secrets,
                                  Rng& rng) const;
 
-  // Shares many blocks at once: out[b][i] is party i's share of block b.
-  // Randomness is drawn serially in block order (so the result is
-  // bit-identical to calling ShareBlock per block with the same rng), then
-  // the share evaluation -- one row of the process-wide cached generator
-  // (math::CachedSharingGenerator) per share -- fans out over
-  // the global task pool. extra_cpu_ns accumulates pool-worker CPU (see
-  // common/task_pool.h).
+  // Shares many blocks at once, on element encodings (elem_bytes() little-
+  // endian bytes each, the wire and storage encoding): `secrets` holds
+  // blocks * l elements below p, block b's at [b*l, b*l + l), and party i's
+  // share of block b is written to out[i] + b * elem_bytes(). Randomness is
+  // drawn serially in block order (so the result is bit-identical to
+  // calling ShareBlock per block with the same rng), then the share
+  // evaluation -- one row of the process-wide cached generator
+  // (math::CachedSharingGenerator) per share -- fans out over the global
+  // task pool, each block writing its own slice of every party's buffer.
+  // extra_cpu_ns accumulates pool-worker CPU (see common/task_pool.h).
+  void ShareBlocks(std::span<const std::uint8_t> secrets, Rng& rng,
+                   std::span<std::uint8_t* const> out,
+                   std::uint64_t* extra_cpu_ns = nullptr) const;
+  // The same over elements: out[b][i] is party i's share of block b.
   std::vector<std::vector<FpElem>> ShareBlocks(
       std::span<const std::vector<FpElem>> blocks, Rng& rng,
       std::uint64_t* extra_cpu_ns = nullptr) const;
@@ -59,8 +66,17 @@ class PackedShamir {
       std::span<const std::vector<FpElem>> shares_by_block,
       std::uint64_t* extra_cpu_ns = nullptr) const;
 
-  // The same over shares laid out by party (rows[k][b] is parties[k]'s share
-  // of block b); returns the l secrets of every block back to back.
+  // The same over shares laid out by party, on element encodings:
+  // rows[k] points at parties[k]'s shares of blocks 0..blocks-1, elem_bytes()
+  // each and below p. The l secrets of every block are written back to back
+  // to `out` (blocks * l * elem_bytes() bytes); blocks fan out over the
+  // global task pool, each writing its own slice.
+  void ReconstructRows(std::span<const std::uint32_t> parties,
+                       std::span<const std::uint8_t* const> rows,
+                       std::size_t blocks, std::uint8_t* out,
+                       std::uint64_t* extra_cpu_ns = nullptr) const;
+  // The same over elements (rows[k][b] is parties[k]'s share of block b);
+  // returns the l secrets of every block back to back.
   std::vector<FpElem> ReconstructRows(
       std::span<const std::uint32_t> parties,
       std::span<const std::vector<FpElem>* const> rows, std::size_t blocks,

@@ -475,8 +475,8 @@ TEST(ByzantineCluster, ArmedEmptyPlanIsByteIdenticalToUnarmed) {
   // draws, no byzantine perturbation anywhere in the pipeline.
   const auto& ctx = unarmed.ctx();
   for (std::size_t i = 0; i < 10; ++i) {
-    auto& su = unarmed.host(i).store().Load(1);
-    auto& sa = armed.host(i).store().Load(1);
+    const auto su = unarmed.host(i).store().Decode(1);
+    const auto sa = armed.host(i).store().Decode(1);
     ASSERT_EQ(su.size(), sa.size());
     for (std::size_t b = 0; b < su.size(); ++b) {
       EXPECT_TRUE(ctx.Eq(su[b], sa[b])) << "host " << i << " block " << b;

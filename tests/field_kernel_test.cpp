@@ -323,6 +323,112 @@ void CheckDotI64(const FpCtx& ctx, const std::vector<FpElem>& edges,
   EXPECT_EQ(ctx.DotI64({}, {}), ctx.Zero());
 }
 
+// DotI64Into, the kernel under DotI64, over element encodings placed at an
+// odd byte offset (nothing may assume alignment), against Dot with field
+// weights (DotI64Oracle): 1..64 terms of random signed coefficients with 0,
+// +-(2^63-1) and INT64_MIN mixed in, the same all negative, and each with a
+// Montgomery scale against Mul of the oracle; then sums that come out
+// negative, zero and an exact multiple of p.
+FpElem DotI64Into(const FpCtx& ctx, const std::vector<FpElem>& a,
+                  const std::vector<std::int64_t>& c,
+                  const FpMont* scale = nullptr) {
+  const std::size_t eb = ctx.elem_bytes();
+  Bytes buf(1 + a.size() * eb);
+  std::vector<const std::uint8_t*> ptrs;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const Bytes e = ctx.ToBytes(a[i]);
+    std::copy(e.begin(), e.end(), buf.begin() + 1 + i * eb);
+    ptrs.push_back(buf.data() + 1 + i * eb);
+  }
+  Bytes out(eb);
+  ctx.DotI64Into(ptrs, c, scale, out.data());
+  return ctx.FromBytes(out);
+}
+
+void CheckDotI64Into(const FpCtx& ctx, const std::vector<FpElem>& edges,
+                     Rng& rng) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  const std::int64_t kCoeffs[] = {0, kMax, -kMax, kMin, 1, -1};
+  const FpElem x = ctx.Random(rng);
+  const FpMont xm = ctx.ToMont(x);
+  for (std::size_t len = 1; len <= 64; ++len) {
+    std::vector<FpElem> a;
+    std::vector<std::int64_t> c, neg;
+    for (std::size_t i = 0; i < len; ++i) {
+      a.push_back(i % 3 == 0 ? edges[i % edges.size()] : ctx.Random(rng));
+      c.push_back(i % 2 == 0 ? static_cast<std::int64_t>(rng.Next())
+                             : kCoeffs[(i + len) % 6]);
+      neg.push_back(c.back() > 0 ? -c.back() : c.back());
+    }
+    for (const auto& coeffs : {c, neg}) {
+      const FpElem want = DotI64Oracle(ctx, a, coeffs);
+      ASSERT_EQ(DotI64Into(ctx, a, coeffs), want)
+          << ctx.bits() << "-bit len=" << len;
+      ASSERT_EQ(DotI64Into(ctx, a, coeffs, &xm), ctx.Mul(x, want))
+          << ctx.bits() << "-bit len=" << len;
+    }
+  }
+  const FpElem one = ctx.One(), p_minus_1 = edges[3];
+  EXPECT_EQ(DotI64Into(ctx, {one}, {-3}), ctx.Neg(ctx.FromUint64(3)));
+  EXPECT_EQ(DotI64Into(ctx, {p_minus_1}, {kMin}),
+            DotI64Oracle(ctx, {p_minus_1}, {kMin}));
+  EXPECT_EQ(DotI64Into(ctx, {x, x}, {5, -5}), ctx.Zero());
+  EXPECT_EQ(DotI64Into(ctx, {x}, {0}), ctx.Zero());
+  // (p-1)*c + 1*c = p*c for both signs of c: exact multiples of p.
+  for (std::int64_t m : {std::int64_t{1}, kMax, kMin, std::int64_t{-7}}) {
+    EXPECT_EQ(DotI64Into(ctx, {p_minus_1, one}, {m, m}), ctx.Zero()) << m;
+  }
+  // A row wider than the element adapter's on-stack pointer array.
+  std::vector<FpElem> wide;
+  std::vector<std::int64_t> wide_c;
+  for (std::size_t i = 0; i < 200; ++i) {
+    wide.push_back(i % 7 == 0 ? p_minus_1 : ctx.Random(rng));
+    wide_c.push_back(static_cast<std::int64_t>(rng.Next()));
+  }
+  EXPECT_EQ(ctx.DotI64(wide, wide_c), DotI64Oracle(ctx, wide, wide_c));
+  EXPECT_EQ(DotI64Into(ctx, wide, wide_c), DotI64Oracle(ctx, wide, wide_c));
+}
+
+TEST_P(FieldKernelTest, DotI64IntoMatchesDotOnEncodings) {
+  const std::vector<FpElem> edges = Operands(0);
+  CheckDotI64Into(fast_, edges, rng_);
+  CheckDotI64Into(oracle_, edges, rng_);
+  // One counter bump per output, and the products it accumulated.
+  const KernelStatsSnapshot before = GetKernelStats();
+  EXPECT_EQ(DotI64Into(fast_, {fast_.One(), fast_.FromUint64(2)}, {3, -4}),
+            fast_.Neg(fast_.FromUint64(5)));
+  const KernelStatsSnapshot after = GetKernelStats();
+  EXPECT_EQ(after.int_dot_calls - before.int_dot_calls, 1u);
+  EXPECT_EQ(after.int_dot_products - before.int_dot_products, 2u);
+}
+
+// ValidateElems compares each encoding with p in place: p-1 passes; p,
+// p+1 (the low limb differs) and 2^(64k)-1 (every limb at its maximum) are
+// refused; a ragged tail is a ParseError.
+TEST_P(FieldKernelTest, ValidateElemsAcceptsExactlyTheValuesBelowP) {
+  const std::size_t eb = fast_.elem_bytes();
+  const Bytes p_be = fast_.ModulusBytes();
+  const Bytes p_le(p_be.rbegin(), p_be.rend());
+  Bytes below = p_le, plus_one = p_le;
+  below[0] -= 1;  // p is odd: no borrow
+  for (std::uint8_t& byte : plus_one) {
+    if (++byte != 0) break;
+  }
+  const Bytes top(eb, 0xFF);
+  Bytes ok = fast_.ToBytes(fast_.Random(rng_));
+  ok.insert(ok.end(), below.begin(), below.end());
+  EXPECT_EQ(ValidateElems(fast_, ok), 2u);
+  EXPECT_EQ(ValidateElems(oracle_, ok), 2u);
+  for (const Bytes& bad : {p_le, plus_one, top}) {
+    Bytes data = ok;
+    data.insert(data.end(), bad.begin(), bad.end());
+    EXPECT_THROW(ValidateElems(fast_, data), InvalidArgument);
+  }
+  ok.push_back(0);
+  EXPECT_THROW(ValidateElems(fast_, ok), ParseError);
+}
+
 TEST_P(FieldKernelTest, MulU64AddMatchesMulThenAdd) {
   const std::vector<FpElem> edges = Operands(0);
   CheckMulU64Add(fast_, edges, rng_);
@@ -536,6 +642,28 @@ TEST(FieldKernelFallback, DotI64AtNonWordAlignedModuli) {
   EXPECT_THROW(p61.InvU64((std::uint64_t{1} << 61) - 1), InvalidArgument);
   const FpCtx p192(m192);  // 2^192 - 1 is divisible by 3
   EXPECT_THROW(p192.InvU64(3), InvalidArgument);
+}
+
+// DotI64Into at the same moduli: the quotient digits come from shifted
+// words, and at 2^61 - 1 the kernel runs one limb wide.
+TEST(FieldKernelFallback, DotI64IntoAtNonWordAlignedModuli) {
+  const Bytes m61{0x1F, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF};
+  Bytes m127(16, 0xFF);
+  m127[0] = 0x7F;
+  Bytes m127_64(16, 0);
+  m127_64[0] = 0x80;
+  for (std::size_t i = 8; i < 16; ++i) m127_64[i] = 0xFF;
+  const Bytes m192(24, 0xFF);
+  Rng rng(0xD0762);
+  for (const Bytes& m : {m61, m127, m127_64, m192}) {
+    FpCtx ctx(m);
+    EXPECT_EQ(ctx.kernel_width(), 0u);
+    Bytes le(m.rbegin(), m.rend());
+    le[0] -= 1;  // p - 1
+    const std::vector<FpElem> edges = {ctx.Zero(), ctx.One(),
+                                       ctx.FromUint64(2), ctx.FromBytes(le)};
+    CheckDotI64Into(ctx, edges, rng);
+  }
 }
 
 }  // namespace

@@ -291,7 +291,7 @@ std::map<std::uint64_t, std::vector<std::vector<FpElem>>> SnapshotShares(
     for (std::uint64_t id : cluster.host(i).store().FileIds()) {
       auto& slot = out[id];
       if (slot.size() < n) slot.resize(n);
-      slot[i] = cluster.host(i).store().Load(id);
+      slot[i] = cluster.host(i).store().Decode(id);
     }
   }
   return out;

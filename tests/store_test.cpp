@@ -100,6 +100,26 @@ TEST_F(StoreTest, AtRestIsTheWireEncodingAndDecodeLeavesItAlone) {
   EXPECT_THROW(store_.PutEncoded(copy, at_rest), InvalidArgument);
 }
 
+// A read takes one lookup (Find: meta and at-rest bytes, or null), and
+// neither it nor AtRest hands out bytes a live working copy is about to
+// supersede.
+TEST_F(StoreTest, AtRestAndFindRefuseALoadedFile) {
+  const FileMeta meta = PutFile(1, 3);
+  EXPECT_EQ(store_.Find(2), nullptr);
+  const ShareStore::Stored* stored = store_.Find(1);
+  ASSERT_NE(stored, nullptr);
+  EXPECT_EQ(stored->meta.num_blocks, meta.num_blocks);
+  EXPECT_TRUE(std::ranges::equal(stored->at_rest, store_.AtRest(1)));
+
+  store_.Load(1);
+  EXPECT_THROW(store_.AtRest(1), InvalidArgument);
+  EXPECT_THROW(store_.Find(1), InvalidArgument);
+  EXPECT_THROW(store_.Decode(1), InvalidArgument);
+  store_.Stash(1);
+  EXPECT_NE(store_.Find(1), nullptr);
+  EXPECT_EQ(store_.AtRest(1).size(), 3 * ctx_.elem_bytes());
+}
+
 // --- the hosts' use of the store --------------------------------------------
 
 ClusterConfig HostStoreConfig() {
