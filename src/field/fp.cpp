@@ -405,8 +405,6 @@ void FpCtx::ReduceDigit(u64* t) const {
 
 void FpCtx::DotI64Limbs(const std::uint8_t* const* a, const std::int64_t* c,
                         std::size_t terms, u64* r) const {
-  g_kernel_stats.int_dot_calls.Add();
-  g_kernel_stats.int_dot_products.Add(terms);
   const kernels::DigitReciprocal d{lz_, top_norm_, top_recip_};
   if (kernels_ != nullptr) {
     kernels_->dot_i64(p_.data(), k_, d, a, c, terms, r);
@@ -416,17 +414,28 @@ void FpCtx::DotI64Limbs(const std::uint8_t* const* a, const std::int64_t* c,
 }
 
 void FpCtx::DotI64Into(std::span<const std::uint8_t* const> a,
-                       std::span<const std::int64_t> c, const FpMont* scale,
-                       std::uint8_t* out) const {
-  Require(a.size() == c.size(), "DotI64: size mismatch");
-  u64 sum[kMaxLimbs], scaled[kMaxLimbs];
-  DotI64Limbs(a.data(), c.data(), a.size(), sum);
-  const u64* r = sum;
-  if (scale != nullptr) {
-    MulInto(scale->v.data(), sum, scaled);
-    r = scaled;
+                       std::span<const std::int64_t> c,
+                       std::span<const FpMont> scales,
+                       std::span<std::uint8_t* const> out) const {
+  Require(c.size() == out.size() * a.size(), "DotI64: size mismatch");
+  Require(scales.empty() || scales.size() == out.size(),
+          "DotI64: one scale per row");
+  // One bump per call: two always-live atomics per output cost about as
+  // much as a short row's kernel.
+  g_kernel_stats.int_dot_calls.Add(out.size());
+  g_kernel_stats.int_dot_products.Add(out.size() * a.size());
+  for (std::size_t r = 0; r < out.size(); ++r) {
+    u64 sum[kMaxLimbs], scaled[kMaxLimbs];
+    DotI64Limbs(a.data(), c.data() + r * a.size(), a.size(), sum);
+    const u64* v = sum;
+    if (!scales.empty() && !std::equal(scales[r].v.begin(),
+                                       scales[r].v.begin() + k_,
+                                       mont_one_.v.begin())) {
+      MulInto(scales[r].v.data(), sum, scaled);
+      v = scaled;
+    }
+    for (std::size_t j = 0; j < k_; ++j) StoreLe64(v[j], out[r] + 8 * j);
   }
-  for (std::size_t j = 0; j < k_; ++j) StoreLe64(r[j], out + 8 * j);
 }
 
 FpElem FpCtx::DotI64(std::span<const FpElem> a,
@@ -451,6 +460,8 @@ FpElem FpCtx::DotI64(std::span<const FpElem> a,
                   ? reinterpret_cast<const std::uint8_t*>(a[i].v.data())
                   : encoded.data() + i * elem_bytes();
   }
+  g_kernel_stats.int_dot_calls.Add();
+  g_kernel_stats.int_dot_products.Add(a.size());
   FpElem r;
   DotI64Limbs(ptrs, c.data(), a.size(), r.v.data());
   return r;

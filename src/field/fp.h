@@ -57,14 +57,15 @@ struct KernelStatsSnapshot {
   std::uint64_t dot_calls = 0;       // Dot() calls + DotAcc::Reduce() calls
   std::uint64_t dot_products = 0;    // products accumulated without reduction
   std::uint64_t dot_reductions = 0;  // wide reductions: exactly 1 per output
-  std::uint64_t int_dot_calls = 0;     // DotI64()/DotI64Into() calls
+  std::uint64_t int_dot_calls = 0;     // DotI64* outputs
   std::uint64_t int_dot_products = 0;  // k x 1 products they accumulated
 };
 KernelStatsSnapshot GetKernelStats();
 
 // Kernel selection policy for FpCtx: kAuto binds the width-specialized
 // kernels when the modulus width is one of the standard sizes (k in
-// {4, 8, 16, 32} limbs); kGeneric forces the runtime-width path, which the
+// {4, 8, 16, 32} limbs; flag-chained x86-64 assembly at k >= 8 when the CPU
+// has ADX and BMI2); kGeneric forces the runtime-width path, which the
 // differential tests use as the oracle.
 enum class KernelDispatch { kAuto, kGeneric };
 
@@ -133,15 +134,19 @@ class FpCtx {
   // (math/weight_cache.h). An adapter over DotI64Into's kernel.
   FpElem DotI64(std::span<const FpElem> a,
                 std::span<const std::int64_t> c) const;
-  // The same over element encodings: a[i] points at the elem_bytes()
-  // little-endian bytes of an element (the wire and storage encoding; the
-  // value must be below p, which is not checked here). The sum, times
-  // `scale` when it is non-null (a Montgomery form: one multiply, plain
-  // out), is written to `out` in that encoding. The width-specialized
-  // kernel of kernel_width(), or its runtime-width instance.
+  // The same over element encodings, for every row of one coefficient
+  // table: a[i] points at the elem_bytes() little-endian bytes of an element
+  // (the wire and storage encoding; the value must be below p, which is not
+  // checked here), c holds out.size() rows of a.size() coefficients
+  // (row-major), and row r's sum, times scales[r] when `scales` is
+  // non-empty (a Montgomery form: one multiply, plain out; skipped for
+  // MontOne()), is written to out[r] in that encoding. The
+  // width-specialized kernel of kernel_width(), or its runtime-width
+  // instance. The call is counted once, as out.size() outputs.
   void DotI64Into(std::span<const std::uint8_t* const> a,
-                  std::span<const std::int64_t> c, const FpMont* scale,
-                  std::uint8_t* out) const;
+                  std::span<const std::int64_t> c,
+                  std::span<const FpMont> scales,
+                  std::span<std::uint8_t* const> out) const;
   // t mod p for a nonnegative integer t of k+e limbs (k = limbs(), e =
   // t.size() - k) below p * 2^(64e): e quotient-digit steps from the top,
   // no Montgomery form. Clobbers t. Kernels that run an integer-linear map
@@ -211,7 +216,8 @@ class FpCtx {
   void ReduceDigit(std::uint64_t* t) const;
   // Random's draw: k limbs of the residue into r.
   void RandomLimbs(Rng& rng, std::uint64_t* r) const;
-  // DotI64's kernel, dispatched: k limbs of the plain sum into r.
+  // DotI64's kernel, dispatched: k limbs of the plain sum into r. Callers
+  // bump the int_dot counters.
   void DotI64Limbs(const std::uint8_t* const* a, const std::int64_t* c,
                    std::size_t terms, std::uint64_t* r) const;
 

@@ -13,6 +13,12 @@
 // kernels at the end (ReduceDigitK, DotI64K) carry their runtime-width
 // instance themselves: K = 0 reads the width from an argument.
 //
+// On x86-64 CPUs with ADX and BMI2, the Montgomery kernels at K in {8, 16,
+// 32} are replaced by flag-chained assembly (fp_kernels_x86.cpp) in the
+// table FpCtx binds; these templates remain the portable path (other CPUs
+// and targets, sanitizer builds, K = 4) and, with the runtime-k path, the
+// differential oracle.
+//
 // Contract: every kernel produces the canonical (< p) representative, so
 // outputs are bit-identical to the generic path. See docs/field_kernels.md
 // for the dispatch scheme and the lazy-reduction accumulator bound proof.
@@ -23,6 +29,23 @@
 
 #include "common/bytes.h"
 #include "field/limbs.h"
+
+// PISCES_FIELD_ASM is 1 where the x86-64 carry-chain kernels are compiled:
+// their inline assembly is invisible to AddressSanitizer and
+// ThreadSanitizer, so those builds (and every other target) compile only
+// the portable templates below.
+#if defined(__x86_64__) && !defined(__SANITIZE_ADDRESS__) && \
+    !defined(__SANITIZE_THREAD__)
+#define PISCES_FIELD_ASM 1
+#else
+#define PISCES_FIELD_ASM 0
+#endif
+#if defined(__has_feature)  // clang's spelling of the sanitizer checks
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#undef PISCES_FIELD_ASM
+#define PISCES_FIELD_ASM 0
+#endif
+#endif
 
 namespace pisces::field::kernels {
 
@@ -456,7 +479,20 @@ struct KernelVTable {
                   const std::int64_t* c, std::size_t terms, std::uint64_t* r);
 };
 
-// Table for a supported width (k in {4, 8, 16, 32}); nullptr otherwise.
+// The table FpCtx binds for width k, or nullptr when k is not in {4, 8, 16,
+// 32}: the flag-chained x86-64 kernels at k in {8, 16, 32} when the CPU has
+// ADX and BMI2 (AdxAvailable), the portable templates otherwise.
 const KernelVTable* KernelsForWidth(std::size_t k);
+
+// Each family alone, so the tests run both on any machine that has them:
+// the portable width-templated table (nullptr for other widths), and the
+// flag-chained one (nullptr when this CPU or build lacks it, and for k = 4,
+// which keeps the templates).
+const KernelVTable* PortableKernelsForWidth(std::size_t k);
+const KernelVTable* AdxKernelsForWidth(std::size_t k);
+
+// True when the flag-chained x86-64 kernels were built and this CPU reports
+// ADX and BMI2 (mulx/adcx/adox); decided once per process, on first use.
+bool AdxAvailable();
 
 }  // namespace pisces::field::kernels

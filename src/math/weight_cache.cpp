@@ -284,21 +284,24 @@ FpElem WeightRows::Eval(const FpCtx& ctx, std::size_t r,
   return integer_ && lcm_[r] != 1 ? ctx.Mul(lcm_inv_[r], sum) : sum;
 }
 
-void WeightRows::EvalInto(const FpCtx& ctx, std::size_t r,
+void WeightRows::EvalInto(const FpCtx& ctx,
                           std::span<const std::uint8_t* const> ys,
-                          std::uint8_t* out) const {
+                          std::span<std::uint8_t* const> out) const {
   Require(ys.size() >= width_, "WeightRows: ys too short");
+  Require(out.size() == rows_, "WeightRows: one output per row");
   ys = ys.first(width_);
   if (integer_) {
-    ctx.DotI64Into(ys, Num(r), lcm_[r] != 1 ? &lcm_inv_[r] : nullptr, out);
+    ctx.DotI64Into(ys, num_, lcm_inv_, out);
     return;
   }
   const std::size_t eb = ctx.elem_bytes();
   std::vector<FpElem> vals;
   vals.reserve(width_);
   for (const std::uint8_t* y : ys) vals.push_back(ctx.FromBytes({y, eb}));
-  const Bytes enc = ctx.ToBytes(ctx.Dot(Weights(r), vals));
-  std::copy(enc.begin(), enc.end(), out);
+  for (std::size_t r = 0; r < rows_; ++r) {
+    const Bytes enc = ctx.ToBytes(ctx.Dot(Weights(r), vals));
+    std::copy(enc.begin(), enc.end(), out[r]);
+  }
 }
 
 bool WeightRows::Predicts(const FpCtx& ctx, std::size_t r,

@@ -52,14 +52,14 @@ class WeightRows {
   // Row r applied to the first width() values of ys.
   FpElem Eval(const FpCtx& ctx, std::size_t r,
               std::span<const FpElem> ys) const;
-  // Row r applied to the elements at ys[0..width()) -- each pointing at an
-  // element's elem_bytes() little-endian bytes (the wire and storage
-  // encoding, values below p) -- with the value written to `out` in that
-  // encoding. The integer form is one FpCtx::DotI64Into, L_r^{-1} folded
-  // in; the field form decodes and runs Eval.
-  void EvalInto(const FpCtx& ctx, std::size_t r,
-                std::span<const std::uint8_t* const> ys,
-                std::uint8_t* out) const;
+  // Every row applied to the elements at ys[0..width()) -- each pointing at
+  // an element's elem_bytes() little-endian bytes (the wire and storage
+  // encoding, values below p) -- with row r's value written to out[r] in
+  // that encoding (out.size() == rows()). The integer form is one
+  // FpCtx::DotI64Into, each L_r^{-1} folded in; the field form decodes and
+  // runs Eval per row.
+  void EvalInto(const FpCtx& ctx, std::span<const std::uint8_t* const> ys,
+                std::span<std::uint8_t* const> out) const;
   // Eval(r, ys) == y, tested as sum N_r[k]*ys[k] == L_r*y in the integer
   // form (no inverse).
   bool Predicts(const FpCtx& ctx, std::size_t r, std::span<const FpElem> ys,

@@ -40,14 +40,15 @@ void PackedShamir::ShareBlocks(std::span<const std::uint8_t> secrets, Rng& rng,
     ctx_->RandomInto(rng, mask.data() + e * eb);
   }
   // Party i's share is row i of the cached generator applied to [s ; u]:
-  // one DotI64Into (or Dot, in the field form) per share, no per-block
-  // interpolation or inversion.
+  // one DotI64Into per block (or one Dot per share, in the field form),
+  // no per-block interpolation or inversion.
   auto gen = math::CachedSharingGenerator(*ctx_, points_.alphas(),
                                           points_.betas(), d);
   GlobalPool().ParallelChunks(
       0, blocks,
       [&](std::size_t lo, std::size_t hi) {
         std::vector<const std::uint8_t*> su(d + 1);
+        std::vector<std::uint8_t*> dst(params_.n);
         for (std::size_t b = lo; b < hi; ++b) {
           for (std::size_t j = 0; j < l; ++j) {
             su[j] = secrets.data() + (b * l + j) * eb;
@@ -55,9 +56,8 @@ void PackedShamir::ShareBlocks(std::span<const std::uint8_t> secrets, Rng& rng,
           for (std::size_t u = 0; u < masks; ++u) {
             su[l + u] = mask.data() + (b * masks + u) * eb;
           }
-          for (std::size_t i = 0; i < params_.n; ++i) {
-            gen->EvalInto(*ctx_, i, su, out[i] + b * eb);
-          }
+          for (std::size_t i = 0; i < params_.n; ++i) dst[i] = out[i] + b * eb;
+          gen->EvalInto(*ctx_, su, dst);
         }
       },
       extra_cpu_ns);
@@ -167,11 +167,11 @@ void PackedShamir::ReconstructRows(std::span<const std::uint32_t> parties,
       0, blocks,
       [&](std::size_t lo, std::size_t hi) {
         std::vector<const std::uint8_t*> ys(m);
+        std::vector<std::uint8_t*> dst(l);
         for (std::size_t b = lo; b < hi; ++b) {
           for (std::size_t k = 0; k < m; ++k) ys[k] = rows[k] + b * eb;
-          for (std::size_t j = 0; j < l; ++j) {
-            weights->EvalInto(*ctx_, j, ys, out + (b * l + j) * eb);
-          }
+          for (std::size_t j = 0; j < l; ++j) dst[j] = out + (b * l + j) * eb;
+          weights->EvalInto(*ctx_, ys, dst);
         }
       },
       extra_cpu_ns);

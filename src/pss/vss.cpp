@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <bit>
-#if defined(__x86_64__)
-#include <immintrin.h>
-#endif
+#include <type_traits>
 
 #include "common/task_pool.h"
+#include "field/fp_kernels.h"
 #include "field/limbs.h"
 #include "math/weight_cache.h"
 #include "obs/trace.h"
@@ -20,59 +19,156 @@ std::size_t GroupsFor(std::size_t wanted, std::size_t usable_rows) {
 
 namespace {
 
-// One limb of a carry (borrow) chain, a single adc (sbb) on x86-64.
-inline unsigned char AddLimb(unsigned char carry, std::uint64_t a,
-                             std::uint64_t b, std::uint64_t* r) {
-#if defined(__x86_64__)
-  unsigned long long s;
-  carry = _addcarry_u64(carry, a, b, &s);
-  *r = s;
-  return carry;
-#else
-  const unsigned __int128 s = static_cast<unsigned __int128>(a) + b + carry;
-  *r = static_cast<std::uint64_t>(s);
-  return static_cast<unsigned char>(s >> 64);
-#endif
+using u64 = std::uint64_t;
+using u128 = unsigned __int128;
+
+// The exact-integer kernels below take the value width w as a template
+// parameter W where it is one of the k + e widths of the standard fields
+// with e <= 2, so their carry chains unroll; W = 0 is the runtime-width
+// instance. WithWidth calls f with the instance for w.
+template <typename F>
+void WithWidth(std::size_t w, F&& f) {
+  switch (w) {
+    case 5: f(std::integral_constant<std::size_t, 5>{}); break;
+    case 6: f(std::integral_constant<std::size_t, 6>{}); break;
+    case 9: f(std::integral_constant<std::size_t, 9>{}); break;
+    case 10: f(std::integral_constant<std::size_t, 10>{}); break;
+    case 17: f(std::integral_constant<std::size_t, 17>{}); break;
+    case 18: f(std::integral_constant<std::size_t, 18>{}); break;
+    case 33: f(std::integral_constant<std::size_t, 33>{}); break;
+    case 34: f(std::integral_constant<std::size_t, 34>{}); break;
+    default: f(std::integral_constant<std::size_t, 0>{});
+  }
 }
-inline unsigned char SubLimb(unsigned char borrow, std::uint64_t a,
-                             std::uint64_t b, std::uint64_t* r) {
-#if defined(__x86_64__)
-  unsigned long long d;
-  borrow = _subborrow_u64(borrow, a, b, &d);
-  *r = d;
-  return borrow;
-#else
-  const unsigned __int128 d = static_cast<unsigned __int128>(a) - b - borrow;
-  *r = static_cast<std::uint64_t>(d);
-  return static_cast<unsigned char>((d >> 64) & 1);
+
+// x[0..w) = x[w..2w) - x[0..w): one borrow chain over two's-complement
+// values. On x86-64 a width-templated instance is a single sbb chain; GCC
+// wraps every _subborrow_u64 limb in setc/addb, which doubles its length.
+template <std::size_t W>
+inline void SubFromNext(u64* x, [[maybe_unused]] std::size_t w) {
+#if PISCES_FIELD_ASM
+  if constexpr (W > 0) {
+    u64 t;
+    asm volatile(
+        "mov %c[w8](%[x]), %[t]\n\t"
+        "sub (%[x]), %[t]\n\t"
+        "mov %[t], (%[x])\n\t"
+        ".set .Lpl, 1\n\t"
+        ".rept %c[w] - 1\n\t"
+        "mov %c[w8]+8*.Lpl(%[x]), %[t]\n\t"
+        "sbb 8*.Lpl(%[x]), %[t]\n\t"
+        "mov %[t], 8*.Lpl(%[x])\n\t"
+        ".set .Lpl, .Lpl + 1\n\t"
+        ".endr"
+        : [t] "=&r"(t)
+        : [x] "r"(x), [w] "i"(W), [w8] "i"(8 * W)
+        : "cc", "memory");
+    return;
+  }
 #endif
+  const std::size_t width = W > 0 ? W : w;
+  u64 borrow = 0;
+#pragma GCC unroll 40
+  for (std::size_t l = 0; l < width; ++l) {
+    const u128 d = static_cast<u128>(x[width + l]) - x[l] - borrow;
+    x[l] = static_cast<u64>(d);
+    borrow = static_cast<u64>(d >> 64) & 1;
+  }
+}
+
+// x[0..w) += x[-w..0): one carry chain (adc on x86-64, as above).
+template <std::size_t W>
+inline void AddPrev(u64* x, [[maybe_unused]] std::size_t w) {
+#if PISCES_FIELD_ASM
+  if constexpr (W > 0) {
+    u64 t;
+    asm volatile(
+        "mov (%[x]), %[t]\n\t"
+        "add -%c[w8](%[x]), %[t]\n\t"
+        "mov %[t], (%[x])\n\t"
+        ".set .Lpl, 1\n\t"
+        ".rept %c[w] - 1\n\t"
+        "mov 8*.Lpl(%[x]), %[t]\n\t"
+        "adc 8*.Lpl-%c[w8](%[x]), %[t]\n\t"
+        "mov %[t], 8*.Lpl(%[x])\n\t"
+        ".set .Lpl, .Lpl + 1\n\t"
+        ".endr"
+        : [t] "=&r"(t)
+        : [x] "r"(x), [w] "i"(W), [w8] "i"(8 * W)
+        : "cc", "memory");
+    return;
+  }
+#endif
+  const std::size_t width = W > 0 ? W : w;
+  const u64* prev = x - width;
+  u64 carry = 0;
+#pragma GCC unroll 40
+  for (std::size_t l = 0; l < width; ++l) {
+    const u128 s = static_cast<u128>(x[l]) + prev[l] + carry;
+    x[l] = static_cast<u64>(s);
+    carry = static_cast<u64>(s >> 64);
+  }
+}
+
+// acc[0..w) = acc * x + add[0..w) for a word x; returns the carry out of the
+// top limb, which the callers' bounds keep at zero. `adx` selects the
+// flag-chained row (mulx forms each product, adcx adds the low halves
+// through CF and adox the high halves one limb up through OF); it needs a
+// width-templated instance and field::kernels::AdxAvailable().
+template <std::size_t W>
+inline u64 MulAddRow(u64* acc, const u64* add, u64 x,
+                     [[maybe_unused]] std::size_t w,
+                     [[maybe_unused]] bool adx) {
+#if PISCES_FIELD_ASM
+  if constexpr (W > 0) {
+    if (adx) {
+      u64 lo, hi, cur;
+      asm volatile(
+          "xor %k[hi], %k[hi]\n\t"
+          ".set .Lpl, 0\n\t"
+          ".rept %c[w]\n\t"
+          "mov 8*.Lpl(%[add]), %[cur]\n\t"
+          "adox %[hi], %[cur]\n\t"
+          "mulx 8*.Lpl(%[acc]), %[lo], %[hi]\n\t"
+          "adcx %[lo], %[cur]\n\t"
+          "mov %[cur], 8*.Lpl(%[acc])\n\t"
+          ".set .Lpl, .Lpl + 1\n\t"
+          ".endr\n\t"
+          "mov $0, %k[lo]\n\t"
+          "adox %[lo], %[hi]\n\t"
+          "adcx %[lo], %[hi]"
+          : [lo] "=&r"(lo), [hi] "=&r"(hi), [cur] "=&r"(cur)
+          : [acc] "r"(acc), [add] "r"(add), "d"(x), [w] "i"(W)
+          : "cc", "memory");
+      return hi;
+    }
+  }
+#endif
+  const std::size_t width = W > 0 ? W : w;
+  u128 cur = 0;
+#pragma GCC unroll 40
+  for (std::size_t j = 0; j < width; ++j) {
+    cur += static_cast<u128>(acc[j]) * x + add[j];
+    acc[j] = static_cast<u64>(cur);
+    cur >>= 64;
+  }
+  return static_cast<u64>(cur);
 }
 
 // The transform's finite differences and prefix sums on nh two's-complement
 // integers of w limbs each, back to back in x; emit(a, x[nh-1]) sees output
-// a. W > 0 fixes w at compile time, so the carry chains unroll.
+// a. W as in WithWidth.
 template <std::size_t W, typename Emit>
-void Extrapolate(std::uint64_t* x, std::size_t nh, std::size_t w,
-                 Emit&& emit) {
+void Extrapolate(u64* x, std::size_t nh, std::size_t w, Emit&& emit) {
   const std::size_t width = W > 0 ? W : w;
   for (std::size_t j = 1; j < nh; ++j) {
     for (std::size_t i = 0; i + j < nh; ++i) {
-      std::uint64_t* xi = x + i * width;  // x[i] = x[i+1] - x[i]
-      unsigned char borrow = 0;
-#pragma GCC unroll 40
-      for (std::size_t l = 0; l < width; ++l) {
-        borrow = SubLimb(borrow, xi[width + l], xi[l], &xi[l]);
-      }
+      SubFromNext<W>(x + i * width, w);  // x[i] = x[i+1] - x[i]
     }
   }
   for (std::size_t a = 0; a < nh; ++a) {
     for (std::size_t m = 1; m < nh; ++m) {
-      std::uint64_t* xm = x + m * width;  // x[m] += x[m-1]
-      unsigned char carry = 0;
-#pragma GCC unroll 40
-      for (std::size_t l = 0; l < width; ++l) {
-        carry = AddLimb(carry, xm[l], xm[l - width], &xm[l]);
-      }
+      AddPrev<W>(x + m * width, w);  // x[m] += x[m-1]
     }
     emit(a, x + (nh - 1) * width);
   }
@@ -108,10 +204,14 @@ VssBatch::VssBatch(const FpCtx& ctx, const EvalPoints& points,
     holder_nodes_.push_back(points.alpha_node(h));
     x_max = std::max(x_max, holder_nodes_.back());
   }
+  for (const auto& vanish : segments_) {
+    for (std::uint64_t v : vanish) x_max = std::max(x_max, v);
+  }
   // Extra limbs of the exact-integer kernels (docs/field_kernels.md, "Wide
-  // integer accumulators"): a dealing value sum_{i<=d} c_i x^i is below
-  // p * 2^(bit_width(x) * (d+1)); a transform intermediate, with its sign,
-  // needs at most 4 nh - 2 - log2(pi nh) / 2 bits beyond p.
+  // integer accumulators"): a dealing value |V(x)| * u(x), with deg u =
+  // d - |V| and every node in [1, x_max], is below p * x_max^(d+1) <=
+  // p * 2^(bit_width(x_max) * (d+1)); a transform intermediate, with its
+  // sign, needs at most 4 nh - 2 - log2(pi nh) / 2 bits beyond p.
   const std::size_t deal_bits =
       static_cast<std::size_t>(std::bit_width(x_max)) * (degree_ + 1);
   deal_extra_ = (deal_bits + 63) / 64;
@@ -158,47 +258,61 @@ std::vector<std::vector<FpElem>> VssBatch::DealFrom(
   std::vector<std::vector<FpElem>> out(
       nh, std::vector<FpElem>(groups(), ctx_->Zero()));
   const std::size_t k = ctx_->limbs();
+  const std::size_t w = k + deal_extra_;
+  // A kGeneric context (kernel_width() 0) runs the runtime-width portable
+  // rows: the differential oracle of the templated and flag-chained ones.
+  const bool specialized = ctx_->kernel_width() != 0;
+  const bool adx = specialized && field::kernels::AdxAvailable();
   // Each group is independent pure compute; out[h][g] slots are owned by
   // (h, g), so the per-group fan-out is deterministic for any pool size.
   GlobalPool().ParallelFor(
       0, groups(),
       [&](std::size_t g) {
-        // z_g = u_g * prod (x - v): multiplying by (x - v) maps coefficient
-        // i to c[i-1] - v*c[i], updated top-down in place.
-        std::vector<FpElem> c = us[g].coeffs();
-        for (std::uint64_t v : segments_[g / segment_groups_]) {
-          c.push_back(ctx_->Zero());
-          for (std::size_t i = c.size(); i-- > 0;) {
-            c[i] = ctx_->MulU64Add(ctx_->Neg(c[i]), v,
-                                   i > 0 ? c[i - 1] : ctx_->Zero());
-          }
+        const std::vector<FpElem>& u = us[g].coeffs();
+        const std::vector<std::uint64_t>& vanish =
+            segments_[g / segment_groups_];
+        Invariant(u.size() + vanish.size() <= degree_ + 1,
+                  "DealFrom: dealing degree too high");
+        if (u.empty()) return;  // z_g = 0
+        // u's coefficients as w-limb integers, and a zero addend for the
+        // factor rows.
+        std::vector<u64> coef(u.size() * w, 0), acc(w), zero(w, 0);
+        for (std::size_t i = 0; i < u.size(); ++i) {
+          std::copy_n(u[i].v.data(), k, coef.data() + i * w);
         }
-        Invariant(c.size() <= degree_ + 1, "DealFrom: dealing degree too high");
-        if (c.empty()) return;
-        // Horner over Z: z_g(x) = sum c_i x^i < p * x^(degree+1) fits the
-        // k + deal_extra_ limbs (see the constructor), so the accumulator
-        // only grows and is reduced once per holder.
-        std::vector<std::uint64_t> acc(k + deal_extra_);
-        for (std::size_t h = 0; h < nh; ++h) {
-          const std::uint64_t x = holder_nodes_[h];
-          std::fill(acc.begin(), acc.end(), 0);
-          std::copy_n(c.back().v.data(), k, acc.data());
-          std::size_t len = k;  // limbs that may be nonzero
-          for (std::size_t i = c.size() - 1; i-- > 0;) {
-            unsigned __int128 cur = 0;
-            for (std::size_t j = 0; j < len; ++j) {
-              cur += static_cast<unsigned __int128>(acc[j]) * x +
-                     (j < k ? c[i].v[j] : 0);
-              acc[j] = static_cast<std::uint64_t>(cur);
-              cur >>= 64;
+        WithWidth(specialized ? w : 0, [&](auto width) {
+          auto row = [&](const u64* add, u64 x) {
+            const u64 carry =
+                MulAddRow<decltype(width)::value>(acc.data(), add, x, w, adx);
+            Invariant(carry == 0, "DealFrom: accumulator overflow");
+          };
+          for (std::size_t h = 0; h < nh; ++h) {
+            const u64 x = holder_nodes_[h];
+            // u_g(x) over Z by Horner, one row per coefficient.
+            std::copy_n(coef.data() + (u.size() - 1) * w, w, acc.data());
+            for (std::size_t i = u.size() - 1; i-- > 0;) {
+              row(coef.data() + i * w, x);
             }
-            if (cur != 0) {
-              Invariant(len < acc.size(), "DealFrom: accumulator overflow");
-              acc[len++] = static_cast<std::uint64_t>(cur);
+            // Times V(x) = prod (x - v): |x - v| packed into word-sized
+            // factors, one row each (one row unless |V(x)| outgrows a
+            // word), and the sign kept aside.
+            bool negative = false;
+            u64 factor = 1;
+            for (u64 v : vanish) {
+              const u64 d = x > v ? x - v : v - x;
+              negative ^= v > x;
+              u64 next;
+              if (__builtin_mul_overflow(factor, d, &next)) {
+                row(zero.data(), factor);
+                next = d;
+              }
+              factor = next;
             }
+            if (factor != 1) row(zero.data(), factor);
+            const FpElem r = ctx_->ReduceWide(acc);
+            out[h][g] = negative ? ctx_->Neg(r) : r;
           }
-          out[h][g] = ctx_->ReduceWide(acc);
-        }
+        });
       },
       extra_cpu_ns);
   // Active-adversary seam: applied on the caller's thread after the pool
@@ -241,11 +355,14 @@ std::vector<std::vector<FpElem>> VssBatch::Transform(
   // place leaves x[nh-1-j] = (backward difference)^j f(nh); the top one is
   // constant, so each pass of prefix sums moves the whole table one node
   // right and leaves f(nh + 1 + a) in x[nh-1] on pass a, which is reduced.
+  // Each difference and prefix sum is one borrow or carry chain over a value
+  // (width-templated; runtime-width on a kGeneric context, the oracle).
   // Static partition over groups: each chunk owns out[.][g] for its groups
   // and its own scratch, so results are deterministic regardless of
   // scheduling.
   const std::size_t k = ctx_->limbs();
   const std::size_t w = k + transform_extra_;
+  const bool specialized = ctx_->kernel_width() != 0;
   GlobalPool().ParallelChunks(
       0, groups(),
       [&](std::size_t g_begin, std::size_t g_end) {
@@ -268,17 +385,9 @@ std::vector<std::vector<FpElem>> VssBatch::Transform(
               out[a][g] = ctx_->ReduceWide(top);
             }
           };
-          switch (w) {
-            case 5: Extrapolate<5>(x.data(), nh, w, emit); break;
-            case 6: Extrapolate<6>(x.data(), nh, w, emit); break;
-            case 9: Extrapolate<9>(x.data(), nh, w, emit); break;
-            case 10: Extrapolate<10>(x.data(), nh, w, emit); break;
-            case 17: Extrapolate<17>(x.data(), nh, w, emit); break;
-            case 18: Extrapolate<18>(x.data(), nh, w, emit); break;
-            case 33: Extrapolate<33>(x.data(), nh, w, emit); break;
-            case 34: Extrapolate<34>(x.data(), nh, w, emit); break;
-            default: Extrapolate<0>(x.data(), nh, w, emit);
-          }
+          WithWidth(specialized ? w : 0, [&](auto width) {
+            Extrapolate<decltype(width)::value>(x.data(), nh, w, emit);
+          });
         }
       },
       extra_cpu_ns, std::max<std::size_t>(1, workers));

@@ -81,11 +81,12 @@ class VssBatch {
   // evaluate all dealings in parallel. us[g] is the uniform mask polynomial
   // of group g (segment-major: r one-segment batches draw the same back to
   // back); DealFrom is pure compute (apart from the optional tamper). It
-  // forms z_g = u_g * prod_{v in V of g's segment} (x - v), one factor at a
-  // time (FpCtx::MulU64Add), and evaluates z_g at each holder by Horner over
-  // the integers: a wide accumulator times the integer node plus a
-  // coefficient, reduced once per holder (FpCtx::ReduceWide); no field
-  // multiplication.
+  // evaluates z_g = u_g * V, V = prod_{v in V of g's segment} (x - v), at
+  // each holder's integer node x over the integers: u_g(x) by Horner (a wide
+  // accumulator times x plus a coefficient, one multiply-add row per step),
+  // times |V(x)| as one word (or as word-sized factors once it outgrows
+  // one), reduced once (FpCtx::ReduceWide) and negated when V(x) < 0; no
+  // field multiplication.
   std::vector<math::Poly> DrawDealRandomness(Rng& rng) const;
   std::vector<std::vector<FpElem>> DealFrom(
       std::span<const math::Poly> us, std::uint64_t* extra_cpu_ns = nullptr,

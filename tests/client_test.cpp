@@ -152,6 +152,31 @@ ClusterConfig ServingConfig() {
   return cfg;
 }
 
+// field.int_dot_calls / field.int_dot_products count every output of the
+// word-coefficient rows, however the rows are batched: an upload of B blocks
+// applies the n generator rows per block, and a classic download the l
+// reconstruction rows per block, each over d + 1 elements.
+TEST(ClientUpload, IntDotCountersCountEveryRowOutput) {
+  const ClusterConfig cfg = ServingConfig();
+  Cluster cluster(cfg);
+  const pss::Params& p = cfg.params;
+  const Bytes data = Rng(5).RandomBytes(8192);
+  const std::uint64_t blocks =
+      FileCodec(cluster.ctx(), p.l).BlocksFor(data.size());
+  const std::uint64_t terms = p.degree() + 1;
+  const field::KernelStatsSnapshot before = field::GetKernelStats();
+  cluster.Upload(1, data);
+  const field::KernelStatsSnapshot uploaded = field::GetKernelStats();
+  EXPECT_EQ(cluster.Download(ReadSpec::Classic(1)), data);
+  const field::KernelStatsSnapshot after = field::GetKernelStats();
+  EXPECT_EQ(uploaded.int_dot_calls - before.int_dot_calls, blocks * p.n);
+  EXPECT_EQ(uploaded.int_dot_products - before.int_dot_products,
+            blocks * p.n * terms);
+  EXPECT_EQ(after.int_dot_calls - uploaded.int_dot_calls, blocks * p.l);
+  EXPECT_EQ(after.int_dot_products - uploaded.int_dot_products,
+            blocks * p.l * terms);
+}
+
 TEST(ClientDownload, OddLengthsRoundTripThroughTheirPadding) {
   Cluster cluster(ServingConfig());
   Rng rng(11);

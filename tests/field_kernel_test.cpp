@@ -21,6 +21,7 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "field/fp.h"
+#include "field/fp_kernels.h"
 #include "field/primes.h"
 
 namespace pisces::field {
@@ -328,10 +329,11 @@ void CheckDotI64(const FpCtx& ctx, const std::vector<FpElem>& edges,
 // weights (DotI64Oracle): 1..64 terms of random signed coefficients with 0,
 // +-(2^63-1) and INT64_MIN mixed in, the same all negative, and each with a
 // Montgomery scale against Mul of the oracle; then sums that come out
-// negative, zero and an exact multiple of p.
-FpElem DotI64Into(const FpCtx& ctx, const std::vector<FpElem>& a,
-                  const std::vector<std::int64_t>& c,
-                  const FpMont* scale = nullptr) {
+// negative, zero and an exact multiple of p, and several rows in one call.
+std::vector<FpElem> DotI64IntoRows(
+    const FpCtx& ctx, const std::vector<FpElem>& a,
+    const std::vector<std::vector<std::int64_t>>& rows,
+    const std::vector<FpMont>& scales = {}) {
   const std::size_t eb = ctx.elem_bytes();
   Bytes buf(1 + a.size() * eb);
   std::vector<const std::uint8_t*> ptrs;
@@ -340,9 +342,25 @@ FpElem DotI64Into(const FpCtx& ctx, const std::vector<FpElem>& a,
     std::copy(e.begin(), e.end(), buf.begin() + 1 + i * eb);
     ptrs.push_back(buf.data() + 1 + i * eb);
   }
-  Bytes out(eb);
-  ctx.DotI64Into(ptrs, c, scale, out.data());
-  return ctx.FromBytes(out);
+  std::vector<std::int64_t> c;
+  Bytes out(1 + rows.size() * eb);
+  std::vector<std::uint8_t*> dst;
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    c.insert(c.end(), rows[r].begin(), rows[r].end());
+    dst.push_back(out.data() + 1 + r * eb);
+  }
+  ctx.DotI64Into(ptrs, c, scales, dst);
+  std::vector<FpElem> sums;
+  for (const std::uint8_t* d : dst) sums.push_back(ctx.FromBytes({d, eb}));
+  return sums;
+}
+
+FpElem DotI64Into(const FpCtx& ctx, const std::vector<FpElem>& a,
+                  const std::vector<std::int64_t>& c,
+                  const FpMont* scale = nullptr) {
+  std::vector<FpMont> scales;
+  if (scale != nullptr) scales.push_back(*scale);
+  return DotI64IntoRows(ctx, a, {c}, scales)[0];
 }
 
 void CheckDotI64Into(const FpCtx& ctx, const std::vector<FpElem>& edges,
@@ -388,6 +406,22 @@ void CheckDotI64Into(const FpCtx& ctx, const std::vector<FpElem>& edges,
   }
   EXPECT_EQ(ctx.DotI64(wide, wide_c), DotI64Oracle(ctx, wide, wide_c));
   EXPECT_EQ(DotI64Into(ctx, wide, wide_c), DotI64Oracle(ctx, wide, wide_c));
+  // Three rows over the same elements in one call, scaled by x, by
+  // MontOne() (the multiply skipped) and by x.
+  std::vector<std::vector<std::int64_t>> rows(3);
+  for (auto& row : rows) {
+    for (std::size_t i = 0; i < 9; ++i) {
+      row.push_back(static_cast<std::int64_t>(rng.Next()));
+    }
+  }
+  const std::vector<FpElem> nine(wide.begin(), wide.begin() + 9);
+  const std::vector<FpElem> sums =
+      DotI64IntoRows(ctx, nine, rows, {xm, ctx.MontOne(), xm});
+  ASSERT_EQ(sums.size(), 3u);
+  for (std::size_t r = 0; r < 3; ++r) {
+    const FpElem want = DotI64Oracle(ctx, nine, rows[r]);
+    EXPECT_EQ(sums[r], r == 1 ? want : ctx.Mul(x, want)) << "row " << r;
+  }
 }
 
 TEST_P(FieldKernelTest, DotI64IntoMatchesDotOnEncodings) {
@@ -401,6 +435,11 @@ TEST_P(FieldKernelTest, DotI64IntoMatchesDotOnEncodings) {
   const KernelStatsSnapshot after = GetKernelStats();
   EXPECT_EQ(after.int_dot_calls - before.int_dot_calls, 1u);
   EXPECT_EQ(after.int_dot_products - before.int_dot_products, 2u);
+  // A call with three rows counts three outputs.
+  DotI64IntoRows(fast_, {fast_.One(), fast_.One()}, {{1, 2}, {3, 4}, {5, 6}});
+  const KernelStatsSnapshot rows = GetKernelStats();
+  EXPECT_EQ(rows.int_dot_calls - after.int_dot_calls, 3u);
+  EXPECT_EQ(rows.int_dot_products - after.int_dot_products, 6u);
 }
 
 // ValidateElems compares each encoding with p in place: p-1 passes; p,
@@ -550,6 +589,198 @@ TEST_P(FieldKernelTest, RandomIsFromMontOfTheRawDraw) {
 
 INSTANTIATE_TEST_SUITE_P(AllPrimeSizes, FieldKernelTest,
                          ::testing::Values(256, 512, 1024, 2048));
+
+// The flag-chained x86-64 kernels (field/fp_kernels_x86.cpp) against the
+// portable width templates and the generic runtime-width path, at the widths
+// they cover. Without ADX and BMI2 (or off x86-64, or in a sanitizer build)
+// only the portable-versus-generic half runs.
+class FlagChainKernelTest : public ::testing::TestWithParam<std::size_t> {
+ protected:
+  FlagChainKernelTest()
+      : oracle_(StandardPrimeBe(GetParam()), KernelDispatch::kGeneric),
+        k_(oracle_.limbs()),
+        p_(oracle_.modulus().begin(), oracle_.modulus().end()),
+        n0inv_(MontgomeryN0Inv(p_[0])),
+        portable_(kernels::PortableKernelsForWidth(k_)),
+        adx_(kernels::AdxKernelsForWidth(k_)),
+        rng_(0xF1A6 ^ GetParam()) {}
+
+  // 0, 1, p - 1, p - 2, 2^(g-1), then uniform values below p.
+  std::vector<Limbs> Operands(int randoms) {
+    std::vector<Limbs> ops(5);
+    ops[1][0] = 1;
+    std::copy(p_.begin(), p_.end(), ops[2].begin());
+    ops[2][0] -= 1;
+    ops[3] = ops[2];
+    ops[3][0] -= 1;
+    ops[4][k_ - 1] = std::uint64_t{1} << 63;
+    for (int i = 0; i < randoms; ++i) ops.push_back(oracle_.Random(rng_).v);
+    return ops;
+  }
+
+  // (t + m p) / 2^(64 steps) before the final conditional subtraction, for
+  // a t of len limbs; whether it is >= p, i.e. whether the kernel
+  // subtracts. Every REDC of a given t reaches this value, whatever its
+  // step order: m is the unique multiple below 2^(64 steps) that clears
+  // the low limbs.
+  bool Subtracts(std::vector<std::uint64_t> t, std::size_t steps) const {
+    t.push_back(0);
+    for (std::size_t s = 0; s < steps; ++s) {
+      const std::uint64_t m = t[s] * n0inv_;
+      unsigned __int128 carry = 0;
+      for (std::size_t j = s; j < t.size(); ++j) {
+        carry += t[j];
+        if (j - s < k_) carry += static_cast<unsigned __int128>(m) * p_[j - s];
+        t[j] = static_cast<std::uint64_t>(carry);
+        carry >>= 64;
+      }
+    }
+    for (std::size_t j = steps + k_; j < t.size(); ++j) {
+      if (t[j] != 0) return true;
+    }
+    return CmpN(t.data() + steps, p_.data(), k_) >= 0;
+  }
+
+  // Runs `kernel` on the portable and flag-chained tables (when present)
+  // and checks both against `want`.
+  template <typename Run>
+  void ExpectBothKernels(const Limbs& want, Run&& run, const char* what) {
+    for (const kernels::KernelVTable* table : {portable_, adx_}) {
+      if (table == nullptr) continue;
+      Limbs r{};
+      run(*table, r.data());
+      ASSERT_EQ(r, want) << what << (table == adx_ ? " adx" : " portable");
+    }
+  }
+
+  FpCtx oracle_;
+  std::size_t k_;
+  std::vector<std::uint64_t> p_;
+  std::uint64_t n0inv_;
+  const kernels::KernelVTable* portable_;
+  const kernels::KernelVTable* adx_;
+  Rng rng_;
+};
+
+TEST_P(FlagChainKernelTest, TablesAreBoundByCpuFeature) {
+  ASSERT_NE(portable_, nullptr);
+  EXPECT_EQ(portable_->width, k_);
+  const FpCtx fast(StandardPrimeBe(GetParam()));
+  EXPECT_EQ(fast.kernel_width(), k_);
+  if (kernels::AdxAvailable()) {
+    ASSERT_NE(adx_, nullptr);
+    EXPECT_EQ(adx_->width, k_);
+    EXPECT_EQ(kernels::KernelsForWidth(k_), adx_);
+  } else {
+    EXPECT_EQ(adx_, nullptr);
+    EXPECT_EQ(kernels::KernelsForWidth(k_), portable_);
+  }
+  // k = 4 keeps the portable kernels; other widths have no table.
+  EXPECT_EQ(kernels::AdxKernelsForWidth(4), nullptr);
+  EXPECT_EQ(kernels::KernelsForWidth(4), kernels::PortableKernelsForWidth(4));
+  EXPECT_EQ(kernels::PortableKernelsForWidth(5), nullptr);
+  EXPECT_EQ(kernels::KernelsForWidth(5), nullptr);
+}
+
+TEST_P(FlagChainKernelTest, MulSqrRedcMatchPortableAndGeneric) {
+  const std::vector<Limbs> ops = Operands(GetParam() <= 1024 ? 24 : 10);
+  std::size_t subtracted = 0, kept = 0;
+  for (const Limbs& a : ops) {
+    const FpMont am{a};
+    const Limbs sqr = oracle_.Sqr(am).v;
+    ExpectBothKernels(
+        sqr, [&](const auto& t, std::uint64_t* r) {
+          t.sqr(p_.data(), n0inv_, a.data(), r);
+        },
+        "sqr");
+    ExpectBothKernels(
+        sqr, [&](const auto& t, std::uint64_t* r) {  // r aliases a
+          std::copy(a.begin(), a.begin() + k_, r);
+          t.sqr(p_.data(), n0inv_, r, r);
+        },
+        "aliased sqr");
+    for (const Limbs& b : ops) {
+      const Limbs mul = oracle_.Mul(am, FpMont{b}).v;
+      ExpectBothKernels(
+          mul, [&](const auto& t, std::uint64_t* r) {
+            t.mul(p_.data(), n0inv_, a.data(), b.data(), r);
+          },
+          "mul");
+      // The bare reduction of the product a*b is the same value.
+      std::vector<std::uint64_t> ab(2 * k_);
+      MulN(ab.data(), a.data(), b.data(), k_);
+      ExpectBothKernels(
+          mul, [&](const auto& t, std::uint64_t* r) {
+            std::vector<std::uint64_t> scratch = ab;
+            t.redc(p_.data(), n0inv_, scratch.data(), r);
+          },
+          "redc");
+      (Subtracts(ab, k_) ? subtracted : kept) += 1;
+    }
+  }
+  // Both outcomes of the final conditional subtraction were exercised.
+  EXPECT_GT(subtracted, 0u);
+  EXPECT_GT(kept, 0u);
+  // (p - 1) R + 1 always subtracts: its one step adds m p >= R.
+  std::vector<std::uint64_t> edge(2 * k_);
+  edge[0] = 1;
+  std::copy(p_.begin(), p_.end(), edge.begin() + k_);
+  edge[k_] -= 1;
+  ASSERT_TRUE(Subtracts(edge, k_));
+  // Its reduction is (p - 1) + REDC(1) mod p.
+  Limbs one{};
+  one[0] = 1;
+  FpElem p_minus_1{};
+  std::copy(p_.begin(), p_.end(), p_minus_1.v.begin());
+  p_minus_1.v[0] -= 1;
+  const Limbs want =
+      oracle_.Add(p_minus_1, oracle_.FromMont(FpMont{one})).v;
+  ExpectBothKernels(
+      want, [&](const auto& t, std::uint64_t* r) {
+        std::vector<std::uint64_t> scratch = edge;
+        t.redc(p_.data(), n0inv_, scratch.data(), r);
+      },
+      "redc edge");
+}
+
+// The wide reduction on accumulators up to 2^63 R^2 (> half of its 2^64 p^2
+// bound), so both outcomes of its conditional subtraction occur, and on
+// real accumulated sums, against the portable kernel and, times 2^64 R^2,
+// the generic Dot.
+TEST_P(FlagChainKernelTest, RedcWideMatchesPortableAndGenericDot) {
+  std::size_t subtracted = 0, kept = 0;
+  for (int i = 0; i < 60; ++i) {
+    std::vector<std::uint64_t> t(2 * k_ + 2, 0);
+    for (std::size_t j = 0; j < 2 * k_; ++j) t[j] = rng_.Next();
+    t[2 * k_] = i == 0 ? 0 : rng_.Next() >> (i % 2 == 0 ? 1 : 40);
+    (Subtracts({t.begin(), t.end() - 1}, k_ + 1) ? subtracted : kept) += 1;
+    Limbs want{};
+    {
+      std::vector<std::uint64_t> scratch = t;
+      portable_->redc_wide(p_.data(), n0inv_, scratch.data(), want.data());
+    }
+    ExpectBothKernels(
+        want, [&](const auto& table, std::uint64_t* r) {
+          std::vector<std::uint64_t> scratch = t;
+          table.redc_wide(p_.data(), n0inv_, scratch.data(), r);
+        },
+        "redc_wide");
+  }
+  EXPECT_GT(subtracted, 0u);
+  EXPECT_GT(kept, 0u);
+  // Sums of products through the dispatched context and the generic one.
+  const FpCtx fast(StandardPrimeBe(GetParam()));
+  const std::vector<Limbs> ops = Operands(8);
+  std::vector<FpElem> a, b;
+  for (const Limbs& x : ops) {
+    a.push_back(FpElem{x});
+    b.push_back(FpElem{ops[2]});  // every product (p - 1) * x
+  }
+  EXPECT_EQ(fast.Dot(a, b), oracle_.Dot(a, b));
+}
+
+INSTANTIATE_TEST_SUITE_P(ChainWidths, FlagChainKernelTest,
+                         ::testing::Values(512, 1024, 2048));
 
 // Non-standard widths must fall back to the generic path and still satisfy
 // the lazy-reduction contract (the wide REDC is width-agnostic).

@@ -382,7 +382,9 @@ TEST(HostDirect, RecoveryChunkRunsOneVssRound) {
   h.InstallFile(1, 5);
   const std::vector<std::uint32_t> targets = {5, 2};
   std::map<std::uint32_t, std::vector<field::FpElem>> truth;
-  for (std::uint32_t id : targets) truth[id] = h.hosts_[id]->store().Load(1);
+  for (std::uint32_t id : targets) {
+    truth[id] = h.hosts_[id]->store().Decode(1);
+  }
   h.Reboot(targets);
   std::map<net::MsgType, std::size_t> counts;
   h.net_.SetTap([&](const net::Message& m) { counts[m.type] += 1; });
@@ -398,7 +400,7 @@ TEST(HostDirect, RecoveryChunkRunsOneVssRound) {
   EXPECT_EQ(counts[net::MsgType::kMaskedShare], targets.size() * S);
   EXPECT_EQ(h.DonesAtHypervisor(), targets.size());
   for (std::uint32_t id : targets) {
-    EXPECT_EQ(h.hosts_[id]->store().Load(1), truth[id]) << "target " << id;
+    EXPECT_EQ(h.hosts_[id]->store().Decode(1), truth[id]) << "target " << id;
   }
   for (auto& host : h.hosts_) EXPECT_FALSE(host->HasActiveSessions());
 }
@@ -410,7 +412,7 @@ TEST(HostDirect, RecoveryMessagesOfOneTargetLayoutAreDropped) {
   HostHarness h(TwoTargetParams());
   h.InstallFile(1, 5);
   const std::vector<std::uint32_t> targets = {2, 5};
-  const std::vector<field::FpElem> truth = h.hosts_[2]->store().Load(1);
+  const std::vector<field::FpElem> truth = h.hosts_[2]->store().Decode(1);
   h.Reboot(targets);
   const std::size_t groups =
       pss::RecoveryPlan::For(5, h.params_, targets).groups;
@@ -432,7 +434,7 @@ TEST(HostDirect, RecoveryMessagesOfOneTargetLayoutAreDropped) {
   h.StartRecovery(1, 61, targets);
   h.sync_.RunToQuiescence();
   EXPECT_EQ(h.DonesAtHypervisor(), targets.size());
-  EXPECT_EQ(h.hosts_[2]->store().Load(1), truth);
+  EXPECT_EQ(h.hosts_[2]->store().Decode(1), truth);
   for (auto& host : h.hosts_) EXPECT_FALSE(host->HasActiveSessions());
 }
 

@@ -612,6 +612,62 @@ TEST_P(IntegerNodeVssBatchTest, DealFromMatchesVandermondeOfVanishingProduct) {
 INSTANTIATE_TEST_SUITE_P(FieldsAndDispatch, IntegerNodeVssBatchTest,
                          ::testing::Range(0, 10));
 
+// The dealing where |V(x)| = prod |x - v| outgrows a word, so it is applied
+// as word-sized factors, at a chain width (k + 2 limbs). n = 40, t = 2,
+// l = 16: d = 18 and nodes up to 56 give 6 * 19 = 114 bits beyond p; the
+// refresh product over the 16 betas fits one word at the lowest holder
+// node, 17 (16! < 2^45), and needs two from node 30 on. The recovery batch
+// vanishes at the largest node, the missing last party's. Against a
+// per-step reduced Horner of z = u * prod (x - v), with one polynomial's
+// coefficients all p - 1 (the largest accumulator) and the rest random.
+class SplitFactorDealTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(SplitFactorDealTest, DealFromMatchesPerStepHorner) {
+  const FpCtx ctx(field::StandardPrimeBe(GetParam()));
+  Rng rng(GetParam());
+  const std::size_t n = 40, t = 2, l = 16, degree = t + l;
+  const EvalPoints points(ctx, n, l);
+  std::vector<std::uint32_t> all(n), survivors;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    all[i] = i;
+    if (i + 1 < n) survivors.push_back(i);
+  }
+  std::vector<std::uint64_t> betas;
+  for (std::size_t j = 0; j < l; ++j) betas.push_back(points.beta_node(j));
+  const std::vector<std::uint64_t> target = {points.alpha_node(n - 1)};
+  const VssBatch refresh(ctx, points, all, {betas}, degree, 2 * t, 2);
+  const VssBatch recovery(ctx, points, survivors, {target}, degree, 2 * t, 2,
+                          /*recovery=*/true);
+  for (const VssBatch* batch : {&refresh, &recovery}) {
+    const std::vector<std::uint64_t>& nodes =
+        batch->recovery_shape() ? target : betas;
+    std::vector<FpElem> vanish;
+    for (std::uint64_t v : nodes) vanish.push_back(ctx.FromUint64(v));
+    const math::Poly w = math::Poly::Vanishing(ctx, vanish);
+    std::vector<math::Poly> us = batch->DrawDealRandomness(rng);
+    us[0] = math::Poly(std::vector<FpElem>(degree + 1 - nodes.size(),
+                                           ctx.Neg(ctx.One())));
+    const auto deal = batch->DealFrom(us);
+    for (std::size_t g = 0; g < us.size(); ++g) {
+      const std::vector<FpElem> z = math::Poly::Mul(ctx, w, us[g]).coeffs();
+      ASSERT_EQ(z.size(), degree + 1);
+      for (std::size_t k = 0; k < batch->dealers(); ++k) {
+        const std::uint64_t x = points.alpha_node(batch->holders()[k]);
+        FpElem want = z.back();
+        for (std::size_t i = z.size() - 1; i-- > 0;) {
+          want = ctx.MulU64Add(want, x, z[i]);
+        }
+        EXPECT_EQ(deal[k][g], want)
+            << (batch->recovery_shape() ? "recovery" : "refresh") << " x "
+            << x << " g " << g;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Fields, SplitFactorDealTest,
+                         ::testing::Values(256, 512, 1024, 2048));
+
 // A recovery batch with one segment per target against one-segment batches
 // over the same survivors, at the paper-best and serving shapes, 256- and
 // 1024-bit fields. Params: (grid point, field bits).
