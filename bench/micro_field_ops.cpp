@@ -277,8 +277,8 @@ void BM_VssTransform(benchmark::State& state) {
   const FpCtx& ctx = CtxFor(state.range(1));
   const auto batch = VssBench(ctx, state.range(0));
   Rng rng(11);
-  std::vector<std::vector<FpElem>> deals(batch.dealers());
-  for (auto& row : deals) row.push_back(ctx.Random(rng));
+  std::vector<pisces::Bytes> deals(batch.dealers());
+  for (auto& row : deals) row = ctx.ToBytes(ctx.Random(rng));
   for (auto _ : state) {
     benchmark::DoNotOptimize(batch.Transform(deals));
   }

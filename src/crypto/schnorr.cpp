@@ -16,10 +16,29 @@ using field::FpMont;
 
 namespace {
 
+// Draws per search in Generate before it gives up. The p search is the
+// longest: for the default seed about one draw in 2,500 gives a 512-bit
+// prime (most fail the size check; one odd 512-bit number in 177 is prime),
+// so 2^20 draws leave an honest search a failure chance below e^-300. A
+// search that runs out has a broken field kernel under it.
+constexpr std::size_t kMaxDraws = std::size_t{1} << 20;
+
+// The default group: Generate(Rng(0x5EEDF00D), 512, 256), big-endian hex.
+// The search costs every process milliseconds of Miller-Rabin; a crypto
+// test reruns it and compares.
+constexpr const char* kDefaultP =
+    "819d45a30523ed4dad126315ee65e35365146f426976be2cc34b1014e9cbb070"
+    "213b456528b58606e3f65e6a407a3cd21bad095b9b2142e60a564f26f7d496dd";
+constexpr const char* kDefaultQ =
+    "8266a10a89317b143a96edb0d64c365eb1e0305459fdd5a7ce18b1fa05716d65";
+constexpr const char* kDefaultG =
+    "2011be6cf0c362fd565f8d88e0b772240804a2201985aa44f1f3fa2de3f24dc3"
+    "0679fd50f39dceef0634326def2564b685d72af2f31807a6f8a803bbb52b7547";
+
 // Random prime with exactly `bits` bits (top bit forced).
 Bytes RandomPrimeBe(Rng& rng, std::size_t bits) {
   Require(bits % 8 == 0, "RandomPrimeBe: bits must be byte aligned");
-  for (;;) {
+  for (std::size_t draw = 0; draw < kMaxDraws; ++draw) {
     Bytes cand = rng.RandomBytes(bits / 8);
     cand.front() |= 0x80;
     cand.back() |= 1;
@@ -28,6 +47,7 @@ Bytes RandomPrimeBe(Rng& rng, std::size_t bits) {
       return cand;
     }
   }
+  throw InternalError("SchnorrGroup::Generate: no prime q within the draws");
 }
 
 Bytes BeFromLimbs(const field::Limbs& v, std::size_t nbytes) {
@@ -223,7 +243,7 @@ SchnorrGroup SchnorrGroup::Generate(Rng& rng, std::size_t p_bits,
   // Search p = q*m + 1 prime, with m even and sized so p has exactly p_bits.
   field::Limbs m{};
   Bytes m_be;
-  for (;;) {
+  for (std::size_t draw = 0; draw < kMaxDraws; ++draw) {
     m_be = rng.RandomBytes((p_bits - q_bits) / 8);
     m_be.front() |= 0xC0;  // force top bits so q*m occupies p_bits
     m_be.back() &= ~std::uint8_t{1};  // even
@@ -243,7 +263,7 @@ SchnorrGroup SchnorrGroup::Generate(Rng& rng, std::size_t p_bits,
     auto q_ctx = std::make_shared<FpCtx>(q_be);
     // Generator: g = h^m mod p for random h; order divides q (prime), so any
     // g != 1 has order exactly q.
-    for (;;) {
+    for (std::size_t draw = 0; draw < kMaxDraws; ++draw) {
       FpElem h = p_ctx->Random(rng);
       if (p_ctx->IsZero(h)) continue;
       FpElem g = p_ctx->PowBytes(h, m_be);
@@ -251,17 +271,18 @@ SchnorrGroup SchnorrGroup::Generate(Rng& rng, std::size_t p_bits,
         return SchnorrGroup(std::move(p_ctx), std::move(q_ctx), g);
       }
     }
+    throw InternalError(
+        "SchnorrGroup::Generate: no generator within the draws");
   }
+  throw InternalError("SchnorrGroup::Generate: no prime p within the draws");
 }
 
 const SchnorrGroup& SchnorrGroup::Default() {
-  static std::once_flag flag;
-  static std::unique_ptr<SchnorrGroup> group;
-  std::call_once(flag, [] {
-    Rng rng(0x5EEDF00DULL);
-    group = std::make_unique<SchnorrGroup>(SchnorrGroup::Generate(rng, 512, 256));
-  });
-  return *group;
+  static const SchnorrGroup group(
+      std::make_shared<FpCtx>(FromHex(kDefaultP)),
+      std::make_shared<FpCtx>(FromHex(kDefaultQ)),
+      FpElem{LimbsFromBeBytes(FromHex(kDefaultG))});
+  return group;
 }
 
 Bytes SchnorrGroup::ScalarToBe(const FpElem& s) const {

@@ -8,8 +8,9 @@
 // from racing a fresh host for network acceptance.
 //
 // Group parameters are DSA-style: q a 256-bit prime, p = q*m + 1 a 512-bit
-// prime, g of order q. Parameters are generated deterministically from a
-// fixed seed (they are public), so every process agrees on the group.
+// prime, g of order q. The default group's parameters are public constants,
+// the output of Generate from a fixed seed, so every process agrees on the
+// group without searching for it.
 //
 // Both verification exponentiations have a fixed base -- the generator g and
 // the CA key -- so they run over precomputed FixedBaseTables (Lim-Lee comb).
@@ -75,11 +76,13 @@ class FixedBaseTable {
 class SchnorrGroup {
  public:
   // Deterministically generates a group: q_bits-bit prime order, p_bits-bit
-  // modulus.
+  // modulus. Each of its searches gives up after a bounded number of draws
+  // with an InternalError naming it (a broken field kernel, not bad luck).
   static SchnorrGroup Generate(Rng& rng, std::size_t p_bits,
                                std::size_t q_bits);
 
-  // Process-wide default group (512/256 bits, fixed seed).
+  // Process-wide default group (512/256 bits): Generate's output for
+  // Rng(0x5EEDF00D), built from checked-in constants.
   static const SchnorrGroup& Default();
 
   const field::FpCtx& p_ctx() const { return *p_ctx_; }

@@ -235,8 +235,12 @@ FpElem FpCtx::FromBytes(std::span<const std::uint8_t> le) const {
 
 Bytes FpCtx::ToBytes(const FpElem& a) const {
   Bytes out(elem_bytes());
-  for (std::size_t i = 0; i < k_; ++i) StoreLe64(a.v[i], out.data() + 8 * i);
+  ToBytes(a, out.data());
   return out;
+}
+
+void FpCtx::ToBytes(const FpElem& a, std::uint8_t* out) const {
+  for (std::size_t i = 0; i < k_; ++i) StoreLe64(a.v[i], out + 8 * i);
 }
 
 u64 FpCtx::ToUint64(const FpElem& a) const {
@@ -723,6 +727,12 @@ std::size_t ValidateElems(const FpCtx& ctx, std::span<const std::uint8_t> data) 
     Require(limb < p[j], "ValidateElems: value >= modulus");
   }
   return data.size() / sz;
+}
+
+FpElem ElemAt(const FpCtx& ctx, std::span<const std::uint8_t> data,
+              std::size_t i) {
+  const std::size_t sz = ctx.elem_bytes();
+  return ctx.FromBytes(data.subspan(i * sz, sz));
 }
 
 }  // namespace pisces::field

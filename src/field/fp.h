@@ -93,6 +93,8 @@ class FpCtx {
   // Little-endian bytes, at most elem_bytes(), value must be < p.
   FpElem FromBytes(std::span<const std::uint8_t> le) const;
   Bytes ToBytes(const FpElem& a) const;
+  // The same, written to `out` (elem_bytes() bytes).
+  void ToBytes(const FpElem& a, std::uint8_t* out) const;
   // value as u64 (throws if it does not fit); mostly for tests.
   std::uint64_t ToUint64(const FpElem& a) const;
 
@@ -277,5 +279,9 @@ std::vector<FpElem> DeserializeElems(const FpCtx& ctx,
 // encoding is compared with p in place): throws ParseError on ragged data,
 // InvalidArgument on a value >= p; returns the element count.
 std::size_t ValidateElems(const FpCtx& ctx, std::span<const std::uint8_t> data);
+// Element i of such an encoding: FromBytes of its elem_bytes() slice, so a
+// value >= p throws.
+FpElem ElemAt(const FpCtx& ctx, std::span<const std::uint8_t> data,
+              std::size_t i);
 
 }  // namespace pisces::field

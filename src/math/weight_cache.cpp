@@ -299,8 +299,7 @@ void WeightRows::EvalInto(const FpCtx& ctx,
   vals.reserve(width_);
   for (const std::uint8_t* y : ys) vals.push_back(ctx.FromBytes({y, eb}));
   for (std::size_t r = 0; r < rows_; ++r) {
-    const Bytes enc = ctx.ToBytes(ctx.Dot(Weights(r), vals));
-    std::copy(enc.begin(), enc.end(), out[r]);
+    ctx.ToBytes(ctx.Dot(Weights(r), vals), out[r]);
   }
 }
 

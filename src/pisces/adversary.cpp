@@ -46,9 +46,9 @@ void Adversary::SnapshotHost(std::uint32_t host) {
   for (std::uint64_t file_id : h.store().FileIds()) {
     const FileMeta& meta = h.store().MetaOf(file_id);
     metas_[file_id] = meta;
-    std::vector<field::FpElem> shares = h.store().Decode(file_id);
-    SharesCaptured().Add(shares.size());
-    captures_[file_id][period_][host] = std::move(shares);
+    const std::span<const std::uint8_t> shares = h.store().AtRest(file_id);
+    SharesCaptured().Add(meta.num_blocks);
+    captures_[file_id][period_][host].assign(shares.begin(), shares.end());
   }
 }
 
@@ -91,19 +91,20 @@ std::optional<Bytes> Adversary::AttemptReconstruction(
   for (const auto& [period, by_host] : it->second) {
     if (by_host.size() < p.degree() + 1) continue;
     std::vector<std::uint32_t> parties;
-    std::vector<const std::vector<field::FpElem>*> rows;
+    std::vector<const std::uint8_t*> rows;
     for (const auto& [host, shares] : by_host) {
-      if (shares.size() != meta.num_blocks) continue;
+      if (shares.size() != meta.num_blocks * ctx.elem_bytes()) continue;
       parties.push_back(host);
-      rows.push_back(&shares);
+      rows.push_back(shares.data());
     }
     if (parties.size() < p.degree() + 1) continue;
     parties.resize(p.degree() + 1);
     rows.resize(p.degree() + 1);
 
-    const auto elems = shamir.ReconstructRows(parties, rows, meta.num_blocks);
+    Bytes secrets(meta.num_blocks * p.l * ctx.elem_bytes());
+    shamir.ReconstructRows(parties, rows, meta.num_blocks, secrets.data());
     try {
-      return codec.Decode(meta, elems);
+      return codec.DecodeWire(meta, secrets);
     } catch (const ParseError&) {
       continue;  // garbage -- not actually a consistent period
     }
@@ -123,10 +124,12 @@ std::optional<Bytes> Adversary::AttemptMixedReconstruction(
   const auto& ctx = cluster_->ctx();
 
   // Flatten captures across periods, one (most recent) vector per host.
-  std::map<std::uint32_t, const std::vector<field::FpElem>*> latest;
+  std::map<std::uint32_t, const std::uint8_t*> latest;
   for (const auto& [period, by_host] : it->second) {
     for (const auto& [host, shares] : by_host) {
-      if (shares.size() == meta.num_blocks) latest[host] = &shares;
+      if (shares.size() == meta.num_blocks * ctx.elem_bytes()) {
+        latest[host] = shares.data();
+      }
     }
   }
   if (latest.size() < p.degree() + 1) return std::nullopt;
@@ -134,15 +137,16 @@ std::optional<Bytes> Adversary::AttemptMixedReconstruction(
   pss::PackedShamir shamir(cluster_->ctx_ptr(), p);
   FileCodec codec(ctx, p.l);
   std::vector<std::uint32_t> parties;
-  std::vector<const std::vector<field::FpElem>*> rows;
+  std::vector<const std::uint8_t*> rows;
   for (const auto& [host, shares] : latest) {
     parties.push_back(host);
     rows.push_back(shares);
     if (parties.size() == p.degree() + 1) break;
   }
-  const auto elems = shamir.ReconstructRows(parties, rows, meta.num_blocks);
+  Bytes secrets(meta.num_blocks * p.l * ctx.elem_bytes());
+  shamir.ReconstructRows(parties, rows, meta.num_blocks, secrets.data());
   try {
-    return codec.Decode(meta, elems);
+    return codec.DecodeWire(meta, secrets);
   } catch (const ParseError&) {
     return std::nullopt;
   }

@@ -56,10 +56,9 @@ class Adversary {
   Cluster* cluster_;
   std::set<std::uint32_t> corrupted_;
   // Epoch counters per corrupted host at capture time let us group captures
-  // by share period: captures[file][period][host] = shares.
+  // by share period: captures[file][period][host] = the at-rest share bytes.
   std::map<std::uint64_t,
-           std::map<std::uint64_t,
-                    std::map<std::uint32_t, std::vector<field::FpElem>>>>
+           std::map<std::uint64_t, std::map<std::uint32_t, Bytes>>>
       captures_;
   std::map<std::uint64_t, FileMeta> metas_;
   std::uint64_t period_ = 0;

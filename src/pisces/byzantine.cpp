@@ -129,14 +129,19 @@ void ByzantineActor::TamperDeal(std::span<const std::uint32_t> holders,
   }
 }
 
-bool ByzantineActor::TamperShares(std::vector<field::FpElem>& elems) {
+bool ByzantineActor::TamperShares(std::span<std::uint8_t> elems) {
   if (strategy_ != ByzantineStrategy::kWrongShare || elems.empty()) {
     return false;
   }
   obs::Span span(obs::SpanKind::kByzAction, host_,
                  static_cast<std::uint64_t>(strategy_));
-  for (auto& e : elems) e = ctx_->Add(e, ctx_->RandomNonZero(rng_));
-  SharesTampered().Add(elems.size());
+  const std::size_t count = elems.size() / ctx_->elem_bytes();
+  for (std::size_t i = 0; i < count; ++i) {
+    const field::FpElem e = field::ElemAt(*ctx_, elems, i);
+    ctx_->ToBytes(ctx_->Add(e, ctx_->RandomNonZero(rng_)),
+                  elems.data() + i * ctx_->elem_bytes());
+  }
+  SharesTampered().Add(count);
   return true;
 }
 

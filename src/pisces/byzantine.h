@@ -99,9 +99,10 @@ class ByzantineActor final : public pss::DealTamper {
   void TamperDeal(std::span<const std::uint32_t> holders, bool recovery,
                   std::vector<std::vector<field::FpElem>>& deal) override;
 
-  // Wrong-share hook: perturbs each element by an independent nonzero
-  // offset. Returns true if the vector was modified (kWrongShare only).
-  bool TamperShares(std::vector<field::FpElem>& elems);
+  // Wrong-share hook: perturbs each element of an element encoding (served
+  // shares, masked shares) in place by an independent nonzero offset.
+  // Returns true if it was modified (kWrongShare only).
+  bool TamperShares(std::span<std::uint8_t> elems);
 
   // Withholding hook: true when this host silently skips the send it is
   // about to perform (a VSS dealing or a recovery masked share). Each

@@ -37,6 +37,25 @@ obs::Counter& StaircaseInfeasible() {
   return c;
 }
 
+// The meta most responses carry (all honest hosts agree; a corrupted meta
+// from a minority cannot win). meta_of maps a response to its meta.
+template <typename Responses, typename MetaOf>
+FileMeta MajorityMeta(const Responses& responses, MetaOf meta_of) {
+  std::map<Bytes, std::size_t> meta_votes;
+  for (const auto& resp : responses) {
+    meta_votes[meta_of(resp).Serialize()] += 1;
+  }
+  const Bytes* best = nullptr;
+  std::size_t best_votes = 0;
+  for (const auto& [blob, votes] : meta_votes) {
+    if (votes > best_votes) {
+      best = &blob;
+      best_votes = votes;
+    }
+  }
+  return FileMeta::Deserialize(*best);
+}
+
 }  // namespace
 
 Client::Client(ClientConfig cfg, net::Transport& transport,
@@ -239,21 +258,10 @@ std::optional<Bytes> Client::TryAssemble(std::uint64_t file_id) {
 
   ComputeSection section(metrics_, obs::SpanKind::kClientReconstruct,
                          file_id);
-  // Adopt the majority meta (all honest hosts agree; a corrupted meta from a
-  // minority cannot win).
-  std::map<Bytes, std::size_t> meta_votes;
-  for (const auto& [host, resp] : responses) {
-    meta_votes[resp.meta.Serialize()] += 1;
-  }
-  const Bytes* best = nullptr;
-  std::size_t best_votes = 0;
-  for (const auto& [blob, votes] : meta_votes) {
-    if (votes > best_votes) {
-      best = &blob;
-      best_votes = votes;
-    }
-  }
-  FileMeta meta = FileMeta::Deserialize(*best);
+  const FileMeta meta = MajorityMeta(
+      responses, [](const auto& entry) -> const FileMeta& {
+        return entry.second.meta;
+      });
 
   // First d+1 hosts (ascending ids) whose response matches the block count.
   // Striped rows (stale responses from an abandoned staircase attempt on the
@@ -303,19 +311,9 @@ std::optional<Bytes> Client::AssembleStaircase(std::uint64_t file_id,
   }
 
   ComputeSection section(metrics_, obs::SpanKind::kClientReconstruct, file_id);
-  std::map<Bytes, std::size_t> meta_votes;
-  for (const ShareResponse* resp : by_contact) {
-    meta_votes[resp->meta.Serialize()] += 1;
-  }
-  const Bytes* best = nullptr;
-  std::size_t best_votes = 0;
-  for (const auto& [blob, votes] : meta_votes) {
-    if (votes > best_votes) {
-      best = &blob;
-      best_votes = votes;
-    }
-  }
-  FileMeta meta = FileMeta::Deserialize(*best);
+  const FileMeta meta = MajorityMeta(
+      by_contact,
+      [](const ShareResponse* resp) -> const FileMeta& { return resp->meta; });
 
   std::vector<std::vector<FpElem>> rows(dl.contacted.size());
   for (std::size_t j = 0; j < dl.contacted.size(); ++j) {

@@ -194,7 +194,7 @@ void Host::OnSetShares(const Message& msg) {
                 meta.num_blocks,
             "SetShares: wrong share count");
     pt.erase(pt.begin(), pt.begin() + static_cast<std::ptrdiff_t>(head));
-    store_.PutEncoded(meta, std::move(pt));
+    store_.Put(meta, std::move(pt));
   }
 
   Message ack;
@@ -263,11 +263,7 @@ void Host::OnReconstructRequest(const Message& msg) {
       // Wrong-share attack on client reconstruction: lie on the wire while
       // the stored shares stay honest (the mobile adversary corrupts and
       // leaves; it does not get to rot the store beyond the decode radius).
-      std::vector<FpElem> served = field::DeserializeElems(
-          *cfg_.ctx, std::span<const std::uint8_t>(body).subspan(head));
-      byz_->TamperShares(served);
-      const Bytes lie = field::SerializeElems(*cfg_.ctx, served);
-      std::copy(lie.begin(), lie.end(), body.begin() + head);
+      byz_->TamperShares(std::span<std::uint8_t>(body).subspan(head));
     }
     sealed = keyring_.Seal(msg.from, body);
   }
@@ -326,7 +322,7 @@ void Host::OnStartRefresh(const Message& msg) {
   }
 
   VssSession s;
-  std::vector<std::vector<FpElem>> deal;
+  std::vector<Bytes> deal;
   {
     ComputeSection section(metrics_.rerandomize, obs::SpanKind::kRefreshDeal,
                            cfg_.id, msg.file_id);
@@ -403,7 +399,7 @@ void Host::OnStartRecovery(const Message& msg) {
 
   // Survivor: one VSS round masks every target of the batch.
   VssSession s;
-  std::vector<std::vector<FpElem>> deal;
+  std::vector<Bytes> deal;
   {
     ComputeSection section(metrics_.recover, obs::SpanKind::kRecoverDeal,
                            cfg_.id, meta.file_id);
@@ -441,14 +437,15 @@ std::vector<std::uint32_t> MissingDealers(const pss::VssBatch& batch,
   return out;
 }
 
-// Per-holder group vectors -> all groups well formed.
-bool VerifyRow(const pss::VssBatch& batch,
-               const std::vector<std::vector<FpElem>>& mat,
+// Per-holder CheckShare payloads of one row -> all groups well formed.
+bool VerifyRow(const pss::VssBatch& batch, const std::vector<Bytes>& mat,
                const field::FpCtx& ctx) {
   obs::Span span(obs::SpanKind::kVssVerify, mat.size(), batch.groups());
   for (std::size_t g = 0; g < batch.groups(); ++g) {
     std::vector<FpElem> column(mat.size(), ctx.Zero());
-    for (std::size_t k = 0; k < mat.size(); ++k) column[k] = mat[k][g];
+    for (std::size_t k = 0; k < mat.size(); ++k) {
+      column[k] = field::ElemAt(ctx, mat[k], g);
+    }
     if (!batch.VerifyCheckVector(column, g)) return false;
   }
   return true;
@@ -460,8 +457,7 @@ PhaseMetrics& Host::VssBucket(const VssSession& s) {
   return s.batch->recovery_shape() ? metrics_.recover : metrics_.rerandomize;
 }
 
-void Host::StartVss(FileSeq key, VssSession s,
-                    std::vector<std::vector<FpElem>> deal) {
+void Host::StartVss(FileSeq key, VssSession s, std::vector<Bytes> deal) {
   const auto [file_id, epoch] = key;
   const std::size_t dealers = s.batch->dealers();
   s.deals_by_dealer.resize(dealers);
@@ -479,8 +475,7 @@ void Host::StartVss(FileSeq key, VssSession s,
     m.type = MsgType::kDeal;
     m.file_id = file_id;
     m.epoch = epoch;
-    m.payload =
-        keyring_.Seal(holder, field::SerializeElems(*cfg_.ctx, deal[k]));
+    m.payload = keyring_.Seal(holder, deal[k]);
     SendMetered(std::move(m), VssBucket(session));
   }
   // Self-deal, delivered locally.
@@ -500,12 +495,14 @@ void Host::OnDealPlain(const Message& msg) {
     return;
   }
   VssSession& s = it->second;
-  std::vector<FpElem> elems = field::DeserializeElems(*cfg_.ctx, msg.payload);
+  // Kept as it came: Transform reads its limbs unchecked, so each element
+  // must be below p.
+  const std::size_t count = field::ValidateElems(*cfg_.ctx, msg.payload);
   const std::size_t idx = s.batch->IndexOf(msg.from);
   Require(idx != pss::VssBatch::npos, "OnDeal: dealer not a holder");
-  Require(elems.size() == s.batch->groups(), "OnDeal: wrong group count");
+  Require(count == s.batch->groups(), "OnDeal: wrong group count");
   if (s.deal_seen[idx]) return;  // duplicate
-  s.deals_by_dealer[idx] = std::move(elems);
+  s.deals_by_dealer[idx] = msg.payload;
   s.deal_seen[idx] = true;
   s.deals += 1;
   if (s.deals == s.batch->dealers()) TransformAndCheck(key, s);
@@ -539,13 +536,12 @@ void Host::TransformAndCheck(FileSeq key, VssSession& s) {
     m.epoch = epoch;
     m.row = a;
     if (verifier == cfg_.id) {
-      m.payload = field::SerializeElems(*cfg_.ctx, s.outputs[a]);
+      m.payload = s.outputs[a];
       OnCheckSharePlain(m);
       // The local hand-off may have completed (and erased) this session.
       if (vss_.find(key) == vss_.end()) return;
     } else {
-      m.payload = keyring_.Seal(
-          verifier, field::SerializeElems(*cfg_.ctx, s.outputs[a]));
+      m.payload = keyring_.Seal(verifier, s.outputs[a]);
       SendMetered(std::move(m), VssBucket(s));
     }
   }
@@ -559,14 +555,14 @@ void Host::OnCheckSharePlain(const Message& msg) {
     return;
   }
   VssSession& s = it->second;
-  std::vector<FpElem> elems = field::DeserializeElems(*cfg_.ctx, msg.payload);
+  const std::size_t count = field::ValidateElems(*cfg_.ctx, msg.payload);
   auto& mat = s.check_vals[msg.row];
   if (mat.empty()) mat.resize(s.batch->dealers());
   const std::size_t idx = s.batch->IndexOf(msg.from);
   Require(idx != pss::VssBatch::npos, "OnCheckShare: unknown holder");
   if (!mat[idx].empty()) return;  // duplicate
-  Require(elems.size() == s.batch->groups(), "OnCheckShare: group mismatch");
-  mat[idx] = std::move(elems);
+  Require(count == s.batch->groups(), "OnCheckShare: group mismatch");
+  mat[idx] = msg.payload;
   s.check_counts[msg.row] += 1;
   if (s.check_counts[msg.row] == s.batch->dealers()) {
     MaybeVerifyRow(key, s, msg.row);
@@ -652,17 +648,21 @@ void Host::MaybeApplyRefresh(FileSeq key, VssSession& s) {
   } else {
     ComputeSection section(metrics_.rerandomize, obs::SpanKind::kRefreshApply,
                            cfg_.id, file_id);
-    std::vector<FpElem>& shares = store_.Load(file_id);
-    // Usable row a_rel of group g refreshes block g * usable + a_rel.
+    const field::FpCtx& ctx = *cfg_.ctx;
+    // Each new share overwrites the old one at rest: the proactive "delete
+    // old shares" step. Usable row a_rel of group g refreshes block
+    // g * usable + a_rel.
+    const std::span<std::uint8_t> shares = store_.Writable(file_id);
+    Require(shares.size() == s.blocks * ctx.elem_bytes(),
+            "Refresh: stored block count changed during the round");
     const std::size_t base = s.batch->check_rows();
     const std::size_t usable = s.batch->usable_rows();
     for (std::size_t blk = 0; blk < s.blocks; ++blk) {
-      shares[blk] = cfg_.ctx->Add(shares[blk],
-                                  s.outputs[base + blk % usable][blk / usable]);
+      const FpElem zero_share =
+          field::ElemAt(ctx, s.outputs[base + blk % usable], blk / usable);
+      ctx.ToBytes(ctx.Add(field::ElemAt(ctx, shares, blk), zero_share),
+                  shares.data() + blk * ctx.elem_bytes());
     }
-    // Stash persists the new shares and destroys the old serialized copy:
-    // the proactive "delete old shares" step.
-    store_.Stash(file_id);
   }
   ReportPhaseDone(file_id, epoch, 0, ok, metrics_.rerandomize);
   vss_.erase(key);
@@ -688,7 +688,10 @@ void Host::MaybeSendMaskedShares(FileSeq key, VssSession& s) {
   {
     ComputeSection section(metrics_.recover, obs::SpanKind::kRecoverMask,
                            cfg_.id, file_id);
-    const std::vector<FpElem> shares = store_.Decode(file_id);
+    const field::FpCtx& ctx = *cfg_.ctx;
+    const std::span<const std::uint8_t> shares = store_.AtRest(file_id);
+    Require(shares.size() == s.blocks * ctx.elem_bytes(),
+            "Recovery: stored block count differs from the plan");
     const std::size_t base = s.batch->check_rows();
     const std::size_t usable = s.batch->usable_rows();
     // Ship only the stripe this survivor's rank covers.
@@ -697,18 +700,18 @@ void Host::MaybeSendMaskedShares(FileSeq key, VssSession& s) {
             .BlocksFor(s.batch->IndexOf(cfg_.id), s.blocks);
     for (std::size_t j = 0; j < s.targets.size(); ++j) {
       const std::size_t first_group = j * s.batch->segment_groups();
-      std::vector<FpElem> masked(blocks_to_send.size(), cfg_.ctx->Zero());
+      Bytes masked(blocks_to_send.size() * ctx.elem_bytes());
       for (std::size_t i = 0; i < blocks_to_send.size(); ++i) {
         const std::size_t blk = blocks_to_send[i];
-        masked[i] = cfg_.ctx->Add(
-            shares[blk],
-            s.outputs[base + blk % usable][first_group + blk / usable]);
+        const FpElem mask = field::ElemAt(ctx, s.outputs[base + blk % usable],
+                                          first_group + blk / usable);
+        ctx.ToBytes(ctx.Add(field::ElemAt(ctx, shares, blk), mask),
+                    masked.data() + i * ctx.elem_bytes());
       }
       // Wrong-share attack on recovery: the target's consistency check and
       // robust decode are responsible for catching this.
       if (byz_ != nullptr) byz_->TamperShares(masked);
-      sealed[j] = keyring_.Seal(s.targets[j],
-                                field::SerializeElems(*cfg_.ctx, masked));
+      sealed[j] = keyring_.Seal(s.targets[j], masked);
     }
   }
 
@@ -734,11 +737,11 @@ void Host::OnMaskedSharePlain(const Message& msg) {
     return;
   }
   TargetSession& s = it->second;
-  std::vector<FpElem> elems;
+  std::size_t count;
   {
     ComputeSection section(metrics_.recover, obs::SpanKind::kRecoverMask,
                            cfg_.id, msg.from);
-    elems = field::DeserializeElems(*cfg_.ctx, msg.payload);
+    count = field::ValidateElems(*cfg_.ctx, msg.payload);
   }
   const auto sender_it =
       std::find(s.plan.survivors.begin(), s.plan.survivors.end(), msg.from);
@@ -746,10 +749,10 @@ void Host::OnMaskedSharePlain(const Message& msg) {
           "MaskedShare: sender is not a survivor");
   const std::size_t rank =
       static_cast<std::size_t>(sender_it - s.plan.survivors.begin());
-  Require(elems.size() == MaskLayout(s.plan.survivors.size(), s.mask_budget)
-                              .CountFor(rank, s.meta.num_blocks),
+  Require(count == MaskLayout(s.plan.survivors.size(), s.mask_budget)
+                       .CountFor(rank, s.meta.num_blocks),
           "MaskedShare: wrong block count");
-  if (!s.masked_by_sender.emplace(msg.from, std::move(elems)).second) return;
+  if (!s.masked_by_sender.emplace(msg.from, msg.payload).second) return;
   if (s.masked_by_sender.size() == s.plan.survivors.size()) {
     MaybeFinishTarget(msg.file_id, msg.epoch, s);
     target_.erase({msg.file_id, msg.epoch});
@@ -760,6 +763,7 @@ void Host::MaybeFinishTarget(std::uint64_t file_id, std::uint32_t seq,
                              TargetSession& s) {
   ComputeSection section(metrics_.recover, obs::SpanKind::kRecoverFinish,
                          cfg_.id, file_id);
+  const field::FpCtx& ctx = *cfg_.ctx;
   const std::size_t d = cfg_.params.degree();
   const FpElem alpha_me = shamir_->points().alpha(cfg_.id);
   // Each survivor shipped its stripe, so each block interpolates from exactly
@@ -771,7 +775,7 @@ void Host::MaybeFinishTarget(std::uint64_t file_id, std::uint32_t seq,
   const std::size_t budget = layout.need;
   const std::size_t classes =
       s.mask_budget > 0 ? std::min<std::size_t>(S, s.meta.num_blocks) : 1;
-  std::vector<const std::vector<FpElem>*> rows(S, nullptr);
+  std::vector<const Bytes*> rows(S, nullptr);
   for (std::size_t k = 0; k < S; ++k) {
     auto rit = s.masked_by_sender.find(s.plan.survivors[k]);
     Invariant(rit != s.masked_by_sender.end(),
@@ -790,7 +794,7 @@ void Host::MaybeFinishTarget(std::uint64_t file_id, std::uint32_t seq,
     for (std::uint32_t k : cls[rc].ranks) {
       cls[rc].xs.push_back(shamir_->points().alpha(s.plan.survivors[k]));
     }
-    cls[rc].checker.emplace(*cfg_.ctx, cls[rc].xs, d);
+    cls[rc].checker.emplace(ctx, cls[rc].xs, d);
     cls[rc].at_me = cls[rc].checker->WeightsAt({&alpha_me, 1});
   }
   // Unique-decoding radius of the masked-share code: the budget's slack over
@@ -801,34 +805,35 @@ void Host::MaybeFinishTarget(std::uint64_t file_id, std::uint32_t seq,
 
   bool ok = true;
   std::set<std::uint32_t> accused_set;
-  std::vector<FpElem> shares(s.meta.num_blocks, cfg_.ctx->Zero());
+  Bytes shares(s.meta.num_blocks * ctx.elem_bytes());
   std::vector<std::size_t> cursor(S, 0);
-  std::vector<FpElem> ys(budget, cfg_.ctx->Zero());
+  std::vector<FpElem> ys(budget, ctx.Zero());
   for (std::size_t blk = 0; blk < s.meta.num_blocks; ++blk) {
     const ClassInterp& c = cls[blk % classes];
+    std::uint8_t* share = shares.data() + blk * ctx.elem_bytes();
     for (std::size_t i = 0; i < c.ranks.size(); ++i) {
-      ys[i] = (*rows[c.ranks[i]])[cursor[c.ranks[i]]++];
+      ys[i] = field::ElemAt(ctx, *rows[c.ranks[i]], cursor[c.ranks[i]]++);
     }
     // The masked polynomial f + q has degree <= d; inconsistency means a
     // corrupted survivor (caught here even though verification passed for
     // the masks, since the share component is unverified).
     if (c.checker->Consistent(ys)) {
-      shares[blk] = c.at_me.Eval(*cfg_.ctx, 0, ys);
+      ctx.ToBytes(c.at_me.Eval(ctx, 0, ys), share);
       continue;
     }
     // Dispute path: decode through the wrong values with Berlekamp-Welch and
     // accuse the senders whose points the decoded polynomial rejects.
     RecoveryInconsistent().Add(1);
     obs::Span span(obs::SpanKind::kByzDetect, cfg_.id, blk);
-    auto f = math::RobustInterpolate(*cfg_.ctx, c.xs, ys, d, max_errors);
+    auto f = math::RobustInterpolate(ctx, c.xs, ys, d, max_errors);
     if (!f.has_value()) {
       ok = false;
       break;
     }
-    std::vector<std::size_t> bad = math::Mismatches(*cfg_.ctx, *f, c.xs, ys);
+    std::vector<std::size_t> bad = math::Mismatches(ctx, *f, c.xs, ys);
     RecoverySharesCorrected().Add(bad.size());
     for (std::size_t b : bad) accused_set.insert(s.plan.survivors[c.ranks[b]]);
-    shares[blk] = f->Eval(*cfg_.ctx, alpha_me);
+    ctx.ToBytes(f->Eval(ctx, alpha_me), share);
   }
   if (ok) store_.Put(s.meta, std::move(shares));
   std::vector<std::uint32_t> accused(accused_set.begin(), accused_set.end());
@@ -981,7 +986,7 @@ void Host::InstallShares(const FileMeta& meta,
   Require(online_, "Host::InstallShares: host is offline");
   Require(shares.size() == meta.num_blocks,
           "Host::InstallShares: share count does not match meta");
-  store_.Put(meta, std::move(shares));
+  store_.Put(meta, field::SerializeElems(*cfg_.ctx, shares));
 }
 
 }  // namespace pisces

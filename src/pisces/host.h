@@ -113,11 +113,11 @@ class Host : public net::MessageHandler {
 
   // Raw dealing columns of a refresh session that failed hyperinvertible
   // verification, archived so the hypervisor can attribute the corrupt
-  // dealer: deals_by_dealer[i][g] is the value this host received from the
-  // i-th participant named in the round's kStartRefresh, for group g.
-  // Consumed (erased) by the call.
+  // dealer: deals_by_dealer[i] is the Deal payload this host received from
+  // the i-th participant named in the round's kStartRefresh (element g:
+  // group g). Consumed (erased) by the call.
   struct FailedRefresh {
-    std::vector<std::vector<field::FpElem>> deals_by_dealer;
+    std::vector<Bytes> deals_by_dealer;
     std::vector<bool> deal_seen;
   };
   std::optional<FailedRefresh> TakeFailedRefresh(std::uint64_t file_id,
@@ -169,12 +169,13 @@ class Host : public net::MessageHandler {
     // full masked vectors from every survivor.
     std::vector<std::uint32_t> targets;
     std::size_t mask_budget = 0;
-    std::vector<std::vector<field::FpElem>> deals_by_dealer;  // [dealers][g]
+    // Rows are element encodings, element g for group g (pss/vss.h).
+    std::vector<Bytes> deals_by_dealer;  // the Deal payloads, [dealers]
     std::vector<bool> deal_seen;
     std::size_t deals = 0;
-    std::vector<std::vector<field::FpElem>> outputs;  // [dealers][g]
-    // Verifier role: check_row -> per-holder values ([k][G]).
-    std::map<std::uint32_t, std::vector<std::vector<field::FpElem>>> check_vals;
+    std::vector<Bytes> outputs;  // transform rows, [dealers]
+    // Verifier role: check_row -> per-holder CheckShare payloads ([k]).
+    std::map<std::uint32_t, std::vector<Bytes>> check_vals;
     std::map<std::uint32_t, std::size_t> check_counts;
     std::set<std::uint32_t> verdict_rows;
     bool failed = false;
@@ -185,7 +186,7 @@ class Host : public net::MessageHandler {
     FileMeta meta;
     pss::RecoveryPlan plan;
     std::size_t mask_budget = 0;  // 0 = full masked vectors
-    std::map<std::uint32_t, std::vector<field::FpElem>> masked_by_sender;
+    std::map<std::uint32_t, Bytes> masked_by_sender;  // the payloads
   };
 
   // (file, epoch): epoch is the hypervisor op sequence, drawn afresh for
@@ -207,8 +208,7 @@ class Host : public net::MessageHandler {
   // --- VSS round steps (refresh and recovery masking alike) ---
   // Sends this host's dealing `deal` of round `key` to every other holder and
   // records its self-deal.
-  void StartVss(FileSeq key, VssSession s,
-                std::vector<std::vector<field::FpElem>> deal);
+  void StartVss(FileSeq key, VssSession s, std::vector<Bytes> deal);
   void TransformAndCheck(FileSeq key, VssSession& s);
   void MaybeVerifyRow(FileSeq key, VssSession& s, std::uint32_t row);
   void AcceptVerdict(FileSeq key, VssSession& s, std::uint32_t row, bool ok);

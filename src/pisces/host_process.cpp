@@ -58,7 +58,7 @@ std::vector<std::uint32_t> GetIds(ByteReader& r) {
 
 }  // namespace
 
-Bytes HostStatus::Serialize(const field::FpCtx& ctx) const {
+Bytes HostStatus::Serialize() const {
   ByteWriter w;
   w.U8(online ? 1 : 0);
   w.U8(active_sessions ? 1 : 0);
@@ -85,7 +85,7 @@ Bytes HostStatus::Serialize(const field::FpCtx& ctx) const {
     w.U32(static_cast<std::uint32_t>(fr.deals_by_dealer.size()));
     for (std::size_t i = 0; i < fr.deals_by_dealer.size(); ++i) {
       w.U8(i < fr.deal_seen.size() && fr.deal_seen[i] ? 1 : 0);
-      w.Blob(field::SerializeElems(ctx, fr.deals_by_dealer[i]));
+      w.Blob(fr.deals_by_dealer[i]);
     }
   }
   return w.Take();
@@ -121,7 +121,9 @@ HostStatus HostStatus::Deserialize(std::span<const std::uint8_t> data,
     const std::uint32_t dealers = r.Count(5);
     for (std::uint32_t i = 0; i < dealers; ++i) {
       fr.deal_seen.push_back(r.U8() != 0);
-      fr.deals_by_dealer.push_back(field::DeserializeElems(ctx, r.Blob()));
+      const std::span<const std::uint8_t> deal = r.Blob();
+      field::ValidateElems(ctx, deal);
+      fr.deals_by_dealer.emplace_back(deal.begin(), deal.end());
     }
     if (!rep.failed_refresh.emplace(file, std::move(fr)).second) {
       throw ParseError("HostStatus: duplicate archive");
@@ -248,7 +250,7 @@ void HostProcess::SendStatus(std::uint32_t echo_row,
   m.to = net::kHypervisorId;
   m.type = net::MsgType::kStatusReport;
   m.row = echo_row;
-  m.payload = s.Serialize(*ctx_);
+  m.payload = s.Serialize();
   endpoint_->Send(std::move(m));
 }
 

@@ -54,7 +54,8 @@ struct HostStatus {
   // in kStartRefresh participant order; the list itself is not sent.
   std::map<std::uint64_t, Host::FailedRefresh> failed_refresh;
 
-  Bytes Serialize(const field::FpCtx& ctx) const;
+  Bytes Serialize() const;
+  // `ctx` checks the archived elements (each below p).
   static HostStatus Deserialize(std::span<const std::uint8_t> data,
                                 const field::FpCtx& ctx);
 };

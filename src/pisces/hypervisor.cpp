@@ -190,7 +190,7 @@ std::set<std::uint32_t> Hypervisor::AttributeCorruptDealers(
     // independent points any fabricated dealing is caught.
     for (std::size_t i = 0; i < dealers.size(); ++i) {
       std::vector<FpElem> xs;
-      std::vector<const std::vector<FpElem>*> cols;
+      std::vector<const Bytes*> cols;
       for (const auto& [holder, fr] : archives) {
         if (i < fr.deal_seen.size() && fr.deal_seen[i] &&
             !fr.deals_by_dealer[i].empty()) {
@@ -202,13 +202,14 @@ std::set<std::uint32_t> Hypervisor::AttributeCorruptDealers(
       math::PointChecker checker(ctx, xs, d);
       const math::WeightRows at_betas =
           checker.WeightsAt(shamir.points().betas());
-      const std::size_t groups = cols.front()->size();
+      const std::size_t eb = ctx.elem_bytes();
+      const std::size_t groups = cols.front()->size() / eb;
       std::vector<FpElem> ys(xs.size(), ctx.Zero());
       bool bad = false;
       for (std::size_t g = 0; g < groups && !bad; ++g) {
         for (std::size_t k = 0; k < cols.size(); ++k) {
-          if (g >= cols[k]->size()) { bad = true; break; }
-          ys[k] = (*cols[k])[g];
+          if (g >= cols[k]->size() / eb) { bad = true; break; }
+          ys[k] = field::ElemAt(ctx, *cols[k], g);
         }
         if (bad) break;
         if (!checker.Consistent(ys)) {

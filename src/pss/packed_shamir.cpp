@@ -136,19 +136,25 @@ std::vector<std::vector<FpElem>> PackedShamir::ReconstructBlocks(
     Require(shares.size() == parties.size(),
             "ReconstructBlocks: size mismatch");
   }
-  // Lay the shares out by party: rows[k][b] is parties[k]'s share of block b.
+  // Lay the shares out by party, encoded: row k holds parties[k]'s share of
+  // every block.
   const std::size_t m = std::min(parties.size(), params_.degree() + 1);
-  std::vector<std::vector<FpElem>> rows(m);
-  std::vector<const std::vector<FpElem>*> row_ptrs;
+  const std::size_t blocks = shares_by_block.size();
+  const std::size_t eb = ctx_->elem_bytes();
+  std::vector<Bytes> rows(m, Bytes(blocks * eb));
+  std::vector<const std::uint8_t*> row_ptrs;
   for (std::size_t k = 0; k < m; ++k) {
-    for (const auto& shares : shares_by_block) rows[k].push_back(shares[k]);
-    row_ptrs.push_back(&rows[k]);
+    for (std::size_t b = 0; b < blocks; ++b) {
+      ctx_->ToBytes(shares_by_block[b][k], rows[k].data() + b * eb);
+    }
+    row_ptrs.push_back(rows[k].data());
   }
-  const std::vector<FpElem> secrets = ReconstructRows(
-      parties, row_ptrs, shares_by_block.size(), extra_cpu_ns);
+  Bytes encoded(blocks * params_.l * eb);
+  ReconstructRows(parties, row_ptrs, blocks, encoded.data(), extra_cpu_ns);
+  const std::vector<FpElem> secrets = field::DeserializeElems(*ctx_, encoded);
   std::vector<std::vector<FpElem>> out;
-  out.reserve(shares_by_block.size());
-  for (std::size_t b = 0; b < shares_by_block.size(); ++b) {
+  out.reserve(blocks);
+  for (std::size_t b = 0; b < blocks; ++b) {
     out.emplace_back(secrets.begin() + b * params_.l,
                      secrets.begin() + (b + 1) * params_.l);
   }
@@ -175,25 +181,6 @@ void PackedShamir::ReconstructRows(std::span<const std::uint32_t> parties,
         }
       },
       extra_cpu_ns);
-}
-
-std::vector<FpElem> PackedShamir::ReconstructRows(
-    std::span<const std::uint32_t> parties,
-    std::span<const std::vector<FpElem>* const> rows, std::size_t blocks,
-    std::uint64_t* extra_cpu_ns) const {
-  const std::size_t m = params_.degree() + 1;
-  Require(rows.size() >= m, "ReconstructRows: not enough rows");
-  std::vector<Bytes> encoded(m);
-  std::vector<const std::uint8_t*> row_ptrs(m);
-  for (std::size_t k = 0; k < m; ++k) {
-    Require(rows[k]->size() >= blocks, "ReconstructRows: short row");
-    encoded[k] = field::SerializeElems(
-        *ctx_, std::span<const FpElem>(*rows[k]).first(blocks));
-    row_ptrs[k] = encoded[k].data();
-  }
-  Bytes out(blocks * params_.l * ctx_->elem_bytes());
-  ReconstructRows(parties, row_ptrs, blocks, out.data(), extra_cpu_ns);
-  return field::DeserializeElems(*ctx_, out);
 }
 
 }  // namespace pisces::pss

@@ -75,12 +75,6 @@ class PackedShamir {
                        std::span<const std::uint8_t* const> rows,
                        std::size_t blocks, std::uint8_t* out,
                        std::uint64_t* extra_cpu_ns = nullptr) const;
-  // The same over elements (rows[k][b] is parties[k]'s share of block b);
-  // returns the l secrets of every block back to back.
-  std::vector<FpElem> ReconstructRows(
-      std::span<const std::uint32_t> parties,
-      std::span<const std::vector<FpElem>* const> rows, std::size_t blocks,
-      std::uint64_t* extra_cpu_ns = nullptr) const;
 
   // True iff the given (party, share) points lie on a degree <= d polynomial.
   bool ConsistentShares(std::span<const std::uint32_t> parties,

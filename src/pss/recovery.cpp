@@ -59,9 +59,9 @@ namespace {
 
 // One recovery VSS run as the survivors run it: randomness first (serial,
 // RNG order fixed), then per-dealer and per-holder fan-out on the task pool,
-// then every check row of every group verified. Returns outputs[k][a][g],
-// survivor k's transform output row a of group g.
-std::vector<std::vector<std::vector<FpElem>>> RunMaskBatch(
+// then every check row of every group verified. Returns outputs[k][a],
+// survivor k's transform output row a (element g: group g).
+std::vector<std::vector<Bytes>> RunMaskBatch(
     const PackedShamir& shamir, const VssBatch& batch, Rng& rng) {
   const FpCtx& ctx = shamir.ctx();
   const std::size_t ns = batch.dealers();
@@ -70,13 +70,13 @@ std::vector<std::vector<std::vector<FpElem>>> RunMaskBatch(
   for (std::size_t i = 0; i < ns; ++i) {
     us_by_dealer.push_back(batch.DrawDealRandomness(rng));
   }
-  std::vector<std::vector<std::vector<FpElem>>> deals(ns);
+  std::vector<std::vector<Bytes>> deals(ns);
   GlobalPool().ParallelFor(0, ns, [&](std::size_t i) {
     deals[i] = batch.DealFrom(us_by_dealer[i]);
   });
-  std::vector<std::vector<std::vector<FpElem>>> outputs(ns);
+  std::vector<std::vector<Bytes>> outputs(ns);
   GlobalPool().ParallelFor(0, ns, [&](std::size_t k) {
-    std::vector<std::vector<FpElem>> col(ns);
+    std::vector<Bytes> col(ns);
     for (std::size_t i = 0; i < ns; ++i) col[i] = deals[i][k];
     outputs[k] = batch.Transform(col, shamir.params().b);
   });
@@ -84,7 +84,9 @@ std::vector<std::vector<std::vector<FpElem>>> RunMaskBatch(
   GlobalPool().ParallelFor(0, batch.check_rows(), [&](std::size_t a) {
     for (std::size_t g = 0; g < batch.groups(); ++g) {
       std::vector<FpElem> values(ns, ctx.Zero());
-      for (std::size_t k = 0; k < ns; ++k) values[k] = outputs[k][a][g];
+      for (std::size_t k = 0; k < ns; ++k) {
+        values[k] = field::ElemAt(ctx, outputs[k][a], g);
+      }
       Invariant(batch.VerifyCheckVector(values, g),
                 "ReferenceRecover: check row failed");
     }
@@ -125,7 +127,7 @@ void ReferenceRecover(const PackedShamir& shamir,
       std::vector<FpElem> masked(m);
       for (std::size_t k = 0; k < m; ++k) {
         masked[k] = ctx.Add(shares_by_party[plan.survivors[k]][blk],
-                            outputs[k][a][g]);
+                            field::ElemAt(ctx, outputs[k][a], g));
       }
       // q_blk(alpha_target) == 0, so this is f_blk(alpha_target).
       target_shares[blk] = w->Eval(ctx, 0, masked);
@@ -170,7 +172,8 @@ std::vector<std::uint32_t> ReferenceRecoverRobust(
       std::vector<FpElem> ys(ns, ctx.Zero());
       for (std::size_t k = 0; k < ns; ++k) {
         const std::uint32_t s = plan.survivors[k];
-        ys[k] = ctx.Add(shares_by_party[s][blk], outputs[k][a][g]);
+        ys[k] = ctx.Add(shares_by_party[s][blk],
+                        field::ElemAt(ctx, outputs[k][a], g));
         if (std::find(liars.begin(), liars.end(), s) != liars.end()) {
           ys[k] = ctx.Add(ys[k], xs[k]);
         }

@@ -54,7 +54,8 @@ void ReferenceRefresh(const PackedShamir& shamir,
   RefreshPlan plan = RefreshPlan::For(blocks, p);
   VssBatch batch = MakeRefreshBatch(shamir, blocks);
 
-  // Phase 1: every party deals. deals[i][k][g] = dealer i's value for holder k.
+  // Phase 1: every party deals. deals[i][k] = dealer i's row for holder k
+  // (element g: group g).
   // Randomness for ALL dealers is drawn serially first (RNG order is part of
   // the determinism contract); the pure-compute dealing evaluation then fans
   // out per dealer over the task pool.
@@ -63,17 +64,17 @@ void ReferenceRefresh(const PackedShamir& shamir,
   for (std::size_t i = 0; i < p.n; ++i) {
     us_by_dealer.push_back(batch.DrawDealRandomness(rng));
   }
-  std::vector<std::vector<std::vector<FpElem>>> deals(p.n);
+  std::vector<std::vector<Bytes>> deals(p.n);
   GlobalPool().ParallelFor(0, p.n, [&](std::size_t i) {
     deals[i] = batch.DealFrom(us_by_dealer[i]);
   });
 
   // Phase 2: every holder transforms its received column (per-holder fan-out;
   // the per-call `workers` cap models the paper's b inside each host).
-  // outputs[k][a][g] = holder k's share of output row a, group g.
-  std::vector<std::vector<std::vector<FpElem>>> outputs(p.n);
+  // outputs[k][a] = holder k's output row a (element g: group g).
+  std::vector<std::vector<Bytes>> outputs(p.n);
   GlobalPool().ParallelFor(0, p.n, [&](std::size_t k) {
-    std::vector<std::vector<FpElem>> col(p.n);
+    std::vector<Bytes> col(p.n);
     for (std::size_t i = 0; i < p.n; ++i) col[i] = deals[i][k];
     outputs[k] = batch.Transform(col, p.b);
   });
@@ -83,7 +84,9 @@ void ReferenceRefresh(const PackedShamir& shamir,
   GlobalPool().ParallelFor(0, batch.check_rows(), [&](std::size_t a) {
     for (std::size_t g = 0; g < batch.groups(); ++g) {
       std::vector<FpElem> values(p.n, ctx.Zero());
-      for (std::size_t k = 0; k < p.n; ++k) values[k] = outputs[k][a][g];
+      for (std::size_t k = 0; k < p.n; ++k) {
+        values[k] = field::ElemAt(ctx, outputs[k][a], g);
+      }
       Invariant(batch.VerifyCheckVector(values),
                 "ReferenceRefresh: check row failed");
     }
@@ -97,8 +100,8 @@ void ReferenceRefresh(const PackedShamir& shamir,
         auto blk = plan.BlockFor(a_rel, g);
         if (!blk) continue;
         std::size_t a = batch.check_rows() + a_rel;
-        shares_by_party[k][*blk] =
-            ctx.Add(shares_by_party[k][*blk], outputs[k][a][g]);
+        shares_by_party[k][*blk] = ctx.Add(
+            shares_by_party[k][*blk], field::ElemAt(ctx, outputs[k][a], g));
       }
     }
   });
@@ -124,16 +127,16 @@ std::vector<std::uint32_t> ReferenceRefreshDetect(
   for (std::size_t i = 0; i < p.n; ++i) {
     us_by_dealer.push_back(batch.DrawDealRandomness(rng));
   }
-  std::vector<std::vector<std::vector<FpElem>>> deals(p.n);
+  std::vector<std::vector<Bytes>> deals(p.n);
   GlobalPool().ParallelFor(0, p.n, [&](std::size_t i) {
     deals[i] = batch.DealFrom(us_by_dealer[i], nullptr,
                               i == cheater ? &tamper : nullptr);
   });
 
   // Phase 2: holder transforms.
-  std::vector<std::vector<std::vector<FpElem>>> outputs(p.n);
+  std::vector<std::vector<Bytes>> outputs(p.n);
   GlobalPool().ParallelFor(0, p.n, [&](std::size_t k) {
-    std::vector<std::vector<FpElem>> col(p.n);
+    std::vector<Bytes> col(p.n);
     for (std::size_t i = 0; i < p.n; ++i) col[i] = deals[i][k];
     outputs[k] = batch.Transform(col, p.b);
   });
@@ -145,7 +148,9 @@ std::vector<std::uint32_t> ReferenceRefreshDetect(
   for (std::size_t a = 0; a < batch.check_rows() && !check_failed; ++a) {
     for (std::size_t g = 0; g < batch.groups(); ++g) {
       std::vector<FpElem> values(p.n, ctx.Zero());
-      for (std::size_t k = 0; k < p.n; ++k) values[k] = outputs[k][a][g];
+      for (std::size_t k = 0; k < p.n; ++k) {
+        values[k] = field::ElemAt(ctx, outputs[k][a], g);
+      }
       if (!batch.VerifyCheckVector(values)) {
         check_failed = true;
         break;
@@ -162,7 +167,8 @@ std::vector<std::uint32_t> ReferenceRefreshDetect(
           if (!blk) continue;
           std::size_t a = batch.check_rows() + a_rel;
           shares_by_party[k][*blk] =
-              ctx.Add(shares_by_party[k][*blk], outputs[k][a][g]);
+              ctx.Add(shares_by_party[k][*blk],
+                      field::ElemAt(ctx, outputs[k][a], g));
         }
       }
     });
@@ -179,7 +185,9 @@ std::vector<std::uint32_t> ReferenceRefreshDetect(
   for (std::size_t i = 0; i < p.n; ++i) {
     for (std::size_t g = 0; g < batch.groups(); ++g) {
       std::vector<FpElem> values(p.n, ctx.Zero());
-      for (std::size_t k = 0; k < p.n; ++k) values[k] = deals[i][k][g];
+      for (std::size_t k = 0; k < p.n; ++k) {
+        values[k] = field::ElemAt(ctx, deals[i][k], g);
+      }
       if (!batch.VerifyCheckVector(values)) {
         attributed.push_back(static_cast<std::uint32_t>(i));
         break;

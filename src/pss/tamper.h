@@ -3,8 +3,9 @@
 // A Byzantine dealer does not attack the wire (links are authenticated and
 // encrypted); it lies at the protocol layer, before its dealing rows are
 // sealed for each receiver. DealTamper is the seam: VssBatch::Deal/DealFrom
-// accept an optional tamper and apply it to the finished dealing matrix on
-// the caller's thread, after the parallel evaluation fan-out, so results stay
+// accept an optional tamper and apply it to the finished dealing, its rows
+// decoded into a matrix of elements and encoded back afterwards, on the
+// caller's thread, after the parallel evaluation fan-out, so results stay
 // deterministic for any pool size. The honest path is a null-pointer check --
 // when no tamper is armed the produced bytes are identical to a build without
 // this hook.

@@ -249,22 +249,22 @@ std::vector<math::Poly> VssBatch::DrawDealRandomness(Rng& rng) const {
   return us;
 }
 
-std::vector<std::vector<FpElem>> VssBatch::DealFrom(
-    std::span<const math::Poly> us, std::uint64_t* extra_cpu_ns,
-    DealTamper* tamper) const {
+std::vector<Bytes> VssBatch::DealFrom(std::span<const math::Poly> us,
+                                      std::uint64_t* extra_cpu_ns,
+                                      DealTamper* tamper) const {
   Require(us.size() == groups(), "DealFrom: wrong group count");
   const std::size_t nh = holders_.size();
   obs::Span span(obs::SpanKind::kVssDeal, groups(), nh);
-  std::vector<std::vector<FpElem>> out(
-      nh, std::vector<FpElem>(groups(), ctx_->Zero()));
+  const std::size_t eb = ctx_->elem_bytes();
+  std::vector<Bytes> out(nh, Bytes(groups() * eb, 0));
   const std::size_t k = ctx_->limbs();
   const std::size_t w = k + deal_extra_;
   // A kGeneric context (kernel_width() 0) runs the runtime-width portable
   // rows: the differential oracle of the templated and flag-chained ones.
   const bool specialized = ctx_->kernel_width() != 0;
   const bool adx = specialized && field::kernels::AdxAvailable();
-  // Each group is independent pure compute; out[h][g] slots are owned by
-  // (h, g), so the per-group fan-out is deterministic for any pool size.
+  // Each group is independent pure compute; element g of every row is owned
+  // by group g, so the per-group fan-out is deterministic for any pool size.
   GlobalPool().ParallelFor(
       0, groups(),
       [&](std::size_t g) {
@@ -273,7 +273,7 @@ std::vector<std::vector<FpElem>> VssBatch::DealFrom(
             segments_[g / segment_groups_];
         Invariant(u.size() + vanish.size() <= degree_ + 1,
                   "DealFrom: dealing degree too high");
-        if (u.empty()) return;  // z_g = 0
+        if (u.empty()) return;  // z_g = 0, already written
         // u's coefficients as w-limb integers, and a zero addend for the
         // factor rows.
         std::vector<u64> coef(u.size() * w, 0), acc(w), zero(w, 0);
@@ -310,7 +310,7 @@ std::vector<std::vector<FpElem>> VssBatch::DealFrom(
             }
             if (factor != 1) row(zero.data(), factor);
             const FpElem r = ctx_->ReduceWide(acc);
-            out[h][g] = negative ? ctx_->Neg(r) : r;
+            ctx_->ToBytes(negative ? ctx_->Neg(r) : r, out[h].data() + g * eb);
           }
         });
       },
@@ -319,32 +319,37 @@ std::vector<std::vector<FpElem>> VssBatch::DealFrom(
   // fan-out so tampering is deterministic for any pool size. Honest callers
   // pass null and take the branch-not-taken path only.
   if (tamper != nullptr) {
-    tamper->TamperDeal(holders_, recovery_shape(), out);
-    Require(out.size() == nh, "DealFrom: tamper changed holder count");
-    for (const auto& row : out) {
-      Require(row.size() == groups(), "DealFrom: tamper changed group count");
+    std::vector<std::vector<FpElem>> deal;
+    for (const Bytes& row : out) {
+      deal.push_back(field::DeserializeElems(*ctx_, row));
+    }
+    tamper->TamperDeal(holders_, recovery_shape(), deal);
+    Require(deal.size() == nh, "DealFrom: tamper changed holder count");
+    for (std::size_t h = 0; h < nh; ++h) {
+      Require(deal[h].size() == groups(),
+              "DealFrom: tamper changed group count");
+      out[h] = field::SerializeElems(*ctx_, deal[h]);
     }
   }
   return out;
 }
 
-std::vector<std::vector<FpElem>> VssBatch::Deal(Rng& rng,
-                                                std::uint64_t* extra_cpu_ns,
-                                                DealTamper* tamper) const {
+std::vector<Bytes> VssBatch::Deal(Rng& rng, std::uint64_t* extra_cpu_ns,
+                                  DealTamper* tamper) const {
   return DealFrom(DrawDealRandomness(rng), extra_cpu_ns, tamper);
 }
 
-std::vector<std::vector<FpElem>> VssBatch::Transform(
-    const std::vector<std::vector<FpElem>>& deals_by_dealer,
-    std::size_t workers, std::uint64_t* extra_cpu_ns) const {
+std::vector<Bytes> VssBatch::Transform(
+    const std::vector<Bytes>& deals_by_dealer, std::size_t workers,
+    std::uint64_t* extra_cpu_ns) const {
   const std::size_t nh = holders_.size();
+  const std::size_t eb = ctx_->elem_bytes();
   Require(deals_by_dealer.size() == nh, "Transform: wrong dealer count");
-  for (const auto& row : deals_by_dealer) {
-    Require(row.size() == groups(), "Transform: wrong group count");
+  for (const Bytes& row : deals_by_dealer) {
+    Require(row.size() == groups() * eb, "Transform: wrong group count");
   }
   obs::Span span(obs::SpanKind::kVssTransform, nh, groups());
-  std::vector<std::vector<FpElem>> out(
-      nh, std::vector<FpElem>(groups(), ctx_->Zero()));
+  std::vector<Bytes> out(nh, Bytes(groups() * eb));
 
   // Per group, x holds f(1..nh) for the group's degree < nh polynomial f,
   // as exact integers: the inputs are the residues themselves and every
@@ -357,9 +362,9 @@ std::vector<std::vector<FpElem>> VssBatch::Transform(
   // right and leaves f(nh + 1 + a) in x[nh-1] on pass a, which is reduced.
   // Each difference and prefix sum is one borrow or carry chain over a value
   // (width-templated; runtime-width on a kGeneric context, the oracle).
-  // Static partition over groups: each chunk owns out[.][g] for its groups
-  // and its own scratch, so results are deterministic regardless of
-  // scheduling.
+  // Static partition over groups: each chunk owns element g of every output
+  // row for its groups and its own scratch, so results are deterministic
+  // regardless of scheduling.
   const std::size_t k = ctx_->limbs();
   const std::size_t w = k + transform_extra_;
   const bool specialized = ctx_->kernel_width() != 0;
@@ -371,18 +376,20 @@ std::vector<std::vector<FpElem>> VssBatch::Transform(
         for (std::size_t g = g_begin; g < g_end; ++g) {
           for (std::size_t i = 0; i < nh; ++i) {
             std::uint64_t* xi = x.data() + i * w;
-            std::copy_n(deals_by_dealer[i][g].v.data(), k, xi);
+            const std::uint8_t* in = deals_by_dealer[i].data() + g * eb;
+            for (std::size_t l = 0; l < k; ++l) xi[l] = LoadLe64(in + 8 * l);
             std::fill(xi + k, xi + w, 0);
           }
           auto emit = [&](std::size_t a, const std::uint64_t* last) {
+            std::uint8_t* dst = out[a].data() + g * eb;
             if (last[w - 1] >> 63) {
               // -last, then the residue of that, negated back.
               std::fill(top.begin(), top.end(), 0);
               field::SubN(top.data(), top.data(), last, w);
-              out[a][g] = ctx_->Neg(ctx_->ReduceWide(top));
+              ctx_->ToBytes(ctx_->Neg(ctx_->ReduceWide(top)), dst);
             } else {
               std::copy_n(last, w, top.data());
-              out[a][g] = ctx_->ReduceWide(top);
+              ctx_->ToBytes(ctx_->ReduceWide(top), dst);
             }
           };
           WithWidth(specialized ? w : 0, [&](auto width) {

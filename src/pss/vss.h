@@ -63,18 +63,21 @@ class VssBatch {
   // Position of a party in the holder order, or npos.
   std::size_t IndexOf(std::uint32_t party) const;
 
+  // Rows are element encodings: groups() elements of ctx().elem_bytes()
+  // each, element g at g * elem_bytes() -- the payloads of the Deal and
+  // CheckShare messages as they go on the wire.
+
   // --- dealer side ---
   // Samples a vanishing polynomial per group, evaluated for every holder:
-  // deal[k][g] = z_g(alpha of holders()[k]). Row k is the payload of the Deal
-  // message to holder k. Randomness is drawn serially (RNG order is part of
-  // the determinism contract); the evaluations fan out across the
+  // element g of row k is z_g(alpha of holders()[k]). Row k is the payload
+  // of the Deal message to holder k. Randomness is drawn serially (RNG order
+  // is part of the determinism contract); the evaluations fan out across the
   // global task pool. extra_cpu_ns accumulates pool-worker CPU time (the
   // caller's ambient CpuTimer cannot see it). `tamper`, when non-null, is
-  // applied to the finished dealing matrix on the caller's thread (after the
-  // pool fan-out) -- the active-adversary seam; see pss/tamper.h.
-  std::vector<std::vector<FpElem>> Deal(Rng& rng,
-                                        std::uint64_t* extra_cpu_ns = nullptr,
-                                        DealTamper* tamper = nullptr) const;
+  // applied to the finished dealing, as elements, on the caller's thread
+  // (after the pool fan-out) -- the active-adversary seam; see pss/tamper.h.
+  std::vector<Bytes> Deal(Rng& rng, std::uint64_t* extra_cpu_ns = nullptr,
+                          DealTamper* tamper = nullptr) const;
 
   // The two halves of Deal, separated so batch callers (refresh: one dealing
   // per live party) can draw every dealer's randomness serially and then
@@ -88,9 +91,9 @@ class VssBatch {
   // one), reduced once (FpCtx::ReduceWide) and negated when V(x) < 0; no
   // field multiplication.
   std::vector<math::Poly> DrawDealRandomness(Rng& rng) const;
-  std::vector<std::vector<FpElem>> DealFrom(
-      std::span<const math::Poly> us, std::uint64_t* extra_cpu_ns = nullptr,
-      DealTamper* tamper = nullptr) const;
+  std::vector<Bytes> DealFrom(std::span<const math::Poly> us,
+                              std::uint64_t* extra_cpu_ns = nullptr,
+                              DealTamper* tamper = nullptr) const;
 
   // True for recovery-mask batches (V = {alpha_rho}), false for refresh
   // zero-sharing batches (V = betas). Forwarded to the tamper hook so
@@ -98,22 +101,25 @@ class VssBatch {
   bool recovery_shape() const { return recovery_; }
 
   // --- holder side ---
-  // deals_by_dealer[i][g]: the evaluation received from dealer i (order of
-  // holders()). Returns out[a][g] = sum_i M[a][i] * deals_by_dealer[i][g]
-  // for a < dealers(), M = math::HyperInvertible(dealers, dealers), computed
-  // by finite differences on exact wide integers (carry chains only, one
-  // FpCtx::ReduceWide per output). `workers` caps the group fan-out
-  // (the paper's b); the chunks run on the global task pool. When
+  // deals_by_dealer[i]: the row received from dealer i (order of
+  // holders()), groups() elements below p (a receiver checks a payload
+  // with field::ValidateElems before keeping it). Returns rows out[a],
+  // a < dealers(), whose element g is sum_i M[a][i] * (element g of
+  // deals_by_dealer[i]), M = math::HyperInvertible(dealers, dealers),
+  // computed by finite differences on exact wide integers (carry chains
+  // only, one FpCtx::ReduceWide per output). `workers` caps the group
+  // fan-out (the paper's b); the chunks run on the global task pool. When
   // extra_cpu_ns is non-null it accumulates the CPU time consumed on pool
   // worker threads -- the caller's own chunk is visible to the caller's
   // thread-CPU clock and is not included.
-  std::vector<std::vector<FpElem>> Transform(
-      const std::vector<std::vector<FpElem>>& deals_by_dealer,
-      std::size_t workers = 1, std::uint64_t* extra_cpu_ns = nullptr) const;
+  std::vector<Bytes> Transform(const std::vector<Bytes>& deals_by_dealer,
+                               std::size_t workers = 1,
+                               std::uint64_t* extra_cpu_ns = nullptr) const;
 
   // --- verifier side ---
-  // values[k]: holder k's evaluation of one check-row sharing of `group`.
-  // Checks degree <= d and vanishing on the V of the group's segment.
+  // values[k]: holder k's evaluation of one check-row sharing of `group`
+  // (element `group` of holder k's output row). Checks degree <= d and
+  // vanishing on the V of the group's segment.
   bool VerifyCheckVector(std::span<const FpElem> values,
                          std::size_t group = 0) const;
 

@@ -38,8 +38,7 @@ TEST(Cluster, UpdateWindowPreservesFileAndRotatesShares) {
   Bytes file = rng.RandomBytes(3000);
   cluster.Upload(5, file);
 
-  auto before = cluster.host(3).store().Load(5);
-  cluster.host(3).store().Stash(5);
+  auto before = cluster.host(3).store().Decode(5);
 
   WindowReport report = cluster.RunUpdateWindow();
   EXPECT_TRUE(report.ok) << (report.failures.empty() ? ""
@@ -48,8 +47,7 @@ TEST(Cluster, UpdateWindowPreservesFileAndRotatesShares) {
   EXPECT_GT(report.rerandomize_total.cpu_ns, 0u);
   EXPECT_GT(report.recover_total.bytes_sent, 0u);
 
-  auto after = cluster.host(3).store().Load(5);
-  cluster.host(3).store().Stash(5);
+  auto after = cluster.host(3).store().Decode(5);
   EXPECT_NE(before, after);
 
   EXPECT_EQ(cluster.Download(pisces::ReadSpec::Classic(5)), file);
@@ -136,9 +134,8 @@ TEST(Cluster, EncryptionActuallyHidesPayloads) {
   cluster.net().SetTap(nullptr);
   ASSERT_EQ(observed.size(), 8u);
 
-  auto& shares = cluster.host(0).store().Load(1);
+  auto shares = cluster.host(0).store().Decode(1);
   Bytes raw = field::SerializeElems(cluster.ctx(), shares);
-  cluster.host(0).store().Stash(1);
   for (const Bytes& payload : observed) {
     // Raw share material must not appear inside any observed payload.
     auto it = std::search(payload.begin(), payload.end(), raw.begin(),

@@ -225,6 +225,15 @@ TEST_F(SchnorrTest, GroupStructure) {
   EXPECT_FALSE(p.Eq(group_.g(), p.One()));
 }
 
+// The default group's checked-in constants are the seeded search's output.
+TEST_F(SchnorrTest, DefaultGroupIsTheSeededSearch) {
+  Rng seed(0x5EEDF00DULL);
+  const SchnorrGroup searched = SchnorrGroup::Generate(seed, 512, 256);
+  EXPECT_EQ(group_.p_ctx().ModulusBytes(), searched.p_ctx().ModulusBytes());
+  EXPECT_EQ(group_.q_ctx().ModulusBytes(), searched.q_ctx().ModulusBytes());
+  EXPECT_EQ(group_.g(), searched.g());
+}
+
 TEST_F(SchnorrTest, SignVerifyRoundTrip) {
   auto keys = SchnorrKeygen(group_, rng_);
   Bytes msg = Ascii("refresh epoch 7 commitment");

@@ -51,10 +51,8 @@ TEST(Determinism, DifferentSeedsProduceDifferentShares) {
   Bytes file = rng.RandomBytes(400);
   c1.Upload(1, file);
   c2.Upload(1, file);
-  auto s1 = c1.host(0).store().Load(1);
-  auto s2 = c2.host(0).store().Load(1);
-  c1.host(0).store().Stash(1);
-  c2.host(0).store().Stash(1);
+  auto s1 = c1.host(0).store().Decode(1);
+  auto s2 = c2.host(0).store().Decode(1);
   EXPECT_NE(s1, s2);  // share randomness differs...
   EXPECT_EQ(c1.Download(pisces::ReadSpec::Classic(1)), c2.Download(pisces::ReadSpec::Classic(1)));  // ...but contents agree
 }
@@ -89,14 +87,11 @@ TEST(Determinism, RefreshRandomnessDiffersAcrossEpochs) {
   Cluster cluster(Config(3));
   Rng rng(11);
   cluster.Upload(1, rng.RandomBytes(600));
-  auto s0 = cluster.host(2).store().Load(1);
-  cluster.host(2).store().Stash(1);
+  auto s0 = cluster.host(2).store().Decode(1);
   cluster.RefreshAllFiles();
-  auto s1 = cluster.host(2).store().Load(1);
-  cluster.host(2).store().Stash(1);
+  auto s1 = cluster.host(2).store().Decode(1);
   cluster.RefreshAllFiles();
-  auto s2 = cluster.host(2).store().Load(1);
-  cluster.host(2).store().Stash(1);
+  auto s2 = cluster.host(2).store().Decode(1);
   EXPECT_NE(s0, s1);
   EXPECT_NE(s1, s2);
   // The deltas themselves differ (not a constant pad).
@@ -139,8 +134,7 @@ TEST(Determinism, PoolSizeNeverChangesSharesOrTranscripts) {
     o.msgs_rerand = m.rerandomize.msgs_sent;
     o.msgs_recover = m.recover.msgs_sent;
     for (std::size_t i = 0; i < 8; ++i) {
-      o.stores.push_back(cluster.host(i).store().Load(1));
-      cluster.host(i).store().Stash(1);
+      o.stores.push_back(cluster.host(i).store().Decode(1));
     }
     o.download = cluster.Download(pisces::ReadSpec::Classic(1));
     return o;
@@ -290,8 +284,7 @@ TEST(Determinism, ServingBatchedRefreshBitIdenticalAcrossPoolSizesAndRestarts) {
       for (std::uint32_t h = 0; h < cfg.params.n; ++h) {
         ShareStore& store = plane.shard(s).host(h).store();
         for (std::uint64_t id : store.FileIds()) {
-          shares.push_back(store.Load(id));
-          store.Stash(id);
+          shares.push_back(store.Decode(id));
         }
       }
     }

@@ -696,7 +696,7 @@ HostStatus SampleStatus() {
   sv.missing_dealers = {3};
   rep.stuck_recovery = {sv};
   Host::FailedRefresh fr;
-  fr.deals_by_dealer = {{Ctx256().FromUint64(5)}, {}};
+  fr.deals_by_dealer = {Ctx256().ToBytes(Ctx256().FromUint64(5)), {}};
   fr.deal_seen = {true, false};
   rep.failed_refresh.emplace(1, fr);
   return rep;
@@ -713,7 +713,7 @@ void ExpectTruncationsRejected(const Bytes& wire, Parse parse) {
 TEST(Fuzz, ControlPayloadsNeverCrash) {
   Rng rng(0xF401);
   const Bytes seeds[] = {SampleBoot().Serialize(),
-                         SampleStatus().Serialize(Ctx256())};
+                         SampleStatus().Serialize()};
   for (std::size_t iter = 0; iter < FuzzIters(1500); ++iter) {
     // Half random blobs, half byte-flipped valid payloads (deeper states).
     Bytes blob = RandomBlob(rng, 160);
@@ -738,10 +738,10 @@ TEST(Fuzz, ControlPayloadTruncationAlwaysRejected) {
     return BootMaterial::Deserialize(b);
   });
   ExpectTruncationsRejected(
-      SampleStatus().Serialize(Ctx256()),
+      SampleStatus().Serialize(),
       [](const Bytes& b) { return HostStatus::Deserialize(b, Ctx256()); });
   // Trailing garbage is a parse error too, not a silently ignored tail.
-  Bytes status = HostStatus{}.Serialize(Ctx256());
+  Bytes status = HostStatus{}.Serialize();
   status.push_back(0);
   EXPECT_THROW(HostStatus::Deserialize(status, Ctx256()), ParseError);
 }
@@ -851,7 +851,7 @@ class LoneHost {
     BootAlone(*host_, ca_, rng_);
     meta_.file_id = 1;
     meta_.num_blocks = 1;
-    host_->store().Put(meta_, {hc.ctx->One()});
+    host_->store().Put(meta_, hc.ctx->ToBytes(hc.ctx->One()));
   }
 
   // Delivers a control message; true if it left a session running.
@@ -1015,8 +1015,8 @@ TEST(Fuzz, HostStatusLayoutFrozen) {
       {0x00,                                            //   dealer 1 unseen
        0x00, 0x00, 0x00, 0x00},                         //   empty column
   });
-  EXPECT_EQ(SampleStatus().Serialize(Ctx256()), expected);
-  EXPECT_EQ(HostStatus::Deserialize(expected, Ctx256()).Serialize(Ctx256()),
+  EXPECT_EQ(SampleStatus().Serialize(), expected);
+  EXPECT_EQ(HostStatus::Deserialize(expected, Ctx256()).Serialize(),
             expected);
 }
 

@@ -105,7 +105,7 @@ class HostHarness {
       for (std::size_t i = 0; i < params_.n; ++i) per_host[i][b] = shares[i];
     }
     for (std::size_t i = 0; i < params_.n; ++i) {
-      hosts_[i]->store().Put(meta, std::move(per_host[i]));
+      hosts_[i]->store().Put(meta, field::SerializeElems(*ctx_, per_host[i]));
     }
   }
 
@@ -436,6 +436,124 @@ TEST(HostDirect, RecoveryMessagesOfOneTargetLayoutAreDropped) {
   EXPECT_EQ(h.DonesAtHypervisor(), targets.size());
   EXPECT_EQ(h.hosts_[2]->store().Decode(1), truth);
   for (auto& host : h.hosts_) EXPECT_FALSE(host->HasActiveSessions());
+}
+
+// Element payloads of `count` elements, malformed each way a receiver must
+// catch: ragged, one element short, and an element equal to p.
+std::vector<Bytes> MalformedPayloads(const field::FpCtx& ctx,
+                                     std::size_t count) {
+  const Bytes good = field::SerializeElems(
+      ctx, std::vector<field::FpElem>(count, ctx.One()));
+  Bytes ragged = good;
+  ragged.pop_back();
+  const Bytes short_by_one(good.begin(), good.end() - ctx.elem_bytes());
+  Bytes not_below_p = good;
+  for (std::size_t i = 0; i < ctx.limbs(); ++i) {
+    StoreLe64(ctx.modulus()[i], not_below_p.data() + 8 * i);
+  }
+  return {ragged, short_by_one, not_below_p};
+}
+
+// The l secrets of every block, reconstructed from the first d+1 hosts.
+std::vector<std::vector<field::FpElem>> Secrets(HostHarness& h,
+                                                std::uint64_t file_id) {
+  const pss::PackedShamir shamir(h.ctx_, h.params_);
+  std::vector<std::uint32_t> parties;
+  std::vector<std::vector<field::FpElem>> rows;
+  for (std::uint32_t i = 0; i <= h.params_.degree(); ++i) {
+    parties.push_back(i);
+    rows.push_back(h.hosts_[i]->store().Decode(file_id));
+  }
+  std::vector<std::vector<field::FpElem>> by_block(rows[0].size());
+  for (std::size_t b = 0; b < by_block.size(); ++b) {
+    for (const auto& row : rows) by_block[b].push_back(row[b]);
+  }
+  return shamir.ReconstructBlocks(parties, by_block);
+}
+
+TEST(HostDirect, MalformedRefreshPayloadsAreDropped) {
+  // Deal and CheckShare payloads that are malformed reach hosts 4 and 0
+  // before the round starts and are buffered; replaying them drops each
+  // (DropIfMalformed), so no session keeps one in place of the honest
+  // message, and the round refreshes every share without moving a secret.
+  HostHarness h;
+  h.InstallFile(1, 3);
+  const auto secrets = Secrets(h, 1);
+  std::vector<std::vector<field::FpElem>> before;
+  for (auto& host : h.hosts_) before.push_back(host->store().Decode(1));
+  const std::size_t groups =
+      pss::MakeRefreshBatch(pss::PackedShamir(h.ctx_, h.params_), 3).groups();
+  for (const Bytes& payload : MalformedPayloads(*h.ctx_, groups)) {
+    net::Message deal;
+    deal.from = 0;
+    deal.to = 4;
+    deal.type = net::MsgType::kDeal;
+    deal.file_id = 1;
+    deal.epoch = 50;
+    deal.payload = payload;
+    h.hosts_[4]->HandleMessage(deal);
+    net::Message check = deal;  // row 0 is verified by host 0
+    check.from = 3;
+    check.to = 0;
+    check.type = net::MsgType::kCheckShare;
+    check.row = 0;
+    h.hosts_[0]->HandleMessage(check);
+  }
+  h.StartRefresh(1, 50);
+  h.sync_.RunToQuiescence();
+  EXPECT_EQ(h.DonesAtHypervisor(), h.params_.n);
+  for (std::size_t i = 0; i < h.hosts_.size(); ++i) {
+    EXPECT_FALSE(h.hosts_[i]->HasActiveSessions());
+    EXPECT_EQ(h.hosts_[i]->verdicts_rejected(), 0u);
+    EXPECT_NE(h.hosts_[i]->store().Decode(1), before[i]) << "host " << i;
+  }
+  EXPECT_EQ(Secrets(h, 1), secrets);
+}
+
+TEST(HostDirect, MalformedMaskedSharesAreDropped) {
+  // The same for a recovery target: malformed MaskedShare payloads from
+  // survivor 0 are dropped, and its honest one rebuilds the target's shares.
+  HostHarness h(TwoTargetParams());
+  h.InstallFile(1, 5);
+  const std::vector<std::uint32_t> targets = {2, 5};
+  const std::vector<field::FpElem> truth = h.hosts_[2]->store().Decode(1);
+  h.Reboot(targets);
+  for (const Bytes& payload : MalformedPayloads(*h.ctx_, 5)) {
+    net::Message masked;
+    masked.from = 0;
+    masked.to = 2;
+    masked.type = net::MsgType::kMaskedShare;
+    masked.file_id = 1;
+    masked.epoch = 61;
+    masked.row = 2;
+    masked.payload = payload;
+    h.hosts_[2]->HandleMessage(masked);
+  }
+  h.StartRecovery(1, 61, targets);
+  h.sync_.RunToQuiescence();
+  EXPECT_EQ(h.DonesAtHypervisor(), targets.size());
+  EXPECT_EQ(h.hosts_[2]->store().Decode(1), truth);
+  for (auto& host : h.hosts_) EXPECT_FALSE(host->HasActiveSessions());
+}
+
+TEST(HostDirect, RefreshOfAFileReplacedMidRoundIsDropped) {
+  // Host 0's file 1 is replaced by a shorter one while its refresh round is
+  // in flight. Adding the round's zero-shares would run past the new bytes,
+  // so host 0 drops the completion and keeps the new file as it is.
+  HostHarness h;
+  h.InstallFile(1, 3);
+  h.StartRefreshAt({0, 1, 2, 3}, 1, 50);
+  h.sync_.RunToQuiescence();
+  FileMeta shorter = h.metas_.at(1);
+  shorter.num_blocks = 2;
+  shorter.num_elems = 2;
+  const Bytes replaced = field::SerializeElems(
+      *h.ctx_, std::vector<field::FpElem>(2, h.ctx_->One()));
+  h.hosts_[0]->store().Put(shorter, replaced);
+  h.StartRefreshAt({4}, 1, 50);
+  h.sync_.RunToQuiescence();
+  EXPECT_EQ(h.DonesAtHypervisor(), h.params_.n - 1);
+  EXPECT_TRUE(std::ranges::equal(h.hosts_[0]->store().AtRest(1), replaced));
 }
 
 TEST(HostDirect, RefreshForUnknownFileReportsDone) {

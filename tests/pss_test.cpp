@@ -18,6 +18,22 @@ namespace {
 using field::FpCtx;
 using field::FpElem;
 
+// VSS rows (element encodings, pss/vss.h) as elements, rows[k][g], and back.
+std::vector<std::vector<FpElem>> Elems(const FpCtx& ctx,
+                                       const std::vector<Bytes>& rows) {
+  std::vector<std::vector<FpElem>> out;
+  for (const Bytes& row : rows) {
+    out.push_back(field::DeserializeElems(ctx, row));
+  }
+  return out;
+}
+std::vector<Bytes> Rows(const FpCtx& ctx,
+                        const std::vector<std::vector<FpElem>>& elems) {
+  std::vector<Bytes> out;
+  for (const auto& row : elems) out.push_back(field::SerializeElems(ctx, row));
+  return out;
+}
+
 struct GridPoint {
   std::size_t n, t, l, r;
 };
@@ -329,7 +345,7 @@ class VssBatchTest : public ::testing::Test {
 
 TEST_F(VssBatchTest, DealsVanishOnTheVanishSet) {
   VssBatch batch = MakeRefreshBatch(*shamir_, 5);
-  auto deal = batch.Deal(rng_);
+  auto deal = Elems(*ctx_, batch.Deal(rng_));
   ASSERT_EQ(deal.size(), params_.n);
   // Interpolate each group's polynomial from all holder evaluations and
   // check it vanishes at every beta and has degree <= d.
@@ -352,7 +368,7 @@ TEST_F(VssBatchTest, DealsVanishOnTheVanishSet) {
 
 TEST_F(VssBatchTest, VerifyAcceptsHonestAndRejectsCorrupt) {
   VssBatch batch = MakeRefreshBatch(*shamir_, 3);
-  auto deal = batch.Deal(rng_);
+  auto deal = Elems(*ctx_, batch.Deal(rng_));
   std::vector<FpElem> column;
   for (std::size_t k = 0; k < params_.n; ++k) column.push_back(deal[k][0]);
   EXPECT_TRUE(batch.VerifyCheckVector(column));
@@ -373,12 +389,14 @@ TEST_F(VssBatchTest, VerifyAcceptsHonestAndRejectsCorrupt) {
 TEST_F(VssBatchTest, TransformedOutputsStillVanishAndVerify) {
   VssBatch batch = MakeRefreshBatch(*shamir_, 4);
   std::vector<std::vector<std::vector<FpElem>>> deals;
-  for (std::size_t i = 0; i < params_.n; ++i) deals.push_back(batch.Deal(rng_));
+  for (std::size_t i = 0; i < params_.n; ++i) {
+    deals.push_back(Elems(*ctx_, batch.Deal(rng_)));
+  }
   std::vector<std::vector<std::vector<FpElem>>> outputs(params_.n);
   for (std::size_t k = 0; k < params_.n; ++k) {
     std::vector<std::vector<FpElem>> col(params_.n);
     for (std::size_t i = 0; i < params_.n; ++i) col[i] = deals[i][k];
-    outputs[k] = batch.Transform(col);
+    outputs[k] = Elems(*ctx_, batch.Transform(Rows(*ctx_, col)));
   }
   for (std::size_t a = 0; a < params_.n; ++a) {
     for (std::size_t g = 0; g < batch.groups(); ++g) {
@@ -393,7 +411,7 @@ TEST_F(VssBatchTest, TransformedOutputsStillVanishAndVerify) {
 
 TEST_F(VssBatchTest, TransformWithWorkersMatchesSerial) {
   VssBatch batch = MakeRefreshBatch(*shamir_, 6);
-  auto deal = batch.Deal(rng_);
+  auto deal = Elems(*ctx_, batch.Deal(rng_));
   std::vector<std::vector<FpElem>> col(params_.n);
   for (std::size_t i = 0; i < params_.n; ++i) col[i] = deal[i % deal.size()];
   // Total CPU = ambient (caller's chunk) + extra (pool workers); with a
@@ -401,10 +419,12 @@ TEST_F(VssBatchTest, TransformWithWorkersMatchesSerial) {
   std::uint64_t extra1 = 0, extra4 = 0;
   CpuTimer ambient1, ambient4;
   ambient1.Start();
-  auto serial = batch.Transform(col, 1, &extra1);
+  auto serial =
+      Elems(*ctx_, batch.Transform(Rows(*ctx_, col), 1, &extra1));
   ambient1.Stop();
   ambient4.Start();
-  auto parallel = batch.Transform(col, 4, &extra4);
+  auto parallel =
+      Elems(*ctx_, batch.Transform(Rows(*ctx_, col), 4, &extra4));
   ambient4.Stop();
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t a = 0; a < serial.size(); ++a) {
@@ -426,7 +446,7 @@ TEST_F(VssBatchTest, GroupsFor) {
 TEST_F(VssBatchTest, RecoveryMaskVanishesAtTargetOnly) {
   RecoveryPlan plan = RecoveryPlan::For(4, params_, std::vector<std::uint32_t>{3});
   VssBatch batch = MakeRecoveryBatch(*shamir_, plan);
-  auto deal = batch.Deal(rng_);
+  auto deal = Elems(*ctx_, batch.Deal(rng_));
   std::vector<FpElem> xs;
   for (std::uint32_t s : plan.survivors) {
     xs.push_back(shamir_->points().alpha(s));
@@ -522,9 +542,11 @@ TEST_P(IntegerNodeVssBatchTest, TransformMatchesHyperInvertibleProduct) {
       const std::vector<FpElem> mx = m.MulVec(ctx_, column);
       for (std::size_t a = 0; a < nh; ++a) expected[a][g] = mx[a];
     }
-    EXPECT_EQ(batch.Transform(deals), expected) << "nh " << nh;
+    EXPECT_EQ(Elems(ctx_, batch.Transform(Rows(ctx_, deals))), expected)
+        << "nh " << nh;
     SetGlobalPoolThreads(4);
-    EXPECT_EQ(batch.Transform(deals, 4), expected) << "nh " << nh;
+    EXPECT_EQ(Elems(ctx_, batch.Transform(Rows(ctx_, deals), 4)), expected)
+        << "nh " << nh;
     SetGlobalPoolThreads(1);
   }
 }
@@ -548,7 +570,7 @@ TEST_P(IntegerNodeVssBatchTest, DealFromMatchesPerStepHornerAtWidestShape) {
       {{&refresh, refresh.DrawDealRandomness(rng_)},
        {&plain, {all_top, math::Poly::Random(ctx_, rng_, degree)}}};
   for (const auto& [batch, us] : cases) {
-    const auto deal = batch->DealFrom(us);
+    const auto deal = Elems(ctx_, batch->DealFrom(us));
     std::vector<FpElem> vanish;
     for (std::uint64_t b : batch == &refresh ? betas
                                               : std::vector<std::uint64_t>{}) {
@@ -595,7 +617,7 @@ TEST_P(IntegerNodeVssBatchTest, DealFromMatchesVandermondeOfVanishingProduct) {
     const std::vector<FpElem> alphas = points.AlphasOf(batch->holders());
     const math::Poly w = math::Poly::Vanishing(ctx_, vanish);
     const std::vector<math::Poly> us = batch->DrawDealRandomness(rng_);
-    const auto deal = batch->DealFrom(us);
+    const auto deal = Elems(ctx_, batch->DealFrom(us));
     ASSERT_EQ(deal.size(), alphas.size());
     for (std::size_t g = 0; g < groups; ++g) {
       const math::Poly z = math::Poly::Mul(ctx_, w, us[g]);
@@ -647,7 +669,7 @@ TEST_P(SplitFactorDealTest, DealFromMatchesPerStepHorner) {
     std::vector<math::Poly> us = batch->DrawDealRandomness(rng);
     us[0] = math::Poly(std::vector<FpElem>(degree + 1 - nodes.size(),
                                            ctx.Neg(ctx.One())));
-    const auto deal = batch->DealFrom(us);
+    const auto deal = Elems(ctx, batch->DealFrom(us));
     for (std::size_t g = 0; g < us.size(); ++g) {
       const std::vector<FpElem> z = math::Poly::Mul(ctx, w, us[g]).coeffs();
       ASSERT_EQ(z.size(), degree + 1);
@@ -712,7 +734,8 @@ class MultiSegmentVssBatchTest
     for (std::size_t k = 0; k < ns; ++k) {
       std::vector<std::vector<FpElem>> col(ns);
       for (std::size_t i = 0; i < ns; ++i) col[i] = deals[i][k];
-      outputs[k] = batch.Transform(col);
+      outputs[k] =
+          Elems(batch.ctx(), batch.Transform(Rows(batch.ctx(), col)));
     }
     return outputs;
   }
@@ -745,9 +768,9 @@ TEST_P(MultiSegmentVssBatchTest, MatchesOneSegmentBatchesRunBackToBack) {
   std::vector<std::vector<std::vector<std::vector<FpElem>>>> single_deals(r);
   for (std::size_t i = 0; i < ns; ++i) {
     Rng whole(1000 + i), apart(1000 + i);
-    deals.push_back(batch.Deal(whole));
+    deals.push_back(Elems(*ctx_, batch.Deal(whole)));
     for (std::size_t j = 0; j < r; ++j) {
-      single_deals[j].push_back(Single(j).Deal(apart));
+      single_deals[j].push_back(Elems(*ctx_, Single(j).Deal(apart)));
     }
     EXPECT_EQ(whole.Next(), apart.Next()) << "dealer " << i;
   }
@@ -781,7 +804,7 @@ TEST_P(MultiSegmentVssBatchTest, CorruptGroupFailsOnlyItsOwnSegmentCheck) {
   Rng rng(5);
   std::vector<std::vector<std::vector<FpElem>>> deals;
   for (std::size_t i = 0; i < batch.dealers(); ++i) {
-    deals.push_back(batch.Deal(rng));
+    deals.push_back(Elems(*ctx_, batch.Deal(rng)));
   }
   // Dealer 0 shifts the second group of the last segment by a constant:
   // still degree <= d, but no longer zero at that target's alpha.
@@ -804,7 +827,7 @@ TEST_P(MultiSegmentVssBatchTest, EachMaskVanishesAtItsOwnTargetOnly) {
   Rng rng(6);
   std::vector<std::vector<std::vector<FpElem>>> deals;
   for (std::size_t i = 0; i < batch.dealers(); ++i) {
-    deals.push_back(batch.Deal(rng));
+    deals.push_back(Elems(*ctx_, batch.Deal(rng)));
   }
   const auto outputs = Outputs(batch, deals);
   std::vector<FpElem> xs;
