@@ -146,20 +146,27 @@ void BM_FieldDot(benchmark::State& state) {
 }
 BENCHMARK(BM_FieldDot)->Arg(256)->Arg(512)->Arg(1024)->Arg(2048);
 
-// The word-coefficient dot of the integer rows: kDotLen k x 1 products,
-// coefficients of both signs (both accumulators reduce).
+// The word-coefficient dot of the integer rows: one row of kDotLen k x 1
+// products (FpCtx::DotI64Into on element encodings), coefficients of both
+// signs (both accumulators reduce).
 void BM_FieldDotI64(benchmark::State& state) {
   const FpCtx& ctx = CtxFor(state.range(0));
+  const std::size_t eb = ctx.elem_bytes();
   Rng rng(9);
-  std::vector<FpElem> a;
+  pisces::Bytes a(kDotLen * eb), sum(eb);
+  std::vector<const std::uint8_t*> ptrs;
   std::vector<std::int64_t> c;
   for (std::size_t i = 0; i < kDotLen; ++i) {
-    a.push_back(ctx.Random(rng));
+    ctx.ToBytes(ctx.Random(rng), a.data() + i * eb);
+    ptrs.push_back(a.data() + i * eb);
     const auto mag = static_cast<std::int64_t>(rng.Next() >> 1);
     c.push_back(i % 2 == 0 ? mag : -mag);
   }
+  std::uint8_t* const out = sum.data();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ctx.DotI64(a, c));
+    ctx.DotI64Into(ptrs, c, {}, {&out, 1});
+    benchmark::DoNotOptimize(sum.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_FieldDotI64)->Arg(256)->Arg(512)->Arg(1024)->Arg(2048);

@@ -1,7 +1,6 @@
 #include "field/fp.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "field/fp_kernels.h"
 #include "obs/registry.h"
@@ -31,9 +30,9 @@ struct KernelCounters {
   obs::Counter& dot_reductions = obs::RegisterCounter(
       "field.dot_reductions", "wide reductions (== nonzero dot outputs)");
   obs::Counter& int_dot_calls = obs::RegisterCounter(
-      "field.int_dot_calls", "DotI64 outputs (word-coefficient rows)");
+      "field.int_dot_calls", "DotI64Into outputs (word-coefficient rows)");
   obs::Counter& int_dot_products = obs::RegisterCounter(
-      "field.int_dot_products", "k x 1 products DotI64 accumulated");
+      "field.int_dot_products", "k x 1 products DotI64Into accumulated");
 };
 KernelCounters g_kernel_stats;
 
@@ -440,35 +439,6 @@ void FpCtx::DotI64Into(std::span<const std::uint8_t* const> a,
     }
     for (std::size_t j = 0; j < k_; ++j) StoreLe64(v[j], out[r] + 8 * j);
   }
-}
-
-FpElem FpCtx::DotI64(std::span<const FpElem> a,
-                     std::span<const std::int64_t> c) const {
-  Require(a.size() == c.size(), "DotI64: size mismatch");
-  // The kernel reads element encodings. On a little-endian host an
-  // element's limbs in memory are exactly that; elsewhere a copy is encoded.
-  Bytes encoded;
-  if constexpr (std::endian::native != std::endian::little) {
-    encoded = SerializeElems(*this, a);
-  }
-  constexpr std::size_t kStackTerms = 128;
-  const std::uint8_t* stack[kStackTerms];
-  std::vector<const std::uint8_t*> heap;
-  const std::uint8_t** ptrs = stack;
-  if (a.size() > kStackTerms) {
-    heap.resize(a.size());
-    ptrs = heap.data();
-  }
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ptrs[i] = encoded.empty()
-                  ? reinterpret_cast<const std::uint8_t*>(a[i].v.data())
-                  : encoded.data() + i * elem_bytes();
-  }
-  g_kernel_stats.int_dot_calls.Add();
-  g_kernel_stats.int_dot_products.Add(a.size());
-  FpElem r;
-  DotI64Limbs(ptrs, c.data(), a.size(), r.v.data());
-  return r;
 }
 
 FpElem FpCtx::InvU64(u64 a) const {

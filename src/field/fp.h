@@ -47,7 +47,7 @@ struct FpMont {
 };
 
 // Process-wide instrumentation for the kernel layer (docs/field_kernels.md).
-// The dot counters (Dot and DotI64) are always live (one relaxed atomic bump
+// The dot counters (Dot and DotI64Into) are always live (one relaxed atomic bump
 // per call, amortized over n products), as is plain_muls; the per-kernel
 // counters are debug-only so the release hot path stays untouched.
 struct KernelStatsSnapshot {
@@ -57,7 +57,7 @@ struct KernelStatsSnapshot {
   std::uint64_t dot_calls = 0;       // Dot() calls + DotAcc::Reduce() calls
   std::uint64_t dot_products = 0;    // products accumulated without reduction
   std::uint64_t dot_reductions = 0;  // wide reductions: exactly 1 per output
-  std::uint64_t int_dot_calls = 0;     // DotI64* outputs
+  std::uint64_t int_dot_calls = 0;     // DotI64Into outputs
   std::uint64_t int_dot_products = 0;  // k x 1 products they accumulated
 };
 KernelStatsSnapshot GetKernelStats();
@@ -128,17 +128,13 @@ class FpCtx {
   // (a*s + b is linear), so it equals Add(Mul(a, FromUint64(s)), b) for
   // s < p. VSS dealing evaluates at the integer holder nodes with it.
   FpElem MulU64Add(const FpElem& a, std::uint64_t s, const FpElem& b) const;
-  // sum_i a[i]*c[i] for signed word coefficients c[i] (plain integers, not
-  // field elements): k x 1 products into a (k+2)-limb sum per sign, one
-  // subtraction, at most two quotient digits. Equals Dot(a, w) with
-  // w[i] = c[i] mod p, for fewer than 2^64 terms; a.size() must equal
-  // c.size(). Rows over the integer nodes live on this
-  // (math/weight_cache.h). An adapter over DotI64Into's kernel.
-  FpElem DotI64(std::span<const FpElem> a,
-                std::span<const std::int64_t> c) const;
-  // The same over element encodings, for every row of one coefficient
-  // table: a[i] points at the elem_bytes() little-endian bytes of an element
-  // (the wire and storage encoding; the value must be below p, which is not
+  // For every row of one coefficient table: sum_i a[i]*c[i] for signed word
+  // coefficients c[i] (plain integers, not field elements): k x 1 products
+  // into a (k+2)-limb sum per sign, one subtraction, at most two quotient
+  // digits; equal to Dot(a, w) with w[i] = c[i] mod p, for fewer than 2^64
+  // terms. Rows over the integer nodes live on this (math/weight_cache.h).
+  // a[i] points at the elem_bytes() little-endian bytes of an element (the
+  // wire and storage encoding; the value must be below p, which is not
   // checked here), c holds out.size() rows of a.size() coefficients
   // (row-major), and row r's sum, times scales[r] when `scales` is
   // non-empty (a Montgomery form: one multiply, plain out; skipped for
@@ -218,8 +214,7 @@ class FpCtx {
   void ReduceDigit(std::uint64_t* t) const;
   // Random's draw: k limbs of the residue into r.
   void RandomLimbs(Rng& rng, std::uint64_t* r) const;
-  // DotI64's kernel, dispatched: k limbs of the plain sum into r. Callers
-  // bump the int_dot counters.
+  // DotI64Into's kernel, dispatched: k limbs of the plain sum into r.
   void DotI64Limbs(const std::uint8_t* const* a, const std::int64_t* c,
                    std::size_t terms, std::uint64_t* r) const;
 

@@ -271,27 +271,15 @@ WeightRows WeightRows::Generator(const FpCtx& ctx,
   return g;
 }
 
-FpElem WeightRows::Sum(const FpCtx& ctx, std::size_t r,
-                       std::span<const FpElem> ys) const {
+void WeightRows::Apply(const FpCtx& ctx,
+                       std::span<const std::uint8_t* const> ys, bool scaled,
+                       std::span<std::uint8_t* const> out) const {
   Require(ys.size() >= width_, "WeightRows: ys too short");
-  ys = ys.first(width_);
-  return integer_ ? ctx.DotI64(ys, Num(r)) : ctx.Dot(Weights(r), ys);
-}
-
-FpElem WeightRows::Eval(const FpCtx& ctx, std::size_t r,
-                        std::span<const FpElem> ys) const {
-  const FpElem sum = Sum(ctx, r, ys);
-  return integer_ && lcm_[r] != 1 ? ctx.Mul(lcm_inv_[r], sum) : sum;
-}
-
-void WeightRows::EvalInto(const FpCtx& ctx,
-                          std::span<const std::uint8_t* const> ys,
-                          std::span<std::uint8_t* const> out) const {
-  Require(ys.size() >= width_, "WeightRows: ys too short");
-  Require(out.size() == rows_, "WeightRows: one output per row");
   ys = ys.first(width_);
   if (integer_) {
-    ctx.DotI64Into(ys, num_, lcm_inv_, out);
+    ctx.DotI64Into(ys, num_, scaled ? std::span(lcm_inv_)
+                                    : std::span<const field::FpMont>(),
+                   out);
     return;
   }
   const std::size_t eb = ctx.elem_bytes();
@@ -303,15 +291,45 @@ void WeightRows::EvalInto(const FpCtx& ctx,
   }
 }
 
-bool WeightRows::Predicts(const FpCtx& ctx, std::size_t r,
-                          std::span<const FpElem> ys, const FpElem& y) const {
-  return Sum(ctx, r, ys) ==
-         (integer_ ? ctx.MulU64Add(y, lcm_[r], ctx.Zero()) : y);
+void WeightRows::EvalInto(const FpCtx& ctx,
+                          std::span<const std::uint8_t* const> ys,
+                          std::span<std::uint8_t* const> out) const {
+  Require(out.size() == rows_, "WeightRows: one output per row");
+  Apply(ctx, ys, /*scaled=*/true, out);
 }
 
-bool WeightRows::Vanishes(const FpCtx& ctx, std::size_t r,
-                          std::span<const FpElem> ys) const {
-  return ctx.IsZero(Sum(ctx, r, ys));
+bool WeightRows::Predicts(const FpCtx& ctx,
+                          std::span<const std::uint8_t* const> ys,
+                          std::span<const std::uint8_t* const> expected) const {
+  Require(expected.size() == rows_, "WeightRows: one expected value per row");
+  return Matches(ctx, ys, expected);
+}
+
+bool WeightRows::Vanishes(const FpCtx& ctx,
+                          std::span<const std::uint8_t* const> ys) const {
+  return Matches(ctx, ys, {});
+}
+
+bool WeightRows::Matches(const FpCtx& ctx,
+                         std::span<const std::uint8_t* const> ys,
+                         std::span<const std::uint8_t* const> expected) const {
+  static constexpr std::uint8_t kZero[8 * field::kMaxLimbs] = {};
+  const std::size_t eb = ctx.elem_bytes();
+  Bytes sums(rows_ * eb);
+  std::vector<std::uint8_t*> out(rows_);
+  for (std::size_t r = 0; r < rows_; ++r) out[r] = sums.data() + r * eb;
+  Apply(ctx, ys, /*scaled=*/false, out);
+  for (std::size_t r = 0; r < rows_; ++r) {
+    const std::uint8_t* y = expected.empty() ? kZero : expected[r];
+    // L_r * y, unless that is y itself (L_r = 1, the field form or y = 0).
+    if (integer_ && lcm_[r] != 1 && y != kZero
+            ? ctx.MulU64Add(ctx.FromBytes({y, eb}), lcm_[r], ctx.Zero()) !=
+                  ctx.FromBytes({out[r], eb})
+            : !std::equal(y, y + eb, out[r])) {
+      return false;
+    }
+  }
+  return true;
 }
 
 std::vector<FpElem> WeightRows::FieldRow(const FpCtx& ctx,
@@ -356,21 +374,14 @@ PointChecker::PointChecker(const FpCtx& ctx, std::vector<FpElem> xs,
       std::span<const FpElem>(xs_.data() + deg_ + 1, xs_.size() - deg_ - 1));
 }
 
-bool PointChecker::Consistent(std::span<const FpElem> ys) const {
+bool PointChecker::Consistent(std::span<const std::uint8_t* const> ys) const {
   Require(ys.size() == xs_.size(), "PointChecker: ys size mismatch");
-  for (std::size_t e = 0; e < extra_.rows(); ++e) {
-    if (!extra_.Predicts(*ctx_, e, ys, ys[deg_ + 1 + e])) return false;
-  }
-  return true;
+  return extra_.Predicts(*ctx_, ys, ys.subspan(deg_ + 1));
 }
 
 WeightRows PointChecker::WeightsAt(std::span<const FpElem> at) const {
   return WeightRows::Lagrange(
       *ctx_, std::span<const FpElem>(xs_.data(), deg_ + 1), at);
-}
-
-FpElem PointChecker::EvalAt(const FpElem& x, std::span<const FpElem> ys) const {
-  return WeightsAt({&x, 1}).Eval(*ctx_, 0, ys);
 }
 
 }  // namespace pisces::math

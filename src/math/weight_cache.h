@@ -5,15 +5,19 @@
 // holds each set in whichever form fits (DESIGN.md section 3, "Integer rows"):
 //   * integer form: row r is scaled by the lcm L_r of its denominators, so
 //     its coefficients N_r[k] are signed words and its value is
-//     L_r^{-1} * sum_k N_r[k] * ys[k] (FpCtx::DotI64, one Mul by the cached
-//     L_r^{-1}, skipped when L_r = 1). Used when the modulus is wider than 63
-//     bits and every |N_r[k]| and L_r fits in 63 bits; every prime factor of
-//     them is at most the largest node difference, below p, so nothing
-//     vanishes mod p and the values are those of the field form;
+//     L_r^{-1} * sum_k N_r[k] * ys[k] (FpCtx::DotI64Into over every row, the
+//     cached L_r^{-1} folded in, skipped when L_r = 1). Used when the modulus
+//     is wider than 63 bits and every |N_r[k]| and L_r fits in 63 bits; every
+//     prime factor of them is at most the largest node difference, below p,
+//     so nothing vanishes mod p and the values are those of the field form;
 //   * field form: row r is its field weights, applied by FpCtx::Dot. The
 //     fallback (small moduli, wide coefficients, non-integer nodes), and the
 //     test oracle.
-// Eval/Predicts/Vanishes hide the form, so no caller branches on it.
+// Rows read their values as element encodings (elem_bytes() little-endian
+// bytes each, the wire and storage encoding, values below p) through
+// pointers, so a caller gathers a column straight out of payload or share
+// bytes. EvalInto/Predicts/Vanishes hide the form, so no caller branches on
+// it.
 //
 // The cached sets live in math::DomainCache instances (math/domain_cache.h),
 // which state the keying, immutability and eviction rules, and count into
@@ -49,24 +53,20 @@ class WeightRows {
   std::size_t width() const { return width_; }
   bool integer() const { return integer_; }
 
-  // Row r applied to the first width() values of ys.
-  FpElem Eval(const FpCtx& ctx, std::size_t r,
-              std::span<const FpElem> ys) const;
-  // Every row applied to the elements at ys[0..width()) -- each pointing at
-  // an element's elem_bytes() little-endian bytes (the wire and storage
-  // encoding, values below p) -- with row r's value written to out[r] in
-  // that encoding (out.size() == rows()). The integer form is one
-  // FpCtx::DotI64Into, each L_r^{-1} folded in; the field form decodes and
-  // runs Eval per row.
+  // Every row applied to the elements at ys[0..width()), with row r's value
+  // written to out[r] (out.size() == rows()), in the encoding above. The
+  // integer form is one FpCtx::DotI64Into, each L_r^{-1} folded in; the
+  // field form decodes the values once and runs one Dot per row.
   void EvalInto(const FpCtx& ctx, std::span<const std::uint8_t* const> ys,
                 std::span<std::uint8_t* const> out) const;
-  // Eval(r, ys) == y, tested as sum N_r[k]*ys[k] == L_r*y in the integer
-  // form (no inverse).
-  bool Predicts(const FpCtx& ctx, std::size_t r, std::span<const FpElem> ys,
-                const FpElem& y) const;
-  // Eval(r, ys) == 0, tested as sum N_r[k]*ys[k] == 0 in the integer form.
-  bool Vanishes(const FpCtx& ctx, std::size_t r,
-                std::span<const FpElem> ys) const;
+  // Every row r maps ys to expected[r] (expected.size() == rows()). The
+  // integer form is one unscaled DotI64Into, sum_k N_r[k]*ys[k] compared
+  // with L_r*expected[r] (no inverse).
+  bool Predicts(const FpCtx& ctx, std::span<const std::uint8_t* const> ys,
+                std::span<const std::uint8_t* const> expected) const;
+  // Every row maps ys to 0 (sum_k N_r[k]*ys[k] == 0 in the integer form).
+  bool Vanishes(const FpCtx& ctx,
+                std::span<const std::uint8_t* const> ys) const;
   // Row r as field weights (N_r[k] * L_r^{-1} in the integer form), for
   // callers that combine rows and for the tests.
   std::vector<FpElem> FieldRow(const FpCtx& ctx, std::size_t r) const;
@@ -78,9 +78,13 @@ class WeightRows {
   std::span<const FpElem> Weights(std::size_t r) const {
     return {weights_.data() + r * width_, width_};
   }
-  // sum_k c_k * ys[k] over row r's stored coefficients (N_r or w_r).
-  FpElem Sum(const FpCtx& ctx, std::size_t r,
-             std::span<const FpElem> ys) const;
+  // Every row's sum_k c_k * ys[k] over its stored coefficients (N_r, times
+  // L_r^{-1} when `scaled`, or w_r) into out[r].
+  void Apply(const FpCtx& ctx, std::span<const std::uint8_t* const> ys,
+             bool scaled, std::span<std::uint8_t* const> out) const;
+  // Every row r maps ys to expected[r], or to 0 when expected is empty.
+  bool Matches(const FpCtx& ctx, std::span<const std::uint8_t* const> ys,
+               std::span<const std::uint8_t* const> expected) const;
   // The integer form of `num` (rows x width, row-major) with row lcms
   // `lcm`; computes the cached inverses.
   static WeightRows Integer(const FpCtx& ctx, std::size_t width,
@@ -120,14 +124,13 @@ class PointChecker {
   // xs must have at least deg+1 distinct entries.
   PointChecker(const FpCtx& ctx, std::vector<FpElem> xs, std::size_t deg);
 
-  // ys (aligned with xs) lies on a polynomial of degree <= deg?
-  bool Consistent(std::span<const FpElem> ys) const;
+  // ys (element encodings aligned with xs, values below p) lies on a
+  // polynomial of degree <= deg?
+  bool Consistent(std::span<const std::uint8_t* const> ys) const;
 
   // Rows evaluating at each of `at` the interpolant of the first deg+1
   // points, reused across blocks.
   WeightRows WeightsAt(std::span<const FpElem> at) const;
-  // f(x) where f interpolates the first deg+1 points (one-off).
-  FpElem EvalAt(const FpElem& x, std::span<const FpElem> ys) const;
 
   std::size_t deg() const { return deg_; }
 

@@ -33,6 +33,13 @@ obs::Counter& MessagesWithheld() {
   return c;
 }
 
+// Element i of an element encoding += off, in place.
+void AddAt(const field::FpCtx& ctx, std::span<std::uint8_t> elems,
+           std::size_t i, const field::FpElem& off) {
+  ctx.ToBytes(ctx.Add(field::ElemAt(ctx, elems, i), off),
+              elems.data() + i * ctx.elem_bytes());
+}
+
 }  // namespace
 
 const char* StrategyName(ByzantineStrategy s) {
@@ -90,8 +97,7 @@ ByzantineActor::ByzantineActor(std::uint32_t host, ByzantineStrategy strategy,
       rng_(seed ^ (0x9e3779b97f4a7c15ull * (host + 1))) {}
 
 void ByzantineActor::TamperDeal(std::span<const std::uint32_t> holders,
-                                bool recovery,
-                                std::vector<std::vector<field::FpElem>>& deal) {
+                                bool recovery, std::vector<Bytes>& deal) {
   // Recovery-mask dealings stay honest: the recovery-phase attacks are
   // wrong masked shares and withholding (see header).
   if (recovery || deal.empty()) return;
@@ -105,7 +111,8 @@ void ByzantineActor::TamperDeal(std::span<const std::uint32_t> holders,
       std::size_t idx = rng_.Below(deal.size());
       if (deal.size() > 1 && holders[idx] == host_) idx = (idx + 1) % deal.size();
       field::FpElem off = ctx_->RandomNonZero(rng_);
-      for (auto& v : deal[idx]) v = ctx_->Add(v, off);
+      const std::size_t count = deal[idx].size() / ctx_->elem_bytes();
+      for (std::size_t i = 0; i < count; ++i) AddAt(*ctx_, deal[idx], i, off);
       DealsTampered().Add(1);
       Equivocations().Add(1);
       return;
@@ -118,7 +125,7 @@ void ByzantineActor::TamperDeal(std::span<const std::uint32_t> holders,
       obs::Span span(obs::SpanKind::kByzAction, host_,
                      static_cast<std::uint64_t>(strategy_));
       field::FpElem off = ctx_->RandomNonZero(rng_);
-      for (auto& row : deal) row[0] = ctx_->Add(row[0], off);
+      for (Bytes& row : deal) AddAt(*ctx_, row, 0, off);
       DealsTampered().Add(1);
       return;
     }
@@ -137,9 +144,7 @@ bool ByzantineActor::TamperShares(std::span<std::uint8_t> elems) {
                  static_cast<std::uint64_t>(strategy_));
   const std::size_t count = elems.size() / ctx_->elem_bytes();
   for (std::size_t i = 0; i < count; ++i) {
-    const field::FpElem e = field::ElemAt(*ctx_, elems, i);
-    ctx_->ToBytes(ctx_->Add(e, ctx_->RandomNonZero(rng_)),
-                  elems.data() + i * ctx_->elem_bytes());
+    AddAt(*ctx_, elems, i, ctx_->RandomNonZero(rng_));
   }
   SharesTampered().Add(count);
   return true;

@@ -97,7 +97,7 @@ class ByzantineActor final : public pss::DealTamper {
   // left honest: the recovery-phase attack surface is the masked share
   // (TamperShares) and withholding, matching the dispute machinery.
   void TamperDeal(std::span<const std::uint32_t> holders, bool recovery,
-                  std::vector<std::vector<field::FpElem>>& deal) override;
+                  std::vector<Bytes>& deal) override;
 
   // Wrong-share hook: perturbs each element of an element encoding (served
   // shares, masked shares) in place by an independent nonzero offset.

@@ -315,7 +315,7 @@ std::optional<Bytes> Client::AssembleStaircase(std::uint64_t file_id,
       by_contact,
       [](const ShareResponse* resp) -> const FileMeta& { return resp->meta; });
 
-  std::vector<std::vector<FpElem>> rows(dl.contacted.size());
+  std::vector<std::span<const std::uint8_t>> stripes(dl.contacted.size());
   for (std::size_t j = 0; j < dl.contacted.size(); ++j) {
     if (by_contact[j]->count != layout.CountFor(j, meta.num_blocks)) {
       // Wrong stripe length (host disagreed about the file's block count or
@@ -323,15 +323,16 @@ std::optional<Bytes> Client::AssembleStaircase(std::uint64_t file_id,
       dl.responses.erase(dl.contacted[j]);
       return std::nullopt;
     }
-    rows[j] = field::DeserializeElems(*cfg_.ctx, by_contact[j]->elems());
+    stripes[j] = by_contact[j]->elems();
   }
 
-  std::vector<FpElem> elems = pss::StripedReconstruct(
-      *shamir_, layout, dl.contacted, rows, meta.num_blocks, section.extra());
+  const Bytes secrets =
+      pss::StripedReconstruct(*shamir_, layout, dl.contacted, stripes,
+                              meta.num_blocks, section.extra());
   // No robust fallback on this path: a stripe carries exactly degree+1
   // points per block, so a corrupted contribution surfaces as a codec
   // integrity failure (ParseError) and the caller falls back per policy.
-  Bytes out = codec_.Decode(meta, elems);
+  Bytes out = codec_.DecodeWire(meta, secrets);
   downloads_.erase(file_id);
   return out;
 }

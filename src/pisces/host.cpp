@@ -438,17 +438,11 @@ std::vector<std::uint32_t> MissingDealers(const pss::VssBatch& batch,
 }
 
 // Per-holder CheckShare payloads of one row -> all groups well formed.
-bool VerifyRow(const pss::VssBatch& batch, const std::vector<Bytes>& mat,
-               const field::FpCtx& ctx) {
+bool VerifyRow(const pss::VssBatch& batch, const std::vector<Bytes>& mat) {
   obs::Span span(obs::SpanKind::kVssVerify, mat.size(), batch.groups());
-  for (std::size_t g = 0; g < batch.groups(); ++g) {
-    std::vector<FpElem> column(mat.size(), ctx.Zero());
-    for (std::size_t k = 0; k < mat.size(); ++k) {
-      column[k] = field::ElemAt(ctx, mat[k], g);
-    }
-    if (!batch.VerifyCheckVector(column, g)) return false;
-  }
-  return true;
+  std::vector<const std::uint8_t*> rows;
+  for (const Bytes& row : mat) rows.push_back(row.data());
+  return batch.VerifyCheckRows(rows);
 }
 
 }  // namespace
@@ -578,7 +572,7 @@ void Host::MaybeVerifyRow(FileSeq key, VssSession& s, std::uint32_t row) {
                                ? obs::SpanKind::kRecoverVerify
                                : obs::SpanKind::kRefreshVerify,
                            cfg_.id, row);
-    ok = VerifyRow(*s.batch, s.check_vals[row], *cfg_.ctx);
+    ok = VerifyRow(*s.batch, s.check_vals[row]);
   }
   s.check_vals.erase(row);
   if (!ok) {
@@ -805,32 +799,35 @@ void Host::MaybeFinishTarget(std::uint64_t file_id, std::uint32_t seq,
 
   bool ok = true;
   std::set<std::uint32_t> accused_set;
-  Bytes shares(s.meta.num_blocks * ctx.elem_bytes());
+  const std::size_t eb = ctx.elem_bytes();
+  Bytes shares(s.meta.num_blocks * eb);
   std::vector<std::size_t> cursor(S, 0);
-  std::vector<FpElem> ys(budget, ctx.Zero());
+  std::vector<const std::uint8_t*> ys(budget);
   for (std::size_t blk = 0; blk < s.meta.num_blocks; ++blk) {
     const ClassInterp& c = cls[blk % classes];
-    std::uint8_t* share = shares.data() + blk * ctx.elem_bytes();
+    std::uint8_t* const share = shares.data() + blk * eb;
     for (std::size_t i = 0; i < c.ranks.size(); ++i) {
-      ys[i] = field::ElemAt(ctx, *rows[c.ranks[i]], cursor[c.ranks[i]]++);
+      ys[i] = rows[c.ranks[i]]->data() + cursor[c.ranks[i]]++ * eb;
     }
     // The masked polynomial f + q has degree <= d; inconsistency means a
     // corrupted survivor (caught here even though verification passed for
     // the masks, since the share component is unverified).
     if (c.checker->Consistent(ys)) {
-      ctx.ToBytes(c.at_me.Eval(ctx, 0, ys), share);
+      c.at_me.EvalInto(ctx, ys, {&share, 1});
       continue;
     }
     // Dispute path: decode through the wrong values with Berlekamp-Welch and
     // accuse the senders whose points the decoded polynomial rejects.
     RecoveryInconsistent().Add(1);
     obs::Span span(obs::SpanKind::kByzDetect, cfg_.id, blk);
-    auto f = math::RobustInterpolate(ctx, c.xs, ys, d, max_errors);
+    std::vector<FpElem> vals;
+    for (const std::uint8_t* y : ys) vals.push_back(ctx.FromBytes({y, eb}));
+    auto f = math::RobustInterpolate(ctx, c.xs, vals, d, max_errors);
     if (!f.has_value()) {
       ok = false;
       break;
     }
-    std::vector<std::size_t> bad = math::Mismatches(ctx, *f, c.xs, ys);
+    std::vector<std::size_t> bad = math::Mismatches(ctx, *f, c.xs, vals);
     RecoverySharesCorrected().Add(bad.size());
     for (std::size_t b : bad) accused_set.insert(s.plan.survivors[c.ranks[b]]);
     ctx.ToBytes(f->Eval(ctx, alpha_me), share);
@@ -952,14 +949,14 @@ bool Host::HasActiveSessions() const {
   return !vss_.empty() || !target_.empty();
 }
 
-std::optional<std::vector<std::vector<field::FpElem>>> Host::ComputeReshare(
+std::optional<std::vector<Bytes>> Host::ComputeReshare(
     std::uint64_t file_id, const pss::ResharePublic& pub,
     std::size_t ordinal) {
   if (!online_ || !store_.Has(file_id)) return std::nullopt;
   if (byz_ != nullptr && byz_->WithholdSend()) return std::nullopt;
   ComputeSection section(metrics_.rerandomize, obs::SpanKind::kReshareFile,
                          cfg_.id, file_id);
-  return pss::ReshareContribution(pub, ordinal, store_.Decode(file_id), rng_,
+  return pss::ReshareContribution(pub, ordinal, store_.AtRest(file_id), rng_,
                                   byz_);
 }
 
@@ -981,12 +978,11 @@ void Host::AdoptParams(const pss::Params& params) {
   started_.clear();
 }
 
-void Host::InstallShares(const FileMeta& meta,
-                         std::vector<field::FpElem> shares) {
+void Host::InstallShares(const FileMeta& meta, Bytes shares) {
   Require(online_, "Host::InstallShares: host is offline");
-  Require(shares.size() == meta.num_blocks,
+  Require(shares.size() == meta.num_blocks * cfg_.ctx->elem_bytes(),
           "Host::InstallShares: share count does not match meta");
-  store_.Put(meta, field::SerializeElems(*cfg_.ctx, shares));
+  store_.Put(meta, std::move(shares));
 }
 
 }  // namespace pisces

@@ -127,10 +127,11 @@ class Host : public net::MessageHandler {
   // Computes this host's masked reshare contribution toward the new group
   // from nothing but its OWN stored share vector of `file_id`. Returns
   // nullopt when the host is offline, does not hold the file, or (armed with
-  // a withholding actor) silently skips the send. The finished matrix passes
-  // through the Byzantine deal-tamper seam before it leaves the host, so the
+  // a withholding actor) silently skips the send. The finished rows (one
+  // element encoding per new party, see pss/reshare.h) pass through the
+  // Byzantine deal-tamper seam before they leave the host, so the
   // verification path downstream faces the same adversary as refresh.
-  std::optional<std::vector<std::vector<field::FpElem>>> ComputeReshare(
+  std::optional<std::vector<Bytes>> ComputeReshare(
       std::uint64_t file_id, const pss::ResharePublic& pub,
       std::size_t ordinal);
 
@@ -141,9 +142,9 @@ class Host : public net::MessageHandler {
   void AdoptParams(const pss::Params& params);
 
   // Installs a reshared file (privileged re-provisioning; the reshare analog
-  // of the recovery target's apply step).
-  void InstallShares(const FileMeta& meta,
-                     std::vector<field::FpElem> shares);
+  // of the recovery target's apply step): `shares` is the at-rest encoding,
+  // one element per block.
+  void InstallShares(const FileMeta& meta, Bytes shares);
 
   ShareStore& store() { return store_; }
   const ShareStore& store() const { return store_; }

@@ -204,21 +204,17 @@ std::set<std::uint32_t> Hypervisor::AttributeCorruptDealers(
           checker.WeightsAt(shamir.points().betas());
       const std::size_t eb = ctx.elem_bytes();
       const std::size_t groups = cols.front()->size() / eb;
-      std::vector<FpElem> ys(xs.size(), ctx.Zero());
+      std::vector<const std::uint8_t*> ys(xs.size());
       bool bad = false;
       for (std::size_t g = 0; g < groups && !bad; ++g) {
-        for (std::size_t k = 0; k < cols.size(); ++k) {
-          if (g >= cols[k]->size() / eb) { bad = true; break; }
-          ys[k] = field::ElemAt(ctx, *cols[k], g);
+        for (std::size_t k = 0; k < cols.size() && !bad; ++k) {
+          if (g < cols[k]->size() / eb) {
+            ys[k] = cols[k]->data() + g * eb;
+          } else {
+            bad = true;
+          }
         }
-        if (bad) break;
-        if (!checker.Consistent(ys)) {
-          bad = true;
-          break;
-        }
-        for (std::size_t j = 0; j < at_betas.rows() && !bad; ++j) {
-          bad = !at_betas.Vanishes(ctx, j, ys);
-        }
+        bad = bad || !checker.Consistent(ys) || !at_betas.Vanishes(ctx, ys);
       }
       if (bad && corrupt.insert(dealers[i]).second) {
         DealersAttributed().Add(1);
@@ -786,7 +782,7 @@ bool Hypervisor::Reshare(const pss::Params& to, ReshareReport* report) {
   }
   if (!rep.ok) return false;
 
-  std::map<std::uint64_t, std::vector<std::vector<FpElem>>> new_shares;
+  std::map<std::uint64_t, std::vector<Bytes>> new_shares;
   std::map<std::uint64_t, FileMeta> metas;
   const std::size_t max_attempts = from.t + 2;
   for (std::uint64_t file : files) {
@@ -816,7 +812,7 @@ bool Hypervisor::Reshare(const pss::Params& to, ReshareReport* report) {
       pss::ResharePublic pub =
           pss::MakeResharePublic(from_scheme, to_scheme, holders);
 
-      std::vector<std::vector<FpElem>> acc;
+      std::vector<Bytes> acc;
       bool round_ok = true;
       for (std::size_t ordinal = 0; ordinal < holders.size(); ++ordinal) {
         const std::uint32_t c = holders[ordinal];

@@ -51,21 +51,21 @@ std::size_t ResolveContacts(const Params& p, std::uint32_t requested) {
   return StaircaseFeasible(p, d) ? d : 0;
 }
 
-std::vector<FpElem> StripedReconstruct(
-    const PackedShamir& shamir, const StripeLayout& layout,
-    std::span<const std::uint32_t> contacted,
-    std::span<const std::vector<FpElem>> rows_by_contact, std::size_t blocks,
-    std::uint64_t* extra_cpu_ns) {
+Bytes StripedReconstruct(const PackedShamir& shamir, const StripeLayout& layout,
+                         std::span<const std::uint32_t> contacted,
+                         std::span<const std::span<const std::uint8_t>> stripes,
+                         std::size_t blocks, std::uint64_t* extra_cpu_ns) {
   const Params& p = shamir.params();
   const field::FpCtx& ctx = shamir.ctx();
+  const std::size_t eb = ctx.elem_bytes();
   Require(contacted.size() == layout.contacts,
           "StripedReconstruct: contact set size mismatch");
-  Require(rows_by_contact.size() == layout.contacts,
+  Require(stripes.size() == layout.contacts,
           "StripedReconstruct: row set size mismatch");
   Require(layout.need == p.degree() + 1,
           "StripedReconstruct: need must be degree+1");
   for (std::size_t j = 0; j < layout.contacts; ++j) {
-    Require(rows_by_contact[j].size() == layout.CountFor(j, blocks),
+    Require(stripes[j].size() == layout.CountFor(j, blocks) * eb,
             "StripedReconstruct: wrong stripe length");
   }
 
@@ -96,20 +96,21 @@ std::vector<FpElem> StripedReconstruct(
     return idx;
   };
 
-  std::vector<FpElem> secrets(blocks * p.l, ctx.Zero());
+  Bytes secrets(blocks * p.l * eb);
   // Blocks are independent and write disjoint slots: deterministic fan-out.
   GlobalPool().ParallelFor(
       0, blocks,
       [&](std::size_t b) {
-        const std::size_t r = b % layout.contacts;
-        std::vector<FpElem> ys;
+        std::vector<const std::uint8_t*> ys;
         ys.reserve(layout.need);
         for (std::uint32_t j : layout.SendersFor(b)) {
-          ys.push_back(rows_by_contact[j][stripe_index(j, b)]);
+          ys.push_back(stripes[j].data() + stripe_index(j, b) * eb);
         }
+        std::vector<std::uint8_t*> out(p.l);
         for (std::size_t s = 0; s < p.l; ++s) {
-          secrets[b * p.l + s] = weights[r]->Eval(ctx, s, ys);
+          out[s] = secrets.data() + (b * p.l + s) * eb;
         }
+        weights[b % layout.contacts]->EvalInto(ctx, ys, out);
       },
       extra_cpu_ns);
   return secrets;

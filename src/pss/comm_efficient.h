@@ -60,17 +60,19 @@ bool StaircaseFeasible(const Params& p, std::size_t contacts);
 // returns 0 when even the clamped budget is infeasible (caller falls back).
 std::size_t ResolveContacts(const Params& p, std::uint32_t requested);
 
-// Reconstructs all blocks' secrets from striped responses.
-// rows_by_contact[j] holds contact j's assigned evaluations ascending by
-// block (exactly layout.CountFor(j, blocks) of them); contacted[j] is the
-// party id behind contact index j. Returns blocks*l secrets flattened in
-// block-major order. Reuses the memoized reconstruction weights per residue
-// class and fans blocks out over the task pool deterministically.
-std::vector<FpElem> StripedReconstruct(
-    const PackedShamir& shamir, const StripeLayout& layout,
-    std::span<const std::uint32_t> contacted,
-    std::span<const std::vector<FpElem>> rows_by_contact, std::size_t blocks,
-    std::uint64_t* extra_cpu_ns = nullptr);
+// Reconstructs all blocks' secrets from striped responses, on element
+// encodings (elem_bytes() little-endian bytes each, values below p):
+// stripes[j] holds contact j's assigned evaluations ascending by block
+// (exactly layout.CountFor(j, blocks) of them); contacted[j] is the party id
+// behind contact index j. Returns the blocks*l secrets back to back in
+// block-major order, in that encoding. Reuses the memoized reconstruction
+// weights per residue class and fans blocks out over the task pool
+// deterministically.
+Bytes StripedReconstruct(const PackedShamir& shamir, const StripeLayout& layout,
+                         std::span<const std::uint32_t> contacted,
+                         std::span<const std::span<const std::uint8_t>> stripes,
+                         std::size_t blocks,
+                         std::uint64_t* extra_cpu_ns = nullptr);
 
 // Reduced-repair point budget per block: degree+1 evaluations interpolate
 // the masked polynomial, +2 slack lets the target DETECT a corrupted

@@ -93,12 +93,6 @@ std::vector<FpElem> PackedShamir::ReconstructBlock(
   return ReconstructBlocks(parties, {&block, 1}).front();
 }
 
-bool PackedShamir::ConsistentShares(std::span<const std::uint32_t> parties,
-                                    std::span<const FpElem> shares) const {
-  std::vector<FpElem> xs = points_.AlphasOf(parties);
-  return math::PointsOnLowDegree(*ctx_, xs, shares, params_.degree());
-}
-
 std::optional<std::vector<FpElem>> PackedShamir::RobustReconstructBlock(
     std::span<const std::uint32_t> parties, std::span<const FpElem> shares,
     std::vector<std::size_t>* corrupted) const {

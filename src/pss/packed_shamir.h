@@ -76,10 +76,6 @@ class PackedShamir {
                        std::size_t blocks, std::uint8_t* out,
                        std::uint64_t* extra_cpu_ns = nullptr) const;
 
-  // True iff the given (party, share) points lie on a degree <= d polynomial.
-  bool ConsistentShares(std::span<const std::uint32_t> parties,
-                        std::span<const FpElem> shares) const;
-
   // Reconstruction tolerating corrupted share values (Berlekamp-Welch):
   // succeeds when at most floor((parties.size() - d - 1) / 2) shares are
   // wrong -- with the paper's 3t + l < n this covers t actively corrupted

@@ -63,7 +63,6 @@ namespace {
 // survivor k's transform output row a (element g: group g).
 std::vector<std::vector<Bytes>> RunMaskBatch(
     const PackedShamir& shamir, const VssBatch& batch, Rng& rng) {
-  const FpCtx& ctx = shamir.ctx();
   const std::size_t ns = batch.dealers();
   std::vector<std::vector<math::Poly>> us_by_dealer;
   us_by_dealer.reserve(ns);
@@ -82,14 +81,10 @@ std::vector<std::vector<Bytes>> RunMaskBatch(
   });
   // Verify check rows (independent; failures rethrow on this thread).
   GlobalPool().ParallelFor(0, batch.check_rows(), [&](std::size_t a) {
-    for (std::size_t g = 0; g < batch.groups(); ++g) {
-      std::vector<FpElem> values(ns, ctx.Zero());
-      for (std::size_t k = 0; k < ns; ++k) {
-        values[k] = field::ElemAt(ctx, outputs[k][a], g);
-      }
-      Invariant(batch.VerifyCheckVector(values, g),
-                "ReferenceRecover: check row failed");
-    }
+    std::vector<const std::uint8_t*> rows;
+    for (const auto& out : outputs) rows.push_back(out[a].data());
+    Invariant(batch.VerifyCheckRows(rows),
+              "ReferenceRecover: check row failed");
   });
   return outputs;
 }
@@ -124,13 +119,19 @@ void ReferenceRecover(const PackedShamir& shamir,
       const std::size_t g = j * plan.groups + blk / plan.usable;
       const std::size_t a = batch.check_rows() + blk % plan.usable;
       // masked[k] = f_blk(alpha_k) + q_blk(alpha_k).
-      std::vector<FpElem> masked(m);
+      const std::size_t eb = ctx.elem_bytes();
+      Bytes masked((m + 1) * eb);
+      std::vector<const std::uint8_t*> ys(m);
       for (std::size_t k = 0; k < m; ++k) {
-        masked[k] = ctx.Add(shares_by_party[plan.survivors[k]][blk],
-                            field::ElemAt(ctx, outputs[k][a], g));
+        ctx.ToBytes(ctx.Add(shares_by_party[plan.survivors[k]][blk],
+                            field::ElemAt(ctx, outputs[k][a], g)),
+                    masked.data() + k * eb);
+        ys[k] = masked.data() + k * eb;
       }
       // q_blk(alpha_target) == 0, so this is f_blk(alpha_target).
-      target_shares[blk] = w->Eval(ctx, 0, masked);
+      std::uint8_t* const at = masked.data() + m * eb;
+      w->EvalInto(ctx, ys, {&at, 1});
+      target_shares[blk] = ctx.FromBytes({at, eb});
     });
   }
 }

@@ -82,14 +82,10 @@ void ReferenceRefresh(const PackedShamir& shamir,
   // Phase 3: verify the first 2t rows across all holders (independent rows;
   // a failure throws and the pool rethrows it here).
   GlobalPool().ParallelFor(0, batch.check_rows(), [&](std::size_t a) {
-    for (std::size_t g = 0; g < batch.groups(); ++g) {
-      std::vector<FpElem> values(p.n, ctx.Zero());
-      for (std::size_t k = 0; k < p.n; ++k) {
-        values[k] = field::ElemAt(ctx, outputs[k][a], g);
-      }
-      Invariant(batch.VerifyCheckVector(values),
-                "ReferenceRefresh: check row failed");
-    }
+    std::vector<const std::uint8_t*> rows;
+    for (const auto& out : outputs) rows.push_back(out[a].data());
+    Invariant(batch.VerifyCheckRows(rows),
+              "ReferenceRefresh: check row failed");
   });
 
   // Phase 4: apply usable rows to blocks and discard old shares. Party k's
@@ -146,16 +142,9 @@ std::vector<std::uint32_t> ReferenceRefreshDetect(
   // each output), so a check row fails with overwhelming probability.
   bool check_failed = false;
   for (std::size_t a = 0; a < batch.check_rows() && !check_failed; ++a) {
-    for (std::size_t g = 0; g < batch.groups(); ++g) {
-      std::vector<FpElem> values(p.n, ctx.Zero());
-      for (std::size_t k = 0; k < p.n; ++k) {
-        values[k] = field::ElemAt(ctx, outputs[k][a], g);
-      }
-      if (!batch.VerifyCheckVector(values)) {
-        check_failed = true;
-        break;
-      }
-    }
+    std::vector<const std::uint8_t*> rows;
+    for (const auto& out : outputs) rows.push_back(out[a].data());
+    check_failed = !batch.VerifyCheckRows(rows);
   }
 
   if (!check_failed) {
@@ -183,15 +172,10 @@ std::vector<std::uint32_t> ReferenceRefreshDetect(
   // dealings always pass, so exactly the cheaters are attributed.
   std::vector<std::uint32_t> attributed;
   for (std::size_t i = 0; i < p.n; ++i) {
-    for (std::size_t g = 0; g < batch.groups(); ++g) {
-      std::vector<FpElem> values(p.n, ctx.Zero());
-      for (std::size_t k = 0; k < p.n; ++k) {
-        values[k] = field::ElemAt(ctx, deals[i][k], g);
-      }
-      if (!batch.VerifyCheckVector(values)) {
-        attributed.push_back(static_cast<std::uint32_t>(i));
-        break;
-      }
+    std::vector<const std::uint8_t*> rows;
+    for (const Bytes& row : deals[i]) rows.push_back(row.data());
+    if (!batch.VerifyCheckRows(rows)) {
+      attributed.push_back(static_cast<std::uint32_t>(i));
     }
   }
   return attributed;

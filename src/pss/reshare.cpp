@@ -63,32 +63,36 @@ ResharePublic MakeResharePublic(const PackedShamir& from, const PackedShamir& to
   return pub;
 }
 
-std::vector<std::vector<FpElem>> ReshareContribution(
-    const ResharePublic& pub, std::size_t ordinal,
-    std::span<const FpElem> own_shares, Rng& rng, DealTamper* tamper) {
+std::vector<Bytes> ReshareContribution(const ResharePublic& pub,
+                                       std::size_t ordinal,
+                                       std::span<const std::uint8_t> own_shares,
+                                       Rng& rng, DealTamper* tamper) {
   const field::FpCtx& ctx = pub.from->ctx();
   const std::size_t l = pub.from->params().l;
   const std::size_t d_new = pub.to->params().degree();
   const std::size_t n_new = pub.to->params().n;
+  const std::size_t eb = ctx.elem_bytes();
   Require(ordinal < pub.contributors.size(),
           "ReshareContribution: ordinal out of range");
-  const std::size_t blocks = own_shares.size();
+  Require(own_shares.size() % eb == 0, "ReshareContribution: ragged shares");
+  const std::size_t blocks = own_shares.size() / eb;
 
-  std::vector<std::vector<FpElem>> out(n_new,
-                                       std::vector<FpElem>(blocks, ctx.Zero()));
+  std::vector<Bytes> out(n_new, Bytes(own_shares.size()));
   std::vector<field::FpMont> coeff(n_new);
   for (std::size_t rho = 0; rho < n_new; ++rho) {
     coeff[rho] = ctx.ToMont(pub.coeff[rho][ordinal]);
   }
   for (std::size_t blk = 0; blk < blocks; ++blk) {
+    const FpElem own = field::ElemAt(ctx, own_shares, blk);
     // Fresh mask per block: random degree-<=d_new polynomial vanishing at
     // every beta, so each wire value is marginally uniform.
     math::Poly u = math::Poly::Random(ctx, rng, d_new - l);
     math::Poly m = math::Poly::Mul(ctx, pub.vanish, u);
     for (std::size_t rho = 0; rho < n_new; ++rho) {
       // v_i(alpha'_rho) = c_i(alpha'_rho) * f(alpha_i) + m_i(alpha'_rho).
-      out[rho][blk] = ctx.Add(ctx.Mul(coeff[rho], own_shares[blk]),
-                              m.Eval(ctx, pub.to->points().alpha(rho)));
+      ctx.ToBytes(ctx.Add(ctx.Mul(coeff[rho], own),
+                          m.Eval(ctx, pub.to->points().alpha(rho))),
+                  out[rho].data() + blk * eb);
     }
   }
 
@@ -102,20 +106,26 @@ std::vector<std::vector<FpElem>> ReshareContribution(
   return out;
 }
 
-bool VerifyReshareContribution(
-    const ResharePublic& pub, std::size_t ordinal,
-    const std::vector<std::vector<FpElem>>& contribution) {
+bool VerifyReshareContribution(const ResharePublic& pub, std::size_t ordinal,
+                               const std::vector<Bytes>& contribution) {
   const field::FpCtx& ctx = pub.from->ctx();
   const std::size_t l = pub.from->params().l;
   const std::size_t d_new = pub.to->params().degree();
   const std::size_t n_new = pub.to->params().n;
+  const std::size_t eb = ctx.elem_bytes();
   Require(ordinal < pub.contributors.size(),
           "VerifyReshareContribution: ordinal out of range");
   if (contribution.size() != n_new) return false;
-  const std::size_t blocks = contribution.at(0).size();
-  for (const auto& row : contribution) {
-    if (row.size() != blocks) return false;
+  const std::size_t row_bytes = contribution.front().size();
+  try {
+    for (const Bytes& row : contribution) {
+      if (row.size() != row_bytes) return false;
+      field::ValidateElems(ctx, row);  // ragged or >= p: throws
+    }
+  } catch (const Error&) {
+    return false;
   }
+  const std::size_t blocks = row_bytes / eb;
 
   std::vector<FpElem> xs(pub.to->points().alphas().begin(),
                          pub.to->points().alphas().end());
@@ -126,10 +136,13 @@ bool VerifyReshareContribution(
   for (std::size_t j = 0; j < l; ++j) {
     weight[j] = ctx.ToMont(pub.weights[j][ordinal]);
   }
-  std::vector<FpElem> col(n_new);
+  std::vector<const std::uint8_t*> col(n_new);
+  Bytes at_beta(l * eb);
+  std::vector<std::uint8_t*> at_beta_out(l);
+  for (std::size_t j = 0; j < l; ++j) at_beta_out[j] = at_beta.data() + j * eb;
   for (std::size_t blk = 0; blk < blocks; ++blk) {
     for (std::size_t rho = 0; rho < n_new; ++rho) {
-      col[rho] = contribution[rho][blk];
+      col[rho] = contribution[rho].data() + blk * eb;
     }
     // Degree check (vacuous when n' == d'+1; the parameter constraints give
     // n' >= d'+2 whenever t' >= 1).
@@ -139,33 +152,33 @@ bool VerifyReshareContribution(
     // values must be proportional to the contributor's weight column with
     // one consistent (secret) factor. Cross-multiplying removes the factor:
     //   v(beta_j) * w[k][i] == v(beta_k) * w[j][i]  for all j, k.
-    std::vector<FpElem> at_beta(l, ctx.Zero());
-    for (std::size_t j = 0; j < l; ++j) {
-      at_beta[j] = at_betas.Eval(ctx, j, col);
-    }
+    at_betas.EvalInto(ctx, col, at_beta_out);
+    const FpElem first = field::ElemAt(ctx, at_beta, 0);
     for (std::size_t j = 1; j < l; ++j) {
-      const FpElem lhs = ctx.Mul(weight[j], at_beta[0]);
-      const FpElem rhs = ctx.Mul(weight[0], at_beta[j]);
+      const FpElem lhs = ctx.Mul(weight[j], first);
+      const FpElem rhs = ctx.Mul(weight[0], field::ElemAt(ctx, at_beta, j));
       if (!ctx.Eq(lhs, rhs)) return false;
     }
   }
   return true;
 }
 
-void AccumulateReshare(const field::FpCtx& ctx,
-                       std::vector<std::vector<FpElem>>& acc,
-                       const std::vector<std::vector<FpElem>>& contribution) {
+void AccumulateReshare(const field::FpCtx& ctx, std::vector<Bytes>& acc,
+                       const std::vector<Bytes>& contribution) {
   if (acc.empty()) {
-    acc.assign(contribution.size(),
-               std::vector<FpElem>(contribution.at(0).size(), ctx.Zero()));
+    acc = contribution;
+    return;
   }
   Require(acc.size() == contribution.size(),
           "AccumulateReshare: party-count mismatch");
+  const std::size_t eb = ctx.elem_bytes();
   for (std::size_t rho = 0; rho < acc.size(); ++rho) {
     Require(acc[rho].size() == contribution[rho].size(),
             "AccumulateReshare: block-count mismatch");
-    for (std::size_t blk = 0; blk < acc[rho].size(); ++blk) {
-      acc[rho][blk] = ctx.Add(acc[rho][blk], contribution[rho][blk]);
+    for (std::size_t blk = 0; blk < acc[rho].size() / eb; ++blk) {
+      ctx.ToBytes(ctx.Add(field::ElemAt(ctx, acc[rho], blk),
+                          field::ElemAt(ctx, contribution[rho], blk)),
+                  acc[rho].data() + blk * eb);
     }
   }
 }
@@ -183,13 +196,17 @@ std::vector<std::vector<FpElem>> ReferenceReshare(
   for (std::uint32_t i = 0; i <= d_old; ++i) contributors[i] = i;
   ResharePublic pub = MakeResharePublic(from, to, std::move(contributors));
 
-  std::vector<std::vector<FpElem>> shares_new;
+  std::vector<Bytes> shares_new;
   for (std::size_t i = 0; i < pub.contributors.size(); ++i) {
-    auto contribution =
-        ReshareContribution(pub, i, shares_old[pub.contributors[i]], rng);
-    AccumulateReshare(ctx, shares_new, contribution);
+    const Bytes own =
+        field::SerializeElems(ctx, shares_old[pub.contributors[i]]);
+    AccumulateReshare(ctx, shares_new, ReshareContribution(pub, i, own, rng));
   }
-  return shares_new;
+  std::vector<std::vector<FpElem>> out;
+  for (const Bytes& row : shares_new) {
+    out.push_back(field::DeserializeElems(ctx, row));
+  }
+  return out;
 }
 
 }  // namespace pisces::pss

@@ -72,29 +72,34 @@ struct ResharePublic {
 ResharePublic MakeResharePublic(const PackedShamir& from, const PackedShamir& to,
                                 std::vector<std::uint32_t> contributors);
 
-// One contributor's masked sub-sharing, computed from its own share vector
-// only: out[rho][blk] = c_i(alpha'_rho) * own_shares[blk] + m_i(alpha'_rho)
-// with a fresh mask polynomial per block. `ordinal` indexes the contributor
-// inside pub.contributors. A non-null `tamper` is applied to the finished
-// matrix (the Byzantine dealer seam; holders are the new party ids).
-std::vector<std::vector<field::FpElem>> ReshareContribution(
-    const ResharePublic& pub, std::size_t ordinal,
-    std::span<const field::FpElem> own_shares, Rng& rng,
-    DealTamper* tamper = nullptr);
+// Contributions travel as rows of element encodings (elem_bytes() little-
+// endian bytes each, the wire and storage encoding): row rho holds new party
+// rho's value for every block, block blk at blk * elem_bytes().
 
-// Public well-formedness check of one contribution: per-block degree-<=d'
-// column consistency over the new alphas, plus (l >= 2) beta-proportionality
-// against the contributor's reconstruction weights. Uses public data only.
+// One contributor's masked sub-sharing, computed from its own share bytes
+// only (`own_shares`: its at-rest encoding, one element per block, below
+// p): element blk of row rho is c_i(alpha'_rho) * own_shares[blk] +
+// m_i(alpha'_rho) with a fresh mask polynomial per block. `ordinal` indexes
+// the contributor inside pub.contributors. A non-null `tamper` is applied to
+// the finished rows (the Byzantine dealer seam; holders are the new party
+// ids).
+std::vector<Bytes> ReshareContribution(const ResharePublic& pub,
+                                       std::size_t ordinal,
+                                       std::span<const std::uint8_t> own_shares,
+                                       Rng& rng, DealTamper* tamper = nullptr);
+
+// Public well-formedness check of one contribution: one row per new party,
+// all of one length, every value below p, then per-block degree-<=d' column
+// consistency over the new alphas, plus (l >= 2) beta-proportionality
+// against the contributor's reconstruction weights. Uses public data only;
+// malformed rows are rejected (false), never read out of bounds.
 bool VerifyReshareContribution(const ResharePublic& pub, std::size_t ordinal,
-                               const std::vector<std::vector<field::FpElem>>&
-                                   contribution);
+                               const std::vector<Bytes>& contribution);
 
-// acc[rho][blk] += contribution[rho][blk]. acc may be empty (initialized to
-// the contribution's shape).
-void AccumulateReshare(const field::FpCtx& ctx,
-                       std::vector<std::vector<field::FpElem>>& acc,
-                       const std::vector<std::vector<field::FpElem>>&
-                           contribution);
+// acc[rho] += contribution[rho], element by element, in place. acc may be
+// empty (it starts as a copy of the contribution).
+void AccumulateReshare(const field::FpCtx& ctx, std::vector<Bytes>& acc,
+                       const std::vector<Bytes>& contribution);
 
 // Redistributes shares_old[i][blk] (old group, `from` scheme) into shares for
 // the new group (`to` scheme): returns shares_new[rho][blk]. Composes the

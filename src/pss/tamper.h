@@ -3,12 +3,12 @@
 // A Byzantine dealer does not attack the wire (links are authenticated and
 // encrypted); it lies at the protocol layer, before its dealing rows are
 // sealed for each receiver. DealTamper is the seam: VssBatch::Deal/DealFrom
-// accept an optional tamper and apply it to the finished dealing, its rows
-// decoded into a matrix of elements and encoded back afterwards, on the
-// caller's thread, after the parallel evaluation fan-out, so results stay
-// deterministic for any pool size. The honest path is a null-pointer check --
-// when no tamper is armed the produced bytes are identical to a build without
-// this hook.
+// and ReshareContribution accept an optional tamper and apply it to the
+// finished rows -- the payload bytes each receiver is sent, edited in
+// place -- on the caller's thread, after the parallel evaluation fan-out, so
+// results stay deterministic for any pool size. The honest path is a
+// null-pointer check -- when no tamper is armed the produced bytes are
+// identical to a build without this hook.
 //
 // Implementations live in src/pisces/byzantine.* (the strategy engine); this
 // header keeps pss free of any dependency on them.
@@ -18,7 +18,7 @@
 #include <span>
 #include <vector>
 
-#include "field/fp.h"
+#include "common/bytes.h"
 
 namespace pisces::pss {
 
@@ -26,14 +26,15 @@ class DealTamper {
  public:
   virtual ~DealTamper() = default;
 
-  // deal[k][g] is the group-g evaluation destined for holders[k]. Mutating a
-  // single row equivocates (receivers see inconsistent dealings); mutating
-  // the whole matrix consistently submits a corrupted / degree-violating
-  // sharing. `recovery` distinguishes recovery-mask dealings from refresh
-  // zero-sharings so strategies can target one phase.
+  // deal[k] is the row destined for holders[k]: one element encoding
+  // (elem_bytes() little-endian bytes, below p) per group or block, element
+  // g at g * elem_bytes(). A tamper keeps every row's length and every value
+  // below p. Mutating a single row equivocates (receivers see inconsistent
+  // dealings); mutating every row consistently submits a corrupted /
+  // degree-violating sharing. `recovery` distinguishes recovery-mask
+  // dealings from refresh zero-sharings so strategies can target one phase.
   virtual void TamperDeal(std::span<const std::uint32_t> holders,
-                          bool recovery,
-                          std::vector<std::vector<field::FpElem>>& deal) = 0;
+                          bool recovery, std::vector<Bytes>& deal) = 0;
 };
 
 }  // namespace pisces::pss

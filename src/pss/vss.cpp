@@ -319,16 +319,11 @@ std::vector<Bytes> VssBatch::DealFrom(std::span<const math::Poly> us,
   // fan-out so tampering is deterministic for any pool size. Honest callers
   // pass null and take the branch-not-taken path only.
   if (tamper != nullptr) {
-    std::vector<std::vector<FpElem>> deal;
+    tamper->TamperDeal(holders_, recovery_shape(), out);
+    Require(out.size() == nh, "DealFrom: tamper changed holder count");
     for (const Bytes& row : out) {
-      deal.push_back(field::DeserializeElems(*ctx_, row));
-    }
-    tamper->TamperDeal(holders_, recovery_shape(), deal);
-    Require(deal.size() == nh, "DealFrom: tamper changed holder count");
-    for (std::size_t h = 0; h < nh; ++h) {
-      Require(deal[h].size() == groups(),
+      Require(row.size() == groups() * eb,
               "DealFrom: tamper changed group count");
-      out[h] = field::SerializeElems(*ctx_, deal[h]);
     }
   }
   return out;
@@ -401,20 +396,23 @@ std::vector<Bytes> VssBatch::Transform(
   return out;
 }
 
-bool VssBatch::VerifyCheckVector(std::span<const FpElem> values,
+bool VssBatch::VerifyCheckVector(std::span<const std::uint8_t* const> values,
                                  std::size_t group) const {
   if (values.size() != holders_.size()) return false;
   // Degree check: each point beyond the first degree+1 must match the
-  // interpolant of those first points.
-  for (std::size_t e = 0; e < parity_rows_->rows(); ++e) {
-    if (!parity_rows_->Predicts(*ctx_, e, values, values[degree_ + 1 + e])) {
-      return false;
-    }
-  }
-  // Vanishing check: the interpolant is zero on the segment's V.
-  const math::WeightRows& zero = *vanish_rows_.at(group / segment_groups_);
-  for (std::size_t v = 0; v < zero.rows(); ++v) {
-    if (!zero.Vanishes(*ctx_, v, values)) return false;
+  // interpolant of those first points; vanishing check: the interpolant is
+  // zero on the segment's V.
+  return parity_rows_->Predicts(*ctx_, values, values.subspan(degree_ + 1)) &&
+         vanish_rows_.at(group / segment_groups_)->Vanishes(*ctx_, values);
+}
+
+bool VssBatch::VerifyCheckRows(
+    std::span<const std::uint8_t* const> rows) const {
+  const std::size_t eb = ctx_->elem_bytes();
+  std::vector<const std::uint8_t*> column(rows.size());
+  for (std::size_t g = 0; g < groups(); ++g) {
+    for (std::size_t k = 0; k < rows.size(); ++k) column[k] = rows[k] + g * eb;
+    if (!VerifyCheckVector(column, g)) return false;
   }
   return true;
 }

@@ -74,8 +74,8 @@ class VssBatch {
   // is part of the determinism contract); the evaluations fan out across the
   // global task pool. extra_cpu_ns accumulates pool-worker CPU time (the
   // caller's ambient CpuTimer cannot see it). `tamper`, when non-null, is
-  // applied to the finished dealing, as elements, on the caller's thread
-  // (after the pool fan-out) -- the active-adversary seam; see pss/tamper.h.
+  // applied to the finished rows on the caller's thread (after the pool
+  // fan-out) -- the active-adversary seam; see pss/tamper.h.
   std::vector<Bytes> Deal(Rng& rng, std::uint64_t* extra_cpu_ns = nullptr,
                           DealTamper* tamper = nullptr) const;
 
@@ -117,11 +117,16 @@ class VssBatch {
                                std::uint64_t* extra_cpu_ns = nullptr) const;
 
   // --- verifier side ---
-  // values[k]: holder k's evaluation of one check-row sharing of `group`
-  // (element `group` of holder k's output row). Checks degree <= d and
-  // vanishing on the V of the group's segment.
-  bool VerifyCheckVector(std::span<const FpElem> values,
+  // values[k] points at holder k's evaluation of one check-row sharing of
+  // `group` (element `group` of holder k's output row), an element encoding
+  // below p. Checks degree <= d and vanishing on the V of the group's
+  // segment.
+  bool VerifyCheckVector(std::span<const std::uint8_t* const> values,
                          std::size_t group = 0) const;
+  // rows[k] points at holder k's row of one output or dealing (groups()
+  // element encodings below p, as a CheckShare or Deal payload): every
+  // group's column passes VerifyCheckVector.
+  bool VerifyCheckRows(std::span<const std::uint8_t* const> rows) const;
 
   // Verifier responsible for check row a (round-robin over holders).
   std::uint32_t VerifierOf(std::size_t check_row) const {

@@ -280,7 +280,7 @@ void CheckMulU64Add(const FpCtx& ctx, const std::vector<FpElem>& edges,
   }
 }
 
-// Oracle for DotI64: Dot against the coefficients as field elements, |c|
+// Oracle for DotI64Into: Dot against the coefficients as field elements, |c|
 // built from FromUint64 halves (MulAddOracle), negated for c < 0.
 FpElem DotI64Oracle(const FpCtx& ctx, const std::vector<FpElem>& a,
                     const std::vector<std::int64_t>& c) {
@@ -294,42 +294,12 @@ FpElem DotI64Oracle(const FpCtx& ctx, const std::vector<FpElem>& a,
   return ctx.Dot(a, w);
 }
 
-// 1..64 terms mixing the edge operands (p-1 among them) with random ones,
-// and the edge coefficients 0, +-1, +-(2^63-1) and INT64_MIN with random
-// words; then the accumulator's worst case, 64 terms (p-1) * INT64_MIN and
-// 64 terms (p-1) * (2^63-1), and the empty sum.
-void CheckDotI64(const FpCtx& ctx, const std::vector<FpElem>& edges,
-                 Rng& rng) {
-  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
-  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
-  const std::int64_t kCoeffs[] = {0, 1, -1, kMax, -kMax, kMin, 0, 2};
-  for (std::size_t len = 1; len <= 64; ++len) {
-    std::vector<FpElem> a;
-    std::vector<std::int64_t> c;
-    for (std::size_t i = 0; i < len; ++i) {
-      a.push_back(i % 2 == 0 ? edges[(i / 2) % edges.size()]
-                             : ctx.Random(rng));
-      c.push_back(i % 3 == 0 ? static_cast<std::int64_t>(rng.Next())
-                             : kCoeffs[(i + len) % 8]);
-    }
-    ASSERT_EQ(ctx.DotI64(a, c), DotI64Oracle(ctx, a, c))
-        << ctx.bits() << "-bit len=" << len;
-  }
-  const FpElem p_minus_1 = edges[3];
-  for (std::int64_t extreme : {kMin, kMax}) {
-    const std::vector<FpElem> a(64, p_minus_1);
-    const std::vector<std::int64_t> c(64, extreme);
-    ASSERT_EQ(ctx.DotI64(a, c), DotI64Oracle(ctx, a, c)) << ctx.bits();
-  }
-  EXPECT_EQ(ctx.DotI64({}, {}), ctx.Zero());
-}
-
-// DotI64Into, the kernel under DotI64, over element encodings placed at an
-// odd byte offset (nothing may assume alignment), against Dot with field
-// weights (DotI64Oracle): 1..64 terms of random signed coefficients with 0,
-// +-(2^63-1) and INT64_MIN mixed in, the same all negative, and each with a
-// Montgomery scale against Mul of the oracle; then sums that come out
-// negative, zero and an exact multiple of p, and several rows in one call.
+// DotI64Into over element encodings placed at an odd byte offset (nothing
+// may assume alignment), against Dot with field weights (DotI64Oracle):
+// 1..64 terms of random signed coefficients with 0, +-(2^63-1) and
+// INT64_MIN mixed in, the same all negative, and each with a Montgomery
+// scale against Mul of the oracle; then sums that come out negative, zero
+// and an exact multiple of p, a 200-term row, and several rows in one call.
 std::vector<FpElem> DotI64IntoRows(
     const FpCtx& ctx, const std::vector<FpElem>& a,
     const std::vector<std::vector<std::int64_t>>& rows,
@@ -361,6 +331,37 @@ FpElem DotI64Into(const FpCtx& ctx, const std::vector<FpElem>& a,
   std::vector<FpMont> scales;
   if (scale != nullptr) scales.push_back(*scale);
   return DotI64IntoRows(ctx, a, {c}, scales)[0];
+}
+
+// One-row DotI64Into against DotI64Oracle: 1..64 terms mixing the edge
+// operands (p-1 among them) with random ones, and the edge coefficients 0,
+// +-1, +-(2^63-1) and INT64_MIN with random words; then the accumulator's
+// worst case, 64 terms (p-1) * INT64_MIN and 64 terms (p-1) * (2^63-1), and
+// the empty sum.
+void CheckDotI64(const FpCtx& ctx, const std::vector<FpElem>& edges,
+                 Rng& rng) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  const std::int64_t kCoeffs[] = {0, 1, -1, kMax, -kMax, kMin, 0, 2};
+  for (std::size_t len = 1; len <= 64; ++len) {
+    std::vector<FpElem> a;
+    std::vector<std::int64_t> c;
+    for (std::size_t i = 0; i < len; ++i) {
+      a.push_back(i % 2 == 0 ? edges[(i / 2) % edges.size()]
+                             : ctx.Random(rng));
+      c.push_back(i % 3 == 0 ? static_cast<std::int64_t>(rng.Next())
+                             : kCoeffs[(i + len) % 8]);
+    }
+    ASSERT_EQ(DotI64Into(ctx, a, c), DotI64Oracle(ctx, a, c))
+        << ctx.bits() << "-bit len=" << len;
+  }
+  const FpElem p_minus_1 = edges[3];
+  for (std::int64_t extreme : {kMin, kMax}) {
+    const std::vector<FpElem> a(64, p_minus_1);
+    const std::vector<std::int64_t> c(64, extreme);
+    ASSERT_EQ(DotI64Into(ctx, a, c), DotI64Oracle(ctx, a, c)) << ctx.bits();
+  }
+  EXPECT_EQ(DotI64Into(ctx, {}, {}), ctx.Zero());
 }
 
 void CheckDotI64Into(const FpCtx& ctx, const std::vector<FpElem>& edges,
@@ -397,14 +398,13 @@ void CheckDotI64Into(const FpCtx& ctx, const std::vector<FpElem>& edges,
   for (std::int64_t m : {std::int64_t{1}, kMax, kMin, std::int64_t{-7}}) {
     EXPECT_EQ(DotI64Into(ctx, {p_minus_1, one}, {m, m}), ctx.Zero()) << m;
   }
-  // A row wider than the element adapter's on-stack pointer array.
+  // A 200-term row.
   std::vector<FpElem> wide;
   std::vector<std::int64_t> wide_c;
   for (std::size_t i = 0; i < 200; ++i) {
     wide.push_back(i % 7 == 0 ? p_minus_1 : ctx.Random(rng));
     wide_c.push_back(static_cast<std::int64_t>(rng.Next()));
   }
-  EXPECT_EQ(ctx.DotI64(wide, wide_c), DotI64Oracle(ctx, wide, wide_c));
   EXPECT_EQ(DotI64Into(ctx, wide, wide_c), DotI64Oracle(ctx, wide, wide_c));
   // Three rows over the same elements in one call, scaled by x, by
   // MontOne() (the multiply skipped) and by x.
@@ -487,14 +487,6 @@ TEST_P(FieldKernelTest, DotI64MatchesDot) {
   const std::vector<FpElem> edges = Operands(0);
   CheckDotI64(fast_, edges, rng_);
   CheckDotI64(oracle_, edges, rng_);
-  // One counter bump per call, and the products it accumulated.
-  const std::vector<FpElem> a = {fast_.One(), fast_.FromUint64(2)};
-  const std::vector<std::int64_t> c = {3, -4};
-  const KernelStatsSnapshot before = GetKernelStats();
-  EXPECT_EQ(fast_.DotI64(a, c), fast_.Neg(fast_.FromUint64(5)));
-  const KernelStatsSnapshot after = GetKernelStats();
-  EXPECT_EQ(after.int_dot_calls - before.int_dot_calls, 1u);
-  EXPECT_EQ(after.int_dot_products - before.int_dot_products, 2u);
 }
 
 // The word inverse against Inv, over small words and the widest ones.
@@ -848,8 +840,8 @@ TEST(FieldKernelFallback, ReduceWideAtNonWordAlignedModuli) {
   }
 }
 
-// DotI64 at the non-word-aligned moduli (the quotient digits come from
-// shifted words) and the odd 192-bit width; InvU64 there too, and its
+// CheckDotI64 at the non-word-aligned moduli (the quotient digits come
+// from shifted words) and the odd 192-bit width; InvU64 there too, and its
 // refusal of a word sharing a factor with the modulus.
 TEST(FieldKernelFallback, DotI64AtNonWordAlignedModuli) {
   const Bytes m61{0x1F, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF};

@@ -1,7 +1,9 @@
 // Polynomial, interpolation, matrix and hyperinvertibility tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
+#include <tuple>
 
 #include "common/task_pool.h"
 #include "field/primes.h"
@@ -41,6 +43,38 @@ std::vector<std::vector<FpElem>> FieldRows(const field::FpCtx& ctx,
     out.push_back(rows.FieldRow(ctx, r));
   }
   return out;
+}
+
+// Values as element encodings from an odd byte offset: rows read them
+// through pointers and may assume no alignment.
+struct Encodings {
+  Encodings(const field::FpCtx& ctx, std::span<const FpElem> vals)
+      : bytes(1 + vals.size() * ctx.elem_bytes()) {
+    for (std::size_t i = 0; i < vals.size(); ++i) {
+      std::uint8_t* at = bytes.data() + 1 + i * ctx.elem_bytes();
+      ctx.ToBytes(vals[i], at);
+      ptrs.push_back(at);
+    }
+  }
+  Bytes bytes;
+  std::vector<const std::uint8_t*> ptrs;
+};
+
+// Every row applied to vals by EvalInto, read from and written to odd
+// offsets.
+std::vector<FpElem> EvalAll(const field::FpCtx& ctx, const WeightRows& rows,
+                            std::span<const FpElem> vals) {
+  const Encodings ys(ctx, vals);
+  const std::size_t eb = ctx.elem_bytes();
+  Bytes out(1 + rows.rows() * eb);
+  std::vector<std::uint8_t*> dst;
+  for (std::size_t r = 0; r < rows.rows(); ++r) {
+    dst.push_back(out.data() + 1 + r * eb);
+  }
+  rows.EvalInto(ctx, ys.ptrs, dst);
+  std::vector<FpElem> got;
+  for (const std::uint8_t* y : dst) got.push_back(ctx.FromBytes({y, eb}));
+  return got;
 }
 
 class MathTest : public ::testing::Test {
@@ -236,11 +270,12 @@ TEST_F(MathTest, PointCheckerAgreesWithPointsOnLowDegree) {
     ys.push_back(f.Eval(ctx_, xs.back()));
   }
   PointChecker checker(ctx_, xs, 5);
-  EXPECT_TRUE(checker.Consistent(ys));
+  EXPECT_TRUE(checker.Consistent(Encodings(ctx_, ys).ptrs));
   FpElem probe = E(999);
-  EXPECT_TRUE(ctx_.Eq(checker.EvalAt(probe, ys), f.Eval(ctx_, probe)));
+  EXPECT_TRUE(ctx_.Eq(EvalAll(ctx_, checker.WeightsAt({&probe, 1}), ys)[0],
+                      f.Eval(ctx_, probe)));
   ys[11] = ctx_.Add(ys[11], ctx_.One());
-  EXPECT_FALSE(checker.Consistent(ys));
+  EXPECT_FALSE(checker.Consistent(Encodings(ctx_, ys).ptrs));
 }
 
 TEST_F(MathTest, MatrixInverseRoundTrip) {
@@ -452,43 +487,77 @@ std::vector<std::size_t> Shuffled(Rng& rng, std::size_t n) {
   return all;
 }
 
-// Rows over the first `width` of pts at `at`: equal to the oracle weights,
-// and with the oracle's verdicts and values on the values of f (degree <= d,
-// zero at the betas) at pts, clean and with one value corrupted. Rows below
-// `parity` predict the value at at[r] (which is pts[width + r]); the rest
-// evaluate, and must vanish when `vanish` is set.
+// Rows over the first `width` of pts at `at`, applied to element encodings
+// at odd offsets: equal to the oracle weights, with the oracle's values and
+// set-level verdicts on the values of f (degree <= d, zero at the betas) at
+// pts, clean and with one value corrupted. Rows below `parity` predict the
+// value at at[r] (which is pts[width + r]); the rest evaluate, and must
+// vanish when `vanish` is set. A set with exactly one wrong row fails
+// Predicts, and (for a vanish set) Vanishes.
 void CheckVerdicts(const field::FpCtx& ctx, const WeightRows& rows,
                    std::span<const FpElem> pts, std::size_t width,
                    std::span<const FpElem> at, std::size_t parity,
                    bool vanish, const Poly& f, Rng& rng) {
   const auto oracle = LagrangeCoeffsMulti(ctx, pts.first(width), at);
   EXPECT_EQ(FieldRows(ctx, rows), oracle);
-  std::vector<FpElem> vals;
-  for (const FpElem& x : pts) vals.push_back(f.Eval(ctx, x));
+  // The oracle's value of every row on the values of g at pts.
+  auto predict = [&](const Poly& g) {
+    std::vector<FpElem> vals, out;
+    for (const FpElem& x : pts) vals.push_back(g.Eval(ctx, x));
+    for (const auto& row : oracle) {
+      out.push_back(ctx.Dot(row, std::span(vals).first(width)));
+    }
+    return std::pair{vals, out};
+  };
+  auto [vals, predicted] = predict(f);
   for (int corrupt = 0; corrupt < 2; ++corrupt) {
     if (corrupt == 1) {
       const std::size_t c = rng.Below(vals.size());
       vals[c] = ctx.Add(vals[c], ctx.RandomNonZero(rng));
-    }
-    for (std::size_t r = 0; r < at.size(); ++r) {
-      const FpElem predicted =
-          ctx.Dot(oracle[r], std::span(vals).first(width));
-      EXPECT_EQ(rows.Eval(ctx, r, vals), predicted);
-      if (r >= parity && !vanish) continue;
-      bool verdict = false;
-      if (r < parity) {
-        const FpElem& y = vals[width + r];
-        verdict = rows.Predicts(ctx, r, vals, y);
-        EXPECT_EQ(verdict, predicted == y);
-      } else {
-        verdict = rows.Vanishes(ctx, r, vals);
-        EXPECT_EQ(verdict, ctx.IsZero(predicted));
+      for (std::size_t r = 0; r < at.size(); ++r) {
+        predicted[r] = ctx.Dot(oracle[r], std::span(vals).first(width));
       }
-      if (corrupt == 0) {
-        EXPECT_TRUE(verdict) << r;
+    }
+    const Encodings ys(ctx, vals);
+    EXPECT_EQ(EvalAll(ctx, rows, vals), predicted);
+    // Parity rows expect the value at their point, the others the oracle's.
+    std::vector<FpElem> expected = predicted;
+    bool parity_ok = true;
+    for (std::size_t r = 0; r < parity; ++r) {
+      expected[r] = vals[width + r];
+      parity_ok = parity_ok && predicted[r] == expected[r];
+    }
+    const bool verdict =
+        rows.Predicts(ctx, ys.ptrs, Encodings(ctx, expected).ptrs);
+    EXPECT_EQ(verdict, parity_ok);
+    const bool zero = std::all_of(predicted.begin(), predicted.end(),
+                                  [&](const FpElem& y) { return ctx.IsZero(y); });
+    EXPECT_EQ(rows.Vanishes(ctx, ys.ptrs), zero);
+    if (corrupt == 0) {
+      EXPECT_TRUE(verdict);
+      if (vanish) {
+        EXPECT_TRUE(zero);
       }
     }
   }
+  // Exactly one wrong row r.
+  const std::size_t r = rng.Below(at.size());
+  std::tie(vals, predicted) = predict(f);
+  std::vector<FpElem> expected = predicted;
+  expected[r] = ctx.Add(expected[r], ctx.RandomNonZero(rng));
+  EXPECT_FALSE(rows.Predicts(ctx, Encodings(ctx, vals).ptrs,
+                             Encodings(ctx, expected).ptrs));
+  if (!vanish) return;
+  // f plus a polynomial of degree < width that is zero at every other row's
+  // point and not at at[r].
+  std::vector<FpElem> others(at.begin(), at.end());
+  others.erase(others.begin() + r);
+  std::tie(vals, predicted) =
+      predict(Poly::Add(ctx, f, Poly::Vanishing(ctx, others)));
+  for (std::size_t s = 0; s < at.size(); ++s) {
+    ASSERT_EQ(ctx.IsZero(predicted[s]), s != r) << s;
+  }
+  EXPECT_FALSE(rows.Vanishes(ctx, Encodings(ctx, vals).ptrs));
 }
 
 RowForms RowsMatchOracle(const field::FpCtx& ctx, const RowShape& s,
@@ -510,8 +579,9 @@ RowForms RowsMatchOracle(const field::FpCtx& ctx, const RowShape& s,
     EXPECT_EQ(FieldRows(ctx, recon), oracle);
     std::vector<FpElem> ys;
     for (std::size_t k = 0; k <= d; ++k) ys.push_back(ctx.Random(rng));
+    const std::vector<FpElem> secrets = EvalAll(ctx, recon, ys);
     for (std::size_t r = 0; r < s.l; ++r) {
-      EXPECT_EQ(recon.Eval(ctx, r, ys), ctx.Dot(oracle[r], ys));
+      EXPECT_EQ(secrets[r], ctx.Dot(oracle[r], ys));
     }
 
     // Recovery: up to 3 rebooted hosts; a budget of d+3 survivors in random
@@ -556,6 +626,7 @@ RowForms RowsMatchOracle(const field::FpCtx& ctx, const RowShape& s,
   const Poly w = Poly::Vanishing(ctx, betas);
   std::vector<FpElem> su;
   for (std::size_t k = 0; k <= d; ++k) su.push_back(ctx.Random(rng));
+  const std::vector<FpElem> shares = EvalAll(ctx, gen, su);
   for (std::size_t i = 0; i < s.n; ++i) {
     std::vector<FpElem> row = lagrange[i];
     FpElem mask = w.Eval(ctx, alphas[i]);
@@ -564,7 +635,7 @@ RowForms RowsMatchOracle(const field::FpCtx& ctx, const RowShape& s,
       mask = ctx.Mul(mask, alphas[i]);
     }
     EXPECT_EQ(gen.FieldRow(ctx, i), row) << i;
-    EXPECT_EQ(gen.Eval(ctx, i, su), ctx.Dot(row, su)) << i;
+    EXPECT_EQ(shares[i], ctx.Dot(row, su)) << i;
   }
   return forms;
 }

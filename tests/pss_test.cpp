@@ -34,6 +34,18 @@ std::vector<Bytes> Rows(const FpCtx& ctx,
   return out;
 }
 
+// VssBatch::VerifyCheckVector on a column of elements, handed over as
+// element encodings.
+bool VerifyColumn(const VssBatch& batch, std::span<const FpElem> column,
+                  std::size_t group = 0) {
+  const Bytes enc = field::SerializeElems(batch.ctx(), column);
+  std::vector<const std::uint8_t*> ptrs;
+  for (std::size_t k = 0; k < column.size(); ++k) {
+    ptrs.push_back(enc.data() + k * batch.ctx().elem_bytes());
+  }
+  return batch.VerifyCheckVector(ptrs, group);
+}
+
 struct GridPoint {
   std::size_t n, t, l, r;
 };
@@ -118,11 +130,11 @@ TEST_P(PssGridTest, TooFewSharesThrows) {
 
 TEST_P(PssGridTest, SharesAreConsistentDegree) {
   auto shares = shamir_->ShareBlock(RandomBlock(), rng_);
-  auto parties = AllParties();
-  EXPECT_TRUE(shamir_->ConsistentShares(parties, shares));
+  const auto xs = shamir_->points().AlphasOf(AllParties());
+  EXPECT_TRUE(math::PointsOnLowDegree(*ctx_, xs, shares, params_.degree()));
   shares[0] = ctx_->Add(shares[0], ctx_->One());
   if (params_.n > params_.degree() + 1) {
-    EXPECT_FALSE(shamir_->ConsistentShares(parties, shares));
+    EXPECT_FALSE(math::PointsOnLowDegree(*ctx_, xs, shares, params_.degree()));
   }
 }
 
@@ -178,7 +190,8 @@ TEST_P(PssGridTest, RefreshPreservesSecretsAndChangesShares) {
       EXPECT_FALSE(ctx_->Eq(old[i][b], by_party[i][b]));
       shares.push_back(by_party[i][b]);
     }
-    EXPECT_TRUE(shamir_->ConsistentShares(parties, shares));
+    EXPECT_TRUE(math::PointsOnLowDegree(
+        *ctx_, shamir_->points().AlphasOf(parties), shares, params_.degree()));
     auto rec = shamir_->ReconstructBlock(parties, shares);
     for (std::size_t j = 0; j < params_.l; ++j) {
       EXPECT_TRUE(ctx_->Eq(rec[j], secrets[b][j]));
@@ -371,19 +384,19 @@ TEST_F(VssBatchTest, VerifyAcceptsHonestAndRejectsCorrupt) {
   auto deal = Elems(*ctx_, batch.Deal(rng_));
   std::vector<FpElem> column;
   for (std::size_t k = 0; k < params_.n; ++k) column.push_back(deal[k][0]);
-  EXPECT_TRUE(batch.VerifyCheckVector(column));
+  EXPECT_TRUE(VerifyColumn(batch, column));
   // Degree violation.
   auto bad = column;
   bad[4] = ctx_->Add(bad[4], ctx_->One());
-  EXPECT_FALSE(batch.VerifyCheckVector(bad));
+  EXPECT_FALSE(VerifyColumn(batch, bad));
   // Vanishing violation: add a constant 1 to the polynomial (degree fine,
   // nonzero at the betas).
   auto shifted = column;
   for (auto& v : shifted) v = ctx_->Add(v, ctx_->One());
-  EXPECT_FALSE(batch.VerifyCheckVector(shifted));
+  EXPECT_FALSE(VerifyColumn(batch, shifted));
   // Wrong size.
   shifted.pop_back();
-  EXPECT_FALSE(batch.VerifyCheckVector(shifted));
+  EXPECT_FALSE(VerifyColumn(batch, shifted));
 }
 
 TEST_F(VssBatchTest, TransformedOutputsStillVanishAndVerify) {
@@ -404,7 +417,7 @@ TEST_F(VssBatchTest, TransformedOutputsStillVanishAndVerify) {
       for (std::size_t k = 0; k < params_.n; ++k) {
         column.push_back(outputs[k][a][g]);
       }
-      EXPECT_TRUE(batch.VerifyCheckVector(column)) << a << "," << g;
+      EXPECT_TRUE(VerifyColumn(batch, column)) << a << "," << g;
     }
   }
 }
@@ -790,8 +803,8 @@ TEST_P(MultiSegmentVssBatchTest, MatchesOneSegmentBatchesRunBackToBack) {
         EXPECT_EQ(column, Column(single_outputs, a, g))
             << "row " << a << " target " << j << " group " << g;
         if (a < batch.check_rows()) {
-          EXPECT_TRUE(batch.VerifyCheckVector(column, j * G + g));
-          EXPECT_TRUE(single.VerifyCheckVector(column, g));
+          EXPECT_TRUE(VerifyColumn(batch, column, j * G + g));
+          EXPECT_TRUE(VerifyColumn(single, column, g));
         }
       }
     }
@@ -813,12 +826,12 @@ TEST_P(MultiSegmentVssBatchTest, CorruptGroupFailsOnlyItsOwnSegmentCheck) {
   const auto outputs = Outputs(batch, deals);
   for (std::size_t a = 0; a < batch.check_rows(); ++a) {
     for (std::size_t g = 0; g < batch.groups(); ++g) {
-      EXPECT_EQ(batch.VerifyCheckVector(Column(outputs, a, g), g), g != bad)
+      EXPECT_EQ(VerifyColumn(batch, Column(outputs, a, g), g), g != bad)
           << "row " << a << " group " << g;
     }
     // Each group is checked against its own segment's zero: an honest
     // column of segment 0 fails as a group of segment 1.
-    EXPECT_FALSE(batch.VerifyCheckVector(Column(outputs, a, 0), G));
+    EXPECT_FALSE(VerifyColumn(batch, Column(outputs, a, 0), G));
   }
 }
 

@@ -59,12 +59,37 @@ class ReshareTest : public ::testing::Test {
     for (std::size_t b = 0; b < secrets.size(); ++b) {
       std::vector<FpElem> sh;
       for (std::size_t i = 0; i < p.n; ++i) sh.push_back(by_party[i][b]);
-      ASSERT_TRUE(scheme.ConsistentShares(parties, sh)) << "block " << b;
+      ASSERT_TRUE(math::PointsOnLowDegree(*ctx_,
+                                          scheme.points().AlphasOf(parties),
+                                          sh, scheme.params().degree()))
+          << "block " << b;
       auto rec = scheme.ReconstructBlock(parties, sh);
       for (std::size_t j = 0; j < p.l; ++j) {
         EXPECT_TRUE(ctx_->Eq(rec[j], secrets[b][j])) << b << "," << j;
       }
     }
+  }
+
+  // ReshareContribution from an element share vector.
+  std::vector<Bytes> Contribute(const ResharePublic& pub, std::size_t ordinal,
+                                const std::vector<FpElem>& own) {
+    return ReshareContribution(pub, ordinal,
+                               field::SerializeElems(*ctx_, own), rng_);
+  }
+  // Contribution rows as elements, [rho][blk], and back.
+  std::vector<std::vector<FpElem>> Elems(const std::vector<Bytes>& rows) {
+    std::vector<std::vector<FpElem>> out;
+    for (const Bytes& row : rows) {
+      out.push_back(field::DeserializeElems(*ctx_, row));
+    }
+    return out;
+  }
+  std::vector<Bytes> Rows(const std::vector<std::vector<FpElem>>& elems) {
+    std::vector<Bytes> out;
+    for (const auto& row : elems) {
+      out.push_back(field::SerializeElems(*ctx_, row));
+    }
+    return out;
   }
 
   std::shared_ptr<const FpCtx> ctx_;
@@ -158,13 +183,13 @@ TEST_F(ReshareTest, ContributionsVerifyAndCompose) {
   }
   ResharePublic pub = MakeResharePublic(from, to, contributors);
 
-  std::vector<std::vector<FpElem>> acc;
+  std::vector<Bytes> acc;
   for (std::size_t ord = 0; ord < contributors.size(); ++ord) {
-    auto c = ReshareContribution(pub, ord, old_shares[contributors[ord]], rng_);
+    auto c = Contribute(pub, ord, old_shares[contributors[ord]]);
     ASSERT_TRUE(VerifyReshareContribution(pub, ord, c)) << "ordinal " << ord;
     AccumulateReshare(*ctx_, acc, c);
   }
-  ExpectSecrets(to, acc, secrets);
+  ExpectSecrets(to, Elems(acc), secrets);
 }
 
 TEST_F(ReshareTest, VerifierRejectsPerturbedContribution) {
@@ -176,25 +201,40 @@ TEST_F(ReshareTest, VerifierRejectsPerturbedContribution) {
     contributors.push_back(i);
   }
   ResharePublic pub = MakeResharePublic(from, to, contributors);
-  auto c = ReshareContribution(pub, 0, old_shares[0], rng_);
+  auto c = Contribute(pub, 0, old_shares[0]);
   ASSERT_TRUE(VerifyReshareContribution(pub, 0, c));
 
   // Equivocation analog: one recipient's evaluation is off the polynomial.
-  auto bad = c;
+  auto bad = Elems(c);
   bad[3][1] = ctx_->Add(bad[3][1], ctx_->One());
-  EXPECT_FALSE(VerifyReshareContribution(pub, 0, bad));
+  EXPECT_FALSE(VerifyReshareContribution(pub, 0, Rows(bad)));
 
   // Random garbage of the right shape.
-  auto noise = c;
+  auto noise = Elems(c);
   for (auto& row : noise) {
     for (auto& e : row) e = ctx_->Random(rng_);
   }
-  EXPECT_FALSE(VerifyReshareContribution(pub, 0, noise));
+  EXPECT_FALSE(VerifyReshareContribution(pub, 0, Rows(noise)));
 
   // Wrong shape is rejected outright, never indexed out of bounds.
   auto short_rows = c;
   short_rows.pop_back();
   EXPECT_FALSE(VerifyReshareContribution(pub, 0, short_rows));
+
+  // A row one byte short.
+  auto ragged = c;
+  ragged[2].pop_back();
+  EXPECT_FALSE(VerifyReshareContribution(pub, 0, ragged));
+
+  // An element equal to p, which is not a field element, in a block that is
+  // otherwise all zeros: read as a residue it would be 0, and pass.
+  auto wide = c;
+  const std::size_t eb = ctx_->elem_bytes();
+  for (Bytes& row : wide) std::fill_n(row.begin() + eb, eb, 0);
+  ASSERT_TRUE(VerifyReshareContribution(pub, 0, wide));
+  const Bytes p_be = ctx_->ModulusBytes();
+  std::copy(p_be.rbegin(), p_be.rend(), wide[4].begin() + eb);
+  EXPECT_FALSE(VerifyReshareContribution(pub, 0, wide));
 }
 
 TEST_F(ReshareTest, VerifierRejectsConsistentLowDegreeShiftForPackedBlocks) {
@@ -211,15 +251,15 @@ TEST_F(ReshareTest, VerifierRejectsConsistentLowDegreeShiftForPackedBlocks) {
     contributors.push_back(i);
   }
   ResharePublic pub = MakeResharePublic(from, to, contributors);
-  auto c = ReshareContribution(pub, 0, old_shares[0], rng_);
+  auto c = Contribute(pub, 0, old_shares[0]);
   ASSERT_TRUE(VerifyReshareContribution(pub, 0, c));
 
   // Shift the whole column by a constant: still degree <= d', but the
   // implied evaluations at the betas no longer share the contributor's
   // secret-proportionality.
-  auto shifted = c;
+  auto shifted = Elems(c);
   for (auto& row : shifted) row[0] = ctx_->Add(row[0], ctx_->One());
-  EXPECT_FALSE(VerifyReshareContribution(pub, 0, shifted));
+  EXPECT_FALSE(VerifyReshareContribution(pub, 0, Rows(shifted)));
 }
 
 TEST_F(ReshareTest, OracleAllStandardPrimeSizes) {
@@ -249,7 +289,9 @@ TEST_F(ReshareTest, OracleAllStandardPrimeSizes) {
       parties.push_back(i);
       sh.push_back(reshared[i][0]);
     }
-    ASSERT_TRUE(to.ConsistentShares(parties, sh)) << bits << "-bit";
+    ASSERT_TRUE(math::PointsOnLowDegree(*ctx, to.points().AlphasOf(parties),
+                                        sh, tp.degree()))
+        << bits << "-bit";
     auto rec = to.ReconstructBlock(parties, sh);
     for (std::size_t j = 0; j < tp.l; ++j) {
       EXPECT_TRUE(ctx->Eq(rec[j], secret[j])) << bits << "-bit, secret " << j;
