@@ -61,6 +61,18 @@ ReshareCounters& ReshareObs() {
   return *c;
 }
 
+// The strike step: two strikes bar a host. True only for a new bar.
+bool Strike(std::map<std::uint32_t, std::uint32_t>& strikes,
+            std::set<std::uint32_t>& barred, std::uint32_t id) {
+  return ++strikes[id] >= 2 && barred.insert(id).second;
+}
+
+std::string Hosts(std::span<const std::uint32_t> ids) {
+  std::string line = "hosts";
+  for (std::uint32_t id : ids) line += " " + std::to_string(id);
+  return line;
+}
+
 }  // namespace
 
 Hypervisor::Hypervisor(HypervisorConfig cfg,
@@ -163,6 +175,74 @@ std::vector<std::uint32_t> Hypervisor::ReachableHosts() const {
   return out;
 }
 
+std::vector<std::uint32_t> Hypervisor::Survivors(
+    std::uint64_t file, std::span<const std::uint32_t> skip) const {
+  // Reachable, consistent (not stale) holders outside `skip`. Suspects never
+  // serve: a robust decode convicted their contribution, or they withheld
+  // it. Excluded hosts are a reserve: exclusion distrusts their *dealing*,
+  // but the target verifies a recovery contribution, and without them
+  // strike-exclusions plus stale hosts could starve recovery forever.
+  std::vector<std::uint32_t> survivors;
+  std::vector<std::uint32_t> reserve;
+  for (std::uint32_t id : ReachableHosts()) {
+    if (stale_.count(id) != 0 || suspects_.count(id) != 0 ||
+        std::find(skip.begin(), skip.end(), id) != skip.end() ||
+        fleet_->Held(id, file) == nullptr) {
+      continue;
+    }
+    (excluded_.count(id) != 0 ? reserve : survivors).push_back(id);
+  }
+  for (std::uint32_t id : reserve) {
+    if (survivors.size() >= cfg_.params.quorum()) break;
+    survivors.push_back(id);
+  }
+  return survivors;
+}
+
+bool Hypervisor::AuditLost(std::span<const std::uint64_t> held,
+                           std::vector<std::string>& lines) const {
+  bool lost = false;
+  for (std::uint64_t f : catalog_) {
+    if (std::find(held.begin(), held.end(), f) != held.end()) continue;
+    lines.push_back("file " + std::to_string(f) +
+                    " lost: no booted host holds a share");
+    lost = true;
+  }
+  return lost;
+}
+
+std::set<std::uint32_t> Hypervisor::SilentHosts(std::uint32_t seq) {
+  // Snapshot the wedged sessions (refresh keyed by file, recovery by (file,
+  // target)). A host is silent when missing from more than half of one
+  // key's sessions: one lost message blames the link, not the host (random
+  // loss would otherwise strike out the whole fleet within two attempts).
+  using Key = std::pair<std::uint64_t, std::uint32_t>;
+  std::map<Key, std::size_t> wedged;
+  std::map<Key, std::map<std::uint32_t, std::size_t>> missing_at;
+  for (std::uint32_t h = 0; h < fleet_->slots(); ++h) {
+    for (const auto& stuck : fleet_->StuckRefresh(h)) {
+      if (stuck.epoch != seq) continue;
+      const Key key{stuck.file_id, 0};
+      wedged[key] += 1;
+      for (std::uint32_t id : stuck.missing_dealers) missing_at[key][id]++;
+    }
+    for (const auto& stuck : fleet_->StuckRecovery(h)) {
+      if (stuck.epoch != seq) continue;
+      const Key key{stuck.file_id, stuck.target};
+      wedged[key] += 1;
+      for (std::uint32_t id : stuck.missing_dealers) missing_at[key][id]++;
+      for (std::uint32_t id : stuck.missing_senders) missing_at[key][id]++;
+    }
+  }
+  std::set<std::uint32_t> silent;
+  for (const auto& [key, counts] : missing_at) {
+    for (const auto& [id, cnt] : counts) {
+      if (cnt * 2 > wedged[key]) silent.insert(id);
+    }
+  }
+  return silent;
+}
+
 std::set<std::uint32_t> Hypervisor::AttributeCorruptDealers(
     std::uint32_t seq,
     const std::map<std::uint64_t, std::vector<std::uint32_t>>& parts_by_file) {
@@ -233,8 +313,7 @@ bool Hypervisor::RefreshAllFiles(WindowReport* report) {
 bool Hypervisor::RefreshFiles(std::span<const std::uint64_t> file_ids,
                               WindowReport* report) {
   // Subset refresh (the serving plane's batch scheduler): only the named
-  // files are launched, and the fleet-wide loss audit is skipped -- a batch
-  // of B files must not fail because a file in a LATER batch is degraded.
+  // files are launched, and the fleet-wide loss audit is skipped.
   fleet_->BeginOperation();
   return RefreshFilesInternal(
       std::vector<std::uint64_t>(file_ids.begin(), file_ids.end()),
@@ -245,22 +324,11 @@ bool Hypervisor::RefreshFilesInternal(std::vector<std::uint64_t> files,
                                       bool audit_catalog,
                                       WindowReport* report) {
   const HostMetrics before = fleet_->Metrics();
-  recent_failures_.clear();
   catalog_.insert(files.begin(), files.end());
 
-  std::vector<std::string> fatal;  // non-retryable failures
-  // A catalogued file that no booted host holds any more is lost data and
-  // must fail the window loudly: an empty holder list looks exactly like
-  // "nothing stored yet", and every later phase would succeed vacuously.
-  if (audit_catalog) {
-    for (std::uint64_t f : catalog_) {
-      if (std::find(files.begin(), files.end(), f) == files.end()) {
-        fatal.push_back("file " + std::to_string(f) +
-                        " lost: no booted host holds a share");
-      }
-    }
-  }
-  if (files.empty() && fatal.empty()) return true;
+  std::vector<std::string> failures;  // non-retryable ones, until the end
+  if (audit_catalog) AuditLost(files, failures);
+  if (files.empty() && failures.empty()) return true;
 
   const std::size_t n = cfg_.params.n;
   const std::size_t max_attempts = cfg_.params.t + 2;
@@ -280,15 +348,15 @@ bool Hypervisor::RefreshFilesInternal(std::vector<std::uint64_t> files,
     if (n - base.size() > cfg_.params.t) {
       // Corruption bound exceeded: completing the round could hand control
       // of the sharing to the adversary, so the window aborts atomically.
-      fatal.push_back("refresh aborted: " + std::to_string(n - base.size()) +
-                      " dealers unavailable or excluded exceeds bound t=" +
-                      std::to_string(cfg_.params.t));
+      failures.push_back("refresh aborted: " +
+                         std::to_string(n - base.size()) +
+                         " dealers unavailable or excluded exceeds bound t=" +
+                         std::to_string(cfg_.params.t));
       break;
     }
     if (attempt > 0 && report != nullptr) report->refresh_retries += 1;
 
-    phase_reports_.clear();
-    recent_failures_.clear();
+    Round round(*this);
     const std::uint32_t seq = ++op_seq_;
     // One span per refresh attempt over the still-pending files; the message
     // pump below runs every host's dealing/transform/verify under it.
@@ -304,10 +372,9 @@ bool Hypervisor::RefreshFilesInternal(std::vector<std::uint64_t> files,
       for (std::uint32_t id : base) {
         if (fleet_->Held(id, f)) parts.push_back(id);
       }
-      if (parts.size() <= cfg_.params.check_rows() ||
-          parts.size() < cfg_.params.degree() + 1) {
-        fatal.push_back("file " + std::to_string(f) +
-                        ": not enough holders to rerandomize");
+      if (parts.size() < cfg_.params.quorum()) {
+        failures.push_back("file " + std::to_string(f) +
+                           ": not enough holders to rerandomize");
         continue;
       }
       ByteWriter w;
@@ -336,89 +403,63 @@ bool Hypervisor::RefreshFilesInternal(std::vector<std::uint64_t> files,
 
     // Classify each file's outcome from the phase reports of this round.
     std::map<std::uint64_t, std::set<std::uint32_t>> ok_by_file;
-    for (const PhaseReport& pr : phase_reports_) {
+    for (const PhaseReport& pr : round.reports) {
       if (pr.kind != 0 || pr.seq != seq) continue;
       if (pr.ok) ok_by_file[pr.file].insert(pr.host);
     }
-    // Bounded-delay timeout: snapshot wedged sessions (which dealers never
-    // arrived) before aborting them fleet-wide. A dealer is only suspected
-    // when its dealing is missing at more than half of a file's wedged
-    // holders -- a single lost deal points at the link, not the dealer, and
-    // must not earn strikes (random loss would otherwise exclude the whole
-    // fleet within two attempts).
-    std::map<std::uint64_t, std::size_t> stuck_holders;
-    std::map<std::uint64_t, std::map<std::uint32_t, std::size_t>> missing_at;
-    for (std::uint32_t id : base) {
-      for (const auto& stuck : fleet_->StuckRefresh(id)) {
-        if (stuck.epoch != seq) continue;
-        stuck_holders[stuck.file_id] += 1;
-        for (std::uint32_t dealer : stuck.missing_dealers) {
-          missing_at[stuck.file_id][dealer] += 1;
-        }
-      }
-    }
-    std::set<std::uint32_t> missing_dealers;
-    for (const auto& [f, counts] : missing_at) {
-      for (const auto& [dealer, cnt] : counts) {
-        if (cnt * 2 > stuck_holders[f]) missing_dealers.insert(dealer);
-      }
-    }
-    fleet_->AbortStuck(recent_failures_);
+    // Bounded-delay timeout: find the silent dealers before aborting the
+    // wedged sessions fleet-wide.
+    const std::set<std::uint32_t> silent = SilentHosts(seq);
+    fleet_->AbortStuck(round.lines);
 
     std::vector<std::uint64_t> next_todo;
     for (std::uint64_t f : launched) {
-      const std::vector<std::uint32_t>& parts = parts_by_file[f];
+      // Partial apply: the okset committed the new sharing, the rest of the
+      // holders resync through recovery (a re-run would corrupt the file).
       const std::set<std::uint32_t>& okset = ok_by_file[f];
-      if (okset.size() == parts.size()) {
-        fresh_for[f] = std::set<std::uint32_t>(parts.begin(), parts.end());
-        continue;
-      }
-      if (!okset.empty()) {
-        // Partial apply: the okset already committed the new sharing. A
-        // re-run on this inconsistent base would corrupt the file for good,
-        // so the remaining holders are marked stale and resynced through
-        // recovery from the fresh quorum instead.
+      if (okset.empty()) {
+        next_todo.push_back(f);  // nobody applied: safe to retry
+      } else {
         fresh_for[f] = okset;
-        continue;
       }
-      next_todo.push_back(f);  // nobody applied: safe to retry
     }
 
     // Exclusion: provably corrupt dealers first, then repeat silent ones.
     for (std::uint32_t dealer : AttributeCorruptDealers(seq, parts_by_file)) {
       excluded_.insert(dealer);
-      recent_failures_.push_back("dealer " + std::to_string(dealer) +
-                                 " excluded: inconsistent dealing");
+      round.lines.push_back("dealer " + std::to_string(dealer) +
+                            " excluded: inconsistent dealing");
     }
-    for (std::uint32_t dealer : missing_dealers) {
+    for (std::uint32_t dealer : silent) {
       if (!fleet_->Reachable(dealer)) continue;  // crash: availability
-      if (++dealer_strikes_[dealer] >= 2 && excluded_.insert(dealer).second) {
-        recent_failures_.push_back("dealer " + std::to_string(dealer) +
-                                   " excluded: dealings repeatedly missing");
+      if (Strike(dealer_strikes_, excluded_, dealer)) {
+        round.lines.push_back("dealer " + std::to_string(dealer) +
+                              " excluded: dealings repeatedly missing");
       }
     }
-    last_failures = recent_failures_;
+    last_failures = std::move(round.lines);
     todo = std::move(next_todo);
   }
 
-  bool ok = todo.empty() && fatal.empty();
+  bool ok = todo.empty() && failures.empty();
 
   // Staleness bookkeeping: holders outside a file's fresh set still carry
   // the pre-refresh polynomial and must not serve as recovery survivors.
   std::set<std::uint32_t> stale_now;
   for (const auto& [f, fresh] : fresh_for) {
     for (std::uint32_t i = 0; i < n; ++i) {
-      if (fleet_->Held(i, f) && fresh.count(i) == 0) {
-        stale_now.insert(i);
-      }
+      if (fleet_->Held(i, f) && fresh.count(i) == 0) stale_now.insert(i);
     }
   }
   stale_.insert(stale_now.begin(), stale_now.end());
 
-  recent_failures_ = std::move(fatal);
   if (!ok) {
-    recent_failures_.insert(recent_failures_.end(), last_failures.begin(),
-                            last_failures.end());
+    failures.insert(failures.end(), last_failures.begin(),
+                    last_failures.end());
+  }
+  for (std::uint64_t f : todo) {
+    failures.push_back("file " + std::to_string(f) +
+                       ": no refresh round completed");
   }
 
   // Resync reachable stale hosts now; crashed ones keep the mark until their
@@ -427,20 +468,21 @@ bool Hypervisor::RefreshFilesInternal(std::vector<std::uint64_t> files,
   for (std::uint32_t id : stale_now) {
     if (fleet_->Reachable(id)) resync.push_back(id);
   }
-  if (!resync.empty() && !RunRecovery(std::move(resync), report)) ok = false;
+  if (!RunRecovery(std::move(resync), report, failures)) ok = false;
 
   if (report != nullptr) {
     report->sweeps_refresh += sweeps;
     report->files_refreshed += files.size();
     Account(before, &HostMetrics::rerandomize, report->rerandomize_total, ok,
-            *report);
+            failures, *report);
   }
   return ok;
 }
 
 void Hypervisor::Account(const HostMetrics& before,
                          PhaseMetrics HostMetrics::*phase, PhaseMetrics& total,
-                         bool ok, WindowReport& report) {
+                         bool ok, const std::vector<std::string>& failures,
+                         WindowReport& report) {
   const HostMetrics after = fleet_->Metrics();
   total.cpu_ns += (after.*phase).cpu_ns - (before.*phase).cpu_ns;
   total.wall_ns += (after.*phase).wall_ns - (before.*phase).wall_ns;
@@ -450,20 +492,20 @@ void Hypervisor::Account(const HostMetrics& before,
       after.faults.deals_excluded - before.faults.deals_excluded;
   report.timeouts_fired +=
       after.faults.timeouts_fired - before.faults.timeouts_fired;
-  report.failures.insert(report.failures.end(), recent_failures_.begin(),
-                         recent_failures_.end());
+  report.failures.insert(report.failures.end(), failures.begin(),
+                         failures.end());
   report.ok = report.ok && ok;
 }
 
 bool Hypervisor::RunRecovery(std::vector<std::uint32_t> targets,
-                             WindowReport* report) {
+                             WindowReport* report,
+                             std::vector<std::string>& failures) {
   std::sort(targets.begin(), targets.end());
   targets.erase(std::unique(targets.begin(), targets.end()), targets.end());
   if (targets.empty()) return true;
 
   const std::size_t max_attempts = cfg_.params.t + 2;
   bool all_ok = true;
-  std::vector<std::string> failures;
 
   for (std::size_t pos = 0; pos < targets.size(); pos += cfg_.params.r) {
     const std::size_t end = std::min(pos + cfg_.params.r, targets.size());
@@ -473,28 +515,7 @@ bool Hypervisor::RunRecovery(std::vector<std::uint32_t> targets,
     for (std::size_t attempt = 0; attempt < max_attempts && !chunk_ok;
          ++attempt) {
       if (attempt > 0 && report != nullptr) report->recovery_retries += 1;
-      phase_reports_.clear();
-      recent_failures_.clear();
-
-      // Fresh survivors: reachable, consistent (not stale), and outside the
-      // chunk being recovered. Excluded hosts are kept in a reserve pool:
-      // exclusion distrusts their *dealing*, but a recovery contribution is
-      // verified at the target (PointChecker consistency), so they may top
-      // up a survivor set that would otherwise fall below quorum -- without
-      // this, strike-exclusions plus stale hosts can starve recovery forever
-      // and leave the fleet unable to heal after a partition.
-      std::vector<std::uint32_t> base;
-      std::vector<std::uint32_t> reserve;
-      for (std::uint32_t id : ReachableHosts()) {
-        if (stale_.count(id) != 0) continue;
-        // Suspects never serve as survivors -- not even reserve. Exclusion
-        // distrusts a host's dealing (which the target re-verifies), but a
-        // suspect's verified-at-target contribution is exactly what a robust
-        // decode convicted, or it starved sessions by withholding.
-        if (suspects_.count(id) != 0) continue;
-        if (std::find(chunk.begin(), chunk.end(), id) != chunk.end()) continue;
-        (excluded_.count(id) != 0 ? reserve : base).push_back(id);
-      }
+      Round round(*this);
 
       const std::uint32_t seq = ++op_seq_;
       // One span per recovery attempt of this target chunk; the pump runs
@@ -502,34 +523,14 @@ bool Hypervisor::RunRecovery(std::vector<std::uint32_t> targets,
       obs::Span batch_span(obs::SpanKind::kRecoveryBatch, seq, chunk.size());
       std::vector<std::uint64_t> launched;
       Completions expect;
-      bool quorum_fatal = false;
       const std::vector<std::uint64_t> stored = AllFileIds();
       catalog_.insert(stored.begin(), stored.end());
-      for (std::uint64_t f : catalog_) {
-        if (std::find(stored.begin(), stored.end(), f) == stored.end()) {
-          // Catalogued file with no holder left: report the loss instead of
-          // succeeding vacuously over an empty file list.
-          recent_failures_.push_back("file " + std::to_string(f) +
-                                     " lost: no booted host holds a share");
-          quorum_fatal = true;
-        }
-      }
+      bool quorum_fatal = AuditLost(stored, round.lines);
       for (std::uint64_t f : stored) {
-        std::vector<std::uint32_t> survivors;
-        for (std::uint32_t id : base) {
-          if (fleet_->Held(id, f)) survivors.push_back(id);
-        }
-        const std::size_t quorum = std::max<std::size_t>(
-            cfg_.params.check_rows() + 1, cfg_.params.degree() + 1);
-        for (std::uint32_t id : reserve) {
-          if (survivors.size() >= quorum) break;
-          if (fleet_->Held(id, f)) survivors.push_back(id);
-        }
-        if (survivors.size() <= cfg_.params.check_rows() ||
-            survivors.size() < cfg_.params.degree() + 1) {
-          recent_failures_.push_back(
-              "file " + std::to_string(f) +
-              ": not enough fresh survivors for recovery");
+        const std::vector<std::uint32_t> survivors = Survivors(f, chunk);
+        if (survivors.size() < cfg_.params.quorum()) {
+          round.lines.push_back("file " + std::to_string(f) +
+                                ": not enough fresh survivors for recovery");
           quorum_fatal = true;
           continue;
         }
@@ -587,14 +588,14 @@ bool Hypervisor::RunRecovery(std::vector<std::uint32_t> targets,
       if (report != nullptr) report->sweeps_recovery += sweeps;
 
       bool bad = quorum_fatal;
-      for (const PhaseReport& pr : phase_reports_) {
+      for (const PhaseReport& pr : round.reports) {
         if (pr.kind == 1 && pr.seq == seq && !pr.ok) bad = true;
       }
       for (std::uint32_t id : chunk) {
         for (std::uint64_t f : launched) {
           if (!fleet_->Held(id, f)) {
-            recent_failures_.push_back("host " + std::to_string(id) +
-                                       " missing file after recovery");
+            round.lines.push_back("host " + std::to_string(id) +
+                                  " missing file after recovery");
             bad = true;
           }
         }
@@ -605,80 +606,42 @@ bool Hypervisor::RunRecovery(std::vector<std::uint32_t> targets,
       for (std::uint32_t id = 0; id < fleet_->slots() && !bad; ++id) {
         bad = fleet_->HasActiveSessions(id);
       }
-      // Snapshot wedged recovery sessions before aborting them, mirroring the
-      // refresh dealer-strike rule: a survivor whose dealing or masked share
-      // is missing at more than half of a (file, target)'s wedged sessions
-      // earns a strike; two strikes mark it suspect. A single missing message
-      // blames the link, not the host.
-      std::map<std::pair<std::uint64_t, std::uint32_t>, std::size_t> stuck_cnt;
-      std::map<std::pair<std::uint64_t, std::uint32_t>,
-               std::map<std::uint32_t, std::size_t>>
-          missing_at;
-      for (std::uint32_t h = 0; h < fleet_->slots(); ++h) {
-        for (const auto& stuck : fleet_->StuckRecovery(h)) {
-          if (stuck.epoch != seq) continue;
-          const auto key = std::make_pair(stuck.file_id, stuck.target);
-          stuck_cnt[key] += 1;
-          for (std::uint32_t id : stuck.missing_dealers) missing_at[key][id]++;
-          for (std::uint32_t id : stuck.missing_senders) missing_at[key][id]++;
-        }
+      // A silent survivor -- its dealing or masked share missing -- earns a
+      // strike, as a silent refresh dealer does; two mark it suspect.
+      for (std::uint32_t id : SilentHosts(seq)) {
+        if (!fleet_->Reachable(id)) continue;  // crash: availability
+        if (!Strike(suspect_strikes_, suspects_, id)) continue;
+        SurvivorsSuspected().Add(1);
+        obs::Span span(obs::SpanKind::kByzDetect, id, seq);
+        round.lines.push_back(
+            "host " + std::to_string(id) +
+            " suspected: recovery traffic repeatedly missing");
       }
-      std::set<std::uint32_t> silent;
-      for (const auto& [key, counts] : missing_at) {
-        for (const auto& [id, cnt] : counts) {
-          if (cnt * 2 > stuck_cnt[key]) silent.insert(id);
-        }
-      }
-      for (std::uint32_t id : silent) {
-        if (!fleet_->Reachable(id)) continue;  // crash: availability covers it
-        if (++suspect_strikes_[id] >= 2 && suspects_.insert(id).second) {
-          SurvivorsSuspected().Add(1);
-          obs::Span span(obs::SpanKind::kByzDetect, id, seq);
-          recent_failures_.push_back(
-              "host " + std::to_string(id) +
-              " suspected: recovery traffic repeatedly missing");
-        }
-      }
-      fleet_->AbortStuck(recent_failures_);
+      fleet_->AbortStuck(round.lines);
 
       if (!bad) {
         chunk_ok = true;
         for (std::uint32_t id : chunk) stale_.erase(id);
-      } else if (quorum_fatal) {
-        // Deterministic shortage: retrying with the same survivor pool
-        // cannot succeed.
-        failures.insert(failures.end(), recent_failures_.begin(),
-                        recent_failures_.end());
-        break;
-      } else if (attempt + 1 == max_attempts) {
-        failures.insert(failures.end(), recent_failures_.begin(),
-                        recent_failures_.end());
+      } else if (quorum_fatal || attempt + 1 == max_attempts) {
+        failures.insert(failures.end(), round.lines.begin(),
+                        round.lines.end());
+        if (quorum_fatal) break;  // a shortage no retry can mend
       }
     }
-    if (!chunk_ok) all_ok = false;
+    if (!chunk_ok) {
+      all_ok = false;
+      failures.push_back(Hosts(chunk) + ": recovery did not complete");
+    }
   }
-  recent_failures_ = std::move(failures);
   return all_ok;
 }
 
 bool Hypervisor::BatchSafeToReboot(
     std::span<const std::uint32_t> batch) const {
-  // Mirror RunRecovery's survivor selection: recovery toward the wiped batch
-  // draws on reachable non-stale holders (excluded hosts included -- they
-  // may serve as reserve survivors). If any file would fall below that
-  // quorum the reboot is unsafe: an outage already degraded the fleet, and
-  // wiping more hosts would destroy the last consistent copies.
+  // Below the quorum, wiping the batch would destroy the last consistent
+  // copies of a file an outage already degraded.
   for (std::uint64_t f : AllFileIds()) {
-    std::size_t survivors = 0;
-    for (std::uint32_t id : ReachableHosts()) {
-      if (stale_.count(id) != 0) continue;
-      if (std::find(batch.begin(), batch.end(), id) != batch.end()) continue;
-      if (fleet_->Held(id, f)) ++survivors;
-    }
-    if (survivors <= cfg_.params.check_rows() ||
-        survivors < cfg_.params.degree() + 1) {
-      return false;
-    }
+    if (Survivors(f, batch).size() < cfg_.params.quorum()) return false;
   }
   return true;
 }
@@ -686,7 +649,6 @@ bool Hypervisor::BatchSafeToReboot(
 bool Hypervisor::RebootAndRecover(std::span<const std::uint32_t> batch,
                                   WindowReport* report) {
   const HostMetrics before = fleet_->Metrics();
-  recent_failures_.clear();
 
   // Secure disassociation: kill the batch. Until recovery completes the
   // rebooted stores are empty, so the batch is stale by definition.
@@ -698,24 +660,22 @@ bool Hypervisor::RebootAndRecover(std::span<const std::uint32_t> batch,
   // that never acknowledges its boot (a dead process) stays stale until a
   // later reboot succeeds.
   const std::vector<std::uint32_t> booted = BootBatch(batch);
-  std::vector<std::uint32_t> unbooted;
-  for (std::uint32_t id : batch) {
-    if (std::find(booted.begin(), booted.end(), id) == booted.end()) {
-      unbooted.push_back(id);
-    }
-  }
   const std::uint64_t boot_sweeps = fleet_->Settle(0, {});
 
-  bool ok = RunRecovery(booted, report) && unbooted.empty();
-  for (std::uint32_t id : unbooted) {
-    recent_failures_.push_back("host " + std::to_string(id) +
-                               " did not acknowledge its boot");
+  std::vector<std::string> failures;
+  bool ok = RunRecovery(booted, report, failures);
+  for (std::uint32_t id : batch) {
+    if (std::find(booted.begin(), booted.end(), id) != booted.end()) continue;
+    failures.push_back("host " + std::to_string(id) +
+                       " did not acknowledge its boot");
+    ok = false;
   }
 
   if (report != nullptr) {
     report->sweeps_recovery += boot_sweeps;
     report->reboots += booted.size();
-    Account(before, &HostMetrics::recover, report->recover_total, ok, *report);
+    Account(before, &HostMetrics::recover, report->recover_total, ok,
+            failures, *report);
   }
   return ok;
 }
@@ -733,9 +693,8 @@ WindowReport Hypervisor::RunUpdateWindow() {
       // hosts a degraded fleet cannot re-provision. The schedule revisits
       // every host, so the reboot happens once recovery has healed enough
       // holders; until then the window is reported as incomplete.
-      std::string line = "reboot deferred (recovery quorum at risk): hosts";
-      for (std::uint32_t id : batch) line += " " + std::to_string(id);
-      report.failures.push_back(std::move(line));
+      report.failures.push_back("reboot deferred (recovery quorum at risk): " +
+                                Hosts(batch));
       report.reboots_deferred += batch.size();
       report.ok = false;
       continue;
@@ -773,13 +732,7 @@ bool Hypervisor::Reshare(const pss::Params& to, ReshareReport* report) {
   // file has a complete new sharing, so a failed migration leaves the old
   // group serving untouched.
   const std::vector<std::uint64_t> files = AllFileIds();
-  for (std::uint64_t id : catalog_) {
-    if (std::find(files.begin(), files.end(), id) == files.end()) {
-      rep.failures.push_back("reshare: file " + std::to_string(id) +
-                             " lost before migration (no online holder)");
-      rep.ok = false;
-    }
-  }
+  if (AuditLost(files, rep.failures)) rep.ok = false;
   if (!rep.ok) return false;
 
   std::map<std::uint64_t, std::vector<Bytes>> new_shares;
@@ -824,10 +777,9 @@ bool Hypervisor::Reshare(const pss::Params& to, ReshareReport* report) {
           // Silent contributor: same two-strike rule as refresh dealers.
           rep.contributions_withheld += 1;
           ReshareObs().withheld.Add(1);
-          if (++dealer_strikes_[c] >= 2) {
-            excluded_.insert(c);
-            recent_failures_.push_back("host " + std::to_string(c) +
-                                       " excluded: silent reshare contributor");
+          if (Strike(dealer_strikes_, excluded_, c)) {
+            rep.failures.push_back("host " + std::to_string(c) +
+                                   " excluded: silent reshare contributor");
           }
           round_ok = false;
           continue;
@@ -839,7 +791,7 @@ bool Hypervisor::Reshare(const pss::Params& to, ReshareReport* report) {
           ReshareObs().rejected.Add(1);
           obs::Span detect(obs::SpanKind::kByzDetect, c, file);
           excluded_.insert(c);
-          recent_failures_.push_back(
+          rep.failures.push_back(
               "host " + std::to_string(c) +
               " excluded: corrupt reshare contribution (file " +
               std::to_string(file) + ")");
@@ -930,26 +882,27 @@ void Hypervisor::HandleMessage(const Message& msg) {
       return;
     }
   }
-  phase_reports_.push_back({msg.from, msg.row, msg.file_id, msg.epoch, ok});
   // An accusation comes from one (possibly lying) host, so its effect is
   // bounded: the suspect only loses its survivor role until its next reboot
   // re-establishes trust.
   for (std::uint32_t id : accused) {
     if (id >= fleet_->slots() || id == msg.from) continue;
-    if (suspects_.insert(id).second) {
-      SurvivorsSuspected().Add(1);
-      obs::Span span(obs::SpanKind::kByzDetect, id, msg.from);
-      recent_failures_.push_back(
-          "host " + std::to_string(id) +
-          " suspected: wrong masked shares (accused by target " +
-          std::to_string(msg.from) + ")");
-    }
+    if (!suspects_.insert(id).second) continue;
+    SurvivorsSuspected().Add(1);
+    obs::Span span(obs::SpanKind::kByzDetect, id, msg.from);
+    if (round_ == nullptr) continue;
+    round_->lines.push_back("host " + std::to_string(id) +
+                            " suspected: wrong masked shares (accused by "
+                            "target " + std::to_string(msg.from) + ")");
   }
+  // A report that arrives between rounds belongs to none.
+  if (round_ == nullptr) return;
+  round_->reports.push_back({msg.from, msg.row, msg.file_id, msg.epoch, ok});
   if (!ok) {
-    recent_failures_.push_back("host " + std::to_string(msg.from) +
-                               " reported failure (kind=" +
-                               std::to_string(msg.row) +
-                               ", file=" + std::to_string(msg.file_id) + ")");
+    round_->lines.push_back("host " + std::to_string(msg.from) +
+                            " reported failure (kind=" +
+                            std::to_string(msg.row) +
+                            ", file=" + std::to_string(msg.file_id) + ")");
   }
 }
 

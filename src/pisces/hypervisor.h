@@ -20,24 +20,20 @@
 //     aborts only when more than t dealers are unavailable (the paper's
 //     corruption bound).
 //
-// Dealer exclusion works in three tiers:
-//   1. availability: hosts that are offline (crashed) never join a round;
-//   2. attribution: when hyperinvertible verification rejects a round, the
-//      hosts' archived dealing columns are cross-checked per dealer (each
-//      column must be a degree-<=d polynomial vanishing on the betas across
-//      the holder points); dealers whose columns are inconsistent are
-//      excluded immediately;
-//   3. strikes: a live dealer whose dealing repeatedly fails to arrive
-//      (dropped by the network) is excluded after two strikes.
-// A reboot wipes a host's exclusion record: the fresh image is trusted again.
-// A boot the host never acknowledged wipes nothing.
+// Dealer exclusion works in three tiers: (1) availability -- offline hosts
+// never join a round; (2) attribution -- when hyperinvertible verification
+// rejects a round, each dealer's archived dealing column is checked (a
+// degree-<=d polynomial vanishing on the betas) and an inconsistent dealer is
+// excluded at once; (3) strikes -- a live host that goes silent twice is
+// barred. A reboot the host acknowledged wipes its record.
 //
-// Rounds that partially applied (some hosts committed the new sharing, the
-// rest lost their verdicts) are NOT re-run -- re-randomizing an inconsistent
-// base would corrupt the sharing permanently. Instead the hosts that missed
-// the apply are marked stale and re-synchronized through share recovery from
-// the fresh quorum; stale hosts are barred from acting as recovery survivors
-// until they have been resynced.
+// A partially applied round is never re-run (re-randomizing an inconsistent
+// base would corrupt the sharing for good): the hosts that missed the apply
+// turn stale and resync through recovery, serving as no survivor until then.
+//
+// Who may serve in a round is decided once: recovery launches with
+// Survivors() and the reboot guard counts the same set. Each operation
+// collects its own failure lines and hands them to its report.
 //
 // The hypervisor holds only policy. Every lifecycle operation and host
 // inspection goes through a FleetControl (pisces/fleet.h): a SimFleet of
@@ -196,6 +192,15 @@ class Hypervisor : public net::MessageHandler {
     std::uint32_t seq = 0;
     bool ok = false;
   };
+  // One attempt of a refresh or recovery round: the kPhaseDone reports and
+  // failure lines HandleMessage receives while it runs.
+  struct Round {
+    explicit Round(Hypervisor& hv) : hv(hv) { hv.round_ = this; }
+    ~Round() { hv.round_ = nullptr; }
+    Hypervisor& hv;
+    std::vector<PhaseReport> reports;
+    std::vector<std::string> lines;
+  };
 
   // Issues fresh keys for every host of `ids` under one signed snapshot,
   // boots each with it and publishes it to every other endpoint. Returns
@@ -212,13 +217,21 @@ class Hypervisor : public net::MessageHandler {
 
   // Hosts that are booted and reachable (not net-offline), ascending.
   std::vector<std::uint32_t> ReachableHosts() const;
-  // Whether wiping `batch` still leaves every stored file enough fresh
-  // reachable holders to satisfy the recovery quorum.
+  // The survivors recovery of `file` launches with while `skip` is wiped.
+  std::vector<std::uint32_t> Survivors(
+      std::uint64_t file, std::span<const std::uint32_t> skip) const;
+  // Whether Survivors(f, batch) reaches the quorum for every stored file f.
   bool BatchSafeToReboot(std::span<const std::uint32_t> batch) const;
+  // Appends a line per catalogued file missing from `held`; true on a loss.
+  bool AuditLost(std::span<const std::uint64_t> held,
+                 std::vector<std::string>& lines) const;
+  // The hosts silent in round `seq`'s wedged sessions.
+  std::set<std::uint32_t> SilentHosts(std::uint32_t seq);
   // Folds the fleet's `phase` metric growth since `before` into `total`, and
-  // the fault deltas, recent_failures_ and `ok` into `report`.
+  // the fault deltas, the operation's `failures` and `ok` into `report`.
   void Account(const HostMetrics& before, PhaseMetrics HostMetrics::*phase,
-               PhaseMetrics& total, bool ok, WindowReport& report);
+               PhaseMetrics& total, bool ok,
+               const std::vector<std::string>& failures, WindowReport& report);
   // Cross-checks archived dealing columns of failed refresh rounds and
   // returns the dealers whose columns are provably inconsistent.
   std::set<std::uint32_t> AttributeCorruptDealers(
@@ -227,8 +240,9 @@ class Hypervisor : public net::MessageHandler {
           parts_by_file);
   // Recovers every stored file toward `targets` (chunked by r, retried with
   // a shrinking survivor set). Erases recovered targets from stale_. Appends
-  // its failures to recent_failures_.
-  bool RunRecovery(std::vector<std::uint32_t> targets, WindowReport* report);
+  // its failures to `failures`.
+  bool RunRecovery(std::vector<std::uint32_t> targets, WindowReport* report,
+                   std::vector<std::string>& failures);
 
   HypervisorConfig cfg_;
   std::unique_ptr<FleetControl> fleet_;
@@ -242,8 +256,7 @@ class Hypervisor : public net::MessageHandler {
   std::uint32_t boot_epoch_ = 0;
   std::uint32_t op_seq_ = 100;  // session correlation counter
   std::uint32_t window_ = 0;
-  std::vector<std::string> recent_failures_;
-  std::vector<PhaseReport> phase_reports_;  // cleared per attempt
+  Round* round_ = nullptr;  // the attempt in progress; null between them
   std::set<std::uint32_t> excluded_;
   std::map<std::uint32_t, std::uint32_t> dealer_strikes_;
   // Recovery dispute state: suspects are excluded from the survivor set (base

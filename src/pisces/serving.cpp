@@ -413,20 +413,14 @@ bool ServingPlane::BatchRefresh() {
 
   bool ok = true;
   for (std::uint32_t s = 0; s < cfg_.shards; ++s) {
-    std::vector<std::uint64_t>& population = per_shard[s];
+    const std::vector<std::uint64_t>& population = per_shard[s];
     if (population.empty()) continue;
-    const std::size_t batch =
-        cfg_.refresh_batch == 0 ? population.size() : cfg_.refresh_batch;
-    for (std::size_t pos = 0; pos < population.size(); pos += batch) {
-      const std::size_t end = std::min(pos + batch, population.size());
-      std::span<const std::uint64_t> chunk(population.data() + pos, end - pos);
-      obs::Span span(obs::SpanKind::kServingRefresh, s, chunk.size());
-      ok = shards_[s]->hypervisor().RefreshFiles(chunk) && ok;
-      stats_.refresh_batches += 1;
-      stats_.refresh_files += chunk.size();
-      Counters().refresh_batches.Add(1);
-      Counters().refresh_files.Add(chunk.size());
-    }
+    obs::Span span(obs::SpanKind::kServingRefresh, s, population.size());
+    ok = shards_[s]->hypervisor().RefreshFiles(population) && ok;
+    stats_.refresh_batches += 1;
+    stats_.refresh_files += population.size();
+    Counters().refresh_batches.Add(1);
+    Counters().refresh_files.Add(population.size());
   }
   return ok;
 }

@@ -48,9 +48,6 @@ struct ServingConfig {
   std::size_t max_inflight = 4;
   // Base unit of the reject hint; the hint scales with queue depth.
   std::uint32_t retry_after_ms = 5;
-  // Files per batched refresh launch (bounds peak session memory on a
-  // shard); 0 = the whole shard population in one launch.
-  std::size_t refresh_batch = 0;
   // Default read policy for download ops. A download frame may override it
   // per-request by carrying a serialized ReadPolicy as its payload (empty
   // payload = this default); see docs/bandwidth.md.
@@ -172,8 +169,8 @@ class ServingPlane {
   std::size_t TotalQueued() const;
 
   // --- proactive plane ---
-  // Batched refresh of every live file, shard by shard: files are launched
-  // in refresh_batch-sized groups, each group's sessions pumped together
+  // Batched refresh of every live file, shard by shard: each shard's whole
+  // population launches at once, its sessions pumped together
   // (Hypervisor::RefreshFiles). Refresh-only; reboots stay with
   // RunProactiveWindow.
   bool BatchRefresh();

@@ -13,6 +13,7 @@
 // (paper SectionVI-D). The paper's natural choice is t = n/4, l = n/4 - 1.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -33,6 +34,11 @@ struct Params {
   std::size_t degree() const { return t + l; }
   // Rows of the hyperinvertible transform opened for verification.
   std::size_t check_rows() const { return 2 * t; }
+  // Fewest participants a refresh or recovery round can run on: more than
+  // the check rows, and at least the d+1 points that fix a share polynomial.
+  std::size_t quorum() const {
+    return std::max(check_rows() + 1, degree() + 1);
+  }
   // Usable verified sharings per transform over `dealers` participants.
   std::size_t UsableRows(std::size_t dealers) const {
     return dealers - check_rows();

@@ -430,6 +430,52 @@ TEST(ByzantineCluster, SuspectsClearedByReboot) {
   EXPECT_TRUE(cluster.hypervisor().suspected_hosts().empty());
 }
 
+TEST(ByzantineCluster, RebootGuardCountsOnlyTheSurvivorsRecoveryUses) {
+  // n = 10, t = 2, l = 1: the recovery quorum is 5. Forged accusations make
+  // hosts 5-9 suspects, and suspects never serve as recovery survivors. With
+  // r = 1, rebooting any of hosts 0-4 would leave its recovery 4 survivors:
+  // the guard must defer those reboots instead of wiping the host. Each
+  // suspect's own reboot still has survivors 0-4 and clears its suspicion.
+  ClusterConfig cfg = ByzConfig(110);
+  cfg.params.r = 1;
+  Cluster cluster(cfg);
+  Rng rng(10);
+  const Bytes file = rng.RandomBytes(500);
+  cluster.Upload(1, file);
+
+  net::Message accusation;
+  accusation.from = 0;
+  accusation.to = net::kHypervisorId;
+  accusation.type = net::MsgType::kPhaseDone;
+  accusation.file_id = 1;
+  accusation.row = 1;  // recovery report
+  ByteWriter w;
+  w.U8(1);
+  w.U32(5);
+  for (std::uint32_t id = 5; id < 10; ++id) w.U32(id);
+  accusation.payload = w.Take();
+  cluster.hypervisor().HandleMessage(accusation);
+  ASSERT_EQ(cluster.hypervisor().suspected_hosts(),
+            (std::set<std::uint32_t>{5, 6, 7, 8, 9}));
+
+  const WindowReport report = cluster.RunUpdateWindow();
+  EXPECT_FALSE(report.ok);
+  EXPECT_FALSE(report.failures.empty());
+  EXPECT_EQ(report.reboots_deferred, 5u);
+  EXPECT_EQ(report.reboots, 5u);
+  EXPECT_TRUE(cluster.hypervisor().suspected_hosts().empty());
+  EXPECT_TRUE(cluster.hypervisor().stale_hosts().empty());
+  for (std::uint32_t id = 0; id < 10; ++id) {
+    EXPECT_TRUE(cluster.host(id).store().Has(1)) << "host " << id;
+  }
+  EXPECT_EQ(cluster.Download(pisces::ReadSpec::Classic(1)), file);
+
+  const WindowReport next = cluster.RunUpdateWindow();
+  EXPECT_TRUE(next.ok);
+  EXPECT_EQ(next.reboots, 10u);
+  EXPECT_EQ(cluster.Download(pisces::ReadSpec::Classic(1)), file);
+}
+
 TEST(ByzantineCluster, ArmedEmptyPlanIsByteIdenticalToUnarmed) {
   // The engine's injection points are null-checked pointers: arming an EMPTY
   // plan must leave every protocol byte identical to a never-armed cluster.

@@ -79,6 +79,8 @@ Digest RunDrill() {
     cluster.net().SetFaultPlan(plan);
 
     WindowReport report = cluster.hypervisor().RunUpdateWindow();
+    // A window that is not ok says why.
+    EXPECT_TRUE(report.ok || !report.failures.empty()) << "window " << w;
     digest.nums.push_back(report.ok ? 1 : 0);
     digest.nums.push_back(report.refresh_retries);
     digest.nums.push_back(report.recovery_retries);

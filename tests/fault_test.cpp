@@ -3,6 +3,9 @@
 // timeout path), malformed messages survived.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+
 #include "pisces/pisces.h"
 
 namespace pisces {
@@ -139,6 +142,39 @@ TEST(Fault, DroppedVerdictsLeaveStuckSessionsThatAreDetected) {
   }
   // System recovers fully afterwards.
   EXPECT_TRUE(cluster.RunUpdateWindow().ok);
+}
+
+TEST(Fault, PartialApplyResyncKeepsTheRefreshFailureLines) {
+  // One refresh over two files. File 1 partially applies: host 7 never sees
+  // its verdicts, so it is marked stale and resynced through recovery. File
+  // 2 cannot launch: five of its eight holders lost their shares, leaving
+  // three, below the quorum of four. The resync must add its lines to the
+  // refresh's, not replace them: the report names file 2's refresh failure.
+  Cluster cluster(Config());
+  Rng rng(7);
+  const Bytes file = rng.RandomBytes(400);
+  cluster.Upload(1, file);
+  cluster.Upload(2, rng.RandomBytes(300));
+  for (std::uint32_t id = 0; id < 5; ++id) cluster.host(id).store().Delete(2);
+
+  // Only the refresh round's verdicts: the resync's recovery runs clean.
+  std::optional<std::uint32_t> refresh_seq;
+  cluster.net().SetMutator([&](net::Message& m) {
+    if (m.type == net::MsgType::kStartRefresh && !refresh_seq) {
+      refresh_seq = m.epoch;
+    }
+    return !(m.type == net::MsgType::kVerdict && m.to == 7 &&
+             m.file_id == 1 && m.epoch == refresh_seq);
+  });
+  WindowReport report;
+  EXPECT_FALSE(cluster.hypervisor().RefreshAllFiles(&report));
+  cluster.net().SetMutator(nullptr);
+
+  EXPECT_FALSE(report.ok);
+  EXPECT_NE(std::find(report.failures.begin(), report.failures.end(),
+                      "file 2: not enough holders to rerandomize"),
+            report.failures.end());
+  EXPECT_EQ(cluster.Download(pisces::ReadSpec::Classic(1)), file);
 }
 
 TEST(Fault, GarbageMessagesAreSurvived) {

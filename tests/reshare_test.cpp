@@ -3,7 +3,9 @@
 // pinning Hypervisor::Reshare against the oracle (docs/resharding.md).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <set>
 
 #include "common/task_pool.h"
 #include "field/primes.h"
@@ -547,10 +549,16 @@ TEST_F(ReshareClusterTest, EquivocatingContributorExcludedAndRetried) {
   cluster.DisarmByzantine();
 
   // The tampered contribution failed public verification; the offender was
-  // excluded and the file's round re-ran with honest contributors.
+  // excluded and the file's round re-ran with honest contributors. The
+  // report names the exclusion.
   EXPECT_TRUE(report.ok);
   EXPECT_GE(report.contributions_rejected, 1u);
   EXPECT_GE(report.retries, 1u);
+  EXPECT_TRUE(std::any_of(
+      report.failures.begin(), report.failures.end(),
+      [](const std::string& line) {
+        return line.starts_with("host 2 excluded: corrupt reshare");
+      }));
   ExpectDownloads(cluster, images);
 }
 
@@ -563,11 +571,23 @@ TEST_F(ReshareClusterTest, SilentContributorToleratedViaRetry) {
   plan.hosts[1] = ByzantineStrategy::kWithhold;
   cluster.ArmByzantine(plan);
 
+  const std::set<std::uint32_t> before =
+      cluster.hypervisor().excluded_dealers();
   ReshareReport report = cluster.Reshare(cluster.config().params);
   cluster.DisarmByzantine();
 
   EXPECT_TRUE(report.ok);
   EXPECT_GE(report.contributions_withheld, 1u);
+  // One line per newly excluded contributor, none for anybody else.
+  for (std::uint32_t id = 0; id < 10; ++id) {
+    const bool newly = cluster.hypervisor().excluded_dealers().count(id) != 0 &&
+                       before.count(id) == 0;
+    EXPECT_EQ(std::count(report.failures.begin(), report.failures.end(),
+                         "host " + std::to_string(id) +
+                             " excluded: silent reshare contributor"),
+              newly ? 1 : 0)
+        << "host " << id;
+  }
   ExpectDownloads(cluster, images);
 }
 

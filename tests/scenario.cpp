@@ -655,6 +655,8 @@ bool RunByzWindows(const Campaign& c) {
                      strategy == ByzantineStrategy::kCorruptDeal;
       wrong_share += strategy == ByzantineStrategy::kWrongShare;
     }
+    CHECK(report.ok || !report.failures.empty(),
+          "window %zu: report: not ok without a failure line", w);
     CHECK(report.ok, "window %zu: liveness: %s", w,
           report.failures.empty() ? "window not ok"
                                   : report.failures.front().c_str());
@@ -698,8 +700,12 @@ bool RunByzReshare(const Campaign& c) {
     const bool ok =
         ArmedWindow(cluster, "byz-reshare", c, w, plan, wseed, [&](Fields& f) {
           const obs::Snapshot before = obs::TakeSnapshot();
-          cluster.Reshare(to);  // throws when the migration fails
+          // Throws when the migration fails.
+          const ReshareReport moved = cluster.Reshare(to);
           const obs::Snapshot delta = Since(before);
+          CHECK(moved.ok || !moved.failures.empty(),
+                "window %zu: report: reshare not ok without a failure line",
+                w);
           f = {{"n", to.n},
                {"rejected",
                 obs::Value(delta, "reshare.contributions_rejected")},
@@ -718,6 +724,8 @@ bool RunByzReshare(const Campaign& c) {
           return true;
         });
     if (!ok) return false;
+    CHECK(report.ok || !report.failures.empty(),
+          "window %zu: report: not ok without a failure line", w);
     CHECK(report.ok, "window %zu: liveness: %s", w,
           report.failures.empty() ? "window not ok"
                                   : report.failures.front().c_str());
